@@ -1,20 +1,24 @@
 """Scalar root finding used by the equilibrium and first-best solvers.
 
 Every economic fixed point in this package reduces to a monotone scalar
-residual, so plain bisection with geometric bracket expansion is enough
-and keeps convergence behaviour fully deterministic.
+residual with a sign change on a bracket. find_root runs Brent's method
+(Brent, Algorithms for Minimization without Derivatives, 1973): it keeps
+bisection's guaranteed bracket and converges superlinearly, deterministically.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 from .errors import SolverError
 
 #: residual magnitude accepted as "solved"
 RESIDUAL_TOL = 1e-10
-#: hard cap on bisection steps (well past double precision for any bracket)
+#: hard cap on iterations (well past double precision for any bracket)
 MAX_ITER = 200
+
+_EPS = 2.0**-52
 
 
 def expand_bracket(
@@ -50,7 +54,7 @@ def expand_bracket(
     )
 
 
-def bisect(
+def find_root(
     f: Callable[[float], float],
     lo: float,
     hi: float,
@@ -58,64 +62,59 @@ def bisect(
     residual_tol: float = RESIDUAL_TOL,
     max_iter: int = MAX_ITER,
 ) -> float:
-    """Bisection on a sign change, run to float resolution.
+    """Brent's method on a sign change, run to float resolution.
 
     The bracket is narrowed until it is a few ulp wide (or max_iter steps),
-    then the midpoint is checked against residual_tol; a residual above the
+    then the best end is checked against residual_tol; a residual above the
     tolerance raises SolverError with bracket diagnostics.
     """
-    flo = f(lo)
-    fhi = f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo < 0.0) == (fhi < 0.0):
+    # b is the best estimate, c the other end of the bracket, a the previous b
+    a, b = lo, hi
+    fa, fb = f(a), f(b)
+    if (fa < 0.0 and fb < 0.0) or (fa > 0.0 and fb > 0.0):
         raise SolverError(
-            f"no sign change on bracket: f({lo:.6g}) = {flo:.6g}, "
-            f"f({hi:.6g}) = {fhi:.6g}"
+            f"no sign change on bracket: f({lo:.6g}) = {fa:.6g}, "
+            f"f({hi:.6g}) = {fb:.6g}"
         )
-    mid = 0.5 * (lo + hi)
-    fmid = f(mid)
+    c, fc = a, fa
+    d = e = b - a
     for _ in range(max_iter):
-        if fmid == 0.0:
-            return mid
-        if (fmid < 0.0) == (flo < 0.0):
-            lo, flo = mid, fmid
-        else:
-            hi, fhi = mid, fmid
-        new_mid = 0.5 * (lo + hi)
-        # the bracket stops shrinking once it is ~1 ulp wide
-        if new_mid == mid or hi - lo <= 1e-15 * (abs(lo) + abs(hi)):
-            mid = new_mid
-            fmid = f(mid)
+        if (fb < 0.0) == (fc < 0.0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol = _EPS * abs(b) + 1e-300
+        half = 0.5 * (c - b)
+        if abs(half) <= tol or fb == 0.0:
             break
-        mid = new_mid
-        fmid = f(mid)
-    if abs(fmid) > residual_tol:
+        if abs(e) >= tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * half * s, 1.0 - s
+            else:
+                q, t = fa / fc, fb / fc
+                p = s * (2.0 * half * q * (q - t) - (b - a) * (t - 1.0))
+                q = (q - 1.0) * (t - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            else:
+                p = -p
+            # accept the interpolation only if it stays well inside the
+            # bracket and shrinks faster than the step before last
+            if 2.0 * p < min(3.0 * half * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                e = d = half
+        else:
+            e = d = half
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, half)
+        fb = f(b)
+    if abs(fb) > residual_tol:
         raise SolverError(
-            f"bisection stalled with residual {fmid:.3e} > {residual_tol:.0e} "
-            f"on bracket [{lo:.12g}, {hi:.12g}]"
+            f"root finder stalled with residual {fb:.3e} > {residual_tol:.0e} "
+            f"on bracket [{min(b, c):.12g}, {max(b, c):.12g}]"
         )
-    return mid
-
-
-def damped_fixed_point(
-    g: Callable[[float], float],
-    x0: float,
-    *,
-    damping: float = 0.5,
-    tol: float = 1e-14,
-    max_iter: int = 400,
-) -> float:
-    """Iterate x <- x + damping * (g(x) - x) until the update is negligible."""
-    x = x0
-    for _ in range(max_iter):
-        gx = g(x)
-        if abs(gx - x) <= tol * (1.0 + abs(x)):
-            return gx
-        x = x + damping * (gx - x)
-    raise SolverError(
-        f"fixed point not converged after {max_iter} iterations "
-        f"(last iterate {x:.12g}, update {gx - x:.3e})"
-    )
+    return b

@@ -13,11 +13,12 @@ One solver per demand regime:
 * solve_heterogeneous: common binary shock with a shocked and an
   unshocked type competing for congested blockspace.
 
-Every solver reduces to nested monotone scalar root finds on prices and,
-where the token return feeds back into demand, a damped fixed point on the
-return. Congested branches are tried first (clearing at the unit capacity)
-and fall back to uncongested pricing when the clearing price would drop
-below marginal cost at capacity.
+Every solver reduces to monotone scalar root finds on prices. Where the
+token return feeds back into demand (the heterogeneous regime), the return
+is the outer root and prices are solved for each trial return. Congested
+branches are tried first (clearing at the unit capacity) and fall back to
+uncongested pricing when the clearing price would drop below marginal cost
+at capacity.
 
 Token holdings come from the binding-state budget: users who transact in a
 state spend their whole balance there whenever the token return is below r,
@@ -27,12 +28,13 @@ which pins m = (1 + theta) * p * a / (1 + rT).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 from . import econ_core as ec
 from . import first_best as fb
-from ._roots import bisect, damped_fixed_point, expand_bracket
+from ._roots import expand_bracket, find_root
 from .errors import ConfigError, InfeasiblePolicyError, SolverError
 
 _BUDGET_RTOL = 1e-9
@@ -219,7 +221,7 @@ def solve_deterministic(cfg: ec.EconomyConfig, theta: float) -> SteadyStateEquil
 
     # congested branch first: price clearing the unit capacity
     lo, hi, _, _ = expand_bracket(lambda p: demand_total(p) - 1.0, 1e-6, 1.0)
-    p_clearing = bisect(lambda p: demand_total(p) - 1.0, lo, hi)
+    p_clearing = find_root(lambda p: demand_total(p) - 1.0, lo, hi)
     capacity_cost = ec.c_prime(cfg.cost, ec.BLOCKSPACE_CAPACITY)
     if p_clearing >= capacity_cost - 1e-12:
         price, congested = p_clearing, True
@@ -229,7 +231,7 @@ def solve_deterministic(cfg: ec.EconomyConfig, theta: float) -> SteadyStateEquil
 
         x0 = max(capacity_cost, 1e-8)
         lo, hi, _, _ = expand_bracket(excess, x0, x0)
-        price, congested = bisect(excess, lo, hi), False
+        price, congested = find_root(excess, lo, hi), False
 
     acts = {n: 0.0 for n in _names(cfg)}
     for t, u in active:
@@ -303,7 +305,7 @@ def solve_iid_shocks(cfg: ec.EconomyConfig, theta: float) -> SteadyStateEquilibr
             return ec.u_prime(u, a) - wedge * ec.c_prime(cfg.cost, rho * a)
 
         lo, hi, _, _ = expand_bracket(gap, 1.0, 1.0)
-        a_high = bisect(gap, lo, hi)
+        a_high = find_root(gap, lo, hi)
         price, congested = ec.c_prime(cfg.cost, rho * a_high), False
 
     aggregate = rho * a_high
@@ -358,7 +360,7 @@ def solve_common_shock(cfg: ec.EconomyConfig, theta_high: float) -> SteadyStateE
             return ec.u_prime(u, a) - wedge * ec.c_prime(cfg.cost, a)
 
         lo, hi, _, _ = expand_bracket(gap, 1.0, 1.0)
-        a_high = bisect(gap, lo, hi)
+        a_high = find_root(gap, lo, hi)
         price, congested = ec.c_prime(cfg.cost, a_high), False
 
     m = (1.0 + theta_high) * price * a_high / (1.0 + token_return)
@@ -391,12 +393,13 @@ def solve_common_shock(cfg: ec.EconomyConfig, theta_high: float) -> SteadyStateE
 class _HetPoint:
     a_high: float
     b_high: float
-    a_low: float
     b_low: float
     p_low: float
     m_high_type: float
     m_low_type: float
-    binding_case: int  # 1: unshocked type exhausts tokens in the low state; 2: in the high state
+    # where the unshocked type exhausts its tokens: 1 in the low state,
+    # 2 in the high state, 3 in both
+    binding_case: int
 
 
 def heterogeneous_roles(cfg: ec.EconomyConfig) -> tuple[ec.AgentTypeSpec, ec.AgentTypeSpec]:
@@ -432,12 +435,19 @@ def solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyState
     High state: the shocked type values activity highly, blockspace clears at
     the unit capacity, and both types pay the surcharge. Low state: untaxed,
     uncongested. The shocked type exhausts its balance in the high state; the
-    unshocked type exhausts its balance in whichever state it spends more
-    (both binding patterns are implemented and selected by consistency).
+    unshocked type exhausts its balance in the low state, in the high state,
+    or in both (the three patterns are tried in that order and the first
+    consistent one is kept).
 
     The burn-funded return r_high^T relaxes every binding budget, so a
     positive theta moves all four activity margins toward first best: this is
     the one regime where the tax is not neutral. Requires gamma = 0.
+
+    The return is the outer unknown: a root of burn(rT) = rT on
+    [0, min(theta, r / rho)], where each trial rT fixes the wedges and the
+    high-state price is solved for it. Holdings cover high-state spending, so
+    the burn never exceeds theta; if it still exceeds rT at r / rho, the
+    expected return would pass r and InfeasiblePolicyError is raised.
 
     If no clearing price at or above marginal cost at capacity exists, the
     high state is not congested for this theta; the uncongested fallback is
@@ -462,15 +472,24 @@ def solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyState
     if rho >= 1.0:
         raise ConfigError("solve_heterogeneous needs rho < 1: the low state must occur")
 
-    def low_state_price(wedge_low_type: float) -> float:
+    def clear_low(unshocked_demand: Callable[[float], float]) -> float:
         def excess(p: float) -> float:
-            load = lam * ec.u_prime_inv(u_high0, p) + mu * ec.u_prime_inv(
-                u_low0, wedge_low_type * p
-            )
+            load = lam * ec.u_prime_inv(u_high0, p) + mu * unshocked_demand(p)
             return p - ec.c_prime(cfg.cost, load)
 
         lo, hi, _, _ = expand_bracket(excess, 1e-6, 1.0)
-        return bisect(excess, lo, hi)
+        return find_root(excess, lo, hi)
+
+    # the low state with a slack unshocked budget depends only on the wedge
+    # that type pays there, so it is solved once per wedge
+    low_states: dict[float, tuple[float, float]] = {}
+
+    def low_state(wedge: float) -> tuple[float, float]:
+        """(p_low, b_low) when the unshocked type buys at wedge * p_low."""
+        if wedge not in low_states:
+            p = clear_low(lambda p: ec.u_prime_inv(u_low0, wedge * p))
+            low_states[wedge] = p, ec.u_prime_inv(u_low0, wedge * p)
+        return low_states[wedge]
 
     def candidate(p_high: float, rt: float) -> _HetPoint:
         eff = (1.0 + theta_high) * p_high
@@ -479,102 +498,87 @@ def solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyState
 
         # case 1: the unshocked type's budget binds in the low state
         k1 = 1.0 + (r - rho * rt) / (1.0 - rho)
-        if k1 >= 1.0 - 1e-12:
-            b_high = ec.u_prime_inv(u_low1, eff)
-            p_low = low_state_price(k1)
-            b_low = ec.u_prime_inv(u_low0, k1 * p_low)
-            a_low = ec.u_prime_inv(u_high0, p_low)
-            m_b = p_low * b_low
-            if eff * b_high <= (1.0 + rt) * m_b * (1.0 + _BUDGET_RTOL) + 1e-15:
-                return _HetPoint(a_high, b_high, a_low, b_low, p_low, m_a, m_b, 1)
+        b_free = ec.u_prime_inv(u_low1, eff)
+        p_low, b_low = low_state(k1)
+        if eff * b_free <= (1.0 + rt) * p_low * b_low * (1.0 + _BUDGET_RTOL) + 1e-15:
+            return _HetPoint(a_high, b_free, b_low, p_low, m_a, p_low * b_low, 1)
 
         # case 2: it binds in the high state instead
         k2 = 1.0 + (r - rho * rt) / (rho * (1.0 + rt))
-        if k2 >= 1.0 - 1e-12:
-            b_high = ec.u_prime_inv(u_low1, eff * k2)
-            m_b = eff * b_high / (1.0 + rt)
-            p_low = low_state_price(1.0)
-            b_low = ec.u_prime_inv(u_low0, p_low)
-            a_low = ec.u_prime_inv(u_high0, p_low)
-            if p_low * b_low <= m_b * (1.0 + _BUDGET_RTOL) + 1e-15:
-                return _HetPoint(a_high, b_high, a_low, b_low, p_low, m_a, m_b, 2)
+        b_high = ec.u_prime_inv(u_low1, eff * k2)
+        m_b = eff * b_high / (1.0 + rt)
+        p_free, b_slack = low_state(1.0)
+        if p_free * b_slack <= m_b * (1.0 + _BUDGET_RTOL) + 1e-15:
+            return _HetPoint(a_high, b_high, b_slack, p_free, m_a, m_b, 2)
 
-        raise SolverError(
-            "no consistent budget-binding pattern for the unshocked type "
-            f"(p_high={p_high:.6g}, return={rt:.6g}); the policy likely pushes the "
-            "expected token return past r"
-        )
+        # case 3: it binds in both, with b_high = (1+rT) m / eff, b_low = m / p_low
+        # and m solving its holdings FOC. As neither single pattern holds, the
+        # FOC is negative at the smaller balance where one budget stops binding.
+        def holdings_foc(m: float) -> float:
+            p = clear_low(lambda p: m / p)
+            high = rho * (1.0 + rt) * (ec.u_prime(u_low1, (1.0 + rt) * m / eff) / eff - 1.0)
+            low = (1.0 - rho) * (ec.u_prime(u_low0, m / p) / p - 1.0)
+            return high + low - (r - rho * rt)
 
-    def return_at(p_high: float) -> float:
-        if theta_high == 0.0:
-            return 0.0
-
-        def burn_map(rt: float) -> float:
-            pt = candidate(p_high, rt)
-            agg = lam * pt.a_high + mu * pt.b_high
-            m_agg = lam * pt.m_high_type + mu * pt.m_low_type
-            return theta_high * p_high * agg / m_agg
-
-        return damped_fixed_point(burn_map, 0.0)
+        m_top = min(eff * b_free / (1.0 + rt), p_free * b_slack)
+        lo, hi, _, _ = expand_bracket(holdings_foc, 0.5 * m_top, m_top)
+        m_b = find_root(holdings_foc, lo, hi)
+        p_low = clear_low(lambda p: m_b / p)
+        return _HetPoint(a_high, (1.0 + rt) * m_b / eff, m_b / p_low, p_low, m_a, m_b, 3)
 
     capacity_cost = ec.c_prime(cfg.cost, ec.BLOCKSPACE_CAPACITY)
 
-    # At trial prices well below the solution, demand can be too large for
-    # either binding pattern to be consistent. That sign is still informative
-    # (aggregate demand certainly exceeds capacity there), so the root finder
-    # sees a positive-gap placeholder instead of an exception; any residual
-    # inconsistency at the returned price resurfaces in the final evaluation.
-    def clearing_gap(p_high: float) -> float:
-        try:
-            pt = candidate(p_high, return_at(p_high))
-        except SolverError:
-            return 1.0
-        return lam * pt.a_high + mu * pt.b_high - ec.BLOCKSPACE_CAPACITY
+    def high_state(rt: float) -> tuple[float, bool, _HetPoint]:
+        """High-state price for a given return, whether it clears at capacity,
+        and the candidate there."""
+        def load(p_high: float) -> float:
+            pt = candidate(p_high, rt)
+            return lam * pt.a_high + mu * pt.b_high
 
-    congestion_broken = False
-    if clearing_gap(capacity_cost) > 0.0:
-        lo, hi, _, _ = expand_bracket(clearing_gap, capacity_cost, capacity_cost, lo_floor=capacity_cost)
-        try:
-            p_high = bisect(clearing_gap, lo, hi)
-        except SolverError as exc:
-            raise SolverError(
-                "no consistent congested high state found for "
-                f"theta_high={theta_high}; the burn this tax funds likely pushes "
-                "the expected token return past r, where token demand is unbounded"
-            ) from exc
-        congested = True
-    else:
-        # demand falls short of capacity even at the cheapest congested price:
-        # solve the uncongested high state instead and flag the break
-        congestion_broken = True
-        congested = False
+        congested = load(capacity_cost) > ec.BLOCKSPACE_CAPACITY
 
-        def excess(p: float) -> float:
-            try:
-                pt = candidate(p, return_at(p))
-            except SolverError:
-                return -1.0
-            return p - ec.c_prime(cfg.cost, lam * pt.a_high + mu * pt.b_high)
+        def gap(p: float) -> float:
+            if congested:
+                return load(p) - ec.BLOCKSPACE_CAPACITY
+            return p - ec.c_prime(cfg.cost, load(p))
 
-        lo, hi, _, _ = expand_bracket(excess, capacity_cost * 0.5, capacity_cost)
-        p_high = bisect(excess, lo, hi)
+        if congested:
+            lo, hi, _, _ = expand_bracket(gap, capacity_cost, capacity_cost, lo_floor=capacity_cost)
+        else:
+            # demand falls short of capacity even at the cheapest congested
+            # price: the high state clears uncongested instead
+            lo, hi, _, _ = expand_bracket(gap, capacity_cost * 0.5, capacity_cost)
+        p_high = find_root(gap, lo, hi)
+        return p_high, congested, candidate(p_high, rt)
 
-    rt = return_at(p_high)
-    pt = candidate(p_high, rt)
-    if pt.p_low * pt.a_low > pt.m_high_type * (1.0 + _BUDGET_RTOL) + 1e-15:
+    def burn_gap(rt: float) -> float:
+        p_high, _, pt = high_state(rt)
+        agg = lam * pt.a_high + mu * pt.b_high
+        return theta_high * p_high * agg / (lam * pt.m_high_type + mu * pt.m_low_type) - rt
+
+    rt = 0.0
+    if theta_high > 0.0:
+        rt_max = min(theta_high, r / rho)
+        if burn_gap(rt_max) < 0.0:
+            rt = find_root(burn_gap, 0.0, rt_max)
+        elif rt_max == theta_high:
+            # every budget binds in the high state, so the burn funds exactly
+            # rT = theta (up to rounding) and the surcharge is neutral
+            rt = theta_high
+        else:
+            raise InfeasiblePolicyError(
+                f"the burn at theta_high={theta_high} funds an expected token return "
+                f"above r = {r}; no steady state with finite token demand exists for "
+                "this tax"
+            )
+    p_high, congested, pt = high_state(rt)
+    a_low = ec.u_prime_inv(u_high0, pt.p_low)
+    if pt.p_low * a_low > pt.m_high_type * (1.0 + _BUDGET_RTOL) + 1e-15:
         raise SolverError(
             "shocked type's low-state spending exceeds its balance; the assumed "
             "binding pattern is inconsistent for this configuration"
         )
-    expected_return = rho * rt
-    if expected_return > r + 1e-9:
-        raise InfeasiblePolicyError(
-            f"expected token return {expected_return:.6g} exceeds r = {r}; no "
-            "steady state with finite token demand exists for this tax"
-        )
 
-    agg_high = lam * pt.a_high + mu * pt.b_high
-    agg_low = lam * pt.a_low + mu * pt.b_low
     states = {
         1: StateOutcome(
             price=p_high,
@@ -582,26 +586,24 @@ def solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyState
             token_return=rt,
             activities={high_t.name: pt.a_high, low_t.name: pt.b_high},
             congested=congested,
-            aggregate_activity=agg_high,
+            aggregate_activity=lam * pt.a_high + mu * pt.b_high,
         ),
         0: StateOutcome(
             price=pt.p_low,
             tax=0.0,
             token_return=0.0,
-            activities={high_t.name: pt.a_low, low_t.name: pt.b_low},
+            activities={high_t.name: a_low, low_t.name: pt.b_low},
             congested=False,
-            aggregate_activity=agg_low,
+            aggregate_activity=lam * a_low + mu * pt.b_low,
         ),
     }
-    holdings = {high_t.name: pt.m_high_type, low_t.name: pt.m_low_type}
-    aggregate_m = lam * pt.m_high_type + mu * pt.m_low_type
     return SteadyStateEquilibrium(
         regime=Regime.HETEROGENEOUS,
         states=states,
-        holdings=holdings,
-        expected_return=expected_return,
-        aggregate_real_balances=aggregate_m,
-        congestion_broken=congestion_broken,
+        holdings={high_t.name: pt.m_high_type, low_t.name: pt.m_low_type},
+        expected_return=rho * rt,
+        aggregate_real_balances=lam * pt.m_high_type + mu * pt.m_low_type,
+        congestion_broken=not congested,
     )
 
 
@@ -637,42 +639,40 @@ def shock_foc_residual(
 ) -> dict[tuple[str, int], float]:
     """Residuals of the holdings optimality conditions, per type and state.
 
-    In the state where a type's budget binds the condition is
-    u'(a) / ((1+theta) p) = 1 + (r - E[rT]) / (pi * (1 + rT)), with the
-    activity implied by the budget; in slack states it is the static margin
-    u'(a) / ((1+theta) p) = 1. States with no demand contribute zero.
+    A type's budget binds where it spends the largest share of its wealth
+    and wherever it spends all of it (within _BUDGET_RTOL). Over the binding
+    states B, with each a_s implied by the budget, the condition is
+    sum_B pi_s (1+rT_s) (u'(a_s) / eff_s - 1) = r - E[rT]. Its residual over
+    sum_B pi_s (1+rT_s) is reported at every binding state; with one binding
+    state that is u'(a) / eff - (1 + (r - E[rT]) / (pi (1 + rT))). Slack
+    states report the static margin u'(a) / eff - 1; states with no demand, 0.
     """
     probs = {s: cfg.shocks.probability(s) for s in eq.states}
     expected_rt = math.fsum(probs[s] * eq.states[s].token_return for s in eq.states)
     residuals: dict[tuple[str, int], float] = {}
     for t in cfg.agent_types:
         m = eq.holdings[t.name]
-        spend_ratio: dict[int, float] = {}
+        live = {s: out for s, out in eq.states.items()
+                if t.is_active(s) and out.effective_price > 0 and probs[s] > 0}
+        # activity the whole balance buys in each state, and the state's weight
+        afford = {s: (1.0 + out.token_return) * m / out.effective_price for s, out in live.items()}
+        weight = {s: probs[s] * (1.0 + out.token_return) for s, out in live.items()}
+        ratio = {s: live[s].activities[t.name] / afford[s] for s in live if afford[s] > 0}
+        top = max(ratio, key=ratio.__getitem__, default=None)
+        binding = [s for s in ratio if s == top or abs(ratio[s] - 1.0) <= _BUDGET_RTOL]
+        scale = math.fsum(weight[s] for s in binding)
+        excess = math.fsum(
+            weight[s] * (ec.u_prime(t.utility_in(s), afford[s]) / live[s].effective_price - 1.0)
+            for s in binding
+        ) - (cfg.r - expected_rt)
         for s, out in eq.states.items():
-            f = t.utility_in(s)
-            if isinstance(f, ec.ZeroUtility) or out.effective_price <= 0 or probs[s] <= 0:
-                continue
-            wealth = (1.0 + out.token_return) * m
-            if wealth <= 0:
-                continue
-            spend_ratio[s] = out.effective_price * out.activities[t.name] / wealth
-        binding = max(spend_ratio, key=lambda s: spend_ratio[s]) if spend_ratio else None
-        for s, out in eq.states.items():
-            key = (t.name, s)
-            f = t.utility_in(s)
-            if isinstance(f, ec.ZeroUtility) or out.effective_price <= 0 or probs[s] <= 0:
-                residuals[key] = 0.0
-                continue
-            if s == binding:
-                a = (1.0 + out.token_return) * m / out.effective_price
-                target = 1.0 + (cfg.r - expected_rt) / (probs[s] * (1.0 + out.token_return))
+            a = out.activities[t.name]
+            if s in binding:
+                residuals[(t.name, s)] = excess / scale
+            elif s in live and a > 0:
+                residuals[(t.name, s)] = ec.u_prime(t.utility_in(s), a) / out.effective_price - 1.0
             else:
-                a = out.activities[t.name]
-                target = 1.0
-            if a <= 0:
-                residuals[key] = 0.0
-                continue
-            residuals[key] = ec.u_prime(f, a) / out.effective_price - target
+                residuals[(t.name, s)] = 0.0
     return residuals
 
 

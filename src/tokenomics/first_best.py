@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from . import econ_core as ec
-from ._roots import bisect, expand_bracket
+from ._roots import expand_bracket, find_root
 from .errors import SolverError
 
 
@@ -38,7 +38,7 @@ def _active_types(cfg: ec.EconomyConfig, state: int) -> list[tuple[ec.AgentTypeS
 def first_best_allocation(cfg: ec.EconomyConfig, state: int) -> Allocation:
     """Planner's optimum for one shock state.
 
-    Solves u_k'(a_k) = c'(total) for the common marginal value by bisection;
+    Solves u_k'(a_k) = c'(total) for the common marginal value by root finding;
     if the implied total exceeds capacity, re-solves for the shadow marginal
     at which demand exactly fills the unit of blockspace.
     """
@@ -60,7 +60,7 @@ def first_best_allocation(cfg: ec.EconomyConfig, state: int) -> Allocation:
 
     x0 = max(ec.c_prime(cfg.cost, 1.0), 1e-8)
     lo, hi, _, _ = expand_bracket(excess, x0, x0)
-    x_star = bisect(excess, lo, hi)
+    x_star = find_root(excess, lo, hi)
     total = total_at(x_star)
 
     if total <= ec.BLOCKSPACE_CAPACITY:
@@ -74,7 +74,7 @@ def first_best_allocation(cfg: ec.EconomyConfig, state: int) -> Allocation:
         return total_at(c_level) - ec.BLOCKSPACE_CAPACITY
 
     lo, hi, _, _ = expand_bracket(excess_demand, x_star, x_star)
-    shadow = bisect(excess_demand, lo, hi)
+    shadow = find_root(excess_demand, lo, hi)
     if shadow < ec.c_prime(cfg.cost, ec.BLOCKSPACE_CAPACITY) - 1e-10:
         raise SolverError(
             f"rationing produced shadow value {shadow:.6g} below marginal cost at capacity"

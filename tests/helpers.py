@@ -70,3 +70,26 @@ def two_type_config(
         cost=ec.CostFn(*cost),
         shocks=ec.ShockProcess(ec.ShockKind.COMMON_BINARY, rho=rho),
     )
+
+
+def both_bind_config() -> ec.EconomyConfig:
+    """Two-type common-shock economy where, at zero tax, the unshocked type's
+    budget binds in both states: neither single binding pattern is consistent."""
+    return ec.EconomyConfig(
+        r=0.07,
+        gamma=0.0,
+        agent_types=(
+            ec.AgentTypeSpec(
+                mass=0.73,
+                utility_by_state={0: ISO(0.45, 0.49), 1: ISO(3.43, 0.65)},
+                name="a",
+            ),
+            ec.AgentTypeSpec(
+                mass=0.27,
+                utility_by_state={0: ISO(0.85, 0.38), 1: ISO(1.0, 0.55)},
+                name="b",
+            ),
+        ),
+        cost=ec.CostFn(1.41, 1e-9),
+        shocks=ec.ShockProcess(ec.ShockKind.COMMON_BINARY, rho=0.5),
+    )

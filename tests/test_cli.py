@@ -6,7 +6,7 @@ import pytest
 from tokenomics import cli
 from tokenomics import econ_core as ec
 
-from helpers import CONFIG_DIR, two_type_config
+from helpers import CONFIG_DIR, both_bind_config, two_type_config
 
 DET = str(CONFIG_DIR / "deterministic.json")
 IID = str(CONFIG_DIR / "iid.json")
@@ -69,6 +69,17 @@ def test_scenario_writes_reports(tmp_path, capsys):
     assert wf_doc["first_best_gap"] == pytest.approx(0.0, abs=1e-8)
     assert summary.startswith("regime            friedman")
     assert capsys.readouterr().out.strip() == summary.strip()
+
+
+def test_scenario_solves_both_budgets_binding(tmp_path):
+    cfg_path = write_config(tmp_path, both_bind_config())
+    code = cli.main(
+        ["scenario", "--config", cfg_path, "--regime", "heterogeneous",
+         "--theta", "0.0", "--out", str(tmp_path)]
+    )
+    assert code == 0
+    wf_doc = json.loads((tmp_path / "welfare.json").read_text())
+    assert wf_doc["foc_residual_max"] <= 1e-8
 
 
 def test_scenario_reports_broken_congestion(tmp_path):

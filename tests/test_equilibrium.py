@@ -7,8 +7,9 @@ from tokenomics import econ_core as ec
 from tokenomics import equilibrium as eqm
 from tokenomics.errors import ConfigError, InfeasiblePolicyError, SolverError
 from tokenomics.first_best import first_best_allocation
+from tokenomics.welfare import evaluate
 
-from helpers import ISO, single_user_config, two_type_config
+from helpers import ISO, both_bind_config, single_user_config, two_type_config
 
 # canonical frozen values (all with A=0.5, eta=0.5, kappa=eps=1, r=0.05, gamma=0)
 FRIEDMAN_ACTIVITY = 0.6299605249474366       # 0.5 a^(-1/2) = a
@@ -299,6 +300,40 @@ def test_heterogeneous_high_state_binding_pattern():
     low_spend = low.price * low.activities["steady"]
     assert high_spend == pytest.approx(m_b, rel=1e-9)
     assert low_spend < m_b * 0.5
+
+
+def test_heterogeneous_both_budgets_bind():
+    # neither single pattern is consistent: the unshocked type spends its
+    # whole balance in both states (binding case 3)
+    cfg = both_bind_config()
+    eq = eqm.solve_heterogeneous(cfg, 0.0)
+    high, low = eq.states[1], eq.states[0]
+    m_b = eq.holdings["b"]
+    assert high.effective_price * high.activities["b"] == pytest.approx(m_b, rel=1e-12)
+    assert low.price * low.activities["b"] == pytest.approx(m_b, rel=1e-12)
+    assert high.congested and not eq.congestion_broken
+    assert high.aggregate_activity == pytest.approx(1.0, abs=1e-10)
+    report = evaluate(cfg, eq)
+    assert report.foc_residual_max <= 1e-8
+    assert report.oracle_delta_max <= 2.0
+    assert report.first_best_gap >= 0.0
+
+
+def test_heterogeneous_solve_evaluation_budget(het_cfg, monkeypatch):
+    """Deterministic work count: primitive inversions per heterogeneous solve."""
+    calls = []
+    u_prime_inv = ec.u_prime_inv
+
+    def counting(f, x):
+        calls.append(x)
+        return u_prime_inv(f, x)
+
+    monkeypatch.setattr(ec, "u_prime_inv", counting)
+    eqm.solve_heterogeneous(het_cfg, 0.05)
+    assert len(calls) <= 5000
+    calls.clear()
+    eqm.solve_heterogeneous(het_cfg, 0.0)
+    assert len(calls) <= 1000
 
 
 def test_heterogeneous_congestion_broken_fallback():

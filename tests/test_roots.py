@@ -1,0 +1,69 @@
+import math
+
+import pytest
+
+from tokenomics._roots import expand_bracket, find_root
+from tokenomics.errors import SolverError
+
+
+def counted(f):
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return f(x)
+
+    return g, calls
+
+
+def test_find_root_converges_superlinearly():
+    for f, lo, hi, root in (
+        (lambda x: x**3 - 2.0, 1.0, 2.0, 2.0 ** (1.0 / 3.0)),
+        (lambda x: math.exp(x) - 5.0, 0.0, 4.0, math.log(5.0)),
+        (lambda x: 0.5 / math.sqrt(x) - 1.05 * x, 1e-3, 8.0, (0.5 / 1.05) ** (2.0 / 3.0)),
+    ):
+        g, calls = counted(f)
+        x = find_root(g, lo, hi)
+        assert abs(x - root) <= 2 * math.ulp(root)
+        # plain bisection needs about 55 halvings for the same bracket width
+        assert len(calls) <= 15
+
+
+def test_find_root_returns_sign_change_past_constant_branch():
+    # a placeholder value on part of the bracket, like an infeasible trial point
+    g, _ = counted(lambda x: 1.0 if x < 0.3 else 0.7 - x)
+    assert find_root(g, 0.0, 1.0) == pytest.approx(0.7, abs=1e-15)
+
+
+def test_find_root_returns_exact_endpoint_root():
+    assert find_root(lambda x: x - 1.0, 1.0, 2.0) == 1.0
+    assert find_root(lambda x: x - 2.0, 1.0, 2.0) == 2.0
+
+
+def test_find_root_rejects_bracket_without_sign_change():
+    with pytest.raises(SolverError, match=r"no sign change on bracket: f\(1\) = .*f\(2\) = "):
+        find_root(lambda x: x + 1.0, 1.0, 2.0)
+
+
+def test_find_root_rejects_residual_above_tolerance():
+    # a jump across zero: the bracket closes on x = 0.5, where |f| = 1
+    with pytest.raises(SolverError, match=r"residual -?1\.000e\+00 > 1e-10 on bracket \[0\.5"):
+        find_root(lambda x: -1.0 if x < 0.5 else 1.0, 0.0, 1.0)
+
+
+def test_expand_bracket_widens_both_ends():
+    lo, hi, flo, fhi = expand_bracket(lambda x: x - 10.0, 1.0, 1.0)
+    assert (lo, hi) == (1.0 / 16.0, 16.0) and flo < 0.0 < fhi
+    lo, hi, flo, fhi = expand_bracket(lambda x: x - 0.01, 1.0, 1.0)
+    assert (lo, hi) == (2.0**-7, 2.0**7) and flo < 0.0 < fhi
+
+
+def test_expand_bracket_honours_lo_floor():
+    g, calls = counted(lambda x: x - 10.0)
+    lo, hi, _, _ = expand_bracket(g, 1.0, 1.0, lo_floor=1.0)
+    assert (lo, hi) == (1.0, 16.0)
+    assert min(calls) == 1.0
+    with pytest.raises(SolverError, match="could not bracket a root"):
+        expand_bracket(lambda x: x - 0.01, 1.0, 1.0, lo_floor=0.5)
+    with pytest.raises(ValueError, match="invalid starting bracket"):
+        expand_bracket(lambda x: x, 2.0, 1.0)
