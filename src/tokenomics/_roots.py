@@ -29,17 +29,23 @@ def expand_bracket(
     grow: float = 2.0,
     max_steps: int = 60,
     lo_floor: float = 1e-300,
+    flo: float | None = None,
+    fhi: float | None = None,
 ) -> tuple[float, float, float, float]:
     """Widen [lo, hi] geometrically until f changes sign across it.
 
-    Expands hi upward and lo downward (keeping lo above lo_floor).
-    Returns (lo, hi, f(lo), f(hi)). Raises SolverError when no sign
-    change can be found, reporting the final bracket.
+    Expands hi upward and lo downward (keeping lo above lo_floor). flo and
+    fhi, when known, are f(lo) and f(hi) and are not evaluated again.
+    Returns (lo, hi, f(lo), f(hi)), which find_root takes as they are.
+    Raises SolverError when no sign change can be found, reporting the
+    final bracket.
     """
     if not (0 < lo <= hi):
         raise ValueError(f"invalid starting bracket [{lo}, {hi}]")
-    flo = f(lo)
-    fhi = f(hi) if hi != lo else flo
+    if flo is None:
+        flo = f(lo)
+    if fhi is None:
+        fhi = flo if hi == lo else f(hi)
     for _ in range(max_steps):
         if flo == 0.0 or fhi == 0.0 or (flo < 0.0) != (fhi < 0.0):
             return lo, hi, flo, fhi
@@ -58,6 +64,8 @@ def find_root(
     f: Callable[[float], float],
     lo: float,
     hi: float,
+    flo: float | None = None,
+    fhi: float | None = None,
     *,
     residual_tol: float = RESIDUAL_TOL,
     max_iter: int = MAX_ITER,
@@ -66,11 +74,14 @@ def find_root(
 
     The bracket is narrowed until it is a few ulp wide (or max_iter steps),
     then the best end is checked against residual_tol; a residual above the
-    tolerance raises SolverError with bracket diagnostics.
+    tolerance raises SolverError with bracket diagnostics. flo and fhi, when
+    known, are f(lo) and f(hi) and are not evaluated again, so
+    find_root(f, *expand_bracket(f, lo, hi)) evaluates no point twice.
     """
     # b is the best estimate, c the other end of the bracket, a the previous b
     a, b = lo, hi
-    fa, fb = f(a), f(b)
+    fa = f(a) if flo is None else flo
+    fb = f(b) if fhi is None else fhi
     if (fa < 0.0 and fb < 0.0) or (fa > 0.0 and fb > 0.0):
         raise SolverError(
             f"no sign change on bracket: f({lo:.6g}) = {fa:.6g}, "

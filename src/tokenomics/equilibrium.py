@@ -15,10 +15,10 @@ One solver per demand regime:
 
 Every solver reduces to monotone scalar root finds on prices. Where the
 token return feeds back into demand (the heterogeneous regime), the return
-is the outer root and prices are solved for each trial return. Congested
-branches are tried first (clearing at the unit capacity) and fall back to
-uncongested pricing when the clearing price would drop below marginal cost
-at capacity.
+is the outer root and prices are solved for each trial return. A market
+clears at the unit capacity when demand at the marginal cost of capacity
+exceeds it, and at price equal to marginal cost below capacity otherwise
+(_clear_blockspace, used by the deterministic and heterogeneous solvers).
 
 Token holdings come from the binding-state budget: users who transact in a
 state spend their whole balance there whenever the token return is below r,
@@ -131,6 +131,48 @@ def validator_supply(cost: ec.CostFn, price: float) -> float:
     return min(ec.c_prime_inv(cost, price), ec.BLOCKSPACE_CAPACITY)
 
 
+def _clear_blockspace(
+    cost: ec.CostFn, load: Callable[[float], float], warm: float | None = None
+) -> tuple[float, bool]:
+    """Fee clearing blockspace against a demand load(p) that falls in p,
+    and whether it clears at the unit capacity.
+
+    If demand at the marginal cost of capacity c'(1) exceeds capacity, the
+    fee rations it: load(p) = 1 with p >= c'(1). Otherwise supply meets
+    demand below capacity: p = c'(load(p)). warm, a congested fee from a
+    nearby solve, is tried first as the bracket [0.95, 1.05] * warm (floored
+    at c'(1)); the test at c'(1) runs when that bracket holds no congested
+    root.
+    """
+    capacity_cost = ec.c_prime(cost, ec.BLOCKSPACE_CAPACITY)
+
+    def over(p: float) -> float:
+        return load(p) - ec.BLOCKSPACE_CAPACITY
+
+    if warm is not None:
+        lo, hi = max(0.95 * warm, capacity_cost), 1.05 * warm
+        f_lo, f_hi = over(lo), over(hi)
+        if f_lo > 0.0 >= f_hi:
+            return find_root(over, lo, hi, f_lo, f_hi), True
+
+    load_cap = load(capacity_cost)
+    if load_cap > ec.BLOCKSPACE_CAPACITY:
+        bracket = expand_bracket(
+            over, capacity_cost, capacity_cost, lo_floor=capacity_cost,
+            flo=load_cap - ec.BLOCKSPACE_CAPACITY,
+        )
+        return find_root(over, *bracket), True
+
+    def excess(p: float) -> float:
+        return p - ec.c_prime(cost, load(p))
+
+    bracket = expand_bracket(
+        excess, 0.5 * capacity_cost, capacity_cost,
+        fhi=capacity_cost - ec.c_prime(cost, load_cap),
+    )
+    return find_root(excess, *bracket), False
+
+
 def _zero_state(tax: float = 0.0, token_return: float = 0.0, names: tuple[str, ...] = ()) -> StateOutcome:
     return StateOutcome(
         price=0.0,
@@ -219,20 +261,7 @@ def solve_deterministic(cfg: ec.EconomyConfig, theta: float) -> SteadyStateEquil
     def demand_total(price: float) -> float:
         return math.fsum(t.mass * ec.u_prime_inv(u, wedge * price) for t, u in active)
 
-    # congested branch first: price clearing the unit capacity
-    lo, hi, _, _ = expand_bracket(lambda p: demand_total(p) - 1.0, 1e-6, 1.0)
-    p_clearing = find_root(lambda p: demand_total(p) - 1.0, lo, hi)
-    capacity_cost = ec.c_prime(cfg.cost, ec.BLOCKSPACE_CAPACITY)
-    if p_clearing >= capacity_cost - 1e-12:
-        price, congested = p_clearing, True
-    else:
-        def excess(p: float) -> float:
-            return p - ec.c_prime(cfg.cost, demand_total(p))
-
-        x0 = max(capacity_cost, 1e-8)
-        lo, hi, _, _ = expand_bracket(excess, x0, x0)
-        price, congested = find_root(excess, lo, hi), False
-
+    price, congested = _clear_blockspace(cfg.cost, demand_total)
     acts = {n: 0.0 for n in _names(cfg)}
     for t, u in active:
         acts[t.name] = ec.u_prime_inv(u, wedge * price)
@@ -304,8 +333,7 @@ def solve_iid_shocks(cfg: ec.EconomyConfig, theta: float) -> SteadyStateEquilibr
         def gap(a: float) -> float:
             return ec.u_prime(u, a) - wedge * ec.c_prime(cfg.cost, rho * a)
 
-        lo, hi, _, _ = expand_bracket(gap, 1.0, 1.0)
-        a_high = find_root(gap, lo, hi)
+        a_high = find_root(gap, *expand_bracket(gap, 1.0, 1.0))
         price, congested = ec.c_prime(cfg.cost, rho * a_high), False
 
     aggregate = rho * a_high
@@ -359,8 +387,7 @@ def solve_common_shock(cfg: ec.EconomyConfig, theta_high: float) -> SteadyStateE
         def gap(a: float) -> float:
             return ec.u_prime(u, a) - wedge * ec.c_prime(cfg.cost, a)
 
-        lo, hi, _, _ = expand_bracket(gap, 1.0, 1.0)
-        a_high = find_root(gap, lo, hi)
+        a_high = find_root(gap, *expand_bracket(gap, 1.0, 1.0))
         price, congested = ec.c_prime(cfg.cost, a_high), False
 
     m = (1.0 + theta_high) * price * a_high / (1.0 + token_return)
@@ -395,6 +422,7 @@ class _HetPoint:
     b_high: float
     b_low: float
     p_low: float
+    low_congested: bool
     m_high_type: float
     m_low_type: float
     # where the unshocked type exhausts its tokens: 1 in the low state,
@@ -434,7 +462,8 @@ def solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyState
 
     High state: the shocked type values activity highly, blockspace clears at
     the unit capacity, and both types pay the surcharge. Low state: untaxed,
-    uncongested. The shocked type exhausts its balance in the high state; the
+    and congested only when demand at the marginal cost of capacity exceeds
+    capacity. The shocked type exhausts its balance in the high state; the
     unshocked type exhausts its balance in the low state, in the high state,
     or in both (the three patterns are tried in that order and the first
     consistent one is kept).
@@ -445,7 +474,9 @@ def solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyState
 
     The return is the outer unknown: a root of burn(rT) = rT on
     [0, min(theta, r / rho)], where each trial rT fixes the wedges and the
-    high-state price is solved for it. Holdings cover high-state spending, so
+    high-state price is solved for it, bracketed around the congested price
+    of the previous trial (high states are kept for the whole solve, so the
+    root's is not solved again). Holdings cover high-state spending, so
     the burn never exceeds theta; if it still exceeds rT at r / rho, the
     expected return would pass r and InfeasiblePolicyError is raised.
 
@@ -472,23 +503,21 @@ def solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyState
     if rho >= 1.0:
         raise ConfigError("solve_heterogeneous needs rho < 1: the low state must occur")
 
-    def clear_low(unshocked_demand: Callable[[float], float]) -> float:
-        def excess(p: float) -> float:
-            load = lam * ec.u_prime_inv(u_high0, p) + mu * unshocked_demand(p)
-            return p - ec.c_prime(cfg.cost, load)
+    def clear_low(unshocked_demand: Callable[[float], float]) -> tuple[float, bool]:
+        def load(p: float) -> float:
+            return lam * ec.u_prime_inv(u_high0, p) + mu * unshocked_demand(p)
 
-        lo, hi, _, _ = expand_bracket(excess, 1e-6, 1.0)
-        return find_root(excess, lo, hi)
+        return _clear_blockspace(cfg.cost, load)
 
     # the low state with a slack unshocked budget depends only on the wedge
     # that type pays there, so it is solved once per wedge
-    low_states: dict[float, tuple[float, float]] = {}
+    low_states: dict[float, tuple[float, float, bool]] = {}
 
-    def low_state(wedge: float) -> tuple[float, float]:
-        """(p_low, b_low) when the unshocked type buys at wedge * p_low."""
+    def low_state(wedge: float) -> tuple[float, float, bool]:
+        """(p_low, b_low, congested) when the unshocked type buys at wedge * p_low."""
         if wedge not in low_states:
-            p = clear_low(lambda p: ec.u_prime_inv(u_low0, wedge * p))
-            low_states[wedge] = p, ec.u_prime_inv(u_low0, wedge * p)
+            p, congested = clear_low(lambda p: ec.u_prime_inv(u_low0, wedge * p))
+            low_states[wedge] = p, ec.u_prime_inv(u_low0, wedge * p), congested
         return low_states[wedge]
 
     def candidate(p_high: float, rt: float) -> _HetPoint:
@@ -499,57 +528,56 @@ def solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyState
         # case 1: the unshocked type's budget binds in the low state
         k1 = 1.0 + (r - rho * rt) / (1.0 - rho)
         b_free = ec.u_prime_inv(u_low1, eff)
-        p_low, b_low = low_state(k1)
+        p_low, b_low, low_congested = low_state(k1)
         if eff * b_free <= (1.0 + rt) * p_low * b_low * (1.0 + _BUDGET_RTOL) + 1e-15:
-            return _HetPoint(a_high, b_free, b_low, p_low, m_a, p_low * b_low, 1)
+            return _HetPoint(a_high, b_free, b_low, p_low, low_congested, m_a, p_low * b_low, 1)
 
         # case 2: it binds in the high state instead
         k2 = 1.0 + (r - rho * rt) / (rho * (1.0 + rt))
         b_high = ec.u_prime_inv(u_low1, eff * k2)
         m_b = eff * b_high / (1.0 + rt)
-        p_free, b_slack = low_state(1.0)
+        p_free, b_slack, free_congested = low_state(1.0)
         if p_free * b_slack <= m_b * (1.0 + _BUDGET_RTOL) + 1e-15:
-            return _HetPoint(a_high, b_high, b_slack, p_free, m_a, m_b, 2)
+            return _HetPoint(a_high, b_high, b_slack, p_free, free_congested, m_a, m_b, 2)
 
         # case 3: it binds in both, with b_high = (1+rT) m / eff, b_low = m / p_low
         # and m solving its holdings FOC. As neither single pattern holds, the
         # FOC is negative at the smaller balance where one budget stops binding.
         def holdings_foc(m: float) -> float:
-            p = clear_low(lambda p: m / p)
+            p, _ = clear_low(lambda p: m / p)
             high = rho * (1.0 + rt) * (ec.u_prime(u_low1, (1.0 + rt) * m / eff) / eff - 1.0)
             low = (1.0 - rho) * (ec.u_prime(u_low0, m / p) / p - 1.0)
             return high + low - (r - rho * rt)
 
         m_top = min(eff * b_free / (1.0 + rt), p_free * b_slack)
-        lo, hi, _, _ = expand_bracket(holdings_foc, 0.5 * m_top, m_top)
-        m_b = find_root(holdings_foc, lo, hi)
-        p_low = clear_low(lambda p: m_b / p)
-        return _HetPoint(a_high, (1.0 + rt) * m_b / eff, m_b / p_low, p_low, m_a, m_b, 3)
+        m_b = find_root(holdings_foc, *expand_bracket(holdings_foc, 0.5 * m_top, m_top))
+        p_low, low_congested = clear_low(lambda p: m_b / p)
+        return _HetPoint(
+            a_high, (1.0 + rt) * m_b / eff, m_b / p_low, p_low, low_congested, m_a, m_b, 3
+        )
 
-    capacity_cost = ec.c_prime(cfg.cost, ec.BLOCKSPACE_CAPACITY)
+    # per solve: the high state of every trial return, and the last congested
+    # high-state price, around which the next trial's bracket starts
+    high_states: dict[float, tuple[float, bool, _HetPoint]] = {}
+    p_warm: float | None = None
 
     def high_state(rt: float) -> tuple[float, bool, _HetPoint]:
         """High-state price for a given return, whether it clears at capacity,
         and the candidate there."""
-        def load(p_high: float) -> float:
-            pt = candidate(p_high, rt)
-            return lam * pt.a_high + mu * pt.b_high
+        nonlocal p_warm
+        if rt not in high_states:
+            points: dict[float, _HetPoint] = {}
 
-        congested = load(capacity_cost) > ec.BLOCKSPACE_CAPACITY
+            def load(p_high: float) -> float:
+                pt = points[p_high] = candidate(p_high, rt)
+                return lam * pt.a_high + mu * pt.b_high
 
-        def gap(p: float) -> float:
+            # every price the root finder returns is one it evaluated
+            p_high, congested = _clear_blockspace(cfg.cost, load, p_warm)
             if congested:
-                return load(p) - ec.BLOCKSPACE_CAPACITY
-            return p - ec.c_prime(cfg.cost, load(p))
-
-        if congested:
-            lo, hi, _, _ = expand_bracket(gap, capacity_cost, capacity_cost, lo_floor=capacity_cost)
-        else:
-            # demand falls short of capacity even at the cheapest congested
-            # price: the high state clears uncongested instead
-            lo, hi, _, _ = expand_bracket(gap, capacity_cost * 0.5, capacity_cost)
-        p_high = find_root(gap, lo, hi)
-        return p_high, congested, candidate(p_high, rt)
+                p_warm = p_high
+            high_states[rt] = p_high, congested, points[p_high]
+        return high_states[rt]
 
     def burn_gap(rt: float) -> float:
         p_high, _, pt = high_state(rt)
@@ -559,8 +587,9 @@ def solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyState
     rt = 0.0
     if theta_high > 0.0:
         rt_max = min(theta_high, r / rho)
-        if burn_gap(rt_max) < 0.0:
-            rt = find_root(burn_gap, 0.0, rt_max)
+        gap_max = burn_gap(rt_max)
+        if gap_max < 0.0:
+            rt = find_root(burn_gap, 0.0, rt_max, fhi=gap_max)
         elif rt_max == theta_high:
             # every budget binds in the high state, so the burn funds exactly
             # rT = theta (up to rounding) and the surcharge is neutral
@@ -593,7 +622,7 @@ def solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyState
             tax=0.0,
             token_return=0.0,
             activities={high_t.name: a_low, low_t.name: pt.b_low},
-            congested=False,
+            congested=pt.low_congested,
             aggregate_activity=lam * a_low + mu * pt.b_low,
         ),
     }

@@ -59,8 +59,7 @@ def first_best_allocation(cfg: ec.EconomyConfig, state: int) -> Allocation:
         return x - ec.c_prime(cfg.cost, total_at(x))
 
     x0 = max(ec.c_prime(cfg.cost, 1.0), 1e-8)
-    lo, hi, _, _ = expand_bracket(excess, x0, x0)
-    x_star = find_root(excess, lo, hi)
+    x_star = find_root(excess, *expand_bracket(excess, x0, x0))
     total = total_at(x_star)
 
     if total <= ec.BLOCKSPACE_CAPACITY:
@@ -73,8 +72,7 @@ def first_best_allocation(cfg: ec.EconomyConfig, state: int) -> Allocation:
     def excess_demand(c_level: float) -> float:
         return total_at(c_level) - ec.BLOCKSPACE_CAPACITY
 
-    lo, hi, _, _ = expand_bracket(excess_demand, x_star, x_star)
-    shadow = find_root(excess_demand, lo, hi)
+    shadow = find_root(excess_demand, *expand_bracket(excess_demand, x_star, x_star))
     if shadow < ec.c_prime(cfg.cost, ec.BLOCKSPACE_CAPACITY) - 1e-10:
         raise SolverError(
             f"rationing produced shadow value {shadow:.6g} below marginal cost at capacity"

@@ -9,24 +9,31 @@ Tie handling is deterministic: among grid values within a small tolerance
 of the maximum, the smallest index wins. The tolerance matters because a
 carry-cost-free optimum (token return equal to r) leaves the objective
 exactly flat above the optimal holdings.
+
+numpy is imported where the grids are built, so importing the package
+(and running the CLI commands that need no oracle) does not load it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping
 
 from . import econ_core as ec
 from .errors import OracleError
 from .first_best import Allocation
 
+if TYPE_CHECKING:
+    import numpy as np
+
 #: relative tolerance for treating grid values as tied at the maximum
 TIE_RTOL = 1e-11
 
 _MAX_EXPANSIONS = 4
+
+#: product-grid cells grid_first_best evaluates at once
+_CHUNK_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -43,16 +50,20 @@ class GridSpec:
             raise ValueError(f"grid needs at least 3 points, got {self.points}")
 
     def values(self) -> np.ndarray:
+        import numpy as np
+
         return np.linspace(0.0, self.upper, self.points)
 
 
 def _tie_argmax(values: np.ndarray) -> int:
-    vmax = float(np.max(values))
+    vmax = float(values.max())
     tol = TIE_RTOL * (1.0 + abs(vmax))
-    return int(np.argmax(values >= vmax - tol))
+    return int((values >= vmax - tol).argmax())
 
 
 def _utility_on_grid(f: ec.Utility, a: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     if isinstance(f, ec.ZeroUtility):
         return np.zeros_like(a)
     return f.scale * a ** (1.0 - f.curvature) / (1.0 - f.curvature)
@@ -62,6 +73,8 @@ def _net_flow_closed_form(
     f: ec.Utility, eff_price: float, wealth: np.ndarray
 ) -> np.ndarray:
     """u(a*) - eff_price * a* with a* the budget-capped demand, per wealth."""
+    import numpy as np
+
     if isinstance(f, ec.ZeroUtility) or eff_price <= 0.0:
         return np.zeros_like(wealth)
     unconstrained = (f.scale / eff_price) ** (1.0 / f.curvature)
@@ -77,6 +90,8 @@ def _net_flow_grid(
     Also reports whether the unconstrained argmax sat on the grid's upper
     boundary, which signals the activity grid must expand.
     """
+    import numpy as np
+
     if isinstance(f, ec.ZeroUtility) or eff_price <= 0.0:
         return np.zeros_like(wealth), False
     a = a_grid.values()
@@ -154,7 +169,8 @@ def grid_first_best(
 ) -> tuple[Allocation, float]:
     """First-best allocation for one state by product-grid enumeration.
 
-    Supports at most three active types (the product grid is materialized).
+    Supports at most three active types (every cell of the product grid is
+    evaluated, a block of rows at a time).
     Default per-type grids span [0, 2 * analytic optimum] so the boundary is
     never binding for a correct solver; explicit grids override that anchor.
     Returns the best feasible allocation and its flow surplus.
@@ -185,14 +201,38 @@ def grid_first_best(
     if total_cells > 2 * 10**8:
         raise OracleError(f"grid of {total_cells} cells is too large; reduce points")
 
-    mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
-    total = sum(t.mass * ax for t, ax in zip(active, mesh))
-    surplus = sum(t.mass * _utility_on_grid(t.utility_in(state), ax) for t, ax in zip(active, mesh))
-    surplus = surplus - cfg.cost.scale * total ** (1.0 + cfg.cost.curvature) / (1.0 + cfg.cost.curvature)
-    surplus = np.where(total <= ec.BLOCKSPACE_CAPACITY + 1e-12, surplus, -np.inf)
+    import numpy as np
 
-    flat = int(_tie_argmax(surplus.ravel()))
-    idx = np.unravel_index(flat, surplus.shape)
+    def load(mesh: list[np.ndarray]) -> np.ndarray:
+        return sum(t.mass * ax for t, ax in zip(active, mesh))
+
+    # grids rise from 0, so a row (first-axis value) whose first cell
+    # overfills capacity is infeasible throughout: only the rows before it
+    # can hold the maximum
+    first_cells = load(np.meshgrid(axes[0], *(ax[:1] for ax in axes[1:]), indexing="ij", sparse=True))
+    fitting = int(np.count_nonzero(first_cells <= ec.BLOCKSPACE_CAPACITY + 1e-12))
+
+    # the surplus is evaluated a block of rows at a time, so memory stays
+    # near _CHUNK_CELLS cells whatever the grid size
+    rows = max(1, _CHUNK_CELLS * len(axes[0]) // total_cells)
+    starts = range(0, fitting, rows)
+
+    def surplus_rows(start: int) -> np.ndarray:
+        mesh = np.meshgrid(axes[0][start:start + rows], *axes[1:], indexing="ij", sparse=True)
+        total = load(mesh)
+        surplus = sum(t.mass * _utility_on_grid(t.utility_in(state), ax) for t, ax in zip(active, mesh))
+        surplus = surplus - cfg.cost.scale * total ** (1.0 + cfg.cost.curvature) / (1.0 + cfg.cost.curvature)
+        return np.where(total <= ec.BLOCKSPACE_CAPACITY + 1e-12, surplus, -np.inf)
+
+    # _tie_argmax over the whole grid: the global maximum first, then the
+    # first row-major cell within the tie tolerance of it
+    block_max = [float(surplus_rows(start).max()) for start in starts]
+    vmax = max(block_max)
+    tol = TIE_RTOL * (1.0 + abs(vmax))
+    start = next(i for i, v in zip(starts, block_max) if v >= vmax - tol)
+    block = surplus_rows(start)
+    local = np.unravel_index(int((block >= vmax - tol).argmax()), block.shape)
+    idx = (start + int(local[0]), *local[1:])
     for d, ax in enumerate(axes):
         if idx[d] == len(ax) - 1:
             raise OracleError(
@@ -210,4 +250,4 @@ def grid_first_best(
     alloc = Allocation(
         activities=acts, total=best_total, congested=bool(congested), shadow_marginal=0.0
     )
-    return alloc, float(surplus[idx])
+    return alloc, float(block[local])

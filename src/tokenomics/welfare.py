@@ -11,7 +11,6 @@ and rejected in the package docs.)
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import econ_core as ec
@@ -159,6 +158,10 @@ def sweep_tax(
         raise ConfigError("tax grid must be sorted ascending")
     work = [(cfg, regime, float(th), oracle_points) for th in theta_grid]
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        import numpy  # noqa: F401 -- loaded once here, so every forked worker has it
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_sweep_point, work))
     else:

@@ -93,3 +93,23 @@ def both_bind_config() -> ec.EconomyConfig:
         cost=ec.CostFn(1.41, 1e-9),
         shocks=ec.ShockProcess(ec.ShockKind.COMMON_BINARY, rho=0.5),
     )
+
+
+def low_state_over_capacity_config() -> ec.EconomyConfig:
+    """Two-type common-shock economy whose low-state demand at the marginal
+    cost of capacity exceeds the unit capacity, so the low state must clear
+    at capacity."""
+    return ec.EconomyConfig(
+        r=0.05,
+        gamma=0.0,
+        agent_types=(
+            ec.AgentTypeSpec(
+                mass=0.5, utility_by_state={0: ISO(1.2, 0.5), 1: ISO(3.0, 0.5)}, name="a"
+            ),
+            ec.AgentTypeSpec(
+                mass=0.5, utility_by_state={0: ISO(1.2, 0.5), 1: ISO(0.5, 0.5)}, name="b"
+            ),
+        ),
+        cost=ec.CostFn(1.0, 1e-9),
+        shocks=ec.ShockProcess(ec.ShockKind.COMMON_BINARY, rho=0.5),
+    )

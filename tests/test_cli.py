@@ -1,5 +1,8 @@
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -186,6 +189,21 @@ def test_path_friedman_target(tmp_path):
     assert first[1] == "100" and first[3] == ""  # returns[0] is nan
     last = lines[-1].split(",")
     assert float(last[1]) == pytest.approx(100.0 / 1.05**5, rel=1e-12)
+
+
+def test_path_does_not_import_numpy(tmp_path):
+    # only the grid oracles need numpy; a fresh interpreter shows what path loads
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "from tokenomics import cli\n"
+        f"code = cli.main(['path', '--config', {DET!r}, '--rule', 'tax_and_burn', "
+        f"'--theta', '0.02', '--M0', '100', '--T', '5', '--out', {str(tmp_path)!r}])\n"
+        "assert code == 0, code\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True)
 
 
 def test_path_tax_and_burn_requires_theta_compatible_shocks(tmp_path, capsys):

@@ -9,7 +9,13 @@ from tokenomics.errors import ConfigError, InfeasiblePolicyError, SolverError
 from tokenomics.first_best import first_best_allocation
 from tokenomics.welfare import evaluate
 
-from helpers import ISO, both_bind_config, single_user_config, two_type_config
+from helpers import (
+    ISO,
+    both_bind_config,
+    low_state_over_capacity_config,
+    single_user_config,
+    two_type_config,
+)
 
 # canonical frozen values (all with A=0.5, eta=0.5, kappa=eps=1, r=0.05, gamma=0)
 FRIEDMAN_ACTIVITY = 0.6299605249474366       # 0.5 a^(-1/2) = a
@@ -330,10 +336,27 @@ def test_heterogeneous_solve_evaluation_budget(het_cfg, monkeypatch):
 
     monkeypatch.setattr(ec, "u_prime_inv", counting)
     eqm.solve_heterogeneous(het_cfg, 0.05)
-    assert len(calls) <= 5000
+    assert len(calls) <= 300
     calls.clear()
     eqm.solve_heterogeneous(het_cfg, 0.0)
-    assert len(calls) <= 1000
+    assert len(calls) <= 200
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.02, 0.05])
+def test_heterogeneous_low_state_clears_at_capacity(theta):
+    # low-state demand at the marginal cost of capacity exceeds capacity:
+    # the low-state fee rations it instead of overfilling blockspace
+    cfg = low_state_over_capacity_config()
+    eq = eqm.solve_heterogeneous(cfg, theta)
+    high, low = eq.states[1], eq.states[0]
+    for out in (high, low):
+        assert out.aggregate_activity <= 1.0 + 1e-12
+    assert low.congested and low.aggregate_activity == pytest.approx(1.0, abs=1e-12)
+    assert low.price >= ec.c_prime(cfg.cost, 1.0)
+    report = evaluate(cfg, eq)
+    assert report.first_best_gap >= 0.0
+    assert report.foc_residual_max <= 1e-8
+    assert report.oracle_delta_max <= 2.0
 
 
 def test_heterogeneous_congestion_broken_fallback():

@@ -1,8 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
 from tokenomics import econ_core as ec
+from tokenomics import oracle
 from tokenomics.errors import OracleError
 from tokenomics.first_best import first_best_allocation
 from tokenomics.oracle import GridSpec, grid_best_response, grid_first_best
@@ -131,3 +133,52 @@ def test_grid_first_best_respects_capacity(het_cfg):
 def test_grid_first_best_boundary_raises(det_cfg):
     with pytest.raises(OracleError, match="widen the grid"):
         grid_first_best(det_cfg, 1, grids={"users": GridSpec(0.3)})
+
+
+def dense_first_best(cfg, state, grids):
+    """Reference: the whole product grid at once, with the oracle's tie rule."""
+    active = [t for t in cfg.agent_types if t.is_active(state)]
+    axes = [grids[t.name].values() for t in active]
+    mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
+    total = sum(t.mass * ax for t, ax in zip(active, mesh))
+    surplus = sum(t.mass * oracle._utility_on_grid(t.utility_in(state), ax) for t, ax in zip(active, mesh))
+    surplus = surplus - cfg.cost.scale * total ** (1.0 + cfg.cost.curvature) / (1.0 + cfg.cost.curvature)
+    surplus = np.where(total <= ec.BLOCKSPACE_CAPACITY + 1e-12, surplus, -np.inf)
+    vmax = float(surplus.max())
+    flat = int(np.argmax(surplus.ravel() >= vmax - oracle.TIE_RTOL * (1.0 + abs(vmax))))
+    idx = np.unravel_index(flat, surplus.shape)
+    return {t.name: float(ax[i]) for t, ax, i in zip(active, axes, idx)}, float(surplus[idx])
+
+
+def twin_types_config():
+    # identical types: a best cell off the diagonal ties exactly with its mirror
+    twin = {1: ISO(2.0, 0.5)}
+    return ec.EconomyConfig(
+        r=R,
+        gamma=0.0,
+        agent_types=(
+            ec.AgentTypeSpec(mass=0.5, utility_by_state=twin, name="a"),
+            ec.AgentTypeSpec(mass=0.5, utility_by_state=twin, name="b"),
+        ),
+        cost=ec.CostFn(1.0, 1.0),
+        shocks=ec.ShockProcess(ec.ShockKind.DETERMINISTIC),
+    )
+
+
+@pytest.mark.parametrize("chunk_cells", [21, 100, 1 << 18])
+def test_grid_first_best_blocks_match_dense_grid(het_cfg, chunk_cells, monkeypatch):
+    monkeypatch.setattr(oracle, "_CHUNK_CELLS", chunk_cells)
+    twin = GridSpec(2.3, 21)
+    cases = [
+        (twin_types_config(), 1, {"a": twin, "b": twin}),
+        (het_cfg, 1, {"shocked": GridSpec(4.0, 41), "steady": GridSpec(1.0, 37)}),
+        (het_cfg, 0, {"shocked": GridSpec(1.0, 41), "steady": GridSpec(1.0, 37)}),
+    ]
+    for cfg, state, grids in cases:
+        expected, expected_surplus = dense_first_best(cfg, state, grids)
+        alloc, surplus = grid_first_best(cfg, state, grids=grids)
+        assert {n: alloc.activities[n] for n in expected} == expected
+        assert surplus == expected_surplus
+    # the twin optimum is off the diagonal: the first row-major cell of the tie wins
+    alloc, _ = grid_first_best(twin_types_config(), 1, grids={"a": twin, "b": twin})
+    assert alloc.activities["a"] < alloc.activities["b"]

@@ -67,3 +67,18 @@ def test_expand_bracket_honours_lo_floor():
         expand_bracket(lambda x: x - 0.01, 1.0, 1.0, lo_floor=0.5)
     with pytest.raises(ValueError, match="invalid starting bracket"):
         expand_bracket(lambda x: x, 2.0, 1.0)
+
+
+def test_known_end_values_are_not_evaluated_again():
+    def f(x):
+        return x**3 - 2.0
+
+    g, calls = counted(f)
+    bracket = expand_bracket(g, 1.0, 1.0)
+    assert calls == [1.0, 0.5, 2.0] and bracket[:2] == (0.5, 2.0)
+    assert find_root(g, *bracket) == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-15)
+    # find_root took both end values with the bracket
+    assert calls.count(0.5) == 1 and calls.count(2.0) == 1
+    calls.clear()
+    assert expand_bracket(g, 0.5, 2.0, flo=f(0.5), fhi=f(2.0)) == bracket
+    assert calls == []
