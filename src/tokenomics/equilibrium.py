@@ -140,9 +140,8 @@ def _clear_blockspace(
     If demand at the marginal cost of capacity c'(1) exceeds capacity, the
     fee rations it: load(p) = 1 with p >= c'(1). Otherwise supply meets
     demand below capacity: p = c'(load(p)). warm, a congested fee from a
-    nearby solve, is tried first as the bracket [0.95, 1.05] * warm (floored
-    at c'(1)); the test at c'(1) runs when that bracket holds no congested
-    root.
+    nearby solve, starts the bracket [0.95, 1.05] * warm (floored at c'(1));
+    the test at c'(1) runs when demand at its lower end fits capacity.
     """
     capacity_cost = ec.c_prime(cost, ec.BLOCKSPACE_CAPACITY)
 
@@ -150,10 +149,12 @@ def _clear_blockspace(
         return load(p) - ec.BLOCKSPACE_CAPACITY
 
     if warm is not None:
-        lo, hi = max(0.95 * warm, capacity_cost), 1.05 * warm
-        f_lo, f_hi = over(lo), over(hi)
-        if f_lo > 0.0 >= f_hi:
-            return find_root(over, lo, hi, f_lo, f_hi), True
+        lo = max(0.95 * warm, capacity_cost)
+        f_lo = over(lo)
+        if f_lo > 0.0:
+            # demand falls in p, so it overfills capacity at c'(1) as well
+            bracket = expand_bracket(over, lo, 1.05 * warm, lo_floor=lo, flo=f_lo)
+            return find_root(over, *bracket), True
 
     load_cap = load(capacity_cost)
     if load_cap > ec.BLOCKSPACE_CAPACITY:
