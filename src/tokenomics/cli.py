@@ -271,7 +271,7 @@ def run_sweep(args) -> int:
         rows,
     )
     write_json(out_dir / "sweep.json", {"regime": args.regime, **result.as_dict()})
-    ok_points = sum(1 for s in result.statuses if s != "error" and not s.startswith("error"))
+    ok_points = sum(1 for s in result.statuses if not s.startswith("error"))
     print(
         f"swept {len(grid)} points, {ok_points} solved, "
         f"argmax_theta={format_float(result.argmax_theta) or 'none'}"
@@ -299,21 +299,20 @@ def run_supply_path(args) -> int:
     return EXIT_OK
 
 
+#: demand family -> regimes whose holdings the grid oracle cross-checks
+_ORACLE_REGIMES = {
+    "deterministic": ("friedman", "deterministic"),
+    "iid": ("iid",),
+    "common": ("common",),
+    "heterogeneous": ("heterogeneous",),
+}
+
+
 def _oracle_checks(cfg: ec.EconomyConfig) -> list[dict]:
     """Grid-search cross-checks of the analytic solvers on this config."""
     checks: list[dict] = []
-    kind = cfg.shocks.kind
-    if kind is ec.ShockKind.DETERMINISTIC:
-        regimes = ("friedman", "deterministic")
-    elif kind is ec.ShockKind.IID_BINARY:
-        regimes = ("iid",)
-    elif len(cfg.agent_types) == 2:
-        regimes = ("heterogeneous",)
-    else:
-        regimes = ("common",)
-
     worst_holdings = 0.0
-    for regime in regimes:
+    for regime in _ORACLE_REGIMES[eqm.family(cfg)]:
         for theta in (0.0, 0.05):
             if regime == "friedman" and theta:
                 continue

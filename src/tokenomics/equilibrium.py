@@ -13,12 +13,13 @@ One solver per demand regime:
 * solve_heterogeneous: common binary shock with a shocked and an
   unshocked type competing for congested blockspace.
 
-Every solver reduces to monotone scalar root finds on prices. Where the
-token return feeds back into demand (the heterogeneous regime), the return
-is the outer root and prices are solved for each trial return. A market
-clears at the unit capacity when demand at the marginal cost of capacity
-exceeds it, and at price equal to marginal cost below capacity otherwise
-(_clear_blockspace, used by the deterministic and heterogeneous solvers).
+Every solver, and the planner's first best, clears each market through one
+kernel (first_best._clear_blockspace): at the unit capacity when demand at
+the marginal cost of capacity exceeds it, and at price equal to marginal
+cost below capacity otherwise. Where the token return feeds back into
+demand (the heterogeneous regime), the return is the outer root and prices
+are solved for each trial return. REGIMES maps each regime name to its
+solver, and family() names the solvers and checks that fit a config.
 
 Token holdings come from the binding-state budget: users who transact in a
 state spend their whole balance there whenever the token return is below r,
@@ -36,6 +37,7 @@ from . import econ_core as ec
 from . import first_best as fb
 from ._roots import expand_bracket, find_root
 from .errors import ConfigError, InfeasiblePolicyError, SolverError
+from .first_best import _clear_blockspace
 
 _BUDGET_RTOL = 1e-9
 
@@ -122,56 +124,6 @@ def user_demand(f: ec.Utility, effective_price: float, wealth: float) -> float:
     if wealth < 0:
         raise ValueError(f"wealth must be nonnegative, got {wealth}")
     return min(ec.u_prime_inv(f, effective_price), wealth / effective_price)
-
-
-def validator_supply(cost: ec.CostFn, price: float) -> float:
-    """Blockspace supplied at a fee level, capped at the unit capacity."""
-    if price < 0:
-        raise ValueError(f"price must be nonnegative, got {price}")
-    return min(ec.c_prime_inv(cost, price), ec.BLOCKSPACE_CAPACITY)
-
-
-def _clear_blockspace(
-    cost: ec.CostFn, load: Callable[[float], float], warm: float | None = None
-) -> tuple[float, bool]:
-    """Fee clearing blockspace against a demand load(p) that falls in p,
-    and whether it clears at the unit capacity.
-
-    If demand at the marginal cost of capacity c'(1) exceeds capacity, the
-    fee rations it: load(p) = 1 with p >= c'(1). Otherwise supply meets
-    demand below capacity: p = c'(load(p)). warm, a congested fee from a
-    nearby solve, starts the bracket [0.95, 1.05] * warm (floored at c'(1));
-    the test at c'(1) runs when demand at its lower end fits capacity.
-    """
-    capacity_cost = ec.c_prime(cost, ec.BLOCKSPACE_CAPACITY)
-
-    def over(p: float) -> float:
-        return load(p) - ec.BLOCKSPACE_CAPACITY
-
-    if warm is not None:
-        lo = max(0.95 * warm, capacity_cost)
-        f_lo = over(lo)
-        if f_lo > 0.0:
-            # demand falls in p, so it overfills capacity at c'(1) as well
-            bracket = expand_bracket(over, lo, 1.05 * warm, lo_floor=lo, flo=f_lo)
-            return find_root(over, *bracket), True
-
-    load_cap = load(capacity_cost)
-    if load_cap > ec.BLOCKSPACE_CAPACITY:
-        bracket = expand_bracket(
-            over, capacity_cost, capacity_cost, lo_floor=capacity_cost,
-            flo=load_cap - ec.BLOCKSPACE_CAPACITY,
-        )
-        return find_root(over, *bracket), True
-
-    def excess(p: float) -> float:
-        return p - ec.c_prime(cost, load(p))
-
-    bracket = expand_bracket(
-        excess, 0.5 * capacity_cost, capacity_cost,
-        fhi=capacity_cost - ec.c_prime(cost, load_cap),
-    )
-    return find_root(excess, *bracket), False
 
 
 def _zero_state(tax: float = 0.0, token_return: float = 0.0, names: tuple[str, ...] = ()) -> StateOutcome:
@@ -313,7 +265,9 @@ def solve_iid_shocks(cfg: ec.EconomyConfig, theta: float) -> SteadyStateEquilibr
     1 + rT = (1 + gamma) * (1 + theta) / (1 + (1 - rho) * theta): inactive
     holders ride the deflation without ever paying the tax, so any theta > 0
     subsidizes idle balances and distorts the active-state margin
-    u'(a) / p = 1 + (r - gamma) * (1 + (1 - rho) * theta) / rho.
+    u'(a) / p = 1 + (r - gamma) * (1 + (1 - rho) * theta) / (rho * (1 + gamma)).
+    That is the holdings FOC rho (1 + rT) u'(a) / ((1 + theta) p)
+    + (1 - rho) (1 + rT) = 1 + r with the return above substituted.
     """
     if cfg.shocks.kind is not ec.ShockKind.IID_BINARY:
         raise ConfigError("solve_iid_shocks requires an iid binary shock process")
@@ -322,21 +276,13 @@ def solve_iid_shocks(cfg: ec.EconomyConfig, theta: float) -> SteadyStateEquilibr
     t, u = _single_shocked_type(cfg, "solve_iid_shocks")
     rho = cfg.shocks.rho
     token_return = (1.0 + cfg.gamma) * (1.0 + theta) / (1.0 + (1.0 - rho) * theta) - 1.0
-    wedge = 1.0 + (cfg.r - cfg.gamma) * (1.0 + (1.0 - rho) * theta) / rho
+    wedge = 1.0 + (cfg.r - cfg.gamma) * (1.0 + (1.0 - rho) * theta) / (rho * (1.0 + cfg.gamma))
 
-    # congested branch: the active fraction fills capacity, rho * a = 1
-    a_congested = ec.BLOCKSPACE_CAPACITY / rho
-    p_congested = ec.u_prime(u, a_congested) / wedge
-    capacity_cost = ec.c_prime(cfg.cost, ec.BLOCKSPACE_CAPACITY)
-    if p_congested >= capacity_cost - 1e-12:
-        a_high, price, congested = a_congested, p_congested, True
-    else:
-        def gap(a: float) -> float:
-            return ec.u_prime(u, a) - wedge * ec.c_prime(cfg.cost, rho * a)
-
-        a_high = find_root(gap, *expand_bracket(gap, 1.0, 1.0))
-        price, congested = ec.c_prime(cfg.cost, rho * a_high), False
-
+    # the active fraction rho carries the whole load
+    price, congested = _clear_blockspace(
+        cfg.cost, lambda p: rho * ec.u_prime_inv(u, wedge * p)
+    )
+    a_high = ec.u_prime_inv(u, wedge * price)
     aggregate = rho * a_high
     m = (1.0 + theta) * price * a_high / (1.0 + token_return)
     common = dict(
@@ -379,17 +325,8 @@ def solve_common_shock(cfg: ec.EconomyConfig, theta_high: float) -> SteadyStateE
     token_return = (1.0 + theta_high) * (1.0 + cfg.gamma) - 1.0
     wedge = (rho + cfg.r) / ((1.0 + cfg.gamma) * rho)
 
-    a_congested = ec.BLOCKSPACE_CAPACITY
-    p_congested = ec.u_prime(u, a_congested) / wedge
-    capacity_cost = ec.c_prime(cfg.cost, ec.BLOCKSPACE_CAPACITY)
-    if p_congested >= capacity_cost - 1e-12:
-        a_high, price, congested = a_congested, p_congested, True
-    else:
-        def gap(a: float) -> float:
-            return ec.u_prime(u, a) - wedge * ec.c_prime(cfg.cost, a)
-
-        a_high = find_root(gap, *expand_bracket(gap, 1.0, 1.0))
-        price, congested = ec.c_prime(cfg.cost, a_high), False
+    price, congested = _clear_blockspace(cfg.cost, lambda p: ec.u_prime_inv(u, wedge * p))
+    a_high = ec.u_prime_inv(u, wedge * price)
 
     m = (1.0 + theta_high) * price * a_high / (1.0 + token_return)
     states = {
@@ -641,22 +578,31 @@ def solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyState
 # dispatch
 # ---------------------------------------------------------------------------
 
-REGIMES = ("friedman", "deterministic", "iid", "common", "heterogeneous")
+#: regime name -> solver(cfg, theta)
+REGIMES: dict[str, Callable[[ec.EconomyConfig, float], SteadyStateEquilibrium]] = {
+    "friedman": lambda cfg, theta: solve_friedman(cfg),
+    "deterministic": solve_deterministic,
+    "iid": solve_iid_shocks,
+    "common": solve_common_shock,
+    "heterogeneous": solve_heterogeneous,
+}
 
 
 def solve_regime(cfg: ec.EconomyConfig, regime: str, theta: float = 0.0) -> SteadyStateEquilibrium:
     """Run the named solver ('friedman' ignores theta)."""
-    if regime == "friedman":
-        return solve_friedman(cfg)
-    if regime == "deterministic":
-        return solve_deterministic(cfg, theta)
-    if regime == "iid":
-        return solve_iid_shocks(cfg, theta)
-    if regime == "common":
-        return solve_common_shock(cfg, theta)
-    if regime == "heterogeneous":
-        return solve_heterogeneous(cfg, theta)
-    raise ConfigError(f"unknown regime {regime!r}; expected one of {REGIMES}")
+    if regime not in REGIMES:
+        raise ConfigError(f"unknown regime {regime!r}; expected one of {tuple(REGIMES)}")
+    return REGIMES[regime](cfg, theta)
+
+
+def family(cfg: ec.EconomyConfig) -> str:
+    """Demand family of a config: 'deterministic', 'iid', 'common' (one type)
+    or 'heterogeneous' (two types under a common shock)."""
+    if cfg.shocks.kind is ec.ShockKind.DETERMINISTIC:
+        return "deterministic"
+    if cfg.shocks.kind is ec.ShockKind.IID_BINARY:
+        return "iid"
+    return "heterogeneous" if len(cfg.agent_types) == 2 else "common"
 
 
 # ---------------------------------------------------------------------------

@@ -2,15 +2,18 @@
 
 The planner maximizes aggregate flow surplus
 sum_k mass_k * u_k(a_k) - c(sum_k mass_k * a_k) subject to the unit
-blockspace capacity. Unconstrained optima equate every active type's
-marginal utility with marginal cost; when that allocation does not fit,
-capacity is rationed at a common shadow marginal value.
+blockspace capacity. Every active type's marginal utility equals a common
+marginal value x. The planner's market clears like any other
+(_clear_blockspace, which the equilibrium solvers share): when demand at
+x = c'(1) overfills the unit of blockspace, x is the shadow value that
+rations it at capacity; otherwise x = c'(total) below capacity.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from . import econ_core as ec
 from ._roots import expand_bracket, find_root
@@ -35,12 +38,55 @@ def _active_types(cfg: ec.EconomyConfig, state: int) -> list[tuple[ec.AgentTypeS
     return [(t, t.utility_in(state)) for t in cfg.agent_types if t.is_active(state)]
 
 
+def _clear_blockspace(
+    cost: ec.CostFn, load: Callable[[float], float], warm: float | None = None
+) -> tuple[float, bool]:
+    """Fee clearing blockspace against a demand load(p) that falls in p,
+    and whether it clears at the unit capacity.
+
+    If demand at the marginal cost of capacity c'(1) exceeds capacity, the
+    fee rations it: load(p) = 1 with p >= c'(1). Otherwise supply meets
+    demand below capacity: p = c'(load(p)). warm, a congested fee from a
+    nearby solve, starts the bracket [0.95, 1.05] * warm (floored at c'(1));
+    the test at c'(1) runs when demand at its lower end fits capacity.
+    """
+    capacity_cost = ec.c_prime(cost, ec.BLOCKSPACE_CAPACITY)
+
+    def over(p: float) -> float:
+        return load(p) - ec.BLOCKSPACE_CAPACITY
+
+    if warm is not None:
+        lo = max(0.95 * warm, capacity_cost)
+        f_lo = over(lo)
+        if f_lo > 0.0:
+            # demand falls in p, so it overfills capacity at c'(1) as well
+            bracket = expand_bracket(over, lo, 1.05 * warm, lo_floor=lo, flo=f_lo)
+            return find_root(over, *bracket), True
+
+    load_cap = load(capacity_cost)
+    if load_cap > ec.BLOCKSPACE_CAPACITY:
+        bracket = expand_bracket(
+            over, capacity_cost, capacity_cost, lo_floor=capacity_cost,
+            flo=load_cap - ec.BLOCKSPACE_CAPACITY,
+        )
+        return find_root(over, *bracket), True
+
+    def excess(p: float) -> float:
+        return p - ec.c_prime(cost, load(p))
+
+    bracket = expand_bracket(
+        excess, 0.5 * capacity_cost, capacity_cost,
+        fhi=capacity_cost - ec.c_prime(cost, load_cap),
+    )
+    return find_root(excess, *bracket), False
+
+
 def first_best_allocation(cfg: ec.EconomyConfig, state: int) -> Allocation:
     """Planner's optimum for one shock state.
 
-    Solves u_k'(a_k) = c'(total) for the common marginal value by root finding;
-    if the implied total exceeds capacity, re-solves for the shadow marginal
-    at which demand exactly fills the unit of blockspace.
+    One clearing solve for the common marginal value x, with the demand
+    sum_k mass_k * u_k'^-1(x): congested at the shadow value x >= c'(1) that
+    fills capacity, else at x = c'(total).
     """
     active = _active_types(cfg, state)
     if not active:
@@ -54,34 +100,19 @@ def first_best_allocation(cfg: ec.EconomyConfig, state: int) -> Allocation:
     def total_at(x: float) -> float:
         return math.fsum(t.mass * ec.u_prime_inv(u, x) for t, u in active)
 
-    # unconstrained: find the marginal value x with x = c'(total demand at x)
-    def excess(x: float) -> float:
-        return x - ec.c_prime(cfg.cost, total_at(x))
-
-    x0 = max(ec.c_prime(cfg.cost, 1.0), 1e-8)
-    x_star = find_root(excess, *expand_bracket(excess, x0, x0))
-    total = total_at(x_star)
-
-    if total <= ec.BLOCKSPACE_CAPACITY:
-        acts = {t.name: 0.0 for t in cfg.agent_types}
-        for t, u in active:
-            acts[t.name] = ec.u_prime_inv(u, x_star)
-        return Allocation(activities=acts, total=total, congested=False, shadow_marginal=0.0)
-
-    # congested: ration at the common marginal value clearing the capacity
-    def excess_demand(c_level: float) -> float:
-        return total_at(c_level) - ec.BLOCKSPACE_CAPACITY
-
-    shadow = find_root(excess_demand, *expand_bracket(excess_demand, x_star, x_star))
-    if shadow < ec.c_prime(cfg.cost, ec.BLOCKSPACE_CAPACITY) - 1e-10:
+    x, congested = _clear_blockspace(cfg.cost, total_at)
+    if congested and x < ec.c_prime(cfg.cost, ec.BLOCKSPACE_CAPACITY) - 1e-10:
         raise SolverError(
-            f"rationing produced shadow value {shadow:.6g} below marginal cost at capacity"
+            f"rationing produced shadow value {x:.6g} below marginal cost at capacity"
         )
     acts = {t.name: 0.0 for t in cfg.agent_types}
     for t, u in active:
-        acts[t.name] = ec.u_prime_inv(u, shadow)
+        acts[t.name] = ec.u_prime_inv(u, x)
     total = math.fsum(t.mass * acts[t.name] for t in cfg.agent_types)
-    return Allocation(activities=acts, total=total, congested=True, shadow_marginal=shadow)
+    return Allocation(
+        activities=acts, total=total, congested=congested,
+        shadow_marginal=x if congested else 0.0,
+    )
 
 
 def flow_surplus(cfg: ec.EconomyConfig, alloc: Allocation, state: int) -> float:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from . import econ_core as ec
-from .equilibrium import SteadyStateEquilibrium, solve_deterministic, solve_iid_shocks
+from .equilibrium import SteadyStateEquilibrium, family, solve_regime
 from .errors import ConfigError, InfeasiblePolicyError
 
 
@@ -91,22 +91,6 @@ def tax_for_return_target(rt_target: float, gamma: float) -> float:
     return (1.0 + rt_target) / (1.0 + gamma) - 1.0
 
 
-def step_supply(m_prev: float, rt: float, theta: float, p: float, a: float) -> float:
-    """One step of the real-balance recursion: grow by the return, subtract the burn."""
-    if m_prev <= 0:
-        raise ValueError(f"previous balance must be positive, got {m_prev}")
-    if theta < 0:
-        raise ValueError(f"tax rate must be nonnegative, got {theta}")
-    burn = theta * p * a
-    grown = (1.0 + rt) * m_prev
-    if burn >= grown:
-        raise ValueError(
-            f"burn value {burn} meets or exceeds post-return balances {grown}; "
-            "the recursion would drive balances nonpositive"
-        )
-    return grown - burn
-
-
 def steady_state_burn_residual(eq: SteadyStateEquilibrium, gamma: float) -> dict[int, float]:
     """Per-state residual of (rT - gamma) * m_aggregate = theta * p * activity.
 
@@ -148,17 +132,14 @@ def supply_path(
         rt = cfg.gamma
         nominal_ratio = 1.0
     else:
-        theta = rule.theta_in(1)
-        if cfg.shocks.kind is ec.ShockKind.DETERMINISTIC:
-            eq = solve_deterministic(cfg, theta)
-        elif cfg.shocks.kind is ec.ShockKind.IID_BINARY:
-            eq = solve_iid_shocks(cfg, theta)
-        else:
+        fam = family(cfg)
+        if fam not in ("deterministic", "iid"):
             raise ConfigError(
                 "tax-and-burn paths need non-random aggregates: got a "
                 f"{cfg.shocks.kind.value} shock process (simulate the common-shock "
                 "regimes through their state-contingent equilibria instead)"
             )
+        eq = solve_regime(cfg, fam, rule.theta_in(1))
         out = eq.states[1]
         rt = out.token_return
         burn_flow = out.tax * out.price * out.aggregate_activity

@@ -440,21 +440,22 @@ def _heterogeneous_battery(cfg: ec.EconomyConfig) -> list[dict]:
     return checks
 
 
+_BATTERIES = {
+    "deterministic": _deterministic_battery,
+    "iid": _iid_battery,
+    "common": _common_battery,
+    "heterogeneous": _heterogeneous_battery,
+}
+
+
 def proposition_report(cfg: ec.EconomyConfig) -> dict:
     """Run every check applicable to the configuration's demand structure.
 
     Failures are data, not exceptions: each check carries a status of
     "pass", "fail", or "not applicable" plus its measured slack.
     """
-    kind = cfg.shocks.kind
-    if kind is ec.ShockKind.DETERMINISTIC:
-        family, checks = "deterministic", _deterministic_battery(cfg)
-    elif kind is ec.ShockKind.IID_BINARY:
-        family, checks = "iid", _iid_battery(cfg)
-    elif len(cfg.agent_types) == 2:
-        family, checks = "heterogeneous", _heterogeneous_battery(cfg)
-    else:
-        family, checks = "common", _common_battery(cfg)
+    family = eqm.family(cfg)
+    checks = _BATTERIES[family](cfg)
     return {
         "schema_version": ec.SCHEMA_VERSION,
         "family": family,

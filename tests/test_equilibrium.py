@@ -2,6 +2,7 @@ import dataclasses
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tokenomics import econ_core as ec
 from tokenomics import equilibrium as eqm
@@ -46,13 +47,6 @@ def test_user_demand_unconstrained_and_capped():
     assert eqm.user_demand(ec.ZeroUtility(), 1.0, 5.0) == 0.0
     with pytest.raises(ValueError):
         eqm.user_demand(ISO(1.0, 0.5), 0.0, 1.0)
-
-
-def test_validator_supply_caps_at_capacity():
-    cost = ec.CostFn(1.0, 1.0)
-    assert eqm.validator_supply(cost, 0.5) == pytest.approx(0.5)
-    assert eqm.validator_supply(cost, 2.0) == 1.0
-    assert eqm.validator_supply(cost, 0.0) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +182,16 @@ def test_iid_congested_when_demand_is_strong():
 def test_iid_requires_matching_shock_kind(det_cfg):
     with pytest.raises(ConfigError):
         eqm.solve_iid_shocks(det_cfg, 0.0)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.05])
+def test_iid_growth_wedge_is_the_holdings_optimum(iid_cfg, theta):
+    cfg = dataclasses.replace(iid_cfg, gamma=0.02)
+    eq = eqm.solve_iid_shocks(cfg, theta)
+    report = evaluate(cfg, eq)
+    assert report.foc_residual_max <= 1e-8
+    assert max(abs(v) for v in eqm.check_foc_finite_difference(cfg, eq).values()) <= 1e-8
+    assert report.oracle_delta_max == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +411,61 @@ def test_equilibrium_serialization_shape(common_cfg):
     assert doc["regime"] == "common_binary"
     assert set(doc["states"]) == {"0", "1"}
     assert "effective_price" in doc["states"]["1"]
+
+
+# ---------------------------------------------------------------------------
+# market clearing
+# ---------------------------------------------------------------------------
+
+
+def _assert_clears(cost: ec.CostFn, price: float, load: float, congested: bool) -> None:
+    assert load <= 1.0 + 1e-12
+    if congested:
+        assert load == pytest.approx(1.0, abs=1e-12)
+        assert price >= ec.c_prime(cost, 1.0)
+    else:
+        assert price == pytest.approx(ec.c_prime(cost, load), rel=1e-10, abs=0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(
+        [ec.ShockKind.DETERMINISTIC, ec.ShockKind.IID_BINARY, ec.ShockKind.COMMON_BINARY]
+    ),
+    r=st.floats(0.01, 0.1),
+    gamma=st.floats(-0.03, 0.03),
+    rho=st.floats(0.1, 1.0),
+    scale=st.floats(0.1, 5.0),
+    curvature=st.floats(0.2, 0.8),
+    cost_scale=st.floats(0.2, 3.0),
+    cost_curvature=st.floats(0.05, 3.0),
+    theta=st.floats(0.0, 0.2),
+)
+def test_every_state_clears_blockspace(
+    kind, r, gamma, rho, scale, curvature, cost_scale, cost_curvature, theta
+):
+    cfg = single_user_config(
+        kind, r=r, gamma=gamma, rho=rho, scale=scale, curvature=curvature,
+        cost=(cost_scale, cost_curvature),
+    )
+    # each single-type family is named after its solver
+    regimes = [eqm.family(cfg)]
+    if kind is ec.ShockKind.DETERMINISTIC:
+        regimes.append("friedman")
+    for regime in regimes:
+        eq = eqm.solve_regime(cfg, regime, theta)
+        for out in eq.states.values():
+            _assert_clears(cfg.cost, out.price, out.aggregate_activity, out.congested)
+    for state in cfg.shocks.states():
+        alloc = first_best_allocation(cfg, state)
+        if not cfg.agent_types[0].is_active(state):
+            assert alloc.total == 0.0 and not alloc.congested
+            continue
+        # the planner's price is the common marginal value of activity
+        marginal = ec.u_prime(cfg.agent_types[0].utility_in(state), alloc.activities["users"])
+        if alloc.congested:
+            assert marginal == pytest.approx(alloc.shadow_marginal, rel=1e-12)
+        _assert_clears(cfg.cost, marginal, alloc.total, alloc.congested)
 
 
 # ---------------------------------------------------------------------------

@@ -26,30 +26,6 @@ def test_tax_for_return_target():
         pol.tax_for_return_target(0.03, 0.05)
 
 
-def test_step_supply_recursion():
-    # no burn: balances just grow by the return
-    assert pol.step_supply(1.0, 0.05, 0.0, 1.0, 1.0) == pytest.approx(1.05)
-    # three hand-unrolled periods with a constant burn of 0.02
-    m = 1.0
-    for expected in (1.03, 1.0615, 1.094575):
-        m = pol.step_supply(m, 0.05, 0.1, 0.4, 0.5)
-        assert m == pytest.approx(expected, rel=1e-12)
-    with pytest.raises(ValueError, match="burn value"):
-        pol.step_supply(0.01, 0.0, 1.0, 1.0, 1.0)
-    with pytest.raises(ValueError, match="positive"):
-        pol.step_supply(0.0, 0.05, 0.0, 1.0, 1.0)
-    with pytest.raises(ValueError, match="nonnegative"):
-        pol.step_supply(1.0, 0.05, -0.1, 1.0, 1.0)
-
-
-def test_step_supply_fixed_point_at_steady_state(det_cfg):
-    eq = eqm.solve_deterministic(det_cfg, 0.1)
-    out = eq.states[1]
-    m = eq.aggregate_real_balances
-    stepped = pol.step_supply(m, out.token_return, out.tax, out.price, out.aggregate_activity)
-    assert stepped == pytest.approx((1.0 + det_cfg.gamma) * m, rel=1e-12)
-
-
 def test_supply_rule_validation():
     assert pol.SupplyRule.tax_and_burn(0.1).theta_by_state == {1: 0.1}
     assert pol.SupplyRule.tax_and_burn({0: 0.0, 1: 0.2}).theta_in(0) == 0.0
