@@ -1,45 +1,42 @@
 """Steady-state competitive equilibrium of the token economy.
 
-One solver per demand regime:
+Two solvers cover the five regimes:
 
-* solve_friedman: deterministic demand under the optimal supply rule
-  (token return equal to r, zero nominal carry cost).
-* solve_deterministic: deterministic demand under a proportional
-  tax-and-burn fee surcharge.
-* solve_iid_shocks: binary idiosyncratic shocks, so aggregates are
-  deterministic while individual activity is state dependent.
-* solve_common_shock: one aggregate binary shock shared by all users,
-  with trade (and the burn) only in the active state.
-* solve_heterogeneous: common binary shock with a shocked and an
-  unshocked type competing for congested blockspace.
+* _solve_law solves the four regimes whose token return is fixed in closed
+  form by the supply rule, one row of _LAWS each: friedman (deterministic
+  demand, rT = r), deterministic (tax-and-burn), iid (idiosyncratic binary
+  shocks, one type) and common (one aggregate binary shock, one type, no
+  trade in the low state). A row gives the return law, the wedge u'(a)/p
+  of the trading state and what state 0 is; the market then clears once.
+  solve_friedman, solve_deterministic, solve_iid_shocks and
+  solve_common_shock are its public entry points.
+* solve_heterogeneous: common binary shock with a shocked and an unshocked
+  type competing for blockspace. The return feeds back into demand, so it
+  is the outer root and prices are solved for each trial return.
 
 Every solver, and the planner's first best, clears each market through one
 kernel (first_best._clear_blockspace): at the unit capacity when demand at
 the marginal cost of capacity exceeds it, and at price equal to marginal
-cost below capacity otherwise. Where the token return feeds back into
-demand (the heterogeneous regime), the return is the outer root and prices
-are solved for each trial return. REGIMES maps each regime name to its
+cost below capacity otherwise. REGIMES maps each regime name to its
 solver, and family() names the solvers and checks that fit a config.
-
-Token holdings come from the binding-state budget: users who transact in a
-state spend their whole balance there whenever the token return is below r,
-which pins m = (1 + theta) * p * a / (1 + rT).
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
 from . import econ_core as ec
-from . import first_best as fb
 from ._roots import expand_bracket, find_root
 from .errors import ConfigError, InfeasiblePolicyError, SolverError
 from .first_best import _clear_blockspace
 
 _BUDGET_RTOL = 1e-9
+
+log = logging.getLogger(__name__)
 
 
 class Regime(Enum):
@@ -87,8 +84,8 @@ class SteadyStateEquilibrium:
 
     holdings are real balances per type member; aggregate_real_balances is
     the mass-weighted sum that enters the burn identity. congestion_broken
-    marks a heterogeneous solve whose congested branch failed, in which case
-    the states hold the uncongested fallback.
+    marks a heterogeneous solve whose high state does not clear at capacity;
+    the states then hold that uncongested equilibrium.
     """
 
     regime: Regime
@@ -126,227 +123,146 @@ def user_demand(f: ec.Utility, effective_price: float, wealth: float) -> float:
     return min(ec.u_prime_inv(f, effective_price), wealth / effective_price)
 
 
-def _zero_state(tax: float = 0.0, token_return: float = 0.0, names: tuple[str, ...] = ()) -> StateOutcome:
-    return StateOutcome(
-        price=0.0,
-        tax=tax,
-        token_return=token_return,
-        activities={n: 0.0 for n in names},
-        congested=False,
-        aggregate_activity=0.0,
+# ---------------------------------------------------------------------------
+# closed-form return laws
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Law:
+    """A regime whose token return is fixed in closed form by its supply rule.
+
+    token_return and wedge take (theta, r, gamma, rho); the wedge is
+    u'(a) / p in the trading state 1, so the market clears once. idle says
+    what state 0 is: None (there is none), "iid" (idle holders share the
+    trading market) or "shut" (no trade, no burn, zero return).
+    """
+
+    regime: Regime
+    shocks: ec.ShockKind
+    token_return: Callable[[float, float, float, float], float]
+    wedge: Callable[[float, float, float, float], float]
+    idle: str | None
+
+
+# Holdings come from the binding budget of state 1: users spend their whole
+# balance there whenever the token return is below r, so
+# m = (1 + theta) * p * a / (1 + rT), and the wedge is the holdings FOC at it.
+# Past the frontier where E[rT] reaches r no finite holdings are optimal; the
+# closed-form regimes do not yet reject such theta and return the formal
+# solution of the burn identity there.
+_LAWS: dict[str, _Law] = {
+    # Friedman rule: supply contracts at (1+gamma)/(1+r), so rT = r and holding
+    # tokens is costless; the static margin u'(a) = p is the planner's, and a
+    # congested fee is the capacity shadow value. solve_friedman sets theta = 0.
+    "friedman": _Law(
+        Regime.DETERMINISTIC, ec.ShockKind.DETERMINISTIC,
+        lambda theta, r, gamma, rho: r,
+        lambda theta, r, gamma, rho: 1.0,
+        None,
+    ),
+    # Burning theta * p * a while balances grow at gamma forces
+    # 1 + rT = (1+theta)(1+gamma); the surcharge and the capital gain it funds
+    # cancel out of the margin u'(a)/p = (1+r)/(1+gamma): the tax is neutral.
+    "deterministic": _Law(
+        Regime.DETERMINISTIC, ec.ShockKind.DETERMINISTIC,
+        lambda theta, r, gamma, rho: (1.0 + theta) * (1.0 + gamma) - 1.0,
+        lambda theta, r, gamma, rho: (1.0 + r) / (1.0 + gamma),
+        None,
+    ),
+    # Only the active fraction rho trades and pays the surcharge, so the burn
+    # gives 1 + rT = (1+gamma)(1+theta)/(1+(1-rho)theta) to every holder: idle
+    # holders ride the deflation without paying the tax, so theta > 0 subsidizes
+    # idle balances and distorts the active margin. The wedge solves the holdings
+    # FOC rho (1+rT) u'(a)/((1+theta)p) + (1-rho)(1+rT) = 1+r at that return.
+    "iid": _Law(
+        Regime.IID_BINARY, ec.ShockKind.IID_BINARY,
+        lambda theta, r, gamma, rho:
+            (1.0 + gamma) * (1.0 + theta) / (1.0 + (1.0 - rho) * theta) - 1.0,
+        lambda theta, r, gamma, rho:
+            1.0 + (r - gamma) * (1.0 + (1.0 - rho) * theta) / (rho * (1.0 + gamma)),
+        "iid",
+    ),
+    # Burning only in the active state gives 1 + rT = (1+theta)(1+gamma) there;
+    # the whole balance carries over the shut state, and the active margin
+    # u'(a)/p = (rho+r)/((1+gamma)rho) does not involve theta: the surcharge is
+    # exactly offset by the deflation it funds.
+    "common": _Law(
+        Regime.COMMON_BINARY, ec.ShockKind.COMMON_BINARY,
+        lambda theta, r, gamma, rho: (1.0 + theta) * (1.0 + gamma) - 1.0,
+        lambda theta, r, gamma, rho: (rho + r) / ((1.0 + gamma) * rho),
+        "shut",
+    ),
+}
+
+
+def _solve_law(name: str, cfg: ec.EconomyConfig, theta: float) -> SteadyStateEquilibrium:
+    """Steady state of the closed-form regime _LAWS[name] at tax theta."""
+    law = _LAWS[name]
+    if cfg.shocks.kind is not law.shocks:
+        raise ConfigError(f"the {name} regime requires shock kind {law.shocks.value!r}")
+    if theta < 0:
+        raise ConfigError(f"tax rate must be nonnegative, got {theta}")
+    types = cfg.agent_types
+    if law.idle is not None and (
+        len(types) != 1 or types[0].is_active(0) or not types[0].is_active(1)
+    ):
+        raise ConfigError(
+            f"the {name} regime requires a single agent type with zero utility in "
+            "state 0 and positive demand in state 1"
+        )
+    rho = cfg.shocks.rho
+    rt = law.token_return(theta, cfg.r, cfg.gamma, rho)
+    wedge = law.wedge(theta, cfg.r, cfg.gamma, rho)
+    share = rho if law.idle == "iid" else 1.0  # fraction of each type trading
+    active = [(share * t.mass, t.utility_in(1)) for t in types if t.is_active(1)]
+    if len(active) == 1:
+        (k, u), = active
+
+        def load(p: float) -> float:
+            return k * ec.u_prime_inv(u, wedge * p)
+    else:
+        def load(p: float) -> float:
+            return math.fsum(k * ec.u_prime_inv(u, wedge * p) for k, u in active)
+
+    price, congested = _clear_blockspace(cfg.cost, load) if active else (0.0, False)
+    acts = {t.name: ec.u_prime_inv(t.utility_in(1), wedge * price) if t.is_active(1) else 0.0
+            for t in types}
+    holdings = {n: (1.0 + theta) * price * a / (1.0 + rt) for n, a in acts.items()}
+    aggregate = share * math.fsum(t.mass * acts[t.name] for t in types)
+    states = {1: StateOutcome(price, theta, rt, acts, congested, aggregate)}
+    idle_acts = {n: 0.0 for n in acts}
+    if law.idle == "iid":
+        states[0] = StateOutcome(price, theta, rt, idle_acts, congested, aggregate)
+    elif law.idle == "shut":
+        states[0] = StateOutcome(0.0, 0.0, 0.0, idle_acts, False, 0.0)
+    return SteadyStateEquilibrium(
+        regime=law.regime,
+        states=states,
+        holdings=holdings,
+        expected_return=rho * rt if law.idle == "shut" else rt,
+        aggregate_real_balances=math.fsum(t.mass * holdings[t.name] for t in types),
     )
-
-
-def _names(cfg: ec.EconomyConfig) -> tuple[str, ...]:
-    return tuple(t.name for t in cfg.agent_types)
-
-
-# ---------------------------------------------------------------------------
-# deterministic demand
-# ---------------------------------------------------------------------------
 
 
 def solve_friedman(cfg: ec.EconomyConfig) -> SteadyStateEquilibrium:
-    """Optimal-rule steady state for deterministic demand.
-
-    The supply contracts at (1+gamma)/(1+r) per period, so the token return
-    equals r and holding tokens across the period is costless. Activity then
-    coincides with the first-best allocation and the fee equals the planner's
-    marginal value (the rationing shadow value when blockspace is scarce).
-    """
-    if cfg.shocks.kind is not ec.ShockKind.DETERMINISTIC:
-        raise ConfigError("solve_friedman requires a deterministic shock process")
-    alloc = fb.first_best_allocation(cfg, 1)
-    if alloc.congested:
-        price = alloc.shadow_marginal
-    else:
-        price = ec.c_prime(cfg.cost, alloc.total)
-    holdings = {
-        t.name: price * alloc.activities[t.name] / (1.0 + cfg.r) for t in cfg.agent_types
-    }
-    aggregate_m = math.fsum(t.mass * holdings[t.name] for t in cfg.agent_types)
-    state = StateOutcome(
-        price=price,
-        tax=0.0,
-        token_return=cfg.r,
-        activities=dict(alloc.activities),
-        congested=alloc.congested,
-        aggregate_activity=alloc.total,
-    )
-    return SteadyStateEquilibrium(
-        regime=Regime.DETERMINISTIC,
-        states={1: state},
-        holdings=holdings,
-        expected_return=cfg.r,
-        aggregate_real_balances=aggregate_m,
-    )
+    """Optimal-rule steady state for deterministic demand: rT = r, first-best activity."""
+    return _solve_law("friedman", cfg, 0.0)
 
 
 def solve_deterministic(cfg: ec.EconomyConfig, theta: float) -> SteadyStateEquilibrium:
-    """Tax-and-burn steady state for deterministic demand.
-
-    Burning theta * p * a per period while real balances grow at gamma forces
-    1 + rT = (1 + theta) * (1 + gamma). The surcharge and the capital gain
-    cancel out of the user margin, leaving
-    u_k'(a_k) = p * (1 + r) / (1 + gamma), so activity does not depend on
-    theta. Note the implied return exceeds r once theta passes
-    (1+r)/(1+gamma) - 1; the object returned is still the formal stationary
-    solution of the burn identity (validation flags the bound separately).
-    """
-    if cfg.shocks.kind is not ec.ShockKind.DETERMINISTIC:
-        raise ConfigError("solve_deterministic requires a deterministic shock process")
-    if theta < 0:
-        raise ConfigError(f"tax rate must be nonnegative, got {theta}")
-    token_return = (1.0 + theta) * (1.0 + cfg.gamma) - 1.0
-    wedge = (1.0 + cfg.r) / (1.0 + cfg.gamma)
-    active = [(t, t.utility_in(1)) for t in cfg.agent_types if t.is_active(1)]
-
-    if not active:
-        state = _zero_state(tax=theta, token_return=token_return, names=_names(cfg))
-        return SteadyStateEquilibrium(
-            regime=Regime.DETERMINISTIC,
-            states={1: state},
-            holdings={n: 0.0 for n in _names(cfg)},
-            expected_return=token_return,
-            aggregate_real_balances=0.0,
-        )
-
-    def demand_total(price: float) -> float:
-        return math.fsum(t.mass * ec.u_prime_inv(u, wedge * price) for t, u in active)
-
-    price, congested = _clear_blockspace(cfg.cost, demand_total)
-    acts = {n: 0.0 for n in _names(cfg)}
-    for t, u in active:
-        acts[t.name] = ec.u_prime_inv(u, wedge * price)
-    total = math.fsum(t.mass * acts[t.name] for t in cfg.agent_types)
-    holdings = {
-        n: (1.0 + theta) * price * acts[n] / (1.0 + token_return) for n in _names(cfg)
-    }
-    aggregate_m = math.fsum(t.mass * holdings[t.name] for t in cfg.agent_types)
-    state = StateOutcome(
-        price=price,
-        tax=theta,
-        token_return=token_return,
-        activities=acts,
-        congested=congested,
-        aggregate_activity=total,
-    )
-    return SteadyStateEquilibrium(
-        regime=Regime.DETERMINISTIC,
-        states={1: state},
-        holdings=holdings,
-        expected_return=token_return,
-        aggregate_real_balances=aggregate_m,
-    )
-
-
-# ---------------------------------------------------------------------------
-# idiosyncratic binary shocks
-# ---------------------------------------------------------------------------
-
-
-def _single_shocked_type(cfg: ec.EconomyConfig, solver: str) -> tuple[ec.AgentTypeSpec, ec.UtilityFn]:
-    if len(cfg.agent_types) != 1:
-        raise ConfigError(f"{solver} requires a single agent type, got {len(cfg.agent_types)}")
-    t = cfg.agent_types[0]
-    if t.is_active(0) or not t.is_active(1):
-        raise ConfigError(
-            f"{solver} requires zero utility in state 0 and positive demand in state 1"
-        )
-    return t, t.utility_in(1)
+    """Tax-and-burn steady state for deterministic demand (neutral in theta)."""
+    return _solve_law("deterministic", cfg, theta)
 
 
 def solve_iid_shocks(cfg: ec.EconomyConfig, theta: float) -> SteadyStateEquilibrium:
-    """Tax-and-burn steady state under idiosyncratic binary shocks.
-
-    A fraction rho of users is active each period, so the aggregate load is
-    rho * a_high and prices, taxes and the token return are non-random. Only
-    active users pay the surcharge, which tilts the burn identity to
-    1 + rT = (1 + gamma) * (1 + theta) / (1 + (1 - rho) * theta): inactive
-    holders ride the deflation without ever paying the tax, so any theta > 0
-    subsidizes idle balances and distorts the active-state margin
-    u'(a) / p = 1 + (r - gamma) * (1 + (1 - rho) * theta) / (rho * (1 + gamma)).
-    That is the holdings FOC rho (1 + rT) u'(a) / ((1 + theta) p)
-    + (1 - rho) (1 + rT) = 1 + r with the return above substituted.
-    """
-    if cfg.shocks.kind is not ec.ShockKind.IID_BINARY:
-        raise ConfigError("solve_iid_shocks requires an iid binary shock process")
-    if theta < 0:
-        raise ConfigError(f"tax rate must be nonnegative, got {theta}")
-    t, u = _single_shocked_type(cfg, "solve_iid_shocks")
-    rho = cfg.shocks.rho
-    token_return = (1.0 + cfg.gamma) * (1.0 + theta) / (1.0 + (1.0 - rho) * theta) - 1.0
-    wedge = 1.0 + (cfg.r - cfg.gamma) * (1.0 + (1.0 - rho) * theta) / (rho * (1.0 + cfg.gamma))
-
-    # the active fraction rho carries the whole load
-    price, congested = _clear_blockspace(
-        cfg.cost, lambda p: rho * ec.u_prime_inv(u, wedge * p)
-    )
-    a_high = ec.u_prime_inv(u, wedge * price)
-    aggregate = rho * a_high
-    m = (1.0 + theta) * price * a_high / (1.0 + token_return)
-    common = dict(
-        price=price, tax=theta, token_return=token_return, congested=congested,
-        aggregate_activity=aggregate,
-    )
-    states = {
-        1: StateOutcome(activities={t.name: a_high}, **common),
-        0: StateOutcome(activities={t.name: 0.0}, **common),
-    }
-    return SteadyStateEquilibrium(
-        regime=Regime.IID_BINARY,
-        states=states,
-        holdings={t.name: m},
-        expected_return=token_return,
-        aggregate_real_balances=m,
-    )
-
-
-# ---------------------------------------------------------------------------
-# common binary shock, single type
-# ---------------------------------------------------------------------------
+    """Tax-and-burn steady state under idiosyncratic binary shocks, one user type."""
+    return _solve_law("iid", cfg, theta)
 
 
 def solve_common_shock(cfg: ec.EconomyConfig, theta_high: float) -> SteadyStateEquilibrium:
-    """Tax-and-burn steady state under a common binary shock, one user type.
-
-    The inactive state has no trade: price, tax and token return are all zero
-    there, and the whole balance carries over. Burning only in the active
-    state gives 1 + rT_high = (1 + theta) * (1 + gamma) and the active margin
-    u'(a) / p = (rho + r) / ((1 + gamma) * rho), which does not involve theta:
-    the surcharge is exactly offset by the deflation it funds.
-    """
-    if cfg.shocks.kind is not ec.ShockKind.COMMON_BINARY:
-        raise ConfigError("solve_common_shock requires a common binary shock process")
-    if theta_high < 0:
-        raise ConfigError(f"tax rate must be nonnegative, got {theta_high}")
-    t, u = _single_shocked_type(cfg, "solve_common_shock")
-    rho = cfg.shocks.rho
-    token_return = (1.0 + theta_high) * (1.0 + cfg.gamma) - 1.0
-    wedge = (rho + cfg.r) / ((1.0 + cfg.gamma) * rho)
-
-    price, congested = _clear_blockspace(cfg.cost, lambda p: ec.u_prime_inv(u, wedge * p))
-    a_high = ec.u_prime_inv(u, wedge * price)
-
-    m = (1.0 + theta_high) * price * a_high / (1.0 + token_return)
-    states = {
-        1: StateOutcome(
-            price=price,
-            tax=theta_high,
-            token_return=token_return,
-            activities={t.name: a_high},
-            congested=congested,
-            aggregate_activity=a_high,
-        ),
-        0: _zero_state(names=(t.name,)),
-    }
-    return SteadyStateEquilibrium(
-        regime=Regime.COMMON_BINARY,
-        states=states,
-        holdings={t.name: m},
-        expected_return=rho * token_return,
-        aggregate_real_balances=m,
-    )
+    """Tax-and-burn steady state under a common binary shock, one user type."""
+    return _solve_law("common", cfg, theta_high)
 
 
 # ---------------------------------------------------------------------------
@@ -371,9 +287,9 @@ class _HetPoint:
 def heterogeneous_roles(cfg: ec.EconomyConfig) -> tuple[ec.AgentTypeSpec, ec.AgentTypeSpec]:
     """(shocked, unshocked) type pair for a two-type common-shock economy.
 
-    The shocked type is the one with the stronger active-state demand; the
-    congestion precondition (it must outbid marginal cost at its capacity
-    share while the other type alone stays below it) is checked here.
+    The shocked type is the one with the stronger active-state demand; both
+    types must be active in both states. Whether the high state is congested
+    is left to the solve, which flags a slack one as congestion_broken.
     """
     a, b = cfg.agent_types
     for t in (a, b):
@@ -383,15 +299,6 @@ def heterogeneous_roles(cfg: ec.EconomyConfig) -> tuple[ec.AgentTypeSpec, ec.Age
             )
     if ec.u_prime(b.utility_in(1), 1.0) > ec.u_prime(a.utility_in(1), 1.0):
         a, b = b, a
-    capacity_cost = ec.c_prime(cfg.cost, ec.BLOCKSPACE_CAPACITY)
-    if not (
-        ec.u_prime(a.utility_in(1), 1.0 / a.mass) > capacity_cost
-        and ec.u_prime(b.utility_in(1), 1.0) < capacity_cost
-    ):
-        raise ConfigError(
-            "congestion precondition failed: the shocked type must outbid marginal "
-            "cost at 1/mass while the unshocked type alone stays below capacity"
-        )
     return a, b
 
 
@@ -399,7 +306,8 @@ def solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyState
     """Tax-and-burn steady state with a shocked and an unshocked user type.
 
     High state: the shocked type values activity highly, blockspace clears at
-    the unit capacity, and both types pay the surcharge. Low state: untaxed,
+    the unit capacity when demand overfills it, and both types pay the
+    surcharge. Low state: untaxed,
     and congested only when demand at the marginal cost of capacity exceeds
     capacity. The shocked type exhausts its balance in the high state; the
     unshocked type exhausts its balance in the low state, in the high state,
@@ -418,9 +326,9 @@ def solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyState
     the burn never exceeds theta; if it still exceeds rT at r / rho, the
     expected return would pass r and InfeasiblePolicyError is raised.
 
-    If no clearing price at or above marginal cost at capacity exists, the
-    high state is not congested for this theta; the uncongested fallback is
-    solved and returned with congestion_broken = True.
+    If high-state demand at the marginal cost of capacity fits in it, the
+    high state is not congested for this theta; that uncongested equilibrium
+    is returned with congestion_broken = True.
     """
     if cfg.shocks.kind is not ec.ShockKind.COMMON_BINARY:
         raise ConfigError("solve_heterogeneous requires a common binary shock process")
@@ -589,10 +497,18 @@ REGIMES: dict[str, Callable[[ec.EconomyConfig, float], SteadyStateEquilibrium]] 
 
 
 def solve_regime(cfg: ec.EconomyConfig, regime: str, theta: float = 0.0) -> SteadyStateEquilibrium:
-    """Run the named solver ('friedman' ignores theta)."""
+    """Run the named solver ('friedman' ignores theta); logs the result at INFO."""
     if regime not in REGIMES:
         raise ConfigError(f"unknown regime {regime!r}; expected one of {tuple(REGIMES)}")
-    return REGIMES[regime](cfg, theta)
+    eq = REGIMES[regime](cfg, theta)
+    if log.isEnabledFor(logging.INFO):
+        log.info(
+            "solved %s theta=%r E[rT]=%r congested=%s congestion_broken=%s",
+            regime, theta, eq.expected_return,
+            ",".join(f"{s}:{out.congested}" for s, out in sorted(eq.states.items())),
+            eq.congestion_broken,
+        )
+    return eq
 
 
 def family(cfg: ec.EconomyConfig) -> str:

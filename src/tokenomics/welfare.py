@@ -11,6 +11,7 @@ and rejected in the package docs.)
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from . import econ_core as ec
@@ -202,7 +203,7 @@ def _grid(lo: float, hi: float, n: int) -> list[float]:
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 
-def _max_burn_residual(cfg: ec.EconomyConfig, equilibria: list) -> float:
+def _burn_identity_check(cfg: ec.EconomyConfig, equilibria: Iterable) -> dict:
     worst = 0.0
     for eq in equilibria:
         if eq is None:
@@ -211,12 +212,15 @@ def _max_burn_residual(cfg: ec.EconomyConfig, equilibria: list) -> float:
             out = eq.states[s]
             if out.tax * out.price * out.aggregate_activity > 0.0:
                 worst = max(worst, abs(resid))
-    return worst
+    return _check(
+        "burn_identity", worst <= 1e-8, {"max_residual": worst},
+        "per-state burn value equals the return premium on aggregate balances",
+    )
 
 
 def _deterministic_battery(cfg: ec.EconomyConfig) -> list[dict]:
     checks = []
-    fr = eqm.solve_friedman(cfg)
+    fr = eqm.solve_regime(cfg, "friedman")
     fb = first_best_allocation(cfg, 1)
     gap = max(
         abs(fr.states[1].activities[t.name] - fb.activities[t.name])
@@ -269,11 +273,7 @@ def _deterministic_battery(cfg: ec.EconomyConfig) -> list[dict]:
         {"min_welfare_margin": margin},
         "the optimal rule's welfare is never below any burn rate's",
     ))
-    resid = _max_burn_residual(cfg, list(sweep.equilibria))
-    checks.append(_check(
-        "burn_identity", resid <= 1e-8, {"max_residual": resid},
-        "per-state burn value equals the return premium on aggregate balances",
-    ))
+    checks.append(_burn_identity_check(cfg, sweep.equilibria))
     return checks
 
 
@@ -309,11 +309,7 @@ def _iid_battery(cfg: ec.EconomyConfig) -> list[dict]:
             {"argmax_theta": sweep.argmax_theta, "min_step_drop": min_drop},
             "welfare is non-increasing in the burn rate; the optimum is zero tax",
         ))
-    resid = _max_burn_residual(cfg, list(sweep.equilibria))
-    checks.append(_check(
-        "burn_identity", resid <= 1e-8, {"max_residual": resid},
-        "per-state burn value equals the return premium on aggregate balances",
-    ))
+    checks.append(_burn_identity_check(cfg, sweep.equilibria))
     return checks
 
 
@@ -347,11 +343,7 @@ def _common_battery(cfg: ec.EconomyConfig) -> list[dict]:
         "common_shock_return_formula", ret_gap <= 1e-10, {"max_return_gap": ret_gap},
         "expected gross return matches the state-weighted burn identity",
     ))
-    resid = _max_burn_residual(cfg, list(sweep.equilibria))
-    checks.append(_check(
-        "burn_identity", resid <= 1e-8, {"max_residual": resid},
-        "per-state burn value equals the return premium on aggregate balances",
-    ))
+    checks.append(_burn_identity_check(cfg, sweep.equilibria))
     return checks
 
 
@@ -360,6 +352,18 @@ def _heterogeneous_battery(cfg: ec.EconomyConfig) -> list[dict]:
     shocked, unshocked = eqm.heterogeneous_roles(cfg)
     grid = _grid(0.0, 0.5, 21)
     sweep = sweep_tax(cfg, "heterogeneous", grid)
+    if sweep.statuses[0] == "congestion-broken":
+        # every claim but the burn identity compares against a congested
+        # zero-tax high state
+        for name in (
+            "heterogeneous_tax_improves_welfare",
+            "low_state_unshocked_demand_rises",
+            "low_state_shocked_demand_stable",
+            "congested_utility_sum_monotone",
+        ):
+            checks.append(_check(name, None, {}, "the zero-tax high state is not congested"))
+        checks.append(_burn_identity_check(cfg, sweep.equilibria))
+        return checks
     ok = [
         (th, e, w)
         for th, e, w, s in zip(grid, sweep.equilibria, sweep.welfare, sweep.statuses)
@@ -432,11 +436,7 @@ def _heterogeneous_battery(cfg: ec.EconomyConfig) -> list[dict]:
         "utility sum never falls as the high-marginal type's share grows",
     ))
 
-    resid = _max_burn_residual(cfg, [e for _, e, _ in ok])
-    checks.append(_check(
-        "burn_identity", resid <= 1e-8, {"max_residual": resid},
-        "per-state burn value equals the return premium on aggregate balances",
-    ))
+    checks.append(_burn_identity_check(cfg, [e for _, e, _ in ok]))
     return checks
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -309,11 +310,22 @@ def test_sweep_output_is_jobs_invariant(tmp_path):
     assert (a / "sweep.csv").read_bytes() == (b / "sweep.csv").read_bytes()
 
 
-def test_log_environment_variable(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("TOKENOMICS_LOG", "INFO")
-    code = cli.main(
-        ["scenario", "--config", DET, "--regime", "deterministic",
-         "--theta", "0.02", "--out", str(tmp_path)]
-    )
-    assert code == 0
-    capsys.readouterr()
+def test_log_environment_variable(tmp_path):
+    # INFO adds one stderr line per solve and changes no artifact; fresh
+    # processes, since basicConfig does nothing once pytest installs handlers
+    args = ["scenario", "--config", DET, "--regime", "friedman"]
+    runs = {}
+    for level in ("INFO", "WARNING"):
+        out = tmp_path / level
+        proc = subprocess.run(
+            [sys.executable, "-m", "tokenomics.cli", *args, "--out", str(out)],
+            capture_output=True, text=True, env={**os.environ, "TOKENOMICS_LOG": level},
+        )
+        assert proc.returncode == 0
+        runs[level] = proc.stderr, {p.name: p.read_bytes() for p in out.iterdir()}
+    assert runs["INFO"][0].splitlines() == [
+        "INFO tokenomics.equilibrium: solved friedman theta=0.0 E[rT]=0.05 "
+        "congested=1:False congestion_broken=False"
+    ]
+    assert runs["WARNING"][0] == ""
+    assert runs["INFO"][1] == runs["WARNING"][1]

@@ -253,9 +253,18 @@ def test_heterogeneous_roles_orders_by_demand(het_cfg):
 
 
 def test_heterogeneous_roles_precondition():
-    weak = two_type_config(shocked_high=0.9)  # cannot outbid c'(1) at 1/mass
-    with pytest.raises(ConfigError, match="congestion precondition"):
-        eqm.heterogeneous_roles(weak)
+    # the shocked type cannot outbid c'(1) at 1/mass, so the high state stays
+    # slack: the solve returns that equilibrium and flags it
+    weak = two_type_config(shocked_high=0.9)
+    for theta in (0.0, 0.03, 0.05):
+        eq = eqm.solve_heterogeneous(weak, theta)
+        assert eq.congestion_broken
+        for out in eq.states.values():
+            assert not out.congested and out.aggregate_activity < 1.0
+        report = evaluate(weak, eq)
+        assert report.foc_residual_max <= 1e-8
+        assert report.oracle_delta_max <= 2.0
+        assert report.first_best_gap > 0.0
 
 
 def test_heterogeneous_frozen_baseline(het_cfg):
@@ -466,6 +475,48 @@ def test_every_state_clears_blockspace(
         if alloc.congested:
             assert marginal == pytest.approx(alloc.shadow_marginal, rel=1e-12)
         _assert_clears(cfg.cost, marginal, alloc.total, alloc.congested)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    utilities=st.lists(
+        st.tuples(st.floats(0.1, 5.0), st.floats(0.2, 0.8)), min_size=1, max_size=2
+    ),
+    mass=st.floats(0.1, 0.9),
+    r=st.floats(0.01, 0.1),
+    gamma=st.floats(-0.03, 0.03),
+    cost_scale=st.floats(0.2, 3.0),
+    cost_curvature=st.floats(0.05, 3.0),
+    theta=st.floats(0.0, 0.2),
+)
+def test_deterministic_laws_match_planner_and_budget(
+    utilities, mass, r, gamma, cost_scale, cost_curvature, theta
+):
+    masses = (1.0,) if len(utilities) == 1 else (mass, 1.0 - mass)
+    cfg = ec.EconomyConfig(
+        r=r,
+        gamma=gamma,
+        agent_types=tuple(
+            ec.AgentTypeSpec(mass=m, utility_by_state={1: ISO(*u)}, name=f"t{i}")
+            for i, (m, u) in enumerate(zip(masses, utilities))
+        ),
+        cost=ec.CostFn(cost_scale, cost_curvature),
+        shocks=ec.ShockProcess(ec.ShockKind.DETERMINISTIC),
+    )
+    friedman = eqm.solve_friedman(cfg)
+    planner = first_best_allocation(cfg, 1)
+    assert friedman.states[1].congested == planner.congested
+    for name, a in planner.activities.items():
+        assert friedman.states[1].activities[name] == pytest.approx(a, rel=1e-12, abs=0.0)
+    for eq in (friedman, eqm.solve_deterministic(cfg, theta)):
+        out = eq.states[1]
+        for name, a in out.activities.items():
+            # the whole balance is spent in the one state
+            spend = out.effective_price * a
+            assert (1.0 + out.token_return) * eq.holdings[name] == pytest.approx(
+                spend, rel=1e-12, abs=0.0
+            )
+        assert max(abs(v) for v in eqm.shock_foc_residual(cfg, eq).values()) <= 1e-8
 
 
 # ---------------------------------------------------------------------------

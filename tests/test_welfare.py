@@ -5,9 +5,9 @@ import pytest
 from tokenomics import econ_core as ec
 from tokenomics import equilibrium as eqm
 from tokenomics import welfare as wf
-from tokenomics.errors import ConfigError
+from tokenomics.errors import ConfigError, SolverError
 
-from helpers import single_user_config
+from helpers import single_user_config, two_type_config
 
 FRIEDMAN_WELFARE = 0.5952753944880749
 
@@ -137,3 +137,27 @@ def test_proposition_report_marks_unreachable_checks():
     assert by_name["deterministic_tax_neutrality"] == "not applicable"
     assert by_name["friedman_weakly_dominates_burn"] == "not applicable"
     assert report["all_passed"]  # "not applicable" is not a failure
+
+
+def test_heterogeneous_battery_needs_a_congested_zero_tax_state():
+    # a shocked type too weak to fill capacity: every sweep point is slack
+    report = wf.proposition_report(two_type_config(shocked_high=0.9))
+    by_name = {c["name"]: c["status"] for c in report["checks"]}
+    assert by_name == {
+        "heterogeneous_tax_improves_welfare": "not applicable",
+        "low_state_unshocked_demand_rises": "not applicable",
+        "low_state_shocked_demand_stable": "not applicable",
+        "congested_utility_sum_monotone": "not applicable",
+        "burn_identity": "pass",
+    }
+    assert report["all_passed"]
+
+
+def test_heterogeneous_battery_fails_on_zero_tax_solver_error(het_cfg, monkeypatch):
+    def failing(cfg, theta):
+        raise SolverError("no steady state")
+
+    monkeypatch.setitem(eqm.REGIMES, "heterogeneous", failing)
+    report = wf.proposition_report(het_cfg)
+    assert report["checks"][0]["status"] == "fail"
+    assert not report["all_passed"]
