@@ -312,6 +312,7 @@ def _oracle_checks(cfg: ec.EconomyConfig) -> list[dict]:
     """Grid-search cross-checks of the analytic solvers on this config."""
     checks: list[dict] = []
     worst_holdings = 0.0
+    worst_slope = 0.0
     for regime in _ORACLE_REGIMES[eqm.family(cfg)]:
         for theta in (0.0, 0.05):
             if regime == "friedman" and theta:
@@ -319,11 +320,23 @@ def _oracle_checks(cfg: ec.EconomyConfig) -> list[dict]:
             eq = eqm.solve_regime(cfg, regime, theta)
             delta = evaluate(cfg, eq).oracle_delta_max
             worst_holdings = max(worst_holdings, delta)
+            slopes = eqm.check_foc_finite_difference(cfg, eq).values()
+            worst_slope = max(worst_slope, *(abs(v) for v in slopes))
     checks.append({
         "name": "oracle_holdings_agreement",
         "status": "pass" if worst_holdings <= 2.0 else "fail",
         "measured": {"max_grid_steps": worst_holdings},
         "detail": "grid-search best responses sit within 2 steps of solver holdings",
+    })
+    # The grid oracle resolves holdings to 2 of 2001 steps, too coarse to see
+    # a wrong wedge that moves them by a fraction of a percent; the slope of
+    # the holdings objective does. Where rT = r the objective has a kink at the
+    # optimum and the centered difference reads a few 1e-7.
+    checks.append({
+        "name": "foc_finite_difference",
+        "status": "pass" if worst_slope <= 1e-6 else "fail",
+        "measured": {"max_abs_slope": worst_slope},
+        "detail": "the holdings objective is flat at solver holdings (centered difference)",
     })
 
     # Uncongested planner optima are interior, so the grid argmax must land

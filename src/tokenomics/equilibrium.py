@@ -32,7 +32,7 @@ from typing import Callable
 from . import econ_core as ec
 from ._roots import expand_bracket, find_root
 from .errors import ConfigError, InfeasiblePolicyError, SolverError
-from .first_best import _clear_blockspace
+from .first_best import WARM_LOW, _clear_blockspace, first_best_allocation
 
 _BUDGET_RTOL = 1e-9
 
@@ -321,10 +321,14 @@ def solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyState
     The return is the outer unknown: a root of burn(rT) = rT on
     [0, min(theta, r / rho)], where each trial rT fixes the wedges and the
     high-state price is solved for it, bracketed around the congested price
-    of the previous trial (high states are kept for the whole solve, so the
-    root's is not solved again). Holdings cover high-state spending, so
-    the burn never exceeds theta; if it still exceeds rT at r / rho, the
-    expected return would pass r and InfeasiblePolicyError is raised.
+    of the previous trial; the first trial's bracket is seeded from the
+    planner's congested shadow value (high states are kept for the whole
+    solve, so the root's is not solved again). Holdings cover high-state
+    spending, so the burn never exceeds theta; if it still exceeds rT at
+    r / rho, the expected return would pass r and InfeasiblePolicyError is
+    raised. One DEBUG line per solve gives the binding case, whether the
+    first bracket came from the planner seed or from the cold test at c'(1),
+    and the number of trial returns.
 
     If high-state demand at the marginal cost of capacity fits in it, the
     high state is not congested for this theta; that uncongested equilibrium
@@ -406,6 +410,19 @@ def solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyState
     # high-state price, around which the next trial's bracket starts
     high_states: dict[float, tuple[float, bool, _HetPoint]] = {}
     p_warm: float | None = None
+    # The first trial return is rt_max (0 when theta = 0). Its bracket starts
+    # at the price where the shocked type's high-state FOC
+    # u'(a) = (1+theta) p (1+r/rho) / (1+rT) buys the planner's activity, whose
+    # marginal utility is the congested shadow value x: the equilibrium meets
+    # the first best at the frontier, so this is near the root.
+    rt_max = min(theta_high, r / rho)
+    planner = first_best_allocation(cfg, 1)
+    if planner.congested:
+        p_warm = (
+            planner.shadow_marginal * (1.0 + rt_max)
+            / ((1.0 + theta_high) * (1.0 + r / rho))
+        )
+    p_seed = p_warm
 
     def high_state(rt: float) -> tuple[float, bool, _HetPoint]:
         """High-state price for a given return, whether it clears at capacity,
@@ -432,7 +449,6 @@ def solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyState
 
     rt = 0.0
     if theta_high > 0.0:
-        rt_max = min(theta_high, r / rho)
         gap_max = burn_gap(rt_max)
         if gap_max < 0.0:
             rt = find_root(burn_gap, 0.0, rt_max, fhi=gap_max)
@@ -447,6 +463,18 @@ def solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyState
                 "this tax"
             )
     p_high, congested, pt = high_state(rt)
+    if log.isEnabledFor(logging.DEBUG):
+        # a seeded bracket starts above its lower end, where demand overfills
+        # capacity, so its root lies above that end; a cold-test root does not
+        p_first, first_congested, _ = next(iter(high_states.values()))
+        seeded = p_seed is not None and first_congested and p_first > max(
+            WARM_LOW * p_seed, ec.c_prime(cfg.cost, ec.BLOCKSPACE_CAPACITY)
+        )
+        log.debug(
+            "heterogeneous theta=%r binding_case=%d first_bracket=%s trial_returns=%d",
+            theta_high, pt.binding_case, "planner-seed" if seeded else "cold-test",
+            len(high_states),
+        )
     a_low = ec.u_prime_inv(u_high0, pt.p_low)
     if pt.p_low * a_low > pt.m_high_type * (1.0 + _BUDGET_RTOL) + 1e-15:
         raise SolverError(

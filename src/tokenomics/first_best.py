@@ -7,6 +7,12 @@ marginal value x. The planner's market clears like any other
 (_clear_blockspace, which the equilibrium solvers share): when demand at
 x = c'(1) overfills the unit of blockspace, x is the shadow value that
 rations it at capacity; otherwise x = c'(total) below capacity.
+
+The first best depends only on the config, so it is solved once per config
+object and kept on that object (see _memo): the equilibrium scorer, tax
+sweeps, batteries, oracles and the heterogeneous solver's warm start all
+share one solve. Configs are frozen and must not be mutated after
+construction.
 """
 
 from __future__ import annotations
@@ -38,6 +44,10 @@ def _active_types(cfg: ec.EconomyConfig, state: int) -> list[tuple[ec.AgentTypeS
     return [(t, t.utility_in(state)) for t in cfg.agent_types if t.is_active(state)]
 
 
+#: a warm bracket for _clear_blockspace spans [WARM_LOW, WARM_HIGH] * warm
+WARM_LOW, WARM_HIGH = 0.95, 1.05
+
+
 def _clear_blockspace(
     cost: ec.CostFn, load: Callable[[float], float], warm: float | None = None
 ) -> tuple[float, bool]:
@@ -56,11 +66,11 @@ def _clear_blockspace(
         return load(p) - ec.BLOCKSPACE_CAPACITY
 
     if warm is not None:
-        lo = max(0.95 * warm, capacity_cost)
+        lo = max(WARM_LOW * warm, capacity_cost)
         f_lo = over(lo)
         if f_lo > 0.0:
             # demand falls in p, so it overfills capacity at c'(1) as well
-            bracket = expand_bracket(over, lo, 1.05 * warm, lo_floor=lo, flo=f_lo)
+            bracket = expand_bracket(over, lo, WARM_HIGH * warm, lo_floor=lo, flo=f_lo)
             return find_root(over, *bracket), True
 
     load_cap = load(capacity_cost)
@@ -81,13 +91,33 @@ def _clear_blockspace(
     return find_root(excess, *bracket), False
 
 
+def _memo(cfg: ec.EconomyConfig) -> dict:
+    # First-best results solved for cfg, kept in its instance __dict__ so they
+    # live as long as the config and travel with it through pickling. Configs
+    # are unhashable, and a table keyed on id() would keep them alive and could
+    # alias a reused id. Dataclass equality, repr and replace() read only the
+    # fields, so the entry is invisible to them.
+    return vars(cfg).setdefault("_first_best", {})
+
+
 def first_best_allocation(cfg: ec.EconomyConfig, state: int) -> Allocation:
     """Planner's optimum for one shock state.
 
     One clearing solve for the common marginal value x, with the demand
     sum_k mass_k * u_k'^-1(x): congested at the shadow value x >= c'(1) that
     fills capacity, else at x = c'(total).
+
+    Solved on the first call for a config object; later calls return the
+    same stored Allocation, so callers must not mutate it (or its
+    activities), and the config must not be mutated after construction.
     """
+    memo = _memo(cfg)
+    if state not in memo:
+        memo[state] = _solve_allocation(cfg, state)
+    return memo[state]
+
+
+def _solve_allocation(cfg: ec.EconomyConfig, state: int) -> Allocation:
     active = _active_types(cfg, state)
     if not active:
         return Allocation(
@@ -152,7 +182,18 @@ def _iid_cross_section(cfg: ec.EconomyConfig) -> ec.EconomyConfig:
 
 
 def expected_first_best_surplus(cfg: ec.EconomyConfig) -> float:
-    """First-best expected flow surplus under the config's shock process."""
+    """First-best expected flow surplus under the config's shock process.
+
+    Solved on the first call for a config object and stored with its
+    allocations, so the config must not be mutated after construction.
+    """
+    memo = _memo(cfg)
+    if "surplus" not in memo:
+        memo["surplus"] = _expected_surplus(cfg)
+    return memo["surplus"]
+
+
+def _expected_surplus(cfg: ec.EconomyConfig) -> float:
     kind = cfg.shocks.kind
     if kind is ec.ShockKind.DETERMINISTIC:
         alloc = first_best_allocation(cfg, 1)

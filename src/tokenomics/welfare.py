@@ -84,7 +84,12 @@ def _oracle_holdings_delta(
 def evaluate(
     cfg: ec.EconomyConfig, eq: eqm.SteadyStateEquilibrium, *, oracle_points: int = 2001
 ) -> WelfareReport:
-    """Score an equilibrium: welfare, first-best gap, and verification margins."""
+    """Score an equilibrium: welfare, first-best gap, and verification margins.
+
+    The first best does not depend on theta: it is solved on the first call
+    for a config object and reused for every equilibrium scored against that
+    object, so cfg must not be mutated after construction.
+    """
     per_state = {s: _state_surplus(cfg, out, s) for s, out in eq.states.items()}
     expected = math.fsum(cfg.shocks.probability(s) * v for s, v in per_state.items())
     residuals = eqm.shock_foc_residual(cfg, eq)

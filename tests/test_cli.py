@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -243,6 +244,21 @@ def test_verify_passes_on_shipped_config(tmp_path, capsys):
     doc = json.loads((tmp_path / "verify.json").read_text())
     assert doc["all_passed"] is True
     assert doc["family"] == "deterministic"
+
+
+def test_verify_foc_check_fails_on_inflated_holdings(iid_cfg, monkeypatch):
+    def statuses():
+        return {c["name"]: c["status"] for c in cli._oracle_checks(iid_cfg)}
+
+    assert statuses()["foc_finite_difference"] == "pass"
+    solve = cli.eqm.solve_regime
+
+    def inflated(cfg, regime, theta=0.0):
+        eq = solve(cfg, regime, theta)
+        return dataclasses.replace(eq, holdings={n: 1.01 * m for n, m in eq.holdings.items()})
+
+    monkeypatch.setattr(cli.eqm, "solve_regime", inflated)
+    assert statuses()["foc_finite_difference"] == "fail"
 
 
 def test_verify_detects_golden_corruption(tmp_path, capsys):

@@ -1,16 +1,21 @@
+import dataclasses
 import math
+import pickle
 import random
 
 import pytest
 
 from tokenomics import econ_core as ec
+from tokenomics import equilibrium as eqm
 from tokenomics.first_best import (
+    _iid_cross_section,
     expected_first_best_surplus,
     first_best_allocation,
     flow_surplus,
 )
+from tokenomics.welfare import evaluate
 
-from helpers import ISO, single_user_config, two_type_config
+from helpers import CONFIG_DIR, ISO, single_user_config, two_type_config
 
 #: planner's activity for the canonical single-user economy, from
 #: 0.5 a^(-1/2) = a  =>  a = 0.5^(2/3)
@@ -122,3 +127,62 @@ def test_iid_expected_surplus_uses_cross_section(iid_cfg):
     expected = expected_first_best_surplus(iid_cfg)
     naive_high = flow_surplus(iid_cfg, first_best_allocation(iid_cfg, 1), 1)
     assert expected > iid_cfg.shocks.rho * naive_high - 1e-12
+
+
+# ---------------------------------------------------------------------------
+# one first best per config object
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["deterministic", "iid", "common", "heterogeneous"])
+def test_first_best_is_solved_once_per_config(name, monkeypatch):
+    cfg = ec.load_config(CONFIG_DIR / f"{name}.json")
+    calls = []
+    u_prime_inv = ec.u_prime_inv
+
+    def counting(f, x):
+        calls.append(x)
+        return u_prime_inv(f, x)
+
+    monkeypatch.setattr(ec, "u_prime_inv", counting)
+    first = [first_best_allocation(cfg, s) for s in (0, 1)]
+    surplus = expected_first_best_surplus(cfg)
+    calls.clear()
+    again = [first_best_allocation(cfg, s) for s in (0, 1)]
+    assert expected_first_best_surplus(cfg) == surplus
+    assert calls == []
+    # the stored allocations themselves are handed out, so callers only read them
+    assert all(a is b for a, b in zip(first, again))
+
+
+def test_replaced_config_gets_its_own_first_best(det_cfg):
+    before = first_best_allocation(det_cfg, 1)
+    dearer = dataclasses.replace(det_cfg, cost=ec.CostFn(2.0, 1.0))
+    after = first_best_allocation(dearer, 1)
+    assert after.total < before.total
+    assert expected_first_best_surplus(dearer) < expected_first_best_surplus(det_cfg)
+    assert first_best_allocation(det_cfg, 1) is before
+
+
+@pytest.mark.parametrize("solved_first", [False, True])
+def test_pickled_config_scores_identically(solved_first):
+    # sweeps with jobs > 1 send the config to worker processes by pickle,
+    # with or without the stored first best
+    cfg = ec.load_config(CONFIG_DIR / "iid.json")
+    eq = eqm.solve_iid_shocks(cfg, 0.05)
+    if solved_first:
+        report = evaluate(cfg, eq, oracle_points=201)
+    copy = pickle.loads(pickle.dumps(cfg))
+    copied = evaluate(copy, eq, oracle_points=201)
+    if not solved_first:
+        report = evaluate(cfg, eq, oracle_points=201)
+    assert copy == cfg
+    assert copied.as_dict() == report.as_dict()
+
+
+def test_stored_iid_surplus_matches_fresh_cross_section(iid_cfg):
+    cfg = dataclasses.replace(iid_cfg, gamma=0.02)
+    stored = expected_first_best_surplus(cfg)
+    cross = _iid_cross_section(cfg)
+    fresh = flow_surplus(cross, first_best_allocation(cross, 1), 1)
+    assert expected_first_best_surplus(cfg) == stored == fresh
