@@ -32,7 +32,7 @@ from typing import Callable
 from . import econ_core as ec
 from ._roots import expand_bracket, find_root
 from .errors import ConfigError, InfeasiblePolicyError, SolverError
-from .first_best import WARM_LOW, _clear_blockspace, first_best_allocation
+from .first_best import _clear_blockspace, first_best_allocation
 
 _BUDGET_RTOL = 1e-9
 
@@ -406,9 +406,11 @@ def solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyState
             a_high, (1.0 + rt) * m_b / eff, m_b / p_low, p_low, low_congested, m_a, m_b, 3
         )
 
-    # per solve: the high state of every trial return, and the last congested
-    # high-state price, around which the next trial's bracket starts
+    # per solve: the high state of every trial return, the candidates of the
+    # first trial by price in the order they were tried, and the last
+    # congested high-state price, around which the next trial's bracket starts
     high_states: dict[float, tuple[float, bool, _HetPoint]] = {}
+    first_points: dict[float, _HetPoint] = {}
     p_warm: float | None = None
     # The first trial return is rt_max (0 when theta = 0). Its bracket starts
     # at the price where the shocked type's high-state FOC
@@ -429,7 +431,7 @@ def solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyState
         and the candidate there."""
         nonlocal p_warm
         if rt not in high_states:
-            points: dict[float, _HetPoint] = {}
+            points = {} if high_states else first_points
 
             def load(p_high: float) -> float:
                 pt = points[p_high] = candidate(p_high, rt)
@@ -464,11 +466,11 @@ def solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyState
             )
     p_high, congested, pt = high_state(rt)
     if log.isEnabledFor(logging.DEBUG):
-        # a seeded bracket starts above its lower end, where demand overfills
-        # capacity, so its root lies above that end; a cold-test root does not
-        p_first, first_congested, _ = next(iter(high_states.values()))
-        seeded = p_seed is not None and first_congested and p_first > max(
-            WARM_LOW * p_seed, ec.c_prime(cfg.cost, ec.BLOCKSPACE_CAPACITY)
+        # the seeded bracket is kept when demand at the first price tried
+        # overfills capacity; otherwise the cold test at c'(1) runs
+        first = next(iter(first_points.values()))
+        seeded = p_seed is not None and (
+            lam * first.a_high + mu * first.b_high > ec.BLOCKSPACE_CAPACITY
         )
         log.debug(
             "heterogeneous theta=%r binding_case=%d first_bracket=%s trial_returns=%d",
@@ -636,4 +638,24 @@ def check_foc_finite_difference(
         up = holdings_objective(cfg, eq, t.name, m + step)
         down = holdings_objective(cfg, eq, t.name, max(m - step, 0.0))
         out[t.name] = (up - down) / (2.0 * step)
+    return out
+
+
+def holdings_ascent(cfg: ec.EconomyConfig, eq: SteadyStateEquilibrium) -> dict[str, float]:
+    """Largest gain per token from moving each type's balance m one step of
+    1e-6 * m up or down.
+
+    The holdings objective is concave in m, so at its maximum neither step
+    gains and the reading is at most rounding, also where rT = r puts the
+    optimum on a kink (flat above, concave below). A centered difference
+    reads half the curvature jump there, a figure that scales with the config.
+    """
+    out: dict[str, float] = {}
+    for t in cfg.agent_types:
+        m = eq.holdings[t.name]
+        step = 1e-6 * m if m > 0.0 else 1e-6
+        here = holdings_objective(cfg, eq, t.name, m)
+        up = holdings_objective(cfg, eq, t.name, m + step) - here
+        down = holdings_objective(cfg, eq, t.name, max(m - step, 0.0)) - here
+        out[t.name] = max(up, down) / step
     return out

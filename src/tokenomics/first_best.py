@@ -44,10 +44,6 @@ def _active_types(cfg: ec.EconomyConfig, state: int) -> list[tuple[ec.AgentTypeS
     return [(t, t.utility_in(state)) for t in cfg.agent_types if t.is_active(state)]
 
 
-#: a warm bracket for _clear_blockspace spans [WARM_LOW, WARM_HIGH] * warm
-WARM_LOW, WARM_HIGH = 0.95, 1.05
-
-
 def _clear_blockspace(
     cost: ec.CostFn, load: Callable[[float], float], warm: float | None = None
 ) -> tuple[float, bool]:
@@ -66,11 +62,11 @@ def _clear_blockspace(
         return load(p) - ec.BLOCKSPACE_CAPACITY
 
     if warm is not None:
-        lo = max(WARM_LOW * warm, capacity_cost)
+        lo = max(0.95 * warm, capacity_cost)
         f_lo = over(lo)
         if f_lo > 0.0:
             # demand falls in p, so it overfills capacity at c'(1) as well
-            bracket = expand_bracket(over, lo, WARM_HIGH * warm, lo_floor=lo, flo=f_lo)
+            bracket = expand_bracket(over, lo, 1.05 * warm, lo_floor=lo, flo=f_lo)
             return find_root(over, *bracket), True
 
     load_cap = load(capacity_cost)

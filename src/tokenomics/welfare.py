@@ -168,6 +168,8 @@ def sweep_tax(
 
         import numpy  # noqa: F401 -- loaded once here, so every forked worker has it
 
+        # solved before the work items are pickled, so every worker gets it
+        expected_first_best_surplus(cfg)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_sweep_point, work))
     else:

@@ -261,6 +261,20 @@ def test_verify_foc_check_fails_on_inflated_holdings(iid_cfg, monkeypatch):
     assert statuses()["foc_finite_difference"] == "fail"
 
 
+@pytest.mark.parametrize("name", ["deterministic", "heterogeneous"])
+def test_verify_oracle_checks_pass_at_small_utility_scale(name):
+    # small balances: a centered difference of the holdings objective reads
+    # about 3e-6 at the rT = r kink of deterministic (friedman, and the
+    # deterministic regime at theta = r) and 7e-6 on heterogeneous at
+    # theta = 0.05, on correct solves
+    doc = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    for t in doc["agent_types"]:
+        for f in t["utility_by_state"].values():
+            f["scale"] *= 0.2
+    checks = cli._oracle_checks(ec.config_from_dict(doc))
+    assert [c["name"] for c in checks if c["status"] != "pass"] == []
+
+
 def test_verify_detects_golden_corruption(tmp_path, capsys):
     cfg_path = tmp_path / "deterministic.json"
     cfg_path.write_text((CONFIG_DIR / "deterministic.json").read_text())

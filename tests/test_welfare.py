@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import pytest
 
@@ -6,8 +7,9 @@ from tokenomics import econ_core as ec
 from tokenomics import equilibrium as eqm
 from tokenomics import welfare as wf
 from tokenomics.errors import ConfigError, SolverError
+from tokenomics.first_best import expected_first_best_surplus
 
-from helpers import single_user_config, two_type_config
+from helpers import CONFIG_DIR, single_user_config, two_type_config
 
 FRIEDMAN_WELFARE = 0.5952753944880749
 
@@ -82,6 +84,46 @@ def test_sweep_parallel_matches_serial(iid_cfg):
     serial = wf.sweep_tax(iid_cfg, "iid", grid, jobs=1)
     parallel = wf.sweep_tax(iid_cfg, "iid", grid, jobs=2)
     assert serial.as_dict() == parallel.as_dict()
+
+
+def test_parallel_sweep_sends_the_stored_first_best(monkeypatch):
+    # jobs > 1 pickles the config into every work item; a fresh config has no
+    # first best yet, so it must be solved before the items are built
+    import concurrent.futures
+
+    cfg = ec.load_config(CONFIG_DIR / "iid.json")
+    calls = []
+    u_prime_inv = ec.u_prime_inv
+
+    def counting(f, x):
+        calls.append(x)
+        return u_prime_inv(f, x)
+
+    planner_calls = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            for item in items:
+                received = pickle.loads(pickle.dumps(item))
+                before = len(calls)
+                expected_first_best_surplus(received[0])
+                planner_calls.append(len(calls) - before)
+                yield fn(received)
+
+    monkeypatch.setattr(ec, "u_prime_inv", counting)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    res = wf.sweep_tax(cfg, "iid", [0.0, 0.03, 0.06], jobs=2, oracle_points=201)
+    assert res.statuses == ("ok", "ok", "ok")
+    assert planner_calls == [0, 0, 0]
 
 
 def test_sweep_grid_validation(det_cfg):
