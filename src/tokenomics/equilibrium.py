@@ -648,7 +648,8 @@ def holdings_ascent(cfg: ec.EconomyConfig, eq: SteadyStateEquilibrium) -> dict[s
     The holdings objective is concave in m, so at its maximum neither step
     gains and the reading is at most rounding, also where rT = r puts the
     optimum on a kink (flat above, concave below). A centered difference
-    reads half the curvature jump there, a figure that scales with the config.
+    reads step / 4 times the curvature below the kink there, a figure that
+    scales with the config.
     """
     out: dict[str, float] = {}
     for t in cfg.agent_types:
