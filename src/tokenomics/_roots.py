@@ -4,6 +4,9 @@ Every economic fixed point in this package reduces to a monotone scalar
 residual with a sign change on a bracket. find_root runs Brent's method
 (Brent, Algorithms for Minimization without Derivatives, 1973): it keeps
 bisection's guaranteed bracket and converges superlinearly, deterministically.
+The market-clearing kernel (first_best._clear_blockspace) calls it in log
+price, where its residuals are linear or nearly so and the secant step is
+close to exact; expand_bracket's geometric steps are even steps there.
 """
 
 from __future__ import annotations

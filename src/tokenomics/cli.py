@@ -13,11 +13,13 @@ cells (CSV).
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import math
 import os
 import sys
 from pathlib import Path
+from typing import Callable
 
 from . import econ_core as ec
 from . import equilibrium as eqm
@@ -25,7 +27,7 @@ from .errors import ConfigError, InfeasiblePolicyError, SolverError, TokenomicsE
 from .first_best import first_best_allocation, flow_surplus
 from .oracle import GridSpec, grid_first_best
 from .policy import SupplyRule, SupplyRuleKind, supply_path
-from .welfare import evaluate, proposition_report, sweep_tax
+from .welfare import WelfareReport, evaluate, proposition_report, sweep_tax
 
 log = logging.getLogger("tokenomics")
 
@@ -149,9 +151,24 @@ def _compare_tree(expected, actual, path: str, mismatches: list[str]) -> None:
         mismatches.append(f"{path} ({expected!r} != {actual!r})")
 
 
-def golden_case_result(cfg: ec.EconomyConfig, regime: str, theta: float) -> dict:
-    eq = eqm.solve_regime(cfg, regime, theta)
-    report = evaluate(cfg, eq)
+#: solve_regime + evaluate for one config: (regime, theta) -> (equilibrium, report)
+Scorer = Callable[[str, float], tuple[eqm.SteadyStateEquilibrium, WelfareReport]]
+
+
+def _scorer(cfg: ec.EconomyConfig) -> Scorer:
+    """A Scorer for cfg that solves and evaluates each (regime, theta) once,
+    so verify's oracle checks and golden comparison share each solve."""
+
+    @functools.cache
+    def score(regime: str, theta: float):
+        eq = eqm.solve_regime(cfg, regime, theta)
+        return eq, evaluate(cfg, eq)
+
+    return score
+
+
+def golden_case_result(score: Scorer, regime: str, theta: float) -> dict:
+    eq, report = score(regime, theta)
     return {
         "regime": regime,
         "theta": theta,
@@ -160,7 +177,7 @@ def golden_case_result(cfg: ec.EconomyConfig, regime: str, theta: float) -> dict
     }
 
 
-def check_golden(cfg: ec.EconomyConfig, golden_file: Path) -> tuple[bool, str]:
+def check_golden(score: Scorer, golden_file: Path) -> tuple[bool, str]:
     import json
 
     try:
@@ -172,7 +189,7 @@ def check_golden(cfg: ec.EconomyConfig, golden_file: Path) -> tuple[bool, str]:
         return False, "golden file has no cases"
     mismatches: list[str] = []
     for i, case in enumerate(cases):
-        actual = golden_case_result(cfg, case["regime"], float(case["theta"]))
+        actual = golden_case_result(score, case["regime"], float(case["theta"]))
         _compare_tree(case, actual, f"golden:case.{i}", mismatches)
     if mismatches:
         shown = "; ".join(mismatches[:4])
@@ -308,7 +325,7 @@ _ORACLE_REGIMES = {
 }
 
 
-def _oracle_checks(cfg: ec.EconomyConfig) -> list[dict]:
+def _oracle_checks(cfg: ec.EconomyConfig, score: Scorer) -> list[dict]:
     """Grid-search cross-checks of the analytic solvers on this config."""
     checks: list[dict] = []
     worst_holdings = 0.0
@@ -317,9 +334,8 @@ def _oracle_checks(cfg: ec.EconomyConfig) -> list[dict]:
         for theta in (0.0, 0.05):
             if regime == "friedman" and theta:
                 continue
-            eq = eqm.solve_regime(cfg, regime, theta)
-            delta = evaluate(cfg, eq).oracle_delta_max
-            worst_holdings = max(worst_holdings, delta)
+            eq, report = score(regime, theta)
+            worst_holdings = max(worst_holdings, report.oracle_delta_max)
             worst_ascent = max(worst_ascent, *eqm.holdings_ascent(cfg, eq).values())
     checks.append({
         "name": "oracle_holdings_agreement",
@@ -379,11 +395,12 @@ def run_verify(args) -> int:
     cfg = _load(args.config)
     report = proposition_report(cfg)
     checks = list(report["checks"])
-    checks.extend(_oracle_checks(cfg))
+    score = _scorer(cfg)
+    checks.extend(_oracle_checks(cfg, score))
 
     golden_file = golden_path_for(Path(args.config))
     if golden_file.exists():
-        ok, detail = check_golden(cfg, golden_file)
+        ok, detail = check_golden(score, golden_file)
         checks.append({
             "name": "golden_regression",
             "status": "pass" if ok else "fail",

@@ -629,12 +629,14 @@ def check_foc_finite_difference(
 ) -> dict[str, float]:
     """Centered difference of the holdings objective at each type's balance.
 
-    Near zero at an optimum; the step defaults to 1e-6 * max(1, m).
+    Near zero at an optimum. The step defaults to 1e-6 * m (1e-6 when
+    m = 0), relative as in holdings_ascent, so it stays small next to small
+    balances.
     """
     out: dict[str, float] = {}
     for t in cfg.agent_types:
         m = eq.holdings[t.name]
-        step = h if h is not None else 1e-6 * max(1.0, abs(m))
+        step = h if h is not None else (1e-6 * m if m > 0.0 else 1e-6)
         up = holdings_objective(cfg, eq, t.name, m + step)
         down = holdings_objective(cfg, eq, t.name, max(m - step, 0.0))
         out[t.name] = (up - down) / (2.0 * step)

@@ -6,7 +6,9 @@ blockspace capacity. Every active type's marginal utility equals a common
 marginal value x. The planner's market clears like any other
 (_clear_blockspace, which the equilibrium solvers share): when demand at
 x = c'(1) overfills the unit of blockspace, x is the shadow value that
-rations it at capacity; otherwise x = c'(total) below capacity.
+rations it at capacity; otherwise x = c'(total) below capacity. The
+kernel finds that root in log price, where isoelastic demand against a
+power cost is linear, so Brent's secant step lands on it at once.
 
 The first best depends only on the config, so it is solved once per config
 object and kept on that object (see _memo): the equilibrium scorer, tax
@@ -44,6 +46,16 @@ def _active_types(cfg: ec.EconomyConfig, state: int) -> list[tuple[ec.AgentTypeS
     return [(t, t.utility_in(state)) for t in cfg.agent_types if t.is_active(state)]
 
 
+#: log of the smallest positive float, standing in for log(0.0)
+_LOG_ZERO = math.log(math.ulp(0.0))
+
+
+def _log(v: float) -> float:
+    # a demand that underflows to 0.0 far out on a bracket keeps the sign of
+    # a load below capacity without reaching math.log(0.0)
+    return math.log(v) if v > 0.0 else _LOG_ZERO
+
+
 def _clear_blockspace(
     cost: ec.CostFn, load: Callable[[float], float], warm: float | None = None
 ) -> tuple[float, bool]:
@@ -55,11 +67,17 @@ def _clear_blockspace(
     demand below capacity: p = c'(load(p)). warm, a congested fee from a
     nearby solve, starts the bracket [0.95, 1.05] * warm (floored at c'(1));
     the test at c'(1) runs when demand at its lower end fits capacity.
+
+    The root runs in log price, on log load(p) when congested and on
+    log p - log c'(load(p)) when slack. For one isoelastic type under power
+    cost both residuals are linear in log p, so the first secant step of
+    Brent's method lands on the root; with several types they stay close to
+    linear. The returned fee is always one at which load was evaluated.
     """
     capacity_cost = ec.c_prime(cost, ec.BLOCKSPACE_CAPACITY)
 
     def over(p: float) -> float:
-        return load(p) - ec.BLOCKSPACE_CAPACITY
+        return _log(load(p) / ec.BLOCKSPACE_CAPACITY)
 
     if warm is not None:
         lo = max(0.95 * warm, capacity_cost)
@@ -67,24 +85,43 @@ def _clear_blockspace(
         if f_lo > 0.0:
             # demand falls in p, so it overfills capacity at c'(1) as well
             bracket = expand_bracket(over, lo, 1.05 * warm, lo_floor=lo, flo=f_lo)
-            return find_root(over, *bracket), True
+            return _log_price_root(over, *bracket), True
 
     load_cap = load(capacity_cost)
     if load_cap > ec.BLOCKSPACE_CAPACITY:
         bracket = expand_bracket(
             over, capacity_cost, capacity_cost, lo_floor=capacity_cost,
-            flo=load_cap - ec.BLOCKSPACE_CAPACITY,
+            flo=_log(load_cap / ec.BLOCKSPACE_CAPACITY),
         )
-        return find_root(over, *bracket), True
+        return _log_price_root(over, *bracket), True
 
     def excess(p: float) -> float:
-        return p - ec.c_prime(cost, load(p))
+        return math.log(p) - _log(ec.c_prime(cost, load(p)))
 
     bracket = expand_bracket(
         excess, 0.5 * capacity_cost, capacity_cost,
-        fhi=capacity_cost - ec.c_prime(cost, load_cap),
+        fhi=math.log(capacity_cost) - _log(ec.c_prime(cost, load_cap)),
     )
-    return find_root(excess, *bracket), False
+    return _log_price_root(excess, *bracket), False
+
+
+def _log_price_root(
+    f: Callable[[float], float], lo: float, hi: float, flo: float, fhi: float
+) -> float:
+    """Root of f(p) on the price bracket [lo, hi], found in x = log p.
+
+    expand_bracket widens [lo, hi] geometrically, that is evenly in x.
+    find_root stops when its bracket is a few EPS * |x| wide: about an ulp
+    of p where |log p| is near 1, finer (at the cost of a few more steps)
+    where p is near 1. The returned price is one f was evaluated at: an end
+    of the bracket, or exp(x) for an x the finder tried.
+    """
+    def g(x: float) -> float:
+        return f(math.exp(x))
+
+    x_lo, x_hi = math.log(lo), math.log(hi)
+    x = find_root(g, x_lo, x_hi, flo, fhi)
+    return lo if x == x_lo else hi if x == x_hi else math.exp(x)
 
 
 def _memo(cfg: ec.EconomyConfig) -> dict:

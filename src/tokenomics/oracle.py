@@ -8,7 +8,13 @@ paths; both only reuse the primitive utility and cost evaluations.
 Tie handling is deterministic: among grid values within a small tolerance
 of the maximum, the smallest index wins. The tolerance matters because a
 carry-cost-free optimum (token return equal to r) leaves the objective
-exactly flat above the optimal holdings.
+exactly flat above the optimal holdings. It is relative to the largest
+magnitude among the scored values, so rounding is absorbed at any utility
+scale while neighbouring grid points of a small objective stay distinct.
+
+The holdings search stays brute force, but is written to make few passes
+over its arrays: the grid is a cached index array times the step, and the
+objective is accumulated in place, state by state.
 
 numpy is imported where the grids are built, so importing the package
 (and running the CLI commands that need no oracle) does not load it.
@@ -18,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING, Mapping
 
 from . import econ_core as ec
@@ -50,14 +57,29 @@ class GridSpec:
             raise ValueError(f"grid needs at least 3 points, got {self.points}")
 
     def values(self) -> np.ndarray:
-        import numpy as np
+        """np.linspace(0, upper, points), bit for bit: index times step,
+        with the last point set to upper."""
+        grid = _index(self.points) * (self.upper / (self.points - 1))
+        grid[-1] = self.upper
+        return grid
 
-        return np.linspace(0.0, self.upper, self.points)
+
+@lru_cache(maxsize=4)
+def _index(points: int) -> np.ndarray:
+    import numpy as np
+
+    index = np.arange(points, dtype=float)
+    index.flags.writeable = False
+    return index
+
+
+def _tie_tol(vmin: float, vmax: float) -> float:
+    return TIE_RTOL * max(abs(vmin), abs(vmax))
 
 
 def _tie_argmax(values: np.ndarray) -> int:
     vmax = float(values.max())
-    tol = TIE_RTOL * (1.0 + abs(vmax))
+    tol = _tie_tol(float(values.min()), vmax)
     return int((values >= vmax - tol).argmax())
 
 
@@ -66,24 +88,29 @@ def _utility_on_grid(f: ec.Utility, a: np.ndarray) -> np.ndarray:
 
     if isinstance(f, ec.ZeroUtility):
         return np.zeros_like(a)
-    return f.scale * a ** (1.0 - f.curvature) / (1.0 - f.curvature)
+    u = a ** (1.0 - f.curvature)
+    u *= f.scale
+    u /= 1.0 - f.curvature
+    return u
 
 
 def _net_flow_closed_form(
-    f: ec.Utility, eff_price: float, wealth: np.ndarray
+    f: ec.UtilityFn, eff_price: float, wealth: np.ndarray
 ) -> np.ndarray:
     """u(a*) - eff_price * a* with a* the budget-capped demand, per wealth."""
     import numpy as np
 
-    if isinstance(f, ec.ZeroUtility) or eff_price <= 0.0:
-        return np.zeros_like(wealth)
     unconstrained = (f.scale / eff_price) ** (1.0 / f.curvature)
-    a_star = np.minimum(unconstrained, wealth / eff_price)
-    return _utility_on_grid(f, a_star) - eff_price * a_star
+    a_star = wealth / eff_price
+    np.minimum(a_star, unconstrained, out=a_star)
+    net = _utility_on_grid(f, a_star)
+    a_star *= eff_price
+    net -= a_star
+    return net
 
 
 def _net_flow_grid(
-    f: ec.Utility, eff_price: float, wealth: np.ndarray, a_grid: GridSpec
+    f: ec.UtilityFn, eff_price: float, wealth: np.ndarray, a_grid: GridSpec
 ) -> tuple[np.ndarray, bool]:
     """Best feasible u(a) - eff_price * a per wealth level, by prefix search.
 
@@ -92,8 +119,6 @@ def _net_flow_grid(
     """
     import numpy as np
 
-    if isinstance(f, ec.ZeroUtility) or eff_price <= 0.0:
-        return np.zeros_like(wealth), False
     a = a_grid.values()
     net = _utility_on_grid(f, a) - eff_price * a
     best_prefix = np.maximum.accumulate(net)
@@ -131,7 +156,7 @@ def grid_best_response(
 
     for _ in range(_MAX_EXPANSIONS + 1):
         m = m_grid.values()
-        value = -m.copy()
+        value = None
         a_boundary = False
         for s in states:
             f = utility_by_state[s]
@@ -140,13 +165,24 @@ def grid_best_response(
                 continue
             gross_return = 1.0 + returns[s]
             eff_price = (1.0 + taxes[s]) * prices[s]
-            wealth = gross_return * m
-            if a_grid is None:
-                net = _net_flow_closed_form(f, eff_price, wealth)
+            # beta * pi * (wealth + net flow), built in place; a state with
+            # no demand adds its wealth alone
+            term = gross_return * m
+            if not isinstance(f, ec.ZeroUtility) and eff_price > 0.0:
+                if a_grid is None:
+                    term += _net_flow_closed_form(f, eff_price, term)
+                else:
+                    net, hit = _net_flow_grid(f, eff_price, term, a_grid)
+                    a_boundary = a_boundary or hit
+                    term += net
+            term *= beta * pi
+            if value is None:
+                term -= m
+                value = term
             else:
-                net, hit = _net_flow_grid(f, eff_price, wealth, a_grid)
-                a_boundary = a_boundary or hit
-            value += beta * pi * (wealth + net)
+                value += term
+        if value is None:
+            value = -m
         if a_boundary:
             a_grid = GridSpec(a_grid.upper * 2.0, a_grid.points)
             continue
@@ -226,9 +262,13 @@ def grid_first_best(
 
     # _tie_argmax over the whole grid: the global maximum first, then the
     # first row-major cell within the tie tolerance of it
-    block_max = [float(surplus_rows(start).max()) for start in starts]
+    block_max, block_min = [], []
+    for start in starts:
+        block = surplus_rows(start)
+        block_max.append(float(block.max()))
+        block_min.append(float(np.min(block, where=block > -np.inf, initial=np.inf)))
     vmax = max(block_max)
-    tol = TIE_RTOL * (1.0 + abs(vmax))
+    tol = _tie_tol(min(block_min), vmax)
     start = next(i for i, v in zip(starts, block_max) if v >= vmax - tol)
     block = surplus_rows(start)
     local = np.unravel_index(int((block >= vmax - tol).argmax()), block.shape)

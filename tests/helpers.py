@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 from tokenomics import econ_core as ec
@@ -10,6 +11,18 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 ISO = ec.UtilityFn
 ZERO = ec.ZeroUtility()
+
+
+def scaled_config(name: str, utility: float = 1.0, cost: float = 1.0) -> ec.EconomyConfig:
+    """A shipped config with every utility scale multiplied by utility and
+    the cost scale by cost."""
+    doc = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    for t in doc["agent_types"]:
+        for f in t["utility_by_state"].values():
+            if f["kind"] == "isoelastic":
+                f["scale"] *= utility
+    doc["cost"]["scale"] *= cost
+    return ec.config_from_dict(doc)
 
 
 def single_user_config(

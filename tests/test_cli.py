@@ -10,8 +10,9 @@ import pytest
 
 from tokenomics import cli
 from tokenomics import econ_core as ec
+from tokenomics import welfare
 
-from helpers import CONFIG_DIR, both_bind_config, two_type_config
+from helpers import CONFIG_DIR, both_bind_config, scaled_config, two_type_config
 
 DET = str(CONFIG_DIR / "deterministic.json")
 IID = str(CONFIG_DIR / "iid.json")
@@ -248,7 +249,8 @@ def test_verify_passes_on_shipped_config(tmp_path, capsys):
 
 def test_verify_foc_check_fails_on_inflated_holdings(iid_cfg, monkeypatch):
     def statuses():
-        return {c["name"]: c["status"] for c in cli._oracle_checks(iid_cfg)}
+        checks = cli._oracle_checks(iid_cfg, cli._scorer(iid_cfg))
+        return {c["name"]: c["status"] for c in checks}
 
     assert statuses()["foc_finite_difference"] == "pass"
     solve = cli.eqm.solve_regime
@@ -263,16 +265,36 @@ def test_verify_foc_check_fails_on_inflated_holdings(iid_cfg, monkeypatch):
 
 @pytest.mark.parametrize("name", ["deterministic", "heterogeneous"])
 def test_verify_oracle_checks_pass_at_small_utility_scale(name):
-    # small balances: a centered difference of the holdings objective reads
-    # about 3e-6 at the rT = r kink of deterministic (friedman, and the
+    # small balances: at x0.2 a centered difference of the holdings objective
+    # reads about 3e-6 at the rT = r kink of deterministic (friedman, and the
     # deterministic regime at theta = r) and 7e-6 on heterogeneous at
-    # theta = 0.05, on correct solves
-    doc = json.loads((CONFIG_DIR / f"{name}.json").read_text())
-    for t in doc["agent_types"]:
-        for f in t["utility_by_state"].values():
-            f["scale"] *= 0.2
-    checks = cli._oracle_checks(ec.config_from_dict(doc))
-    assert [c["name"] for c in checks if c["status"] != "pass"] == []
+    # theta = 0.05, on correct solves. At x0.001 a tie tolerance absolute in
+    # the objective put the heterogeneous holdings oracle 13 steps off.
+    for scale in (0.2, 0.001):
+        cfg = scaled_config(name, utility=scale)
+        checks = cli._oracle_checks(cfg, cli._scorer(cfg))
+        assert [c["name"] for c in checks if c["status"] != "pass"] == [], scale
+
+
+def test_verify_scores_each_regime_and_tax_once_for_oracle_and_golden(
+    tmp_path, monkeypatch, capsys
+):
+    # heterogeneous verify scores the 5 feasible points of the battery's tax
+    # grid, then theta = 0 and 0.05 once each for the oracle checks and the
+    # golden comparison together: 7 evaluate calls, not 9
+    scored = []
+    evaluate = welfare.evaluate
+
+    def counting(cfg, eq, **kwargs):
+        scored.append(eq.states[1].tax)
+        return evaluate(cfg, eq, **kwargs)
+
+    monkeypatch.setattr(welfare, "evaluate", counting)
+    monkeypatch.setattr(cli, "evaluate", counting)
+    assert cli.main(["verify", "--config", HET, "--out", str(tmp_path)]) == 0
+    assert "PASS  golden_regression" in capsys.readouterr().out
+    assert len(scored) == 7
+    assert scored[-2:] == [0.0, 0.05]
 
 
 def test_verify_detects_golden_corruption(tmp_path, capsys):

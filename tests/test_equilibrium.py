@@ -12,9 +12,11 @@ from tokenomics.first_best import first_best_allocation
 from tokenomics.welfare import evaluate
 
 from helpers import (
+    CONFIG_DIR,
     ISO,
     both_bind_config,
     low_state_over_capacity_config,
+    scaled_config,
     single_user_config,
     two_type_config,
 )
@@ -350,12 +352,40 @@ def test_heterogeneous_solve_evaluation_budget(het_cfg, monkeypatch):
 
     monkeypatch.setattr(ec, "u_prime_inv", counting)
     eqm.solve_heterogeneous(het_cfg, 0.05)
-    assert len(calls) <= 150
+    assert len(calls) <= 86
     calls.clear()
     # the first high-state bracket starts from the planner's shadow value,
     # which loading the config has already solved
     eqm.solve_heterogeneous(het_cfg, 0.0)
-    assert len(calls) <= 45
+    assert len(calls) <= 20
+
+
+@pytest.mark.parametrize(
+    "name, regime",
+    [
+        ("deterministic", "friedman"),
+        ("deterministic", "deterministic"),
+        ("iid", "iid"),
+        ("common", "common"),
+    ],
+)
+def test_closed_form_solve_evaluation_budget(name, regime, monkeypatch):
+    """One isoelastic type under power cost clears on a residual linear in log
+    price, so Brent's first secant step lands on the root: a few primitive
+    inversions per solve (a root in price itself took 9 to 15)."""
+    cfg = ec.load_config(CONFIG_DIR / f"{name}.json")
+    calls = []
+    u_prime_inv = ec.u_prime_inv
+
+    def counting(f, x):
+        calls.append(x)
+        return u_prime_inv(f, x)
+
+    monkeypatch.setattr(ec, "u_prime_inv", counting)
+    for theta in (0.0, 0.05):
+        calls.clear()
+        eqm.solve_regime(cfg, regime, theta)
+        assert len(calls) <= 7, (theta, len(calls))
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.02, 0.05])
@@ -585,10 +615,15 @@ def test_inflated_holdings_make_binding_residual_negative(det_cfg, common_cfg):
 def test_finite_difference_sign_pattern(det_cfg, common_cfg, het_cfg):
     """The holdings objective is concave: its slope is ~0 at the optimum,
     positive below it, and negative above it."""
+    # small balances (m about 2.3e-6): an absolute step of 1e-6 would be
+    # about half of m and read 5e-2 at the optimum
+    tiny = scaled_config("heterogeneous", utility=0.01, cost=10.0)
     cases = [
         (det_cfg, eqm.solve_deterministic(det_cfg, 0.02)),
         (common_cfg, eqm.solve_common_shock(common_cfg, 0.05)),
         (het_cfg, eqm.solve_heterogeneous(het_cfg, 0.05)),
+        (tiny, eqm.solve_heterogeneous(tiny, 0.0)),
+        (tiny, eqm.solve_heterogeneous(tiny, 0.05)),
     ]
     for cfg, eq in cases:
         at_opt = eqm.check_foc_finite_difference(cfg, eq)

@@ -8,6 +8,7 @@ import pytest
 from tokenomics import econ_core as ec
 from tokenomics import equilibrium as eqm
 from tokenomics.first_best import (
+    _clear_blockspace,
     _iid_cross_section,
     expected_first_best_surplus,
     first_best_allocation,
@@ -186,3 +187,38 @@ def test_stored_iid_surplus_matches_fresh_cross_section(iid_cfg):
     cross = _iid_cross_section(cfg)
     fresh = flow_surplus(cross, first_best_allocation(cross, 1), 1)
     assert expected_first_best_surplus(cfg) == stored == fresh
+
+
+# ---------------------------------------------------------------------------
+# the clearing kernel
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "curvature, cost_scale, warm, far, congested",
+    [
+        (1e-4, 0.99, None, 1.98, True),  # bracket [c'(1), 2 c'(1)]
+        (1e-5, 0.9999, 1.0, 1.05, True),  # warm bracket [c'(1), 1.05 * warm]
+        (1e-4, 2.0, None, 2.0, False),  # demand at c'(1) itself is 0.0
+    ],
+)
+def test_clearing_survives_demand_underflow(curvature, cost_scale, warm, far, congested):
+    # curvature near 0: demand (1/p)^(1/curvature) underflows to 0.0 at the
+    # far end of the bracket, which the log-price residuals must not pass to
+    # math.log
+    u = ISO(1.0, curvature)
+    cost = ec.CostFn(cost_scale, 1.0)
+    evaluated = []
+
+    def load(p: float) -> float:
+        evaluated.append(p)
+        return ec.u_prime_inv(u, p)
+
+    assert load(far) == 0.0
+    p, is_congested = _clear_blockspace(cost, load, warm)
+    assert is_congested is congested
+    assert far in evaluated[1:] and p in evaluated
+    if congested:
+        assert load(p) == pytest.approx(1.0, abs=1e-10)
+    else:
+        assert p == pytest.approx(ec.c_prime(cost, load(p)), rel=1e-10)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from tokenomics import econ_core as ec
 from tokenomics import oracle
@@ -98,6 +99,114 @@ def test_refinement_approaches_the_kink():
     assert errors[-1] <= errors[0]
 
 
+@pytest.mark.parametrize("points", [3, 201, 2001])
+def test_grid_values_match_linspace_bit_for_bit(points):
+    uppers = [10.0 ** (k / 4) for k in range(-36, 25)] + [1.0 / 3.0, 2.0 / 3.0, 0.7, math.pi]
+    for upper in uppers:
+        spec = GridSpec(upper, points)
+        grid = spec.values()
+        assert grid.tobytes() == np.linspace(0.0, upper, points).tobytes(), upper
+        # each call hands out a fresh array
+        grid[:] = -1.0
+        assert spec.values()[1] > 0.0
+
+
+def dense_best_response(utility_by_state, probs, prices, taxes, returns, r, m_grid, a_grid=None):
+    """Reference: the holdings search written plainly (linspace grids,
+    np.minimum demand caps, -m.copy() accumulation) with the oracle's tie
+    rule, relative to the largest scored magnitude."""
+
+    def utility(f, a):
+        if isinstance(f, ec.ZeroUtility):
+            return np.zeros_like(a)
+        return f.scale * a ** (1.0 - f.curvature) / (1.0 - f.curvature)
+
+    def tie_argmax(values):
+        vmax = float(values.max())
+        tol = oracle.TIE_RTOL * float(np.abs(values).max())
+        return int((values >= vmax - tol).argmax())
+
+    beta = 1.0 / (1.0 + r)
+    for _ in range(oracle._MAX_EXPANSIONS + 1):
+        m = np.linspace(0.0, m_grid.upper, m_grid.points)
+        value = -m.copy()
+        a_boundary = False
+        for s in sorted(utility_by_state):
+            f, pi = utility_by_state[s], probs[s]
+            if pi <= 0.0:
+                continue
+            eff = (1.0 + taxes[s]) * prices[s]
+            wealth = (1.0 + returns[s]) * m
+            if isinstance(f, ec.ZeroUtility) or eff <= 0.0:
+                net = np.zeros_like(wealth)
+            elif a_grid is None:
+                unconstrained = (f.scale / eff) ** (1.0 / f.curvature)
+                a_star = np.minimum(unconstrained, wealth / eff)
+                net = utility(f, a_star) - eff * a_star
+            else:
+                a = np.linspace(0.0, a_grid.upper, a_grid.points)
+                flow = utility(f, a) - eff * a
+                step = a_grid.upper / (a_grid.points - 1)
+                idx = np.clip((wealth / (eff * step)).astype(np.int64), 0, a.size - 1)
+                net = np.maximum.accumulate(flow)[idx]
+                a_boundary = a_boundary or tie_argmax(flow) == a.size - 1
+            value += beta * pi * (wealth + net)
+        if a_boundary:
+            a_grid = GridSpec(a_grid.upper * 2.0, a_grid.points)
+            continue
+        best = tie_argmax(value)
+        if best < m.size - 1:
+            return float(m[best]), float(value[best])
+        m_grid = GridSpec(m_grid.upper * 2.0, m_grid.points)
+    raise OracleError("unbounded")
+
+
+_log_uniform = st.floats(-3.0, 2.0).map(lambda e: 10.0 ** e)
+_utility = st.one_of(
+    st.just(ZERO),
+    st.builds(ISO, _log_uniform, st.floats(0.05, 0.95)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    utilities=st.tuples(_utility, _utility),
+    p_high=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+    prices=st.tuples(st.floats(0.05, 5.0), st.floats(0.05, 5.0)),
+    taxes=st.tuples(st.floats(0.0, 0.5), st.floats(0.0, 0.5)),
+    returns=st.tuples(
+        st.one_of(st.just(R), st.floats(-0.05, 0.07)), st.one_of(st.just(R), st.floats(-0.05, 0.07))
+    ),
+    m_upper=st.floats(-6.0, 1.0).map(lambda e: 10.0 ** e),
+    points=st.sampled_from([3, 21, 201, 2001]),
+    a_grid=st.one_of(st.none(), st.builds(GridSpec, st.floats(0.01, 10.0), st.sampled_from([21, 201]))),
+)
+def test_best_response_matches_dense_reference(
+    utilities, p_high, prices, taxes, returns, m_upper, points, a_grid
+):
+    # returns above r leave the objective unbounded (OracleError); small
+    # grids expand; returns equal to r leave a flat top broken by the tie rule
+    kwargs = dict(
+        utility_by_state=dict(enumerate(utilities)),
+        probs={0: 1.0 - p_high, 1: p_high},
+        prices=dict(enumerate(prices)),
+        taxes=dict(enumerate(taxes)),
+        returns=dict(enumerate(returns)),
+        r=R,
+        m_grid=GridSpec(m_upper, points),
+        a_grid=a_grid,
+    )
+    try:
+        expected = dense_best_response(**kwargs)
+    except OracleError:
+        event("unbounded")
+        with pytest.raises(OracleError):
+            grid_best_response(**kwargs)
+        return
+    event("expanded" if expected[0] > m_upper else "first grid")
+    assert grid_best_response(**kwargs) == expected
+
+
 def test_deterministic_across_calls():
     first = grid_best_response(m_grid=GridSpec(1.0), **one_state(0.8, tax=0.1, rt=0.02))
     second = grid_best_response(m_grid=GridSpec(1.0), **one_state(0.8, tax=0.1, rt=0.02))
@@ -136,7 +245,8 @@ def test_grid_first_best_boundary_raises(det_cfg):
 
 
 def dense_first_best(cfg, state, grids):
-    """Reference: the whole product grid at once, with the oracle's tie rule."""
+    """Reference: the whole product grid at once, with the oracle's tie rule
+    (relative to the largest feasible surplus magnitude)."""
     active = [t for t in cfg.agent_types if t.is_active(state)]
     axes = [grids[t.name].values() for t in active]
     mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
@@ -145,7 +255,8 @@ def dense_first_best(cfg, state, grids):
     surplus = surplus - cfg.cost.scale * total ** (1.0 + cfg.cost.curvature) / (1.0 + cfg.cost.curvature)
     surplus = np.where(total <= ec.BLOCKSPACE_CAPACITY + 1e-12, surplus, -np.inf)
     vmax = float(surplus.max())
-    flat = int(np.argmax(surplus.ravel() >= vmax - oracle.TIE_RTOL * (1.0 + abs(vmax))))
+    tol = oracle.TIE_RTOL * float(np.abs(surplus[np.isfinite(surplus)]).max())
+    flat = int(np.argmax(surplus.ravel() >= vmax - tol))
     idx = np.unravel_index(flat, surplus.shape)
     return {t.name: float(ax[i]) for t, ax, i in zip(active, axes, idx)}, float(surplus[idx])
 
