@@ -29,17 +29,15 @@ def expand_bracket(
     lo: float,
     hi: float,
     *,
-    grow: float = 2.0,
-    max_steps: int = 60,
     lo_floor: float = 1e-300,
     flo: float | None = None,
     fhi: float | None = None,
 ) -> tuple[float, float, float, float]:
     """Widen [lo, hi] geometrically until f changes sign across it.
 
-    Expands hi upward and lo downward (keeping lo above lo_floor). flo and
-    fhi, when known, are f(lo) and f(hi) and are not evaluated again.
-    Returns (lo, hi, f(lo), f(hi)), which find_root takes as they are.
+    Doubles hi and halves lo (keeping lo above lo_floor), up to 60 times.
+    flo and fhi, when known, are f(lo) and f(hi) and are not evaluated
+    again. Returns (lo, hi, f(lo), f(hi)), which find_root takes as they are.
     Raises SolverError when no sign change can be found, reporting the
     final bracket.
     """
@@ -49,13 +47,13 @@ def expand_bracket(
         flo = f(lo)
     if fhi is None:
         fhi = flo if hi == lo else f(hi)
-    for _ in range(max_steps):
+    for _ in range(60):
         if flo == 0.0 or fhi == 0.0 or (flo < 0.0) != (fhi < 0.0):
             return lo, hi, flo, fhi
         if lo > lo_floor:
-            lo = max(lo / grow, lo_floor)
+            lo = max(lo / 2.0, lo_floor)
             flo = f(lo)
-        hi = hi * grow
+        hi = hi * 2.0
         fhi = f(hi)
     raise SolverError(
         "could not bracket a root: "
@@ -69,14 +67,11 @@ def find_root(
     hi: float,
     flo: float | None = None,
     fhi: float | None = None,
-    *,
-    residual_tol: float = RESIDUAL_TOL,
-    max_iter: int = MAX_ITER,
 ) -> float:
     """Brent's method on a sign change, run to float resolution.
 
-    The bracket is narrowed until it is a few ulp wide (or max_iter steps),
-    then the best end is checked against residual_tol; a residual above the
+    The bracket is narrowed until it is a few ulp wide (or MAX_ITER steps),
+    then the best end is checked against RESIDUAL_TOL; a residual above the
     tolerance raises SolverError with bracket diagnostics. flo and fhi, when
     known, are f(lo) and f(hi) and are not evaluated again, so
     find_root(f, *expand_bracket(f, lo, hi)) evaluates no point twice.
@@ -92,7 +87,7 @@ def find_root(
         )
     c, fc = a, fa
     d = e = b - a
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         if (fb < 0.0) == (fc < 0.0):
             c, fc = a, fa
             d = e = b - a
@@ -126,9 +121,9 @@ def find_root(
         a, fa = b, fb
         b += d if abs(d) > tol else math.copysign(tol, half)
         fb = f(b)
-    if abs(fb) > residual_tol:
+    if abs(fb) > RESIDUAL_TOL:
         raise SolverError(
-            f"root finder stalled with residual {fb:.3e} > {residual_tol:.0e} "
+            f"root finder stalled with residual {fb:.3e} > {RESIDUAL_TOL:.0e} "
             f"on bracket [{min(b, c):.12g}, {max(b, c):.12g}]"
         )
     return b

@@ -27,7 +27,7 @@ from .errors import ConfigError, InfeasiblePolicyError, SolverError, TokenomicsE
 from .first_best import first_best_allocation, flow_surplus
 from .oracle import GridSpec, grid_first_best
 from .policy import SupplyRule, SupplyRuleKind, supply_path
-from .welfare import WelfareReport, evaluate, proposition_report, sweep_tax
+from .welfare import WelfareReport, _grid, evaluate, proposition_report, sweep_tax
 
 log = logging.getLogger("tokenomics")
 
@@ -138,14 +138,8 @@ def _compare_tree(expected, actual, path: str, mismatches: list[str]) -> None:
             mismatches.append(f"{path} ({expected!r} != {actual!r})")
         return
     if isinstance(expected, (int, float)) and isinstance(actual, (int, float)):
-        if expected is None or actual is None:
-            if expected != actual:
-                mismatches.append(f"{path} ({expected!r} != {actual!r})")
-            return
         if abs(float(expected) - float(actual)) > GOLDEN_TOL * max(1.0, abs(float(expected))):
             mismatches.append(f"{path} ({expected} != {actual})")
-        return
-    if expected is None and actual is None:
         return
     if expected != actual:
         mismatches.append(f"{path} ({expected!r} != {actual!r})")
@@ -264,8 +258,7 @@ def run_sweep(args) -> int:
     cfg = _load(args.config)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    n = args.points
-    grid = [args.theta_min + (args.theta_max - args.theta_min) * i / (n - 1) for i in range(n)]
+    grid = _grid(args.theta_min, args.theta_max, args.points)
     result = sweep_tax(cfg, args.regime, grid, jobs=args.jobs)
     rows = []
     for th, w, congested, status, eq, report in zip(
@@ -371,7 +364,7 @@ def _oracle_checks(cfg: ec.EconomyConfig, score: Scorer) -> list[dict]:
             if t.is_active(state)
         }
         gridded, grid_surplus = grid_first_best(cfg, state, grids=grids)
-        gap = flow_surplus(cfg, analytic, state) - grid_surplus
+        gap = flow_surplus(cfg, analytic.activities, analytic.total, state) - grid_surplus
         worst_fb_gap = max(worst_fb_gap, abs(gap))
         if gap < -1e-9:
             worst_fb_gap = math.inf  # the grid beat the "optimal" solution

@@ -18,7 +18,8 @@ Every solver, and the planner's first best, clears each market through one
 kernel (first_best._clear_blockspace): at the unit capacity when demand at
 the marginal cost of capacity exceeds it, and at price equal to marginal
 cost below capacity otherwise. REGIMES maps each regime name to its
-solver, and family() names the solvers and checks that fit a config.
+solver, and family() names a config's demand family ('deterministic', 'iid',
+'common' or 'heterogeneous').
 """
 
 from __future__ import annotations
@@ -132,13 +133,14 @@ def user_demand(f: ec.Utility, effective_price: float, wealth: float) -> float:
 class _Law:
     """A regime whose token return is fixed in closed form by its supply rule.
 
-    token_return and wedge take (theta, r, gamma, rho); the wedge is
-    u'(a) / p in the trading state 1, so the market clears once. idle says
-    what state 0 is: None (there is none), "iid" (idle holders share the
-    trading market) or "shut" (no trade, no burn, zero return).
+    shocks is the shock kind the regime requires; its value also names the
+    Regime of the solution. token_return and wedge take (theta, r, gamma,
+    rho); the wedge is u'(a) / p in the trading state 1, so the market clears
+    once. idle says what state 0 is: None (there is none), "iid" (idle
+    holders share the trading market) or "shut" (no trade, no burn, zero
+    return).
     """
 
-    regime: Regime
     shocks: ec.ShockKind
     token_return: Callable[[float, float, float, float], float]
     wedge: Callable[[float, float, float, float], float]
@@ -156,7 +158,7 @@ _LAWS: dict[str, _Law] = {
     # tokens is costless; the static margin u'(a) = p is the planner's, and a
     # congested fee is the capacity shadow value. solve_friedman sets theta = 0.
     "friedman": _Law(
-        Regime.DETERMINISTIC, ec.ShockKind.DETERMINISTIC,
+        ec.ShockKind.DETERMINISTIC,
         lambda theta, r, gamma, rho: r,
         lambda theta, r, gamma, rho: 1.0,
         None,
@@ -165,7 +167,7 @@ _LAWS: dict[str, _Law] = {
     # 1 + rT = (1+theta)(1+gamma); the surcharge and the capital gain it funds
     # cancel out of the margin u'(a)/p = (1+r)/(1+gamma): the tax is neutral.
     "deterministic": _Law(
-        Regime.DETERMINISTIC, ec.ShockKind.DETERMINISTIC,
+        ec.ShockKind.DETERMINISTIC,
         lambda theta, r, gamma, rho: (1.0 + theta) * (1.0 + gamma) - 1.0,
         lambda theta, r, gamma, rho: (1.0 + r) / (1.0 + gamma),
         None,
@@ -176,7 +178,7 @@ _LAWS: dict[str, _Law] = {
     # idle balances and distorts the active margin. The wedge solves the holdings
     # FOC rho (1+rT) u'(a)/((1+theta)p) + (1-rho)(1+rT) = 1+r at that return.
     "iid": _Law(
-        Regime.IID_BINARY, ec.ShockKind.IID_BINARY,
+        ec.ShockKind.IID_BINARY,
         lambda theta, r, gamma, rho:
             (1.0 + gamma) * (1.0 + theta) / (1.0 + (1.0 - rho) * theta) - 1.0,
         lambda theta, r, gamma, rho:
@@ -188,7 +190,7 @@ _LAWS: dict[str, _Law] = {
     # u'(a)/p = (rho+r)/((1+gamma)rho) does not involve theta: the surcharge is
     # exactly offset by the deflation it funds.
     "common": _Law(
-        Regime.COMMON_BINARY, ec.ShockKind.COMMON_BINARY,
+        ec.ShockKind.COMMON_BINARY,
         lambda theta, r, gamma, rho: (1.0 + theta) * (1.0 + gamma) - 1.0,
         lambda theta, r, gamma, rho: (rho + r) / ((1.0 + gamma) * rho),
         "shut",
@@ -237,7 +239,7 @@ def _solve_law(name: str, cfg: ec.EconomyConfig, theta: float) -> SteadyStateEqu
     elif law.idle == "shut":
         states[0] = StateOutcome(0.0, 0.0, 0.0, idle_acts, False, 0.0)
     return SteadyStateEquilibrium(
-        regime=law.regime,
+        regime=Regime(law.shocks.value),
         states=states,
         holdings=holdings,
         expected_return=rho * rt if law.idle == "shut" else rt,
@@ -622,25 +624,6 @@ def holdings_objective(
             flow = ec.u_eval(f, a) + wealth - out.effective_price * a
         value += cfg.beta * pi * flow
     return value
-
-
-def check_foc_finite_difference(
-    cfg: ec.EconomyConfig, eq: SteadyStateEquilibrium, h: float | None = None
-) -> dict[str, float]:
-    """Centered difference of the holdings objective at each type's balance.
-
-    Near zero at an optimum. The step defaults to 1e-6 * m (1e-6 when
-    m = 0), relative as in holdings_ascent, so it stays small next to small
-    balances.
-    """
-    out: dict[str, float] = {}
-    for t in cfg.agent_types:
-        m = eq.holdings[t.name]
-        step = h if h is not None else (1e-6 * m if m > 0.0 else 1e-6)
-        up = holdings_objective(cfg, eq, t.name, m + step)
-        down = holdings_objective(cfg, eq, t.name, max(m - step, 0.0))
-        out[t.name] = (up - down) / (2.0 * step)
-    return out
 
 
 def holdings_ascent(cfg: ec.EconomyConfig, eq: SteadyStateEquilibrium) -> dict[str, float]:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Mapping
 
 from . import econ_core as ec
 from ._roots import expand_bracket, find_root
@@ -178,13 +178,16 @@ def _solve_allocation(cfg: ec.EconomyConfig, state: int) -> Allocation:
     )
 
 
-def flow_surplus(cfg: ec.EconomyConfig, alloc: Allocation, state: int) -> float:
-    """Aggregate flow surplus of an allocation in one state."""
+def flow_surplus(
+    cfg: ec.EconomyConfig, activities: Mapping[str, float], total: float, state: int
+) -> float:
+    """Aggregate flow surplus in one state: sum_k mass_k u_k(a_k) - c(total),
+    with total the blockspace load the activities put on the chain."""
     gross = math.fsum(
-        t.mass * ec.u_eval(t.utility_in(state), alloc.activities[t.name])
+        t.mass * ec.u_eval(t.utility_in(state), activities[t.name])
         for t in cfg.agent_types
     )
-    return gross - ec.c_eval(cfg.cost, alloc.total)
+    return gross - ec.c_eval(cfg.cost, total)
 
 
 def _iid_cross_section(cfg: ec.EconomyConfig) -> ec.EconomyConfig:
@@ -230,13 +233,14 @@ def _expected_surplus(cfg: ec.EconomyConfig) -> float:
     kind = cfg.shocks.kind
     if kind is ec.ShockKind.DETERMINISTIC:
         alloc = first_best_allocation(cfg, 1)
-        return flow_surplus(cfg, alloc, 1)
+        return flow_surplus(cfg, alloc.activities, alloc.total, 1)
     if kind is ec.ShockKind.IID_BINARY:
         cross = _iid_cross_section(cfg)
         alloc = first_best_allocation(cross, 1)
-        return flow_surplus(cross, alloc, 1)
+        return flow_surplus(cross, alloc.activities, alloc.total, 1)
     total = 0.0
     for state in cfg.shocks.states():
         alloc = first_best_allocation(cfg, state)
-        total += cfg.shocks.probability(state) * flow_surplus(cfg, alloc, state)
+        surplus = flow_surplus(cfg, alloc.activities, alloc.total, state)
+        total += cfg.shocks.probability(state) * surplus
     return total

@@ -1,9 +1,11 @@
 """Brute-force grid oracles.
 
 Slow, dumb cross-checks for the analytic solvers: a token-holdings best
-response by direct search, and a first-best allocation by product-grid
-enumeration. Neither shares any solution logic with the closed-form code
-paths; both only reuse the primitive utility and cost evaluations.
+response by direct search over a holdings grid, and a first-best allocation
+by product-grid enumeration. Neither shares any solution logic with the
+solvers; both only reuse the primitive utility and cost evaluations. The
+activity bought at each grid balance is the budget-capped demand in closed
+form: only holdings are searched on a grid.
 
 Tie handling is deterministic: among grid values within a small tolerance
 of the maximum, the smallest index wins. The tolerance matters because a
@@ -94,9 +96,7 @@ def _utility_on_grid(f: ec.Utility, a: np.ndarray) -> np.ndarray:
     return u
 
 
-def _net_flow_closed_form(
-    f: ec.UtilityFn, eff_price: float, wealth: np.ndarray
-) -> np.ndarray:
+def _net_flow(f: ec.UtilityFn, eff_price: float, wealth: np.ndarray) -> np.ndarray:
     """u(a*) - eff_price * a* with a* the budget-capped demand, per wealth."""
     import numpy as np
 
@@ -109,26 +109,6 @@ def _net_flow_closed_form(
     return net
 
 
-def _net_flow_grid(
-    f: ec.UtilityFn, eff_price: float, wealth: np.ndarray, a_grid: GridSpec
-) -> tuple[np.ndarray, bool]:
-    """Best feasible u(a) - eff_price * a per wealth level, by prefix search.
-
-    Also reports whether the unconstrained argmax sat on the grid's upper
-    boundary, which signals the activity grid must expand.
-    """
-    import numpy as np
-
-    a = a_grid.values()
-    net = _utility_on_grid(f, a) - eff_price * a
-    best_prefix = np.maximum.accumulate(net)
-    # largest affordable index under the budget wealth >= eff_price * a
-    step = a_grid.upper / (a_grid.points - 1)
-    idx = np.clip((wealth / (eff_price * step)).astype(np.int64), 0, a.size - 1)
-    boundary = _tie_argmax(net) == a.size - 1
-    return best_prefix[idx], boundary
-
-
 def grid_best_response(
     utility_by_state: Mapping[int, ec.Utility],
     probs: Mapping[int, float],
@@ -137,17 +117,15 @@ def grid_best_response(
     returns: Mapping[int, float],
     r: float,
     m_grid: GridSpec,
-    a_grid: GridSpec | None = None,
 ) -> tuple[float, float]:
     """Best token holdings for one agent facing fixed market conditions.
 
     Evaluates -m + beta * E[u(a*) + (1 + rT) m - (1 + theta) p a*] on the
-    m-grid, where a* maximizes state flow value subject to the token budget.
-    With a_grid given, the inner maximization runs in pure grid mode;
-    otherwise it uses the capped marginal-utility inversion.
+    m-grid, where a* is the budget-capped demand: the marginal-utility
+    inversion, cut to what the state's wealth buys.
 
-    Grids auto-expand (doubling the upper bound, up to 4 times) whenever the
-    argmax lands on the upper boundary; persistent boundary solutions raise
+    The grid auto-expands (doubling the upper bound, up to 4 times) whenever
+    the argmax lands on the upper boundary; persistent boundary solutions raise
     OracleError, which is the expected signal for non-existent optima such
     as a token return above r.
     """
@@ -157,7 +135,6 @@ def grid_best_response(
     for _ in range(_MAX_EXPANSIONS + 1):
         m = m_grid.values()
         value = None
-        a_boundary = False
         for s in states:
             f = utility_by_state[s]
             pi = probs[s]
@@ -169,12 +146,7 @@ def grid_best_response(
             # no demand adds its wealth alone
             term = gross_return * m
             if not isinstance(f, ec.ZeroUtility) and eff_price > 0.0:
-                if a_grid is None:
-                    term += _net_flow_closed_form(f, eff_price, term)
-                else:
-                    net, hit = _net_flow_grid(f, eff_price, term, a_grid)
-                    a_boundary = a_boundary or hit
-                    term += net
+                term += _net_flow(f, eff_price, term)
             term *= beta * pi
             if value is None:
                 term -= m
@@ -183,9 +155,6 @@ def grid_best_response(
                 value += term
         if value is None:
             value = -m
-        if a_boundary:
-            a_grid = GridSpec(a_grid.upper * 2.0, a_grid.points)
-            continue
         best = _tie_argmax(value)
         if best < m.size - 1:
             return float(m[best]), float(value[best])

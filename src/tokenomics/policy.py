@@ -1,17 +1,17 @@
 """Token-supply rules and the nominal/real supply recursion.
 
 Three rules: a fixed supply, the optimal contraction targeting a token
-return of r, and tax-and-burn with per-state fee surcharges. supply_path
-unrolls the implied nominal supply M_t, token price q_t, and real balances
-m_t = q_t * M_t at the rule's steady state. Block-reward expansion needs no
-recipient tracking: with quasi-linear payoffs, who receives newly minted
-tokens is a pure transfer.
+return of r, and tax-and-burn with a fee surcharge theta in the trading
+state. supply_path unrolls the implied nominal supply M_t, token price q_t,
+and real balances m_t = q_t * M_t at the rule's steady state. Block-reward
+expansion needs no recipient tracking: with quasi-linear payoffs, who
+receives newly minted tokens is a pure transfer.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from . import econ_core as ec
@@ -27,17 +27,17 @@ class SupplyRuleKind(Enum):
 
 @dataclass(frozen=True)
 class SupplyRule:
-    """A supply policy: either a closed-form ratio rule or a burn schedule."""
+    """A supply policy: either a closed-form ratio rule or a burn surcharge
+    theta on the trading state's fees."""
 
     kind: SupplyRuleKind
-    theta_by_state: dict[int, float] = field(default_factory=dict)
+    theta: float = 0.0
 
     def __post_init__(self) -> None:
-        for state, theta in self.theta_by_state.items():
-            if theta < 0:
-                raise ValueError(f"tax rate for state {state} must be nonnegative, got {theta}")
-        if self.kind is not SupplyRuleKind.TAX_AND_BURN and self.theta_by_state:
-            raise ValueError(f"{self.kind.value} does not take a tax schedule")
+        if self.theta < 0:
+            raise ValueError(f"tax rate must be nonnegative, got {self.theta}")
+        if self.kind is not SupplyRuleKind.TAX_AND_BURN and self.theta:
+            raise ValueError(f"{self.kind.value} does not take a tax rate")
 
     @classmethod
     def fixed_supply(cls) -> SupplyRule:
@@ -48,12 +48,8 @@ class SupplyRule:
         return cls(SupplyRuleKind.FRIEDMAN_TARGET)
 
     @classmethod
-    def tax_and_burn(cls, theta: float | dict[int, float]) -> SupplyRule:
-        schedule = {1: float(theta)} if isinstance(theta, (int, float)) else dict(theta)
-        return cls(SupplyRuleKind.TAX_AND_BURN, theta_by_state=schedule)
-
-    def theta_in(self, state: int) -> float:
-        return self.theta_by_state.get(state, 0.0)
+    def tax_and_burn(cls, theta: float) -> SupplyRule:
+        return cls(SupplyRuleKind.TAX_AND_BURN, float(theta))
 
 
 @dataclass(frozen=True)
@@ -139,7 +135,7 @@ def supply_path(
                 f"{cfg.shocks.kind.value} shock process (simulate the common-shock "
                 "regimes through their state-contingent equilibria instead)"
             )
-        eq = solve_regime(cfg, fam, rule.theta_in(1))
+        eq = solve_regime(cfg, fam, rule.theta)
         out = eq.states[1]
         rt = out.token_return
         burn_flow = out.tax * out.price * out.aggregate_activity

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from . import econ_core as ec
 from . import equilibrium as eqm
 from .errors import ConfigError, InfeasiblePolicyError, OracleError, SolverError
-from .first_best import expected_first_best_surplus, first_best_allocation
+from .first_best import expected_first_best_surplus, first_best_allocation, flow_surplus
 from .oracle import GridSpec, grid_best_response
 from .policy import steady_state_burn_residual
 
@@ -49,17 +49,7 @@ class WelfareReport:
         }
 
 
-def _state_surplus(cfg: ec.EconomyConfig, out: eqm.StateOutcome, state: int) -> float:
-    utility = math.fsum(
-        t.mass * ec.u_eval(t.utility_in(state), out.activities[t.name])
-        for t in cfg.agent_types
-    )
-    return utility - ec.c_eval(cfg.cost, out.aggregate_activity)
-
-
-def _oracle_holdings_delta(
-    cfg: ec.EconomyConfig, eq: eqm.SteadyStateEquilibrium, points: int
-) -> float:
+def _oracle_holdings_delta(cfg: ec.EconomyConfig, eq: eqm.SteadyStateEquilibrium) -> float:
     worst = 0.0
     probs = {s: cfg.shocks.probability(s) for s in eq.states}
     prices = {s: out.price for s, out in eq.states.items()}
@@ -68,7 +58,7 @@ def _oracle_holdings_delta(
     for t in cfg.agent_types:
         m_k = eq.holdings[t.name]
         upper = 2.0 * m_k if m_k > 0 else 1.0
-        grid = GridSpec(upper, points)
+        grid = GridSpec(upper)
         try:
             m_star, _ = grid_best_response(
                 {s: t.utility_in(s) for s in eq.states},
@@ -76,21 +66,22 @@ def _oracle_holdings_delta(
             )
         except OracleError:
             return math.inf
-        step = upper / (points - 1)
+        step = upper / (grid.points - 1)
         worst = max(worst, abs(m_star - m_k) / step)
     return worst
 
 
-def evaluate(
-    cfg: ec.EconomyConfig, eq: eqm.SteadyStateEquilibrium, *, oracle_points: int = 2001
-) -> WelfareReport:
+def evaluate(cfg: ec.EconomyConfig, eq: eqm.SteadyStateEquilibrium) -> WelfareReport:
     """Score an equilibrium: welfare, first-best gap, and verification margins.
 
     The first best does not depend on theta: it is solved on the first call
     for a config object and reused for every equilibrium scored against that
     object, so cfg must not be mutated after construction.
     """
-    per_state = {s: _state_surplus(cfg, out, s) for s, out in eq.states.items()}
+    per_state = {
+        s: flow_surplus(cfg, out.activities, out.aggregate_activity, s)
+        for s, out in eq.states.items()
+    }
     expected = math.fsum(cfg.shocks.probability(s) * v for s, v in per_state.items())
     residuals = eqm.shock_foc_residual(cfg, eq)
     foc_max = max((abs(v) for v in residuals.values()), default=0.0)
@@ -98,7 +89,7 @@ def evaluate(
         expected_flow_welfare=expected,
         per_state=per_state,
         foc_residual_max=foc_max,
-        oracle_delta_max=_oracle_holdings_delta(cfg, eq, oracle_points),
+        oracle_delta_max=_oracle_holdings_delta(cfg, eq),
         first_best_gap=expected_first_best_surplus(cfg) - expected,
     )
 
@@ -131,14 +122,14 @@ class SweepResult:
 
 
 def _sweep_point(
-    args: tuple[ec.EconomyConfig, str, float, int],
+    args: tuple[ec.EconomyConfig, str, float],
 ) -> tuple[str, float, bool, WelfareReport | None, eqm.SteadyStateEquilibrium | None]:
-    cfg, regime, theta, oracle_points = args
+    cfg, regime, theta = args
     try:
         eq = eqm.solve_regime(cfg, regime, theta)
     except (SolverError, InfeasiblePolicyError) as exc:
         return f"error: {exc}", math.nan, False, None, None
-    report = evaluate(cfg, eq, oracle_points=oracle_points)
+    report = evaluate(cfg, eq)
     status = "congestion-broken" if eq.congestion_broken else "ok"
     congested = any(out.congested for out in eq.states.values())
     return status, report.expected_flow_welfare, congested, report, eq
@@ -150,7 +141,6 @@ def sweep_tax(
     theta_grid: list[float],
     *,
     jobs: int = 1,
-    oracle_points: int = 2001,
 ) -> SweepResult:
     """Solve and score one equilibrium per tax rate.
 
@@ -162,7 +152,7 @@ def sweep_tax(
         raise ConfigError("tax grid must be nonempty")
     if any(b < a for a, b in zip(theta_grid, theta_grid[1:])):
         raise ConfigError("tax grid must be sorted ascending")
-    work = [(cfg, regime, float(th), oracle_points) for th in theta_grid]
+    work = [(cfg, regime, float(th)) for th in theta_grid]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 

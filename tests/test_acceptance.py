@@ -293,15 +293,15 @@ def test_criterion_09_foc_verification(equilibria):
         if eq.expected_return > cfg.r + 1e-10:
             continue  # carry cost negative: holdings objective has no optimum
         fd_checked += 1
-        for name, slope in eqm.check_foc_finite_difference(cfg, eq).items():
+        for name, ascent in eqm.holdings_ascent(cfg, eq).items():
             objective = eqm.holdings_objective(cfg, eq, name, eq.holdings[name])
-            worst_fd = max(worst_fd, abs(slope) / (1.0 + abs(objective)))
+            worst_fd = max(worst_fd, abs(ascent) / (1.0 + abs(objective)))
     ok = worst_res <= 1e-6 and worst_fd <= 1e-5 and fd_checked > 0
     _report(
         "09", ok,
         f"first-order conditions verified on {len(equilibria)} equilibria: max "
-        f"marginal-condition residual={worst_res:.2e} <= 1e-6; central-difference "
-        f"slope at the optimum <= {worst_fd:.2e} (tol 1e-5) on {fd_checked} "
+        f"marginal-condition residual={worst_res:.2e} <= 1e-6; one-sided "
+        f"ascent at the optimum <= {worst_fd:.2e} (tol 1e-5) on {fd_checked} "
         f"equilibria with nonnegative carry cost",
     )
     assert ok

@@ -45,15 +45,6 @@ def test_binding_kink_found_exactly_when_on_grid():
     assert value == pytest.approx(expected, rel=1e-12)
 
 
-def test_grid_mode_agrees_with_closed_form_inner_search():
-    a_star = (0.5 / 1.05) ** 2
-    spec = GridSpec(2 * a_star)
-    m_closed, _ = grid_best_response(m_grid=spec, **one_state(1.0))
-    m_grid, _ = grid_best_response(m_grid=spec, a_grid=GridSpec(1.0, 4001), **one_state(1.0))
-    step = spec.upper / (spec.points - 1)
-    assert abs(m_grid - m_closed) <= 2 * step
-
-
 def test_return_equal_to_r_gives_flat_top_and_smallest_tie():
     # carry is free when the return matches r: every m above the satiation
     # level is equally good, and the tie must break to the smallest one
@@ -111,7 +102,7 @@ def test_grid_values_match_linspace_bit_for_bit(points):
         assert spec.values()[1] > 0.0
 
 
-def dense_best_response(utility_by_state, probs, prices, taxes, returns, r, m_grid, a_grid=None):
+def dense_best_response(utility_by_state, probs, prices, taxes, returns, r, m_grid):
     """Reference: the holdings search written plainly (linspace grids,
     np.minimum demand caps, -m.copy() accumulation) with the oracle's tie
     rule, relative to the largest scored magnitude."""
@@ -130,7 +121,6 @@ def dense_best_response(utility_by_state, probs, prices, taxes, returns, r, m_gr
     for _ in range(oracle._MAX_EXPANSIONS + 1):
         m = np.linspace(0.0, m_grid.upper, m_grid.points)
         value = -m.copy()
-        a_boundary = False
         for s in sorted(utility_by_state):
             f, pi = utility_by_state[s], probs[s]
             if pi <= 0.0:
@@ -139,21 +129,11 @@ def dense_best_response(utility_by_state, probs, prices, taxes, returns, r, m_gr
             wealth = (1.0 + returns[s]) * m
             if isinstance(f, ec.ZeroUtility) or eff <= 0.0:
                 net = np.zeros_like(wealth)
-            elif a_grid is None:
+            else:
                 unconstrained = (f.scale / eff) ** (1.0 / f.curvature)
                 a_star = np.minimum(unconstrained, wealth / eff)
                 net = utility(f, a_star) - eff * a_star
-            else:
-                a = np.linspace(0.0, a_grid.upper, a_grid.points)
-                flow = utility(f, a) - eff * a
-                step = a_grid.upper / (a_grid.points - 1)
-                idx = np.clip((wealth / (eff * step)).astype(np.int64), 0, a.size - 1)
-                net = np.maximum.accumulate(flow)[idx]
-                a_boundary = a_boundary or tie_argmax(flow) == a.size - 1
             value += beta * pi * (wealth + net)
-        if a_boundary:
-            a_grid = GridSpec(a_grid.upper * 2.0, a_grid.points)
-            continue
         best = tie_argmax(value)
         if best < m.size - 1:
             return float(m[best]), float(value[best])
@@ -179,10 +159,9 @@ _utility = st.one_of(
     ),
     m_upper=st.floats(-6.0, 1.0).map(lambda e: 10.0 ** e),
     points=st.sampled_from([3, 21, 201, 2001]),
-    a_grid=st.one_of(st.none(), st.builds(GridSpec, st.floats(0.01, 10.0), st.sampled_from([21, 201]))),
 )
 def test_best_response_matches_dense_reference(
-    utilities, p_high, prices, taxes, returns, m_upper, points, a_grid
+    utilities, p_high, prices, taxes, returns, m_upper, points
 ):
     # returns above r leave the objective unbounded (OracleError); small
     # grids expand; returns equal to r leave a flat top broken by the tie rule
@@ -194,7 +173,6 @@ def test_best_response_matches_dense_reference(
         returns=dict(enumerate(returns)),
         r=R,
         m_grid=GridSpec(m_upper, points),
-        a_grid=a_grid,
     )
     try:
         expected = dense_best_response(**kwargs)

@@ -27,13 +27,16 @@ def test_tax_for_return_target():
 
 
 def test_supply_rule_validation():
-    assert pol.SupplyRule.tax_and_burn(0.1).theta_by_state == {1: 0.1}
-    assert pol.SupplyRule.tax_and_burn({0: 0.0, 1: 0.2}).theta_in(0) == 0.0
-    assert pol.SupplyRule.friedman_target().theta_in(1) == 0.0
+    assert pol.SupplyRule.tax_and_burn(0.1).theta == 0.1
+    assert pol.SupplyRule.friedman_target().theta == 0.0
     with pytest.raises(ValueError, match="nonnegative"):
         pol.SupplyRule.tax_and_burn(-0.1)
-    with pytest.raises(ValueError, match="does not take a tax schedule"):
-        pol.SupplyRule(pol.SupplyRuleKind.FIXED_SUPPLY, theta_by_state={1: 0.1})
+    with pytest.raises(ValueError, match="does not take a tax rate"):
+        pol.SupplyRule(pol.SupplyRuleKind.FIXED_SUPPLY, theta=0.1)
+    # the rule has one tax rate; a per-state schedule is refused, not read
+    # as a zero tax
+    with pytest.raises(TypeError):
+        pol.SupplyRule.tax_and_burn({0: 0.2})
 
 
 def test_burn_residual_vanishes_in_burning_states(det_cfg, iid_cfg):

@@ -121,7 +121,7 @@ def test_parallel_sweep_sends_the_stored_first_best(monkeypatch):
 
     monkeypatch.setattr(ec, "u_prime_inv", counting)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    res = wf.sweep_tax(cfg, "iid", [0.0, 0.03, 0.06], jobs=2, oracle_points=201)
+    res = wf.sweep_tax(cfg, "iid", [0.0, 0.03, 0.06], jobs=2)
     assert res.statuses == ("ok", "ok", "ok")
     assert planner_calls == [0, 0, 0]
 
