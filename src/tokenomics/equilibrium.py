@@ -28,7 +28,7 @@ import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import econ_core as ec
 from ._roots import expand_bracket, find_root
@@ -272,8 +272,7 @@ def solve_common_shock(cfg: ec.EconomyConfig, theta_high: float) -> SteadyStateE
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _HetPoint:
+class _HetPoint(NamedTuple):
     a_high: float
     b_high: float
     b_low: float
@@ -322,15 +321,16 @@ def solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyState
 
     The return is the outer unknown: a root of burn(rT) = rT on
     [0, min(theta, r / rho)], where each trial rT fixes the wedges and the
-    high-state price is solved for it, bracketed around the congested price
-    of the previous trial; the first trial's bracket is seeded from the
-    planner's congested shadow value (high states are kept for the whole
+    high-state price is solved for it, in a bracket predicted from the
+    congested prices of the trials already solved (from the planner's
+    shadow value before the first; high states are kept for the whole
     solve, so the root's is not solved again). Holdings cover high-state
     spending, so the burn never exceeds theta; if it still exceeds rT at
     r / rho, the expected return would pass r and InfeasiblePolicyError is
     raised. One DEBUG line per solve gives the binding case, whether the
-    first bracket came from the planner seed or from the cold test at c'(1),
-    and the number of trial returns.
+    first bracket came from the planner or from the cold test at c'(1), the
+    number of trial returns, and the load evaluations of the high-state and
+    of the low-state clears.
 
     If high-state demand at the marginal cost of capacity fits in it, the
     high state is not congested for this theta; that uncongested equilibrium
@@ -355,8 +355,15 @@ def solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyState
     if rho >= 1.0:
         raise ConfigError("solve_heterogeneous needs rho < 1: the low state must occur")
 
+    # load evaluations of the high-state clears (their values, in order) and
+    # of the low-state clears, for the DEBUG line
+    high_loads: list[float] = []
+    low_evals = 0
+
     def clear_low(unshocked_demand: Callable[[float], float]) -> tuple[float, bool]:
         def load(p: float) -> float:
+            nonlocal low_evals
+            low_evals += 1
             return lam * ec.u_prime_inv(u_high0, p) + mu * unshocked_demand(p)
 
         return _clear_blockspace(cfg.cost, load)
@@ -408,41 +415,53 @@ def solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyState
             a_high, (1.0 + rt) * m_b / eff, m_b / p_low, p_low, low_congested, m_a, m_b, 3
         )
 
-    # per solve: the high state of every trial return, the candidates of the
-    # first trial by price in the order they were tried, and the last
-    # congested high-state price, around which the next trial's bracket starts
+    # per solve: the high state of every trial return, and the congested
+    # price of each trial return solved so far
     high_states: dict[float, tuple[float, bool, _HetPoint]] = {}
-    first_points: dict[float, _HetPoint] = {}
-    p_warm: float | None = None
-    # The first trial return is rt_max (0 when theta = 0). Its bracket starts
-    # at the price where the shocked type's high-state FOC
-    # u'(a) = (1+theta) p (1+r/rho) / (1+rT) buys the planner's activity, whose
-    # marginal utility is the congested shadow value x: the equilibrium meets
-    # the first best at the frontier, so this is near the root.
-    rt_max = min(theta_high, r / rho)
+    solved: dict[float, float] = {}
+    # With no trial solved, the planner stands in for one at rT = r / rho:
+    # there the shocked type's FOC u'(a) = (1+theta) p (1+r/rho) / (1+rT)
+    # is the planner's margin u'(a) = x at the congested shadow value x, so
+    # the price is x / (1+theta).
     planner = first_best_allocation(cfg, 1)
-    if planner.congested:
-        p_warm = (
-            planner.shadow_marginal * (1.0 + rt_max)
-            / ((1.0 + theta_high) * (1.0 + r / rho))
-        )
-    p_seed = p_warm
+    anchor = (r / rho, planner.shadow_marginal / (1.0 + theta_high)) if planner.congested else None
+
+    def predicted_bracket(rt: float) -> tuple[float, float] | None:
+        """High-state price bracket at rt predicted from the solved trials.
+
+        From one trial (or the planner) the price scales with 1 + rT, as the
+        shocked type's FOC does at a fixed shadow value; from two or more it
+        is linear in rT through the two nearest. The bracket is as wide as
+        the move the prediction makes from the nearest solved price: at most
+        5% of the price, at least an ulp of it.
+        """
+        near = sorted(solved, key=lambda s: abs(s - rt))[:2]
+        if len(near) == 2:
+            (ra, pa), (rb, pb) = ((s, solved[s]) for s in near)
+            p, p_near = pa + (pb - pa) * (rt - ra) / (rb - ra), pa
+        elif near or anchor is not None:
+            r_near, p_near = (near[0], solved[near[0]]) if near else anchor
+            p = p_near * (1.0 + rt) / (1.0 + r_near)
+        else:
+            return None
+        half = max(min(abs(p - p_near), 0.05 * p), math.ulp(p))
+        return p - half, p + half
 
     def high_state(rt: float) -> tuple[float, bool, _HetPoint]:
         """High-state price for a given return, whether it clears at capacity,
         and the candidate there."""
-        nonlocal p_warm
         if rt not in high_states:
-            points = {} if high_states else first_points
+            points: dict[float, _HetPoint] = {}
 
             def load(p_high: float) -> float:
                 pt = points[p_high] = candidate(p_high, rt)
-                return lam * pt.a_high + mu * pt.b_high
+                high_loads.append(lam * pt.a_high + mu * pt.b_high)
+                return high_loads[-1]
 
             # every price the root finder returns is one it evaluated
-            p_high, congested = _clear_blockspace(cfg.cost, load, p_warm)
+            p_high, congested = _clear_blockspace(cfg.cost, load, predicted_bracket(rt))
             if congested:
-                p_warm = p_high
+                solved[rt] = p_high
             high_states[rt] = p_high, congested, points[p_high]
         return high_states[rt]
 
@@ -452,6 +471,7 @@ def solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyState
         return theta_high * p_high * agg / (lam * pt.m_high_type + mu * pt.m_low_type) - rt
 
     rt = 0.0
+    rt_max = min(theta_high, r / rho)
     if theta_high > 0.0:
         gap_max = burn_gap(rt_max)
         if gap_max < 0.0:
@@ -468,16 +488,14 @@ def solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyState
             )
     p_high, congested, pt = high_state(rt)
     if log.isEnabledFor(logging.DEBUG):
-        # the seeded bracket is kept when demand at the first price tried
-        # overfills capacity; otherwise the cold test at c'(1) runs
-        first = next(iter(first_points.values()))
-        seeded = p_seed is not None and (
-            lam * first.a_high + mu * first.b_high > ec.BLOCKSPACE_CAPACITY
-        )
+        # the planner's bracket is kept when demand at its lower end, the
+        # first price tried, overfills capacity; otherwise the cold test runs
+        seeded = anchor is not None and high_loads[0] > ec.BLOCKSPACE_CAPACITY
         log.debug(
-            "heterogeneous theta=%r binding_case=%d first_bracket=%s trial_returns=%d",
+            "heterogeneous theta=%r binding_case=%d first_bracket=%s trial_returns=%d "
+            "high_load_evals=%d low_load_evals=%d",
             theta_high, pt.binding_case, "planner-seed" if seeded else "cold-test",
-            len(high_states),
+            len(high_states), len(high_loads), low_evals,
         )
     a_low = ec.u_prime_inv(u_high0, pt.p_low)
     if pt.p_low * a_low > pt.m_high_type * (1.0 + _BUDGET_RTOL) + 1e-15:

@@ -57,41 +57,55 @@ def _log(v: float) -> float:
 
 
 def _clear_blockspace(
-    cost: ec.CostFn, load: Callable[[float], float], warm: float | None = None
+    cost: ec.CostFn,
+    load: Callable[[float], float],
+    warm: tuple[float, float] | None = None,
 ) -> tuple[float, bool]:
     """Fee clearing blockspace against a demand load(p) that falls in p,
     and whether it clears at the unit capacity.
 
     If demand at the marginal cost of capacity c'(1) exceeds capacity, the
     fee rations it: load(p) = 1 with p >= c'(1). Otherwise supply meets
-    demand below capacity: p = c'(load(p)). warm, a congested fee from a
-    nearby solve, starts the bracket [0.95, 1.05] * warm (floored at c'(1));
-    the test at c'(1) runs when demand at its lower end fits capacity.
+    demand below capacity: p = c'(load(p)). warm, a fee bracket (lo, hi)
+    predicted from nearby solves, is tried first when lo is above c'(1):
+    when demand at lo overfills capacity, expand_bracket widens [lo, hi]
+    (from hi when demand overfills it too) upward until it holds the root;
+    otherwise the test at c'(1) runs, and a congested root lies in
+    [c'(1), lo] (in [c'(1), hi] when lo is not above c'(1)).
 
     The root runs in log price, on log load(p) when congested and on
     log p - log c'(load(p)) when slack. For one isoelastic type under power
     cost both residuals are linear in log p, so the first secant step of
     Brent's method lands on the root; with several types they stay close to
-    linear. The returned fee is always one at which load was evaluated.
+    linear. load is evaluated at most once per price, and the returned fee
+    is always one at which it was evaluated.
     """
     capacity_cost = ec.c_prime(cost, ec.BLOCKSPACE_CAPACITY)
 
     def over(p: float) -> float:
         return _log(load(p) / ec.BLOCKSPACE_CAPACITY)
 
-    if warm is not None:
-        lo = max(0.95 * warm, capacity_cost)
-        f_lo = over(lo)
+    # upper end of the congested bracket that starts at c'(1), and f there
+    hi, f_hi = capacity_cost, None
+    if warm is not None and warm[0] > capacity_cost:
+        lo, f_lo = warm[0], over(warm[0])
         if f_lo > 0.0:
             # demand falls in p, so it overfills capacity at c'(1) as well
-            bracket = expand_bracket(over, lo, 1.05 * warm, lo_floor=lo, flo=f_lo)
+            hi = warm[1]
+            f_hi = f_lo if hi == lo else over(hi)
+            if f_hi > 0.0:
+                lo, f_lo = hi, f_hi  # and at hi: the root lies above it
+            bracket = expand_bracket(over, lo, hi, lo_floor=lo, flo=f_lo, fhi=f_hi)
             return _log_price_root(over, *bracket), True
+        hi, f_hi = lo, f_lo
+    elif warm is not None:
+        hi = max(warm[1], capacity_cost)
 
     load_cap = load(capacity_cost)
     if load_cap > ec.BLOCKSPACE_CAPACITY:
         bracket = expand_bracket(
-            over, capacity_cost, capacity_cost, lo_floor=capacity_cost,
-            flo=_log(load_cap / ec.BLOCKSPACE_CAPACITY),
+            over, capacity_cost, hi, lo_floor=capacity_cost,
+            flo=_log(load_cap / ec.BLOCKSPACE_CAPACITY), fhi=f_hi,
         )
         return _log_price_root(over, *bracket), True
 
@@ -112,12 +126,19 @@ def _log_price_root(
 
     expand_bracket widens [lo, hi] geometrically, that is evenly in x.
     find_root stops when its bracket is a few EPS * |x| wide: about an ulp
-    of p where |log p| is near 1, finer (at the cost of a few more steps)
-    where p is near 1. The returned price is one f was evaluated at: an end
-    of the bracket, or exp(x) for an x the finder tried.
+    of p where |log p| is near 1, finer where p is near 1. There
+    neighbouring x round to one p, so f is evaluated once per price: a map
+    from price to value, seeded with the bracket ends, holds each one. The
+    returned price is one f was evaluated at: an end of the bracket, or
+    exp(x) for an x the finder tried.
     """
+    values = {lo: flo, hi: fhi}
+
     def g(x: float) -> float:
-        return f(math.exp(x))
+        p = math.exp(x)
+        if p not in values:
+            values[p] = f(p)
+        return values[p]
 
     x_lo, x_hi = math.log(lo), math.log(hi)
     x = find_root(g, x_lo, x_hi, flo, fhi)

@@ -1,16 +1,55 @@
-"""Config builders shared across the test modules."""
+"""Config builders and an evaluation recorder shared across the test modules."""
 
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from tokenomics import econ_core as ec
+from tokenomics import equilibrium as eqm
+from tokenomics import first_best as fb
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 ISO = ec.UtilityFn
 ZERO = ec.ZeroUtility()
+
+
+@dataclass
+class Evaluations:
+    """Work recorded while a test runs: the argument of every u_prime_inv
+    call, and for every market clear the prices its load was evaluated at."""
+
+    u_prime_inv: list[float] = field(default_factory=list)
+    clears: list[list[float]] = field(default_factory=list)
+
+
+def record_evaluations(monkeypatch) -> Evaluations:
+    """Record u_prime_inv calls and the loads of _clear_blockspace (in both
+    modules that call it) for the rest of the test."""
+    seen = Evaluations()
+    u_prime_inv = ec.u_prime_inv
+    kernel = fb._clear_blockspace
+
+    def counting(f, x):
+        seen.u_prime_inv.append(x)
+        return u_prime_inv(f, x)
+
+    def clearing(cost, load, warm=None):
+        prices: list[float] = []
+        seen.clears.append(prices)
+
+        def recording(p: float) -> float:
+            prices.append(p)
+            return load(p)
+
+        return kernel(cost, recording, warm)
+
+    monkeypatch.setattr(ec, "u_prime_inv", counting)
+    monkeypatch.setattr(fb, "_clear_blockspace", clearing)
+    monkeypatch.setattr(eqm, "_clear_blockspace", clearing)
+    return seen
 
 
 def scaled_config(name: str, utility: float = 1.0, cost: float = 1.0) -> ec.EconomyConfig:
@@ -22,6 +61,23 @@ def scaled_config(name: str, utility: float = 1.0, cost: float = 1.0) -> ec.Econ
             if f["kind"] == "isoelastic":
                 f["scale"] *= utility
     doc["cost"]["scale"] *= cost
+    return ec.config_from_dict(doc)
+
+
+def het_band_config(
+    scales: tuple[float, ...], curvatures: tuple[float, ...], mass: float, rho: float
+) -> ec.EconomyConfig:
+    """configs/heterogeneous.json with its four utility scales and curvatures
+    (type by type, state 0 then 1) multiplied by scales and curvatures, the
+    curvatures clipped to [0.05, 0.95], the first type's mass set to mass
+    (the second's to 1 - mass) and the shock probability set to rho."""
+    doc = json.loads((CONFIG_DIR / "heterogeneous.json").read_text())
+    fns = [f for t in doc["agent_types"] for f in t["utility_by_state"].values()]
+    for f, scale, curvature in zip(fns, scales, curvatures, strict=True):
+        f["scale"] *= scale
+        f["curvature"] = min(max(f["curvature"] * curvature, 0.05), 0.95)
+    doc["agent_types"][0]["mass"], doc["agent_types"][1]["mass"] = mass, 1.0 - mass
+    doc["shocks"]["rho"] = rho
     return ec.config_from_dict(doc)
 
 

@@ -3,19 +3,22 @@ import logging
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tokenomics import econ_core as ec
 from tokenomics import equilibrium as eqm
-from tokenomics.errors import ConfigError, InfeasiblePolicyError, SolverError
-from tokenomics.first_best import first_best_allocation
+from tokenomics.errors import ConfigError, InfeasiblePolicyError, SolverError, TokenomicsError
+from tokenomics.first_best import _clear_blockspace, first_best_allocation
+from tokenomics.policy import steady_state_burn_residual
 from tokenomics.welfare import evaluate
 
 from helpers import (
     CONFIG_DIR,
     ISO,
     both_bind_config,
+    het_band_config,
     low_state_over_capacity_config,
+    record_evaluations,
     scaled_config,
     single_user_config,
     two_type_config,
@@ -353,22 +356,17 @@ def test_heterogeneous_both_budgets_bind():
 
 
 def test_heterogeneous_solve_evaluation_budget(het_cfg, monkeypatch):
-    """Deterministic work count: primitive inversions per heterogeneous solve."""
-    calls = []
-    u_prime_inv = ec.u_prime_inv
+    """Deterministic work count: primitive inversions per heterogeneous solve.
 
-    def counting(f, x):
-        calls.append(x)
-        return u_prime_inv(f, x)
-
-    monkeypatch.setattr(ec, "u_prime_inv", counting)
-    eqm.solve_heterogeneous(het_cfg, 0.05)
-    assert len(calls) <= 86
-    calls.clear()
-    # the first high-state bracket starts from the planner's shadow value,
-    # which loading the config has already solved
-    eqm.solve_heterogeneous(het_cfg, 0.0)
-    assert len(calls) <= 20
+    Each trial return's high-state bracket is predicted from the trials
+    already solved; the first one from the planner's shadow value, which
+    loading the config has already solved.
+    """
+    calls = record_evaluations(monkeypatch).u_prime_inv
+    for theta, budget in [(0.0, 18), (0.02, 78), (0.05, 82), (0.08, 80), (0.1, 82)]:
+        calls.clear()
+        eqm.solve_heterogeneous(het_cfg, theta)
+        assert len(calls) <= budget, (theta, len(calls))
 
 
 @pytest.mark.parametrize(
@@ -385,14 +383,7 @@ def test_closed_form_solve_evaluation_budget(name, regime, monkeypatch):
     price, so Brent's first secant step lands on the root: a few primitive
     inversions per solve (a root in price itself took 9 to 15)."""
     cfg = ec.load_config(CONFIG_DIR / f"{name}.json")
-    calls = []
-    u_prime_inv = ec.u_prime_inv
-
-    def counting(f, x):
-        calls.append(x)
-        return u_prime_inv(f, x)
-
-    monkeypatch.setattr(ec, "u_prime_inv", counting)
+    calls = record_evaluations(monkeypatch).u_prime_inv
     for theta in (0.0, 0.05):
         calls.clear()
         eqm.solve_regime(cfg, regime, theta)
@@ -428,10 +419,46 @@ def test_heterogeneous_solve_logs_its_branch_at_debug(het_cfg, caplog):
         # so demand at the seed's lower end fits capacity
         eqm.solve_heterogeneous(slack, 0.0)
     assert [r.getMessage() for r in caplog.records] == [
-        "heterogeneous theta=0.0 binding_case=1 first_bracket=planner-seed trial_returns=1",
-        "heterogeneous theta=0.05 binding_case=1 first_bracket=planner-seed trial_returns=6",
-        "heterogeneous theta=0.0 binding_case=2 first_bracket=cold-test trial_returns=1",
+        "heterogeneous theta=0.0 binding_case=1 first_bracket=planner-seed trial_returns=1 "
+        "high_load_evals=5 low_load_evals=3",
+        "heterogeneous theta=0.05 binding_case=1 first_bracket=planner-seed trial_returns=6 "
+        "high_load_evals=23 low_load_evals=15",
+        "heterogeneous theta=0.0 binding_case=2 first_bracket=cold-test trial_returns=1 "
+        "high_load_evals=3 low_load_evals=7",
     ]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    scales=st.tuples(*[st.floats(0.5, 2.0)] * 4),
+    curvatures=st.tuples(*[st.floats(0.7, 1.4)] * 4),
+    mass=st.floats(0.2, 0.8),
+    rho=st.floats(0.2, 0.8),
+    shares=st.tuples(*[st.floats(0.0, 1.5)] * 3),
+)
+# a trial's predicted high-state bracket lies above the root (the cold test
+# at c'(1) runs), and one lies below it (expand_bracket widens it)
+@example((1.18, 1.34, 1.89, 1.2), (1.06, 1.11, 0.83, 1.06), 0.58, 0.68, (0.5, 0.0, 1.0))
+@example((1.97, 1.18, 0.61, 0.55), (1.31, 0.73, 1.2, 1.1), 0.39, 0.67, (0.75, 0.0, 1.0))
+def test_heterogeneous_solves_hold_invariants_or_raise_typed_errors(
+    scales, curvatures, mass, rho, shares
+):
+    # the band around the shipped config, gamma = 0, theta up to 1.5 r / rho
+    try:
+        cfg = het_band_config(scales, curvatures, mass, rho)
+    except ConfigError:
+        return  # a degenerate shock: both states have the same first best
+    for share in shares:
+        try:
+            eq = eqm.solve_heterogeneous(cfg, share * cfg.r / rho)
+            report = evaluate(cfg, eq)
+        except TokenomicsError:
+            continue
+        assert report.foc_residual_max <= 1e-8
+        assert max(abs(v) for v in steady_state_burn_residual(eq, 0.0).values()) <= 1e-8
+        assert all(out.aggregate_activity <= 1.0 + 1e-12 for out in eq.states.values())
+        assert report.first_best_gap >= -1e-12
+        assert report.oracle_delta_max <= 2.0
 
 
 def test_heterogeneous_congestion_broken_fallback():
@@ -496,6 +523,49 @@ def _assert_clears(cost: ec.CostFn, price: float, load: float, congested: bool) 
         assert price >= ec.c_prime(cost, 1.0)
     else:
         assert price == pytest.approx(ec.c_prime(cost, load), rel=1e-10, abs=0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    utility_offset=st.floats(1.0, 15.0),
+    utility_sign=st.sampled_from([-1.0, 1.0]),
+    cost_offset=st.floats(1.0, 15.0),
+    cost_sign=st.sampled_from([-1.0, 1.0]),
+    curvature=st.floats(0.2, 0.8),
+    cost_curvature=st.floats(0.05, 3.0),
+    warm=st.none() | st.tuples(st.floats(-0.1, 0.1), st.floats(0.0, 0.1)),
+)
+def test_a_clear_never_evaluates_load_twice_at_one_price(
+    utility_offset, utility_sign, cost_offset, cost_sign, curvature, cost_curvature, warm
+):
+    # utility and cost scales 1 +- 10^-k put the root near p = 1, where
+    # neighbouring log prices that Brent's method tries round to one price;
+    # warm brackets near 1 hold the root or miss it on either side
+    u = ISO(1.0 + utility_sign * 10.0**-utility_offset, curvature)
+    cost = ec.CostFn(1.0 + cost_sign * 10.0**-cost_offset, cost_curvature)
+    prices = []
+
+    def load(p: float) -> float:
+        prices.append(p)
+        return ec.u_prime_inv(u, p)
+
+    bracket = None if warm is None else (1.0 + warm[0], 1.0 + warm[0] + warm[1])
+    price, congested = _clear_blockspace(cost, load, bracket)
+    assert len(set(prices)) == len(prices)
+    assert price in prices
+    _assert_clears(cost, price, ec.u_prime_inv(u, price), congested)
+
+
+def test_heterogeneous_clears_never_evaluate_load_twice_at_one_price(het_cfg, monkeypatch):
+    # at theta = r / rho the first trial return is the planner's, so its
+    # predicted bracket is an ulp wide, and here the root lies just above it
+    band = het_band_config((1.52, 1.89, 1.78, 1.99), (1.17, 0.81, 1.3, 1.38), 0.74, 0.54)
+    seen = record_evaluations(monkeypatch)
+    for theta in (0.0, 0.02, 0.05, 0.08, 0.1):
+        eqm.solve_heterogeneous(het_cfg, theta)
+    eqm.solve_heterogeneous(band, band.r / 0.54)
+    assert seen.clears
+    assert all(len(set(prices)) == len(prices) for prices in seen.clears)
 
 
 @settings(max_examples=60, deadline=None)

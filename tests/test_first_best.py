@@ -16,7 +16,7 @@ from tokenomics.first_best import (
 )
 from tokenomics.welfare import evaluate
 
-from helpers import CONFIG_DIR, ISO, single_user_config, two_type_config
+from helpers import CONFIG_DIR, ISO, record_evaluations, single_user_config, two_type_config
 
 #: planner's activity for the canonical single-user economy, from
 #: 0.5 a^(-1/2) = a  =>  a = 0.5^(2/3)
@@ -139,14 +139,7 @@ def test_iid_expected_surplus_uses_cross_section(iid_cfg):
 @pytest.mark.parametrize("name", ["deterministic", "iid", "common", "heterogeneous"])
 def test_first_best_is_solved_once_per_config(name, monkeypatch):
     cfg = ec.load_config(CONFIG_DIR / f"{name}.json")
-    calls = []
-    u_prime_inv = ec.u_prime_inv
-
-    def counting(f, x):
-        calls.append(x)
-        return u_prime_inv(f, x)
-
-    monkeypatch.setattr(ec, "u_prime_inv", counting)
+    calls = record_evaluations(monkeypatch).u_prime_inv
     first = [first_best_allocation(cfg, s) for s in (0, 1)]
     surplus = expected_first_best_surplus(cfg)
     calls.clear()
@@ -199,7 +192,7 @@ def test_stored_iid_surplus_matches_fresh_cross_section(iid_cfg):
     "curvature, cost_scale, warm, far, congested",
     [
         (1e-4, 0.99, None, 1.98, True),  # bracket [c'(1), 2 c'(1)]
-        (1e-5, 0.9999, 1.0, 1.05, True),  # warm bracket [c'(1), 1.05 * warm]
+        (1e-5, 0.9999, (0.95, 1.05), 1.05, True),  # warm bracket [c'(1), 1.05]
         (1e-4, 2.0, None, 2.0, False),  # demand at c'(1) itself is 0.0
     ],
 )

@@ -9,7 +9,7 @@ from tokenomics import welfare as wf
 from tokenomics.errors import ConfigError, SolverError
 from tokenomics.first_best import expected_first_best_surplus
 
-from helpers import CONFIG_DIR, single_user_config, two_type_config
+from helpers import CONFIG_DIR, record_evaluations, single_user_config, two_type_config
 
 FRIEDMAN_WELFARE = 0.5952753944880749
 
@@ -92,13 +92,6 @@ def test_parallel_sweep_sends_the_stored_first_best(monkeypatch):
     import concurrent.futures
 
     cfg = ec.load_config(CONFIG_DIR / "iid.json")
-    calls = []
-    u_prime_inv = ec.u_prime_inv
-
-    def counting(f, x):
-        calls.append(x)
-        return u_prime_inv(f, x)
-
     planner_calls = []
 
     class InlinePool:
@@ -119,7 +112,7 @@ def test_parallel_sweep_sends_the_stored_first_best(monkeypatch):
                 planner_calls.append(len(calls) - before)
                 yield fn(received)
 
-    monkeypatch.setattr(ec, "u_prime_inv", counting)
+    calls = record_evaluations(monkeypatch).u_prime_inv
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     res = wf.sweep_tax(cfg, "iid", [0.0, 0.03, 0.06], jobs=2)
     assert res.statuses == ("ok", "ok", "ok")
