@@ -12,7 +12,9 @@ Two solvers cover the five regimes:
   solve_common_shock are its public entry points.
 * solve_heterogeneous: common binary shock with a shocked and an unshocked
   type competing for blockspace. The return feeds back into demand, so it
-  is the outer root and prices are solved for each trial return.
+  is the outer root and prices are solved for each trial return. Each
+  type's budget binds in the high state, the low state or both, whichever
+  is its best response at the clearing prices.
 
 Every solver, and the planner's first best, clears each market through one
 kernel (first_best._clear_blockspace): at the unit capacity when demand at
@@ -28,7 +30,7 @@ import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from . import econ_core as ec
 from ._roots import expand_bracket, find_root
@@ -272,25 +274,14 @@ def solve_common_shock(cfg: ec.EconomyConfig, theta_high: float) -> SteadyStateE
 # ---------------------------------------------------------------------------
 
 
-class _HetPoint(NamedTuple):
-    a_high: float
-    b_high: float
-    b_low: float
-    p_low: float
-    low_congested: bool
-    m_high_type: float
-    m_low_type: float
-    # where the unshocked type exhausts its tokens: 1 in the low state,
-    # 2 in the high state, 3 in both
-    binding_case: int
-
-
 def heterogeneous_roles(cfg: ec.EconomyConfig) -> tuple[ec.AgentTypeSpec, ec.AgentTypeSpec]:
     """(shocked, unshocked) type pair for a two-type common-shock economy.
 
     The shocked type is the one with the stronger active-state demand; both
-    types must be active in both states. Whether the high state is congested
-    is left to the solve, which flags a slack one as congestion_broken.
+    types must be active in both states. The roles order the solver's first
+    guess of where each budget binds, its outputs and the battery's claims;
+    whether the high state is congested is left to the solve, which flags a
+    slack one as congestion_broken.
     """
     a, b = cfg.agent_types
     for t in (a, b):
@@ -308,29 +299,31 @@ def solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyState
 
     High state: the shocked type values activity highly, blockspace clears at
     the unit capacity when demand overfills it, and both types pay the
-    surcharge. Low state: untaxed,
-    and congested only when demand at the marginal cost of capacity exceeds
-    capacity. The shocked type exhausts its balance in the high state; the
-    unshocked type exhausts its balance in the low state, in the high state,
-    or in both (the three patterns are tried in that order and the first
-    consistent one is kept).
+    surcharge. Low state: untaxed, and congested only when demand at the
+    marginal cost of capacity exceeds capacity. Each type's budget binds in
+    the high state, in the low state or in both ("high", "low", "both"): one
+    response per pattern gives its balance and activities at given prices,
+    and its holdings FOC picks the pattern.
 
     The burn-funded return r_high^T relaxes every binding budget, so a
     positive theta moves all four activity margins toward first best: this is
     the one regime where the tax is not neutral. Requires gamma = 0.
 
     The return is the outer unknown: a root of burn(rT) = rT on
-    [0, min(theta, r / rho)], where each trial rT fixes the wedges and the
-    high-state price is solved for it, in a bracket predicted from the
-    congested prices of the trials already solved (from the planner's
-    shadow value before the first; high states are kept for the whole
-    solve, so the root's is not solved again). Holdings cover high-state
-    spending, so the burn never exceeds theta; if it still exceeds rT at
-    r / rho, the expected return would pass r and InfeasiblePolicyError is
-    raised. One DEBUG line per solve gives the binding case, whether the
-    first bracket came from the planner or from the cold test at c'(1), the
-    number of trial returns, and the load evaluations of the high-state and
-    of the low-state clears.
+    [0, min(theta, r / rho)]. Each trial rT clears both markets at a fixed
+    pattern per type, the one found at the previous trial (first: shocked
+    "high", unshocked "low"), checks each type's pattern at the clearing
+    prices and, where it fails, clears again from the type's best response
+    there (SolverError if a pattern pair comes back). The high-state price
+    is solved in a bracket predicted from the congested prices of the
+    trials already solved (from the planner's shadow value before the
+    first; high states are kept for the whole solve, so the root's is not
+    solved again). Holdings cover high-state spending, so the burn never
+    exceeds theta; if it still exceeds rT at r / rho, the expected return
+    would pass r and InfeasiblePolicyError is raised. One DEBUG line per solve gives where each budget binds, the
+    extra clears the pattern checks caused, whether the first bracket came
+    from the planner or from the cold test at c'(1), the number of trial
+    returns, and the load evaluations of the high- and low-state clears.
 
     If high-state demand at the marginal cost of capacity fits in it, the
     high state is not congested for this theta; that uncongested equilibrium
@@ -347,78 +340,105 @@ def solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyState
     if theta_high < 0:
         raise ConfigError(f"tax rate must be nonnegative, got {theta_high}")
 
-    high_t, low_t = heterogeneous_roles(cfg)
-    lam, mu = high_t.mass, low_t.mass
-    u_high1, u_high0 = high_t.utility_in(1), high_t.utility_in(0)
-    u_low1, u_low0 = low_t.utility_in(1), low_t.utility_in(0)
+    roles = heterogeneous_roles(cfg)
+    (ka, ua1, ua0), (kb, ub1, ub0) = ((t.mass, t.utility_in(1), t.utility_in(0)) for t in roles)
     rho, r = cfg.shocks.rho, cfg.r
     if rho >= 1.0:
         raise ConfigError("solve_heterogeneous needs rho < 1: the low state must occur")
 
-    # load evaluations of the high-state clears (their values, in order) and
-    # of the low-state clears, for the DEBUG line
+    # for the DEBUG line: the high-state load values in order, the low-state
+    # load evaluations and the extra clears the pattern checks caused
     high_loads: list[float] = []
-    low_evals = 0
+    low_evals = switches = 0
 
-    def clear_low(unshocked_demand: Callable[[float], float]) -> tuple[float, bool]:
-        def load(p: float) -> float:
-            nonlocal low_evals
-            low_evals += 1
-            return lam * ec.u_prime_inv(u_high0, p) + mu * unshocked_demand(p)
-
-        return _clear_blockspace(cfg.cost, load)
-
-    # the low state with a slack unshocked budget depends only on the wedge
-    # that type pays there, so it is solved once per wedge
-    low_states: dict[float, tuple[float, float, bool]] = {}
-
-    def low_state(wedge: float) -> tuple[float, float, bool]:
-        """(p_low, b_low, congested) when the unshocked type buys at wedge * p_low."""
-        if wedge not in low_states:
-            p, congested = clear_low(lambda p: ec.u_prime_inv(u_low0, wedge * p))
-            low_states[wedge] = p, ec.u_prime_inv(u_low0, wedge * p), congested
-        return low_states[wedge]
-
-    def candidate(p_high: float, rt: float) -> _HetPoint:
-        eff = (1.0 + theta_high) * p_high
-        a_high = ec.u_prime_inv(u_high1, eff * (1.0 + r / rho) / (1.0 + rt))
-        m_a = eff * a_high / (1.0 + rt)
-
-        # case 1: the unshocked type's budget binds in the low state
-        k1 = 1.0 + (r - rho * rt) / (1.0 - rho)
-        b_free = ec.u_prime_inv(u_low1, eff)
-        p_low, b_low, low_congested = low_state(k1)
-        if eff * b_free <= (1.0 + rt) * p_low * b_low * (1.0 + _BUDGET_RTOL) + 1e-15:
-            return _HetPoint(a_high, b_free, b_low, p_low, low_congested, m_a, p_low * b_low, 1)
-
-        # case 2: it binds in the high state instead
-        k2 = 1.0 + (r - rho * rt) / (rho * (1.0 + rt))
-        b_high = ec.u_prime_inv(u_low1, eff * k2)
-        m_b = eff * b_high / (1.0 + rt)
-        p_free, b_slack, free_congested = low_state(1.0)
-        if p_free * b_slack <= m_b * (1.0 + _BUDGET_RTOL) + 1e-15:
-            return _HetPoint(a_high, b_high, b_slack, p_free, free_congested, m_a, m_b, 2)
-
-        # case 3: it binds in both, with b_high = (1+rT) m / eff, b_low = m / p_low
-        # and m solving its holdings FOC. As neither single pattern holds, the
-        # FOC is negative at the smaller balance where one budget stops binding.
-        def holdings_foc(m: float) -> float:
-            p, _ = clear_low(lambda p: m / p)
-            high = rho * (1.0 + rt) * (ec.u_prime(u_low1, (1.0 + rt) * m / eff) / eff - 1.0)
-            low = (1.0 - rho) * (ec.u_prime(u_low0, m / p) / p - 1.0)
+    def balance(u1: ec.UtilityFn, u0: ec.UtilityFn, rt: float, eff: float, p: float) -> float:
+        """Balance at which both budgets bind: the root of the holdings FOC
+        with (1+rT) m / eff bought in the high state and m / p in the low."""
+        def foc(m: float) -> float:
+            high = rho * (1.0 + rt) * (ec.u_prime(u1, (1.0 + rt) * m / eff) / eff - 1.0)
+            low = (1.0 - rho) * (ec.u_prime(u0, m / p) / p - 1.0)
             return high + low - (r - rho * rt)
 
-        m_top = min(eff * b_free / (1.0 + rt), p_free * b_slack)
-        m_b = find_root(holdings_foc, *expand_bracket(holdings_foc, 0.5 * m_top, m_top))
-        p_low, low_congested = clear_low(lambda p: m_b / p)
-        return _HetPoint(
-            a_high, (1.0 + rt) * m_b / eff, m_b / p_low, p_low, low_congested, m_a, m_b, 3
-        )
+        # the smaller balance at which one budget stops binding
+        top = min(eff * ec.u_prime_inv(u1, eff) / (1.0 + rt), p * ec.u_prime_inv(u0, p))
+        return find_root(foc, *expand_bracket(foc, 0.5 * top, top))
 
-    # per solve: the high state of every trial return, and the congested
-    # price of each trial return solved so far
-    high_states: dict[float, tuple[float, bool, _HetPoint]] = {}
+    # A type's response to high-state effective price eff, low-state price p
+    # and return rt when its budget binds as pat says: low_demand gives its
+    # low-state activity a0, and respond its (balance, high-state activity, a0).
+    def low_demand(pat: str, u1: ec.UtilityFn, u0: ec.UtilityFn, rt: float, eff: float,
+                   p: float) -> float:
+        if pat == "both":
+            return balance(u1, u0, rt, eff, p) / p
+        # where only the low budget binds, (1-rho)(u'(a)/p - 1) = r - rho rT
+        return ec.u_prime_inv(u0, (1.0 + (r - rho * rt) / (1.0 - rho)) * p if pat == "low" else p)
+
+    def respond(pat: str, u1: ec.UtilityFn, rt: float, eff: float, p: float,
+                a0: float) -> tuple[float, float, float]:
+        if pat == "high":
+            # where only the high budget binds, rho (1+rT)(u'(a)/eff - 1) = r - rho rT
+            a1 = ec.u_prime_inv(u1, eff * (1.0 + r / rho) / (1.0 + rt))
+            return eff * a1 / (1.0 + rt), a1, a0
+        m = p * a0
+        return m, ec.u_prime_inv(u1, eff) if pat == "low" else (1.0 + rt) * m / eff, a0
+
+    def best_response(pat: str, u1: ec.UtilityFn, u0: ec.UtilityFn, rt: float, eff: float,
+                      p: float, got: tuple[float, float, float]) -> str:
+        """Where the type's budget binds at these prices, given its response
+        got when it binds as pat says. A one-state pattern holds when the
+        slack state's spending fits the balance; the holdings FOC falls in m,
+        so where neither holds, its root lies below both kinks. pat is
+        tried first, as its response is known."""
+        for alt in ("low", "high") if pat == "low" else ("high", "low"):
+            m, a1, a0 = got if alt == pat else respond(
+                alt, u1, rt, eff, p, low_demand(alt, u1, u0, rt, eff, p))
+            if (p * a0 <= m) if alt == "high" else (eff * a1 <= (1.0 + rt) * m):
+                return alt
+        return "both"
+
+    def clear(pats: tuple[str, str], rt: float):
+        """Both markets cleared at rt with each type's budget binding as pats
+        says: the high-state price, whether it is congested, and there the
+        low-state price, whether it is congested, and each type's response."""
+        pa, pb = pats
+
+        def low_state(eff: float) -> tuple[float, bool, tuple[float, float]]:
+            acts: dict[float, tuple[float, float]] = {}
+
+            def load(p: float) -> float:
+                nonlocal low_evals
+                low_evals += 1
+                a = acts[p] = (low_demand(pa, ua1, ua0, rt, eff, p),
+                               low_demand(pb, ub1, ub0, rt, eff, p))
+                return ka * a[0] + kb * a[1]
+
+            p, congested = _clear_blockspace(cfg.cost, load)
+            return p, congested, acts[p]
+
+        # eff matters to the low state only through a type whose budget binds
+        # in both states; such a type couples the markets, so the low state
+        # then clears again at each high-state price
+        fixed = None if "both" in pats else low_state(math.nan)
+        points = {}
+
+        def load(p_high: float) -> float:
+            eff = (1.0 + theta_high) * p_high
+            p_low, low_congested, (a0, b0) = fixed or low_state(eff)
+            got = respond(pa, ua1, rt, eff, p_low, a0), respond(pb, ub1, rt, eff, p_low, b0)
+            points[p_high] = p_low, low_congested, got
+            high_loads.append(ka * got[0][1] + kb * got[1][1])
+            return high_loads[-1]
+
+        # every price the root finder returns is one it evaluated
+        p_high, congested = _clear_blockspace(cfg.cost, load, predicted_bracket(rt))
+        return p_high, congested, points[p_high]
+
+    # per solve: the high state of every trial return with its patterns, and
+    # the congested price of each trial return solved so far
+    high_states: dict[float, tuple] = {}
     solved: dict[float, float] = {}
+    # where each budget binds at the last trial; the first starts from this
+    pats = ("high", "low")
     # With no trial solved, the planner stands in for one at rT = r / rho:
     # there the shocked type's FOC u'(a) = (1+theta) p (1+r/rho) / (1+rT)
     # is the planner's margin u'(a) = x at the congested shadow value x, so
@@ -447,28 +467,28 @@ def solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyState
         half = max(min(abs(p - p_near), 0.05 * p), math.ulp(p))
         return p - half, p + half
 
-    def high_state(rt: float) -> tuple[float, bool, _HetPoint]:
-        """High-state price for a given return, whether it clears at capacity,
-        and the candidate there."""
+    def high_state(rt: float) -> tuple:
+        """(p_high, congested, (p_low, low_congested, responses), patterns) at rt."""
+        nonlocal pats, switches
         if rt not in high_states:
-            points: dict[float, _HetPoint] = {}
-
-            def load(p_high: float) -> float:
-                pt = points[p_high] = candidate(p_high, rt)
-                high_loads.append(lam * pt.a_high + mu * pt.b_high)
-                return high_loads[-1]
-
-            # every price the root finder returns is one it evaluated
-            p_high, congested = _clear_blockspace(cfg.cost, load, predicted_bracket(rt))
+            tried: list[tuple[str, str]] = []
+            while pats not in tried:
+                tried.append(pats)
+                p_high, congested, (p_low, low_congested, got) = point = clear(pats, rt)
+                eff = (1.0 + theta_high) * p_high
+                pats = (best_response(pats[0], ua1, ua0, rt, eff, p_low, got[0]),
+                        best_response(pats[1], ub1, ub0, rt, eff, p_low, got[1]))
+            if pats != tried[-1]:
+                raise SolverError(f"binding patterns cycle at rT = {rt!r}: {tried} then {pats}")
+            switches += len(tried) - 1
             if congested:
                 solved[rt] = p_high
-            high_states[rt] = p_high, congested, points[p_high]
+            high_states[rt] = (*point, pats)
         return high_states[rt]
 
     def burn_gap(rt: float) -> float:
-        p_high, _, pt = high_state(rt)
-        agg = lam * pt.a_high + mu * pt.b_high
-        return theta_high * p_high * agg / (lam * pt.m_high_type + mu * pt.m_low_type) - rt
+        p_high, _, (_, _, ((ma, a1, _), (mb, b1, _))), _ = high_state(rt)
+        return theta_high * p_high * (ka * a1 + kb * b1) / (ka * ma + kb * mb) - rt
 
     rt = 0.0
     rt_max = min(theta_high, r / rho)
@@ -486,48 +506,26 @@ def solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyState
                 f"above r = {r}; no steady state with finite token demand exists for "
                 "this tax"
             )
-    p_high, congested, pt = high_state(rt)
+    p_high, congested, (p_low, low_congested, ((ma, a1, a0), (mb, b1, b0))), pats = high_state(rt)
+    na, nb = (t.name for t in roles)
     if log.isEnabledFor(logging.DEBUG):
         # the planner's bracket is kept when demand at its lower end, the
         # first price tried, overfills capacity; otherwise the cold test runs
         seeded = anchor is not None and high_loads[0] > ec.BLOCKSPACE_CAPACITY
         log.debug(
-            "heterogeneous theta=%r binding_case=%d first_bracket=%s trial_returns=%d "
-            "high_load_evals=%d low_load_evals=%d",
-            theta_high, pt.binding_case, "planner-seed" if seeded else "cold-test",
-            len(high_states), len(high_loads), low_evals,
+            "heterogeneous theta=%r binds=%s:%s,%s:%s pattern_switches=%d first_bracket=%s "
+            "trial_returns=%d high_load_evals=%d low_load_evals=%d",
+            theta_high, na, pats[0], nb, pats[1], switches,
+            "planner-seed" if seeded else "cold-test", len(high_states), len(high_loads),
+            low_evals,
         )
-    a_low = ec.u_prime_inv(u_high0, pt.p_low)
-    if pt.p_low * a_low > pt.m_high_type * (1.0 + _BUDGET_RTOL) + 1e-15:
-        raise SolverError(
-            "shocked type's low-state spending exceeds its balance; the assumed "
-            "binding pattern is inconsistent for this configuration"
-        )
-
     states = {
-        1: StateOutcome(
-            price=p_high,
-            tax=theta_high,
-            token_return=rt,
-            activities={high_t.name: pt.a_high, low_t.name: pt.b_high},
-            congested=congested,
-            aggregate_activity=lam * pt.a_high + mu * pt.b_high,
-        ),
-        0: StateOutcome(
-            price=pt.p_low,
-            tax=0.0,
-            token_return=0.0,
-            activities={high_t.name: a_low, low_t.name: pt.b_low},
-            congested=pt.low_congested,
-            aggregate_activity=lam * a_low + mu * pt.b_low,
-        ),
+        1: StateOutcome(p_high, theta_high, rt, {na: a1, nb: b1}, congested, ka * a1 + kb * b1),
+        0: StateOutcome(p_low, 0.0, 0.0, {na: a0, nb: b0}, low_congested, ka * a0 + kb * b0),
     }
     return SteadyStateEquilibrium(
-        regime=Regime.HETEROGENEOUS,
-        states=states,
-        holdings={high_t.name: pt.m_high_type, low_t.name: pt.m_low_type},
-        expected_return=rho * rt,
-        aggregate_real_balances=lam * pt.m_high_type + mu * pt.m_low_type,
+        regime=Regime.HETEROGENEOUS, states=states, holdings={na: ma, nb: mb},
+        expected_return=rho * rt, aggregate_real_balances=ka * ma + kb * mb,
         congestion_broken=not congested,
     )
 

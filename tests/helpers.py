@@ -18,23 +18,29 @@ ZERO = ec.ZeroUtility()
 
 @dataclass
 class Evaluations:
-    """Work recorded while a test runs: the argument of every u_prime_inv
-    call, and for every market clear the prices its load was evaluated at."""
+    """Work recorded while a test runs: the argument of every u_prime_inv and
+    u_prime call, and for every market clear the prices its load was
+    evaluated at."""
 
     u_prime_inv: list[float] = field(default_factory=list)
+    u_prime: list[float] = field(default_factory=list)
     clears: list[list[float]] = field(default_factory=list)
 
 
 def record_evaluations(monkeypatch) -> Evaluations:
-    """Record u_prime_inv calls and the loads of _clear_blockspace (in both
-    modules that call it) for the rest of the test."""
+    """Record u_prime_inv and u_prime calls and the loads of _clear_blockspace
+    (in both modules that call it) for the rest of the test."""
     seen = Evaluations()
-    u_prime_inv = ec.u_prime_inv
+    u_prime_inv, u_prime = ec.u_prime_inv, ec.u_prime
     kernel = fb._clear_blockspace
 
     def counting(f, x):
         seen.u_prime_inv.append(x)
         return u_prime_inv(f, x)
+
+    def counting_u_prime(f, a):
+        seen.u_prime.append(a)
+        return u_prime(f, a)
 
     def clearing(cost, load, warm=None):
         prices: list[float] = []
@@ -47,6 +53,7 @@ def record_evaluations(monkeypatch) -> Evaluations:
         return kernel(cost, recording, warm)
 
     monkeypatch.setattr(ec, "u_prime_inv", counting)
+    monkeypatch.setattr(ec, "u_prime", counting_u_prime)
     monkeypatch.setattr(fb, "_clear_blockspace", clearing)
     monkeypatch.setattr(eqm, "_clear_blockspace", clearing)
     return seen

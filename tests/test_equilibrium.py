@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from tokenomics import econ_core as ec
 from tokenomics import equilibrium as eqm
-from tokenomics.errors import ConfigError, InfeasiblePolicyError, SolverError, TokenomicsError
+from tokenomics.errors import ConfigError, InfeasiblePolicyError
 from tokenomics.first_best import _clear_blockspace, first_best_allocation
 from tokenomics.policy import steady_state_burn_residual
 from tokenomics.welfare import evaluate
@@ -31,13 +31,34 @@ IID_ACTIVITY_0 = 0.9384364685966974          # 0.5 a^(-1/2) = 1.1 * (a/2)
 IID_ACTIVITY_01 = 0.9356034501489061         # wedge 1.105 at theta = 0.1
 COMMON_ACTIVITY = 0.5911779303869941         # 0.5 a^(-1/2) = 1.1 a
 
-# heterogeneous canonical at theta = 0 (case 1; see the module docstring)
+# heterogeneous canonical at theta = 0 (the shocked type's budget binds in
+# the high state, the unshocked type's in the low state)
 HET_P_HIGH = 1.3333763767156936
 HET_A_HIGH = 1.8593840790238225
 HET_B_HIGH = 0.14061592097617662
 HET_A_LOW = 0.25
 HET_B_LOW = 0.20661157024793386
 HET_M_SHOCKED = 2.4792588062116314
+
+# het_band_config arguments of a config whose shocked type's budget binds in
+# both states (its unshocked type's in the low state) at theta = 0 to 0.05
+SHOCKED_BINDS_BOTH = (
+    (1.9464, 0.5171, 1.476, 0.6196), (1.202, 0.7104, 1.2722, 0.9178), 0.6377, 0.2996
+)
+
+# het_band_config arguments, tax shares (theta = share * r / rho) and where
+# each type's budget binds there, shocked type first: the six pattern pairs
+# in which the shocked type's budget does not bind in the high state alone
+BINDING_EXAMPLES = [
+    (((3.91, 0.42, 3.47, 1.34), (0.72, 0.68, 0.96, 1.72), 0.21, 0.57), [0.0], ("low", "low")),
+    (((1.62, 0.71, 3.43, 3.97), (1.2, 1.23, 0.63, 0.65), 0.36, 0.29), [0.0], ("both", "high")),
+    (((3.4, 0.76, 0.71, 1.91), (0.61, 0.86, 0.61, 1.5), 0.76, 0.86), [0.5], ("low", "high")),
+    (((2.72, 0.5, 3.01, 1.2), (0.61, 0.9, 1.59, 0.81), 0.72, 0.93), [0.0], ("both", "low")),
+    (((3.69, 0.87, 3.21, 3.74), (0.6, 1.03, 1.63, 0.74), 0.86, 0.3), [0.0], ("both", "both")),
+    (((3.3, 0.9, 1.41, 1.38), (0.57, 1.83, 1.67, 1.57), 0.06, 0.81), [0.0], ("low", "both")),
+    # theta = 0, 0.03 and 0.05
+    (SHOCKED_BINDS_BOTH, [0.0, 0.03 * 0.2996 / 0.05, 0.05 * 0.2996 / 0.05], ("both", "low")),
+]
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +361,7 @@ def test_heterogeneous_high_state_binding_pattern():
 
 def test_heterogeneous_both_budgets_bind():
     # neither single pattern is consistent: the unshocked type spends its
-    # whole balance in both states (binding case 3)
+    # whole balance in both states
     cfg = both_bind_config()
     eq = eqm.solve_heterogeneous(cfg, 0.0)
     high, low = eq.states[1], eq.states[0]
@@ -355,18 +376,47 @@ def test_heterogeneous_both_budgets_bind():
     assert report.first_best_gap >= 0.0
 
 
+@pytest.mark.parametrize(
+    "args, shares, binds", BINDING_EXAMPLES, ids=["/".join(b) for _, _, b in BINDING_EXAMPLES]
+)
+def test_heterogeneous_budgets_bind_where_the_best_response_says(args, shares, binds):
+    # a binding budget is spent in full, a slack one only in part
+    cfg = het_band_config(*args)
+    for share in shares:
+        eq = eqm.solve_heterogeneous(cfg, share * cfg.r / cfg.shocks.rho)
+        for t, pattern in zip(eqm.heterogeneous_roles(cfg), binds):
+            for s, out in eq.states.items():
+                wealth = (1.0 + out.token_return) * eq.holdings[t.name]
+                spent = out.effective_price * out.activities[t.name] / wealth
+                if pattern in ("both", ("low", "high")[s]):
+                    assert spent == pytest.approx(1.0, rel=1e-12), (t.name, s)
+                else:
+                    assert spent < 1.0, (t.name, s)
+        assert max(abs(v) for v in eqm.shock_foc_residual(cfg, eq).values()) <= 1e-8
+
+
 def test_heterogeneous_solve_evaluation_budget(het_cfg, monkeypatch):
-    """Deterministic work count: primitive inversions per heterogeneous solve.
+    """Deterministic work count: primitive evaluations per heterogeneous solve.
 
     Each trial return's high-state bracket is predicted from the trials
     already solved; the first one from the planner's shadow value, which
-    loading the config has already solved.
+    loading the config has already solved. On the shipped config no budget
+    binds in both states, so the holdings FOC root, the one user of u_prime,
+    never runs: the two u_prime calls are heterogeneous_roles' u'(1).
+    Where the shocked type's budget binds in both states, that root runs at
+    every low-state load evaluation.
     """
-    calls = record_evaluations(monkeypatch).u_prime_inv
-    for theta, budget in [(0.0, 18), (0.02, 78), (0.05, 82), (0.08, 80), (0.1, 82)]:
-        calls.clear()
-        eqm.solve_heterogeneous(het_cfg, theta)
-        assert len(calls) <= budget, (theta, len(calls))
+    seen = record_evaluations(monkeypatch)
+    both = het_band_config(*SHOCKED_BINDS_BOTH)
+    for cfg, theta, budget, u_prime_budget in [
+        (het_cfg, 0.0, 16, 2), (het_cfg, 0.02, 78, 2), (het_cfg, 0.05, 82, 2),
+        (het_cfg, 0.08, 74, 2), (het_cfg, 0.1, 76, 2), (both, 0.0, 48, 196),
+    ]:
+        seen.u_prime_inv.clear()
+        seen.u_prime.clear()
+        eqm.solve_heterogeneous(cfg, theta)
+        assert len(seen.u_prime_inv) <= budget, (theta, len(seen.u_prime_inv))
+        assert len(seen.u_prime) <= u_prime_budget, (theta, len(seen.u_prime))
 
 
 @pytest.mark.parametrize(
@@ -418,32 +468,43 @@ def test_heterogeneous_solve_logs_its_branch_at_debug(het_cfg, caplog):
         # the planner rations this high state but the equilibrium does not,
         # so demand at the seed's lower end fits capacity
         eqm.solve_heterogeneous(slack, 0.0)
+    # the slack config starts from the unshocked type binding in the low
+    # state; the check at the clearing prices moves it to the high state
     assert [r.getMessage() for r in caplog.records] == [
-        "heterogeneous theta=0.0 binding_case=1 first_bracket=planner-seed trial_returns=1 "
-        "high_load_evals=5 low_load_evals=3",
-        "heterogeneous theta=0.05 binding_case=1 first_bracket=planner-seed trial_returns=6 "
-        "high_load_evals=23 low_load_evals=15",
-        "heterogeneous theta=0.0 binding_case=2 first_bracket=cold-test trial_returns=1 "
-        "high_load_evals=3 low_load_evals=7",
+        "heterogeneous theta=0.0 binds=shocked:high,steady:low pattern_switches=0 "
+        "first_bracket=planner-seed trial_returns=1 high_load_evals=5 low_load_evals=3",
+        "heterogeneous theta=0.05 binds=shocked:high,steady:low pattern_switches=0 "
+        "first_bracket=planner-seed trial_returns=6 high_load_evals=23 low_load_evals=18",
+        "heterogeneous theta=0.0 binds=shocked:high,steady:high pattern_switches=1 "
+        "first_bracket=cold-test trial_returns=1 high_load_evals=6 low_load_evals=7",
     ]
 
 
-@settings(max_examples=80, deadline=None)
+def with_binding_examples(test):
+    """test with each of BINDING_EXAMPLES as a hypothesis @example."""
+    for args, shares, _ in BINDING_EXAMPLES:
+        test = example(*args, shares)(test)
+    return test
+
+
+@settings(max_examples=150, deadline=None)
 @given(
-    scales=st.tuples(*[st.floats(0.5, 2.0)] * 4),
-    curvatures=st.tuples(*[st.floats(0.7, 1.4)] * 4),
-    mass=st.floats(0.2, 0.8),
-    rho=st.floats(0.2, 0.8),
-    shares=st.tuples(*[st.floats(0.0, 1.5)] * 3),
+    scales=st.tuples(*[st.floats(0.25, 4.0)] * 4),
+    curvatures=st.tuples(*[st.floats(0.5, 2.0)] * 4),
+    mass=st.floats(0.05, 0.95),
+    rho=st.floats(0.05, 0.95),
+    shares=st.lists(st.floats(0.0, 1.5), min_size=1, max_size=3),
 )
 # a trial's predicted high-state bracket lies above the root (the cold test
 # at c'(1) runs), and one lies below it (expand_bracket widens it)
-@example((1.18, 1.34, 1.89, 1.2), (1.06, 1.11, 0.83, 1.06), 0.58, 0.68, (0.5, 0.0, 1.0))
-@example((1.97, 1.18, 0.61, 0.55), (1.31, 0.73, 1.2, 1.1), 0.39, 0.67, (0.75, 0.0, 1.0))
+@example((1.18, 1.34, 1.89, 1.2), (1.06, 1.11, 0.83, 1.06), 0.58, 0.68, [0.5, 0.0, 1.0])
+@example((1.97, 1.18, 0.61, 0.55), (1.31, 0.73, 1.2, 1.1), 0.39, 0.67, [0.75, 0.0, 1.0])
+@with_binding_examples
 def test_heterogeneous_solves_hold_invariants_or_raise_typed_errors(
     scales, curvatures, mass, rho, shares
 ):
-    # the band around the shipped config, gamma = 0, theta up to 1.5 r / rho
+    # a wide band around the shipped config, gamma = 0, theta up to 1.5 r / rho;
+    # the only error accepted is a tax past the feasibility frontier
     try:
         cfg = het_band_config(scales, curvatures, mass, rho)
     except ConfigError:
@@ -451,9 +512,9 @@ def test_heterogeneous_solves_hold_invariants_or_raise_typed_errors(
     for share in shares:
         try:
             eq = eqm.solve_heterogeneous(cfg, share * cfg.r / rho)
-            report = evaluate(cfg, eq)
-        except TokenomicsError:
+        except InfeasiblePolicyError:
             continue
+        report = evaluate(cfg, eq)
         assert report.foc_residual_max <= 1e-8
         assert max(abs(v) for v in steady_state_burn_residual(eq, 0.0).values()) <= 1e-8
         assert all(out.aggregate_activity <= 1.0 + 1e-12 for out in eq.states.values())
@@ -474,7 +535,7 @@ def test_heterogeneous_congestion_broken_fallback():
 
 
 def test_heterogeneous_infeasible_tax_raises(het_cfg):
-    with pytest.raises((SolverError, InfeasiblePolicyError)):
+    with pytest.raises(InfeasiblePolicyError):
         eqm.solve_heterogeneous(het_cfg, 0.2)
 
 
