@@ -4,9 +4,12 @@ Every economic fixed point in this package reduces to a monotone scalar
 residual with a sign change on a bracket. find_root runs Brent's method
 (Brent, Algorithms for Minimization without Derivatives, 1973): it keeps
 bisection's guaranteed bracket and converges superlinearly, deterministically.
-The market-clearing kernel (first_best._clear_blockspace) calls it in log
-price, where its residuals are linear or nearly so and the secant step is
-close to exact; expand_bracket's geometric steps are even steps there.
+It stops at float resolution, in x or in the residual: when the bracket is a
+few ulps wide, or when the residual is within RESIDUAL_FLOOR of zero, which
+needs a residual relative to the terms it balances. The market-clearing
+kernel (first_best._clear_blockspace) calls it in log price, where its
+residuals are linear or nearly so and the secant step is close to exact;
+expand_bracket's geometric steps are even steps there.
 """
 
 from __future__ import annotations
@@ -16,12 +19,14 @@ from typing import Callable
 
 from .errors import SolverError
 
+_EPS = 2.0**-52
+
 #: residual magnitude accepted as "solved"
 RESIDUAL_TOL = 1e-10
+#: relative residual at float resolution: find_root stops once |f(b)| reaches it
+RESIDUAL_FLOOR = 4.0 * _EPS
 #: hard cap on iterations (well past double precision for any bracket)
 MAX_ITER = 200
-
-_EPS = 2.0**-52
 
 
 def expand_bracket(
@@ -70,10 +75,15 @@ def find_root(
 ) -> float:
     """Brent's method on a sign change, run to float resolution.
 
-    The bracket is narrowed until it is a few ulp wide (or MAX_ITER steps),
-    then the best end is checked against RESIDUAL_TOL; a residual above the
-    tolerance raises SolverError with bracket diagnostics. flo and fhi, when
-    known, are f(lo) and f(hi) and are not evaluated again, so
+    The bracket is narrowed until it is a few ulps wide, until the residual
+    at its best end b is at most RESIDUAL_FLOOR, or for MAX_ITER steps. b, a
+    point f was evaluated at, is then checked against RESIDUAL_TOL; a
+    residual above the tolerance raises SolverError with bracket
+    diagnostics. f must be a relative residual: the difference of terms of
+    order one (a log ratio, or a balance scaled by one of its sides), so
+    that RESIDUAL_FLOOR is float resolution for it. A residual whose
+    rounding stays above RESIDUAL_FLOOR ends on the bracket test. flo and
+    fhi, when known, are f(lo) and f(hi) and are not evaluated again, so
     find_root(f, *expand_bracket(f, lo, hi)) evaluates no point twice.
     """
     # b is the best estimate, c the other end of the bracket, a the previous b
@@ -96,7 +106,7 @@ def find_root(
             fa, fb, fc = fb, fc, fb
         tol = _EPS * abs(b) + 1e-300
         half = 0.5 * (c - b)
-        if abs(half) <= tol or fb == 0.0:
+        if abs(half) <= tol or abs(fb) <= RESIDUAL_FLOOR:
             break
         if abs(e) >= tol and abs(fa) > abs(fb):
             s = fb / fa

@@ -289,7 +289,8 @@ def heterogeneous_roles(cfg: ec.EconomyConfig) -> tuple[ec.AgentTypeSpec, ec.Age
             raise ConfigError(
                 "solve_heterogeneous requires both types active in both states"
             )
-    if ec.u_prime(b.utility_in(1), 1.0) > ec.u_prime(a.utility_in(1), 1.0):
+    # u'(1) of an isoelastic utility is its scale, as 1.0 ** -c == 1.0
+    if b.utility_in(1).scale > a.utility_in(1).scale:
         a, b = b, a
     return a, b
 
@@ -310,20 +311,26 @@ def solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyState
     the one regime where the tax is not neutral. Requires gamma = 0.
 
     The return is the outer unknown: a root of burn(rT) = rT on
-    [0, min(theta, r / rho)]. Each trial rT clears both markets at a fixed
-    pattern per type, the one found at the previous trial (first: shocked
-    "high", unshocked "low"), checks each type's pattern at the clearing
-    prices and, where it fails, clears again from the type's best response
-    there (SolverError if a pattern pair comes back). The high-state price
-    is solved in a bracket predicted from the congested prices of the
-    trials already solved (from the planner's shadow value before the
-    first; high states are kept for the whole solve, so the root's is not
-    solved again). Holdings cover high-state spending, so the burn never
-    exceeds theta; if it still exceeds rT at r / rho, the expected return
-    would pass r and InfeasiblePolicyError is raised. One DEBUG line per solve gives where each budget binds, the
-    extra clears the pattern checks caused, whether the first bracket came
-    from the planner or from the cold test at c'(1), the number of trial
-    returns, and the load evaluations of the high- and low-state clears.
+    [0, min(theta, r / rho)], solved as the relative residual
+    p A / M - rT / theta (A the high-state load, M the aggregate balance)
+    in rT's share of that cap. That bracket is [0, 1] even for a subnormal
+    theta, where a bracket in rT is too narrow for the root finder. Each
+    trial rT clears both markets at a fixed pattern per type, the one found
+    at the previous trial (first: shocked "high", unshocked "low"), checks
+    each type's pattern at the clearing prices and, where it fails, clears
+    again from the type's best response there (SolverError if a pattern
+    pair comes back). The high-state price is solved in a bracket predicted
+    from the congested prices of the trials already solved (from the
+    planner's shadow value before the first; high states are kept for the
+    whole solve, so the root's is not solved again). Holdings cover
+    high-state spending, so the burn never exceeds theta; if it still
+    exceeds rT at r / rho, the expected return would pass r and
+    InfeasiblePolicyError is raised. One DEBUG line per solve gives where
+    each budget binds, the extra clears the pattern checks caused, whether
+    the first bracket came from the planner or from the cold test at c'(1),
+    the number of trial returns, the load evaluations of the high- and
+    low-state clears, and the holdings FOC evaluations of the both-binding
+    balance root.
 
     If high-state demand at the marginal cost of capacity fits in it, the
     high state is not congested for this theta; that uncongested equilibrium
@@ -347,14 +354,17 @@ def solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyState
         raise ConfigError("solve_heterogeneous needs rho < 1: the low state must occur")
 
     # for the DEBUG line: the high-state load values in order, the low-state
-    # load evaluations and the extra clears the pattern checks caused
+    # load evaluations, the holdings FOC evaluations of the both-binding
+    # balance root and the extra clears the pattern checks caused
     high_loads: list[float] = []
-    low_evals = switches = 0
+    low_evals = foc_evals = switches = 0
 
     def balance(u1: ec.UtilityFn, u0: ec.UtilityFn, rt: float, eff: float, p: float) -> float:
         """Balance at which both budgets bind: the root of the holdings FOC
         with (1+rT) m / eff bought in the high state and m / p in the low."""
         def foc(m: float) -> float:
+            nonlocal foc_evals
+            foc_evals += 1
             high = rho * (1.0 + rt) * (ec.u_prime(u1, (1.0 + rt) * m / eff) / eff - 1.0)
             low = (1.0 - rho) * (ec.u_prime(u0, m / p) / p - 1.0)
             return high + low - (r - rho * rt)
@@ -486,16 +496,20 @@ def solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyState
             high_states[rt] = (*point, pats)
         return high_states[rt]
 
-    def burn_gap(rt: float) -> float:
-        p_high, _, (_, _, ((ma, a1, _), (mb, b1, _))), _ = high_state(rt)
-        return theta_high * p_high * (ka * a1 + kb * b1) / (ka * ma + kb * mb) - rt
-
     rt = 0.0
-    rt_max = min(theta_high, r / rho)
     if theta_high > 0.0:
-        gap_max = burn_gap(rt_max)
+        rt_max = min(theta_high, r / rho)
+        cap = rt_max / theta_high
+
+        def burn_gap(share: float) -> float:
+            # burn per unit of tax and balance at rT = share * rt_max, less
+            # rT / theta = share * cap
+            p_high, _, (_, _, ((ma, a1, _), (mb, b1, _))), _ = high_state(share * rt_max)
+            return p_high * (ka * a1 + kb * b1) / (ka * ma + kb * mb) - share * cap
+
+        gap_max = burn_gap(1.0)
         if gap_max < 0.0:
-            rt = find_root(burn_gap, 0.0, rt_max, fhi=gap_max)
+            rt = find_root(burn_gap, 0.0, 1.0, fhi=gap_max) * rt_max
         elif rt_max == theta_high:
             # every budget binds in the high state, so the burn funds exactly
             # rT = theta (up to rounding) and the surcharge is neutral
@@ -514,10 +528,10 @@ def solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyState
         seeded = anchor is not None and high_loads[0] > ec.BLOCKSPACE_CAPACITY
         log.debug(
             "heterogeneous theta=%r binds=%s:%s,%s:%s pattern_switches=%d first_bracket=%s "
-            "trial_returns=%d high_load_evals=%d low_load_evals=%d",
+            "trial_returns=%d high_load_evals=%d low_load_evals=%d foc_evals=%d",
             theta_high, na, pats[0], nb, pats[1], switches,
             "planner-seed" if seeded else "cold-test", len(high_states), len(high_loads),
-            low_evals,
+            low_evals, foc_evals,
         )
     states = {
         1: StateOutcome(p_high, theta_high, rt, {na: a1, nb: b1}, congested, ka * a1 + kb * b1),

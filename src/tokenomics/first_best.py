@@ -125,12 +125,13 @@ def _log_price_root(
     """Root of f(p) on the price bracket [lo, hi], found in x = log p.
 
     expand_bracket widens [lo, hi] geometrically, that is evenly in x.
-    find_root stops when its bracket is a few EPS * |x| wide: about an ulp
-    of p where |log p| is near 1, finer where p is near 1. There
-    neighbouring x round to one p, so f is evaluated once per price: a map
-    from price to value, seeded with the bracket ends, holds each one. The
-    returned price is one f was evaluated at: an end of the bracket, or
-    exp(x) for an x the finder tried.
+    find_root stops once the residual is at float resolution, which a clear
+    usually reaches first. Otherwise it stops when its bracket is a few
+    EPS * |x| wide: about an ulp of p where |log p| is near 1, finer where
+    p is near 1. There neighbouring x round to one p, so f is evaluated
+    once per price: a map from price to value, seeded with the bracket
+    ends, holds each one. The returned price is one f was evaluated at: an
+    end of the bracket, or exp(x) for an x the finder tried.
     """
     values = {lo: flo, hi: fhi}
 

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from tokenomics._roots import expand_bracket, find_root
+from tokenomics._roots import RESIDUAL_FLOOR, RESIDUAL_TOL, expand_bracket, find_root
 from tokenomics.errors import SolverError
 
 
@@ -27,6 +27,34 @@ def test_find_root_converges_superlinearly():
         assert abs(x - root) <= 2 * math.ulp(root)
         # plain bisection needs about 55 halvings for the same bracket width
         assert len(calls) <= 15
+
+
+def test_find_root_stops_once_the_residual_is_at_float_resolution():
+    # log load of two isoelastic types in log price, as a market clear roots
+    # it: the residual reaches rounding level well before the bracket is a
+    # few ulps wide (closing the bracket takes 18 evaluations)
+    def f(x):
+        return math.log(0.3 * (1.3 * math.exp(x)) ** -1.25 + 0.7 * (0.8 * math.exp(x)) ** -4.0)
+
+    g, calls = counted(f)
+    x = find_root(g, -2.0, 2.0)
+    assert len(calls) == 9
+    assert x in calls and abs(f(x)) <= RESIDUAL_FLOOR
+
+
+def test_find_root_closes_the_bracket_when_the_residual_floor_is_coarser():
+    # |f| >= 1e-14 everywhere, above float resolution: the early stop never
+    # fires, and the bracket closes on the sign change
+    root = 0.3
+
+    def f(x):
+        return x - root + math.copysign(1e-14, x - root)
+
+    g, calls = counted(f)
+    x = find_root(g, 0.0, 1.0)
+    assert abs(x - root) <= 2 * math.ulp(root)
+    assert RESIDUAL_FLOOR < abs(f(x)) <= RESIDUAL_TOL
+    assert all(abs(f(c)) > RESIDUAL_FLOOR for c in calls)
 
 
 def test_find_root_returns_sign_change_past_constant_branch():
