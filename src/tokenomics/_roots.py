@@ -6,10 +6,12 @@ residual with a sign change on a bracket. find_root runs Brent's method
 bisection's guaranteed bracket and converges superlinearly, deterministically.
 It stops at float resolution, in x or in the residual: when the bracket is a
 few ulps wide, or when the residual is within RESIDUAL_FLOOR of zero, which
-needs a residual relative to the terms it balances. The market-clearing
-kernel (first_best._clear_blockspace) calls it in log price, where its
-residuals are linear or nearly so and the secant step is close to exact;
-expand_bracket's geometric steps are even steps there.
+needs a residual relative to the terms it balances. find_log_root runs it in
+the log of a positive unknown, where expand_bracket's geometric steps are
+even steps: the market-clearing kernel (first_best._clear_blockspace) roots
+in log price, where its residuals are linear or nearly so and the secant
+step is close to exact, and the heterogeneous solver roots a balance in
+log m.
 """
 
 from __future__ import annotations
@@ -30,28 +32,19 @@ MAX_ITER = 200
 
 
 def expand_bracket(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    *,
-    lo_floor: float = 1e-300,
-    flo: float | None = None,
-    fhi: float | None = None,
+    f: Callable[[float], float], lo: float, hi: float, *, lo_floor: float = 1e-300
 ) -> tuple[float, float, float, float]:
     """Widen [lo, hi] geometrically until f changes sign across it.
 
     Doubles hi and halves lo (keeping lo above lo_floor), up to 60 times.
-    flo and fhi, when known, are f(lo) and f(hi) and are not evaluated
-    again. Returns (lo, hi, f(lo), f(hi)), which find_root takes as they are.
+    Returns (lo, hi, f(lo), f(hi)), which find_root takes as they are.
     Raises SolverError when no sign change can be found, reporting the
     final bracket.
     """
     if not (0 < lo <= hi):
         raise ValueError(f"invalid starting bracket [{lo}, {hi}]")
-    if flo is None:
-        flo = f(lo)
-    if fhi is None:
-        fhi = flo if hi == lo else f(hi)
+    flo = f(lo)
+    fhi = flo if hi == lo else f(hi)
     for _ in range(60):
         if flo == 0.0 or fhi == 0.0 or (flo < 0.0) != (fhi < 0.0):
             return lo, hi, flo, fhi
@@ -137,3 +130,49 @@ def find_root(
             f"on bracket [{min(b, c):.12g}, {max(b, c):.12g}]"
         )
     return b
+
+
+class _GridEnd(Exception):
+    """find_log_root's next point rounds to a value already evaluated."""
+
+
+def find_log_root(
+    f: Callable[[float], float], lo: float, hi: float, *, lo_floor: float = 1e-300
+) -> float:
+    """Root of f(v) for v > 0, found in x = log v from the bracket [lo, hi].
+
+    expand_bracket widens [lo, hi] until it holds a sign change (lo stays
+    above lo_floor); its geometric steps are even steps in x. find_root then
+    stops once the residual is at float resolution, or when its bracket is a
+    few EPS * |x| wide: about an ulp of v where |log v| is near 1, far finer
+    where v is near 1. There neighbouring x round to one v, so the root ends
+    where the grid of v does: once the next x rounds to a v already
+    evaluated, the evaluated v with the smallest |f| is returned, checked
+    against RESIDUAL_TOL as find_root checks its own. The returned v is
+    always one f was evaluated at: an end of the bracket, or exp(x) for an x
+    the finder tried. expand_bracket evaluates f at both ends of [lo, hi],
+    so a caller that already has f there keeps its values; after that f is
+    evaluated once per v.
+    """
+    lo, hi, flo, fhi = expand_bracket(f, lo, hi, lo_floor=lo_floor)
+    values = {lo: flo, hi: fhi}
+
+    def g(x: float) -> float:
+        v = math.exp(x)
+        if v in values:
+            raise _GridEnd
+        values[v] = f(v)
+        return values[v]
+
+    x_lo, x_hi = math.log(lo), math.log(hi)
+    try:
+        x = find_root(g, x_lo, x_hi, flo, fhi)
+    except _GridEnd:
+        v = min(values, key=lambda w: abs(values[w]))
+        if abs(values[v]) > RESIDUAL_TOL:
+            raise SolverError(
+                f"root finder stalled with residual {values[v]:.3e} > {RESIDUAL_TOL:.0e} "
+                f"where the float grid ends, at {v:.12g}"
+            ) from None
+        return v
+    return lo if x == x_lo else hi if x == x_hi else math.exp(x)

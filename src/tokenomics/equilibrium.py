@@ -33,7 +33,7 @@ from enum import Enum
 from typing import Callable
 
 from . import econ_core as ec
-from ._roots import expand_bracket, find_root
+from ._roots import RESIDUAL_FLOOR, find_log_root, find_root
 from .errors import ConfigError, InfeasiblePolicyError, SolverError
 from .first_best import _clear_blockspace, first_best_allocation
 
@@ -313,24 +313,34 @@ def solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyState
     The return is the outer unknown: a root of burn(rT) = rT on
     [0, min(theta, r / rho)], solved as the relative residual
     p A / M - rT / theta (A the high-state load, M the aggregate balance)
-    in rT's share of that cap. That bracket is [0, 1] even for a subnormal
-    theta, where a bracket in rT is too narrow for the root finder. Each
-    trial rT clears both markets at a fixed pattern per type, the one found
-    at the previous trial (first: shocked "high", unshocked "low"), checks
-    each type's pattern at the clearing prices and, where it fails, clears
-    again from the type's best response there (SolverError if a pattern
-    pair comes back). The high-state price is solved in a bracket predicted
-    from the congested prices of the trials already solved (from the
-    planner's shadow value before the first; high states are kept for the
-    whole solve, so the root's is not solved again). Holdings cover
-    high-state spending, so the burn never exceeds theta; if it still
-    exceeds rT at r / rho, the expected return would pass r and
-    InfeasiblePolicyError is raised. One DEBUG line per solve gives where
-    each budget binds, the extra clears the pattern checks caused, whether
-    the first bracket came from the planner or from the cold test at c'(1),
-    the number of trial returns, the load evaluations of the high- and
-    low-state clears, and the holdings FOC evaluations of the both-binding
-    balance root.
+    in rT's share of that cap, so the bracket stays wide enough for the
+    root finder even for a subnormal theta. Each trial rT clears both
+    markets at a fixed pattern per type, the one found at the previous trial
+    (first: shocked "high", unshocked "low"), checks each type's pattern at
+    the clearing prices and, where it fails, clears again from the type's
+    best response there (SolverError if a pattern pair comes back).
+
+    Every root starts from a prediction made from this call's own trials,
+    so a solve does not depend on what was solved before it. The first
+    trial is the cap itself (share 1); the burn share barely moves with rT,
+    so the outer root is bracketed just below the share that trial
+    predicts. Each market clear evaluates its predicted price first (see
+    predicted_brackets; the planner's shadow value stands in for the first
+    high state, and a low state needs two trials) and keeps it when the
+    residual there is at float resolution; a clear again under a new
+    pattern starts within 5% of the last clear's prices. A budget binding
+    in both states roots its balance from the type's last balance. High
+    states are kept for the whole solve, so the root's is not solved again.
+    Holdings cover high-state spending, so the burn never exceeds theta; if
+    it still exceeds rT at r / rho, the expected return would pass r and
+    InfeasiblePolicyError is raised.
+
+    One DEBUG line per solve gives where each budget binds, the extra clears
+    the pattern checks caused, whether the first bracket came from the
+    planner or from the cold test at c'(1), the number of trial returns, the
+    load evaluations of the high- and low-state clears, the holdings FOC
+    evaluations of the both-binding balance root, and the clears and balance
+    roots accepted at their first, predicted point.
 
     If high-state demand at the marginal cost of capacity fits in it, the
     high state is not congested for this theta; that uncongested equilibrium
@@ -353,25 +363,48 @@ def solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyState
     if rho >= 1.0:
         raise ConfigError("solve_heterogeneous needs rho < 1: the low state must occur")
 
-    # for the DEBUG line: the high-state load values in order, the low-state
-    # load evaluations, the holdings FOC evaluations of the both-binding
-    # balance root and the extra clears the pattern checks caused
-    high_loads: list[float] = []
-    low_evals = foc_evals = switches = 0
+    # for the DEBUG line: the prices each high-state clear evaluated its
+    # load at, the low-state load evaluations, the holdings FOC evaluations
+    # of the both-binding balance root, the extra clears the pattern checks
+    # caused, and the clears and balance roots accepted at their prediction
+    # (a clear that evaluates its load once accepted it)
+    high_clears: list[list[float]] = []
+    low_evals = foc_evals = switches = hits = 0
+    # the last balance found for each type whose budget binds in both states
+    balances: dict[tuple[ec.UtilityFn, ec.UtilityFn], float] = {}
 
     def balance(u1: ec.UtilityFn, u0: ec.UtilityFn, rt: float, eff: float, p: float) -> float:
         """Balance at which both budgets bind: the root of the holdings FOC
-        with (1+rT) m / eff bought in the high state and m / p in the low."""
+        with (1+rT) m / eff bought in the high state and m / p in the low,
+        which falls in m, found in log m. The type's last balance in this
+        solve is tried first and kept when the FOC there is at float
+        resolution; otherwise the root is bracketed from it by a factor of 2
+        on the side the FOC's sign names. The type's first balance is
+        bracketed below the smaller balance at which one budget stops
+        binding."""
+        nonlocal hits
+        values: dict[float, float] = {}
+
         def foc(m: float) -> float:
             nonlocal foc_evals
-            foc_evals += 1
-            high = rho * (1.0 + rt) * (ec.u_prime(u1, (1.0 + rt) * m / eff) / eff - 1.0)
-            low = (1.0 - rho) * (ec.u_prime(u0, m / p) / p - 1.0)
-            return high + low - (r - rho * rt)
+            if m not in values:
+                foc_evals += 1
+                high = rho * (1.0 + rt) * (ec.u_prime(u1, (1.0 + rt) * m / eff) / eff - 1.0)
+                low = (1.0 - rho) * (ec.u_prime(u0, m / p) / p - 1.0)
+                values[m] = high + low - (r - rho * rt)
+            return values[m]
 
-        # the smaller balance at which one budget stops binding
-        top = min(eff * ec.u_prime_inv(u1, eff) / (1.0 + rt), p * ec.u_prime_inv(u0, p))
-        return find_root(foc, *expand_bracket(foc, 0.5 * top, top))
+        last = balances.get((u1, u0))
+        if last is None:
+            top = min(eff * ec.u_prime_inv(u1, eff) / (1.0 + rt), p * ec.u_prime_inv(u0, p))
+            lo, hi = 0.5 * top, top
+        elif abs(foc(last)) <= RESIDUAL_FLOOR:
+            hits += 1
+            return last
+        else:
+            lo, hi = (last, 2.0 * last) if foc(last) > 0.0 else (0.5 * last, last)
+        balances[u1, u0] = find_log_root(foc, lo, hi)
+        return balances[u1, u0]
 
     # A type's response to high-state effective price eff, low-state price p
     # and return rt when its budget binds as pat says: low_demand gives its
@@ -406,13 +439,16 @@ def solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyState
                 return alt
         return "both"
 
-    def clear(pats: tuple[str, str], rt: float):
+    def clear(pats: tuple[str, str], rt: float, warm: list[tuple[float, float] | None]):
         """Both markets cleared at rt with each type's budget binding as pats
-        says: the high-state price, whether it is congested, and there the
+        says, from the predicted price brackets warm (low state, high state):
+        the high-state price, whether it is congested, and there the
         low-state price, whether it is congested, and each type's response."""
+        nonlocal hits
         pa, pb = pats
 
         def low_state(eff: float) -> tuple[float, bool, tuple[float, float]]:
+            nonlocal hits
             acts: dict[float, tuple[float, float]] = {}
 
             def load(p: float) -> float:
@@ -422,7 +458,8 @@ def solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyState
                                low_demand(pb, ub1, ub0, rt, eff, p))
                 return ka * a[0] + kb * a[1]
 
-            p, congested = _clear_blockspace(cfg.cost, load)
+            p, congested = _clear_blockspace(cfg.cost, load, warm[0])
+            hits += len(acts) == 1
             return p, congested, acts[p]
 
         # eff matters to the low state only through a type whose budget binds
@@ -436,63 +473,76 @@ def solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyState
             p_low, low_congested, (a0, b0) = fixed or low_state(eff)
             got = respond(pa, ua1, rt, eff, p_low, a0), respond(pb, ub1, rt, eff, p_low, b0)
             points[p_high] = p_low, low_congested, got
-            high_loads.append(ka * got[0][1] + kb * got[1][1])
-            return high_loads[-1]
+            return ka * got[0][1] + kb * got[1][1]
 
         # every price the root finder returns is one it evaluated
-        p_high, congested = _clear_blockspace(cfg.cost, load, predicted_bracket(rt))
+        p_high, congested = _clear_blockspace(cfg.cost, load, warm[1])
+        high_clears.append(list(points))
+        hits += len(points) == 1
         return p_high, congested, points[p_high]
 
     # per solve: the high state of every trial return with its patterns, and
-    # the congested price of each trial return solved so far
+    # the prices of each trial return solved so far, indexed by state (low,
+    # high)
     high_states: dict[float, tuple] = {}
-    solved: dict[float, float] = {}
+    solved: dict[float, tuple[float, float]] = {}
     # where each budget binds at the last trial; the first starts from this
     pats = ("high", "low")
     # With no trial solved, the planner stands in for one at rT = r / rho:
     # there the shocked type's FOC u'(a) = (1+theta) p (1+r/rho) / (1+rT)
     # is the planner's margin u'(a) = x at the congested shadow value x, so
-    # the price is x / (1+theta).
+    # the high-state price is x / (1+theta).
     planner = first_best_allocation(cfg, 1)
     anchor = (r / rho, planner.shadow_marginal / (1.0 + theta_high)) if planner.congested else None
 
-    def predicted_bracket(rt: float) -> tuple[float, float] | None:
-        """High-state price bracket at rt predicted from the solved trials.
+    def predicted_brackets(rt: float) -> list[tuple[float, float] | None]:
+        """Price brackets of the low and the high state at rt, predicted from
+        the solved trials (None where there is no prediction).
 
-        From one trial (or the planner) the price scales with 1 + rT, as the
-        shocked type's FOC does at a fixed shadow value; from two or more it
-        is linear in rT through the two nearest. The bracket is as wide as
-        the move the prediction makes from the nearest solved price: at most
-        5% of the price, at least an ulp of it.
+        From two or more trials each price is linear in rT through the two
+        nearest. From one, only the high state is predicted: its price
+        scales with 1 + rT, as the shocked type's FOC does at a fixed shadow
+        value; before the first, the planner stands in for it. (A low-state
+        price held from one trial would need an ulp-wide bracket, which
+        costs more than the cold test when it misses.) Each bracket is as
+        wide as the move its prediction makes from the nearest solved price:
+        at most 5% of the price, at least an ulp of it. A linear prediction
+        at or below zero is no prediction.
         """
+        def around(p: float, p_near: float) -> tuple[float, float] | None:
+            if p <= 0.0:
+                return None
+            half = max(min(abs(p - p_near), 0.05 * p), math.ulp(p))
+            return p - half, p + half
+
         near = sorted(solved, key=lambda s: abs(s - rt))[:2]
         if len(near) == 2:
-            (ra, pa), (rb, pb) = ((s, solved[s]) for s in near)
-            p, p_near = pa + (pb - pa) * (rt - ra) / (rb - ra), pa
-        elif near or anchor is not None:
-            r_near, p_near = (near[0], solved[near[0]]) if near else anchor
-            p = p_near * (1.0 + rt) / (1.0 + r_near)
-        else:
-            return None
-        half = max(min(abs(p - p_near), 0.05 * p), math.ulp(p))
-        return p - half, p + half
+            ra, rb = near
+            w = (rt - ra) / (rb - ra)
+            return [around(pa + (pb - pa) * w, pa) for pa, pb in zip(solved[ra], solved[rb])]
+        if near or anchor is not None:
+            r_near, p_near = (near[0], solved[near[0]][1]) if near else anchor
+            return [None, around(p_near * (1.0 + rt) / (1.0 + r_near), p_near)]
+        return [None, None]
 
     def high_state(rt: float) -> tuple:
         """(p_high, congested, (p_low, low_congested, responses), patterns) at rt."""
         nonlocal pats, switches
         if rt not in high_states:
             tried: list[tuple[str, str]] = []
+            warm = predicted_brackets(rt)
             while pats not in tried:
                 tried.append(pats)
-                p_high, congested, (p_low, low_congested, got) = point = clear(pats, rt)
+                p_high, congested, (p_low, low_congested, got) = point = clear(pats, rt, warm)
+                # a clear under the next pattern starts within 5% of these prices
+                warm = [(0.95 * p, 1.05 * p) for p in (p_low, p_high)]
                 eff = (1.0 + theta_high) * p_high
                 pats = (best_response(pats[0], ua1, ua0, rt, eff, p_low, got[0]),
                         best_response(pats[1], ub1, ub0, rt, eff, p_low, got[1]))
             if pats != tried[-1]:
                 raise SolverError(f"binding patterns cycle at rT = {rt!r}: {tried} then {pats}")
             switches += len(tried) - 1
-            if congested:
-                solved[rt] = p_high
+            solved[rt] = p_low, p_high
             high_states[rt] = (*point, pats)
         return high_states[rt]
 
@@ -509,7 +559,15 @@ def solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyState
 
         gap_max = burn_gap(1.0)
         if gap_max < 0.0:
-            rt = find_root(burn_gap, 0.0, 1.0, fhi=gap_max) * rt_max
+            # the burn share barely moves with rT, so the root lies near
+            # B(1) / cap = 1 + gap_max / cap: bracket it from twice that
+            # distance below 1, or below there (burn_gap(0) > 0)
+            lo = max(0.0, 1.0 + 2.0 * gap_max / cap)
+            gap_lo = burn_gap(lo)
+            if gap_lo > 0.0:
+                rt = find_root(burn_gap, lo, 1.0, gap_lo, gap_max) * rt_max
+            else:
+                rt = find_root(burn_gap, 0.0, lo, fhi=gap_lo) * rt_max
         elif rt_max == theta_high:
             # every budget binds in the high state, so the burn funds exactly
             # rT = theta (up to rounding) and the surcharge is neutral
@@ -523,15 +581,15 @@ def solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyState
     p_high, congested, (p_low, low_congested, ((ma, a1, a0), (mb, b1, b0))), pats = high_state(rt)
     na, nb = (t.name for t in roles)
     if log.isEnabledFor(logging.DEBUG):
-        # the planner's bracket is kept when demand at its lower end, the
-        # first price tried, overfills capacity; otherwise the cold test runs
-        seeded = anchor is not None and high_loads[0] > ec.BLOCKSPACE_CAPACITY
+        # the planner's bracket is kept unless the first clear tests c'(1)
+        cold = anchor is None or ec.c_prime(cfg.cost, ec.BLOCKSPACE_CAPACITY) in high_clears[0]
         log.debug(
             "heterogeneous theta=%r binds=%s:%s,%s:%s pattern_switches=%d first_bracket=%s "
-            "trial_returns=%d high_load_evals=%d low_load_evals=%d foc_evals=%d",
+            "trial_returns=%d high_load_evals=%d low_load_evals=%d foc_evals=%d "
+            "prediction_hits=%d",
             theta_high, na, pats[0], nb, pats[1], switches,
-            "planner-seed" if seeded else "cold-test", len(high_states), len(high_loads),
-            low_evals, foc_evals,
+            "cold-test" if cold else "planner-seed", len(high_states),
+            sum(map(len, high_clears)), low_evals, foc_evals, hits,
         )
     states = {
         1: StateOutcome(p_high, theta_high, rt, {na: a1, nb: b1}, congested, ka * a1 + kb * b1),

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from . import econ_core as ec
-from ._roots import expand_bracket, find_root
+from ._roots import RESIDUAL_FLOOR, find_log_root
 from .errors import SolverError
 
 
@@ -66,84 +66,78 @@ def _clear_blockspace(
 
     If demand at the marginal cost of capacity c'(1) exceeds capacity, the
     fee rations it: load(p) = 1 with p >= c'(1). Otherwise supply meets
-    demand below capacity: p = c'(load(p)). warm, a fee bracket (lo, hi)
-    predicted from nearby solves, is tried first when lo is above c'(1):
-    when demand at lo overfills capacity, expand_bracket widens [lo, hi]
-    (from hi when demand overfills it too) upward until it holds the root;
-    otherwise the test at c'(1) runs, and a congested root lies in
-    [c'(1), lo] (in [c'(1), hi] when lo is not above c'(1)).
-
-    The root runs in log price, on log load(p) when congested and on
+    demand below capacity: p = c'(load(p)). The root runs in log price
+    (find_log_root), on log load(p) when congested and on
     log p - log c'(load(p)) when slack. For one isoelastic type under power
     cost both residuals are linear in log p, so the first secant step of
     Brent's method lands on the root; with several types they stay close to
-    linear. load is evaluated at most once per price, and the returned fee
-    is always one at which it was evaluated.
+    linear.
+
+    Without warm (the cold path), the test at c'(1) picks the branch, and
+    the root is bracketed from [c'(1), c'(1)] upward or from
+    [c'(1) / 2, c'(1)]. warm, a fee bracket (lo, hi) around a price
+    predicted from nearby solves, is tried first: its centre is evaluated,
+    on the congested residual above c'(1) and on the slack one at or below
+    it, and accepted when that residual is at float resolution
+    (RESIDUAL_FLOOR). A slack price needs no test at c'(1) there: p <= c'(1)
+    and p = c'(load(p)) put the load within capacity. Otherwise the root
+    lies on the side of the centre that the residual's sign names. Away from
+    c'(1) it is bracketed from the centre and the warm end on that side,
+    widened by expand_bracket when that end does not hold it. Toward c'(1)
+    the warm end is tried when it lies on the centre's side of c'(1); when it
+    does not hold the root, the cold path runs from there.
+
+    load is evaluated at most once per price, and the returned fee is
+    always one at which it was evaluated.
     """
     capacity_cost = ec.c_prime(cost, ec.BLOCKSPACE_CAPACITY)
+    # load and the slack residual, each evaluated once per price; the
+    # congested residual is a log of the stored load
+    loads: dict[float, float] = {}
+    slack: dict[float, float] = {}
 
     def over(p: float) -> float:
-        return _log(load(p) / ec.BLOCKSPACE_CAPACITY)
-
-    # upper end of the congested bracket that starts at c'(1), and f there
-    hi, f_hi = capacity_cost, None
-    if warm is not None and warm[0] > capacity_cost:
-        lo, f_lo = warm[0], over(warm[0])
-        if f_lo > 0.0:
-            # demand falls in p, so it overfills capacity at c'(1) as well
-            hi = warm[1]
-            f_hi = f_lo if hi == lo else over(hi)
-            if f_hi > 0.0:
-                lo, f_lo = hi, f_hi  # and at hi: the root lies above it
-            bracket = expand_bracket(over, lo, hi, lo_floor=lo, flo=f_lo, fhi=f_hi)
-            return _log_price_root(over, *bracket), True
-        hi, f_hi = lo, f_lo
-    elif warm is not None:
-        hi = max(warm[1], capacity_cost)
-
-    load_cap = load(capacity_cost)
-    if load_cap > ec.BLOCKSPACE_CAPACITY:
-        bracket = expand_bracket(
-            over, capacity_cost, hi, lo_floor=capacity_cost,
-            flo=_log(load_cap / ec.BLOCKSPACE_CAPACITY), fhi=f_hi,
-        )
-        return _log_price_root(over, *bracket), True
+        if p not in loads:
+            loads[p] = load(p)
+        return _log(loads[p] / ec.BLOCKSPACE_CAPACITY)
 
     def excess(p: float) -> float:
-        return math.log(p) - _log(ec.c_prime(cost, load(p)))
+        if p not in slack:
+            if p not in loads:
+                loads[p] = load(p)
+            slack[p] = math.log(p) - _log(ec.c_prime(cost, loads[p]))
+        return slack[p]
 
-    bracket = expand_bracket(
-        excess, 0.5 * capacity_cost, capacity_cost,
-        fhi=math.log(capacity_cost) - _log(ec.c_prime(cost, load_cap)),
-    )
-    return _log_price_root(excess, *bracket), False
+    # the cold brackets: a slack root in [lo, c'(1)], a congested one above
+    # c'(1) from [c'(1), hi]
+    lo, hi = 0.5 * capacity_cost, capacity_cost
+    if warm is not None:
+        guess = 0.5 * (warm[0] + warm[1])
+        if guess > capacity_cost:
+            f = over(guess)
+            if abs(f) <= RESIDUAL_FLOOR:
+                return guess, True
+            if f > 0.0:
+                # demand overfills capacity at guess: the root lies above it
+                start = warm[1] if over(warm[1]) > 0.0 else guess
+                return find_log_root(over, start, warm[1], lo_floor=start), True
+            if warm[0] > capacity_cost and over(warm[0]) > 0.0:
+                return find_log_root(over, warm[0], guess), True
+            hi = warm[0] if warm[0] > capacity_cost else guess
+        else:
+            f = excess(guess)
+            if abs(f) <= RESIDUAL_FLOOR:
+                return guess, False
+            if f > 0.0:
+                # the fee exceeds marginal cost at guess: a slack root lies below it
+                return find_log_root(excess, warm[0], guess), False
+            if warm[1] <= capacity_cost and excess(warm[1]) > 0.0:
+                return find_log_root(excess, guess, warm[1]), False
+            lo, hi = (warm[1], capacity_cost) if warm[1] <= capacity_cost else (guess, warm[1])
 
-
-def _log_price_root(
-    f: Callable[[float], float], lo: float, hi: float, flo: float, fhi: float
-) -> float:
-    """Root of f(p) on the price bracket [lo, hi], found in x = log p.
-
-    expand_bracket widens [lo, hi] geometrically, that is evenly in x.
-    find_root stops once the residual is at float resolution, which a clear
-    usually reaches first. Otherwise it stops when its bracket is a few
-    EPS * |x| wide: about an ulp of p where |log p| is near 1, finer where
-    p is near 1. There neighbouring x round to one p, so f is evaluated
-    once per price: a map from price to value, seeded with the bracket
-    ends, holds each one. The returned price is one f was evaluated at: an
-    end of the bracket, or exp(x) for an x the finder tried.
-    """
-    values = {lo: flo, hi: fhi}
-
-    def g(x: float) -> float:
-        p = math.exp(x)
-        if p not in values:
-            values[p] = f(p)
-        return values[p]
-
-    x_lo, x_hi = math.log(lo), math.log(hi)
-    x = find_root(g, x_lo, x_hi, flo, fhi)
-    return lo if x == x_lo else hi if x == x_hi else math.exp(x)
+    if over(capacity_cost) > 0.0:
+        return find_log_root(over, capacity_cost, hi, lo_floor=capacity_cost), True
+    return find_log_root(excess, lo, capacity_cost), False
 
 
 def _memo(cfg: ec.EconomyConfig) -> dict:

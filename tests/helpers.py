@@ -18,20 +18,27 @@ ZERO = ec.ZeroUtility()
 
 @dataclass
 class Evaluations:
-    """Work recorded while a test runs: the argument of every u_prime_inv and
-    u_prime call, and for every market clear the prices its load was
-    evaluated at."""
+    """Work recorded while a test runs: the argument of every u_prime_inv,
+    u_prime and c_prime call, and for every market clear the prices its load
+    was evaluated at."""
 
     u_prime_inv: list[float] = field(default_factory=list)
     u_prime: list[float] = field(default_factory=list)
+    c_prime: list[float] = field(default_factory=list)
     clears: list[list[float]] = field(default_factory=list)
+
+    def clear(self) -> None:
+        """Forget the calls recorded so far."""
+        for calls in (self.u_prime_inv, self.u_prime, self.c_prime, self.clears):
+            calls.clear()
 
 
 def record_evaluations(monkeypatch) -> Evaluations:
-    """Record u_prime_inv and u_prime calls and the loads of _clear_blockspace
-    (in both modules that call it) for the rest of the test."""
+    """Record u_prime_inv, u_prime and c_prime calls and the loads of
+    _clear_blockspace (in both modules that call it) for the rest of the
+    test."""
     seen = Evaluations()
-    u_prime_inv, u_prime = ec.u_prime_inv, ec.u_prime
+    u_prime_inv, u_prime, c_prime = ec.u_prime_inv, ec.u_prime, ec.c_prime
     kernel = fb._clear_blockspace
 
     def counting(f, x):
@@ -41,6 +48,10 @@ def record_evaluations(monkeypatch) -> Evaluations:
     def counting_u_prime(f, a):
         seen.u_prime.append(a)
         return u_prime(f, a)
+
+    def counting_c_prime(c, s):
+        seen.c_prime.append(s)
+        return c_prime(c, s)
 
     def clearing(cost, load, warm=None):
         prices: list[float] = []
@@ -54,6 +65,7 @@ def record_evaluations(monkeypatch) -> Evaluations:
 
     monkeypatch.setattr(ec, "u_prime_inv", counting)
     monkeypatch.setattr(ec, "u_prime", counting_u_prime)
+    monkeypatch.setattr(ec, "c_prime", counting_c_prime)
     monkeypatch.setattr(fb, "_clear_blockspace", clearing)
     monkeypatch.setattr(eqm, "_clear_blockspace", clearing)
     return seen

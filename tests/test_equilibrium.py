@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from tokenomics import _roots
 from tokenomics import econ_core as ec
 from tokenomics import equilibrium as eqm
 from tokenomics.errors import ConfigError, InfeasiblePolicyError
@@ -398,27 +399,31 @@ def test_heterogeneous_budgets_bind_where_the_best_response_says(args, shares, b
 def test_heterogeneous_solve_evaluation_budget(het_cfg, monkeypatch):
     """Deterministic work count: primitive evaluations per heterogeneous solve.
 
-    Each trial return's high-state bracket is predicted from the trials
-    already solved; the first one from the planner's shadow value, which
-    loading the config has already solved. Every root stops once its
-    residual is at float resolution. On the shipped config no budget binds
-    in both states, so the holdings FOC root, the solver's one user of
-    u_prime, never runs, and heterogeneous_roles orders the types by their
-    utility scales: no u_prime call at all. Where the shocked type's budget
-    binds in both states, that root runs at every low-state load evaluation.
+    Every root starts at its prediction. The outer burn root is bracketed
+    just below the burn share its first trial gives. Each trial return's
+    market clears start at prices predicted from the trials already solved
+    (the first high state from the planner's shadow value, which loading the
+    config has already solved) and accept them when the residual there is at
+    float resolution. Every root stops once its residual is at float
+    resolution. On the shipped config no budget binds in both states, so the
+    holdings FOC root, the solver's one user of u_prime, never runs, and
+    heterogeneous_roles orders the types by their utility scales: no u_prime
+    call at all. Where the shocked type's budget binds in both states, that
+    root runs at every low-state load evaluation, from the last balance
+    found. c_prime is called once per clear for c'(1) and once per slack
+    residual.
     """
     seen = record_evaluations(monkeypatch)
     both = het_band_config(*SHOCKED_BINDS_BOTH)
-    for cfg, theta, budget, u_prime_budget in [
-        (het_cfg, 0.0, 12, 0), (het_cfg, 0.02, 60, 0), (het_cfg, 0.05, 60, 0),
-        (het_cfg, 0.08, 60, 0), (het_cfg, 0.1, 58, 0), (both, 0.0, 48, 176),
-        (both, 0.03, 184, 880),
+    for cfg, theta, budget in [
+        (het_cfg, 0.0, (12, 0, 5)), (het_cfg, 0.02, (40, 0, 16)), (het_cfg, 0.05, (48, 0, 21)),
+        (het_cfg, 0.08, (48, 0, 21)), (het_cfg, 0.1, (44, 0, 21)), (both, 0.0, (32, 114, 24)),
+        (both, 0.03, (70, 268, 58)),
     ]:
-        seen.u_prime_inv.clear()
-        seen.u_prime.clear()
+        seen.clear()
         eqm.solve_heterogeneous(cfg, theta)
-        assert len(seen.u_prime_inv) <= budget, (theta, len(seen.u_prime_inv))
-        assert len(seen.u_prime) <= u_prime_budget, (theta, len(seen.u_prime))
+        counts = len(seen.u_prime_inv), len(seen.u_prime), len(seen.c_prime)
+        assert all(n <= most for n, most in zip(counts, budget)), (theta, counts)
 
 
 @pytest.mark.parametrize(
@@ -469,25 +474,28 @@ def test_heterogeneous_solve_logs_its_branch_at_debug(het_cfg, caplog):
         eqm.solve_heterogeneous(het_cfg, 0.0)
         eqm.solve_heterogeneous(het_cfg, 0.05)
         # the planner rations this high state but the equilibrium does not,
-        # so demand at the seed's lower end fits capacity
+        # so demand at the planner's price and at its bracket's lower end fits
+        # capacity, and the first clear runs the cold test at c'(1)
         eqm.solve_heterogeneous(slack, 0.0)
         eqm.solve_heterogeneous(het_band_config(*SHOCKED_BINDS_BOTH), 0.0)
     # the slack config starts from the unshocked type binding in the low
     # state; the check at the clearing prices moves it to the high state.
-    # Only a budget binding in both states runs the holdings FOC root.
+    # Only a budget binding in both states runs the holdings FOC root. At
+    # theta = 0.05 three clears accept their predicted price at once: the
+    # last trial's high state and the low states of the last two trials.
     assert [r.getMessage() for r in caplog.records] == [
         "heterogeneous theta=0.0 binds=shocked:high,steady:low pattern_switches=0 "
         "first_bracket=planner-seed trial_returns=1 high_load_evals=3 low_load_evals=3 "
-        "foc_evals=0",
+        "foc_evals=0 prediction_hits=0",
         "heterogeneous theta=0.05 binds=shocked:high,steady:low pattern_switches=0 "
-        "first_bracket=planner-seed trial_returns=5 high_load_evals=15 low_load_evals=15 "
-        "foc_evals=0",
+        "first_bracket=planner-seed trial_returns=5 high_load_evals=13 low_load_evals=11 "
+        "foc_evals=0 prediction_hits=3",
         "heterogeneous theta=0.0 binds=shocked:high,steady:high pattern_switches=1 "
-        "first_bracket=cold-test trial_returns=1 high_load_evals=6 low_load_evals=6 "
-        "foc_evals=0",
+        "first_bracket=cold-test trial_returns=1 high_load_evals=7 low_load_evals=6 "
+        "foc_evals=0 prediction_hits=0",
         "heterogeneous theta=0.0 binds=shocked:both,steady:low pattern_switches=1 "
         "first_bracket=cold-test trial_returns=1 high_load_evals=6 low_load_evals=12 "
-        "foc_evals=88",
+        "foc_evals=57 prediction_hits=0",
     ]
 
 
@@ -637,6 +645,37 @@ def test_a_clear_never_evaluates_load_twice_at_one_price(
     price, congested = _clear_blockspace(cost, load, bracket)
     assert len(set(prices)) == len(prices)
     assert price in prices
+    _assert_clears(cost, price, ec.u_prime_inv(u, price), congested)
+
+
+def test_a_clear_near_unit_price_ends_where_the_price_grid_does(monkeypatch):
+    # a draw of the test above: scales 1 + 3e-15 and 1 + 5e-15 put the slack
+    # root three ulps above p = 1, where the log-price residual's rounding
+    # stays above RESIDUAL_FLOOR and find_root's bracket test in x = log p is
+    # far finer than an ulp of p. Brent's method took 49 steps there on 4
+    # distinct prices; the root now ends once a step rounds to a price
+    # already evaluated.
+    steps = []
+    find_root = _roots.find_root
+
+    def counting(f, *args):
+        def g(x):
+            steps.append(x)
+            return f(x)
+
+        return find_root(g, *args)
+
+    monkeypatch.setattr(_roots, "find_root", counting)
+    u, cost = ISO(1.0 + 3e-15, 0.21), ec.CostFn(1.0 + 5e-15, 2.8)
+    prices = []
+
+    def load(p: float) -> float:
+        prices.append(p)
+        return ec.u_prime_inv(u, p)
+
+    price, congested = _clear_blockspace(cost, load)
+    assert 0 < len(steps) <= 4
+    assert len(set(prices)) == len(prices) and price in prices
     _assert_clears(cost, price, ec.u_prime_inv(u, price), congested)
 
 

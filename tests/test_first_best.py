@@ -2,11 +2,13 @@ import dataclasses
 import math
 import pickle
 import random
+from typing import Callable
 
 import pytest
 
 from tokenomics import econ_core as ec
 from tokenomics import equilibrium as eqm
+from tokenomics._roots import RESIDUAL_TOL
 from tokenomics.first_best import (
     _clear_blockspace,
     _iid_cross_section,
@@ -192,7 +194,8 @@ def test_stored_iid_surplus_matches_fresh_cross_section(iid_cfg):
     "curvature, cost_scale, warm, far, congested",
     [
         (1e-4, 0.99, None, 1.98, True),  # bracket [c'(1), 2 c'(1)]
-        (1e-5, 0.9999, (0.95, 1.05), 1.05, True),  # warm bracket [c'(1), 1.05]
+        # centre 0.99995 below the root: the warm bracket's upper end
+        (1e-5, 0.9999, (0.9499, 1.05), 1.05, True),
         (1e-4, 2.0, None, 2.0, False),  # demand at c'(1) itself is 0.0
     ],
 )
@@ -216,3 +219,67 @@ def test_clearing_survives_demand_underflow(curvature, cost_scale, warm, far, co
         assert load(p) == pytest.approx(1.0, abs=1e-10)
     else:
         assert p == pytest.approx(ec.c_prime(cost, load(p)), rel=1e-10)
+
+
+def _recorded(u: ec.UtilityFn) -> tuple[list[float], Callable[[float], float]]:
+    evaluated: list[float] = []
+
+    def load(p: float) -> float:
+        evaluated.append(p)
+        return ec.u_prime_inv(u, p)
+
+    return evaluated, load
+
+
+# under c(q) = q^2 / 2, demand (2/p)^2 clears at capacity at p = 2 > c'(1),
+# and demand (1/(8p))^2 meets marginal cost below it at p = c'(0.25) = 0.25
+CONGESTED_ROOT = (ISO(2.0, 0.5), 2.0)
+SLACK_ROOT = (ISO(0.125, 0.5), 0.25)
+
+
+@pytest.mark.parametrize(
+    "u, root, warm, congested",
+    [(*CONGESTED_ROOT, (1.9, 2.1), True), (*SLACK_ROOT, (0.2, 0.3), False)],
+)
+def test_a_prediction_at_the_root_takes_one_load_evaluation(u, root, warm, congested):
+    evaluated, load = _recorded(u)
+    assert 0.5 * (warm[0] + warm[1]) == root
+    assert _clear_blockspace(ec.CostFn(1.0, 1.0), load, warm) == (root, congested)
+    assert evaluated == [root]
+
+
+@pytest.mark.parametrize("warm", [(0.24, 0.27), (0.23, 0.26), (0.3, 0.6)])
+def test_a_slack_prediction_clears_without_the_capacity_test(warm):
+    # slack predictions above and below the root whose bracket holds it, and
+    # one above it whose bracket does not: p <= c'(1) and p = c'(load(p)) put
+    # the load within capacity, so load(c'(1)) is not needed
+    u, root = SLACK_ROOT
+    evaluated, load = _recorded(u)
+    price, congested = _clear_blockspace(ec.CostFn(1.0, 1.0), load, warm)
+    assert not congested and price == pytest.approx(root, rel=1e-15)
+    assert 1.0 not in evaluated and price in evaluated
+    assert len(set(evaluated)) == len(evaluated)
+
+
+@pytest.mark.parametrize(
+    "u, warm",
+    [
+        (CONGESTED_ROOT[0], (0.5, 0.9)),  # slack prediction, warm end below c'(1)
+        (CONGESTED_ROOT[0], (0.8, 1.1)),  # slack prediction, warm end above c'(1)
+        (CONGESTED_ROOT[0], (1.0, 1.0)),  # a one-point bracket at c'(1)
+        (SLACK_ROOT[0], (1.2, 1.5)),  # congested prediction, warm end above c'(1)
+        (SLACK_ROOT[0], (0.9, 1.3)),  # congested prediction, warm end below c'(1)
+        (SLACK_ROOT[0], (4.0, 4.0)),  # a one-point bracket far above
+        # slack prediction below the root, bracket short of it: the root may
+        # be congested, so the cold test runs
+        (SLACK_ROOT[0], (0.1, 0.2)),
+    ],
+)
+def test_a_prediction_on_the_wrong_side_of_capacity_cost_gets_the_cold_result(u, warm):
+    cost = ec.CostFn(1.0, 1.0)
+    cold_price, cold_congested = _clear_blockspace(cost, _recorded(u)[1])
+    evaluated, load = _recorded(u)
+    price, congested = _clear_blockspace(cost, load, warm)
+    assert congested is cold_congested
+    assert price == pytest.approx(cold_price, rel=RESIDUAL_TOL)
+    assert price in evaluated and len(set(evaluated)) == len(evaluated)

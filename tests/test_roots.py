@@ -2,7 +2,13 @@ import math
 
 import pytest
 
-from tokenomics._roots import RESIDUAL_FLOOR, RESIDUAL_TOL, expand_bracket, find_root
+from tokenomics._roots import (
+    RESIDUAL_FLOOR,
+    RESIDUAL_TOL,
+    expand_bracket,
+    find_log_root,
+    find_root,
+)
 from tokenomics.errors import SolverError
 
 
@@ -107,6 +113,25 @@ def test_known_end_values_are_not_evaluated_again():
     assert find_root(g, *bracket) == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-15)
     # find_root took both end values with the bracket
     assert calls.count(0.5) == 1 and calls.count(2.0) == 1
-    calls.clear()
-    assert expand_bracket(g, 0.5, 2.0, flo=f(0.5), fhi=f(2.0)) == bracket
-    assert calls == []
+
+
+def test_find_log_root_ends_where_the_float_grid_does():
+    # a root half-way between two neighbouring floats just above 1, where
+    # the residual never falls to RESIDUAL_FLOOR and find_root's bracket test
+    # in x = log v is far finer than an ulp of v: the root ends once the next
+    # x rounds to a v already evaluated, at the v with the smallest residual
+    v0, ulp = 1.0 + 8 * math.ulp(1.0), math.ulp(1.0)
+
+    def f(v):
+        return 1e3 * ((v - v0) - 0.5 * ulp)
+
+    g, calls = counted(f)
+    v = find_log_root(g, 0.5, 2.0)
+    assert v in (v0, v0 + ulp)
+    assert len(set(calls)) == len(calls) <= 12
+
+
+def test_find_log_root_checks_the_residual_where_the_grid_ends():
+    # a jump of 1 at v = 1 leaves no float price with a residual in tolerance
+    with pytest.raises(SolverError, match="where the float grid ends"):
+        find_log_root(lambda v: -1.0 if v < 1.0 else 1.0, 0.5, 2.0)
