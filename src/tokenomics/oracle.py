@@ -1,25 +1,27 @@
-"""Brute-force grid oracles.
+"""Grid oracles.
 
-Slow, dumb cross-checks for the analytic solvers: a token-holdings best
-response by direct search over a holdings grid, and a first-best allocation
-by product-grid enumeration. Neither shares any solution logic with the
-solvers; both only reuse the primitive utility and cost evaluations. The
-activity bought at each grid balance is the budget-capped demand in closed
-form: only holdings are searched on a grid.
+Cross-checks for the analytic solvers: a token-holdings best response on a
+holdings grid, and a first-best allocation by product-grid enumeration.
+Neither shares any solution logic with the solvers; both only reuse the
+primitive utility and cost definitions. The activity bought at each grid
+balance is the budget-capped demand in closed form: only holdings are
+searched on a grid.
 
 Tie handling is deterministic: among grid values within a small tolerance
 of the maximum, the smallest index wins. The tolerance matters because a
 carry-cost-free optimum (token return equal to r) leaves the objective
 exactly flat above the optimal holdings. It is relative to the largest
 magnitude among the scored values, so rounding is absorbed at any utility
-scale while neighbouring grid points of a small objective stay distinct.
+scale while neighbouring grid points of a small objective stay distinct;
+the holdings tolerance also scales with the grid's upper bound, the size
+of the rounding where the carry terms -m and beta (1 + r) m cancel.
 
-The holdings search stays brute force, but is written to make few passes
-over its arrays: the grid is a cached index array times the step, and the
-objective is accumulated in place, state by state.
-
-numpy is imported where the grids are built, so importing the package
-(and running the CLI commands that need no oracle) does not load it.
+The holdings objective is concave in m (see grid_best_response), so its
+grid argmax is found by bisection from a few dozen points, scored in plain
+floats; the first best scores every cell of its product grid. numpy
+is used only there, by grid_first_best and GridSpec.values, and imported
+where those grids are built, so importing the package, and every CLI
+command but verify, does not load it.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
 
 from . import econ_core as ec
 from .errors import OracleError
@@ -79,12 +81,6 @@ def _tie_tol(vmin: float, vmax: float) -> float:
     return TIE_RTOL * max(abs(vmin), abs(vmax))
 
 
-def _tie_argmax(values: np.ndarray) -> int:
-    vmax = float(values.max())
-    tol = _tie_tol(float(values.min()), vmax)
-    return int((values >= vmax - tol).argmax())
-
-
 def _utility_on_grid(f: ec.Utility, a: np.ndarray) -> np.ndarray:
     import numpy as np
 
@@ -96,17 +92,51 @@ def _utility_on_grid(f: ec.Utility, a: np.ndarray) -> np.ndarray:
     return u
 
 
-def _net_flow(f: ec.UtilityFn, eff_price: float, wealth: np.ndarray) -> np.ndarray:
-    """u(a*) - eff_price * a* with a* the budget-capped demand, per wealth."""
-    import numpy as np
+def _holdings_objective(
+    utility_by_state: Mapping[int, ec.Utility],
+    probs: Mapping[int, float],
+    prices: Mapping[int, float],
+    taxes: Mapping[int, float],
+    returns: Mapping[int, float],
+    r: float,
+) -> Callable[[float], float]:
+    """m -> -m + beta * E[u(a*) + (1 + rT) m - (1 + theta) p a*], with a*
+    the budget-capped demand min((1 + rT) m / ((1 + theta) p), u'^-1((1 + theta) p)).
 
-    unconstrained = (f.scale / eff_price) ** (1.0 / f.curvature)
-    a_star = wealth / eff_price
-    np.minimum(a_star, unconstrained, out=a_star)
-    net = _utility_on_grid(f, a_star)
-    a_star *= eff_price
-    net -= a_star
-    return net
+    States are summed in label order and states of probability 0 are left
+    out. A token return <= -1 in a state that occurs raises ValueError: the
+    state's wealth would be negative for every positive balance.
+    """
+    beta = 1.0 / (1.0 + r)
+    terms = []
+    for s in sorted(utility_by_state):
+        pi = probs[s]
+        if pi <= 0.0:
+            continue
+        gross_return = 1.0 + returns[s]
+        if gross_return <= 0.0:
+            raise ValueError(f"token return must exceed -1 in state {s}, got {returns[s]!r}")
+        f = utility_by_state[s]
+        eff_price = (1.0 + taxes[s]) * prices[s]
+        if isinstance(f, ec.ZeroUtility) or not eff_price > 0.0:
+            demand = None  # the state adds its wealth alone
+        else:
+            unconstrained = (f.scale / eff_price) ** (1.0 / f.curvature)
+            demand = (eff_price, unconstrained, f.scale, 1.0 - f.curvature)
+        terms.append((gross_return, beta * pi, demand))
+
+    def objective(m: float) -> float:
+        value = -m
+        for gross_return, weight, demand in terms:
+            term = gross_return * m
+            if demand is not None:
+                eff_price, unconstrained, scale, power = demand
+                a_star = min(term / eff_price, unconstrained)
+                term += a_star**power * scale / power - a_star * eff_price
+            value += term * weight
+        return value
+
+    return objective
 
 
 def grid_best_response(
@@ -120,45 +150,61 @@ def grid_best_response(
 ) -> tuple[float, float]:
     """Best token holdings for one agent facing fixed market conditions.
 
-    Evaluates -m + beta * E[u(a*) + (1 + rT) m - (1 + theta) p a*] on the
+    Maximises -m + beta * E[u(a*) + (1 + rT) m - (1 + theta) p a*] over the
     m-grid, where a* is the budget-capped demand: the marginal-utility
-    inversion, cut to what the state's wealth buys.
+    inversion, cut to what the state's wealth buys. The grid point of index
+    i is i * upper / (points - 1), the last one upper itself.
+
+    The objective is concave in m: with curvature in (0, 1) and 1 + rT > 0,
+    each state's wealth plus net flow rises with slope u'(a*) / ((1 + theta) p)
+    >= 1 while the budget binds and with slope 1 once demand is satiated, a
+    concave nondecreasing function of wealth, which is linear in m. So its
+    grid values rise to a peak and then fall (or stay flat, at a token return
+    equal to r), and the search scores a few dozen points, not the grid:
+    bisection on V(i) < V(i + 1) finds the peak, and bisection on [0, peak]
+    finds the smallest index within TIE_RTOL * max(|vmin|, |vmax|, upper) of
+    it, vmin the lower of the two grid ends. The upper bound in that
+    tolerance absorbs the rounding left where -m and beta (1 + r) m cancel.
 
     The grid auto-expands (doubling the upper bound, up to 4 times) whenever
     the argmax lands on the upper boundary; persistent boundary solutions raise
     OracleError, which is the expected signal for non-existent optima such
     as a token return above r.
     """
-    states = sorted(utility_by_state)
-    beta = 1.0 / (1.0 + r)
+    objective = _holdings_objective(utility_by_state, probs, prices, taxes, returns, r)
+    last = m_grid.points - 1
 
     for _ in range(_MAX_EXPANSIONS + 1):
-        m = m_grid.values()
-        value = None
-        for s in states:
-            f = utility_by_state[s]
-            pi = probs[s]
-            if pi <= 0.0:
-                continue
-            gross_return = 1.0 + returns[s]
-            eff_price = (1.0 + taxes[s]) * prices[s]
-            # beta * pi * (wealth + net flow), built in place; a state with
-            # no demand adds its wealth alone
-            term = gross_return * m
-            if not isinstance(f, ec.ZeroUtility) and eff_price > 0.0:
-                term += _net_flow(f, eff_price, term)
-            term *= beta * pi
-            if value is None:
-                term -= m
-                value = term
+        upper = m_grid.upper
+        step = upper / last
+        scored: dict[int, float] = {}
+
+        def value(i: int) -> float:
+            v = scored.get(i)
+            if v is None:
+                v = scored[i] = objective(upper if i == last else i * step)
+            return v
+
+        lo, hi = 0, last
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if value(mid) < value(mid + 1):
+                lo = mid + 1
             else:
-                value += term
-        if value is None:
-            value = -m
-        best = _tie_argmax(value)
-        if best < m.size - 1:
-            return float(m[best]), float(value[best])
-        m_grid = GridSpec(m_grid.upper * 2.0, m_grid.points)
+                hi = mid
+        vmax = value(lo)
+        vmin = min(value(0), value(last))
+        floor = vmax - TIE_RTOL * max(abs(vmin), abs(vmax), upper)
+        lo, hi = 0, lo
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if value(mid) >= floor:
+                hi = mid
+            else:
+                lo = mid + 1
+        if lo < last:
+            return lo * step, value(lo)
+        m_grid = GridSpec(upper * 2.0, m_grid.points)
 
     raise OracleError(
         f"holdings argmax stayed on the grid boundary after {_MAX_EXPANSIONS} "

@@ -156,8 +156,6 @@ def sweep_tax(
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        import numpy  # noqa: F401 -- loaded once here, so every forked worker has it
-
         # solved before the work items are pickled, so every worker gets it
         expected_first_best_surplus(cfg)
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -194,19 +194,48 @@ def test_path_friedman_target(tmp_path):
     assert float(last[1]) == pytest.approx(100.0 / 1.05**5, rel=1e-12)
 
 
-def test_path_does_not_import_numpy(tmp_path):
-    # only the grid oracles need numpy; a fresh interpreter shows what path loads
+def run_without_numpy(args):
+    """Run the CLI in a fresh interpreter in which importing numpy fails, in
+    the process and in every sweep worker forked from it."""
     src = str(Path(cli.__file__).resolve().parents[1])
     code = (
         "import sys\n"
         f"sys.path.insert(0, {src!r})\n"
+        "sys.modules['numpy'] = None\n"
         "from tokenomics import cli\n"
-        f"code = cli.main(['path', '--config', {DET!r}, '--rule', 'tax_and_burn', "
-        f"'--theta', '0.02', '--M0', '100', '--T', '5', '--out', {str(tmp_path)!r}])\n"
+        f"code = cli.main({args!r})\n"
         "assert code == 0, code\n"
-        "assert 'numpy' not in sys.modules\n"
     )
     subprocess.run([sys.executable, "-c", code], check=True)
+
+
+def test_path_does_not_import_numpy(tmp_path):
+    # only grid_first_best (verify) needs numpy
+    run_without_numpy(
+        ["path", "--config", DET, "--rule", "tax_and_burn", "--theta", "0.02",
+         "--M0", "100", "--T", "5", "--out", str(tmp_path)]
+    )
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["scenario", "--config", DET, "--regime", "friedman"],
+        ["scenario", "--config", DET, "--regime", "deterministic", "--theta", "0.02"],
+        ["scenario", "--config", IID, "--regime", "iid", "--theta", "0.02"],
+        ["scenario", "--config", COMMON, "--regime", "common", "--theta", "0.02"],
+        ["scenario", "--config", HET, "--regime", "heterogeneous", "--theta", "0.05"],
+        ["sweep", "--config", HET, "--regime", "heterogeneous", "--theta-max", "0.1",
+         "--points", "3", "--jobs", "1"],
+        ["sweep", "--config", HET, "--regime", "heterogeneous", "--theta-max", "0.1",
+         "--points", "3", "--jobs", "2"],
+    ],
+    ids=["friedman", "deterministic", "iid", "common", "heterogeneous", "sweep-jobs-1",
+         "sweep-jobs-2"],
+)
+def test_scenario_and_sweep_do_not_import_numpy(tmp_path, args):
+    # the holdings oracle that scores every scenario and sweep point is plain floats
+    run_without_numpy(args + ["--out", str(tmp_path)])
 
 
 def test_path_tax_and_burn_requires_theta_compatible_shocks(tmp_path, capsys):

@@ -705,6 +705,9 @@ def test_heterogeneous_clears_never_evaluate_load_twice_at_one_price(het_cfg, mo
     cost_curvature=st.floats(0.05, 3.0),
     theta=st.floats(0.0, 0.2),
 )
+# the planner's congested price is its shadow marginal value, here c'(1) =
+# 0.2; u'(a) recomputed from the stored activity reads 0.19999999999999998
+@example(ec.ShockKind.DETERMINISTIC, 0.0625, 0.0, 1.0, 0.20000000000000004, 0.5, 0.2, 1.0, 0.0)
 def test_every_state_clears_blockspace(
     kind, r, gamma, rho, scale, curvature, cost_scale, cost_curvature, theta
 ):
@@ -729,6 +732,7 @@ def test_every_state_clears_blockspace(
         marginal = ec.u_prime(cfg.agent_types[0].utility_in(state), alloc.activities["users"])
         if alloc.congested:
             assert marginal == pytest.approx(alloc.shadow_marginal, rel=1e-12)
+            marginal = alloc.shadow_marginal
         _assert_clears(cfg.cost, marginal, alloc.total, alloc.congested)
 
 

@@ -2,8 +2,8 @@
 
 No linter ships with the test extras, so this walks each module's syntax
 tree. An import whose line carries ``# noqa`` is exempt: it is loaded for
-its side effect (numpy in sweep_tax, loaded once before workers fork).
-Names listed in ``__all__`` count as used, so re-exports pass.
+its side effect. Names listed in ``__all__`` count as used, so re-exports
+pass.
 """
 
 import ast
