@@ -25,7 +25,7 @@ from . import econ_core as ec
 from . import equilibrium as eqm
 from .errors import ConfigError, InfeasiblePolicyError, SolverError, TokenomicsError
 from .first_best import first_best_allocation, flow_surplus
-from .oracle import GridSpec, grid_first_best
+from .oracle import GridSpec, grid_first_best, holdings_ascent
 from .policy import SupplyRule, SupplyRuleKind, supply_path
 from .welfare import WelfareReport, _grid, evaluate, proposition_report, sweep_tax
 
@@ -309,27 +309,20 @@ def run_supply_path(args) -> int:
     return EXIT_OK
 
 
-#: demand family -> regimes whose holdings the grid oracle cross-checks
-_ORACLE_REGIMES = {
-    "deterministic": ("friedman", "deterministic"),
-    "iid": ("iid",),
-    "common": ("common",),
-    "heterogeneous": ("heterogeneous",),
-}
-
-
 def _oracle_checks(cfg: ec.EconomyConfig, score: Scorer) -> list[dict]:
-    """Grid-search cross-checks of the analytic solvers on this config."""
+    """Grid-search cross-checks of the analytic solvers on this config: every
+    regime of its family, at theta = 0 and 0.05 where the regime is taxed."""
     checks: list[dict] = []
     worst_holdings = 0.0
     worst_ascent = 0.0
-    for regime in _ORACLE_REGIMES[eqm.family(cfg)]:
-        for theta in (0.0, 0.05):
-            if regime == "friedman" and theta:
-                continue
+    fam = eqm.family(cfg)
+    for regime, row in eqm.REGIMES.items():
+        if row.family != fam:
+            continue
+        for theta in (0.0, 0.05) if row.taxed else (0.0,):
             eq, report = score(regime, theta)
             worst_holdings = max(worst_holdings, report.oracle_delta_max)
-            worst_ascent = max(worst_ascent, *eqm.holdings_ascent(cfg, eq).values())
+            worst_ascent = max(worst_ascent, *holdings_ascent(cfg, eq).values())
     checks.append({
         "name": "oracle_holdings_agreement",
         "status": "pass" if worst_holdings <= 2.0 else "fail",
@@ -504,6 +497,8 @@ def _validate_usage(args) -> str | None:
             return "--M0 must be positive"
         if args.q0 <= 0:
             return "--q0 must be positive"
+        if args.theta < 0:
+            return "--theta must be >= 0"
     return None
 
 

@@ -1,6 +1,11 @@
 """Steady-state competitive equilibrium of the token economy.
 
-Two solvers cover the five regimes:
+REGIMES is the one regime table: its row for each regime gives the demand
+family of the configs the regime solves (family(): 'deterministic', 'iid',
+'common' or 'heterogeneous'), whether it takes a tax, and its solver.
+solve_regime is the one entry point: it checks the config's family and the
+sign of the tax, runs the row's solver and logs the result. Two solvers
+cover the five regimes:
 
 * _solve_law solves the four regimes whose token return is fixed in closed
   form by the supply rule, one row of _LAWS each: friedman (deterministic
@@ -8,9 +13,7 @@ Two solvers cover the five regimes:
   shocks, one type) and common (one aggregate binary shock, one type, no
   trade in the low state). A row gives the return law, the wedge u'(a)/p
   of the trading state and what state 0 is; the market then clears once.
-  solve_friedman, solve_deterministic, solve_iid_shocks and
-  solve_common_shock are its public entry points.
-* solve_heterogeneous: common binary shock with a shocked and an unshocked
+* _solve_heterogeneous: common binary shock with a shocked and an unshocked
   type competing for blockspace. The return feeds back into demand, so it
   is the outer root and prices are solved for each trial return. Each
   type's budget binds in the high state, the low state or both, whichever
@@ -19,9 +22,7 @@ Two solvers cover the five regimes:
 Every solver, and the planner's first best, clears each market through one
 kernel (first_best._clear_blockspace): at the unit capacity when demand at
 the marginal cost of capacity exceeds it, and at price equal to marginal
-cost below capacity otherwise. REGIMES maps each regime name to its
-solver, and family() names a config's demand family ('deterministic', 'iid',
-'common' or 'heterogeneous').
+cost below capacity otherwise.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Callable
 
 from . import econ_core as ec
@@ -111,22 +113,6 @@ class SteadyStateEquilibrium:
 
 
 # ---------------------------------------------------------------------------
-# demand and supply primitives
-# ---------------------------------------------------------------------------
-
-
-def user_demand(f: ec.Utility, effective_price: float, wealth: float) -> float:
-    """Activity bought at the tax-inclusive price, capped by the token budget."""
-    if isinstance(f, ec.ZeroUtility):
-        return 0.0
-    if effective_price <= 0:
-        raise ValueError(f"effective price must be positive, got {effective_price}")
-    if wealth < 0:
-        raise ValueError(f"wealth must be nonnegative, got {wealth}")
-    return min(ec.u_prime_inv(f, effective_price), wealth / effective_price)
-
-
-# ---------------------------------------------------------------------------
 # closed-form return laws
 # ---------------------------------------------------------------------------
 
@@ -135,15 +121,14 @@ def user_demand(f: ec.Utility, effective_price: float, wealth: float) -> float:
 class _Law:
     """A regime whose token return is fixed in closed form by its supply rule.
 
-    shocks is the shock kind the regime requires; its value also names the
-    Regime of the solution. token_return and wedge take (theta, r, gamma,
-    rho); the wedge is u'(a) / p in the trading state 1, so the market clears
-    once. idle says what state 0 is: None (there is none), "iid" (idle
-    holders share the trading market) or "shut" (no trade, no burn, zero
-    return).
+    regime is the Regime the solution reports. token_return and wedge take
+    (theta, r, gamma, rho); the wedge is u'(a) / p in the trading state 1,
+    so the market clears once. idle says what state 0 is: None (there is
+    none), "iid" (idle holders share the trading market) or "shut" (no
+    trade, no burn, zero return).
     """
 
-    shocks: ec.ShockKind
+    regime: Regime
     token_return: Callable[[float, float, float, float], float]
     wedge: Callable[[float, float, float, float], float]
     idle: str | None
@@ -158,9 +143,9 @@ class _Law:
 _LAWS: dict[str, _Law] = {
     # Friedman rule: supply contracts at (1+gamma)/(1+r), so rT = r and holding
     # tokens is costless; the static margin u'(a) = p is the planner's, and a
-    # congested fee is the capacity shadow value. solve_friedman sets theta = 0.
+    # congested fee is the capacity shadow value. It takes no tax: theta = 0.
     "friedman": _Law(
-        ec.ShockKind.DETERMINISTIC,
+        Regime.DETERMINISTIC,
         lambda theta, r, gamma, rho: r,
         lambda theta, r, gamma, rho: 1.0,
         None,
@@ -169,7 +154,7 @@ _LAWS: dict[str, _Law] = {
     # 1 + rT = (1+theta)(1+gamma); the surcharge and the capital gain it funds
     # cancel out of the margin u'(a)/p = (1+r)/(1+gamma): the tax is neutral.
     "deterministic": _Law(
-        ec.ShockKind.DETERMINISTIC,
+        Regime.DETERMINISTIC,
         lambda theta, r, gamma, rho: (1.0 + theta) * (1.0 + gamma) - 1.0,
         lambda theta, r, gamma, rho: (1.0 + r) / (1.0 + gamma),
         None,
@@ -180,7 +165,7 @@ _LAWS: dict[str, _Law] = {
     # idle balances and distorts the active margin. The wedge solves the holdings
     # FOC rho (1+rT) u'(a)/((1+theta)p) + (1-rho)(1+rT) = 1+r at that return.
     "iid": _Law(
-        ec.ShockKind.IID_BINARY,
+        Regime.IID_BINARY,
         lambda theta, r, gamma, rho:
             (1.0 + gamma) * (1.0 + theta) / (1.0 + (1.0 - rho) * theta) - 1.0,
         lambda theta, r, gamma, rho:
@@ -192,7 +177,7 @@ _LAWS: dict[str, _Law] = {
     # u'(a)/p = (rho+r)/((1+gamma)rho) does not involve theta: the surcharge is
     # exactly offset by the deflation it funds.
     "common": _Law(
-        ec.ShockKind.COMMON_BINARY,
+        Regime.COMMON_BINARY,
         lambda theta, r, gamma, rho: (1.0 + theta) * (1.0 + gamma) - 1.0,
         lambda theta, r, gamma, rho: (rho + r) / ((1.0 + gamma) * rho),
         "shut",
@@ -203,10 +188,6 @@ _LAWS: dict[str, _Law] = {
 def _solve_law(name: str, cfg: ec.EconomyConfig, theta: float) -> SteadyStateEquilibrium:
     """Steady state of the closed-form regime _LAWS[name] at tax theta."""
     law = _LAWS[name]
-    if cfg.shocks.kind is not law.shocks:
-        raise ConfigError(f"the {name} regime requires shock kind {law.shocks.value!r}")
-    if theta < 0:
-        raise ConfigError(f"tax rate must be nonnegative, got {theta}")
     types = cfg.agent_types
     if law.idle is not None and (
         len(types) != 1 or types[0].is_active(0) or not types[0].is_active(1)
@@ -241,32 +222,12 @@ def _solve_law(name: str, cfg: ec.EconomyConfig, theta: float) -> SteadyStateEqu
     elif law.idle == "shut":
         states[0] = StateOutcome(0.0, 0.0, 0.0, idle_acts, False, 0.0)
     return SteadyStateEquilibrium(
-        regime=Regime(law.shocks.value),
+        regime=law.regime,
         states=states,
         holdings=holdings,
         expected_return=rho * rt if law.idle == "shut" else rt,
         aggregate_real_balances=math.fsum(t.mass * holdings[t.name] for t in types),
     )
-
-
-def solve_friedman(cfg: ec.EconomyConfig) -> SteadyStateEquilibrium:
-    """Optimal-rule steady state for deterministic demand: rT = r, first-best activity."""
-    return _solve_law("friedman", cfg, 0.0)
-
-
-def solve_deterministic(cfg: ec.EconomyConfig, theta: float) -> SteadyStateEquilibrium:
-    """Tax-and-burn steady state for deterministic demand (neutral in theta)."""
-    return _solve_law("deterministic", cfg, theta)
-
-
-def solve_iid_shocks(cfg: ec.EconomyConfig, theta: float) -> SteadyStateEquilibrium:
-    """Tax-and-burn steady state under idiosyncratic binary shocks, one user type."""
-    return _solve_law("iid", cfg, theta)
-
-
-def solve_common_shock(cfg: ec.EconomyConfig, theta_high: float) -> SteadyStateEquilibrium:
-    """Tax-and-burn steady state under a common binary shock, one user type."""
-    return _solve_law("common", cfg, theta_high)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +248,7 @@ def heterogeneous_roles(cfg: ec.EconomyConfig) -> tuple[ec.AgentTypeSpec, ec.Age
     for t in (a, b):
         if not (t.is_active(0) and t.is_active(1)):
             raise ConfigError(
-                "solve_heterogeneous requires both types active in both states"
+                "the heterogeneous regime requires both types active in both states"
             )
     # u'(1) of an isoelastic utility is its scale, as 1.0 ** -c == 1.0
     if b.utility_in(1).scale > a.utility_in(1).scale:
@@ -295,7 +256,7 @@ def heterogeneous_roles(cfg: ec.EconomyConfig) -> tuple[ec.AgentTypeSpec, ec.Age
     return a, b
 
 
-def solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyStateEquilibrium:
+def _solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyStateEquilibrium:
     """Tax-and-burn steady state with a shocked and an unshocked user type.
 
     High state: the shocked type values activity highly, blockspace clears at
@@ -346,22 +307,14 @@ def solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyState
     high state is not congested for this theta; that uncongested equilibrium
     is returned with congestion_broken = True.
     """
-    if cfg.shocks.kind is not ec.ShockKind.COMMON_BINARY:
-        raise ConfigError("solve_heterogeneous requires a common binary shock process")
-    if len(cfg.agent_types) != 2:
-        raise ConfigError(
-            f"solve_heterogeneous requires exactly two agent types, got {len(cfg.agent_types)}"
-        )
     if cfg.gamma != 0.0:
-        raise ConfigError("solve_heterogeneous requires gamma = 0")
-    if theta_high < 0:
-        raise ConfigError(f"tax rate must be nonnegative, got {theta_high}")
+        raise ConfigError("the heterogeneous regime requires gamma = 0")
 
     roles = heterogeneous_roles(cfg)
     (ka, ua1, ua0), (kb, ub1, ub0) = ((t.mass, t.utility_in(1), t.utility_in(0)) for t in roles)
     rho, r = cfg.shocks.rho, cfg.r
     if rho >= 1.0:
-        raise ConfigError("solve_heterogeneous needs rho < 1: the low state must occur")
+        raise ConfigError("the heterogeneous regime needs rho < 1: the low state must occur")
 
     # for the DEBUG line: the prices each high-state clear evaluated its
     # load at, the low-state load evaluations, the holdings FOC evaluations
@@ -603,24 +556,57 @@ def solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyState
 
 
 # ---------------------------------------------------------------------------
-# dispatch
+# the regime table
 # ---------------------------------------------------------------------------
 
-#: regime name -> solver(cfg, theta)
-REGIMES: dict[str, Callable[[ec.EconomyConfig, float], SteadyStateEquilibrium]] = {
-    "friedman": lambda cfg, theta: solve_friedman(cfg),
-    "deterministic": solve_deterministic,
-    "iid": solve_iid_shocks,
-    "common": solve_common_shock,
-    "heterogeneous": solve_heterogeneous,
+
+def family(cfg: ec.EconomyConfig) -> str:
+    """Demand family of a config: 'deterministic', 'iid', 'common' (not two
+    types) or 'heterogeneous' (two types under a common shock)."""
+    if cfg.shocks.kind is ec.ShockKind.DETERMINISTIC:
+        return "deterministic"
+    if cfg.shocks.kind is ec.ShockKind.IID_BINARY:
+        return "iid"
+    return "heterogeneous" if len(cfg.agent_types) == 2 else "common"
+
+
+@dataclass(frozen=True)
+class RegimeRow:
+    """A regime: the family() of the configs it solves, whether it takes a
+    tax (one that does not is solved at theta = 0) and its solver(cfg, theta)."""
+
+    family: str
+    taxed: bool
+    solve: Callable[[ec.EconomyConfig, float], SteadyStateEquilibrium]
+
+
+REGIMES: dict[str, RegimeRow] = {
+    "friedman": RegimeRow("deterministic", False, partial(_solve_law, "friedman")),
+    "deterministic": RegimeRow("deterministic", True, partial(_solve_law, "deterministic")),
+    "iid": RegimeRow("iid", True, partial(_solve_law, "iid")),
+    "common": RegimeRow("common", True, partial(_solve_law, "common")),
+    "heterogeneous": RegimeRow("heterogeneous", True, _solve_heterogeneous),
 }
 
 
 def solve_regime(cfg: ec.EconomyConfig, regime: str, theta: float = 0.0) -> SteadyStateEquilibrium:
-    """Run the named solver ('friedman' ignores theta); logs the result at INFO."""
-    if regime not in REGIMES:
+    """Steady state of the named regime at tax theta ('friedman' ignores
+    theta); logs the result at INFO.
+
+    ConfigError if the regime is unknown, if cfg is not of the family the
+    regime solves, or if a taxed regime gets a negative theta.
+    """
+    row = REGIMES.get(regime)
+    if row is None:
         raise ConfigError(f"unknown regime {regime!r}; expected one of {tuple(REGIMES)}")
-    eq = REGIMES[regime](cfg, theta)
+    fam = family(cfg)
+    if fam != row.family:
+        raise ConfigError(
+            f"the {regime} regime solves {row.family!r} configs; this config's family is {fam!r}"
+        )
+    if row.taxed and theta < 0:
+        raise ConfigError(f"tax rate must be nonnegative, got {theta}")
+    eq = row.solve(cfg, theta if row.taxed else 0.0)
     if log.isEnabledFor(logging.INFO):
         log.info(
             "solved %s theta=%r E[rT]=%r congested=%s congestion_broken=%s",
@@ -629,16 +615,6 @@ def solve_regime(cfg: ec.EconomyConfig, regime: str, theta: float = 0.0) -> Stea
             eq.congestion_broken,
         )
     return eq
-
-
-def family(cfg: ec.EconomyConfig) -> str:
-    """Demand family of a config: 'deterministic', 'iid', 'common' (one type)
-    or 'heterogeneous' (two types under a common shock)."""
-    if cfg.shocks.kind is ec.ShockKind.DETERMINISTIC:
-        return "deterministic"
-    if cfg.shocks.kind is ec.ShockKind.IID_BINARY:
-        return "iid"
-    return "heterogeneous" if len(cfg.agent_types) == 2 else "common"
 
 
 # ---------------------------------------------------------------------------
@@ -686,50 +662,3 @@ def shock_foc_residual(
             else:
                 residuals[(t.name, s)] = 0.0
     return residuals
-
-
-def holdings_objective(
-    cfg: ec.EconomyConfig, eq: SteadyStateEquilibrium, type_name: str, m: float
-) -> float:
-    """One agent's period-pair value of entering with balance m at fixed prices.
-
-    -m + beta * E[u(a*) + (1 + rT) m - (1 + theta) p a*], where a* is the
-    budget-capped demand. This is the objective whose stationary point the
-    equilibrium holdings should be.
-    """
-    spec = next(t for t in cfg.agent_types if t.name == type_name)
-    value = -m
-    for s, out in eq.states.items():
-        pi = cfg.shocks.probability(s)
-        if pi <= 0:
-            continue
-        wealth = (1.0 + out.token_return) * m
-        f = spec.utility_in(s)
-        if isinstance(f, ec.ZeroUtility) or out.effective_price <= 0 or wealth <= 0:
-            flow = wealth
-        else:
-            a = user_demand(f, out.effective_price, wealth)
-            flow = ec.u_eval(f, a) + wealth - out.effective_price * a
-        value += cfg.beta * pi * flow
-    return value
-
-
-def holdings_ascent(cfg: ec.EconomyConfig, eq: SteadyStateEquilibrium) -> dict[str, float]:
-    """Largest gain per token from moving each type's balance m one step of
-    1e-6 * m up or down.
-
-    The holdings objective is concave in m, so at its maximum neither step
-    gains and the reading is at most rounding, also where rT = r puts the
-    optimum on a kink (flat above, concave below). A centered difference
-    reads step / 4 times the curvature below the kink there, a figure that
-    scales with the config.
-    """
-    out: dict[str, float] = {}
-    for t in cfg.agent_types:
-        m = eq.holdings[t.name]
-        step = 1e-6 * m if m > 0.0 else 1e-6
-        here = holdings_objective(cfg, eq, t.name, m)
-        up = holdings_objective(cfg, eq, t.name, m + step) - here
-        down = holdings_objective(cfg, eq, t.name, max(m - step, 0.0)) - here
-        out[t.name] = max(up, down) / step
-    return out

@@ -1,11 +1,12 @@
 """Grid oracles.
 
 Cross-checks for the analytic solvers: a token-holdings best response on a
-holdings grid, and a first-best allocation by product-grid enumeration.
-Neither shares any solution logic with the solvers; both only reuse the
-primitive utility and cost definitions. The activity bought at each grid
-balance is the budget-capped demand in closed form: only holdings are
-searched on a grid.
+holdings grid, one-sided steps of the same holdings objective from solver
+holdings (holdings_ascent), and a first-best allocation by product-grid
+enumeration. None shares any solution logic with the solvers; all only
+reuse the primitive utility and cost definitions. The activity bought at
+each grid balance is the budget-capped demand in closed form: only
+holdings are searched on a grid.
 
 Tie handling is deterministic: among grid values within a small tolerance
 of the maximum, the smallest index wins. The tolerance matters because a
@@ -37,6 +38,8 @@ from .first_best import Allocation
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .equilibrium import SteadyStateEquilibrium
 
 #: relative tolerance for treating grid values as tied at the maximum
 TIE_RTOL = 1e-11
@@ -137,6 +140,45 @@ def _holdings_objective(
         return value
 
     return objective
+
+
+def holdings_objective(
+    cfg: ec.EconomyConfig, eq: SteadyStateEquilibrium, type_name: str
+) -> Callable[[float], float]:
+    """m -> the holdings objective of the named type at the prices, taxes
+    and token returns of eq."""
+    spec = next(t for t in cfg.agent_types if t.name == type_name)
+    states = eq.states
+    return _holdings_objective(
+        {s: spec.utility_in(s) for s in states},
+        {s: cfg.shocks.probability(s) for s in states},
+        {s: out.price for s, out in states.items()},
+        {s: out.tax for s, out in states.items()},
+        {s: out.token_return for s, out in states.items()},
+        cfg.r,
+    )
+
+
+def holdings_ascent(cfg: ec.EconomyConfig, eq: SteadyStateEquilibrium) -> dict[str, float]:
+    """Largest gain per token from moving each type's balance m one step of
+    1e-6 * m up or down.
+
+    The holdings objective is concave in m, so at its maximum neither step
+    gains and the reading is at most rounding, also where rT = r puts the
+    optimum on a kink (flat above, concave below). A centered difference
+    reads step / 4 times the curvature below the kink there, a figure that
+    scales with the config.
+    """
+    out: dict[str, float] = {}
+    for t in cfg.agent_types:
+        objective = holdings_objective(cfg, eq, t.name)
+        m = eq.holdings[t.name]
+        step = 1e-6 * m if m > 0.0 else 1e-6
+        here = objective(m)
+        up = objective(m + step) - here
+        down = objective(max(m - step, 0.0)) - here
+        out[t.name] = max(up, down) / step
+    return out
 
 
 def grid_best_response(

@@ -158,7 +158,8 @@ def sweep_tax(
 
         # solved before the work items are pickled, so every worker gets it
         expected_first_best_surplus(cfg)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # a forked pool starts all its workers when it opens: one per point at most
+        with ProcessPoolExecutor(max_workers=min(jobs, len(work))) as pool:
             rows = list(pool.map(_sweep_point, work))
     else:
         rows = [_sweep_point(w) for w in work]

@@ -37,28 +37,28 @@ def _report(num: str, ok: bool, detail: str) -> None:
 @pytest.fixture(scope="module")
 def equilibria(det_cfg, iid_cfg, common_cfg, het_cfg):
     """Every converged equilibrium the battery inspects, across all regimes."""
-    rows = [("friedman", det_cfg, eqm.solve_friedman(det_cfg))]
+    rows = [("friedman", det_cfg, eqm.solve_regime(det_cfg, "friedman"))]
     for th in ELEVEN:
-        rows.append((f"det:{th}", det_cfg, eqm.solve_deterministic(det_cfg, th)))
+        rows.append((f"det:{th}", det_cfg, eqm.solve_regime(det_cfg, "deterministic", th)))
     for th in (0.0, 0.02, 0.04, 0.06, 0.08, 0.1):
-        rows.append((f"iid:{th}", iid_cfg, eqm.solve_iid_shocks(iid_cfg, th)))
+        rows.append((f"iid:{th}", iid_cfg, eqm.solve_regime(iid_cfg, "iid", th)))
     for th in ELEVEN:
-        rows.append((f"common:{th}", common_cfg, eqm.solve_common_shock(common_cfg, th)))
+        rows.append((f"common:{th}", common_cfg, eqm.solve_regime(common_cfg, "common", th)))
     for th in (0.0, 0.025, 0.05, 0.075, 0.1):
-        rows.append((f"het:{th}", het_cfg, eqm.solve_heterogeneous(het_cfg, th)))
+        rows.append((f"het:{th}", het_cfg, eqm.solve_regime(het_cfg, "heterogeneous", th)))
     return rows
 
 
 def test_criterion_01_optimal_rule_matches_first_best(det_cfg):
     start = time.perf_counter()
-    eq = eqm.solve_friedman(det_cfg)
+    eq = eqm.solve_regime(det_cfg, "friedman")
     fb = first_best_allocation(det_cfg, 1)
     gap = max(
         abs(eq.states[1].activities[n] - fb.activities[n]) for n in fb.activities
     )
     w_friedman = wf.evaluate(det_cfg, eq).expected_flow_welfare
     w_burn = [
-        wf.evaluate(det_cfg, eqm.solve_deterministic(det_cfg, th)).expected_flow_welfare
+        wf.evaluate(det_cfg, eqm.solve_regime(det_cfg, "deterministic", th)).expected_flow_welfare
         for th in ELEVEN
     ]
     slack = w_friedman - max(w_burn)
@@ -92,7 +92,7 @@ def test_criterion_02_target_rule_supply_ratio():
 
 
 def test_criterion_03_deterministic_tax_neutrality(det_cfg):
-    eqs = [eqm.solve_deterministic(det_cfg, th) for th in ELEVEN]
+    eqs = [eqm.solve_regime(det_cfg, "deterministic", th) for th in ELEVEN]
     acts = [e.states[1].activities["users"] for e in eqs]
     spread = max(acts) - min(acts)
     rt_err = max(
@@ -154,7 +154,7 @@ def test_criterion_05_iid_return_and_argmax(iid_cfg):
 
 def test_criterion_06_common_shock_neutrality(common_cfg):
     rho = common_cfg.shocks.rho
-    eqs = [eqm.solve_common_shock(common_cfg, th) for th in ELEVEN]
+    eqs = [eqm.solve_regime(common_cfg, "common", th) for th in ELEVEN]
     acts = [e.states[1].activities["users"] for e in eqs]
     spread = max(acts) - min(acts)
     ret_err = max(
@@ -244,11 +244,11 @@ def _market_maps(cfg, eq):
 def test_criterion_08_oracle_equivalence(det_cfg, iid_cfg, common_cfg, het_cfg):
     start = time.perf_counter()
     cases = [
-        (det_cfg, eqm.solve_friedman(det_cfg)),
-        (det_cfg, eqm.solve_deterministic(det_cfg, 0.05)),
-        (iid_cfg, eqm.solve_iid_shocks(iid_cfg, 0.05)),
-        (common_cfg, eqm.solve_common_shock(common_cfg, 0.05)),
-        (het_cfg, eqm.solve_heterogeneous(het_cfg, 0.05)),
+        (det_cfg, eqm.solve_regime(det_cfg, "friedman")),
+        (det_cfg, eqm.solve_regime(det_cfg, "deterministic", 0.05)),
+        (iid_cfg, eqm.solve_regime(iid_cfg, "iid", 0.05)),
+        (common_cfg, eqm.solve_regime(common_cfg, "common", 0.05)),
+        (het_cfg, eqm.solve_regime(het_cfg, "heterogeneous", 0.05)),
     ]
     worst_holdings = 0.0
     for cfg, eq in cases:
@@ -293,8 +293,8 @@ def test_criterion_09_foc_verification(equilibria):
         if eq.expected_return > cfg.r + 1e-10:
             continue  # carry cost negative: holdings objective has no optimum
         fd_checked += 1
-        for name, ascent in eqm.holdings_ascent(cfg, eq).items():
-            objective = eqm.holdings_objective(cfg, eq, name, eq.holdings[name])
+        for name, ascent in orc.holdings_ascent(cfg, eq).items():
+            objective = orc.holdings_objective(cfg, eq, name)(eq.holdings[name])
             worst_fd = max(worst_fd, abs(ascent) / (1.0 + abs(objective)))
     ok = worst_res <= 1e-6 and worst_fd <= 1e-5 and fd_checked > 0
     _report(

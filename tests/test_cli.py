@@ -256,7 +256,12 @@ def test_path_usage_guards(tmp_path, capsys):
         ["path", "--config", DET, "--rule", "fixed_supply", "--M0", "-1",
          "--T", "3", "--out", str(tmp_path)]
     ) == 3
-    capsys.readouterr()
+    assert cli.main(
+        ["path", "--config", DET, "--rule", "tax_and_burn", "--theta", "-0.1", "--M0", "1",
+         "--T", "3", "--out", str(tmp_path)]
+    ) == 3
+    assert "--theta must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "path.csv").exists()
 
 
 # ---------------------------------------------------------------------------

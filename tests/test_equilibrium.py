@@ -1,6 +1,5 @@
 import dataclasses
 import logging
-import math
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -10,6 +9,7 @@ from tokenomics import econ_core as ec
 from tokenomics import equilibrium as eqm
 from tokenomics.errors import ConfigError, InfeasiblePolicyError
 from tokenomics.first_best import _clear_blockspace, first_best_allocation
+from tokenomics.oracle import holdings_ascent, holdings_objective
 from tokenomics.policy import steady_state_burn_residual
 from tokenomics.welfare import evaluate
 
@@ -63,27 +63,12 @@ BINDING_EXAMPLES = [
 
 
 # ---------------------------------------------------------------------------
-# demand/supply primitives
-# ---------------------------------------------------------------------------
-
-
-def test_user_demand_unconstrained_and_capped():
-    assert eqm.user_demand(ISO(1.0, 0.5), 1.0, math.inf) == pytest.approx(1.0)
-    assert eqm.user_demand(ISO(1.0, 0.5), 1.0, 0.0) == 0.0
-    # unconstrained demand would be 4, but the budget caps spending at 2
-    assert eqm.user_demand(ISO(2.0, 0.5), 1.0, 2.0) == pytest.approx(2.0)
-    assert eqm.user_demand(ec.ZeroUtility(), 1.0, 5.0) == 0.0
-    with pytest.raises(ValueError):
-        eqm.user_demand(ISO(1.0, 0.5), 0.0, 1.0)
-
-
-# ---------------------------------------------------------------------------
 # Friedman rule
 # ---------------------------------------------------------------------------
 
 
 def test_friedman_matches_first_best(det_cfg):
-    eq = eqm.solve_friedman(det_cfg)
+    eq = eqm.solve_regime(det_cfg, "friedman")
     assert eq.states[1].activities["users"] == pytest.approx(FRIEDMAN_ACTIVITY, abs=1e-10)
     assert eq.expected_return == det_cfg.r
     assert eq.states[1].token_return == det_cfg.r
@@ -94,7 +79,7 @@ def test_friedman_matches_first_best(det_cfg):
 
 def test_friedman_with_growth_still_first_best():
     cfg = single_user_config(ec.ShockKind.DETERMINISTIC, gamma=0.05)
-    eq = eqm.solve_friedman(cfg)
+    eq = eqm.solve_regime(cfg, "friedman")
     fb = first_best_allocation(cfg, 1)
     assert eq.states[1].activities["users"] == pytest.approx(fb.activities["users"], abs=1e-12)
     assert eq.expected_return == pytest.approx(0.05)
@@ -102,17 +87,12 @@ def test_friedman_with_growth_still_first_best():
 
 def test_friedman_congested_prices_at_shadow_value():
     cfg = single_user_config(ec.ShockKind.DETERMINISTIC, scale=2.0)
-    eq = eqm.solve_friedman(cfg)
+    eq = eqm.solve_regime(cfg, "friedman")
     out = eq.states[1]
     assert out.congested
     assert out.aggregate_activity == pytest.approx(1.0, abs=1e-9)
     assert out.price == pytest.approx(2.0, rel=1e-9)  # u'(1) = 2
     assert out.price >= ec.c_prime(cfg.cost, 1.0)
-
-
-def test_friedman_rejects_random_shocks(iid_cfg):
-    with pytest.raises(ConfigError):
-        eqm.solve_friedman(iid_cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +102,7 @@ def test_friedman_rejects_random_shocks(iid_cfg):
 
 def test_deterministic_tax_neutrality(det_cfg):
     """Activities identical across surcharges; only the return moves."""
-    eqs = {th: eqm.solve_deterministic(det_cfg, th) for th in (0.0, 0.05, 0.2)}
+    eqs = {th: eqm.solve_regime(det_cfg, "deterministic", th) for th in (0.0, 0.05, 0.2)}
     for th, eq in eqs.items():
         out = eq.states[1]
         assert out.activities["users"] == pytest.approx(DET_ACTIVITY, abs=1e-10)
@@ -136,22 +116,22 @@ def test_deterministic_surcharge_cannot_mimic_friedman(det_cfg):
     # theta = (1+r)/(1+gamma) - 1 matches the optimal rule's *return* but not
     # its allocation: the surcharge raises the effective price exactly as much
     # as the burn-funded return relaxes the budget
-    eq = eqm.solve_deterministic(det_cfg, 0.05)
+    eq = eqm.solve_regime(det_cfg, "deterministic", 0.05)
     assert eq.states[1].token_return == pytest.approx(det_cfg.r, abs=1e-14)
-    friedman = eqm.solve_friedman(det_cfg)
+    friedman = eqm.solve_regime(det_cfg, "friedman")
     assert eq.states[1].activities["users"] == pytest.approx(DET_ACTIVITY, abs=1e-10)
     assert friedman.states[1].activities["users"] - eq.states[1].activities["users"] > 0.01
 
 
 def test_deterministic_zero_tax_with_matching_growth_is_first_best():
     cfg = single_user_config(ec.ShockKind.DETERMINISTIC, r=0.05, gamma=0.05)
-    eq = eqm.solve_deterministic(cfg, 0.0)
+    eq = eqm.solve_regime(cfg, "deterministic", 0.0)
     fb = first_best_allocation(cfg, 1)
     assert eq.states[1].activities["users"] == pytest.approx(fb.activities["users"], rel=1e-10)
 
 
 def test_deterministic_holdings_satisfy_budget(det_cfg):
-    eq = eqm.solve_deterministic(det_cfg, 0.2)
+    eq = eqm.solve_regime(det_cfg, "deterministic", 0.2)
     out = eq.states[1]
     spend = out.effective_price * out.activities["users"]
     assert (1.0 + out.token_return) * eq.holdings["users"] == pytest.approx(spend, rel=1e-12)
@@ -160,7 +140,7 @@ def test_deterministic_holdings_satisfy_budget(det_cfg):
 
 def test_deterministic_rejects_negative_tax(det_cfg):
     with pytest.raises(ConfigError):
-        eqm.solve_deterministic(det_cfg, -0.1)
+        eqm.solve_regime(det_cfg, "deterministic", -0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -169,17 +149,17 @@ def test_deterministic_rejects_negative_tax(det_cfg):
 
 
 def test_iid_frozen_values(iid_cfg):
-    eq0 = eqm.solve_iid_shocks(iid_cfg, 0.0)
+    eq0 = eqm.solve_regime(iid_cfg, "iid", 0.0)
     assert eq0.states[1].activities["users"] == pytest.approx(IID_ACTIVITY_0, abs=1e-10)
     assert eq0.expected_return == pytest.approx(0.0, abs=1e-14)
 
-    eq1 = eqm.solve_iid_shocks(iid_cfg, 0.1)
+    eq1 = eqm.solve_regime(iid_cfg, "iid", 0.1)
     assert eq1.states[1].activities["users"] == pytest.approx(IID_ACTIVITY_01, abs=1e-10)
     assert 1.0 + eq1.expected_return == pytest.approx(1.1 / 1.05, rel=1e-12)
 
 
 def test_iid_states_share_market_conditions(iid_cfg):
-    eq = eqm.solve_iid_shocks(iid_cfg, 0.1)
+    eq = eqm.solve_regime(iid_cfg, "iid", 0.1)
     high, low = eq.states[1], eq.states[0]
     assert high.price == low.price
     assert high.token_return == low.token_return
@@ -190,9 +170,9 @@ def test_iid_states_share_market_conditions(iid_cfg):
 
 def test_iid_with_certain_shock_matches_deterministic_return(det_cfg):
     cfg = single_user_config(ec.ShockKind.IID_BINARY, rho=1.0)
-    eq = eqm.solve_iid_shocks(cfg, 0.2)
+    eq = eqm.solve_regime(cfg, "iid", 0.2)
     assert 1.0 + eq.expected_return == pytest.approx(1.2, rel=1e-12)
-    det = eqm.solve_deterministic(det_cfg, 0.2)
+    det = eqm.solve_regime(det_cfg, "deterministic", 0.2)
     assert eq.states[1].activities["users"] == pytest.approx(
         det.states[1].activities["users"], rel=1e-10
     )
@@ -200,35 +180,30 @@ def test_iid_with_certain_shock_matches_deterministic_return(det_cfg):
 
 def test_iid_congested_when_demand_is_strong():
     cfg = single_user_config(ec.ShockKind.IID_BINARY, scale=3.0)
-    eq = eqm.solve_iid_shocks(cfg, 0.0)
+    eq = eqm.solve_regime(cfg, "iid", 0.0)
     out = eq.states[1]
     assert out.congested
     assert out.aggregate_activity == pytest.approx(1.0, rel=1e-12)
     assert out.activities["users"] == pytest.approx(2.0, rel=1e-12)  # 1/rho
 
 
-def test_iid_requires_matching_shock_kind(det_cfg):
-    with pytest.raises(ConfigError):
-        eqm.solve_iid_shocks(det_cfg, 0.0)
-
-
 def centered_slope(cfg, eq, name):
     m = eq.holdings[name]
     h = 1e-6 * m
-    up = eqm.holdings_objective(cfg, eq, name, m + h)
-    return (up - eqm.holdings_objective(cfg, eq, name, m - h)) / (2.0 * h)
+    objective = holdings_objective(cfg, eq, name)
+    return (objective(m + h) - objective(m - h)) / (2.0 * h)
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.05])
 def test_iid_growth_wedge_is_the_holdings_optimum(iid_cfg, theta):
     cfg = dataclasses.replace(iid_cfg, gamma=0.02)
-    eq = eqm.solve_iid_shocks(cfg, theta)
+    eq = eqm.solve_regime(cfg, "iid", theta)
     report = evaluate(cfg, eq)
     assert report.foc_residual_max <= 1e-8
     # no one-sided step gains (the check verify runs); it resolves holdings
     # to about 5e-7 of m, so the objective's centered slope, whose step bias
     # is second order, pins them ten times finer on this smooth optimum
-    assert max(eqm.holdings_ascent(cfg, eq).values()) <= 1e-8
+    assert max(holdings_ascent(cfg, eq).values()) <= 1e-8
     assert max(abs(centered_slope(cfg, eq, t.name)) for t in cfg.agent_types) <= 1e-8
     assert report.oracle_delta_max == 0.0
 
@@ -240,7 +215,7 @@ def test_iid_growth_wedge_is_the_holdings_optimum(iid_cfg, theta):
 
 def test_common_shock_neutral_activity(common_cfg):
     activities = [
-        eqm.solve_common_shock(common_cfg, th).states[1].activities["users"]
+        eqm.solve_regime(common_cfg, "common", th).states[1].activities["users"]
         for th in (0.0, 0.1, 0.5)
     ]
     for a in activities:
@@ -248,7 +223,7 @@ def test_common_shock_neutral_activity(common_cfg):
 
 
 def test_common_shock_low_state_is_shut(common_cfg):
-    eq = eqm.solve_common_shock(common_cfg, 0.3)
+    eq = eqm.solve_regime(common_cfg, "common", 0.3)
     low = eq.states[0]
     assert low.price == 0.0 and low.tax == 0.0 and low.token_return == 0.0
     assert low.aggregate_activity == 0.0
@@ -259,14 +234,14 @@ def test_common_shock_low_state_is_shut(common_cfg):
 def test_common_shock_expected_gross_return(common_cfg):
     rho = common_cfg.shocks.rho
     for th in (0.0, 0.2):
-        eq = eqm.solve_common_shock(common_cfg, th)
+        eq = eqm.solve_regime(common_cfg, "common", th)
         expected = (1 - rho) + rho * (1 + th)
         assert 1.0 + eq.expected_return == pytest.approx(expected, rel=1e-12)
 
 
 def test_common_shock_certain_and_patient_is_first_best():
     cfg = single_user_config(ec.ShockKind.COMMON_BINARY, rho=1.0, r=0.05, gamma=0.05)
-    eq = eqm.solve_common_shock(cfg, 0.0)
+    eq = eqm.solve_regime(cfg, "common", 0.0)
     fb = first_best_allocation(cfg, 1)
     # wedge (rho + r)/((1+gamma) rho) = 1: the static margin u'(a) = p holds
     assert eq.states[1].activities["users"] == pytest.approx(fb.activities["users"], rel=1e-10)
@@ -274,7 +249,7 @@ def test_common_shock_certain_and_patient_is_first_best():
 
 def test_common_shock_congested_branch():
     cfg = single_user_config(ec.ShockKind.COMMON_BINARY, scale=2.0)
-    eq = eqm.solve_common_shock(cfg, 0.0)
+    eq = eqm.solve_regime(cfg, "common", 0.0)
     out = eq.states[1]
     assert out.congested
     assert out.activities["users"] == pytest.approx(1.0, rel=1e-12)
@@ -296,7 +271,7 @@ def test_heterogeneous_roles_precondition():
     # slack: the solve returns that equilibrium and flags it
     weak = two_type_config(shocked_high=0.9)
     for theta in (0.0, 0.03, 0.05):
-        eq = eqm.solve_heterogeneous(weak, theta)
+        eq = eqm.solve_regime(weak, "heterogeneous", theta)
         assert eq.congestion_broken
         for out in eq.states.values():
             assert not out.congested and out.aggregate_activity < 1.0
@@ -307,7 +282,7 @@ def test_heterogeneous_roles_precondition():
 
 
 def test_heterogeneous_frozen_baseline(het_cfg):
-    eq = eqm.solve_heterogeneous(het_cfg, 0.0)
+    eq = eqm.solve_regime(het_cfg, "heterogeneous", 0.0)
     high, low = eq.states[1], eq.states[0]
     assert high.congested and not eq.congestion_broken
     assert high.price == pytest.approx(HET_P_HIGH, rel=1e-9)
@@ -326,7 +301,7 @@ def test_heterogeneous_frozen_baseline(het_cfg):
 def test_heterogeneous_tax_comparative_statics(het_cfg):
     """The burn-funded return relaxes budgets: the shocked type's peak-state
     share grows, the unshocked type shifts purchases into the low state."""
-    eqs = [eqm.solve_heterogeneous(het_cfg, th) for th in (0.0, 0.05, 0.1)]
+    eqs = [eqm.solve_regime(het_cfg, "heterogeneous", th) for th in (0.0, 0.05, 0.1)]
     a_high = [e.states[1].activities["shocked"] for e in eqs]
     b_high = [e.states[1].activities["steady"] for e in eqs]
     b_low = [e.states[0].activities["steady"] for e in eqs]
@@ -341,7 +316,7 @@ def test_heterogeneous_tax_comparative_statics(het_cfg):
 
 
 def test_heterogeneous_return_satisfies_burn_identity(het_cfg):
-    eq = eqm.solve_heterogeneous(het_cfg, 0.08)
+    eq = eqm.solve_regime(het_cfg, "heterogeneous", 0.08)
     high = eq.states[1]
     burn = high.tax * high.price * high.aggregate_activity
     assert high.token_return * eq.aggregate_real_balances == pytest.approx(burn, rel=1e-10)
@@ -351,7 +326,7 @@ def test_heterogeneous_high_state_binding_pattern():
     # strong high-state demand from the unshocked type flips its binding
     # budget from the low state to the high state
     cfg = two_type_config(steady_high=0.8, steady_low=0.2)
-    eq = eqm.solve_heterogeneous(cfg, 0.0)
+    eq = eqm.solve_regime(cfg, "heterogeneous", 0.0)
     high, low = eq.states[1], eq.states[0]
     m_b = eq.holdings["steady"]
     high_spend = high.effective_price * high.activities["steady"]
@@ -364,7 +339,7 @@ def test_heterogeneous_both_budgets_bind():
     # neither single pattern is consistent: the unshocked type spends its
     # whole balance in both states
     cfg = both_bind_config()
-    eq = eqm.solve_heterogeneous(cfg, 0.0)
+    eq = eqm.solve_regime(cfg, "heterogeneous", 0.0)
     high, low = eq.states[1], eq.states[0]
     m_b = eq.holdings["b"]
     assert high.effective_price * high.activities["b"] == pytest.approx(m_b, rel=1e-12)
@@ -384,7 +359,7 @@ def test_heterogeneous_budgets_bind_where_the_best_response_says(args, shares, b
     # a binding budget is spent in full, a slack one only in part
     cfg = het_band_config(*args)
     for share in shares:
-        eq = eqm.solve_heterogeneous(cfg, share * cfg.r / cfg.shocks.rho)
+        eq = eqm.solve_regime(cfg, "heterogeneous", share * cfg.r / cfg.shocks.rho)
         for t, pattern in zip(eqm.heterogeneous_roles(cfg), binds):
             for s, out in eq.states.items():
                 wealth = (1.0 + out.token_return) * eq.holdings[t.name]
@@ -421,7 +396,7 @@ def test_heterogeneous_solve_evaluation_budget(het_cfg, monkeypatch):
         (both, 0.03, (70, 268, 58)),
     ]:
         seen.clear()
-        eqm.solve_heterogeneous(cfg, theta)
+        eqm.solve_regime(cfg, "heterogeneous", theta)
         counts = len(seen.u_prime_inv), len(seen.u_prime), len(seen.c_prime)
         assert all(n <= most for n, most in zip(counts, budget)), (theta, counts)
 
@@ -453,7 +428,7 @@ def test_heterogeneous_low_state_clears_at_capacity(theta):
     # low-state demand at the marginal cost of capacity exceeds capacity:
     # the low-state fee rations it instead of overfilling blockspace
     cfg = low_state_over_capacity_config()
-    eq = eqm.solve_heterogeneous(cfg, theta)
+    eq = eqm.solve_regime(cfg, "heterogeneous", theta)
     high, low = eq.states[1], eq.states[0]
     for out in (high, low):
         assert out.aggregate_activity <= 1.0 + 1e-12
@@ -468,22 +443,23 @@ def test_heterogeneous_low_state_clears_at_capacity(theta):
 def test_heterogeneous_solve_logs_its_branch_at_debug(het_cfg, caplog):
     slack = two_type_config(r=0.5, steady_high=0.9, steady_low=0.1)
     with caplog.at_level(logging.WARNING, logger="tokenomics"):
-        eqm.solve_heterogeneous(het_cfg, 0.05)
+        eqm.solve_regime(het_cfg, "heterogeneous", 0.05)
     assert caplog.records == []
     with caplog.at_level(logging.DEBUG, logger="tokenomics"):
-        eqm.solve_heterogeneous(het_cfg, 0.0)
-        eqm.solve_heterogeneous(het_cfg, 0.05)
+        eqm.solve_regime(het_cfg, "heterogeneous", 0.0)
+        eqm.solve_regime(het_cfg, "heterogeneous", 0.05)
         # the planner rations this high state but the equilibrium does not,
         # so demand at the planner's price and at its bracket's lower end fits
         # capacity, and the first clear runs the cold test at c'(1)
-        eqm.solve_heterogeneous(slack, 0.0)
-        eqm.solve_heterogeneous(het_band_config(*SHOCKED_BINDS_BOTH), 0.0)
+        eqm.solve_regime(slack, "heterogeneous", 0.0)
+        eqm.solve_regime(het_band_config(*SHOCKED_BINDS_BOTH), "heterogeneous", 0.0)
     # the slack config starts from the unshocked type binding in the low
     # state; the check at the clearing prices moves it to the high state.
     # Only a budget binding in both states runs the holdings FOC root. At
     # theta = 0.05 three clears accept their predicted price at once: the
     # last trial's high state and the low states of the last two trials.
-    assert [r.getMessage() for r in caplog.records] == [
+    # (solve_regime adds an INFO line per solve.)
+    assert [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG] == [
         "heterogeneous theta=0.0 binds=shocked:high,steady:low pattern_switches=0 "
         "first_bracket=planner-seed trial_returns=1 high_load_evals=3 low_load_evals=3 "
         "foc_evals=0 prediction_hits=0",
@@ -530,7 +506,7 @@ def test_heterogeneous_solves_hold_invariants_or_raise_typed_errors(
         return  # a degenerate shock: both states have the same first best
     for share in shares:
         try:
-            eq = eqm.solve_heterogeneous(cfg, share * cfg.r / rho)
+            eq = eqm.solve_regime(cfg, "heterogeneous", share * cfg.r / rho)
         except InfeasiblePolicyError:
             continue
         report = evaluate(cfg, eq)
@@ -546,8 +522,8 @@ def test_heterogeneous_solves_at_a_vanishing_tax(het_cfg, theta):
     # the burn root runs in rT's share of its cap, on [0, 1]: a bracket
     # [0, theta] in rT is narrower than the root finder's resolution here,
     # and its relative residual could not reach the tolerance
-    zero = eqm.solve_heterogeneous(het_cfg, 0.0)
-    eq = eqm.solve_heterogeneous(het_cfg, theta)
+    zero = eqm.solve_regime(het_cfg, "heterogeneous", 0.0)
+    eq = eqm.solve_regime(het_cfg, "heterogeneous", theta)
     assert 0.0 <= eq.states[1].token_return <= theta
     assert eq.states[1].price == pytest.approx(zero.states[1].price, rel=1e-12)
     assert eq.holdings == pytest.approx(zero.holdings, rel=1e-12)
@@ -556,7 +532,7 @@ def test_heterogeneous_solves_at_a_vanishing_tax(het_cfg, theta):
 def test_heterogeneous_congestion_broken_fallback():
     # expensive carry (large r) compresses demand below capacity
     cfg = two_type_config(r=0.5, steady_high=0.9, steady_low=0.1)
-    eq = eqm.solve_heterogeneous(cfg, 0.0)
+    eq = eqm.solve_regime(cfg, "heterogeneous", 0.0)
     assert eq.congestion_broken
     assert not eq.states[1].congested
     assert eq.states[1].aggregate_activity < 1.0
@@ -567,22 +543,37 @@ def test_heterogeneous_congestion_broken_fallback():
 
 def test_heterogeneous_infeasible_tax_raises(het_cfg):
     with pytest.raises(InfeasiblePolicyError):
-        eqm.solve_heterogeneous(het_cfg, 0.2)
+        eqm.solve_regime(het_cfg, "heterogeneous", 0.2)
 
 
-def test_heterogeneous_config_guards(het_cfg, common_cfg):
+def test_heterogeneous_config_guards():
+    # the heterogeneous family does not imply gamma = 0
     with pytest.raises(ConfigError, match="gamma"):
-        cfg = two_type_config(gamma=0.02)
-        eqm.solve_heterogeneous(cfg, 0.0)
-    with pytest.raises(ConfigError, match="two agent types"):
-        eqm.solve_heterogeneous(common_cfg, 0.0)
-    with pytest.raises(ConfigError, match="common binary"):
-        eqm.solve_heterogeneous(single_user_config(ec.ShockKind.IID_BINARY), 0.0)
+        eqm.solve_regime(two_type_config(gamma=0.02), "heterogeneous", 0.0)
 
 
 # ---------------------------------------------------------------------------
-# dispatch
+# the regime table
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("config", ["deterministic", "iid", "common", "heterogeneous"])
+@pytest.mark.parametrize("regime", list(eqm.REGIMES))
+def test_regime_solves_exactly_its_family(regime, config):
+    cfg = ec.load_config(CONFIG_DIR / f"{config}.json")
+    row = eqm.REGIMES[regime]
+    if row.family != eqm.family(cfg):
+        with pytest.raises(ConfigError) as raised:
+            eqm.solve_regime(cfg, regime, 0.0)
+        assert f"the {regime} regime" in str(raised.value)
+        assert repr(eqm.family(cfg)) in str(raised.value)
+        return
+    eq = eqm.solve_regime(cfg, regime, 0.0)
+    if row.taxed:
+        with pytest.raises(ConfigError, match="nonnegative"):
+            eqm.solve_regime(cfg, regime, -0.01)
+    else:
+        assert eqm.solve_regime(cfg, regime, 0.05) == eq
 
 
 def test_solve_regime_dispatch(det_cfg, iid_cfg, common_cfg, het_cfg):
@@ -596,7 +587,7 @@ def test_solve_regime_dispatch(det_cfg, iid_cfg, common_cfg, het_cfg):
 
 
 def test_equilibrium_serialization_shape(common_cfg):
-    doc = eqm.solve_common_shock(common_cfg, 0.1).as_dict()
+    doc = eqm.solve_regime(common_cfg, "common", 0.1).as_dict()
     assert doc["schema_version"] == ec.SCHEMA_VERSION
     assert doc["regime"] == "common_binary"
     assert set(doc["states"]) == {"0", "1"}
@@ -685,8 +676,8 @@ def test_heterogeneous_clears_never_evaluate_load_twice_at_one_price(het_cfg, mo
     band = het_band_config((1.52, 1.89, 1.78, 1.99), (1.17, 0.81, 1.3, 1.38), 0.74, 0.54)
     seen = record_evaluations(monkeypatch)
     for theta in (0.0, 0.02, 0.05, 0.08, 0.1):
-        eqm.solve_heterogeneous(het_cfg, theta)
-    eqm.solve_heterogeneous(band, band.r / 0.54)
+        eqm.solve_regime(het_cfg, "heterogeneous", theta)
+    eqm.solve_regime(band, "heterogeneous", band.r / 0.54)
     assert seen.clears
     assert all(len(set(prices)) == len(prices) for prices in seen.clears)
 
@@ -762,12 +753,12 @@ def test_deterministic_laws_match_planner_and_budget(
         cost=ec.CostFn(cost_scale, cost_curvature),
         shocks=ec.ShockProcess(ec.ShockKind.DETERMINISTIC),
     )
-    friedman = eqm.solve_friedman(cfg)
+    friedman = eqm.solve_regime(cfg, "friedman")
     planner = first_best_allocation(cfg, 1)
     assert friedman.states[1].congested == planner.congested
     for name, a in planner.activities.items():
         assert friedman.states[1].activities[name] == pytest.approx(a, rel=1e-12, abs=0.0)
-    for eq in (friedman, eqm.solve_deterministic(cfg, theta)):
+    for eq in (friedman, eqm.solve_regime(cfg, "deterministic", theta)):
         out = eq.states[1]
         for name, a in out.activities.items():
             # the whole balance is spent in the one state
@@ -785,11 +776,11 @@ def test_deterministic_laws_match_planner_and_budget(
 
 def _all_equilibria(det_cfg, iid_cfg, common_cfg, het_cfg):
     return [
-        (det_cfg, eqm.solve_friedman(det_cfg)),
-        (det_cfg, eqm.solve_deterministic(det_cfg, 0.03)),
-        (iid_cfg, eqm.solve_iid_shocks(iid_cfg, 0.1)),
-        (common_cfg, eqm.solve_common_shock(common_cfg, 0.08)),
-        (het_cfg, eqm.solve_heterogeneous(het_cfg, 0.05)),
+        (det_cfg, eqm.solve_regime(det_cfg, "friedman")),
+        (det_cfg, eqm.solve_regime(det_cfg, "deterministic", 0.03)),
+        (iid_cfg, eqm.solve_regime(iid_cfg, "iid", 0.1)),
+        (common_cfg, eqm.solve_regime(common_cfg, "common", 0.08)),
+        (het_cfg, eqm.solve_regime(het_cfg, "heterogeneous", 0.05)),
     ]
 
 
@@ -801,7 +792,7 @@ def test_foc_residuals_vanish_at_equilibrium(det_cfg, iid_cfg, common_cfg, het_c
 
 
 def test_friedman_binding_ratio_is_one(det_cfg):
-    eq = eqm.solve_friedman(det_cfg)
+    eq = eqm.solve_regime(det_cfg, "friedman")
     out = eq.states[1]
     ratio = ec.u_prime(ISO(0.5, 0.5), out.activities["users"]) / out.effective_price
     assert ratio == pytest.approx(1.0, abs=1e-12)
@@ -809,8 +800,8 @@ def test_friedman_binding_ratio_is_one(det_cfg):
 
 def test_inflated_holdings_make_binding_residual_negative(det_cfg, common_cfg):
     for cfg, eq, binding_state in (
-        (det_cfg, eqm.solve_deterministic(det_cfg, 0.02), 1),
-        (common_cfg, eqm.solve_common_shock(common_cfg, 0.05), 1),
+        (det_cfg, eqm.solve_regime(det_cfg, "deterministic", 0.02), 1),
+        (common_cfg, eqm.solve_regime(common_cfg, "common", 0.05), 1),
     ):
         name = cfg.agent_types[0].name
         bumped = dataclasses.replace(eq, holdings={name: eq.holdings[name] * 1.01})
@@ -828,19 +819,19 @@ def test_finite_difference_sign_pattern(det_cfg, common_cfg, het_cfg):
     # about half of m and read 5e-2 at the optimum
     tiny = scaled_config("heterogeneous", utility=0.01, cost=10.0)
     cases = [
-        (det_cfg, eqm.solve_deterministic(det_cfg, 0.02)),
-        (common_cfg, eqm.solve_common_shock(common_cfg, 0.05)),
-        (het_cfg, eqm.solve_heterogeneous(het_cfg, 0.05)),
-        (tiny, eqm.solve_heterogeneous(tiny, 0.0)),
-        (tiny, eqm.solve_heterogeneous(tiny, 0.05)),
+        (det_cfg, eqm.solve_regime(det_cfg, "deterministic", 0.02)),
+        (common_cfg, eqm.solve_regime(common_cfg, "common", 0.05)),
+        (het_cfg, eqm.solve_regime(het_cfg, "heterogeneous", 0.05)),
+        (tiny, eqm.solve_regime(tiny, "heterogeneous", 0.0)),
+        (tiny, eqm.solve_regime(tiny, "heterogeneous", 0.05)),
     ]
     for cfg, eq in cases:
-        for name, ascent in eqm.holdings_ascent(cfg, eq).items():
-            obj = eqm.holdings_objective(cfg, eq, name, eq.holdings[name])
+        for name, ascent in holdings_ascent(cfg, eq).items():
+            obj = holdings_objective(cfg, eq, name)(eq.holdings[name])
             assert abs(ascent) <= 1e-5 * (1.0 + abs(obj)), (name, ascent)
         for factor in (0.9, 1.1):
             off = dataclasses.replace(
                 eq, holdings={k: factor * v for k, v in eq.holdings.items()}
             )
-            for name, ascent in eqm.holdings_ascent(cfg, off).items():
+            for name, ascent in holdings_ascent(cfg, off).items():
                 assert ascent > 1e-8, (name, factor)

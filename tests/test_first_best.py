@@ -166,7 +166,7 @@ def test_pickled_config_scores_identically(solved_first):
     # sweeps with jobs > 1 send the config to worker processes by pickle,
     # with or without the stored first best
     cfg = ec.load_config(CONFIG_DIR / "iid.json")
-    eq = eqm.solve_iid_shocks(cfg, 0.05)
+    eq = eqm.solve_regime(cfg, "iid", 0.05)
     if solved_first:
         report = evaluate(cfg, eq)
     copy = pickle.loads(pickle.dumps(cfg))

@@ -40,9 +40,9 @@ def test_supply_rule_validation():
 
 
 def test_burn_residual_vanishes_in_burning_states(det_cfg, iid_cfg):
-    det = eqm.solve_deterministic(det_cfg, 0.1)
+    det = eqm.solve_regime(det_cfg, "deterministic", 0.1)
     assert abs(pol.steady_state_burn_residual(det, det_cfg.gamma)[1]) <= 1e-8
-    iid = eqm.solve_iid_shocks(iid_cfg, 0.1)
+    iid = eqm.solve_regime(iid_cfg, "iid", 0.1)
     residuals = pol.steady_state_burn_residual(iid, iid_cfg.gamma)
     assert max(abs(v) for v in residuals.values()) <= 1e-8
 
@@ -81,7 +81,7 @@ def test_tax_and_burn_path_matches_friedman_target_balances(det_cfg):
 def test_long_iid_burn_path_stays_on_the_identity(iid_cfg):
     theta = 0.08
     path = pol.supply_path(pol.SupplyRule.tax_and_burn(theta), iid_cfg, M0=1.0, T=1000)
-    eq = eqm.solve_iid_shocks(iid_cfg, theta)
+    eq = eqm.solve_regime(iid_cfg, "iid", theta)
     rt = eq.states[1].token_return
     assert 1.0 + rt == pytest.approx((1 + theta) / (1 + 0.5 * theta), rel=1e-12)
     # gamma = 0: real balances are a fixed point of the burn recursion

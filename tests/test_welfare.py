@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import pickle
 
@@ -15,7 +16,7 @@ FRIEDMAN_WELFARE = 0.5952753944880749
 
 
 def test_evaluate_friedman_scores_first_best(det_cfg):
-    eq = eqm.solve_friedman(det_cfg)
+    eq = eqm.solve_regime(det_cfg, "friedman")
     report = wf.evaluate(det_cfg, eq)
     assert report.expected_flow_welfare == pytest.approx(FRIEDMAN_WELFARE, abs=1e-10)
     assert abs(report.first_best_gap) <= 1e-8
@@ -24,7 +25,7 @@ def test_evaluate_friedman_scores_first_best(det_cfg):
 
 
 def test_evaluate_expected_welfare_aggregates_states(common_cfg):
-    eq = eqm.solve_common_shock(common_cfg, 0.1)
+    eq = eqm.solve_regime(common_cfg, "common", 0.1)
     report = wf.evaluate(common_cfg, eq)
     rho = common_cfg.shocks.rho
     recombined = rho * report.per_state[1] + (1 - rho) * report.per_state[0]
@@ -34,7 +35,7 @@ def test_evaluate_expected_welfare_aggregates_states(common_cfg):
 
 
 def test_evaluate_gap_positive_under_deterministic_tax(det_cfg):
-    eq = eqm.solve_deterministic(det_cfg, 0.1)
+    eq = eqm.solve_regime(det_cfg, "deterministic", 0.1)
     report = wf.evaluate(det_cfg, eq)
     assert report.first_best_gap > 1e-4
     doc = report.as_dict()
@@ -119,6 +120,32 @@ def test_parallel_sweep_sends_the_stored_first_best(monkeypatch):
     assert planner_calls == [0, 0, 0]
 
 
+def test_parallel_sweep_starts_no_more_workers_than_points(iid_cfg, monkeypatch):
+    # a forked pool starts all its workers when it starts; a stub that maps
+    # serially records how many were asked for, so no process starts
+    import concurrent.futures
+
+    workers = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    wf.sweep_tax(iid_cfg, "iid", [0.0, 0.03], jobs=8)
+    wf.sweep_tax(iid_cfg, "iid", [0.0, 0.03, 0.06], jobs=2)
+    assert workers == [2, 2]
+
+
 def test_sweep_grid_validation(det_cfg):
     with pytest.raises(ConfigError, match="nonempty"):
         wf.sweep_tax(det_cfg, "deterministic", [])
@@ -192,7 +219,8 @@ def test_heterogeneous_battery_fails_on_zero_tax_solver_error(het_cfg, monkeypat
     def failing(cfg, theta):
         raise SolverError("no steady state")
 
-    monkeypatch.setitem(eqm.REGIMES, "heterogeneous", failing)
+    row = eqm.REGIMES["heterogeneous"]
+    monkeypatch.setitem(eqm.REGIMES, "heterogeneous", dataclasses.replace(row, solve=failing))
     report = wf.proposition_report(het_cfg)
     assert report["checks"][0]["status"] == "fail"
     assert not report["all_passed"]
