@@ -2,34 +2,32 @@
 
 Cross-checks for the analytic solvers: a token-holdings best response on a
 holdings grid, one-sided steps of the same holdings objective from solver
-holdings (holdings_ascent), and a first-best allocation by product-grid
-enumeration. None shares any solution logic with the solvers; all only
-reuse the primitive utility and cost definitions. The activity bought at
-each grid balance is the budget-capped demand in closed form: only
-holdings are searched on a grid.
+holdings (holdings_ascent), and a first-best allocation on a product grid
+of activities. None shares any solution logic with the solvers; all only
+reuse the primitive utility and cost definitions, written out inline. The
+activity bought at each grid balance is the budget-capped demand in closed
+form: only holdings are searched on a grid.
 
 Tie handling is deterministic: among grid values within a small tolerance
-of the maximum, the smallest index wins. The tolerance matters because a
-carry-cost-free optimum (token return equal to r) leaves the objective
-exactly flat above the optimal holdings. It is relative to the largest
-magnitude among the scored values, so rounding is absorbed at any utility
-scale while neighbouring grid points of a small objective stay distinct;
-the holdings tolerance also scales with the grid's upper bound, the size
-of the rounding where the carry terms -m and beta (1 + r) m cancel.
+of the maximum, the smallest index wins (the first cell in row-major order
+on a product grid). The tolerance matters because a carry-cost-free optimum
+(token return equal to r) leaves the objective exactly flat above the
+optimal holdings. It is relative to the largest magnitude among the scored
+values, so rounding is absorbed at any utility scale while neighbouring
+grid points of a small objective stay distinct; the holdings tolerance also
+scales with the grid's upper bound, the size of the rounding where the
+carry terms -m and beta (1 + r) m cancel.
 
-The holdings objective is concave in m (see grid_best_response), so its
-grid argmax is found by bisection from a few dozen points, scored in plain
-floats; the first best scores every cell of its product grid. numpy
-is used only there, by grid_first_best and GridSpec.values, and imported
-where those grids are built, so importing the package, and every CLI
-command but verify, does not load it.
+Both objectives are concave, so neither oracle scores its whole grid: the
+holdings argmax is found by bisection from a few dozen points, and the
+first best by a walk that visits each row and column of its product grid
+about once (see grid_first_best). Everything is plain floats.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Mapping
 
 from . import econ_core as ec
@@ -37,17 +35,15 @@ from .errors import OracleError
 from .first_best import Allocation
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .equilibrium import SteadyStateEquilibrium
 
 #: relative tolerance for treating grid values as tied at the maximum
 TIE_RTOL = 1e-11
 
-_MAX_EXPANSIONS = 4
+#: most active types grid_first_best searches
+MAX_ACTIVE_TYPES = 2
 
-#: product-grid cells grid_first_best evaluates at once
-_CHUNK_CELLS = 1 << 15
+_MAX_EXPANSIONS = 4
 
 
 @dataclass(frozen=True)
@@ -63,36 +59,11 @@ class GridSpec:
         if self.points < 3:
             raise ValueError(f"grid needs at least 3 points, got {self.points}")
 
-    def values(self) -> np.ndarray:
-        """np.linspace(0, upper, points), bit for bit: index times step,
-        with the last point set to upper."""
-        grid = _index(self.points) * (self.upper / (self.points - 1))
-        grid[-1] = self.upper
-        return grid
-
-
-@lru_cache(maxsize=4)
-def _index(points: int) -> np.ndarray:
-    import numpy as np
-
-    index = np.arange(points, dtype=float)
-    index.flags.writeable = False
-    return index
-
-
-def _tie_tol(vmin: float, vmax: float) -> float:
-    return TIE_RTOL * max(abs(vmin), abs(vmax))
-
-
-def _utility_on_grid(f: ec.Utility, a: np.ndarray) -> np.ndarray:
-    import numpy as np
-
-    if isinstance(f, ec.ZeroUtility):
-        return np.zeros_like(a)
-    u = a ** (1.0 - f.curvature)
-    u *= f.scale
-    u /= 1.0 - f.curvature
-    return u
+    def values(self) -> list[float]:
+        """The grid points as linspace(0, upper, points) computes them:
+        index times step, with the last point set to upper."""
+        step = self.upper / (self.points - 1)
+        return [i * step for i in range(self.points - 1)] + [self.upper]
 
 
 def _holdings_objective(
@@ -260,13 +231,25 @@ def grid_first_best(
     grids: Mapping[str, GridSpec] | None = None,
     points: int = 2001,
 ) -> tuple[Allocation, float]:
-    """First-best allocation for one state by product-grid enumeration.
+    """First-best allocation for one state: the best feasible cell of a
+    product grid of activities, with at most two active types.
 
-    Supports at most three active types (every cell of the product grid is
-    evaluated, a block of rows at a time).
     Default per-type grids span [0, 2 * analytic optimum] so the boundary is
     never binding for a correct solver; explicit grids override that anchor.
     Returns the best feasible allocation and its flow surplus.
+
+    The surplus m1 u1(x) + m2 u2(y) - C(m1 x + m2 y) is scored on the cells
+    with load at most capacity, rows indexed by the first active type's
+    activity x (one active type is a single column at y = 0). Each row is
+    concave in y, and its feasible end J(i) does not rise with x. The cross
+    partial -m1 m2 C'' is <= 0, so the leftmost row argmax k(i) does not
+    rise either: bisection finds k(0), and every later row's peak is found
+    by stepping down from min(k(i - 1), J(i)) while the value does not
+    fall. The smallest feasible value lies at a row end, which sets the
+    tie tolerance; the first row whose peak is within it holds the winning
+    cell, the first one within it on that row's ascending part. So about
+    rows + columns cells are scored, not rows * columns, and the cell is
+    the one a full row-major scan with the same tie rule would pick.
     """
     active = [t for t in cfg.agent_types if t.is_active(state)]
     if not active:
@@ -277,8 +260,10 @@ def grid_first_best(
             shadow_marginal=0.0,
         )
         return alloc, 0.0
-    if len(active) > 3:
-        raise OracleError(f"product grid limited to 3 active types, got {len(active)}")
+    if len(active) > MAX_ACTIVE_TYPES:
+        raise OracleError(
+            f"product grid limited to {MAX_ACTIVE_TYPES} active types, got {len(active)}"
+        )
 
     if grids is None:
         from .first_best import first_best_allocation
@@ -289,62 +274,77 @@ def grid_first_best(
             for t in active
         }
 
-    axes = [grids[t.name].values() for t in active]
-    total_cells = math.prod(len(ax) for ax in axes)
-    if total_cells > 2 * 10**8:
-        raise OracleError(f"grid of {total_cells} cells is too large; reduce points")
+    def axis(t: ec.AgentTypeSpec) -> tuple[list[float], list[float], list[float]]:
+        """A type's grid, with its mass times utility and its load there."""
+        f = t.utility_in(state)
+        power = 1.0 - f.curvature
+        acts = grids[t.name].values()
+        utility = [t.mass * (a**power * f.scale / power) for a in acts]
+        return acts, utility, [t.mass * a for a in acts]
 
-    import numpy as np
+    xs, row_utility, row_load = axis(active[0])
+    ys, col_utility, col_load = axis(active[1]) if len(active) == 2 else ([0.0], [0.0], [0.0])
+    scale, q = cfg.cost.scale, 1.0 + cfg.cost.curvature
+    capacity = ec.BLOCKSPACE_CAPACITY + 1e-12
 
-    def load(mesh: list[np.ndarray]) -> np.ndarray:
-        return sum(t.mass * ax for t, ax in zip(active, mesh))
+    def value(i: int, j: int) -> float:
+        return row_utility[i] + col_utility[j] - scale * (row_load[i] + col_load[j]) ** q / q
 
-    # grids rise from 0, so a row (first-axis value) whose first cell
-    # overfills capacity is infeasible throughout: only the rows before it
-    # can hold the maximum
-    first_cells = load(np.meshgrid(axes[0], *(ax[:1] for ax in axes[1:]), indexing="ij", sparse=True))
-    fitting = int(np.count_nonzero(first_cells <= ec.BLOCKSPACE_CAPACITY + 1e-12))
+    peaks: list[int] = []  # leftmost argmax of each feasible row
+    row_max: list[float] = []
+    vmin = math.inf
+    end = len(ys) - 1
+    for i in range(len(xs)):
+        while end >= 0 and row_load[i] + col_load[end] > capacity:
+            end -= 1
+        if end < 0:
+            break  # this row's first cell overfills capacity, and so do the later rows'
+        if i == 0:
+            lo, hi = 0, end
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if value(0, mid) < value(0, mid + 1):
+                    lo = mid + 1
+                else:
+                    hi = mid
+            k = lo
+            here = value(0, k)
+        else:
+            k = min(k, end)
+            here = value(i, k)
+            while k > 0:
+                left = value(i, k - 1)
+                if left < here:
+                    break
+                k, here = k - 1, left
+        peaks.append(k)
+        row_max.append(here)
+        vmin = min(vmin, here if k == 0 else value(i, 0), here if k == end else value(i, end))
 
-    # the surplus is evaluated a block of rows at a time, so memory stays
-    # near _CHUNK_CELLS cells whatever the grid size
-    rows = max(1, _CHUNK_CELLS * len(axes[0]) // total_cells)
-    starts = range(0, fitting, rows)
-
-    def surplus_rows(start: int) -> np.ndarray:
-        mesh = np.meshgrid(axes[0][start:start + rows], *axes[1:], indexing="ij", sparse=True)
-        total = load(mesh)
-        surplus = sum(t.mass * _utility_on_grid(t.utility_in(state), ax) for t, ax in zip(active, mesh))
-        surplus = surplus - cfg.cost.scale * total ** (1.0 + cfg.cost.curvature) / (1.0 + cfg.cost.curvature)
-        return np.where(total <= ec.BLOCKSPACE_CAPACITY + 1e-12, surplus, -np.inf)
-
-    # _tie_argmax over the whole grid: the global maximum first, then the
-    # first row-major cell within the tie tolerance of it
-    block_max, block_min = [], []
-    for start in starts:
-        block = surplus_rows(start)
-        block_max.append(float(block.max()))
-        block_min.append(float(np.min(block, where=block > -np.inf, initial=np.inf)))
-    vmax = max(block_max)
-    tol = _tie_tol(min(block_min), vmax)
-    start = next(i for i, v in zip(starts, block_max) if v >= vmax - tol)
-    block = surplus_rows(start)
-    local = np.unravel_index(int((block >= vmax - tol).argmax()), block.shape)
-    idx = (start + int(local[0]), *local[1:])
-    for d, ax in enumerate(axes):
-        if idx[d] == len(ax) - 1:
+    vmax = max(row_max)
+    floor = vmax - TIE_RTOL * max(abs(vmin), abs(vmax))
+    i = next(i for i, v in enumerate(row_max) if v >= floor)
+    lo, hi = 0, peaks[i]
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if value(i, mid) >= floor:
+            hi = mid
+        else:
+            lo = mid + 1
+    cell = (i, lo)
+    for t, index, ax in zip(active, cell, (xs, ys)):
+        if index == len(ax) - 1:
             raise OracleError(
-                f"first-best argmax on grid boundary for type {active[d].name}; widen the grid"
+                f"first-best argmax on grid boundary for type {t.name}; widen the grid"
             )
 
     acts = {t.name: 0.0 for t in cfg.agent_types}
-    for d, t in enumerate(active):
-        acts[t.name] = float(axes[d][idx[d]])
+    for t, index, ax in zip(active, cell, (xs, ys)):
+        acts[t.name] = ax[index]
     best_total = math.fsum(t.mass * acts[t.name] for t in cfg.agent_types)
     steps = [grids[t.name].upper / (grids[t.name].points - 1) for t in active]
     congested = best_total >= ec.BLOCKSPACE_CAPACITY - max(
         t.mass * s for t, s in zip(active, steps)
     )
-    alloc = Allocation(
-        activities=acts, total=best_total, congested=bool(congested), shadow_marginal=0.0
-    )
-    return alloc, float(block[local])
+    alloc = Allocation(activities=acts, total=best_total, congested=congested, shadow_marginal=0.0)
+    return alloc, value(*cell)

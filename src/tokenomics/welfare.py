@@ -144,7 +144,8 @@ def sweep_tax(
 ) -> SweepResult:
     """Solve and score one equilibrium per tax rate.
 
-    Failed points are recorded (status "error: ..."), never raised; points
+    ConfigError if the grid is empty or unsorted, or if the regime takes no
+    tax. Failed points are recorded (status "error: ..."), never raised; points
     whose congested branch broke are flagged. Both are excluded from the
     argmax, which breaks ties toward the smallest tax within 1e-10.
     """
@@ -152,6 +153,9 @@ def sweep_tax(
         raise ConfigError("tax grid must be nonempty")
     if any(b < a for a, b in zip(theta_grid, theta_grid[1:])):
         raise ConfigError("tax grid must be sorted ascending")
+    row = eqm.REGIMES.get(regime)
+    if row is not None and not row.taxed:
+        raise ConfigError(f"the {regime} regime takes no tax; there is no tax grid to sweep")
     work = [(cfg, regime, float(th)) for th in theta_grid]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -126,6 +126,21 @@ def single_user_config(
     )
 
 
+def three_type_config() -> ec.EconomyConfig:
+    """Three deterministic types with the same utility, masses 1/2, 1/4, 1/4."""
+    users = {1: ISO(1.0, 0.5)}
+    return ec.EconomyConfig(
+        r=0.05,
+        gamma=0.0,
+        agent_types=tuple(
+            ec.AgentTypeSpec(mass=m, utility_by_state=users, name=n)
+            for m, n in ((0.5, "a"), (0.25, "b"), (0.25, "c"))
+        ),
+        cost=ec.CostFn(1.0, 1.0),
+        shocks=ec.ShockProcess(ec.ShockKind.DETERMINISTIC),
+    )
+
+
 def two_type_config(
     *,
     r: float = 0.05,

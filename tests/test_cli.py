@@ -12,7 +12,7 @@ from tokenomics import cli
 from tokenomics import econ_core as ec
 from tokenomics import welfare
 
-from helpers import CONFIG_DIR, both_bind_config, scaled_config, two_type_config
+from helpers import CONFIG_DIR, both_bind_config, scaled_config, three_type_config, two_type_config
 
 DET = str(CONFIG_DIR / "deterministic.json")
 IID = str(CONFIG_DIR / "iid.json")
@@ -172,6 +172,13 @@ def test_sweep_usage_errors(tmp_path, capsys):
          "--theta-max", "0.1", "--points", "3", "--out", str(tmp_path)]
     ) == 3
     capsys.readouterr()
+    # friedman takes no tax: a sweep would write one theta = 0 solve per row
+    assert cli.main(
+        ["sweep", "--config", DET, "--regime", "friedman", "--theta-max", "0.1",
+         "--points", "3", "--out", str(tmp_path)]
+    ) == 3
+    assert "the friedman regime takes no tax" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -209,14 +216,6 @@ def run_without_numpy(args):
     subprocess.run([sys.executable, "-c", code], check=True)
 
 
-def test_path_does_not_import_numpy(tmp_path):
-    # only grid_first_best (verify) needs numpy
-    run_without_numpy(
-        ["path", "--config", DET, "--rule", "tax_and_burn", "--theta", "0.02",
-         "--M0", "100", "--T", "5", "--out", str(tmp_path)]
-    )
-
-
 @pytest.mark.parametrize(
     "args",
     [
@@ -229,12 +228,17 @@ def test_path_does_not_import_numpy(tmp_path):
          "--points", "3", "--jobs", "1"],
         ["sweep", "--config", HET, "--regime", "heterogeneous", "--theta-max", "0.1",
          "--points", "3", "--jobs", "2"],
+        ["path", "--config", DET, "--rule", "tax_and_burn", "--theta", "0.02",
+         "--M0", "100", "--T", "5"],
+        ["verify", "--config", DET],
+        ["verify", "--config", HET],
     ],
     ids=["friedman", "deterministic", "iid", "common", "heterogeneous", "sweep-jobs-1",
-         "sweep-jobs-2"],
+         "sweep-jobs-2", "path", "verify-deterministic", "verify-heterogeneous"],
 )
 def test_scenario_and_sweep_do_not_import_numpy(tmp_path, args):
-    # the holdings oracle that scores every scenario and sweep point is plain floats
+    # no command needs numpy: the grid oracles that score every scenario and
+    # sweep point and verify's first best are plain floats
     run_without_numpy(args + ["--out", str(tmp_path)])
 
 
@@ -343,6 +347,23 @@ def test_verify_detects_golden_corruption(tmp_path, capsys):
     assert "FAIL  golden_regression" in captured.out
     assert "case.1.equilibrium.states.1.price" in captured.out
     assert "golden_regression" in captured.err
+
+
+def test_verify_skips_first_best_grid_with_three_active_types(tmp_path, capsys):
+    # a 2001-point product grid in three dimensions has 8e9 cells; the first
+    # best's grid search covers at most two active types
+    cfg_path = write_config(tmp_path, three_type_config())
+    code = cli.main(["verify", "--config", cfg_path, "--out", str(tmp_path)])
+    printed = capsys.readouterr().out
+    assert code == 0, printed
+    assert "SKIP  oracle_first_best_agreement\n" in printed
+    assert "FAIL" not in printed
+    check = next(
+        c for c in json.loads((tmp_path / "verify.json").read_text())["checks"]
+        if c["name"] == "oracle_first_best_agreement"
+    )
+    assert check["status"] == "not applicable"
+    assert "more than 2 active types are not searched (state 1 has 3)" in check["detail"]
 
 
 def test_verify_without_golden_skips_regression(tmp_path, capsys):

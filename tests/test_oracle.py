@@ -11,7 +11,7 @@ from tokenomics.errors import OracleError
 from tokenomics.first_best import first_best_allocation
 from tokenomics.oracle import GridSpec, grid_best_response, grid_first_best
 
-from helpers import ISO, ZERO
+from helpers import ISO, ZERO, three_type_config
 
 R = 0.05
 BETA = 1.0 / (1.0 + R)
@@ -97,9 +97,9 @@ def test_grid_values_match_linspace_bit_for_bit(points):
     for upper in uppers:
         spec = GridSpec(upper, points)
         grid = spec.values()
-        assert grid.tobytes() == np.linspace(0.0, upper, points).tobytes(), upper
-        # each call hands out a fresh array
-        grid[:] = -1.0
+        assert np.array(grid).tobytes() == np.linspace(0.0, upper, points).tobytes(), upper
+        # each call hands out a fresh list
+        grid[1] = -1.0
         assert spec.values()[1] > 0.0
 
 
@@ -270,20 +270,43 @@ def test_grid_first_best_boundary_raises(det_cfg):
 
 
 def dense_first_best(cfg, state, grids):
-    """Reference: the whole product grid at once, with the oracle's tie rule
-    (relative to the largest feasible surplus magnitude)."""
+    """Reference: every cell of the product grid scored in plain floats, and
+    the first row-major cell within the oracle's tie tolerance (relative to
+    the largest feasible surplus magnitude) of the maximum wins. Returns the
+    cell's index, its activities and its surplus."""
     active = [t for t in cfg.agent_types if t.is_active(state)]
-    axes = [grids[t.name].values() for t in active]
-    mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
-    total = sum(t.mass * ax for t, ax in zip(active, mesh))
-    surplus = sum(t.mass * oracle._utility_on_grid(t.utility_in(state), ax) for t, ax in zip(active, mesh))
-    surplus = surplus - cfg.cost.scale * total ** (1.0 + cfg.cost.curvature) / (1.0 + cfg.cost.curvature)
-    surplus = np.where(total <= ec.BLOCKSPACE_CAPACITY + 1e-12, surplus, -np.inf)
-    vmax = float(surplus.max())
-    tol = oracle.TIE_RTOL * float(np.abs(surplus[np.isfinite(surplus)]).max())
-    flat = int(np.argmax(surplus.ravel() >= vmax - tol))
-    idx = np.unravel_index(flat, surplus.shape)
-    return {t.name: float(ax[i]) for t, ax, i in zip(active, axes, idx)}, float(surplus[idx])
+    utilities = [t.utility_in(state) for t in active]
+    axes = [dense_grid(grids[t.name]) for t in active]
+    q = 1.0 + cfg.cost.curvature
+    surplus = {}
+    for idx in itertools.product(*(range(len(ax)) for ax in axes)):
+        acts = [ax[i] for ax, i in zip(axes, idx)]
+        total = sum(t.mass * a for t, a in zip(active, acts))
+        if total > ec.BLOCKSPACE_CAPACITY + 1e-12:
+            continue
+        gross = sum(
+            t.mass * (f.scale * a ** (1.0 - f.curvature) / (1.0 - f.curvature))
+            for t, f, a in zip(active, utilities, acts)
+        )
+        surplus[idx] = gross - cfg.cost.scale * total**q / q
+    vmax = max(surplus.values())
+    tol = oracle.TIE_RTOL * max(abs(v) for v in surplus.values())
+    idx = next(idx for idx, v in surplus.items() if v >= vmax - tol)
+    return idx, {t.name: ax[i] for t, ax, i in zip(active, axes, idx)}, surplus[idx]
+
+
+def assert_matches_dense(cfg, state, grids):
+    """grid_first_best picks the reference's cell and surplus exactly, or
+    raises where that cell is on the grid boundary. Returns the allocation."""
+    idx, expected, expected_surplus = dense_first_best(cfg, state, grids)
+    if any(i == grids[name].points - 1 for name, i in zip(expected, idx)):
+        with pytest.raises(OracleError, match="widen the grid"):
+            grid_first_best(cfg, state, grids=grids)
+        return None
+    alloc, surplus = grid_first_best(cfg, state, grids=grids)
+    assert {n: alloc.activities[n] for n in expected} == expected
+    assert surplus == expected_surplus
+    return alloc
 
 
 def twin_types_config():
@@ -301,20 +324,55 @@ def twin_types_config():
     )
 
 
-@pytest.mark.parametrize("chunk_cells", [21, 100, 1 << 18])
-def test_grid_first_best_blocks_match_dense_grid(het_cfg, chunk_cells, monkeypatch):
-    monkeypatch.setattr(oracle, "_CHUNK_CELLS", chunk_cells)
+def test_grid_first_best_matches_dense_grid(het_cfg, det_cfg):
     twin = GridSpec(2.3, 21)
     cases = [
         (twin_types_config(), 1, {"a": twin, "b": twin}),
         (het_cfg, 1, {"shocked": GridSpec(4.0, 41), "steady": GridSpec(1.0, 37)}),
         (het_cfg, 0, {"shocked": GridSpec(1.0, 41), "steady": GridSpec(1.0, 37)}),
+        (det_cfg, 1, {"users": GridSpec(1.5, 61)}),
     ]
     for cfg, state, grids in cases:
-        expected, expected_surplus = dense_first_best(cfg, state, grids)
-        alloc, surplus = grid_first_best(cfg, state, grids=grids)
-        assert {n: alloc.activities[n] for n in expected} == expected
-        assert surplus == expected_surplus
+        assert assert_matches_dense(cfg, state, grids) is not None
     # the twin optimum is off the diagonal: the first row-major cell of the tie wins
     alloc, _ = grid_first_best(twin_types_config(), 1, grids={"a": twin, "b": twin})
     assert alloc.activities["a"] < alloc.activities["b"]
+
+
+def test_grid_first_best_refuses_three_active_types():
+    with pytest.raises(OracleError, match="limited to 2 active types, got 3"):
+        grid_first_best(three_type_config(), 1)
+
+
+_curvature = st.floats(0.05, 0.95)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    mass=st.floats(0.05, 0.95),
+    utilities=st.tuples(
+        st.builds(ISO, _log_uniform, _curvature), st.builds(ISO, _log_uniform, _curvature)
+    ),
+    cost=st.builds(ec.CostFn, st.floats(-1.0, 1.0).map(lambda e: 10.0**e), st.floats(0.05, 3.0)),
+    widths=st.tuples(st.floats(0.8, 4.0), st.floats(0.8, 4.0)),
+    points=st.tuples(st.integers(3, 61), st.integers(3, 61)),
+)
+def test_grid_first_best_matches_dense_reference(mass, utilities, cost, widths, points):
+    # each grid spans widths times the planner's activity or 0.5, whichever
+    # is larger, as verify's grids do: the capacity line crosses the grids of
+    # congested optima, and widths below 1 can put the optimum past the
+    # grid's edge, where both raise
+    cfg = ec.EconomyConfig(
+        r=R,
+        gamma=0.0,
+        agent_types=(
+            ec.AgentTypeSpec(mass=mass, utility_by_state={1: utilities[0]}, name="a"),
+            ec.AgentTypeSpec(mass=1.0 - mass, utility_by_state={1: utilities[1]}, name="b"),
+        ),
+        cost=cost,
+        shocks=ec.ShockProcess(ec.ShockKind.DETERMINISTIC),
+    )
+    anchor = first_best_allocation(cfg, 1).activities
+    grids = {n: GridSpec(w * max(anchor[n], 0.5), k) for n, w, k in zip("ab", widths, points)}
+    alloc = assert_matches_dense(cfg, 1, grids)
+    event("boundary" if alloc is None else "congested" if alloc.congested else "uncongested")
