@@ -339,6 +339,37 @@ def test_grid_first_best_matches_dense_grid(het_cfg, det_cfg):
     assert alloc.activities["a"] < alloc.activities["b"]
 
 
+def unequal_pair_config():
+    # planner activities about 0.79 and 0.41, total load 0.56 below capacity
+    return ec.EconomyConfig(
+        r=R,
+        gamma=0.0,
+        agent_types=(
+            ec.AgentTypeSpec(mass=0.4, utility_by_state={1: ISO(0.5, 0.5)}, name="a"),
+            ec.AgentTypeSpec(mass=0.6, utility_by_state={1: ISO(0.3, 0.7)}, name="b"),
+        ),
+        cost=ec.CostFn(1.0, 1.0),
+        shocks=ec.ShockProcess(ec.ShockKind.DETERMINISTIC),
+    )
+
+
+@pytest.mark.parametrize("cells", [21, 100, 1 << 18])
+def test_grid_first_best_blocks_match_dense_grid(het_cfg, cells):
+    # product grids of `cells` cells, rows x columns with rows the largest
+    # divisor up to the square root, each way round: the walk over short
+    # rows, long rows and a large square agrees with every cell scored
+    rows = max(d for d in range(3, math.isqrt(cells) + 1) if cells % d == 0)
+    cols = cells // rows
+    for first, second in ((rows, cols), (cols, rows)):
+        # a congested optimum: the capacity line cuts the rows short
+        grids = {"shocked": GridSpec(4.0, first), "steady": GridSpec(1.0, second)}
+        assert assert_matches_dense(het_cfg, 1, grids) is not None
+        # an uncongested optimum under quadratic cost: the row peaks step
+        # left as the first activity grows
+        pair = {"a": GridSpec(1.6, first), "b": GridSpec(0.9, second)}
+        assert assert_matches_dense(unequal_pair_config(), 1, pair) is not None
+
+
 def test_grid_first_best_refuses_three_active_types():
     with pytest.raises(OracleError, match="limited to 2 active types, got 3"):
         grid_first_best(three_type_config(), 1)
