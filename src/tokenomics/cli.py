@@ -25,9 +25,11 @@ from . import econ_core as ec
 from . import equilibrium as eqm
 from .errors import ConfigError, InfeasiblePolicyError, SolverError, TokenomicsError
 from .first_best import first_best_allocation, flow_surplus
-from .oracle import MAX_ACTIVE_TYPES, GridSpec, grid_first_best, holdings_ascent
+from .oracle import MAX_ACTIVE_TYPES, GridSpec, grid_first_best
 from .policy import SupplyRule, SupplyRuleKind, supply_path
-from .welfare import WelfareReport, _grid, evaluate, proposition_report, sweep_tax
+from .welfare import (
+    CERT_TOL, WelfareReport, _grid, certify, evaluate, proposition_report, sweep_tax
+)
 
 log = logging.getLogger("tokenomics")
 
@@ -178,12 +180,18 @@ def check_golden(score: Scorer, golden_file: Path) -> tuple[bool, str]:
         doc = json.loads(golden_file.read_text())
     except json.JSONDecodeError as exc:
         return False, f"golden file unreadable: {exc}"
-    cases = doc.get("cases")
+    cases = doc.get("cases") if isinstance(doc, dict) else None
     if not isinstance(cases, list) or not cases:
         return False, "golden file has no cases"
     mismatches: list[str] = []
     for i, case in enumerate(cases):
-        actual = golden_case_result(score, case["regime"], float(case["theta"]))
+        regime = case.get("regime") if isinstance(case, dict) else None
+        theta = case.get("theta") if isinstance(case, dict) else None
+        if not (isinstance(regime, str) and regime in eqm.REGIMES) or not (
+            isinstance(theta, (int, float)) and not isinstance(theta, bool)
+        ):
+            return False, f"golden case {i} needs a known regime and a numeric theta"
+        actual = golden_case_result(score, regime, float(theta))
         _compare_tree(case, actual, f"golden:case.{i}", mismatches)
     if mismatches:
         shown = "; ".join(mismatches[:4])
@@ -310,11 +318,12 @@ def run_supply_path(args) -> int:
 
 
 def _oracle_checks(cfg: ec.EconomyConfig, score: Scorer) -> list[dict]:
-    """Grid-search cross-checks of the analytic solvers on this config: every
-    regime of its family, at theta = 0 and 0.05 where the regime is taxed."""
+    """Grid-search cross-checks of the analytic solvers on this config, and
+    the equilibrium certificate: every regime of its family, at theta = 0
+    and 0.05 where the regime is taxed."""
     checks: list[dict] = []
     worst_holdings = 0.0
-    worst_ascent = 0.0
+    certificates = []
     fam = eqm.family(cfg)
     for regime, row in eqm.REGIMES.items():
         if row.family != fam:
@@ -322,7 +331,7 @@ def _oracle_checks(cfg: ec.EconomyConfig, score: Scorer) -> list[dict]:
         for theta in (0.0, 0.05) if row.taxed else (0.0,):
             eq, report = score(regime, theta)
             worst_holdings = max(worst_holdings, report.oracle_delta_max)
-            worst_ascent = max(worst_ascent, *holdings_ascent(cfg, eq).values())
+            certificates.append(certify(cfg, eq, report))
     checks.append({
         "name": "oracle_holdings_agreement",
         "status": "pass" if worst_holdings <= 2.0 else "fail",
@@ -333,11 +342,13 @@ def _oracle_checks(cfg: ec.EconomyConfig, score: Scorer) -> list[dict]:
     # a wrong wedge that moves them by a fraction of a percent; one-sided
     # differences of the holdings objective do. At the optimum they gain
     # nothing beyond rounding (a few 1e-9), at any scale and at the rT = r kink.
+    over = [k for k, tol in CERT_TOL.items() if not all(c[k] <= tol for c in certificates)]
     checks.append({
-        "name": "foc_finite_difference",
-        "status": "pass" if worst_ascent <= 1e-6 else "fail",
-        "measured": {"max_ascent_per_token": worst_ascent},
-        "detail": "no step of 1e-6 * m from solver holdings raises the holdings objective",
+        "name": "equilibrium_certificate",
+        "status": "fail" if over else "pass",
+        "measured": {k: max(c[k] for c in certificates) for k in CERT_TOL},
+        "detail": f"above tolerance: {', '.join(over)}" if over else
+        "every steady-state invariant holds within its tolerance at every solve",
     })
 
     # Uncongested planner optima are interior, so the grid argmax must land

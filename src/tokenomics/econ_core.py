@@ -127,20 +127,6 @@ def c_prime(c: CostFn, s: float) -> float:
     return c.scale * s**c.curvature
 
 
-def c_prime_inv(c: CostFn, p: float) -> float:
-    """Supply at which marginal cost equals the price p >= 0."""
-    if p < 0:
-        raise ValueError(f"price must be nonnegative, got {p}")
-    if p == 0:
-        return 0.0
-    # log-domain guard: near-flat cost curves make the exponent 1/curvature
-    # huge and a bare ** would overflow for any p above scale
-    log_s = (math.log(p) - math.log(c.scale)) / c.curvature
-    if log_s >= 709.0:
-        return math.inf
-    return math.exp(log_s)
-
-
 # ---------------------------------------------------------------------------
 # shocks and agents
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ about once (see grid_first_best). Everything is plain floats.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Mapping
 
@@ -198,25 +199,13 @@ def grid_best_response(
                 v = scored[i] = objective(upper if i == last else i * step)
             return v
 
-        lo, hi = 0, last
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if value(mid) < value(mid + 1):
-                lo = mid + 1
-            else:
-                hi = mid
-        vmax = value(lo)
+        peak = bisect_left(range(last), True, key=lambda i: not value(i) < value(i + 1))
+        vmax = value(peak)
         vmin = min(value(0), value(last))
         floor = vmax - TIE_RTOL * max(abs(vmin), abs(vmax), upper)
-        lo, hi = 0, lo
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if value(mid) >= floor:
-                hi = mid
-            else:
-                lo = mid + 1
-        if lo < last:
-            return lo * step, value(lo)
+        best = bisect_left(range(peak), floor, key=value)  # first value >= floor
+        if best < last:
+            return best * step, value(best)
         m_grid = GridSpec(upper * 2.0, m_grid.points)
 
     raise OracleError(
@@ -300,14 +289,7 @@ def grid_first_best(
         if end < 0:
             break  # this row's first cell overfills capacity, and so do the later rows'
         if i == 0:
-            lo, hi = 0, end
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if value(0, mid) < value(0, mid + 1):
-                    lo = mid + 1
-                else:
-                    hi = mid
-            k = lo
+            k = bisect_left(range(end), True, key=lambda j: not value(0, j) < value(0, j + 1))
             here = value(0, k)
         else:
             k = min(k, end)
@@ -324,14 +306,7 @@ def grid_first_best(
     vmax = max(row_max)
     floor = vmax - TIE_RTOL * max(abs(vmin), abs(vmax))
     i = next(i for i, v in enumerate(row_max) if v >= floor)
-    lo, hi = 0, peaks[i]
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if value(i, mid) >= floor:
-            hi = mid
-        else:
-            lo = mid + 1
-    cell = (i, lo)
+    cell = (i, bisect_left(range(peaks[i]), floor, key=lambda j: value(i, j)))
     for t, index, ax in zip(active, cell, (xs, ys)):
         if index == len(ax) - 1:
             raise OracleError(

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import econ_core as ec
-from .equilibrium import SteadyStateEquilibrium, family, solve_regime
-from .errors import ConfigError, InfeasiblePolicyError
+from .equilibrium import family, solve_regime
+from .errors import ConfigError
 
 
 class SupplyRuleKind(Enum):
@@ -75,29 +75,6 @@ def friedman_supply_ratio(r: float, gamma: float) -> float:
     if r <= -1 or gamma <= -1:
         raise ValueError(f"rates must exceed -1, got r={r}, gamma={gamma}")
     return (1.0 + gamma) / (1.0 + r)
-
-
-def tax_for_return_target(rt_target: float, gamma: float) -> float:
-    """Burn surcharge that makes the deterministic steady-state return rt_target."""
-    if rt_target < gamma:
-        raise InfeasiblePolicyError(
-            f"return target {rt_target} lies below the balance growth rate {gamma}; "
-            "no nonnegative burn rate reaches it"
-        )
-    return (1.0 + rt_target) / (1.0 + gamma) - 1.0
-
-
-def steady_state_burn_residual(eq: SteadyStateEquilibrium, gamma: float) -> dict[int, float]:
-    """Per-state residual of (rT - gamma) * m_aggregate = theta * p * activity.
-
-    Zero (to rounding) in any state with active burning; states without trade
-    are outside the identity and simply report their raw residual.
-    """
-    m_agg = eq.aggregate_real_balances
-    return {
-        s: (out.token_return - gamma) * m_agg - out.tax * out.price * out.aggregate_activity
-        for s, out in eq.states.items()
-    }
 
 
 def supply_path(

@@ -18,10 +18,20 @@ from . import econ_core as ec
 from . import equilibrium as eqm
 from .errors import ConfigError, InfeasiblePolicyError, OracleError, SolverError
 from .first_best import expected_first_best_surplus, first_best_allocation, flow_surplus
-from .oracle import GridSpec, grid_best_response
-from .policy import steady_state_burn_residual
+from .oracle import GridSpec, grid_best_response, holdings_ascent
 
 ARGMAX_TIE_TOL = 1e-10
+
+#: tolerance of each certify reading; a steady state passes when every
+#: reading is at or below its tolerance
+CERT_TOL = {
+    "over_capacity": 1e-12,
+    "foc_residual": 1e-8,
+    "burn_identity": 1e-8,
+    "return_above_r": 1e-12,
+    "above_first_best": 1e-12,
+    "holdings_ascent": 1e-6,
+}
 
 
 @dataclass(frozen=True)
@@ -92,6 +102,42 @@ def evaluate(cfg: ec.EconomyConfig, eq: eqm.SteadyStateEquilibrium) -> WelfareRe
         oracle_delta_max=_oracle_holdings_delta(cfg, eq),
         first_best_gap=expected_first_best_surplus(cfg) - expected,
     )
+
+
+def _burn_residual(eq: eqm.SteadyStateEquilibrium, gamma: float) -> float:
+    """Largest |(rT - gamma) M - theta p A| over the states that burn; the
+    others are outside the identity (Friedman's return comes from its supply
+    ratio, not a burn)."""
+    m_agg = eq.aggregate_real_balances
+    return max(
+        (
+            abs((out.token_return - gamma) * m_agg - burn)
+            for out in eq.states.values()
+            if (burn := out.tax * out.price * out.aggregate_activity) > 0.0
+        ),
+        default=0.0,
+    )
+
+
+def certify(
+    cfg: ec.EconomyConfig, eq: eqm.SteadyStateEquilibrium, report: WelfareReport
+) -> dict[str, float]:
+    """The worst reading of each steady-state invariant, keyed as CERT_TOL:
+    the largest state load above capacity, the FOC residual, the burn
+    identity's residual, E[rT] above r, welfare above first best, and the
+    largest gain per token from a step off the solver's holdings.
+
+    report is evaluate(cfg, eq), whose readings are reused; no grid is searched.
+    """
+    return {
+        "over_capacity": max(out.aggregate_activity for out in eq.states.values())
+        - ec.BLOCKSPACE_CAPACITY,
+        "foc_residual": report.foc_residual_max,
+        "burn_identity": _burn_residual(eq, cfg.gamma),
+        "return_above_r": eq.expected_return - cfg.r,
+        "above_first_best": -report.first_best_gap,
+        "holdings_ascent": max(holdings_ascent(cfg, eq).values()),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -204,16 +250,11 @@ def _grid(lo: float, hi: float, n: int) -> list[float]:
 
 
 def _burn_identity_check(cfg: ec.EconomyConfig, equilibria: Iterable) -> dict:
-    worst = 0.0
-    for eq in equilibria:
-        if eq is None:
-            continue
-        for s, resid in steady_state_burn_residual(eq, cfg.gamma).items():
-            out = eq.states[s]
-            if out.tax * out.price * out.aggregate_activity > 0.0:
-                worst = max(worst, abs(resid))
+    worst = max(
+        (_burn_residual(eq, cfg.gamma) for eq in equilibria if eq is not None), default=0.0
+    )
     return _check(
-        "burn_identity", worst <= 1e-8, {"max_residual": worst},
+        "burn_identity", worst <= CERT_TOL["burn_identity"], {"max_residual": worst},
         "per-state burn value equals the return premium on aggregate balances",
     )
 

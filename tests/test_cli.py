@@ -285,12 +285,14 @@ def test_verify_passes_on_shipped_config(tmp_path, capsys):
     assert doc["family"] == "deterministic"
 
 
-def test_verify_foc_check_fails_on_inflated_holdings(iid_cfg, monkeypatch):
-    def statuses():
+def test_verify_certificate_fails_on_inflated_holdings(iid_cfg, monkeypatch):
+    def certificate():
         checks = cli._oracle_checks(iid_cfg, cli._scorer(iid_cfg))
-        return {c["name"]: c["status"] for c in checks}
+        return next(c for c in checks if c["name"] == "equilibrium_certificate")
 
-    assert statuses()["foc_finite_difference"] == "pass"
+    passed = certificate()
+    assert passed["status"] == "pass"
+    assert sorted(passed["measured"]) == sorted(welfare.CERT_TOL)
     solve = cli.eqm.solve_regime
 
     def inflated(cfg, regime, theta=0.0):
@@ -298,7 +300,9 @@ def test_verify_foc_check_fails_on_inflated_holdings(iid_cfg, monkeypatch):
         return dataclasses.replace(eq, holdings={n: 1.01 * m for n, m in eq.holdings.items()})
 
     monkeypatch.setattr(cli.eqm, "solve_regime", inflated)
-    assert statuses()["foc_finite_difference"] == "fail"
+    failed = certificate()
+    assert failed["status"] == "fail"
+    assert "holdings_ascent" in failed["detail"]
 
 
 @pytest.mark.parametrize("name", ["deterministic", "heterogeneous"])
@@ -347,6 +351,28 @@ def test_verify_detects_golden_corruption(tmp_path, capsys):
     assert "FAIL  golden_regression" in captured.out
     assert "case.1.equilibrium.states.1.price" in captured.out
     assert "golden_regression" in captured.err
+
+
+@pytest.mark.parametrize(
+    "golden",
+    [
+        [{"regime": "friedman", "theta": 0.0}],
+        {"cases": [{"theta": 0.0}]},
+        {"cases": [{"regime": "friedman", "theta": "a"}]},
+    ],
+    ids=["array", "no-regime", "text-theta"],
+)
+def test_verify_reports_a_malformed_golden_file(tmp_path, golden):
+    cfg_path = tmp_path / "deterministic.json"
+    cfg_path.write_text((CONFIG_DIR / "deterministic.json").read_text())
+    (tmp_path / "deterministic.golden.json").write_text(json.dumps(golden))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tokenomics.cli", "verify", "--config", str(cfg_path)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert "FAIL  golden_regression" in proc.stdout
+    assert "Traceback" not in proc.stderr
 
 
 def test_verify_skips_first_best_grid_with_three_active_types(tmp_path, capsys):

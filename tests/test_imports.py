@@ -1,9 +1,11 @@
-"""Import hygiene: every name a package module imports is used in it.
+"""Import hygiene and dead code: every name a package module imports is
+used in it, and every module-level function is read somewhere in the
+package.
 
 No linter ships with the test extras, so this walks each module's syntax
 tree. An import whose line carries ``# noqa`` is exempt: it is loaded for
 its side effect. Names listed in ``__all__`` count as used, so re-exports
-pass.
+and the public API pass.
 """
 
 import ast
@@ -53,3 +55,39 @@ def test_detector_flags_an_unused_import():
 @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
 def test_module_uses_every_import(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+def unread_functions(sources: dict[str, str]) -> list[str]:
+    """Module-level functions that no module reads, by name or as an
+    attribute, outside their own body, and that no ``__all__`` lists."""
+    defined: list[tuple[str, str]] = []
+    read: set[str] = set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            names = {
+                n.id if isinstance(n, ast.Name) else n.attr
+                for n in ast.walk(node)
+                if (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
+                or isinstance(n, ast.Attribute)
+            }
+            if isinstance(node, ast.FunctionDef):
+                defined.append((module, node.name))
+                names.discard(node.name)  # a recursive call is no caller
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                names |= set(ast.literal_eval(node.value))
+            read |= names
+    return sorted(f"{module}:{name}" for module, name in defined if name not in read)
+
+
+def test_detector_flags_an_unread_function():
+    sources = {
+        "a.py": "def used():\n    return 1\n\ndef dead():\n    return dead()\n",
+        "b.py": "from a import used\n\nX = used()\n",
+    }
+    assert unread_functions(sources) == ["a.py:dead"]
+
+
+def test_every_function_is_read():
+    assert unread_functions({p.name: p.read_text() for p in SRC.glob("*.py")}) == []

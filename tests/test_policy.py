@@ -5,7 +5,8 @@ import pytest
 from tokenomics import econ_core as ec
 from tokenomics import equilibrium as eqm
 from tokenomics import policy as pol
-from tokenomics.errors import ConfigError, InfeasiblePolicyError
+from tokenomics import welfare as wf
+from tokenomics.errors import ConfigError
 
 from helpers import single_user_config
 
@@ -16,14 +17,6 @@ def test_friedman_supply_ratio_values():
     assert pol.friedman_supply_ratio(0.02, 0.05) > 1.0  # supply must grow
     with pytest.raises(ValueError):
         pol.friedman_supply_ratio(-1.0, 0.0)
-
-
-def test_tax_for_return_target():
-    assert pol.tax_for_return_target(0.0, 0.0) == 0.0
-    assert pol.tax_for_return_target(0.05, 0.0) == pytest.approx(0.05, rel=1e-15)
-    assert pol.tax_for_return_target(0.05, 0.02) == pytest.approx(1.05 / 1.02 - 1, rel=1e-15)
-    with pytest.raises(InfeasiblePolicyError):
-        pol.tax_for_return_target(0.03, 0.05)
 
 
 def test_supply_rule_validation():
@@ -40,11 +33,9 @@ def test_supply_rule_validation():
 
 
 def test_burn_residual_vanishes_in_burning_states(det_cfg, iid_cfg):
-    det = eqm.solve_regime(det_cfg, "deterministic", 0.1)
-    assert abs(pol.steady_state_burn_residual(det, det_cfg.gamma)[1]) <= 1e-8
-    iid = eqm.solve_regime(iid_cfg, "iid", 0.1)
-    residuals = pol.steady_state_burn_residual(iid, iid_cfg.gamma)
-    assert max(abs(v) for v in residuals.values()) <= 1e-8
+    for cfg, regime in ((det_cfg, "deterministic"), (iid_cfg, "iid")):
+        eq = eqm.solve_regime(cfg, regime, 0.1)
+        assert wf.certify(cfg, eq, wf.evaluate(cfg, eq))["burn_identity"] <= 1e-8
 
 
 def test_fixed_supply_path_is_flat_when_balances_are(det_cfg):
@@ -70,7 +61,7 @@ def test_friedman_target_path_ratios():
 def test_tax_and_burn_path_matches_friedman_target_balances(det_cfg):
     # a burn rate targeting rT = r deflates real balances along the same path
     # the ratio rule does, even though the nominal mechanics differ
-    theta = pol.tax_for_return_target(det_cfg.r, det_cfg.gamma)
+    theta = (1.0 + det_cfg.r) / (1.0 + det_cfg.gamma) - 1.0
     burn = pol.supply_path(pol.SupplyRule.tax_and_burn(theta), det_cfg, M0=3.0, T=12)
     target = pol.supply_path(pol.SupplyRule.friedman_target(), det_cfg, M0=3.0, T=12)
     for t in range(13):

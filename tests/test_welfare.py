@@ -1,16 +1,29 @@
 import dataclasses
 import math
 import pickle
+import sys
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from tokenomics import econ_core as ec
 from tokenomics import equilibrium as eqm
 from tokenomics import welfare as wf
-from tokenomics.errors import ConfigError, SolverError
+from tokenomics.errors import ConfigError, InfeasiblePolicyError, SolverError
 from tokenomics.first_best import expected_first_best_surplus
 
-from helpers import CONFIG_DIR, record_evaluations, single_user_config, two_type_config
+from helpers import (
+    CONFIG_DIR,
+    cert_failures,
+    record_evaluations,
+    single_user_config,
+    two_type_config,
+)
+
+# the benchmark's independent model of the economy, which imports nothing
+# from the package
+sys.path.insert(0, str(CONFIG_DIR.parent / "perfbench"))
+import model  # noqa: E402
 
 FRIEDMAN_WELFARE = 0.5952753944880749
 
@@ -224,3 +237,105 @@ def test_heterogeneous_battery_fails_on_zero_tax_solver_error(het_cfg, monkeypat
     report = wf.proposition_report(het_cfg)
     assert report["checks"][0]["status"] == "fail"
     assert not report["all_passed"]
+
+
+# ---------------------------------------------------------------------------
+# the equilibrium certificate
+# ---------------------------------------------------------------------------
+
+CLOSED_FORM_KINDS = {
+    "friedman": ec.ShockKind.DETERMINISTIC,
+    "deterministic": ec.ShockKind.DETERMINISTIC,
+    "iid": ec.ShockKind.IID_BINARY,
+    "common": ec.ShockKind.COMMON_BINARY,
+}
+
+
+@st.composite
+def closed_form_solves(draw, regimes, past_frontier):
+    """(cfg, regime, theta): a one-type config of the regime's family with
+    gamma in [-0.03, 0.03], and a tax up to the frontier
+    model.frontier_theta, or past it (theta = 0 where the frontier is
+    negative)."""
+    regime = draw(st.sampled_from(regimes))
+    cfg = single_user_config(
+        CLOSED_FORM_KINDS[regime],
+        r=draw(st.floats(0.01, 0.1)),
+        gamma=draw(st.floats(-0.03, 0.03)),
+        rho=draw(st.floats(0.1, 1.0)),
+        scale=draw(st.floats(0.01, 100.0)),
+        curvature=draw(st.floats(0.2, 0.8)),
+        cost=(draw(st.floats(0.2, 3.0)), draw(st.floats(0.05, 3.0))),
+    )
+    if regime == "friedman":
+        return cfg, regime, 0.0
+    frontier = model.frontier_theta(ec.config_to_dict(cfg), regime)
+    assume(math.isfinite(frontier))
+    if past_frontier:
+        return cfg, regime, max(0.0, frontier + draw(st.floats(1e-3, 0.5)))
+    assume(frontier >= 0.0)
+    return cfg, regime, draw(st.floats(0.0, 1.0)) * frontier
+
+
+@settings(max_examples=80, deadline=None)
+@given(closed_form_solves(tuple(CLOSED_FORM_KINDS), past_frontier=False))
+def test_closed_form_solves_inside_the_frontier_are_certified(solve):
+    cfg, regime, theta = solve
+    eq = eqm.solve_regime(cfg, regime, theta)
+    report = wf.evaluate(cfg, eq)
+    assert cert_failures(wf.certify(cfg, eq, report)) == []
+    if 0.0 < theta < 1e-6:
+        return  # see test_model_burn_check_passes_at_a_tiny_tax
+    doc = ec.config_to_dict(cfg)
+    assert model.check_equilibrium(doc, regime, theta, eq.as_dict(), report.as_dict()) == []
+
+
+@pytest.mark.xfail(strict=True, reason="rT = (1 + theta)(1 + gamma) - 1 loses relative precision")
+def test_model_burn_check_passes_at_a_tiny_tax(det_cfg):
+    # the return law rounds 1 + theta to a double, an error of about 1e-16
+    # in rT, which at theta = 1e-9 is 1e-7 of rT; the model checks the burn
+    # identity to 1e-8 of the burn. The certificate's check is absolute.
+    eq = eqm.solve_regime(det_cfg, "deterministic", 1e-9)
+    report = wf.evaluate(det_cfg, eq)
+    assert cert_failures(wf.certify(det_cfg, eq, report)) == []
+    doc = ec.config_to_dict(det_cfg)
+    assert model.check_equilibrium(doc, "deterministic", 1e-9, eq.as_dict(), report.as_dict()) == []
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+@settings(max_examples=40, deadline=None)
+@given(closed_form_solves(("deterministic", "iid", "common"), past_frontier=True))
+def test_closed_form_solves_past_the_frontier_raise(solve):
+    cfg, regime, theta = solve
+    with pytest.raises(InfeasiblePolicyError):
+        eqm.solve_regime(cfg, regime, theta)
+
+
+@pytest.mark.parametrize(
+    "fixture_name, regime, theta, holdings_factor, flagged",
+    [
+        ("det_cfg", "deterministic", 0.2, 1.0, "return_above_r"),
+        ("iid_cfg", "iid", 0.05, 1.01, "holdings_ascent"),
+    ],
+)
+def test_certify_flags_a_return_above_r_and_inflated_holdings(
+    fixture_name, regime, theta, holdings_factor, flagged, request
+):
+    cfg = request.getfixturevalue(fixture_name)
+    eq = eqm.solve_regime(cfg, regime, theta)
+    eq = dataclasses.replace(
+        eq, holdings={n: holdings_factor * m for n, m in eq.holdings.items()}
+    )
+    assert flagged in cert_failures(wf.certify(cfg, eq, wf.evaluate(cfg, eq)))
+
+
+def test_certify_reuses_the_report(iid_cfg, monkeypatch):
+    # certify calls no econ_core primitive: the FOC residual and the
+    # first-best gap come from the report
+    eq = eqm.solve_regime(iid_cfg, "iid", 0.05)
+    report = wf.evaluate(iid_cfg, eq)
+    seen = record_evaluations(monkeypatch)
+    certificate = wf.certify(iid_cfg, eq, report)
+    assert (seen.u_prime_inv, seen.u_prime, seen.c_prime) == ([], [], [])
+    assert certificate["foc_residual"] == report.foc_residual_max
+    assert certificate["above_first_best"] == -report.first_best_gap
