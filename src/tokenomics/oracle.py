@@ -199,11 +199,12 @@ def grid_best_response(
                 v = scored[i] = objective(upper if i == last else i * step)
             return v
 
+        # the first i where the grid stops rising: V(i) >= V(i + 1)
         peak = bisect_left(range(last), True, key=lambda i: not value(i) < value(i + 1))
         vmax = value(peak)
         vmin = min(value(0), value(last))
         floor = vmax - TIE_RTOL * max(abs(vmin), abs(vmax), upper)
-        best = bisect_left(range(peak), floor, key=value)  # first value >= floor
+        best = bisect_left(range(peak), True, key=lambda i: value(i) >= floor)
         if best < last:
             return best * step, value(best)
         m_grid = GridSpec(upper * 2.0, m_grid.points)
@@ -289,6 +290,7 @@ def grid_first_best(
         if end < 0:
             break  # this row's first cell overfills capacity, and so do the later rows'
         if i == 0:
+            # the first j where the row stops rising
             k = bisect_left(range(end), True, key=lambda j: not value(0, j) < value(0, j + 1))
             here = value(0, k)
         else:
@@ -306,7 +308,7 @@ def grid_first_best(
     vmax = max(row_max)
     floor = vmax - TIE_RTOL * max(abs(vmin), abs(vmax))
     i = next(i for i, v in enumerate(row_max) if v >= floor)
-    cell = (i, bisect_left(range(peaks[i]), floor, key=lambda j: value(i, j)))
+    cell = (i, bisect_left(range(peaks[i]), True, key=lambda j: value(i, j) >= floor))
     for t, index, ax in zip(active, cell, (xs, ys)):
         if index == len(ax) - 1:
             raise OracleError(

@@ -140,6 +140,11 @@ def certify(
     }
 
 
+def cert_failures(certificate: dict[str, float]) -> list[str]:
+    """The certify readings above their CERT_TOL entry; a nan reading fails."""
+    return [k for k, v in certificate.items() if not v <= CERT_TOL[k]]
+
+
 # ---------------------------------------------------------------------------
 # tax sweeps
 # ---------------------------------------------------------------------------

@@ -1,5 +1,4 @@
-"""Config builders, an evaluation recorder and a certificate reader shared
-across the test modules."""
+"""Config builders and an evaluation recorder shared across the test modules."""
 
 from __future__ import annotations
 
@@ -10,17 +9,11 @@ from pathlib import Path
 from tokenomics import econ_core as ec
 from tokenomics import equilibrium as eqm
 from tokenomics import first_best as fb
-from tokenomics.welfare import CERT_TOL
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 ISO = ec.UtilityFn
 ZERO = ec.ZeroUtility()
-
-
-def cert_failures(certificate: dict[str, float]) -> list[str]:
-    """The certify readings above their CERT_TOL entry; a nan reading fails."""
-    return [k for k, v in certificate.items() if not v <= CERT_TOL[k]]
 
 
 @dataclass

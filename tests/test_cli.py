@@ -359,13 +359,19 @@ def test_verify_detects_golden_corruption(tmp_path, capsys):
         [{"regime": "friedman", "theta": 0.0}],
         {"cases": [{"theta": 0.0}]},
         {"cases": [{"regime": "friedman", "theta": "a"}]},
+        {"cases": [{"regime": "iid", "theta": 0.0}]},
+        {"cases": [{"regime": "deterministic", "theta": -1}]},
+        {"cases": [{"regime": "deterministic", "theta": 10**400}]},
+        b'\xff{"cases": []}',
     ],
-    ids=["array", "no-regime", "text-theta"],
+    ids=["array", "no-regime", "text-theta", "other-family", "negative-theta", "huge-theta",
+         "not-utf8"],
 )
 def test_verify_reports_a_malformed_golden_file(tmp_path, golden):
     cfg_path = tmp_path / "deterministic.json"
     cfg_path.write_text((CONFIG_DIR / "deterministic.json").read_text())
-    (tmp_path / "deterministic.golden.json").write_text(json.dumps(golden))
+    data = golden if isinstance(golden, bytes) else json.dumps(golden).encode()
+    (tmp_path / "deterministic.golden.json").write_bytes(data)
     proc = subprocess.run(
         [sys.executable, "-m", "tokenomics.cli", "verify", "--config", str(cfg_path)],
         capture_output=True, text=True,

@@ -10,13 +10,12 @@ from tokenomics import equilibrium as eqm
 from tokenomics.errors import ConfigError, InfeasiblePolicyError
 from tokenomics.first_best import _clear_blockspace, first_best_allocation
 from tokenomics.oracle import holdings_ascent, holdings_objective
-from tokenomics.welfare import certify, evaluate
+from tokenomics.welfare import cert_failures, certify, evaluate
 
 from helpers import (
     CONFIG_DIR,
     ISO,
     both_bind_config,
-    cert_failures,
     het_band_config,
     low_state_over_capacity_config,
     record_evaluations,
@@ -511,9 +510,14 @@ def test_heterogeneous_solves_hold_invariants_or_raise_typed_errors(
             continue
         report = evaluate(cfg, eq)
         assert cert_failures(certify(cfg, eq, report)) == []
-        # the untaxed low state is outside the burn identity's reading; at
-        # gamma = 0 it must return 0
-        assert eq.states[0].tax == 0.0 and eq.states[0].token_return == 0.0
+        # certify reads the burn identity only where a state burns; here it
+        # must hold in every state, the untaxed ones (all of them at theta = 0)
+        # included
+        assert all(
+            abs((out.token_return - cfg.gamma) * eq.aggregate_real_balances
+                - out.tax * out.price * out.aggregate_activity) <= 1e-8
+            for out in eq.states.values()
+        )
         assert report.oracle_delta_max <= 2.0
 
 

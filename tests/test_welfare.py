@@ -14,7 +14,6 @@ from tokenomics.first_best import expected_first_best_surplus
 
 from helpers import (
     CONFIG_DIR,
-    cert_failures,
     record_evaluations,
     single_user_config,
     two_type_config,
@@ -283,9 +282,13 @@ def test_closed_form_solves_inside_the_frontier_are_certified(solve):
     cfg, regime, theta = solve
     eq = eqm.solve_regime(cfg, regime, theta)
     report = wf.evaluate(cfg, eq)
-    assert cert_failures(wf.certify(cfg, eq, report)) == []
+    assert wf.cert_failures(wf.certify(cfg, eq, report)) == []
+    # the model's relative burn check fails on some draws at a tiny tax (see
+    # test_model_burn_check_passes_at_a_tiny_tax): in 160,000 draws of this
+    # strategy with theta log-uniform on [1e-7, 1e-5] the largest failing
+    # theta was 2.7e-7, so the bound leaves a margin of about 4
     if 0.0 < theta < 1e-6:
-        return  # see test_model_burn_check_passes_at_a_tiny_tax
+        return
     doc = ec.config_to_dict(cfg)
     assert model.check_equilibrium(doc, regime, theta, eq.as_dict(), report.as_dict()) == []
 
@@ -297,7 +300,7 @@ def test_model_burn_check_passes_at_a_tiny_tax(det_cfg):
     # identity to 1e-8 of the burn. The certificate's check is absolute.
     eq = eqm.solve_regime(det_cfg, "deterministic", 1e-9)
     report = wf.evaluate(det_cfg, eq)
-    assert cert_failures(wf.certify(det_cfg, eq, report)) == []
+    assert wf.cert_failures(wf.certify(det_cfg, eq, report)) == []
     doc = ec.config_to_dict(det_cfg)
     assert model.check_equilibrium(doc, "deterministic", 1e-9, eq.as_dict(), report.as_dict()) == []
 
@@ -326,7 +329,7 @@ def test_certify_flags_a_return_above_r_and_inflated_holdings(
     eq = dataclasses.replace(
         eq, holdings={n: holdings_factor * m for n, m in eq.holdings.items()}
     )
-    assert flagged in cert_failures(wf.certify(cfg, eq, wf.evaluate(cfg, eq)))
+    assert flagged in wf.cert_failures(wf.certify(cfg, eq, wf.evaluate(cfg, eq)))
 
 
 def test_certify_reuses_the_report(iid_cfg, monkeypatch):
