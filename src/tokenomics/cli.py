@@ -265,7 +265,7 @@ def run_sweep(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     grid = _grid(args.theta_min, args.theta_max, args.points)
-    result = sweep_tax(cfg, args.regime, grid, jobs=args.jobs)
+    result = sweep_tax(cfg, args.regime, grid)
     rows = []
     for th, w, congested, status, eq, report in zip(
         result.grid, result.welfare, result.congestion_flags,
@@ -485,7 +485,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta-min", type=float, default=0.0)
     p.add_argument("--theta-max", type=float, required=True)
     p.add_argument("--points", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers (default 1)")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for compatibility; sweeps run in one process")
     p.set_defaults(func=run_sweep)
 
     p = sub.add_parser("path", help="simulate a token-supply trajectory")
@@ -515,12 +516,12 @@ def _validate_usage(args) -> str | None:
     if args.command == "path":
         if args.T < 1:
             return "path needs --T >= 1"
-        if args.M0 <= 0:
-            return "--M0 must be positive"
-        if args.q0 <= 0:
-            return "--q0 must be positive"
-        if args.theta < 0:
-            return "--theta must be >= 0"
+        if not 0 < args.M0 < math.inf:
+            return "--M0 must be positive and finite"
+        if not 0 < args.q0 < math.inf:
+            return "--q0 must be positive and finite"
+        if not 0 <= args.theta < math.inf:
+            return "--theta must be >= 0 and finite"
     return None
 
 

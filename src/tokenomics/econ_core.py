@@ -3,8 +3,7 @@
 Users value on-chain activity through isoelastic flow utilities, validators
 supply blockspace at a power marginal cost, and per-period demand shifts are
 driven by a binary shock process. Everything here is an immutable value type
-or a pure function, so the rest of the package can share these objects freely
-across threads and worker processes.
+or a pure function, so the rest of the package can share these objects freely.
 
 Blockspace capacity is normalized to one unit per period throughout.
 """
@@ -214,10 +213,6 @@ class EconomyConfig:
         for i, spec in enumerate(self.agent_types):
             named.append(spec if spec.name else replace(spec, name=f"type{i}"))
         object.__setattr__(self, "agent_types", tuple(named))
-
-    @property
-    def beta(self) -> float:
-        return 1.0 / (1.0 + self.r)
 
 
 @dataclass(frozen=True)

@@ -594,7 +594,7 @@ def solve_regime(cfg: ec.EconomyConfig, regime: str, theta: float = 0.0) -> Stea
     theta); logs the result at INFO.
 
     ConfigError if the regime is unknown, if cfg is not of the family the
-    regime solves, or if a taxed regime gets a negative theta.
+    regime solves, or if a taxed regime gets a theta outside [0, inf).
     """
     row = REGIMES.get(regime)
     if row is None:
@@ -604,8 +604,8 @@ def solve_regime(cfg: ec.EconomyConfig, regime: str, theta: float = 0.0) -> Stea
         raise ConfigError(
             f"the {regime} regime solves {row.family!r} configs; this config's family is {fam!r}"
         )
-    if row.taxed and theta < 0:
-        raise ConfigError(f"tax rate must be nonnegative, got {theta}")
+    if row.taxed and not 0 <= theta < math.inf:
+        raise ConfigError(f"tax rate must be nonnegative and finite, got {theta}")
     eq = row.solve(cfg, theta if row.taxed else 0.0)
     if log.isEnabledFor(logging.INFO):
         log.info(

@@ -142,10 +142,10 @@ def _clear_blockspace(
 
 def _memo(cfg: ec.EconomyConfig) -> dict:
     # First-best results solved for cfg, kept in its instance __dict__ so they
-    # live as long as the config and travel with it through pickling. Configs
-    # are unhashable, and a table keyed on id() would keep them alive and could
-    # alias a reused id. Dataclass equality, repr and replace() read only the
-    # fields, so the entry is invisible to them.
+    # live exactly as long as the config. Configs are unhashable, and a table
+    # keyed on id() would keep them alive and could alias a reused id.
+    # Dataclass equality, repr and replace() read only the fields, so the
+    # entry is invisible to them.
     return vars(cfg).setdefault("_first_best", {})
 
 

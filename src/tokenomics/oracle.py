@@ -218,15 +218,13 @@ def grid_best_response(
 def grid_first_best(
     cfg: ec.EconomyConfig,
     state: int,
-    grids: Mapping[str, GridSpec] | None = None,
-    points: int = 2001,
+    grids: Mapping[str, GridSpec],
 ) -> tuple[Allocation, float]:
     """First-best allocation for one state: the best feasible cell of a
     product grid of activities, with at most two active types.
 
-    Default per-type grids span [0, 2 * analytic optimum] so the boundary is
-    never binding for a correct solver; explicit grids override that anchor.
-    Returns the best feasible allocation and its flow surplus.
+    grids gives each active type's activity grid by name. Returns the best
+    feasible allocation and its flow surplus.
 
     The surplus m1 u1(x) + m2 u2(y) - C(m1 x + m2 y) is scored on the cells
     with load at most capacity, rows indexed by the first active type's
@@ -254,15 +252,6 @@ def grid_first_best(
         raise OracleError(
             f"product grid limited to {MAX_ACTIVE_TYPES} active types, got {len(active)}"
         )
-
-    if grids is None:
-        from .first_best import first_best_allocation
-
-        anchor = first_best_allocation(cfg, state)
-        grids = {
-            t.name: GridSpec(max(2.0 * anchor.activities[t.name], 1e-6), points)
-            for t in active
-        }
 
     def axis(t: ec.AgentTypeSpec) -> tuple[list[float], list[float], list[float]]:
         """A type's grid, with its mass times utility and its load there."""

@@ -34,18 +34,10 @@ class SupplyRule:
     theta: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.theta < 0:
-            raise ValueError(f"tax rate must be nonnegative, got {self.theta}")
+        if not 0 <= self.theta < math.inf:
+            raise ValueError(f"tax rate must be nonnegative and finite, got {self.theta}")
         if self.kind is not SupplyRuleKind.TAX_AND_BURN and self.theta:
             raise ValueError(f"{self.kind.value} does not take a tax rate")
-
-    @classmethod
-    def fixed_supply(cls) -> SupplyRule:
-        return cls(SupplyRuleKind.FIXED_SUPPLY)
-
-    @classmethod
-    def friedman_target(cls) -> SupplyRule:
-        return cls(SupplyRuleKind.FRIEDMAN_TARGET)
 
     @classmethod
     def tax_and_burn(cls, theta: float) -> SupplyRule:
@@ -93,8 +85,8 @@ def supply_path(
     """
     if T < 1:
         raise ConfigError(f"need at least one period, got T={T}")
-    if M0 <= 0 or q0 <= 0:
-        raise ConfigError(f"M0 and q0 must be positive, got M0={M0}, q0={q0}")
+    if not (0 < M0 < math.inf and 0 < q0 < math.inf):
+        raise ConfigError(f"M0 and q0 must be positive and finite, got M0={M0}, q0={q0}")
 
     burn_flow = 0.0
     m_reference = math.nan

@@ -173,9 +173,8 @@ class SweepResult:
 
 
 def _sweep_point(
-    args: tuple[ec.EconomyConfig, str, float],
+    cfg: ec.EconomyConfig, regime: str, theta: float
 ) -> tuple[str, float, bool, WelfareReport | None, eqm.SteadyStateEquilibrium | None]:
-    cfg, regime, theta = args
     try:
         eq = eqm.solve_regime(cfg, regime, theta)
     except (SolverError, InfeasiblePolicyError) as exc:
@@ -186,13 +185,7 @@ def _sweep_point(
     return status, report.expected_flow_welfare, congested, report, eq
 
 
-def sweep_tax(
-    cfg: ec.EconomyConfig,
-    regime: str,
-    theta_grid: list[float],
-    *,
-    jobs: int = 1,
-) -> SweepResult:
+def sweep_tax(cfg: ec.EconomyConfig, regime: str, theta_grid: list[float]) -> SweepResult:
     """Solve and score one equilibrium per tax rate.
 
     ConfigError if the grid is empty or unsorted, or if the regime takes no
@@ -207,17 +200,7 @@ def sweep_tax(
     row = eqm.REGIMES.get(regime)
     if row is not None and not row.taxed:
         raise ConfigError(f"the {regime} regime takes no tax; there is no tax grid to sweep")
-    work = [(cfg, regime, float(th)) for th in theta_grid]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        # solved before the work items are pickled, so every worker gets it
-        expected_first_best_surplus(cfg)
-        # a forked pool starts all its workers when it opens: one per point at most
-        with ProcessPoolExecutor(max_workers=min(jobs, len(work))) as pool:
-            rows = list(pool.map(_sweep_point, work))
-    else:
-        rows = [_sweep_point(w) for w in work]
+    rows = [_sweep_point(cfg, regime, float(th)) for th in theta_grid]
 
     statuses = tuple(r[0] for r in rows)
     welfare = tuple(r[1] for r in rows)

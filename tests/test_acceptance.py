@@ -75,9 +75,10 @@ def test_criterion_01_optimal_rule_matches_first_best(det_cfg):
 
 def test_criterion_02_target_rule_supply_ratio():
     worst = 0.0
+    target = pol.SupplyRule(pol.SupplyRuleKind.FRIEDMAN_TARGET)
     for r, gamma in ((0.05, 0.02), (0.02, 0.05), (0.05, 0.05)):
         cfg = single_user_config(ec.ShockKind.DETERMINISTIC, r=r, gamma=gamma)
-        path = pol.supply_path(pol.SupplyRule.friedman_target(), cfg, M0=1.0, T=8)
+        path = pol.supply_path(target, cfg, M0=1.0, T=8)
         expected = (1.0 + gamma) / (1.0 + r)
         for t in range(1, 9):
             ratio = path.nominal[t] / path.nominal[t - 1]

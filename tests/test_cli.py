@@ -201,14 +201,16 @@ def test_path_friedman_target(tmp_path):
     assert float(last[1]) == pytest.approx(100.0 / 1.05**5, rel=1e-12)
 
 
-def run_without_numpy(args):
-    """Run the CLI in a fresh interpreter in which importing numpy fails, in
-    the process and in every sweep worker forked from it."""
+def run_without_numpy_or_pools(args):
+    """Run the CLI in a fresh interpreter in which importing numpy,
+    concurrent.futures or multiprocessing fails: every command runs in the
+    one process, in plain floats."""
     src = str(Path(cli.__file__).resolve().parents[1])
     code = (
         "import sys\n"
         f"sys.path.insert(0, {src!r})\n"
-        "sys.modules['numpy'] = None\n"
+        "for name in ('numpy', 'concurrent.futures', 'multiprocessing'):\n"
+        "    sys.modules[name] = None\n"
         "from tokenomics import cli\n"
         f"code = cli.main({args!r})\n"
         "assert code == 0, code\n"
@@ -238,8 +240,9 @@ def run_without_numpy(args):
 )
 def test_scenario_and_sweep_do_not_import_numpy(tmp_path, args):
     # no command needs numpy: the grid oracles that score every scenario and
-    # sweep point and verify's first best are plain floats
-    run_without_numpy(args + ["--out", str(tmp_path)])
+    # sweep point and verify's first best are plain floats; and no command
+    # starts a worker, --jobs 2 included
+    run_without_numpy_or_pools(args + ["--out", str(tmp_path)])
 
 
 def test_path_tax_and_burn_requires_theta_compatible_shocks(tmp_path, capsys):
@@ -266,6 +269,27 @@ def test_path_usage_guards(tmp_path, capsys):
     ) == 3
     assert "--theta must be >= 0" in capsys.readouterr().err
     assert not (tmp_path / "path.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["scenario", "--config", DET, "--regime", "deterministic", "--theta", "nan"],
+        ["scenario", "--config", HET, "--regime", "heterogeneous", "--theta", "nan"],
+        ["scenario", "--config", IID, "--regime", "iid", "--theta", "inf"],
+        ["path", "--config", DET, "--rule", "tax_and_burn", "--theta", "nan",
+         "--M0", "1", "--T", "3"],
+        ["path", "--config", DET, "--rule", "fixed_supply", "--M0", "nan", "--T", "3"],
+        ["path", "--config", DET, "--rule", "fixed_supply", "--M0", "1", "--q0", "inf",
+         "--T", "3"],
+        ["sweep", "--config", IID, "--regime", "iid", "--theta-max", "nan", "--points", "3"],
+    ],
+    ids=["scenario-deterministic-nan", "scenario-heterogeneous-nan", "scenario-iid-inf",
+         "path-theta-nan", "path-M0-nan", "path-q0-inf", "sweep-theta-max-nan"],
+)
+def test_non_finite_numbers_exit_3(tmp_path, args):
+    assert cli.main(args + ["--out", str(tmp_path)]) == 3
+    assert not any(tmp_path.iterdir())
 
 
 # ---------------------------------------------------------------------------

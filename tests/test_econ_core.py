@@ -99,11 +99,6 @@ def test_agent_type_fills_missing_states_with_zero():
     assert isinstance(t.utility_in(0), ec.ZeroUtility)
 
 
-def test_beta_is_discount_factor():
-    cfg = single_user_config(ec.ShockKind.DETERMINISTIC, r=0.25)
-    assert cfg.beta == pytest.approx(0.8)
-
-
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------

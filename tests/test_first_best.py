@@ -163,8 +163,9 @@ def test_replaced_config_gets_its_own_first_best(det_cfg):
 
 @pytest.mark.parametrize("solved_first", [False, True])
 def test_pickled_config_scores_identically(solved_first):
-    # sweeps with jobs > 1 send the config to worker processes by pickle,
-    # with or without the stored first best
+    # the first-best memo lives in the config's instance __dict__, so a
+    # pickled copy carries whatever was stored; with or without it, the copy
+    # must score the same
     cfg = ec.load_config(CONFIG_DIR / "iid.json")
     eq = eqm.solve_regime(cfg, "iid", 0.05)
     if solved_first:

@@ -1,6 +1,6 @@
 """Import hygiene and dead code: every name a package module imports is
-used in it, and every module-level function is read somewhere in the
-package.
+used in it, and every module-level function, and every public method or
+property of a module-level class, is read somewhere in the package.
 
 No linter ships with the test extras, so this walks each module's syntax
 tree. An import whose line carries ``# noqa`` is exempt: it is loaded for
@@ -9,6 +9,7 @@ and the public API pass.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -91,3 +92,56 @@ def test_detector_flags_an_unread_function():
 
 def test_every_function_is_read():
     assert unread_functions({p.name: p.read_text() for p in SRC.glob("*.py")}) == []
+
+
+#: methods that a base class calls, so no package module reads them by name
+HOOKS = {"_Parser.error"}
+
+
+def attribute_reads(node: ast.AST) -> Counter:
+    return Counter(
+        n.attr
+        for n in ast.walk(node)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    )
+
+
+def unread_methods(sources: dict[str, str]) -> list[str]:
+    """Public methods and properties of module-level classes that no module
+    reads as an attribute outside their own body, HOOKS aside."""
+    defined: list[tuple[str, str, ast.FunctionDef]] = []
+    reads: Counter = Counter()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        reads += attribute_reads(tree)
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                defined.extend(
+                    (module, cls.name, node)
+                    for node in cls.body
+                    if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+                )
+    return sorted(
+        f"{module}:{cls}.{fn.name}"
+        for module, cls, fn in defined
+        if f"{cls}.{fn.name}" not in HOOKS and reads[fn.name] <= attribute_reads(fn)[fn.name]
+    )
+
+
+def test_detector_flags_an_unread_method():
+    sources = {
+        "a.py": (
+            "class A:\n"
+            "    def used(self):\n        return 1\n"
+            "    @property\n    def dead(self):\n        return self.dead\n"
+            "    def _private(self):\n        return 2\n"
+            "class _Parser:\n"
+            "    def error(self):\n        return 3\n"
+        ),
+        "b.py": "from a import A\n\nX = A().used()\n",
+    }
+    assert unread_methods(sources) == ["a.py:A.dead"]
+
+
+def test_every_method_is_read():
+    assert unread_methods({p.name: p.read_text() for p in SRC.glob("*.py")}) == []

@@ -245,7 +245,8 @@ def test_deterministic_across_calls():
 
 def test_grid_first_best_matches_analytic(det_cfg):
     analytic = first_best_allocation(det_cfg, 1)
-    alloc, surplus = grid_first_best(det_cfg, 1)
+    grids = {"users": GridSpec(2 * analytic.activities["users"])}
+    alloc, surplus = grid_first_best(det_cfg, 1, grids=grids)
     step = 2 * analytic.activities["users"] / 2000
     assert abs(alloc.activities["users"] - analytic.activities["users"]) <= step
     gross = 2 * 0.5 * math.sqrt(alloc.activities["users"])
@@ -253,13 +254,15 @@ def test_grid_first_best_matches_analytic(det_cfg):
 
 
 def test_grid_first_best_zero_state(iid_cfg):
-    alloc, surplus = grid_first_best(iid_cfg, 0)
+    alloc, surplus = grid_first_best(iid_cfg, 0, grids={})
     assert alloc.total == 0.0
     assert surplus == 0.0
 
 
 def test_grid_first_best_respects_capacity(het_cfg):
-    alloc, _ = grid_first_best(het_cfg, 1)
+    analytic = first_best_allocation(het_cfg, 1)
+    grids = {name: GridSpec(2 * a) for name, a in analytic.activities.items()}
+    alloc, _ = grid_first_best(het_cfg, 1, grids=grids)
     assert alloc.total <= ec.BLOCKSPACE_CAPACITY + 1e-9
     assert alloc.congested
 
@@ -372,7 +375,7 @@ def test_grid_first_best_blocks_match_dense_grid(het_cfg, cells):
 
 def test_grid_first_best_refuses_three_active_types():
     with pytest.raises(OracleError, match="limited to 2 active types, got 3"):
-        grid_first_best(three_type_config(), 1)
+        grid_first_best(three_type_config(), 1, grids={n: GridSpec(1.0) for n in "abc"})
 
 
 _curvature = st.floats(0.05, 0.95)

@@ -10,6 +10,9 @@ from tokenomics.errors import ConfigError
 
 from helpers import single_user_config
 
+FIXED = pol.SupplyRule(pol.SupplyRuleKind.FIXED_SUPPLY)
+TARGET = pol.SupplyRule(pol.SupplyRuleKind.FRIEDMAN_TARGET)
+
 
 def test_friedman_supply_ratio_values():
     assert pol.friedman_supply_ratio(0.05, 0.05) == 1.0
@@ -21,9 +24,10 @@ def test_friedman_supply_ratio_values():
 
 def test_supply_rule_validation():
     assert pol.SupplyRule.tax_and_burn(0.1).theta == 0.1
-    assert pol.SupplyRule.friedman_target().theta == 0.0
-    with pytest.raises(ValueError, match="nonnegative"):
-        pol.SupplyRule.tax_and_burn(-0.1)
+    assert TARGET.theta == 0.0
+    for bad in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            pol.SupplyRule.tax_and_burn(bad)
     with pytest.raises(ValueError, match="does not take a tax rate"):
         pol.SupplyRule(pol.SupplyRuleKind.FIXED_SUPPLY, theta=0.1)
     # the rule has one tax rate; a per-state schedule is refused, not read
@@ -39,7 +43,7 @@ def test_burn_residual_vanishes_in_burning_states(det_cfg, iid_cfg):
 
 
 def test_fixed_supply_path_is_flat_when_balances_are(det_cfg):
-    path = pol.supply_path(pol.SupplyRule.fixed_supply(), det_cfg, M0=100.0, T=5)
+    path = pol.supply_path(FIXED, det_cfg, M0=100.0, T=5)
     assert path.nominal == [100.0] * 6
     assert path.token_prices == [1.0] * 6  # gamma = 0: flat token price
     assert math.isnan(path.returns[0])
@@ -48,7 +52,7 @@ def test_fixed_supply_path_is_flat_when_balances_are(det_cfg):
 
 def test_friedman_target_path_ratios():
     cfg = single_user_config(ec.ShockKind.DETERMINISTIC, r=0.05, gamma=0.02)
-    path = pol.supply_path(pol.SupplyRule.friedman_target(), cfg, M0=1.0, q0=2.0, T=10)
+    path = pol.supply_path(TARGET, cfg, M0=1.0, q0=2.0, T=10)
     ratio = pol.friedman_supply_ratio(0.05, 0.02)
     assert path.nominal[10] == pytest.approx(ratio**10, rel=1e-12)
     assert path.token_prices[10] == pytest.approx(2.0 * 1.05**10, rel=1e-12)
@@ -63,7 +67,7 @@ def test_tax_and_burn_path_matches_friedman_target_balances(det_cfg):
     # the ratio rule does, even though the nominal mechanics differ
     theta = (1.0 + det_cfg.r) / (1.0 + det_cfg.gamma) - 1.0
     burn = pol.supply_path(pol.SupplyRule.tax_and_burn(theta), det_cfg, M0=3.0, T=12)
-    target = pol.supply_path(pol.SupplyRule.friedman_target(), det_cfg, M0=3.0, T=12)
+    target = pol.supply_path(TARGET, det_cfg, M0=3.0, T=12)
     for t in range(13):
         assert burn.real_balances[t] == pytest.approx(target.real_balances[t], rel=1e-8)
         assert burn.token_prices[t] == pytest.approx(target.token_prices[t], rel=1e-12)
@@ -93,15 +97,14 @@ def test_supply_path_rejects_random_aggregates(common_cfg):
 
 def test_supply_path_input_guards(det_cfg):
     with pytest.raises(ConfigError, match="at least one period"):
-        pol.supply_path(pol.SupplyRule.fixed_supply(), det_cfg, M0=1.0, T=0)
-    with pytest.raises(ConfigError, match="positive"):
-        pol.supply_path(pol.SupplyRule.fixed_supply(), det_cfg, M0=0.0, T=3)
-    with pytest.raises(ConfigError, match="positive"):
-        pol.supply_path(pol.SupplyRule.fixed_supply(), det_cfg, M0=1.0, q0=-1.0, T=3)
+        pol.supply_path(FIXED, det_cfg, M0=1.0, T=0)
+    for M0, q0 in ((0.0, 1.0), (1.0, -1.0), (math.nan, 1.0), (1.0, math.inf)):
+        with pytest.raises(ConfigError, match="positive and finite"):
+            pol.supply_path(FIXED, det_cfg, M0=M0, q0=q0, T=3)
 
 
 def test_csv_rows_shape(det_cfg):
-    path = pol.supply_path(pol.SupplyRule.friedman_target(), det_cfg, M0=1.0, T=4)
+    path = pol.supply_path(TARGET, det_cfg, M0=1.0, T=4)
     rows = path.csv_rows()
     assert len(rows) == 5
     assert rows[0][0] == 0.0 and math.isnan(rows[0][3])

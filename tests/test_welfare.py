@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import pickle
 import sys
 
 import pytest
@@ -10,7 +9,6 @@ from tokenomics import econ_core as ec
 from tokenomics import equilibrium as eqm
 from tokenomics import welfare as wf
 from tokenomics.errors import ConfigError, InfeasiblePolicyError, SolverError
-from tokenomics.first_best import expected_first_best_surplus
 
 from helpers import (
     CONFIG_DIR,
@@ -90,72 +88,6 @@ def test_sweep_all_failures_yield_nan_argmax(het_cfg):
     res = wf.sweep_tax(het_cfg, "heterogeneous", [0.3, 0.4])
     assert all(s.startswith("error: ") for s in res.statuses)
     assert math.isnan(res.argmax_theta)
-
-
-def test_sweep_parallel_matches_serial(iid_cfg):
-    grid = [0.0, 0.03, 0.06, 0.09]
-    serial = wf.sweep_tax(iid_cfg, "iid", grid, jobs=1)
-    parallel = wf.sweep_tax(iid_cfg, "iid", grid, jobs=2)
-    assert serial.as_dict() == parallel.as_dict()
-
-
-def test_parallel_sweep_sends_the_stored_first_best(monkeypatch):
-    # jobs > 1 pickles the config into every work item; a fresh config has no
-    # first best yet, so it must be solved before the items are built
-    import concurrent.futures
-
-    cfg = ec.load_config(CONFIG_DIR / "iid.json")
-    planner_calls = []
-
-    class InlinePool:
-        def __init__(self, max_workers):
-            pass
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            for item in items:
-                received = pickle.loads(pickle.dumps(item))
-                before = len(calls)
-                expected_first_best_surplus(received[0])
-                planner_calls.append(len(calls) - before)
-                yield fn(received)
-
-    calls = record_evaluations(monkeypatch).u_prime_inv
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    res = wf.sweep_tax(cfg, "iid", [0.0, 0.03, 0.06], jobs=2)
-    assert res.statuses == ("ok", "ok", "ok")
-    assert planner_calls == [0, 0, 0]
-
-
-def test_parallel_sweep_starts_no_more_workers_than_points(iid_cfg, monkeypatch):
-    # a forked pool starts all its workers when it starts; a stub that maps
-    # serially records how many were asked for, so no process starts
-    import concurrent.futures
-
-    workers = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            workers.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    wf.sweep_tax(iid_cfg, "iid", [0.0, 0.03], jobs=8)
-    wf.sweep_tax(iid_cfg, "iid", [0.0, 0.03, 0.06], jobs=2)
-    assert workers == [2, 2]
 
 
 def test_sweep_grid_validation(det_cfg):
