@@ -509,6 +509,8 @@ def _validate_usage(args) -> str | None:
     if args.command == "sweep":
         if args.points < 2:
             return "sweep needs --points >= 2"
+        if not math.isfinite(args.theta_max - args.theta_min):
+            return "--theta-min and --theta-max must be finite, and so must their difference"
         if args.theta_max < args.theta_min:
             return "--theta-max must be >= --theta-min"
         if args.jobs < 1:

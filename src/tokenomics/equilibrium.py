@@ -19,10 +19,9 @@ cover the five regimes:
   type's budget binds in the high state, the low state or both, whichever
   is its best response at the clearing prices.
 
-Every solver, and the planner's first best, clears each market through one
-kernel (first_best._clear_blockspace): at the unit capacity when demand at
-the marginal cost of capacity exceeds it, and at price equal to marginal
-cost below capacity otherwise.
+_solve_law and the planner's first best share one market solve,
+first_best._clear_demands; every market, the heterogeneous ones too,
+clears in its kernel, first_best._clear_blockspace.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from typing import Callable
 from . import econ_core as ec
 from ._roots import RESIDUAL_FLOOR, find_log_root, find_root
 from .errors import ConfigError, InfeasiblePolicyError, SolverError
-from .first_best import _clear_blockspace, first_best_allocation
+from .first_best import _clear_blockspace, _clear_demands, first_best_allocation
 
 _BUDGET_RTOL = 1e-9
 
@@ -200,19 +199,10 @@ def _solve_law(name: str, cfg: ec.EconomyConfig, theta: float) -> SteadyStateEqu
     rt = law.token_return(theta, cfg.r, cfg.gamma, rho)
     wedge = law.wedge(theta, cfg.r, cfg.gamma, rho)
     share = rho if law.idle == "iid" else 1.0  # fraction of each type trading
-    active = [(share * t.mass, t.utility_in(1)) for t in types if t.is_active(1)]
-    if len(active) == 1:
-        (k, u), = active
-
-        def load(p: float) -> float:
-            return k * ec.u_prime_inv(u, wedge * p)
-    else:
-        def load(p: float) -> float:
-            return math.fsum(k * ec.u_prime_inv(u, wedge * p) for k, u in active)
-
-    price, congested = _clear_blockspace(cfg.cost, load) if active else (0.0, False)
-    acts = {t.name: ec.u_prime_inv(t.utility_in(1), wedge * price) if t.is_active(1) else 0.0
-            for t in types}
+    demands = [(share * t.mass, t.utility_in(1)) for t in types if t.is_active(1)]
+    price, congested, bought = _clear_demands(cfg.cost, demands, wedge)
+    bought = iter(bought)  # one activity per active type, in order
+    acts = {t.name: next(bought) if t.is_active(1) else 0.0 for t in types}
     holdings = {n: (1.0 + theta) * price * a / (1.0 + rt) for n, a in acts.items()}
     aggregate = share * math.fsum(t.mass * acts[t.name] for t in types)
     states = {1: StateOutcome(price, theta, rt, acts, congested, aggregate)}

@@ -1,14 +1,15 @@
-"""Socially optimal blockspace allocations, state by state.
+"""Socially optimal blockspace allocations, and the one market solve.
 
-The planner maximizes aggregate flow surplus
-sum_k mass_k * u_k(a_k) - c(sum_k mass_k * a_k) subject to the unit
-blockspace capacity. Every active type's marginal utility equals a common
-marginal value x. The planner's market clears like any other
-(_clear_blockspace, which the equilibrium solvers share): when demand at
-x = c'(1) overfills the unit of blockspace, x is the shadow value that
-rations it at capacity; otherwise x = c'(total) below capacity. The
-kernel finds that root in log price, where isoelastic demand against a
-power cost is linear, so Brent's secant step lands on it at once.
+_clear_demands clears blockspace against (mass, utility) demands that each
+buy u'^-1(wedge * p) per unit of mass at fee p. The closed-form regimes
+clear through it at their holdings wedge u'(a)/p; the planner's allocation
+is the solve at wedge 1.0, where the friedman market lands (rT = r). Every
+active type's marginal utility then equals a common value x: the shadow
+value that rations capacity when demand at x = c'(1) overfills it, else
+x = c'(total). Under idiosyncratic shocks each (type, state) pair, weighted
+by the state's probability, is one demand of a single market. The kernel
+beneath, _clear_blockspace, roots in log price, where isoelastic demand
+against a power cost is linear, so Brent's secant step lands at once.
 
 The first best depends only on the config, so it is solved once per config
 object and kept on that object (see _memo): the equilibrium scorer, tax
@@ -25,7 +26,6 @@ from typing import Callable, Mapping
 
 from . import econ_core as ec
 from ._roots import RESIDUAL_FLOOR, find_log_root
-from .errors import SolverError
 
 
 @dataclass(frozen=True)
@@ -40,10 +40,6 @@ class Allocation:
     total: float
     congested: bool
     shadow_marginal: float
-
-
-def _active_types(cfg: ec.EconomyConfig, state: int) -> list[tuple[ec.AgentTypeSpec, ec.UtilityFn]]:
-    return [(t, t.utility_in(state)) for t in cfg.agent_types if t.is_active(state)]
 
 
 #: log of the smallest positive float, standing in for log(0.0)
@@ -140,6 +136,28 @@ def _clear_blockspace(
     return find_log_root(excess, lo, capacity_cost), False
 
 
+def _clear_demands(
+    cost: ec.CostFn, demands: list[tuple[float, ec.UtilityFn]], wedge: float
+) -> tuple[float, bool, list[float]]:
+    """(fee, congested, activities) of blockspace cleared against demands,
+    one activity per demand; with no demand the market is idle at fee 0.0."""
+    if not demands:
+        return 0.0, False, []
+    if len(demands) == 1:
+        # the closed-form regimes clear one demand: a bare product, equal to fsum
+        # of one term and faster
+        (k, u), = demands
+
+        def load(p: float) -> float:
+            return k * ec.u_prime_inv(u, wedge * p)
+    else:
+        def load(p: float) -> float:
+            return math.fsum(k * ec.u_prime_inv(u, wedge * p) for k, u in demands)
+
+    price, congested = _clear_blockspace(cost, load)
+    return price, congested, [ec.u_prime_inv(u, wedge * price) for _, u in demands]
+
+
 def _memo(cfg: ec.EconomyConfig) -> dict:
     # First-best results solved for cfg, kept in its instance __dict__ so they
     # live exactly as long as the config. Configs are unhashable, and a table
@@ -167,26 +185,10 @@ def first_best_allocation(cfg: ec.EconomyConfig, state: int) -> Allocation:
 
 
 def _solve_allocation(cfg: ec.EconomyConfig, state: int) -> Allocation:
-    active = _active_types(cfg, state)
-    if not active:
-        return Allocation(
-            activities={t.name: 0.0 for t in cfg.agent_types},
-            total=0.0,
-            congested=False,
-            shadow_marginal=0.0,
-        )
-
-    def total_at(x: float) -> float:
-        return math.fsum(t.mass * ec.u_prime_inv(u, x) for t, u in active)
-
-    x, congested = _clear_blockspace(cfg.cost, total_at)
-    if congested and x < ec.c_prime(cfg.cost, ec.BLOCKSPACE_CAPACITY) - 1e-10:
-        raise SolverError(
-            f"rationing produced shadow value {x:.6g} below marginal cost at capacity"
-        )
-    acts = {t.name: 0.0 for t in cfg.agent_types}
-    for t, u in active:
-        acts[t.name] = ec.u_prime_inv(u, x)
+    demands = [(t.mass, t.utility_in(state)) for t in cfg.agent_types if t.is_active(state)]
+    x, congested, bought = _clear_demands(cfg.cost, demands, 1.0)
+    bought = iter(bought)  # one activity per active type, in order
+    acts = {t.name: next(bought) if t.is_active(state) else 0.0 for t in cfg.agent_types}
     total = math.fsum(t.mass * acts[t.name] for t in cfg.agent_types)
     return Allocation(
         activities=acts, total=total, congested=congested,
@@ -206,33 +208,6 @@ def flow_surplus(
     return gross - ec.c_eval(cfg.cost, total)
 
 
-def _iid_cross_section(cfg: ec.EconomyConfig) -> ec.EconomyConfig:
-    # With independent draws, a fraction rho of each type is in state 1 and
-    # the rest in state 0 every period, so the planner faces one deterministic
-    # economy whose types are the (type, state) pairs weighted by probability.
-    assert cfg.shocks.kind is ec.ShockKind.IID_BINARY
-    expanded = []
-    for t in cfg.agent_types:
-        for state in (0, 1):
-            prob = cfg.shocks.probability(state)
-            if prob <= 0.0:
-                continue
-            expanded.append(
-                ec.AgentTypeSpec(
-                    mass=t.mass * prob,
-                    utility_by_state={1: t.utility_in(state)},
-                    name=f"{t.name}@{state}",
-                )
-            )
-    return ec.EconomyConfig(
-        r=cfg.r,
-        gamma=cfg.gamma,
-        agent_types=tuple(expanded),
-        cost=cfg.cost,
-        shocks=ec.ShockProcess(ec.ShockKind.DETERMINISTIC),
-    )
-
-
 def expected_first_best_surplus(cfg: ec.EconomyConfig) -> float:
     """First-best expected flow surplus under the config's shock process.
 
@@ -246,17 +221,22 @@ def expected_first_best_surplus(cfg: ec.EconomyConfig) -> float:
 
 
 def _expected_surplus(cfg: ec.EconomyConfig) -> float:
-    kind = cfg.shocks.kind
-    if kind is ec.ShockKind.DETERMINISTIC:
-        alloc = first_best_allocation(cfg, 1)
-        return flow_surplus(cfg, alloc.activities, alloc.total, 1)
-    if kind is ec.ShockKind.IID_BINARY:
-        cross = _iid_cross_section(cfg)
-        alloc = first_best_allocation(cross, 1)
-        return flow_surplus(cross, alloc.activities, alloc.total, 1)
+    shocks = cfg.shocks
+    if shocks.kind is ec.ShockKind.IID_BINARY:
+        # with independent draws a fraction pi_s of each type is in state s
+        # every period: one market, in which each (type, state) pair has mass * pi_s
+        demands = [
+            (t.mass * shocks.probability(s), t.utility_in(s))
+            for t in cfg.agent_types for s in shocks.states()
+            if shocks.probability(s) > 0.0 and t.is_active(s)
+        ]
+        _, _, acts = _clear_demands(cfg.cost, demands, 1.0)
+        gross = math.fsum(k * ec.u_eval(u, a) for (k, u), a in zip(demands, acts))
+        total = math.fsum(k * a for (k, _), a in zip(demands, acts))
+        return gross - ec.c_eval(cfg.cost, total)
     total = 0.0
-    for state in cfg.shocks.states():
+    for state in shocks.states():
         alloc = first_best_allocation(cfg, state)
         surplus = flow_surplus(cfg, alloc.activities, alloc.total, state)
-        total += cfg.shocks.probability(state) * surplus
+        total += shocks.probability(state) * surplus
     return total

@@ -2,6 +2,8 @@ import dataclasses
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -283,13 +285,25 @@ def test_path_usage_guards(tmp_path, capsys):
         ["path", "--config", DET, "--rule", "fixed_supply", "--M0", "1", "--q0", "inf",
          "--T", "3"],
         ["sweep", "--config", IID, "--regime", "iid", "--theta-max", "nan", "--points", "3"],
+        ["sweep", "--config", IID, "--regime", "iid", "--theta-max", "inf", "--points", "3"],
+        ["sweep", "--config", IID, "--regime", "iid", "--theta-min=-inf", "--theta-max", "0.1",
+         "--points", "3"],
+        # both bounds finite, but the grid's span overflows
+        ["sweep", "--config", IID, "--regime", "iid", "--theta-min=-1e308", "--theta-max", "1e308",
+         "--points", "3"],
     ],
     ids=["scenario-deterministic-nan", "scenario-heterogeneous-nan", "scenario-iid-inf",
-         "path-theta-nan", "path-M0-nan", "path-q0-inf", "sweep-theta-max-nan"],
+         "path-theta-nan", "path-M0-nan", "path-q0-inf", "sweep-theta-max-nan",
+         "sweep-theta-max-inf", "sweep-theta-min-minus-inf", "sweep-span-overflow"],
 )
-def test_non_finite_numbers_exit_3(tmp_path, args):
+def test_non_finite_numbers_exit_3(tmp_path, capsys, args):
     assert cli.main(args + ["--out", str(tmp_path)]) == 3
     assert not any(tmp_path.iterdir())
+    if args[0] == "sweep":
+        # the bounds are named, not the nan that their grid would compute
+        err = capsys.readouterr().err
+        assert "--theta-min" in err and "--theta-max" in err
+        assert "got nan" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -492,3 +506,42 @@ def test_log_environment_variable(tmp_path):
     ]
     assert runs["WARNING"][0] == ""
     assert runs["INFO"][1] == runs["WARNING"][1]
+
+
+# ---------------------------------------------------------------------------
+# the README's examples
+# ---------------------------------------------------------------------------
+
+
+def _readme_examples() -> list[tuple[list[str], list[str]]]:
+    # (arguments, files it writes) for each `tokenomics` line of the README's
+    # bash blocks; the files are those named by the comment heading its group
+    # of lines and by its own trailing comment
+    examples, heading = [], []
+    readme = (CONFIG_DIR.parent / "README.md").read_text()
+    for block in re.findall(r"```bash\n(.*?)```", readme, re.S):
+        for line in block.splitlines():
+            command, _, comment = line.partition("#")
+            files = re.findall(r"\w+\.(?:json|csv|txt)", comment)
+            if not command.strip():
+                heading = files
+            elif command.startswith("tokenomics "):
+                examples.append((shlex.split(command)[1:], heading + files))
+    return examples
+
+
+def test_readme_examples_run_and_write_the_files_they_name(tmp_path):
+    examples = _readme_examples()
+    assert {args[0] for args, _ in examples} == {"scenario", "sweep", "path", "verify"}
+    assert {f for _, files in examples for f in files} == {
+        "equilibrium.json", "welfare.json", "summary.txt", "sweep.csv", "sweep.json",
+        "path.csv", "verify.json",
+    }
+    for i, (args, files) in enumerate(examples):
+        # each example writes to its own directory in place of out/
+        out = tmp_path / str(i)
+        args = [str(out) if a == "out/" else str(CONFIG_DIR.parent / a) if a.startswith("configs/")
+                else a for a in args]
+        assert cli.main(args) == 0, args
+        for name in files:
+            assert (out / name).is_file(), (args, name)

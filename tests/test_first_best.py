@@ -5,20 +5,20 @@ import random
 from typing import Callable
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tokenomics import econ_core as ec
 from tokenomics import equilibrium as eqm
 from tokenomics._roots import RESIDUAL_TOL
 from tokenomics.first_best import (
     _clear_blockspace,
-    _iid_cross_section,
     expected_first_best_surplus,
     first_best_allocation,
     flow_surplus,
 )
-from tokenomics.welfare import evaluate
+from tokenomics.welfare import CERT_TOL, evaluate
 
-from helpers import CONFIG_DIR, ISO, record_evaluations, single_user_config, two_type_config
+from helpers import CONFIG_DIR, ISO, ZERO, record_evaluations, single_user_config, two_type_config
 
 #: planner's activity for the canonical single-user economy, from
 #: 0.5 a^(-1/2) = a  =>  a = 0.5^(2/3)
@@ -178,11 +178,53 @@ def test_pickled_config_scores_identically(solved_first):
     assert copied.as_dict() == report.as_dict()
 
 
-def test_stored_iid_surplus_matches_fresh_cross_section(iid_cfg):
-    cfg = dataclasses.replace(iid_cfg, gamma=0.02)
+def _iid_two_type(rho: float) -> ec.EconomyConfig:
+    # two_type_config's types, both active in both states, under iid draws
+    return dataclasses.replace(
+        two_type_config(rho=rho, cost=(1.0, 1.0)),
+        shocks=ec.ShockProcess(ec.ShockKind.IID_BINARY, rho=rho),
+    )
+
+
+def _cross_section(cfg: ec.EconomyConfig, pairs) -> ec.EconomyConfig:
+    # the deterministic economy whose types are the (type, state) pairs
+    # (name, mass * pi_s, u_s) that the planner of iid cfg faces
+    return ec.EconomyConfig(
+        r=cfg.r,
+        gamma=cfg.gamma,
+        agent_types=tuple(
+            ec.AgentTypeSpec(mass=mass, utility_by_state={1: u}, name=name)
+            for name, mass, u in pairs
+        ),
+        cost=cfg.cost,
+        shocks=ec.ShockProcess(ec.ShockKind.DETERMINISTIC),
+    )
+
+
+@pytest.mark.parametrize(
+    "cfg, pairs",
+    [
+        (
+            dataclasses.replace(ec.load_config(CONFIG_DIR / "iid.json"), gamma=0.02),
+            [("users@0", 0.5, ZERO), ("users@1", 0.5, ISO(0.5, 0.5))],
+        ),
+        (
+            _iid_two_type(0.3),
+            [
+                ("shocked@0", 0.35, ISO(0.5, 0.5)),
+                ("shocked@1", 0.15, ISO(2.0, 0.5)),
+                ("steady@0", 0.35, ISO(0.5, 0.5)),
+                ("steady@1", 0.15, ISO(0.5, 0.5)),
+            ],
+        ),
+        # rho = 1: state 0 never occurs, so its pairs carry no mass
+        (_iid_two_type(1.0), [("shocked@1", 0.5, ISO(2.0, 0.5)), ("steady@1", 0.5, ISO(0.5, 0.5))]),
+    ],
+    ids=["shipped-gamma-0.02", "two-type-rho-0.3", "two-type-rho-1"],
+)
+def test_stored_iid_surplus_matches_fresh_cross_section(cfg, pairs):
     stored = expected_first_best_surplus(cfg)
-    cross = _iid_cross_section(cfg)
-    fresh = planner_surplus(cross, 1)
+    fresh = planner_surplus(_cross_section(cfg, pairs), 1)
     assert expected_first_best_surplus(cfg) == stored == fresh
 
 
@@ -284,3 +326,60 @@ def test_a_prediction_on_the_wrong_side_of_capacity_cost_gets_the_cold_result(u,
     assert congested is cold_congested
     assert price == pytest.approx(cold_price, rel=RESIDUAL_TOL)
     assert price in evaluated and len(set(evaluated)) == len(evaluated)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    cost_curvature=st.sampled_from([1e-9, 1e-4]) | st.floats(1e-3, 3.0),
+    cost_scale=st.floats(0.5, 2.0),
+    # each demand's load at c'(1), with extra draws near capacity, and its curvature
+    demands=st.lists(
+        st.tuples(st.floats(0.01, 100.0) | st.floats(0.9, 1.1), st.floats(0.1, 0.9)),
+        min_size=1,
+        max_size=2,
+    ),
+    side=st.sampled_from([None, "around", "below", "above"]),
+    near=st.floats(1.0, 2.0),
+    far=st.floats(1.0, 4.0),
+)
+def test_a_clear_prices_by_its_branch_from_any_warm_bracket(
+    cost_curvature, cost_scale, demands, side, near, far
+):
+    # every congested fee is at or above marginal cost at capacity c'(1) and
+    # every slack one at or below it, whatever warm bracket the solve starts
+    # from: around c'(1), wholly below it (up to touching it) or above it
+    cost = ec.CostFn(cost_scale, cost_curvature)
+    capacity_cost = ec.c_prime(cost, 1.0)
+    # u'^-1(c'(1)) = (scale / c'(1))^(1 / curvature) is the demand's load there
+    utilities = [ISO(capacity_cost * at_cap**curvature, curvature) for at_cap, curvature in demands]
+    warm = {
+        None: None,
+        "around": (capacity_cost / near, capacity_cost * far),
+        "below": (capacity_cost / (near * far), capacity_cost / near),
+        "above": (capacity_cost * near, capacity_cost * near * far),
+    }[side]
+    loads: dict[float, float] = {}
+
+    def load(p: float) -> float:
+        loads[p] = math.fsum(ec.u_prime_inv(u, p) / len(utilities) for u in utilities)
+        return loads[p]
+
+    cold_price, cold_congested = _clear_blockspace(cost, load)
+    cold_load = loads[cold_price]
+    loads.clear()
+    price, congested = _clear_blockspace(cost, load, warm)
+    assert price in loads
+    if congested:
+        assert price >= capacity_cost
+        assert abs(math.log(loads[price])) <= RESIDUAL_TOL
+    else:
+        # at a root on c'(1) itself a price an ulp below it can carry a load a
+        # few ulps above capacity, which the certificate's tolerance absorbs
+        assert price <= capacity_cost
+        assert loads[price] <= 1.0 + CERT_TOL["over_capacity"]
+        assert abs(math.log(price) - math.log(ec.c_prime(cost, loads[price]))) <= RESIDUAL_TOL
+    assert price == pytest.approx(cold_price, rel=1e-8, abs=0.0)
+    if congested is not cold_congested:
+        # demand that fills capacity exactly at c'(1) clears on both branches
+        assert abs(math.log(cold_load)) <= RESIDUAL_TOL
+        assert cold_price == pytest.approx(capacity_cost, rel=RESIDUAL_TOL, abs=0.0)
