@@ -13,11 +13,11 @@ cover the five regimes:
   shocks, one type) and common (one aggregate binary shock, one type, no
   trade in the low state). A row gives the return law, the wedge u'(a)/p
   of the trading state and what state 0 is; the market then clears once.
-* _solve_heterogeneous: common binary shock with a shocked and an unshocked
-  type competing for blockspace. The return feeds back into demand, so it
-  is the outer root and prices are solved for each trial return. Each
-  type's budget binds in the high state, the low state or both, whichever
-  is its best response at the clearing prices.
+* _solve_heterogeneous: common binary shock with two or more types, each
+  active in both states, competing for blockspace. The return feeds back
+  into demand, so it is the outer root and prices are solved for each trial
+  return. Each type's budget binds in the high state, the low state or
+  both, whichever is its best response at the clearing prices.
 
 _solve_law and the planner's first best share one market solve,
 first_best._clear_demands; every market, the heterogeneous ones too,
@@ -221,44 +221,24 @@ def _solve_law(name: str, cfg: ec.EconomyConfig, theta: float) -> SteadyStateEqu
 
 
 # ---------------------------------------------------------------------------
-# common binary shock, shocked + unshocked types
+# common binary shock, heterogeneous types
 # ---------------------------------------------------------------------------
 
 
-def heterogeneous_roles(cfg: ec.EconomyConfig) -> tuple[ec.AgentTypeSpec, ec.AgentTypeSpec]:
-    """(shocked, unshocked) type pair for a two-type common-shock economy.
-
-    The shocked type is the one with the stronger active-state demand; both
-    types must be active in both states. The roles order the solver's first
-    guess of where each budget binds, its outputs and the battery's claims;
-    whether the high state is congested is left to the solve, which flags a
-    slack one as congestion_broken.
-    """
-    a, b = cfg.agent_types
-    for t in (a, b):
-        if not (t.is_active(0) and t.is_active(1)):
-            raise ConfigError(
-                "the heterogeneous regime requires both types active in both states"
-            )
-    # u'(1) of an isoelastic utility is its scale, as 1.0 ** -c == 1.0
-    if b.utility_in(1).scale > a.utility_in(1).scale:
-        a, b = b, a
-    return a, b
-
-
 def _solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyStateEquilibrium:
-    """Tax-and-burn steady state with a shocked and an unshocked user type.
+    """Tax-and-burn steady state with two or more user types under a common shock.
 
-    High state: the shocked type values activity highly, blockspace clears at
-    the unit capacity when demand overfills it, and both types pay the
-    surcharge. Low state: untaxed, and congested only when demand at the
-    marginal cost of capacity exceeds capacity. Each type's budget binds in
-    the high state, in the low state or in both ("high", "low", "both"): one
-    response per pattern gives its balance and activities at given prices,
-    and its holdings FOC picks the pattern.
+    High state: every type pays the surcharge, and blockspace clears at the
+    unit capacity when demand at its marginal cost c'(1) overfills it;
+    otherwise that uncongested equilibrium is returned with
+    congestion_broken = True. Low state: untaxed, and congested only when
+    demand at c'(1) exceeds capacity. Each type, active in both states,
+    has its budget bind in the high state, in the low state or in both
+    ("high", "low", "both"): one response per pattern gives its balance and
+    activities at given prices, and its holdings FOC picks the pattern.
 
     The burn-funded return r_high^T relaxes every binding budget, so a
-    positive theta moves all four activity margins toward first best: this is
+    positive theta moves the activity margins toward first best: this is
     the one regime where the tax is not neutral. Requires gamma = 0.
 
     The return is the outer unknown: a root of burn(rT) = rT on
@@ -266,49 +246,42 @@ def _solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyStat
     p A / M - rT / theta (A the high-state load, M the aggregate balance)
     in rT's share of that cap, so the bracket stays wide enough for the
     root finder even for a subnormal theta. Each trial rT clears both
-    markets at a fixed pattern per type, the one found at the previous trial
-    (first: shocked "high", unshocked "low"), checks each type's pattern at
-    the clearing prices and, where it fails, clears again from the type's
-    best response there (SolverError if a pattern pair comes back).
+    markets at the patterns of the previous trial (first: "high" for the
+    first type with the largest state-1 utility scale, "low" for the rest),
+    then again at the types' best responses there until none changes
+    (SolverError if the patterns cycle). Loads and balances are summed in
+    type order from 0.0.
 
     Every root starts from a prediction made from this call's own trials,
     so a solve does not depend on what was solved before it. The first
     trial is the cap itself (share 1); the burn share barely moves with rT,
     so the outer root is bracketed just below the share that trial
     predicts. Each market clear evaluates its predicted price first (see
-    predicted_brackets; the planner's shadow value stands in for the first
-    high state, and a low state needs two trials) and keeps it when the
-    residual there is at float resolution; a clear again under a new
-    pattern starts within 5% of the last clear's prices. A budget binding
-    in both states roots its balance from the type's last balance. High
-    states are kept for the whole solve, so the root's is not solved again.
-    Holdings cover high-state spending, so the burn never exceeds theta; if
-    it still exceeds rT at r / rho, the expected return would pass r and
-    InfeasiblePolicyError is raised.
+    predicted_brackets) and keeps it when the residual there is at float
+    resolution; a clear again under a new pattern starts within 5% of the
+    last clear's prices. A budget binding in both states roots its balance
+    from the type's last balance. High states are kept for the whole solve,
+    so the root's is not solved again. Holdings cover high-state spending,
+    so the burn never exceeds theta; if it still exceeds rT at r / rho, the
+    expected return would pass r and InfeasiblePolicyError is raised.
 
-    One DEBUG line per solve gives where each budget binds, the extra clears
-    the pattern checks caused, whether the first bracket came from the
-    planner or from the cold test at c'(1), the number of trial returns, the
-    load evaluations of the high- and low-state clears, the holdings FOC
-    evaluations of the both-binding balance root, and the clears and balance
-    roots accepted at their first, predicted point.
-
-    If high-state demand at the marginal cost of capacity fits in it, the
-    high state is not congested for this theta; that uncongested equilibrium
-    is returned with congestion_broken = True.
+    One DEBUG line per solve gives where each type's budget binds, whether
+    the first bracket came from the planner or from the cold test at c'(1),
+    the number of trial returns and the counters kept below.
     """
     if cfg.gamma != 0.0:
         raise ConfigError("the heterogeneous regime requires gamma = 0")
-
-    roles = heterogeneous_roles(cfg)
-    (ka, ua1, ua0), (kb, ub1, ub0) = ((t.mass, t.utility_in(1), t.utility_in(0)) for t in roles)
+    if not all(t.is_active(0) and t.is_active(1) for t in cfg.agent_types):
+        raise ConfigError("the heterogeneous regime requires every type active in both states")
     rho, r = cfg.shocks.rho, cfg.r
     if rho >= 1.0:
         raise ConfigError("the heterogeneous regime needs rho < 1: the low state must occur")
+    # (mass, high-state utility, low-state utility) of each type, in config order
+    types = [(t.mass, t.utility_in(1), t.utility_in(0)) for t in cfg.agent_types]
 
     # for the DEBUG line: the prices each high-state clear evaluated its
     # load at, the low-state load evaluations, the holdings FOC evaluations
-    # of the both-binding balance root, the extra clears the pattern checks
+    # of the both-binding balance roots, the extra clears the pattern checks
     # caused, and the clears and balance roots accepted at their prediction
     # (a clear that evaluates its load once accepted it)
     high_clears: list[list[float]] = []
@@ -382,24 +355,27 @@ def _solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyStat
                 return alt
         return "both"
 
-    def clear(pats: tuple[str, str], rt: float, warm: list[tuple[float, float] | None]):
+    def clear(pats: tuple[str, ...], rt: float, warm: list[tuple[float, float] | None]):
         """Both markets cleared at rt with each type's budget binding as pats
         says, from the predicted price brackets warm (low state, high state):
         the high-state price, whether it is congested, and there the
         low-state price, whether it is congested, and each type's response."""
         nonlocal hits
-        pa, pb = pats
 
-        def low_state(eff: float) -> tuple[float, bool, tuple[float, float]]:
+        def low_state(eff: float) -> tuple[float, bool, list[float]]:
             nonlocal hits
-            acts: dict[float, tuple[float, float]] = {}
+            acts: dict[float, list[float]] = {}
 
             def load(p: float) -> float:
                 nonlocal low_evals
                 low_evals += 1
-                a = acts[p] = (low_demand(pa, ua1, ua0, rt, eff, p),
-                               low_demand(pb, ub1, ub0, rt, eff, p))
-                return ka * a[0] + kb * a[1]
+                a = acts[p] = []
+                total = 0.0
+                for (k, u1, u0), pat in zip(types, pats):
+                    a0 = low_demand(pat, u1, u0, rt, eff, p)
+                    a.append(a0)
+                    total += k * a0
+                return total
 
             p, congested = _clear_blockspace(cfg.cost, load, warm[0])
             hits += len(acts) == 1
@@ -413,10 +389,15 @@ def _solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyStat
 
         def load(p_high: float) -> float:
             eff = (1.0 + theta_high) * p_high
-            p_low, low_congested, (a0, b0) = fixed or low_state(eff)
-            got = respond(pa, ua1, rt, eff, p_low, a0), respond(pb, ub1, rt, eff, p_low, b0)
+            p_low, low_congested, a0s = fixed or low_state(eff)
+            got = []
+            total = 0.0
+            for (k, u1, _), pat, a0 in zip(types, pats, a0s):
+                response = respond(pat, u1, rt, eff, p_low, a0)
+                got.append(response)
+                total += k * response[1]
             points[p_high] = p_low, low_congested, got
-            return ka * got[0][1] + kb * got[1][1]
+            return total
 
         # every price the root finder returns is one it evaluated
         p_high, congested = _clear_blockspace(cfg.cost, load, warm[1])
@@ -429,12 +410,13 @@ def _solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyStat
     # high)
     high_states: dict[float, tuple] = {}
     solved: dict[float, tuple[float, float]] = {}
-    # where each budget binds at the last trial; the first starts from this
-    pats = ("high", "low")
+    # where each budget binds at the last trial; first, "high" at the largest u'(1), the scale
+    top = max(range(len(types)), key=lambda i: types[i][1].scale)
+    pats = tuple("high" if i == top else "low" for i in range(len(types)))
     # With no trial solved, the planner stands in for one at rT = r / rho:
-    # there the shocked type's FOC u'(a) = (1+theta) p (1+r/rho) / (1+rT)
-    # is the planner's margin u'(a) = x at the congested shadow value x, so
-    # the high-state price is x / (1+theta).
+    # there a type whose budget binds in the high state has the FOC
+    # u'(a) = (1+theta) p (1+r/rho) / (1+rT), the planner's margin u'(a) = x
+    # at the congested shadow value x, so the high-state price is x / (1+theta).
     planner = first_best_allocation(cfg, 1)
     anchor = (r / rho, planner.shadow_marginal / (1.0 + theta_high)) if planner.congested else None
 
@@ -444,13 +426,13 @@ def _solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyStat
 
         From two or more trials each price is linear in rT through the two
         nearest. From one, only the high state is predicted: its price
-        scales with 1 + rT, as the shocked type's FOC does at a fixed shadow
-        value; before the first, the planner stands in for it. (A low-state
-        price held from one trial would need an ulp-wide bracket, which
-        costs more than the cold test when it misses.) Each bracket is as
-        wide as the move its prediction makes from the nearest solved price:
-        at most 5% of the price, at least an ulp of it. A linear prediction
-        at or below zero is no prediction.
+        scales with 1 + rT, as a high-binding type's FOC does at a fixed
+        shadow value; before the first, the planner stands in for it. (A
+        low-state price held from one trial would need an ulp-wide bracket,
+        which costs more than the cold test when it misses.) Each bracket is
+        as wide as the move its prediction makes from the nearest solved
+        price: at most 5% of the price, at least an ulp of it. A linear
+        prediction at or below zero is no prediction.
         """
         def around(p: float, p_near: float) -> tuple[float, float] | None:
             if p <= 0.0:
@@ -472,7 +454,7 @@ def _solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyStat
         """(p_high, congested, (p_low, low_congested, responses), patterns) at rt."""
         nonlocal pats, switches
         if rt not in high_states:
-            tried: list[tuple[str, str]] = []
+            tried: list[tuple[str, ...]] = []
             warm = predicted_brackets(rt)
             while pats not in tried:
                 tried.append(pats)
@@ -480,14 +462,21 @@ def _solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyStat
                 # a clear under the next pattern starts within 5% of these prices
                 warm = [(0.95 * p, 1.05 * p) for p in (p_low, p_high)]
                 eff = (1.0 + theta_high) * p_high
-                pats = (best_response(pats[0], ua1, ua0, rt, eff, p_low, got[0]),
-                        best_response(pats[1], ub1, ub0, rt, eff, p_low, got[1]))
+                pats = tuple([best_response(pat, u1, u0, rt, eff, p_low, response)
+                              for (_, u1, u0), pat, response in zip(types, pats, got)])
             if pats != tried[-1]:
                 raise SolverError(f"binding patterns cycle at rT = {rt!r}: {tried} then {pats}")
             switches += len(tried) - 1
             solved[rt] = p_low, p_high
             high_states[rt] = (*point, pats)
         return high_states[rt]
+
+    def total(got: list[tuple[float, float, float]], i: int) -> float:
+        """Mass-weighted sum of entry i of the types' responses got."""
+        out = 0.0
+        for (k, _, _), response in zip(types, got):
+            out += k * response[i]
+        return out
 
     rt = 0.0
     if theta_high > 0.0:
@@ -497,8 +486,8 @@ def _solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyStat
         def burn_gap(share: float) -> float:
             # burn per unit of tax and balance at rT = share * rt_max, less
             # rT / theta = share * cap
-            p_high, _, (_, _, ((ma, a1, _), (mb, b1, _))), _ = high_state(share * rt_max)
-            return p_high * (ka * a1 + kb * b1) / (ka * ma + kb * mb) - share * cap
+            p_high, _, (_, _, got), _ = high_state(share * rt_max)
+            return p_high * total(got, 1) / total(got, 0) - share * cap
 
         gap_max = burn_gap(1.0)
         if gap_max < 0.0:
@@ -521,26 +510,27 @@ def _solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyStat
                 f"above r = {r}; no steady state with finite token demand exists for "
                 "this tax"
             )
-    p_high, congested, (p_low, low_congested, ((ma, a1, a0), (mb, b1, b0))), pats = high_state(rt)
-    na, nb = (t.name for t in roles)
+    p_high, congested, (p_low, low_congested, got), pats = high_state(rt)
     if log.isEnabledFor(logging.DEBUG):
         # the planner's bracket is kept unless the first clear tests c'(1)
         cold = anchor is None or ec.c_prime(cfg.cost, ec.BLOCKSPACE_CAPACITY) in high_clears[0]
         log.debug(
-            "heterogeneous theta=%r binds=%s:%s,%s:%s pattern_switches=%d first_bracket=%s "
+            "heterogeneous theta=%r binds=%s pattern_switches=%d first_bracket=%s "
             "trial_returns=%d high_load_evals=%d low_load_evals=%d foc_evals=%d "
             "prediction_hits=%d",
-            theta_high, na, pats[0], nb, pats[1], switches,
-            "cold-test" if cold else "planner-seed", len(high_states),
+            theta_high, ",".join(f"{t.name}:{pat}" for t, pat in zip(cfg.agent_types, pats)),
+            switches, "cold-test" if cold else "planner-seed", len(high_states),
             sum(map(len, high_clears)), low_evals, foc_evals, hits,
         )
+    by_type = [{t.name: response[i] for t, response in zip(cfg.agent_types, got)}
+               for i in range(3)]
     states = {
-        1: StateOutcome(p_high, theta_high, rt, {na: a1, nb: b1}, congested, ka * a1 + kb * b1),
-        0: StateOutcome(p_low, 0.0, 0.0, {na: a0, nb: b0}, low_congested, ka * a0 + kb * b0),
+        1: StateOutcome(p_high, theta_high, rt, by_type[1], congested, total(got, 1)),
+        0: StateOutcome(p_low, 0.0, 0.0, by_type[2], low_congested, total(got, 2)),
     }
     return SteadyStateEquilibrium(
-        regime=Regime.HETEROGENEOUS, states=states, holdings={na: ma, nb: mb},
-        expected_return=rho * rt, aggregate_real_balances=ka * ma + kb * mb,
+        regime=Regime.HETEROGENEOUS, states=states, holdings=by_type[0],
+        expected_return=rho * rt, aggregate_real_balances=total(got, 0),
         congestion_broken=not congested,
     )
 
@@ -551,13 +541,14 @@ def _solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyStat
 
 
 def family(cfg: ec.EconomyConfig) -> str:
-    """Demand family of a config: 'deterministic', 'iid', 'common' (not two
-    types) or 'heterogeneous' (two types under a common shock)."""
+    """Demand family of a config: 'deterministic', 'iid', 'common' (one type
+    under a common shock) or 'heterogeneous' (two or more types under a
+    common shock)."""
     if cfg.shocks.kind is ec.ShockKind.DETERMINISTIC:
         return "deterministic"
     if cfg.shocks.kind is ec.ShockKind.IID_BINARY:
         return "iid"
-    return "heterogeneous" if len(cfg.agent_types) == 2 else "common"
+    return "heterogeneous" if len(cfg.agent_types) > 1 else "common"
 
 
 @dataclass(frozen=True)

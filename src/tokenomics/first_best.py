@@ -75,13 +75,15 @@ def _clear_blockspace(
     predicted from nearby solves, is tried first: its centre is evaluated,
     on the congested residual above c'(1) and on the slack one at or below
     it, and accepted when that residual is at float resolution
-    (RESIDUAL_FLOOR). A slack price needs no test at c'(1) there: p <= c'(1)
-    and p = c'(load(p)) put the load within capacity. Otherwise the root
-    lies on the side of the centre that the residual's sign names. Away from
-    c'(1) it is bracketed from the centre and the warm end on that side,
-    widened by expand_bracket when that end does not hold it. Toward c'(1)
-    the warm end is tried when it lies on the centre's side of c'(1); when it
-    does not hold the root, the cold path runs from there.
+    (RESIDUAL_FLOOR) and, within float resolution of c'(1), on the branch the
+    cold test names: demand that fills capacity there clears on both, and
+    p <= c'(1) and p = c'(load(p)) put the load within capacity only to a
+    few ulps. Otherwise the root lies on the side of the centre that the
+    residual's sign names. Away from c'(1) it is bracketed from the centre
+    and the warm end on that side, widened by expand_bracket when that end
+    does not hold it. Toward c'(1) the warm end is tried when it lies on the
+    centre's side of c'(1); when it does not hold the root, the cold path
+    runs from there.
 
     load is evaluated at most once per price, and the returned fee is
     always one at which it was evaluated.
@@ -107,11 +109,12 @@ def _clear_blockspace(
     # the cold brackets: a slack root in [lo, c'(1)], a congested one above
     # c'(1) from [c'(1), hi]
     lo, hi = 0.5 * capacity_cost, capacity_cost
+    tie = 2.0 * RESIDUAL_FLOOR * capacity_cost  # float resolution of c'(1)
     if warm is not None:
         guess = 0.5 * (warm[0] + warm[1])
         if guess > capacity_cost:
             f = over(guess)
-            if abs(f) <= RESIDUAL_FLOOR:
+            if abs(f) <= RESIDUAL_FLOOR and (guess - capacity_cost > tie or over(capacity_cost) > 0.0):
                 return guess, True
             if f > 0.0:
                 # demand overfills capacity at guess: the root lies above it
@@ -122,7 +125,7 @@ def _clear_blockspace(
             hi = warm[0] if warm[0] > capacity_cost else guess
         else:
             f = excess(guess)
-            if abs(f) <= RESIDUAL_FLOOR:
+            if abs(f) <= RESIDUAL_FLOOR and (capacity_cost - guess > tie or over(capacity_cost) <= 0.0):
                 return guess, False
             if f > 0.0:
                 # the fee exceeds marginal cost at guess: a slack root lies below it

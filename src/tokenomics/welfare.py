@@ -376,20 +376,24 @@ def _common_battery(cfg: ec.EconomyConfig) -> list[dict]:
     return checks
 
 
+def heterogeneous_roles(cfg: ec.EconomyConfig) -> tuple[ec.AgentTypeSpec, ...]:
+    """The types by state-1 demand u'(1) (the scale), strongest first; of two, (shocked, unshocked)."""
+    return tuple(sorted(cfg.agent_types, key=lambda t: -t.utility_in(1).scale))
+
+
+#: the heterogeneous battery's claims about a shocked and an unshocked type
+_TWO_TYPE_CLAIMS = ("low_state_unshocked_demand_rises", "low_state_shocked_demand_stable",
+                    "congested_utility_sum_monotone")
+
+
 def _heterogeneous_battery(cfg: ec.EconomyConfig) -> list[dict]:
     checks = []
-    shocked, unshocked = eqm.heterogeneous_roles(cfg)
     grid = _grid(0.0, 0.5, 21)
     sweep = sweep_tax(cfg, "heterogeneous", grid)
     if sweep.statuses[0] == "congestion-broken":
         # every claim but the burn identity compares against a congested
         # zero-tax high state
-        for name in (
-            "heterogeneous_tax_improves_welfare",
-            "low_state_unshocked_demand_rises",
-            "low_state_shocked_demand_stable",
-            "congested_utility_sum_monotone",
-        ):
+        for name in ("heterogeneous_tax_improves_welfare", *_TWO_TYPE_CLAIMS):
             checks.append(_check(name, None, {}, "the zero-tax high state is not congested"))
         checks.append(_burn_identity_check(cfg, sweep.equilibria))
         return checks
@@ -414,7 +418,12 @@ def _heterogeneous_battery(cfg: ec.EconomyConfig) -> list[dict]:
         {"argmax_theta": sweep.argmax_theta, "welfare_margin": margin},
         "some positive burn rate strictly beats zero tax",
     ))
-
+    if len(cfg.agent_types) != 2:
+        detail = f"a claim about two types; this config has {len(cfg.agent_types)}"
+        checks += [_check(name, None, {}, detail) for name in _TWO_TYPE_CLAIMS]
+        checks.append(_burn_identity_check(cfg, [e for _, e, _ in ok]))
+        return checks
+    shocked, unshocked = heterogeneous_roles(cfg)
     base_eq = ok[0][1]
     last_eq = ok[-1][1]
     b_low_rise = (

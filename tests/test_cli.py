@@ -436,6 +436,33 @@ def test_verify_skips_first_best_grid_with_three_active_types(tmp_path, capsys):
     assert "more than 2 active types are not searched (state 1 has 3)" in check["detail"]
 
 
+def test_scenario_and_verify_solve_three_types_under_a_common_shock(tmp_path):
+    # configs/heterogeneous.json with a third type: verify runs the battery's
+    # claims that hold for any number of types and skips its two-type ones
+    # and the first-best grid
+    doc = json.loads(Path(HET).read_text())
+    doc["agent_types"][0]["mass"], doc["agent_types"][1]["mass"] = 0.4, 0.3
+    doc["agent_types"].append({"name": "third", "mass": 0.3, "utility_by_state": {
+        "0": {"kind": "isoelastic", "scale": 0.8, "curvature": 0.5},
+        "1": {"kind": "isoelastic", "scale": 1.0, "curvature": 0.5},
+    }})
+    cfg_path = tmp_path / "three.json"
+    cfg_path.write_text(json.dumps(doc))
+    for args in (["scenario", "--regime", "heterogeneous", "--theta", "0.05",
+                  "--out", str(tmp_path)], ["verify"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "tokenomics.cli", args[0], "--config", str(cfg_path), *args[1:]],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "Traceback" not in proc.stderr
+    for name in ("heterogeneous_tax_improves_welfare", "burn_identity", "equilibrium_certificate"):
+        assert f"PASS  {name} [" in proc.stdout
+    for name in ("low_state_unshocked_demand_rises", "low_state_shocked_demand_stable",
+                 "congested_utility_sum_monotone", "oracle_first_best_agreement"):
+        assert f"SKIP  {name}\n" in proc.stdout
+
+
 def test_verify_without_golden_skips_regression(tmp_path, capsys):
     cfg_path = write_config(tmp_path, two_type_config())
     code = cli.main(["verify", "--config", cfg_path])

@@ -1,10 +1,12 @@
 import dataclasses
 import logging
+import math
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tokenomics import _roots
+from tokenomics import _roots, heterogeneous_roles
 from tokenomics import econ_core as ec
 from tokenomics import equilibrium as eqm
 from tokenomics.errors import ConfigError, InfeasiblePolicyError
@@ -23,6 +25,11 @@ from helpers import (
     single_user_config,
     two_type_config,
 )
+
+# the benchmark's independent model of the economy, which imports nothing
+# from the package
+sys.path.insert(0, str(CONFIG_DIR.parent / "perfbench"))
+import model  # noqa: E402
 
 # canonical frozen values (all with A=0.5, eta=0.5, kappa=eps=1, r=0.05, gamma=0)
 FRIEDMAN_ACTIVITY = 0.6299605249474366       # 0.5 a^(-1/2) = a
@@ -261,11 +268,19 @@ def test_common_shock_congested_branch():
 
 
 def test_heterogeneous_roles_orders_by_demand(het_cfg):
-    shocked, steady = eqm.heterogeneous_roles(het_cfg)
+    shocked, steady = heterogeneous_roles(het_cfg)
     assert shocked.name == "shocked" and steady.name == "steady"
 
 
 def test_heterogeneous_roles_precondition():
+    # every type must be active in both states
+    idle = dataclasses.replace(two_type_config(), agent_types=(
+        two_type_config().agent_types[0],
+        ec.AgentTypeSpec(mass=0.5, utility_by_state={0: ec.ZeroUtility(), 1: ISO(0.5, 0.5)},
+                         name="steady"),
+    ))
+    with pytest.raises(ConfigError, match="every type active in both states"):
+        eqm.solve_regime(idle, "heterogeneous", 0.0)
     # the shocked type cannot outbid c'(1) at 1/mass, so the high state stays
     # slack: the solve returns that equilibrium and flags it
     weak = two_type_config(shocked_high=0.9)
@@ -359,7 +374,7 @@ def test_heterogeneous_budgets_bind_where_the_best_response_says(args, shares, b
     cfg = het_band_config(*args)
     for share in shares:
         eq = eqm.solve_regime(cfg, "heterogeneous", share * cfg.r / cfg.shocks.rho)
-        for t, pattern in zip(eqm.heterogeneous_roles(cfg), binds):
+        for t, pattern in zip(heterogeneous_roles(cfg), binds):
             for s, out in eq.states.items():
                 wealth = (1.0 + out.token_return) * eq.holdings[t.name]
                 spent = out.effective_price * out.activities[t.name] / wealth
@@ -519,6 +534,53 @@ def test_heterogeneous_solves_hold_invariants_or_raise_typed_errors(
             for out in eq.states.values()
         )
         assert report.oracle_delta_max <= 2.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    # per type: weight of its mass, then (scale, curvature) in states 0 and 1
+    types=st.lists(
+        st.tuples(st.floats(0.1, 1.0), *[st.floats(0.25, 4.0), st.floats(0.1, 0.9)] * 2),
+        min_size=2,
+        max_size=4,
+    ),
+    r=st.floats(0.01, 0.1),
+    rho=st.floats(0.05, 0.95),
+    cost=st.tuples(st.floats(0.5, 2.0), st.sampled_from([1e-9]) | st.floats(0.1, 2.0)),
+    theta=st.floats(0.0, 0.3),
+)
+def test_heterogeneous_solves_of_any_number_of_types_are_certified_or_infeasible(
+    types, r, rho, cost, theta
+):
+    # two to four types, each active in both states: every solve passes the
+    # certificate and the independent model, or the tax is past the frontier
+    total = math.fsum(w for w, *_ in types)
+    cfg = ec.EconomyConfig(
+        r=r,
+        gamma=0.0,
+        agent_types=tuple(
+            ec.AgentTypeSpec(
+                mass=w / total, utility_by_state={0: ISO(s0, c0), 1: ISO(s1, c1)}, name=f"t{i}"
+            )
+            for i, (w, s0, c0, s1, c1) in enumerate(types)
+        ),
+        cost=ec.CostFn(*cost),
+        shocks=ec.ShockProcess(ec.ShockKind.COMMON_BINARY, rho=rho),
+    )
+    try:
+        eq = eqm.solve_regime(cfg, "heterogeneous", theta)
+    except InfeasiblePolicyError:
+        return
+    report = evaluate(cfg, eq)
+    assert cert_failures(certify(cfg, eq, report)) == []
+    doc = ec.config_to_dict(cfg)
+    bad = model.check_equilibrium(doc, "heterogeneous", theta, eq.as_dict(), report.as_dict())
+    if 0.0 < theta < sys.float_info.min:
+        # a subnormal tax leaves rT and the burn theta p A a few significant
+        # bits, so a correctly rounded rT = 0 can face a burn of one subnormal
+        # step, which the model's relative burn check flags; certify's is absolute
+        bad = [v for v in bad if v.code != "burn-identity"]
+    assert bad == []
 
 
 @pytest.mark.parametrize("theta", [5e-324, 2.2250738585072014e-309, 1e-300])
