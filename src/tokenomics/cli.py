@@ -28,7 +28,8 @@ from .first_best import first_best_allocation, flow_surplus
 from .oracle import MAX_ACTIVE_TYPES, GridSpec, grid_first_best
 from .policy import SupplyRule, SupplyRuleKind, supply_path
 from .welfare import (
-    CERT_TOL, WelfareReport, _grid, cert_failures, certify, evaluate, proposition_report, sweep_tax
+    CERT_TOL, WelfareReport, _check, _grid, cert_failures, certify, evaluate, proposition_report,
+    sweep_tax,
 )
 
 log = logging.getLogger("tokenomics")
@@ -330,24 +331,21 @@ def _oracle_checks(cfg: ec.EconomyConfig, score: Scorer) -> list[dict]:
             eq, report = score(regime, theta)
             worst_holdings = max(worst_holdings, report.oracle_delta_max)
             certificates.append(certify(cfg, eq, report))
-    checks.append({
-        "name": "oracle_holdings_agreement",
-        "status": "pass" if worst_holdings <= 2.0 else "fail",
-        "measured": {"max_grid_steps": worst_holdings},
-        "detail": "grid-search best responses sit within 2 steps of solver holdings",
-    })
+    checks.append(_check(
+        "oracle_holdings_agreement", worst_holdings <= 2.0, {"max_grid_steps": worst_holdings},
+        "grid-search best responses sit within 2 steps of solver holdings",
+    ))
     # The grid oracle resolves holdings to 2 of 2001 steps, too coarse to see
     # a wrong wedge that moves them by a fraction of a percent; one-sided
     # differences of the holdings objective do. At the optimum they gain
     # nothing beyond rounding (a few 1e-9), at any scale and at the rT = r kink.
     over = [k for k in CERT_TOL if any(k in cert_failures(c) for c in certificates)]
-    checks.append({
-        "name": "equilibrium_certificate",
-        "status": "fail" if over else "pass",
-        "measured": {k: max(c[k] for c in certificates) for k in CERT_TOL},
-        "detail": f"above tolerance: {', '.join(over)}" if over else
+    checks.append(_check(
+        "equilibrium_certificate", not over,
+        {k: max(c[k] for c in certificates) for k in CERT_TOL},
+        f"above tolerance: {', '.join(over)}" if over else
         "every steady-state invariant holds within its tolerance at every solve",
-    })
+    ))
 
     # Uncongested planner optima are interior, so the grid argmax must land
     # within a couple of steps of the analytic activities. Congested optima sit
@@ -385,17 +383,12 @@ def _oracle_checks(cfg: ec.EconomyConfig, score: Scorer) -> list[dict]:
             f"; states with more than {MAX_ACTIVE_TYPES} active types are not searched "
             f"({', '.join(too_many)})"
         )
-    if searched:
-        status = "pass" if worst_fb_steps <= 2.0 and worst_fb_gap <= 1e-3 else "fail"
-        measured = {"max_grid_steps": worst_fb_steps, "max_surplus_gap": worst_fb_gap}
-    else:
-        status, measured = "not applicable", {}
-    checks.append({
-        "name": "oracle_first_best_agreement",
-        "status": status,
-        "measured": measured,
-        "detail": detail,
-    })
+    checks.append(_check(
+        "oracle_first_best_agreement",
+        worst_fb_steps <= 2.0 and worst_fb_gap <= 1e-3 if searched else None,
+        {"max_grid_steps": worst_fb_steps, "max_surplus_gap": worst_fb_gap} if searched else {},
+        detail,
+    ))
     return checks
 
 
@@ -407,21 +400,9 @@ def run_verify(args) -> int:
     checks.extend(_oracle_checks(cfg, score))
 
     golden_file = golden_path_for(Path(args.config))
-    if golden_file.exists():
-        ok, detail = check_golden(score, golden_file)
-        checks.append({
-            "name": "golden_regression",
-            "status": "pass" if ok else "fail",
-            "measured": {},
-            "detail": detail,
-        })
-    else:
-        checks.append({
-            "name": "golden_regression",
-            "status": "not applicable",
-            "measured": {},
-            "detail": f"no golden file at {golden_file.name}",
-        })
+    ok, detail = check_golden(score, golden_file) if golden_file.exists() else (
+        None, f"no golden file at {golden_file.name}")
+    checks.append(_check("golden_regression", ok, {}, detail))
 
     failed = [c for c in checks if c["status"] == "fail"]
     for c in checks:

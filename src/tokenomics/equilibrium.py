@@ -8,7 +8,7 @@ sign of the tax, runs the row's solver and logs the result. Two solvers
 cover the five regimes:
 
 * _solve_law solves the four regimes whose token return is fixed in closed
-  form by the supply rule, one row of _LAWS each: friedman (deterministic
+  form by the supply rule, each row binding its law: friedman (deterministic
   demand, rT = r), deterministic (tax-and-burn), iid (idiosyncratic binary
   shocks, one type) and common (one aggregate binary shock, one type, no
   trade in the low state). A row gives the return law, the wedge u'(a)/p
@@ -29,7 +29,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import partial
 from typing import Callable
 
@@ -41,13 +40,6 @@ from .first_best import _clear_blockspace, _clear_demands, first_best_allocation
 _BUDGET_RTOL = 1e-9
 
 log = logging.getLogger(__name__)
-
-
-class Regime(Enum):
-    DETERMINISTIC = "deterministic"
-    IID_BINARY = "iid_binary"
-    COMMON_BINARY = "common_binary"
-    HETEROGENEOUS = "heterogeneous"
 
 
 @dataclass(frozen=True)
@@ -89,10 +81,11 @@ class SteadyStateEquilibrium:
     holdings are real balances per type member; aggregate_real_balances is
     the mass-weighted sum that enters the burn identity. congestion_broken
     marks a heterogeneous solve whose high state does not clear at capacity;
-    the states then hold that uncongested equilibrium.
+    the states then hold that uncongested equilibrium. regime is the
+    config's shock kind for a closed-form regime, "heterogeneous" otherwise.
     """
 
-    regime: Regime
+    regime: str
     states: dict[int, StateOutcome]
     holdings: dict[str, float]
     expected_return: float
@@ -102,7 +95,7 @@ class SteadyStateEquilibrium:
     def as_dict(self) -> dict:
         return {
             "schema_version": ec.SCHEMA_VERSION,
-            "regime": self.regime.value,
+            "regime": self.regime,
             "congestion_broken": self.congestion_broken,
             "expected_return": self.expected_return,
             "aggregate_real_balances": self.aggregate_real_balances,
@@ -112,110 +105,60 @@ class SteadyStateEquilibrium:
 
 
 # ---------------------------------------------------------------------------
-# closed-form return laws
+# closed-form regimes
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Law:
-    """A regime whose token return is fixed in closed form by its supply rule.
+def _solve_law(
+    token_return: Callable[[float, float, float, float], float],
+    wedge: Callable[[float, float, float, float], float],
+    idle: str | None,
+    cfg: ec.EconomyConfig,
+    theta: float,
+) -> SteadyStateEquilibrium:
+    """Steady state at tax theta of a regime whose token return is fixed in
+    closed form by its supply rule.
 
-    regime is the Regime the solution reports. token_return and wedge take
-    (theta, r, gamma, rho); the wedge is u'(a) / p in the trading state 1,
-    so the market clears once. idle says what state 0 is: None (there is
-    none), "iid" (idle holders share the trading market) or "shut" (no
-    trade, no burn, zero return).
+    token_return and wedge take (theta, r, gamma, rho); the wedge is
+    u'(a) / p in the trading state 1, so the market clears once. idle says
+    what state 0 is: None (there is none), "iid" (idle holders share the
+    trading market) or "shut" (no trade, no burn, zero return).
+
+    Holdings come from the binding budget of state 1: users spend their whole
+    balance there whenever the token return is below r, so
+    m = (1 + theta) * p * a / (1 + rT), and the wedge is the holdings FOC at it.
+    Past the frontier where E[rT] reaches r no finite holdings are optimal; the
+    closed-form regimes do not yet reject such theta and return the formal
+    solution of the burn identity there.
     """
-
-    regime: Regime
-    token_return: Callable[[float, float, float, float], float]
-    wedge: Callable[[float, float, float, float], float]
-    idle: str | None
-
-
-# Holdings come from the binding budget of state 1: users spend their whole
-# balance there whenever the token return is below r, so
-# m = (1 + theta) * p * a / (1 + rT), and the wedge is the holdings FOC at it.
-# Past the frontier where E[rT] reaches r no finite holdings are optimal; the
-# closed-form regimes do not yet reject such theta and return the formal
-# solution of the burn identity there.
-_LAWS: dict[str, _Law] = {
-    # Friedman rule: supply contracts at (1+gamma)/(1+r), so rT = r and holding
-    # tokens is costless; the static margin u'(a) = p is the planner's, and a
-    # congested fee is the capacity shadow value. It takes no tax: theta = 0.
-    "friedman": _Law(
-        Regime.DETERMINISTIC,
-        lambda theta, r, gamma, rho: r,
-        lambda theta, r, gamma, rho: 1.0,
-        None,
-    ),
-    # Burning theta * p * a while balances grow at gamma forces
-    # 1 + rT = (1+theta)(1+gamma); the surcharge and the capital gain it funds
-    # cancel out of the margin u'(a)/p = (1+r)/(1+gamma): the tax is neutral.
-    "deterministic": _Law(
-        Regime.DETERMINISTIC,
-        lambda theta, r, gamma, rho: (1.0 + theta) * (1.0 + gamma) - 1.0,
-        lambda theta, r, gamma, rho: (1.0 + r) / (1.0 + gamma),
-        None,
-    ),
-    # Only the active fraction rho trades and pays the surcharge, so the burn
-    # gives 1 + rT = (1+gamma)(1+theta)/(1+(1-rho)theta) to every holder: idle
-    # holders ride the deflation without paying the tax, so theta > 0 subsidizes
-    # idle balances and distorts the active margin. The wedge solves the holdings
-    # FOC rho (1+rT) u'(a)/((1+theta)p) + (1-rho)(1+rT) = 1+r at that return.
-    "iid": _Law(
-        Regime.IID_BINARY,
-        lambda theta, r, gamma, rho:
-            (1.0 + gamma) * (1.0 + theta) / (1.0 + (1.0 - rho) * theta) - 1.0,
-        lambda theta, r, gamma, rho:
-            1.0 + (r - gamma) * (1.0 + (1.0 - rho) * theta) / (rho * (1.0 + gamma)),
-        "iid",
-    ),
-    # Burning only in the active state gives 1 + rT = (1+theta)(1+gamma) there;
-    # the whole balance carries over the shut state, and the active margin
-    # u'(a)/p = (rho+r)/((1+gamma)rho) does not involve theta: the surcharge is
-    # exactly offset by the deflation it funds.
-    "common": _Law(
-        Regime.COMMON_BINARY,
-        lambda theta, r, gamma, rho: (1.0 + theta) * (1.0 + gamma) - 1.0,
-        lambda theta, r, gamma, rho: (rho + r) / ((1.0 + gamma) * rho),
-        "shut",
-    ),
-}
-
-
-def _solve_law(name: str, cfg: ec.EconomyConfig, theta: float) -> SteadyStateEquilibrium:
-    """Steady state of the closed-form regime _LAWS[name] at tax theta."""
-    law = _LAWS[name]
     types = cfg.agent_types
-    if law.idle is not None and (
+    if idle is not None and (
         len(types) != 1 or types[0].is_active(0) or not types[0].is_active(1)
     ):
         raise ConfigError(
-            f"the {name} regime requires a single agent type with zero utility in "
+            f"the {family(cfg)} regime requires a single agent type with zero utility in "
             "state 0 and positive demand in state 1"
         )
     rho = cfg.shocks.rho
-    rt = law.token_return(theta, cfg.r, cfg.gamma, rho)
-    wedge = law.wedge(theta, cfg.r, cfg.gamma, rho)
-    share = rho if law.idle == "iid" else 1.0  # fraction of each type trading
+    rt = token_return(theta, cfg.r, cfg.gamma, rho)
+    share = rho if idle == "iid" else 1.0  # fraction of each type trading
     demands = [(share * t.mass, t.utility_in(1)) for t in types if t.is_active(1)]
-    price, congested, bought = _clear_demands(cfg.cost, demands, wedge)
+    price, congested, bought = _clear_demands(cfg.cost, demands, wedge(theta, cfg.r, cfg.gamma, rho))
     bought = iter(bought)  # one activity per active type, in order
     acts = {t.name: next(bought) if t.is_active(1) else 0.0 for t in types}
     holdings = {n: (1.0 + theta) * price * a / (1.0 + rt) for n, a in acts.items()}
     aggregate = share * math.fsum(t.mass * acts[t.name] for t in types)
     states = {1: StateOutcome(price, theta, rt, acts, congested, aggregate)}
     idle_acts = {n: 0.0 for n in acts}
-    if law.idle == "iid":
+    if idle == "iid":
         states[0] = StateOutcome(price, theta, rt, idle_acts, congested, aggregate)
-    elif law.idle == "shut":
+    elif idle == "shut":
         states[0] = StateOutcome(0.0, 0.0, 0.0, idle_acts, False, 0.0)
     return SteadyStateEquilibrium(
-        regime=law.regime,
+        regime=cfg.shocks.kind.value,
         states=states,
         holdings=holdings,
-        expected_return=rho * rt if law.idle == "shut" else rt,
+        expected_return=rho * rt if idle == "shut" else rt,
         aggregate_real_balances=math.fsum(t.mass * holdings[t.name] for t in types),
     )
 
@@ -529,7 +472,7 @@ def _solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyStat
         0: StateOutcome(p_low, 0.0, 0.0, by_type[2], low_congested, total(got, 2)),
     }
     return SteadyStateEquilibrium(
-        regime=Regime.HETEROGENEOUS, states=states, holdings=by_type[0],
+        regime="heterogeneous", states=states, holdings=by_type[0],
         expected_return=rho * rt, aggregate_real_balances=total(got, 0),
         congestion_broken=not congested,
     )
@@ -562,10 +505,47 @@ class RegimeRow:
 
 
 REGIMES: dict[str, RegimeRow] = {
-    "friedman": RegimeRow("deterministic", False, partial(_solve_law, "friedman")),
-    "deterministic": RegimeRow("deterministic", True, partial(_solve_law, "deterministic")),
-    "iid": RegimeRow("iid", True, partial(_solve_law, "iid")),
-    "common": RegimeRow("common", True, partial(_solve_law, "common")),
+    # Friedman rule: supply contracts at (1+gamma)/(1+r), so rT = r and holding
+    # tokens is costless; the static margin u'(a) = p is the planner's, and a
+    # congested fee is the capacity shadow value. It takes no tax: theta = 0.
+    "friedman": RegimeRow("deterministic", False, partial(
+        _solve_law,
+        lambda theta, r, gamma, rho: r,
+        lambda theta, r, gamma, rho: 1.0,
+        None,
+    )),
+    # Burning theta * p * a while balances grow at gamma forces
+    # 1 + rT = (1+theta)(1+gamma); the surcharge and the capital gain it funds
+    # cancel out of the margin u'(a)/p = (1+r)/(1+gamma): the tax is neutral.
+    "deterministic": RegimeRow("deterministic", True, partial(
+        _solve_law,
+        lambda theta, r, gamma, rho: theta * (1.0 + gamma) + gamma,
+        lambda theta, r, gamma, rho: (1.0 + r) / (1.0 + gamma),
+        None,
+    )),
+    # Only the active fraction rho trades and pays the surcharge, so the burn
+    # gives 1 + rT = (1+gamma)(1+theta)/(1+(1-rho)theta) to every holder: idle
+    # holders ride the deflation without paying the tax, so theta > 0 subsidizes
+    # idle balances and distorts the active margin. The wedge solves the holdings
+    # FOC rho (1+rT) u'(a)/((1+theta)p) + (1-rho)(1+rT) = 1+r at that return.
+    "iid": RegimeRow("iid", True, partial(
+        _solve_law,
+        lambda theta, r, gamma, rho:
+            (gamma + (rho + gamma) * theta) / (1.0 + (1.0 - rho) * theta),
+        lambda theta, r, gamma, rho:
+            1.0 + (r - gamma) * (1.0 + (1.0 - rho) * theta) / (rho * (1.0 + gamma)),
+        "iid",
+    )),
+    # Burning only in the active state gives 1 + rT = (1+theta)(1+gamma) there;
+    # the whole balance carries over the shut state, and the active margin
+    # u'(a)/p = (rho+r)/((1+gamma)rho) does not involve theta: the surcharge is
+    # exactly offset by the deflation it funds.
+    "common": RegimeRow("common", True, partial(
+        _solve_law,
+        lambda theta, r, gamma, rho: theta * (1.0 + gamma) + gamma,
+        lambda theta, r, gamma, rho: (rho + r) / ((1.0 + gamma) * rho),
+        "shut",
+    )),
     "heterogeneous": RegimeRow("heterogeneous", True, _solve_heterogeneous),
 }
 

@@ -644,10 +644,10 @@ def test_regime_solves_exactly_its_family(regime, config):
 
 def test_solve_regime_dispatch(det_cfg, iid_cfg, common_cfg, het_cfg):
     assert eqm.solve_regime(det_cfg, "friedman").expected_return == det_cfg.r
-    assert eqm.solve_regime(det_cfg, "deterministic", 0.1).regime is eqm.Regime.DETERMINISTIC
-    assert eqm.solve_regime(iid_cfg, "iid", 0.1).regime is eqm.Regime.IID_BINARY
-    assert eqm.solve_regime(common_cfg, "common", 0.1).regime is eqm.Regime.COMMON_BINARY
-    assert eqm.solve_regime(het_cfg, "heterogeneous", 0.1).regime is eqm.Regime.HETEROGENEOUS
+    assert eqm.solve_regime(det_cfg, "deterministic", 0.1).regime == "deterministic"
+    assert eqm.solve_regime(iid_cfg, "iid", 0.1).regime == "iid_binary"
+    assert eqm.solve_regime(common_cfg, "common", 0.1).regime == "common_binary"
+    assert eqm.solve_regime(het_cfg, "heterogeneous", 0.1).regime == "heterogeneous"
     with pytest.raises(ConfigError, match="unknown regime"):
         eqm.solve_regime(det_cfg, "bogus")
 
