@@ -348,11 +348,9 @@ def _solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyStat
         hits += len(points) == 1
         return p_high, congested, points[p_high]
 
-    # per solve: the high state of every trial return with its patterns, and
-    # the prices of each trial return solved so far, indexed by state (low,
-    # high)
+    # per solve: the high state of every trial return solved so far, with
+    # its low-state price and patterns
     high_states: dict[float, tuple] = {}
-    solved: dict[float, tuple[float, float]] = {}
     # where each budget binds at the last trial; first, "high" at the largest u'(1), the scale
     top = max(range(len(types)), key=lambda i: types[i][1].scale)
     pats = tuple("high" if i == top else "low" for i in range(len(types)))
@@ -383,13 +381,15 @@ def _solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyStat
             half = max(min(abs(p - p_near), 0.05 * p), math.ulp(p))
             return p - half, p + half
 
-        near = sorted(solved, key=lambda s: abs(s - rt))[:2]
+        near = sorted(high_states, key=lambda s: abs(s - rt))[:2]
+        # (p_low, p_high) of each of the nearest trials
+        prices = [(high_states[s][2][0], high_states[s][0]) for s in near]
         if len(near) == 2:
             ra, rb = near
             w = (rt - ra) / (rb - ra)
-            return [around(pa + (pb - pa) * w, pa) for pa, pb in zip(solved[ra], solved[rb])]
+            return [around(pa + (pb - pa) * w, pa) for pa, pb in zip(*prices)]
         if near or anchor is not None:
-            r_near, p_near = (near[0], solved[near[0]][1]) if near else anchor
+            r_near, p_near = (near[0], prices[0][1]) if near else anchor
             return [None, around(p_near * (1.0 + rt) / (1.0 + r_near), p_near)]
         return [None, None]
 
@@ -410,7 +410,6 @@ def _solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyStat
             if pats != tried[-1]:
                 raise SolverError(f"binding patterns cycle at rT = {rt!r}: {tried} then {pats}")
             switches += len(tried) - 1
-            solved[rt] = p_low, p_high
             high_states[rt] = (*point, pats)
         return high_states[rt]
 

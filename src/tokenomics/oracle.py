@@ -1,7 +1,8 @@
 """Grid oracles.
 
 Cross-checks for the analytic solvers: a token-holdings best response on a
-holdings grid, one-sided steps of the same holdings objective from solver
+holdings grid (holdings_grid_steps reads each type's distance from it in
+grid steps), one-sided steps of the same holdings objective from solver
 holdings (holdings_ascent), and a first-best allocation on a product grid
 of activities. None shares any solution logic with the solvers; all only
 reuse the primitive utility and cost definitions, written out inline. The
@@ -118,7 +119,15 @@ def holdings_objective(
     cfg: ec.EconomyConfig, eq: SteadyStateEquilibrium, type_name: str
 ) -> Callable[[float], float]:
     """m -> the holdings objective of the named type at the prices, taxes
-    and token returns of eq."""
+    and token returns of eq.
+
+    The objective is concave in m: with curvature in (0, 1) and 1 + rT > 0,
+    each state's wealth plus net flow rises with slope u'(a*) / ((1 + theta) p)
+    >= 1 while the budget binds and with slope 1 once demand is satiated, a
+    concave nondecreasing function of wealth, which is linear in m. So its
+    values on a grid rise to a peak and then fall (or stay flat, at a token
+    return equal to r), the premise of grid_best_response.
+    """
     spec = next(t for t in cfg.agent_types if t.name == type_name)
     states = eq.states
     return _holdings_objective(
@@ -153,39 +162,44 @@ def holdings_ascent(cfg: ec.EconomyConfig, eq: SteadyStateEquilibrium) -> dict[s
     return out
 
 
+def holdings_grid_steps(cfg: ec.EconomyConfig, eq: SteadyStateEquilibrium) -> float:
+    """Largest distance, in grid steps, between a type's holdings m in eq
+    and its grid best response on [0, 2m] (on [0, 1] when m = 0), 2001
+    points; inf when some type's objective has no finite optimum (an
+    expected token return above r)."""
+    worst = 0.0
+    for t in cfg.agent_types:
+        m_k = eq.holdings[t.name]
+        upper = 2.0 * m_k if m_k > 0 else 1.0
+        grid = GridSpec(upper)
+        try:
+            m_star, _ = grid_best_response(holdings_objective(cfg, eq, t.name), grid)
+        except OracleError:
+            return math.inf
+        step = upper / (grid.points - 1)
+        worst = max(worst, abs(m_star - m_k) / step)
+    return worst
+
+
 def grid_best_response(
-    utility_by_state: Mapping[int, ec.Utility],
-    probs: Mapping[int, float],
-    prices: Mapping[int, float],
-    taxes: Mapping[int, float],
-    returns: Mapping[int, float],
-    r: float,
-    m_grid: GridSpec,
+    objective: Callable[[float], float], m_grid: GridSpec
 ) -> tuple[float, float]:
-    """Best token holdings for one agent facing fixed market conditions.
+    """Best grid balance and its value for a holdings objective.
 
-    Maximises -m + beta * E[u(a*) + (1 + rT) m - (1 + theta) p a*] over the
-    m-grid, where a* is the budget-capped demand: the marginal-utility
-    inversion, cut to what the state's wealth buys. The grid point of index
-    i is i * upper / (points - 1), the last one upper itself.
-
-    The objective is concave in m: with curvature in (0, 1) and 1 + rT > 0,
-    each state's wealth plus net flow rises with slope u'(a*) / ((1 + theta) p)
-    >= 1 while the budget binds and with slope 1 once demand is satiated, a
-    concave nondecreasing function of wealth, which is linear in m. So its
-    grid values rise to a peak and then fall (or stay flat, at a token return
-    equal to r), and the search scores a few dozen points, not the grid:
-    bisection on V(i) < V(i + 1) finds the peak, and bisection on [0, peak]
-    finds the smallest index within TIE_RTOL * max(|vmin|, |vmax|, upper) of
-    it, vmin the lower of the two grid ends. The upper bound in that
-    tolerance absorbs the rounding left where -m and beta (1 + r) m cancel.
+    The grid point of index i is i * upper / (points - 1), the last one
+    upper itself. The objective must rise to a peak on the grid and then
+    fall or stay flat, as a concave one does (see holdings_objective), so
+    the search scores a few dozen points, not the grid: bisection on
+    V(i) < V(i + 1) finds the peak, and bisection on [0, peak] finds the
+    smallest index within TIE_RTOL * max(|vmin|, |vmax|, upper) of it, vmin
+    the lower of the two grid ends. The upper bound in that tolerance
+    absorbs the rounding left where -m and beta (1 + r) m cancel.
 
     The grid auto-expands (doubling the upper bound, up to 4 times) whenever
     the argmax lands on the upper boundary; persistent boundary solutions raise
     OracleError, which is the expected signal for non-existent optima such
     as a token return above r.
     """
-    objective = _holdings_objective(utility_by_state, probs, prices, taxes, returns, r)
     last = m_grid.points - 1
 
     for _ in range(_MAX_EXPANSIONS + 1):

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 from . import econ_core as ec
 from . import equilibrium as eqm
-from .errors import ConfigError, InfeasiblePolicyError, OracleError, SolverError
+from .errors import ConfigError, InfeasiblePolicyError, SolverError
 from .first_best import expected_first_best_surplus, first_best_allocation, flow_surplus
-from .oracle import GridSpec, grid_best_response, holdings_ascent
+from .oracle import holdings_ascent, holdings_grid_steps
 
 ARGMAX_TIE_TOL = 1e-10
 
@@ -59,28 +59,6 @@ class WelfareReport:
         }
 
 
-def _oracle_holdings_delta(cfg: ec.EconomyConfig, eq: eqm.SteadyStateEquilibrium) -> float:
-    worst = 0.0
-    probs = {s: cfg.shocks.probability(s) for s in eq.states}
-    prices = {s: out.price for s, out in eq.states.items()}
-    taxes = {s: out.tax for s, out in eq.states.items()}
-    returns = {s: out.token_return for s, out in eq.states.items()}
-    for t in cfg.agent_types:
-        m_k = eq.holdings[t.name]
-        upper = 2.0 * m_k if m_k > 0 else 1.0
-        grid = GridSpec(upper)
-        try:
-            m_star, _ = grid_best_response(
-                {s: t.utility_in(s) for s in eq.states},
-                probs, prices, taxes, returns, cfg.r, grid,
-            )
-        except OracleError:
-            return math.inf
-        step = upper / (grid.points - 1)
-        worst = max(worst, abs(m_star - m_k) / step)
-    return worst
-
-
 def evaluate(cfg: ec.EconomyConfig, eq: eqm.SteadyStateEquilibrium) -> WelfareReport:
     """Score an equilibrium: welfare, first-best gap, and verification margins.
 
@@ -99,7 +77,7 @@ def evaluate(cfg: ec.EconomyConfig, eq: eqm.SteadyStateEquilibrium) -> WelfareRe
         expected_flow_welfare=expected,
         per_state=per_state,
         foc_residual_max=foc_max,
-        oracle_delta_max=_oracle_holdings_delta(cfg, eq),
+        oracle_delta_max=holdings_grid_steps(cfg, eq),
         first_best_gap=expected_first_best_surplus(cfg) - expected,
     )
 

@@ -1,8 +1,17 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from tokenomics import econ_core as ec
 
 from helpers import CONFIG_DIR
+
+# pytest's pythonpath setting puts src/ on this process's sys.path only; the
+# CLI tests start `python -m tokenomics.cli` in child processes, which read
+# PYTHONPATH
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture(scope="session")

@@ -231,16 +231,6 @@ def test_criterion_07b_stated_congested_share_directions(het_sweep):
     assert d_a_high < 0 and d_b_high > 0
 
 
-def _market_maps(cfg, eq):
-    prices = {s: out.price for s, out in eq.states.items()}
-    taxes = {s: out.tax for s, out in eq.states.items()}
-    returns = {s: out.token_return for s, out in eq.states.items()}
-    # cover auto-filled zero-utility states too; zero-probability entries are
-    # skipped inside the oracle before their (absent) prices are looked up
-    probs = {s: cfg.shocks.probability(s) for s in (0, 1)}
-    return probs, prices, taxes, returns
-
-
 def test_criterion_08_oracle_equivalence(det_cfg, iid_cfg, common_cfg, het_cfg):
     start = time.perf_counter()
     cases = [
@@ -252,13 +242,11 @@ def test_criterion_08_oracle_equivalence(det_cfg, iid_cfg, common_cfg, het_cfg):
     ]
     worst_holdings = 0.0
     for cfg, eq in cases:
-        probs, prices, taxes, returns = _market_maps(cfg, eq)
         for spec in cfg.agent_types:
             m_star = eq.holdings[spec.name]
             grid = orc.GridSpec(2.0 * m_star, 2001)
-            m_oracle, _ = orc.grid_best_response(
-                spec.utility_by_state, probs, prices, taxes, returns, cfg.r, grid
-            )
+            objective = orc.holdings_objective(cfg, eq, spec.name)
+            m_oracle, _ = orc.grid_best_response(objective, grid)
             step = grid.upper / (grid.points - 1)
             worst_holdings = max(worst_holdings, abs(m_oracle - m_star) / step)
 

@@ -30,7 +30,8 @@ def one_state(price, tax=0.0, rt=0.0, utility=ISO(0.5, 0.5)):
 
 
 def test_zero_utility_prefers_empty_wallet():
-    m, value = grid_best_response(m_grid=GridSpec(1.0), **one_state(1.0, utility=ZERO))
+    objective = oracle._holdings_objective(**one_state(1.0, utility=ZERO))
+    m, value = grid_best_response(objective, GridSpec(1.0))
     assert m == 0.0
     assert value == 0.0
 
@@ -40,7 +41,8 @@ def test_binding_kink_found_exactly_when_on_grid():
     # bound of exactly 2m puts the kink on the grid midpoint
     a_star = (0.5 / 1.05) ** 2
     m_star = a_star  # price 1, no tax
-    m, value = grid_best_response(m_grid=GridSpec(2 * m_star), **one_state(1.0))
+    objective = oracle._holdings_objective(**one_state(1.0))
+    m, value = grid_best_response(objective, GridSpec(2 * m_star))
     assert m == pytest.approx(m_star, abs=1e-15)
     expected = -m_star + BETA * (m_star + 2 * 0.5 * math.sqrt(a_star) - a_star)
     assert value == pytest.approx(expected, rel=1e-12)
@@ -50,7 +52,8 @@ def test_return_equal_to_r_gives_flat_top_and_smallest_tie():
     # carry is free when the return matches r: every m above the satiation
     # level is equally good, and the tie must break to the smallest one
     satiation = 0.25 / (1.0 + R)  # u'(a)=1 at a=0.25, wealth (1+r)m = p*a
-    m, value = grid_best_response(m_grid=GridSpec(1.0), **one_state(1.0, rt=R))
+    objective = oracle._holdings_objective(**one_state(1.0, rt=R))
+    m, value = grid_best_response(objective, GridSpec(1.0))
     step = 1.0 / 2000
     assert satiation - 1e-12 <= m <= satiation + step
     assert value == pytest.approx(BETA * 0.25, rel=1e-9)
@@ -58,14 +61,16 @@ def test_return_equal_to_r_gives_flat_top_and_smallest_tie():
 
 def test_grid_expands_to_reach_interior_optimum():
     a_star = (0.5 / 1.05) ** 2  # optimum near 0.227, beyond the initial grid
-    m, _ = grid_best_response(m_grid=GridSpec(0.1), **one_state(1.0))
+    objective = oracle._holdings_objective(**one_state(1.0))
+    m, _ = grid_best_response(objective, GridSpec(0.1))
     assert m == pytest.approx(a_star, abs=2 * 0.4 / 2000)
 
 
 def test_unbounded_objective_raises():
     # a token return above r makes waiting strictly profitable at any balance
+    objective = oracle._holdings_objective(**one_state(1.0, rt=0.2))
     with pytest.raises(OracleError, match="unbounded"):
-        grid_best_response(m_grid=GridSpec(1.0), **one_state(1.0, rt=0.2))
+        grid_best_response(objective, GridSpec(1.0))
 
 
 def test_zero_probability_state_is_ignored():
@@ -75,15 +80,16 @@ def test_zero_probability_state_is_ignored():
     kwargs["prices"][0] = 1.0
     kwargs["taxes"][0] = 0.0
     kwargs["returns"][0] = 0.0
-    m, _ = grid_best_response(m_grid=GridSpec(1.0), **kwargs)
+    m, _ = grid_best_response(oracle._holdings_objective(**kwargs), GridSpec(1.0))
     assert m == pytest.approx((0.5 / 1.05) ** 2, abs=1e-3)
 
 
 def test_refinement_approaches_the_kink():
     m_star = (0.5 / 1.05) ** 2
+    objective = oracle._holdings_objective(**one_state(1.0))
     errors = []
     for points in (101, 1001, 10001):
-        m, _ = grid_best_response(m_grid=GridSpec(1.0, points), **one_state(1.0))
+        m, _ = grid_best_response(objective, GridSpec(1.0, points))
         step = 1.0 / (points - 1)
         err = abs(m - m_star)
         assert err <= 2 * step
@@ -195,18 +201,18 @@ def test_best_response_matches_dense_reference(
 ):
     # returns above r leave the objective unbounded (OracleError); small
     # grids expand; returns equal to r leave a flat top broken by the tie rule
-    kwargs = dict(
-        market(utilities, p_high, prices, taxes, returns), m_grid=GridSpec(m_upper, points)
-    )
+    kwargs = market(utilities, p_high, prices, taxes, returns)
+    objective = oracle._holdings_objective(**kwargs)
+    m_grid = GridSpec(m_upper, points)
     try:
-        expected = dense_best_response(**kwargs)
+        expected = dense_best_response(**kwargs, m_grid=m_grid)
     except OracleError:
         event("unbounded")
         with pytest.raises(OracleError):
-            grid_best_response(**kwargs)
+            grid_best_response(objective, m_grid)
         return
     event("expanded" if expected[0] > m_upper else "first grid")
-    assert grid_best_response(**kwargs) == expected
+    assert grid_best_response(objective, m_grid) == expected
 
 
 @settings(max_examples=150, deadline=None)
@@ -229,13 +235,40 @@ def test_holdings_objective_is_unimodal_within_the_tie_tolerance(
 def test_return_at_or_below_minus_one_is_rejected(rt):
     # wealth (1 + rT) m would be negative, and a negative base under ** complex
     with pytest.raises(ValueError, match="exceed -1"):
-        grid_best_response(m_grid=GridSpec(1.0), **one_state(1.0, rt=rt))
+        oracle._holdings_objective(**one_state(1.0, rt=rt))
 
 
 def test_deterministic_across_calls():
-    first = grid_best_response(m_grid=GridSpec(1.0), **one_state(0.8, tax=0.1, rt=0.02))
-    second = grid_best_response(m_grid=GridSpec(1.0), **one_state(0.8, tax=0.1, rt=0.02))
+    objective = oracle._holdings_objective(**one_state(0.8, tax=0.1, rt=0.02))
+    first = grid_best_response(objective, GridSpec(1.0))
+    second = grid_best_response(objective, GridSpec(1.0))
     assert first == second
+
+
+def test_best_response_searches_any_concave_objective():
+    # plain concave functions no market built, on grids of exact floats
+    # (step 1/1024 and 1/4)
+    def bowl(peak):
+        return lambda m: -((m - peak) ** 2)
+
+    # a peak strictly inside the grid, between two points: the nearer wins
+    assert grid_best_response(bowl(0.7), GridSpec(2.0, 2049)) == (717 / 1024, bowl(0.7)(717 / 1024))
+
+    # a flat top from 0.5 on, tilted up: within TIE_RTOL of the maximum the
+    # smallest index wins, outside it the higher point does
+    def flat_top(tilt):
+        return lambda m: min(m, 0.5) + tilt * min(m, 0.75)
+
+    assert 1e-13 < oracle.TIE_RTOL < 1e-9
+    assert grid_best_response(flat_top(1e-13), GridSpec(1.0, 5))[0] == 0.5
+    assert grid_best_response(flat_top(1e-9), GridSpec(1.0, 5))[0] == 0.75
+
+    # a peak past the upper bound: the grid doubles from 1 to 4 and finds it
+    assert grid_best_response(bowl(3.0), GridSpec(1.0, 5)) == (3.0, 0.0)
+
+    # still rising at the last expanded grid (upper 16 after four doublings)
+    with pytest.raises(OracleError, match="after 4 expansions"):
+        grid_best_response(bowl(100.0), GridSpec(1.0, 5))
 
 
 # ---------------------------------------------------------------------------
