@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import logging
 import math
 import os
@@ -23,7 +24,7 @@ from typing import Callable
 
 from . import econ_core as ec
 from . import equilibrium as eqm
-from .errors import ConfigError, InfeasiblePolicyError, SolverError, TokenomicsError
+from .errors import ConfigError, TokenomicsError
 from .first_best import first_best_allocation, flow_surplus
 from .oracle import MAX_ACTIVE_TYPES, GridSpec, grid_first_best
 from .policy import SupplyRule, SupplyRuleKind, supply_path
@@ -68,8 +69,6 @@ def dumps_canonical(obj, indent: int = 0) -> str:
         rendered = format_float(obj)
         return rendered if rendered else "null"
     if isinstance(obj, str):
-        import json
-
         return json.dumps(obj)
     if isinstance(obj, (list, tuple)):
         if not obj:
@@ -175,8 +174,6 @@ def golden_case_result(score: Scorer, regime: str, theta: float) -> dict:
 
 
 def check_golden(score: Scorer, golden_file: Path) -> tuple[bool, str]:
-    import json
-
     try:
         doc = json.loads(golden_file.read_text())
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
@@ -241,14 +238,10 @@ def _summary_text(regime: str, theta: float, eq, report) -> str:
 
 def run_scenario(args) -> int:
     cfg = _load(args.config)
+    eq = eqm.solve_regime(cfg, args.regime, args.theta)
+    report = evaluate(cfg, eq)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        eq = eqm.solve_regime(cfg, args.regime, args.theta)
-    except (SolverError, InfeasiblePolicyError) as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    report = evaluate(cfg, eq)
     write_json(out_dir / "equilibrium.json", {
         "requested_regime": args.regime,
         "theta": args.theta,
@@ -263,10 +256,10 @@ def run_scenario(args) -> int:
 
 def run_sweep(args) -> int:
     cfg = _load(args.config)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     grid = _grid(args.theta_min, args.theta_max, args.points)
     result = sweep_tax(cfg, args.regime, grid)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for th, w, congested, status, eq, report in zip(
         result.grid, result.welfare, result.congestion_flags,
@@ -298,18 +291,14 @@ def run_sweep(args) -> int:
 
 def run_supply_path(args) -> int:
     cfg = _load(args.config)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     kind = SupplyRuleKind(args.rule)
     if kind is SupplyRuleKind.TAX_AND_BURN:
         rule = SupplyRule.tax_and_burn(args.theta)
     else:
         rule = SupplyRule(kind)
-    try:
-        path = supply_path(rule, cfg, args.M0, args.q0, T=args.T)
-    except (ConfigError, InfeasiblePolicyError, SolverError) as exc:
-        print(f"infeasible rule: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    path = supply_path(rule, cfg, args.M0, args.q0, T=args.T)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_csv(out_dir / "path.csv", ["t", "M", "q", "rT", "m"],
               [list(row) for row in path.csv_rows()])
     print(f"wrote {args.T + 1} rows to {out_dir / 'path.csv'}")
@@ -375,7 +364,7 @@ def _oracle_checks(cfg: ec.EconomyConfig, score: Scorer) -> list[dict]:
                 step = spec.upper / (spec.points - 1)
                 worst_fb_steps = max(
                     worst_fb_steps,
-                    abs(gridded.activities[name] - analytic.activities[name]) / step,
+                    abs(gridded[name] - analytic.activities[name]) / step,
                 )
     detail = "product-grid surplus search matches the planner solution"
     if too_many:
@@ -492,23 +481,17 @@ def _validate_usage(args) -> str | None:
             return "sweep needs --points >= 2"
         if not math.isfinite(args.theta_max - args.theta_min):
             return "--theta-min and --theta-max must be finite, and so must their difference"
-        if args.theta_max < args.theta_min:
-            return "--theta-max must be >= --theta-min"
         if args.jobs < 1:
             return "--jobs must be >= 1"
     if args.command == "path":
-        if args.T < 1:
-            return "path needs --T >= 1"
-        if not 0 < args.M0 < math.inf:
-            return "--M0 must be positive and finite"
-        if not 0 < args.q0 < math.inf:
-            return "--q0 must be positive and finite"
         if not 0 <= args.theta < math.inf:
             return "--theta must be >= 0 and finite"
     return None
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand. Package errors become exit codes here and
+    nowhere else: a ConfigError exits 3, any other TokenomicsError 2."""
     level = os.environ.get("TOKENOMICS_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
                         format="%(levelname)s %(name)s: %(message)s")

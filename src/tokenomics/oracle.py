@@ -34,7 +34,6 @@ from typing import TYPE_CHECKING, Callable, Mapping
 
 from . import econ_core as ec
 from .errors import OracleError
-from .first_best import Allocation
 
 if TYPE_CHECKING:
     from .equilibrium import SteadyStateEquilibrium
@@ -233,12 +232,13 @@ def grid_first_best(
     cfg: ec.EconomyConfig,
     state: int,
     grids: Mapping[str, GridSpec],
-) -> tuple[Allocation, float]:
-    """First-best allocation for one state: the best feasible cell of a
+) -> tuple[dict[str, float], float]:
+    """First-best activities for one state: the best feasible cell of a
     product grid of activities, with at most two active types.
 
-    grids gives each active type's activity grid by name. Returns the best
-    feasible allocation and its flow surplus.
+    grids gives each active type's activity grid by name. Returns every
+    type's activity at the best feasible cell (0 for inactive types) and
+    its flow surplus.
 
     The surplus m1 u1(x) + m2 u2(y) - C(m1 x + m2 y) is scored on the cells
     with load at most capacity, rows indexed by the first active type's
@@ -255,13 +255,7 @@ def grid_first_best(
     """
     active = [t for t in cfg.agent_types if t.is_active(state)]
     if not active:
-        alloc = Allocation(
-            activities={t.name: 0.0 for t in cfg.agent_types},
-            total=0.0,
-            congested=False,
-            shadow_marginal=0.0,
-        )
-        return alloc, 0.0
+        return {t.name: 0.0 for t in cfg.agent_types}, 0.0
     if len(active) > MAX_ACTIVE_TYPES:
         raise OracleError(
             f"product grid limited to {MAX_ACTIVE_TYPES} active types, got {len(active)}"
@@ -321,10 +315,4 @@ def grid_first_best(
     acts = {t.name: 0.0 for t in cfg.agent_types}
     for t, index, ax in zip(active, cell, (xs, ys)):
         acts[t.name] = ax[index]
-    best_total = math.fsum(t.mass * acts[t.name] for t in cfg.agent_types)
-    steps = [grids[t.name].upper / (grids[t.name].points - 1) for t in active]
-    congested = best_total >= ec.BLOCKSPACE_CAPACITY - max(
-        t.mass * s for t, s in zip(active, steps)
-    )
-    alloc = Allocation(activities=acts, total=best_total, congested=congested, shadow_marginal=0.0)
-    return alloc, value(*cell)
+    return acts, value(*cell)

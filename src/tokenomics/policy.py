@@ -16,7 +16,7 @@ from enum import Enum
 
 from . import econ_core as ec
 from .equilibrium import family, solve_regime
-from .errors import ConfigError
+from .errors import ConfigError, InfeasiblePolicyError
 
 
 class SupplyRuleKind(Enum):
@@ -80,8 +80,9 @@ def supply_path(
     """Simulate T periods of the nominal supply at the rule's steady state.
 
     Tax-and-burn paths need non-random aggregates, so they accept only
-    deterministic or idiosyncratic-shock configurations; each step burns
-    theta * p * a / q_t token units. The ratio rules need no solve at all.
+    deterministic or idiosyncratic-shock configurations (any other raises
+    InfeasiblePolicyError); each step burns theta * p * a / q_t token units.
+    The ratio rules need no solve at all.
     """
     if T < 1:
         raise ConfigError(f"need at least one period, got T={T}")
@@ -99,7 +100,7 @@ def supply_path(
     else:
         fam = family(cfg)
         if fam not in ("deterministic", "iid"):
-            raise ConfigError(
+            raise InfeasiblePolicyError(
                 "tax-and-burn paths need non-random aggregates: got a "
                 f"{cfg.shocks.kind.value} shock process (simulate the common-shock "
                 "regimes through their state-contingent equilibria instead)"

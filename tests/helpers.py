@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from tokenomics import econ_core as ec
@@ -81,6 +81,14 @@ def scaled_config(name: str, utility: float = 1.0, cost: float = 1.0) -> ec.Econ
                 f["scale"] *= utility
     doc["cost"]["scale"] *= cost
     return ec.config_from_dict(doc)
+
+
+def split_iid_config() -> ec.EconomyConfig:
+    """configs/iid.json with its one type split into two of mass 0.5."""
+    cfg = ec.load_config(CONFIG_DIR / "iid.json")
+    (users,) = cfg.agent_types
+    halves = tuple(replace(users, mass=0.5, name=f"{users.name}_{i}") for i in (1, 2))
+    return replace(cfg, agent_types=halves)
 
 
 def het_band_config(

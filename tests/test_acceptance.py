@@ -258,10 +258,10 @@ def test_criterion_08_oracle_equivalence(det_cfg, iid_cfg, common_cfg, het_cfg):
                 name: orc.GridSpec(2.0 * a if a > 1e-12 else 0.5, 2001)
                 for name, a in fb.activities.items()
             }
-            alloc, _ = orc.grid_first_best(cfg, state, grids=grids)
+            acts, _ = orc.grid_first_best(cfg, state, grids=grids)
             for name, a in fb.activities.items():
                 step = grids[name].upper / (grids[name].points - 1)
-                worst_alloc = max(worst_alloc, abs(alloc.activities[name] - a) / step)
+                worst_alloc = max(worst_alloc, abs(acts[name] - a) / step)
     elapsed = time.perf_counter() - start
     ok = worst_holdings <= 2.0 and worst_alloc <= 2.0 and elapsed < 60.0
     _report(

@@ -14,7 +14,10 @@ from tokenomics import cli
 from tokenomics import econ_core as ec
 from tokenomics import welfare
 
-from helpers import CONFIG_DIR, both_bind_config, scaled_config, three_type_config, two_type_config
+from helpers import (
+    CONFIG_DIR, both_bind_config, scaled_config, split_iid_config, three_type_config,
+    two_type_config,
+)
 
 DET = str(CONFIG_DIR / "deterministic.json")
 IID = str(CONFIG_DIR / "iid.json")
@@ -110,7 +113,9 @@ def test_scenario_solver_failure_exits_2(tmp_path, capsys):
          "--theta", "0.3", "--out", str(tmp_path)]
     )
     assert code == 2
-    assert "solver failure:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "expected token return above r" in err
     assert not (tmp_path / "equilibrium.json").exists()
 
 
@@ -169,11 +174,13 @@ def test_sweep_usage_errors(tmp_path, capsys):
         ["sweep", "--config", IID, "--regime", "iid", "--theta-max", "0.1",
          "--points", "1", "--out", str(tmp_path)]
     ) == 3
+    capsys.readouterr()
+    # sweep_tax, not the CLI, rejects a descending grid
     assert cli.main(
         ["sweep", "--config", IID, "--regime", "iid", "--theta-min", "0.2",
          "--theta-max", "0.1", "--points", "3", "--out", str(tmp_path)]
     ) == 3
-    capsys.readouterr()
+    assert "config error: tax grid must be sorted ascending" in capsys.readouterr().err
     # friedman takes no tax: a sweep would write one theta = 0 solve per row
     assert cli.main(
         ["sweep", "--config", DET, "--regime", "friedman", "--theta-max", "0.1",
@@ -253,18 +260,38 @@ def test_path_tax_and_burn_requires_theta_compatible_shocks(tmp_path, capsys):
          "--M0", "1", "--T", "3", "--out", str(tmp_path)]
     )
     assert code == 2
-    assert "infeasible rule" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "non-random aggregates" in err
+    assert not (tmp_path / "path.csv").exists()
+
+
+def test_config_errors_exit_3_from_scenario_and_path(tmp_path, capsys):
+    # the iid regime solves one type only, whichever command asks for it
+    cfg_path = write_config(tmp_path, split_iid_config())
+    out = tmp_path / "out"
+    for args in (
+        ["scenario", "--config", cfg_path, "--regime", "iid", "--theta", "0.05"],
+        ["path", "--config", cfg_path, "--rule", "tax_and_burn", "--theta", "0.05",
+         "--M0", "1", "--T", "3"],
+    ):
+        assert cli.main(args + ["--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "single agent type" in err
+    assert not out.exists()
 
 
 def test_path_usage_guards(tmp_path, capsys):
+    # supply_path, not the CLI, rejects --T, --M0 and --q0
     assert cli.main(
         ["path", "--config", DET, "--rule", "fixed_supply", "--M0", "1",
          "--T", "0", "--out", str(tmp_path)]
     ) == 3
+    assert "config error: need at least one period" in capsys.readouterr().err
     assert cli.main(
         ["path", "--config", DET, "--rule", "fixed_supply", "--M0", "-1",
          "--T", "3", "--out", str(tmp_path)]
     ) == 3
+    assert "config error: M0 and q0 must be positive and finite" in capsys.readouterr().err
     assert cli.main(
         ["path", "--config", DET, "--rule", "tax_and_burn", "--theta", "-0.1", "--M0", "1",
          "--T", "3", "--out", str(tmp_path)]

@@ -23,6 +23,7 @@ from helpers import (
     record_evaluations,
     scaled_config,
     single_user_config,
+    split_iid_config,
     two_type_config,
 )
 
@@ -508,6 +509,15 @@ def with_binding_examples(test):
 # at c'(1) runs), and one lies below it (expand_bracket widens it)
 @example((1.18, 1.34, 1.89, 1.2), (1.06, 1.11, 0.83, 1.06), 0.58, 0.68, [0.5, 0.0, 1.0])
 @example((1.97, 1.18, 0.61, 0.55), (1.31, 0.73, 1.2, 1.1), 0.39, 0.67, [0.75, 0.0, 1.0])
+# the outer root's burn gap is still negative at its predicted lower end, so
+# the root is bracketed from zero
+@example(
+    (3.4659543451033095, 1.4484041395270209, 1.6868035974329414, 2.425951598786249),
+    (1.8782603464560688, 1.0998928900070628, 1.8200452531601177, 1.6378407923062634),
+    0.18704577173560294,
+    0.8723119283274643,
+    [0.9664811212886688],
+)
 @with_binding_examples
 def test_heterogeneous_solves_hold_invariants_or_raise_typed_errors(
     scales, curvatures, mass, rho, shares
@@ -616,6 +626,11 @@ def test_heterogeneous_config_guards():
     # the heterogeneous family does not imply gamma = 0
     with pytest.raises(ConfigError, match="gamma"):
         eqm.solve_regime(two_type_config(gamma=0.02), "heterogeneous", 0.0)
+    # nor that the low state occurs
+    het = ec.load_config(CONFIG_DIR / "heterogeneous.json")
+    always_high = dataclasses.replace(het, shocks=dataclasses.replace(het.shocks, rho=1.0))
+    with pytest.raises(ConfigError, match="needs rho < 1"):
+        eqm.solve_regime(always_high, "heterogeneous", 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -640,6 +655,15 @@ def test_regime_solves_exactly_its_family(regime, config):
             eqm.solve_regime(cfg, regime, -0.01)
     else:
         assert eqm.solve_regime(cfg, regime, 0.05) == eq
+
+
+def test_closed_form_laws_solve_one_type():
+    # two types under an idiosyncratic shock are of the iid family, which
+    # solves a single type only
+    cfg = split_iid_config()
+    assert eqm.family(cfg) == "iid"
+    with pytest.raises(ConfigError, match="the iid regime requires a single agent type"):
+        eqm.solve_regime(cfg, "iid", 0.05)
 
 
 def test_solve_regime_dispatch(det_cfg, iid_cfg, common_cfg, het_cfg):

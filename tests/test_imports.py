@@ -1,6 +1,7 @@
 """Import hygiene and dead code: every name a package module imports is
-used in it, and every module-level function, and every public method or
-property of a module-level class, is read somewhere in the package.
+used in it, every module-level function, and every public method or
+property of a module-level class, is read somewhere in the package, and
+the grid oracles import no solver module.
 
 No linter ships with the test extras, so this walks each module's syntax
 tree. An import whose line carries ``# noqa`` is exempt: it is loaded for
@@ -145,3 +146,40 @@ def test_detector_flags_an_unread_method():
 
 def test_every_method_is_read():
     assert unread_methods({p.name: p.read_text() for p in SRC.glob("*.py")}) == []
+
+
+def runtime_package_imports(source: str) -> set[str]:
+    """Package modules a module imports when it loads: its relative imports
+    outside ``if TYPE_CHECKING:`` blocks."""
+    tree = ast.parse(source)
+    type_only = {
+        id(n)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.If)
+        and isinstance(node.test, ast.Name)
+        and node.test.id == "TYPE_CHECKING"
+        for n in ast.walk(node)
+    }
+    modules: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level and id(node) not in type_only:
+            modules |= {node.module} if node.module else {a.name for a in node.names}
+    return modules
+
+
+def test_detector_lists_runtime_package_imports():
+    source = (
+        "from typing import TYPE_CHECKING\n"
+        "from . import econ_core as ec\n"
+        "from .errors import OracleError\n"
+        "if TYPE_CHECKING:\n"
+        "    from .equilibrium import SteadyStateEquilibrium\n"
+    )
+    assert runtime_package_imports(source) == {"econ_core", "errors"}
+
+
+def test_oracle_imports_no_solver():
+    # the oracles cross-check the solvers, so they share no solution logic
+    # with them: only the primitives and the error types
+    source = (SRC / "oracle.py").read_text()
+    assert runtime_package_imports(source) == {"econ_core", "errors"}

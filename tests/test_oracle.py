@@ -276,28 +276,41 @@ def test_best_response_searches_any_concave_objective():
 # ---------------------------------------------------------------------------
 
 
+def grid_load(cfg, acts):
+    """Total blockspace load of a grid cell's activities."""
+    return math.fsum(t.mass * acts[t.name] for t in cfg.agent_types)
+
+
+def grid_congested(cfg, acts, grids):
+    """Whether a grid cell sits on the capacity line: its load is within one
+    type's mass times grid step of capacity."""
+    slack = max(t.mass * grids[t.name].upper / (grids[t.name].points - 1)
+                for t in cfg.agent_types if t.name in grids)
+    return grid_load(cfg, acts) >= ec.BLOCKSPACE_CAPACITY - slack
+
+
 def test_grid_first_best_matches_analytic(det_cfg):
     analytic = first_best_allocation(det_cfg, 1)
     grids = {"users": GridSpec(2 * analytic.activities["users"])}
-    alloc, surplus = grid_first_best(det_cfg, 1, grids=grids)
+    acts, surplus = grid_first_best(det_cfg, 1, grids=grids)
     step = 2 * analytic.activities["users"] / 2000
-    assert abs(alloc.activities["users"] - analytic.activities["users"]) <= step
-    gross = 2 * 0.5 * math.sqrt(alloc.activities["users"])
-    assert surplus == pytest.approx(gross - alloc.total**2 / 2, rel=1e-9)
+    assert abs(acts["users"] - analytic.activities["users"]) <= step
+    gross = 2 * 0.5 * math.sqrt(acts["users"])
+    assert surplus == pytest.approx(gross - grid_load(det_cfg, acts)**2 / 2, rel=1e-9)
 
 
 def test_grid_first_best_zero_state(iid_cfg):
-    alloc, surplus = grid_first_best(iid_cfg, 0, grids={})
-    assert alloc.total == 0.0
+    acts, surplus = grid_first_best(iid_cfg, 0, grids={})
+    assert grid_load(iid_cfg, acts) == 0.0
     assert surplus == 0.0
 
 
 def test_grid_first_best_respects_capacity(het_cfg):
     analytic = first_best_allocation(het_cfg, 1)
     grids = {name: GridSpec(2 * a) for name, a in analytic.activities.items()}
-    alloc, _ = grid_first_best(het_cfg, 1, grids=grids)
-    assert alloc.total <= ec.BLOCKSPACE_CAPACITY + 1e-9
-    assert alloc.congested
+    acts, _ = grid_first_best(het_cfg, 1, grids=grids)
+    assert grid_load(het_cfg, acts) <= ec.BLOCKSPACE_CAPACITY + 1e-9
+    assert grid_congested(het_cfg, acts, grids)
 
 
 def test_grid_first_best_boundary_raises(det_cfg):
@@ -333,16 +346,16 @@ def dense_first_best(cfg, state, grids):
 
 def assert_matches_dense(cfg, state, grids):
     """grid_first_best picks the reference's cell and surplus exactly, or
-    raises where that cell is on the grid boundary. Returns the allocation."""
+    raises where that cell is on the grid boundary. Returns the activities."""
     idx, expected, expected_surplus = dense_first_best(cfg, state, grids)
     if any(i == grids[name].points - 1 for name, i in zip(expected, idx)):
         with pytest.raises(OracleError, match="widen the grid"):
             grid_first_best(cfg, state, grids=grids)
         return None
-    alloc, surplus = grid_first_best(cfg, state, grids=grids)
-    assert {n: alloc.activities[n] for n in expected} == expected
+    acts, surplus = grid_first_best(cfg, state, grids=grids)
+    assert {n: acts[n] for n in expected} == expected
     assert surplus == expected_surplus
-    return alloc
+    return acts
 
 
 def twin_types_config():
@@ -371,8 +384,8 @@ def test_grid_first_best_matches_dense_grid(het_cfg, det_cfg):
     for cfg, state, grids in cases:
         assert assert_matches_dense(cfg, state, grids) is not None
     # the twin optimum is off the diagonal: the first row-major cell of the tie wins
-    alloc, _ = grid_first_best(twin_types_config(), 1, grids={"a": twin, "b": twin})
-    assert alloc.activities["a"] < alloc.activities["b"]
+    acts, _ = grid_first_best(twin_types_config(), 1, grids={"a": twin, "b": twin})
+    assert acts["a"] < acts["b"]
 
 
 def unequal_pair_config():
@@ -441,5 +454,8 @@ def test_grid_first_best_matches_dense_reference(mass, utilities, cost, widths, 
     )
     anchor = first_best_allocation(cfg, 1).activities
     grids = {n: GridSpec(w * max(anchor[n], 0.5), k) for n, w, k in zip("ab", widths, points)}
-    alloc = assert_matches_dense(cfg, 1, grids)
-    event("boundary" if alloc is None else "congested" if alloc.congested else "uncongested")
+    acts = assert_matches_dense(cfg, 1, grids)
+    event(
+        "boundary" if acts is None
+        else "congested" if grid_congested(cfg, acts, grids) else "uncongested"
+    )

@@ -6,7 +6,7 @@ from tokenomics import econ_core as ec
 from tokenomics import equilibrium as eqm
 from tokenomics import policy as pol
 from tokenomics import welfare as wf
-from tokenomics.errors import ConfigError
+from tokenomics.errors import ConfigError, InfeasiblePolicyError
 
 from helpers import single_user_config
 
@@ -91,7 +91,7 @@ def test_long_iid_burn_path_stays_on_the_identity(iid_cfg):
 
 
 def test_supply_path_rejects_random_aggregates(common_cfg):
-    with pytest.raises(ConfigError, match="non-random aggregates"):
+    with pytest.raises(InfeasiblePolicyError, match="non-random aggregates"):
         pol.supply_path(pol.SupplyRule.tax_and_burn(0.05), common_cfg, M0=1.0, T=3)
 
 

@@ -13,6 +13,7 @@ from tokenomics.errors import ConfigError, InfeasiblePolicyError, SolverError
 from helpers import (
     CONFIG_DIR,
     record_evaluations,
+    scaled_config,
     single_user_config,
     two_type_config,
 )
@@ -135,14 +136,49 @@ def test_proposition_report_check_names(det_cfg, iid_cfg):
 
 
 def test_proposition_report_marks_unreachable_checks():
-    # balances outgrow the discount rate: no nonnegative burn rate applies
-    cfg = single_user_config(ec.ShockKind.DETERMINISTIC, r=0.02, gamma=0.05)
-    report = wf.proposition_report(cfg)
-    by_name = {c["name"]: c["status"] for c in report["checks"]}
-    assert by_name["friedman_matches_first_best"] == "pass"
-    assert by_name["deterministic_tax_neutrality"] == "not applicable"
-    assert by_name["friedman_weakly_dominates_burn"] == "not applicable"
-    assert report["all_passed"]  # "not applicable" is not a failure
+    not_applicable = "not applicable"
+    cases = [
+        # balances outgrow the discount rate: no nonnegative burn rate applies
+        (
+            single_user_config(ec.ShockKind.DETERMINISTIC, r=0.02, gamma=0.05),
+            {
+                "friedman_matches_first_best": "pass",
+                "friedman_return_is_r": "pass",
+                "deterministic_tax_neutrality": not_applicable,
+                "friedman_weakly_dominates_burn": not_applicable,
+                "burn_identity": not_applicable,
+            },
+        ),
+        (
+            single_user_config(ec.ShockKind.IID_BINARY, r=0.02, gamma=0.05),
+            {
+                "iid_return_formula": not_applicable,
+                "iid_tax_never_helps": not_applicable,
+                "burn_identity": not_applicable,
+            },
+        ),
+        (
+            single_user_config(ec.ShockKind.COMMON_BINARY, r=0.02, gamma=0.05),
+            {
+                "common_shock_tax_neutrality": not_applicable,
+                "common_shock_return_formula": not_applicable,
+                "burn_identity": not_applicable,
+            },
+        ),
+        # demand fills capacity at zero tax: the uncongested argument is silent
+        (
+            scaled_config("iid", utility=10.0),
+            {
+                "iid_return_formula": "pass",
+                "iid_tax_never_helps": not_applicable,
+                "burn_identity": "pass",
+            },
+        ),
+    ]
+    for cfg, expected in cases:
+        report = wf.proposition_report(cfg)
+        assert {c["name"]: c["status"] for c in report["checks"]} == expected
+        assert report["all_passed"]  # "not applicable" is not a failure
 
 
 def test_heterogeneous_battery_needs_a_congested_zero_tax_state():
