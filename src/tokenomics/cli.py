@@ -25,7 +25,7 @@ from typing import Callable
 from . import econ_core as ec
 from . import equilibrium as eqm
 from .errors import ConfigError, TokenomicsError
-from .first_best import first_best_allocation, flow_surplus
+from .first_best import first_best_allocation, flow_surplus, planner_economy
 from .oracle import MAX_ACTIVE_TYPES, GridSpec, grid_first_best
 from .policy import SupplyRule, SupplyRuleKind, supply_path
 from .welfare import (
@@ -127,13 +127,6 @@ def _compare_tree(expected, actual, path: str, mismatches: list[str]) -> None:
                 mismatches.append(f"{path}.{key} (missing)")
             else:
                 _compare_tree(expected[key], actual[key], f"{path}.{key}", mismatches)
-        return
-    if isinstance(expected, list) and isinstance(actual, list):
-        if len(expected) != len(actual):
-            mismatches.append(f"{path} (length {len(expected)} != {len(actual)})")
-            return
-        for i, (e, a) in enumerate(zip(expected, actual)):
-            _compare_tree(e, a, f"{path}.{i}", mismatches)
         return
     if isinstance(expected, bool) or isinstance(actual, bool):
         if expected is not actual:
@@ -335,50 +328,51 @@ def _oracle_checks(cfg: ec.EconomyConfig, score: Scorer) -> list[dict]:
         f"above tolerance: {', '.join(over)}" if over else
         "every steady-state invariant holds within its tolerance at every solve",
     ))
+    checks.append(_first_best_check(cfg))
+    return checks
 
-    # Uncongested planner optima are interior, so the grid argmax must land
-    # within a couple of steps of the analytic activities. Congested optima sit
-    # on the capacity line, where incommensurate per-type grids can push the
-    # best feasible cell several steps sideways at nearly identical surplus;
-    # there the surplus itself is the meaningful comparison.
-    worst_fb_steps = 0.0
-    worst_fb_gap = 0.0
+
+def _first_best_check(cfg: ec.EconomyConfig) -> dict:
+    """Grid-search cross-check of the planner's solution in each state of
+    planner_economy(cfg), the market first_best_gap reads. Uncongested optima
+    are interior, so the grid argmax must land within a couple of steps of
+    the analytic activities. Congested ones sit on the capacity line, where
+    incommensurate per-type grids can push the best feasible cell several
+    steps sideways at nearly identical surplus; there the surplus is compared."""
+    planner = planner_economy(cfg)
+    worst_fb_steps = worst_fb_gap = 0.0
     searched, too_many = False, []
     for state in (1, 0):
-        active = [t for t in cfg.agent_types if t.is_active(state)]
+        active = [t for t in planner.agent_types if t.is_active(state)]
         if not active:
             continue
         if len(active) > MAX_ACTIVE_TYPES:
             too_many.append(f"state {state} has {len(active)}")
             continue
         searched = True
-        analytic = first_best_allocation(cfg, state)
+        analytic = first_best_allocation(planner, state)
         grids = {t.name: GridSpec(2.0 * max(analytic.activities[t.name], 0.5)) for t in active}
-        gridded, grid_surplus = grid_first_best(cfg, state, grids=grids)
-        gap = flow_surplus(cfg, analytic.activities, analytic.total, state) - grid_surplus
+        gridded, grid_surplus = grid_first_best(planner, state, grids=grids)
+        gap = flow_surplus(planner, analytic.activities, analytic.total, state) - grid_surplus
         worst_fb_gap = max(worst_fb_gap, abs(gap))
         if gap < -1e-9:
             worst_fb_gap = math.inf  # the grid beat the "optimal" solution
         if not analytic.congested:
             for name, spec in grids.items():
                 step = spec.upper / (spec.points - 1)
-                worst_fb_steps = max(
-                    worst_fb_steps,
-                    abs(gridded[name] - analytic.activities[name]) / step,
-                )
+                worst_fb_steps = max(worst_fb_steps, abs(gridded[name] - analytic.activities[name]) / step)
     detail = "product-grid surplus search matches the planner solution"
     if too_many:
         detail += (
             f"; states with more than {MAX_ACTIVE_TYPES} active types are not searched "
             f"({', '.join(too_many)})"
         )
-    checks.append(_check(
+    return _check(
         "oracle_first_best_agreement",
         worst_fb_steps <= 2.0 and worst_fb_gap <= 1e-3 if searched else None,
         {"max_grid_steps": worst_fb_steps, "max_surplus_gap": worst_fb_gap} if searched else {},
         detail,
-    ))
-    return checks
+    )
 
 
 def run_verify(args) -> int:

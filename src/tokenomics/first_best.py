@@ -6,8 +6,8 @@ clear through it at their holdings wedge u'(a)/p; the planner's allocation
 is the solve at wedge 1.0, where the friedman market lands (rT = r). Every
 active type's marginal utility then equals a common value x: the shadow
 value that rations capacity when demand at x = c'(1) overfills it, else
-x = c'(total). Under idiosyncratic shocks each (type, state) pair, weighted
-by the state's probability, is one demand of a single market. The kernel
+x = c'(total). Under idiosyncratic shocks the planner plans
+planner_economy(cfg), whose types are the (type, state) pairs. The kernel
 beneath, _clear_blockspace, roots in log price, where isoelastic demand
 against a power cost is linear, so Brent's secant step lands at once.
 
@@ -171,11 +171,11 @@ def _memo(cfg: ec.EconomyConfig) -> dict:
 
 
 def first_best_allocation(cfg: ec.EconomyConfig, state: int) -> Allocation:
-    """Planner's optimum for one shock state.
-
-    One clearing solve for the common marginal value x, with the demand
-    sum_k mass_k * u_k'^-1(x): congested at the shadow value x >= c'(1) that
-    fills capacity, else at x = c'(total).
+    """Planner's optimum for one shock state's whole population (an iid
+    config's first best is that of planner_economy(cfg)): one clearing solve
+    for the common marginal value x, with the demand sum_k mass_k * u_k'^-1(x),
+    congested at the shadow value x >= c'(1) that fills capacity, else at
+    x = c'(total).
 
     Solved on the first call for a config object; later calls return the
     same stored Allocation, so callers must not mutate it (or its
@@ -223,23 +223,28 @@ def expected_first_best_surplus(cfg: ec.EconomyConfig) -> float:
     return memo["surplus"]
 
 
-def _expected_surplus(cfg: ec.EconomyConfig) -> float:
+def planner_economy(cfg: ec.EconomyConfig) -> ec.EconomyConfig:
+    """The economy whose per-state planner is cfg's first best: cfg, or under
+    iid draws, where a fraction pi_s of each type is in state s every period,
+    all in one market, the deterministic economy of its (type, state) pairs:
+    type@state of mass mass * pi_s with the state-s utility, leaving out the
+    pairs with pi_s = 0 or zero utility."""
     shocks = cfg.shocks
-    if shocks.kind is ec.ShockKind.IID_BINARY:
-        # with independent draws a fraction pi_s of each type is in state s
-        # every period: one market, in which each (type, state) pair has mass * pi_s
-        demands = [
-            (t.mass * shocks.probability(s), t.utility_in(s))
-            for t in cfg.agent_types for s in shocks.states()
-            if shocks.probability(s) > 0.0 and t.is_active(s)
-        ]
-        _, _, acts = _clear_demands(cfg.cost, demands, 1.0)
-        gross = math.fsum(k * ec.u_eval(u, a) for (k, u), a in zip(demands, acts))
-        total = math.fsum(k * a for (k, _), a in zip(demands, acts))
-        return gross - ec.c_eval(cfg.cost, total)
+    if shocks.kind is not ec.ShockKind.IID_BINARY:
+        return cfg
+    pairs = tuple(
+        ec.AgentTypeSpec(t.mass * shocks.probability(s), {1: t.utility_in(s)}, f"{t.name}@{s}")
+        for t in cfg.agent_types for s in shocks.states()
+        if shocks.probability(s) > 0.0 and t.is_active(s)
+    )
+    return ec.EconomyConfig(cfg.r, cfg.gamma, pairs, cfg.cost, ec.ShockProcess(ec.ShockKind.DETERMINISTIC))
+
+
+def _expected_surplus(cfg: ec.EconomyConfig) -> float:
+    economy = planner_economy(cfg)
     total = 0.0
-    for state in shocks.states():
-        alloc = first_best_allocation(cfg, state)
-        surplus = flow_surplus(cfg, alloc.activities, alloc.total, state)
-        total += shocks.probability(state) * surplus
+    for state in economy.shocks.states():
+        alloc = first_best_allocation(economy, state)
+        surplus = flow_surplus(economy, alloc.activities, alloc.total, state)
+        total += economy.shocks.probability(state) * surplus
     return total

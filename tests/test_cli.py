@@ -13,6 +13,7 @@ import pytest
 from tokenomics import cli
 from tokenomics import econ_core as ec
 from tokenomics import welfare
+from tokenomics.first_best import first_best_allocation, planner_economy
 
 from helpers import (
     CONFIG_DIR, both_bind_config, scaled_config, split_iid_config, three_type_config,
@@ -187,6 +188,11 @@ def test_sweep_usage_errors(tmp_path, capsys):
          "--points", "3", "--out", str(tmp_path)]
     ) == 3
     assert "the friedman regime takes no tax" in capsys.readouterr().err
+    assert cli.main(
+        ["sweep", "--config", IID, "--regime", "iid", "--theta-max", "0.1",
+         "--points", "3", "--jobs", "0", "--out", str(tmp_path)]
+    ) == 3
+    assert "usage error: --jobs must be >= 1" in capsys.readouterr().err
     assert not (tmp_path / "sweep.csv").exists()
 
 
@@ -278,6 +284,23 @@ def test_config_errors_exit_3_from_scenario_and_path(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "single agent type" in err
     assert not out.exists()
+
+
+def test_path_logs_the_r_below_gamma_warning_once(tmp_path):
+    # validate_config warns, not errors, when r < gamma; fixed supply still
+    # simulates, in a fresh process so that main's logging setup writes stderr
+    cfg_path = write_config(tmp_path, dataclasses.replace(ec.load_config(DET), r=0.02, gamma=0.05))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tokenomics.cli", "path", "--config", cfg_path,
+         "--rule", "fixed_supply", "--M0", "100", "--T", "5", "--out", str(tmp_path / "out")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines() == [
+        "WARNING tokenomics: r: r = 0.02 is below gamma = 0.05; deflationary supply "
+        "rules (fixed supply, tax-and-burn) have no steady state here"
+    ]
+    assert (tmp_path / "out" / "path.csv").exists()
 
 
 def test_path_usage_guards(tmp_path, capsys):
@@ -409,12 +432,20 @@ def test_verify_detects_golden_corruption(tmp_path, capsys):
     cfg_path.write_text((CONFIG_DIR / "deterministic.json").read_text())
     golden = json.loads((CONFIG_DIR / "deterministic.golden.json").read_text())
     golden["cases"][1]["equilibrium"]["states"]["1"]["price"] += 1e-3
+    # a list where the result has a number, a key the result lacks and one
+    # the golden case lacks
+    golden["cases"][0]["welfare"]["first_best_gap"] = [0.0]
+    golden["cases"][2]["welfare"]["retired_metric"] = 0.0
+    del golden["cases"][0]["equilibrium"]["holdings"]
     (tmp_path / "deterministic.golden.json").write_text(json.dumps(golden))
     code = cli.main(["verify", "--config", str(cfg_path)])
     assert code == 1
     captured = capsys.readouterr()
     assert "FAIL  golden_regression" in captured.out
     assert "case.1.equilibrium.states.1.price" in captured.out
+    assert "case.0.welfare.first_best_gap ([0.0] != 0.0)" in captured.out
+    assert "case.2.welfare.retired_metric (missing)" in captured.out
+    assert "case.0.equilibrium.holdings (unexpected)" in captured.out
     assert "golden_regression" in captured.err
 
 
@@ -461,6 +492,67 @@ def test_verify_skips_first_best_grid_with_three_active_types(tmp_path, capsys):
     )
     assert check["status"] == "not applicable"
     assert "more than 2 active types are not searched (state 1 has 3)" in check["detail"]
+
+
+def _record_first_best_grids(monkeypatch) -> list[tuple[int, dict[str, float]]]:
+    # (state, mass of each gridded type) for every grid_first_best search
+    searches = []
+    search = cli.grid_first_best
+
+    def recording(cfg, state, grids):
+        searches.append((state, {t.name: t.mass for t in cfg.agent_types if t.name in grids}))
+        return search(cfg, state, grids)
+
+    monkeypatch.setattr(cli, "grid_first_best", recording)
+    return searches
+
+
+def test_iid_first_best_grid_searches_the_type_state_economy(iid_cfg, monkeypatch):
+    # first_best_gap reads the planner of the (type, state) pairs: on
+    # configs/iid.json one pair, users@1, of mass rho = 0.5, where 0.5 a^(-1/2)
+    # = c'(0.5 a) = 0.5 a puts the planner at a = 1, load 0.5
+    searches = _record_first_best_grids(monkeypatch)
+    checks = cli._oracle_checks(iid_cfg, cli._scorer(iid_cfg))
+    assert searches == [(1, {"users@1": 0.5})]
+    analytic = first_best_allocation(planner_economy(iid_cfg), 1)
+    assert analytic.activities == pytest.approx({"users@1": 1.0}, rel=1e-12)
+    assert analytic.total == pytest.approx(0.5, rel=1e-12)
+    assert checks[-1]["name"] == "oracle_first_best_agreement"
+    assert checks[-1]["status"] == "pass"
+
+
+def test_iid_first_best_grid_searches_both_pairs_of_a_type_active_in_both_states(monkeypatch):
+    # no closed-form regime solves a type with demand in state 0, but the first
+    # best of its two pairs is searched on one product grid
+    users = ec.AgentTypeSpec(1.0, {0: ec.UtilityFn(0.5, 0.5), 1: ec.UtilityFn(1.0, 0.5)}, "users")
+    cfg = dataclasses.replace(ec.load_config(IID), agent_types=(users,))
+    searches = _record_first_best_grids(monkeypatch)
+    check = cli._first_best_check(cfg)
+    assert searches == [(1, {"users@0": 0.5, "users@1": 0.5})]
+    assert check["status"] == "pass", check
+
+
+def test_verify_fails_when_the_grid_beats_the_planner(tmp_path, capsys, monkeypatch):
+    # a planner allocation at half the optimal activities leaves surplus that
+    # the grid search finds: the gap is reported as unbounded
+    planner = cli.first_best_allocation
+
+    def halved(cfg, state):
+        alloc = planner(cfg, state)
+        return dataclasses.replace(
+            alloc, activities={n: 0.5 * a for n, a in alloc.activities.items()}, total=0.5 * alloc.total
+        )
+
+    monkeypatch.setattr(cli, "first_best_allocation", halved)
+    code = cli.main(["verify", "--config", DET, "--out", str(tmp_path)])
+    assert code == 1
+    assert "FAIL  oracle_first_best_agreement" in capsys.readouterr().out
+    check = next(
+        c for c in json.loads((tmp_path / "verify.json").read_text())["checks"]
+        if c["name"] == "oracle_first_best_agreement"
+    )
+    assert check["status"] == "fail"
+    assert check["measured"]["max_surplus_gap"] is None  # inf, serialized as null
 
 
 def test_scenario_and_verify_solve_three_types_under_a_common_shock(tmp_path):

@@ -1,12 +1,15 @@
+import dataclasses
 import json
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
 from tokenomics import econ_core as ec
 from tokenomics.errors import ConfigError
+from tokenomics.oracle import GridSpec
 
-from helpers import ISO, ZERO, single_user_config
+from helpers import CONFIG_DIR, ISO, ZERO, single_user_config
 
 
 # ---------------------------------------------------------------------------
@@ -222,3 +225,76 @@ def test_bool_is_not_a_number(det_cfg):
     doc["r"] = True
     with pytest.raises(ConfigError, match="expected a number"):
         ec.config_from_dict(doc)
+
+
+_DROP = object()
+
+
+def _iid_doc_with(path: tuple, value):
+    """configs/iid.json as parsed JSON with the field at path set to value
+    (removed when value is _DROP); the empty path replaces the document."""
+    doc = json.loads((CONFIG_DIR / "iid.json").read_text())
+    if not path:
+        return value
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    if value is _DROP:
+        del node[last]
+    else:
+        node[last] = value
+    return doc
+
+
+def _parse(path: tuple, value):
+    return lambda: ec.config_from_dict(_iid_doc_with(path, value))
+
+
+_USERS = ("agent_types", 0)
+_ISO = {"kind": "isoelastic", "scale": 0.5, "curvature": 0.5}
+
+
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        (_parse((), [1]), ConfigError, "config: expected an object, got list"),
+        (_parse(("cost",), 1.0), ConfigError, "config.cost: expected an object, got float"),
+        (_parse(("gamma",), _DROP), ConfigError, "config: missing required field(s) ['gamma']"),
+        (_parse(("shocks", "kind"), "markov"), ConfigError, "config.shocks.kind: unknown kind 'markov'"),
+        (_parse(("shocks", "rho"), 0.0), ConfigError, "config.shocks: shock probability rho must lie in (0, 1]"),
+        (_parse(("shocks", "rho"), 1.5), ConfigError, "config.shocks: shock probability rho must lie in (0, 1]"),
+        (_parse(("agent_types",), []), ConfigError, "config.agent_types: expected a non-empty array"),
+        (_parse(("agent_types",), {}), ConfigError, "config.agent_types: expected a non-empty array"),
+        (_parse((*_USERS, "utility_by_state"), []), ConfigError,
+         "config.agent_types[0].utility_by_state: expected an object"),
+        (_parse((*_USERS, "utility_by_state", "2"), _ISO), ConfigError,
+         "config.agent_types[0].utility_by_state: unknown state '2'"),
+        (_parse((*_USERS, "utility_by_state", "1", "kind"), _DROP), ConfigError,
+         "config.agent_types[0].utility_by_state.1: expected an object with a 'kind' field"),
+        (_parse((*_USERS, "utility_by_state", "1", "curvature"), 1.0), ConfigError,
+         "config.agent_types[0].utility_by_state.1: utility curvature must lie in (0, 1)"),
+        (_parse((*_USERS, "name"), 3), ConfigError, "config.agent_types[0].name: expected a string"),
+        (_parse((*_USERS, "mass"), 0.0), ConfigError,
+         "config.agent_types[0]: agent mass must be a positive finite number"),
+        (_parse(("cost", "curvature"), 0.0), ConfigError, "config.cost: cost curvature must be positive"),
+        # validate_config's cross-field violations, raised by require_valid
+        (_parse(("gamma",), -1.0), ConfigError, "[error] gamma: growth rate must exceed -1"),
+        (_parse(("agent_types",), [{"name": "users", "mass": 0.5, "utility_by_state": {"1": _ISO}}] * 2),
+         ConfigError, "[error] agent_types: duplicate type names: ['users', 'users']"),
+        (lambda: ec.require_valid(
+            dataclasses.replace(ec.load_config(CONFIG_DIR / "iid.json"), agent_types=())),
+         ConfigError, "[error] agent_types: at least one agent type is required"),
+        (lambda: GridSpec(0.0), ValueError, "grid upper bound must be positive and finite"),
+        (lambda: GridSpec(1.0, 2), ValueError, "grid needs at least 3 points"),
+    ],
+    ids=[
+        "document", "section", "missing-field", "shock-kind", "rho-zero", "rho-above-one",
+        "no-types", "types-not-array", "utility-by-state", "state-key", "utility-kind",
+        "curvature-one", "name", "mass", "cost-curvature", "gamma", "duplicate-names",
+        "validate-no-types", "grid-upper", "grid-points",
+    ],
+)
+def test_malformed_inputs_are_rejected_naming_their_field(make, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        make()
