@@ -1,28 +1,29 @@
-"""Grid oracles.
+"""Oracles.
 
-Cross-checks for the analytic solvers: a token-holdings best response on a
-holdings grid (holdings_grid_steps reads each type's distance from it in
-grid steps), one-sided steps of the same holdings objective from solver
-holdings (holdings_ascent), and a first-best allocation on a product grid
-of activities. None shares any solution logic with the solvers; all only
-reuse the primitive utility and cost definitions, written out inline. The
-activity bought at each grid balance is the budget-capped demand in closed
-form: only holdings are searched on a grid.
+Cross-checks for the analytic solvers that share no solution logic with
+them; all only reuse the primitive utility and cost definitions, written
+out inline. Two are exact certificates: holdings_slope, the derivative
+V'(m) of each type's holdings objective at the solver's holdings, which is
+0 at the best response since the objective is concave and C^1, and
+first_best_dual_gap, the weak-duality bound on the planner's surplus minus
+an allocation's surplus, which is 0 at the first best for any number of
+types. One is a grid search: a token-holdings best response on a holdings
+grid (holdings_grid_steps reads each type's distance from it in grid
+steps). The activity bought at each balance is the budget-capped demand in
+closed form: only holdings are searched on a grid.
 
 Tie handling is deterministic: among grid values within a small tolerance
-of the maximum, the smallest index wins (the first cell in row-major order
-on a product grid). The tolerance matters because a carry-cost-free optimum
-(token return equal to r) leaves the objective exactly flat above the
-optimal holdings. It is relative to the largest magnitude among the scored
-values, so rounding is absorbed at any utility scale while neighbouring
-grid points of a small objective stay distinct; the holdings tolerance also
-scales with the grid's upper bound, the size of the rounding where the
-carry terms -m and beta (1 + r) m cancel.
+of the maximum, the smallest index wins. The tolerance matters because a
+carry-cost-free optimum (token return equal to r) leaves the objective
+exactly flat above the optimal holdings. It is relative to the largest
+magnitude among the scored values or the grid's upper bound, whichever is
+larger, so rounding is absorbed at any utility scale while neighbouring
+grid points of a small objective stay distinct; the upper bound is the size
+of the rounding where the carry terms -m and beta (1 + r) m cancel.
 
-Both objectives are concave, so neither oracle scores its whole grid: the
-holdings argmax is found by bisection from a few dozen points, and the
-first best by a walk that visits each row and column of its product grid
-about once (see grid_first_best). Everything is plain floats.
+The holdings objective is concave, so the grid oracle does not score its
+whole grid: the argmax is found by bisection from a few dozen points.
+Everything is plain floats.
 """
 
 from __future__ import annotations
@@ -40,9 +41,6 @@ if TYPE_CHECKING:
 
 #: relative tolerance for treating grid values as tied at the maximum
 TIE_RTOL = 1e-11
-
-#: most active types grid_first_best searches
-MAX_ACTIVE_TYPES = 2
 
 _MAX_EXPANSIONS = 4
 
@@ -67,20 +65,21 @@ class GridSpec:
         return [i * step for i in range(self.points - 1)] + [self.upper]
 
 
-def _holdings_objective(
+def _holdings_terms(
     utility_by_state: Mapping[int, ec.Utility],
     probs: Mapping[int, float],
     prices: Mapping[int, float],
     taxes: Mapping[int, float],
     returns: Mapping[int, float],
     r: float,
-) -> Callable[[float], float]:
-    """m -> -m + beta * E[u(a*) + (1 + rT) m - (1 + theta) p a*], with a*
-    the budget-capped demand min((1 + rT) m / ((1 + theta) p), u'^-1((1 + theta) p)).
+) -> list[tuple[float, float, tuple[float, float, float, float] | None]]:
+    """(1 + rT, beta * pi, demand) of each state that occurs, in label order.
 
-    States are summed in label order and states of probability 0 are left
-    out. A token return <= -1 in a state that occurs raises ValueError: the
-    state's wealth would be negative for every positive balance.
+    demand is None where the state adds its wealth alone, else
+    (P, u'^-1(P), scale, 1 - curvature) at the effective price
+    P = (1 + theta) p. A token return <= -1 in a state that occurs raises
+    ValueError: the state's wealth would be negative for every positive
+    balance.
     """
     beta = 1.0 / (1.0 + r)
     terms = []
@@ -94,11 +93,26 @@ def _holdings_objective(
         f = utility_by_state[s]
         eff_price = (1.0 + taxes[s]) * prices[s]
         if isinstance(f, ec.ZeroUtility) or not eff_price > 0.0:
-            demand = None  # the state adds its wealth alone
+            demand = None
         else:
             unconstrained = (f.scale / eff_price) ** (1.0 / f.curvature)
             demand = (eff_price, unconstrained, f.scale, 1.0 - f.curvature)
         terms.append((gross_return, beta * pi, demand))
+    return terms
+
+
+def _holdings_objective(
+    utility_by_state: Mapping[int, ec.Utility],
+    probs: Mapping[int, float],
+    prices: Mapping[int, float],
+    taxes: Mapping[int, float],
+    returns: Mapping[int, float],
+    r: float,
+) -> Callable[[float], float]:
+    """m -> -m + beta * E[u(a*) + (1 + rT) m - (1 + theta) p a*], with a*
+    the budget-capped demand min((1 + rT) m / ((1 + theta) p), u'^-1((1 + theta) p)),
+    over the states of _holdings_terms."""
+    terms = _holdings_terms(utility_by_state, probs, prices, taxes, returns, r)
 
     def objective(m: float) -> float:
         value = -m
@@ -114,6 +128,21 @@ def _holdings_objective(
     return objective
 
 
+def _market(cfg: ec.EconomyConfig, eq: SteadyStateEquilibrium, type_name: str) -> dict:
+    """The named type's utilities and the probabilities, prices, taxes and
+    token returns of eq, as _holdings_terms takes them."""
+    spec = next(t for t in cfg.agent_types if t.name == type_name)
+    states = eq.states
+    return dict(
+        utility_by_state={s: spec.utility_in(s) for s in states},
+        probs={s: cfg.shocks.probability(s) for s in states},
+        prices={s: out.price for s, out in states.items()},
+        taxes={s: out.tax for s, out in states.items()},
+        returns={s: out.token_return for s, out in states.items()},
+        r=cfg.r,
+    )
+
+
 def holdings_objective(
     cfg: ec.EconomyConfig, eq: SteadyStateEquilibrium, type_name: str
 ) -> Callable[[float], float]:
@@ -127,37 +156,36 @@ def holdings_objective(
     values on a grid rise to a peak and then fall (or stay flat, at a token
     return equal to r), the premise of grid_best_response.
     """
-    spec = next(t for t in cfg.agent_types if t.name == type_name)
-    states = eq.states
-    return _holdings_objective(
-        {s: spec.utility_in(s) for s in states},
-        {s: cfg.shocks.probability(s) for s in states},
-        {s: out.price for s, out in states.items()},
-        {s: out.tax for s, out in states.items()},
-        {s: out.token_return for s, out in states.items()},
-        cfg.r,
-    )
+    return _holdings_objective(**_market(cfg, eq, type_name))
 
 
-def holdings_ascent(cfg: ec.EconomyConfig, eq: SteadyStateEquilibrium) -> dict[str, float]:
-    """Largest gain per token from moving each type's balance m one step of
-    1e-6 * m up or down.
+def holdings_slope(cfg: ec.EconomyConfig, eq: SteadyStateEquilibrium) -> dict[str, float]:
+    """Each type's holdings-objective slope at its holdings m in eq:
+    V'(m) = -1 + beta * sum_s pi_s (1 + rT_s) max(1, u'(w_s) / P_s), with
+    w_s = (1 + rT_s) m / P_s the activity the whole balance buys at the
+    effective price P_s; +inf at m = 0 when some state has demand.
 
-    The holdings objective is concave in m, so at its maximum neither step
-    gains and the reading is at most rounding, also where rT = r puts the
-    optimum on a kink (flat above, concave below). A centered difference
-    reads step / 4 times the curvature below the kink there, a figure that
-    scales with the config.
+    V is concave and C^1 (see holdings_objective), so V'(m) = 0 certifies m
+    as a best response, and V'(m) > 0 below it, < 0 above it. Where rT = r
+    the objective is flat above the smallest best response, and V' reads 0
+    there too. The slope is per token, so its size does not scale with the
+    config.
     """
     out: dict[str, float] = {}
     for t in cfg.agent_types:
-        objective = holdings_objective(cfg, eq, t.name)
         m = eq.holdings[t.name]
-        step = 1e-6 * m if m > 0.0 else 1e-6
-        here = objective(m)
-        up = objective(m + step) - here
-        down = objective(max(m - step, 0.0)) - here
-        out[t.name] = max(up, down) / step
+        value = -1.0
+        for gross_return, weight, demand in _holdings_terms(**_market(cfg, eq, t.name)):
+            marginal = 1.0
+            if demand is not None:
+                eff_price, unconstrained, _, power = demand
+                wealth = gross_return * m / eff_price
+                # u'(w) / P = (u'^-1(P) / w) ** curvature
+                marginal = (
+                    max(1.0, (unconstrained / wealth) ** (1.0 - power)) if wealth > 0.0 else math.inf
+                )
+            value += gross_return * marginal * weight
+        out[t.name] = value
     return out
 
 
@@ -228,91 +256,42 @@ def grid_best_response(
     )
 
 
-def grid_first_best(
-    cfg: ec.EconomyConfig,
-    state: int,
-    grids: Mapping[str, GridSpec],
-) -> tuple[dict[str, float], float]:
-    """First-best activities for one state: the best feasible cell of a
-    product grid of activities, with at most two active types.
+def first_best_dual_gap(
+    cfg: ec.EconomyConfig, state: int, activities: Mapping[str, float]
+) -> float:
+    """Weak-duality bound on the planner's surplus in one state minus the
+    surplus of the given activities (by type name).
 
-    grids gives each active type's activity grid by name. Returns every
-    type's activity at the best feasible cell (0 for inactive types) and
-    its flow surplus.
-
-    The surplus m1 u1(x) + m2 u2(y) - C(m1 x + m2 y) is scored on the cells
-    with load at most capacity, rows indexed by the first active type's
-    activity x (one active type is a single column at y = 0). Each row is
-    concave in y, and its feasible end J(i) does not rise with x. The cross
-    partial -m1 m2 C'' is <= 0, so the leftmost row argmax k(i) does not
-    rise either: bisection finds k(0), and every later row's peak is found
-    by stepping down from min(k(i - 1), J(i)) while the value does not
-    fall. The smallest feasible value lies at a row end, which sets the
-    tie tolerance; the first row whose peak is within it holds the winning
-    cell, the first one within it on that row's ascending part. So about
-    rows + columns cells are scored, not rows * columns, and the cell is
-    the one a full row-major scan with the same tie rule would pick.
+    The planner maximizes sum_k m_k u_k(a_k) - C(L) over loads
+    L = sum_k m_k a_k <= 1, a concave problem, so at any price x > 0
+    D(x) = sum_k m_k sup_a (u_k(a) - x a) + sup_{0 <= L <= 1} (x L - C(L))
+         = sum_k m_k x a_k(x) c_k / (1 - c_k) + x L(x) - C(L(x))
+    bounds every feasible surplus from above, with a_k(x) = u_k'^-1(x),
+    c_k the utility curvature and L(x) the capped supply, 1 at
+    x >= C'(1) and C'^-1(x) below. At the first best the active types'
+    marginal utilities u_k'(a_k) share one value x, where the bound is
+    attained, so the gap is 0 up to rounding; the smallest bound over them
+    is taken. It is inf when an active type has no activity, and
+    negative only when the activities overfill capacity.
     """
-    active = [t for t in cfg.agent_types if t.is_active(state)]
-    if not active:
-        return {t.name: 0.0 for t in cfg.agent_types}, 0.0
-    if len(active) > MAX_ACTIVE_TYPES:
-        raise OracleError(
-            f"product grid limited to {MAX_ACTIVE_TYPES} active types, got {len(active)}"
-        )
-
-    def axis(t: ec.AgentTypeSpec) -> tuple[list[float], list[float], list[float]]:
-        """A type's grid, with its mass times utility and its load there."""
-        f = t.utility_in(state)
-        power = 1.0 - f.curvature
-        acts = grids[t.name].values()
-        utility = [t.mass * (a**power * f.scale / power) for a in acts]
-        return acts, utility, [t.mass * a for a in acts]
-
-    xs, row_utility, row_load = axis(active[0])
-    ys, col_utility, col_load = axis(active[1]) if len(active) == 2 else ([0.0], [0.0], [0.0])
+    active = [(t.mass, t.utility_in(state), activities[t.name])
+              for t in cfg.agent_types if t.is_active(state)]
+    if any(a <= 0.0 for _, _, a in active):
+        return math.inf
+    load = math.fsum(t.mass * activities[t.name] for t in cfg.agent_types)
     scale, q = cfg.cost.scale, 1.0 + cfg.cost.curvature
-    capacity = ec.BLOCKSPACE_CAPACITY + 1e-12
+    surplus = math.fsum(
+        m * (a ** (1.0 - f.curvature) * f.scale / (1.0 - f.curvature)) for m, f, a in active
+    ) - scale * load**q / q
 
-    def value(i: int, j: int) -> float:
-        return row_utility[i] + col_utility[j] - scale * (row_load[i] + col_load[j]) ** q / q
+    def bound(x: float) -> float:
+        demand = math.fsum(
+            m * x * (f.scale / x) ** (1.0 / f.curvature) * f.curvature / (1.0 - f.curvature)
+            for m, f, _ in active
+        )
+        # C'(1) = scale; below it the supply is interior (and the power
+        # cannot overflow at a tiny cost curvature)
+        supply = 1.0 if x >= scale else (x / scale) ** (1.0 / cfg.cost.curvature)
+        return demand + x * supply - scale * supply**q / q
 
-    peaks: list[int] = []  # leftmost argmax of each feasible row
-    row_max: list[float] = []
-    vmin = math.inf
-    end = len(ys) - 1
-    for i in range(len(xs)):
-        while end >= 0 and row_load[i] + col_load[end] > capacity:
-            end -= 1
-        if end < 0:
-            break  # this row's first cell overfills capacity, and so do the later rows'
-        if i == 0:
-            # the first j where the row stops rising
-            k = bisect_left(range(end), True, key=lambda j: not value(0, j) < value(0, j + 1))
-            here = value(0, k)
-        else:
-            k = min(k, end)
-            here = value(i, k)
-            while k > 0:
-                left = value(i, k - 1)
-                if left < here:
-                    break
-                k, here = k - 1, left
-        peaks.append(k)
-        row_max.append(here)
-        vmin = min(vmin, here if k == 0 else value(i, 0), here if k == end else value(i, end))
-
-    vmax = max(row_max)
-    floor = vmax - TIE_RTOL * max(abs(vmin), abs(vmax))
-    i = next(i for i, v in enumerate(row_max) if v >= floor)
-    cell = (i, bisect_left(range(peaks[i]), True, key=lambda j: value(i, j) >= floor))
-    for t, index, ax in zip(active, cell, (xs, ys)):
-        if index == len(ax) - 1:
-            raise OracleError(
-                f"first-best argmax on grid boundary for type {t.name}; widen the grid"
-            )
-
-    acts = {t.name: 0.0 for t in cfg.agent_types}
-    for t, index, ax in zip(active, cell, (xs, ys)):
-        acts[t.name] = ax[index]
-    return acts, value(*cell)
+    return min((bound(f.scale * a ** -f.curvature) for _, f, a in active), default=0.0) - surplus

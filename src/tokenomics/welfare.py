@@ -18,7 +18,7 @@ from . import econ_core as ec
 from . import equilibrium as eqm
 from .errors import ConfigError, InfeasiblePolicyError, SolverError
 from .first_best import expected_first_best_surplus, first_best_allocation, flow_surplus
-from .oracle import holdings_ascent, holdings_grid_steps
+from .oracle import holdings_grid_steps, holdings_slope
 
 ARGMAX_TIE_TOL = 1e-10
 
@@ -30,7 +30,7 @@ CERT_TOL = {
     "burn_identity": 1e-8,
     "return_above_r": 1e-12,
     "above_first_best": 1e-12,
-    "holdings_ascent": 1e-6,
+    "holdings_slope": 1e-10,
 }
 
 
@@ -103,7 +103,8 @@ def certify(
     """The worst reading of each steady-state invariant, keyed as CERT_TOL:
     the largest state load above capacity, the FOC residual, the burn
     identity's residual, E[rT] above r, welfare above first best, and the
-    largest gain per token from a step off the solver's holdings.
+    largest holdings slope |V'(m)| (V'(0) where m = 0, whose optimum may be
+    a corner).
 
     report is evaluate(cfg, eq), whose readings are reused; no grid is searched.
     """
@@ -114,7 +115,10 @@ def certify(
         "burn_identity": _burn_residual(eq, cfg.gamma),
         "return_above_r": eq.expected_return - cfg.r,
         "above_first_best": -report.first_best_gap,
-        "holdings_ascent": max(holdings_ascent(cfg, eq).values()),
+        "holdings_slope": max(
+            abs(v) if eq.holdings[n] > 0.0 else max(v, 0.0)
+            for n, v in holdings_slope(cfg, eq).items()
+        ),
     }
 
 

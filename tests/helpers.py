@@ -9,6 +9,7 @@ from pathlib import Path
 from tokenomics import econ_core as ec
 from tokenomics import equilibrium as eqm
 from tokenomics import first_best as fb
+from tokenomics.oracle import holdings_objective, holdings_slope
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -71,6 +72,47 @@ def record_evaluations(monkeypatch) -> Evaluations:
     return seen
 
 
+def one_sided_ascent(cfg: ec.EconomyConfig, eq: eqm.SteadyStateEquilibrium) -> dict[str, float]:
+    """Largest gain per token from moving each type's balance m one step of
+    1e-6 * m up or down, by differences of its holdings objective.
+
+    The objective is concave in m, so at its maximum neither step gains and
+    the reading is at most rounding, also where rT = r puts the optimum on a
+    kink (flat above, concave below).
+    """
+    out: dict[str, float] = {}
+    for t in cfg.agent_types:
+        objective = holdings_objective(cfg, eq, t.name)
+        m = eq.holdings[t.name]
+        step = 1e-6 * m if m > 0.0 else 1e-6
+        here = objective(m)
+        up = objective(m + step) - here
+        down = objective(max(m - step, 0.0)) - here
+        out[t.name] = max(up, down) / step
+    return out
+
+
+def assert_holdings_slope_matches(cfg: ec.EconomyConfig, eq: eqm.SteadyStateEquilibrium,
+                                  reference) -> None:
+    """holdings_slope equals reference(doc, eq_doc, name, m), the same
+    derivative written independently, at eq's holdings and at 1 -+ 1e-3
+    times them, where the concave objective's slope is > 0 below the
+    optimum and < 0 above it (0 where E[rT] = r leaves it flat above)."""
+    doc = ec.config_to_dict(cfg)
+    for factor in (1.0 - 1e-3, 1.0, 1.0 + 1e-3):
+        off = replace(eq, holdings={n: factor * m for n, m in eq.holdings.items()})
+        state = off.as_dict()
+        for name, slope in holdings_slope(cfg, off).items():
+            expected = reference(doc, state, name, off.holdings[name])
+            assert abs(slope - expected) <= 1e-12, (name, factor, slope, expected)
+            if factor < 1.0:
+                assert slope > 0.0, (name, slope)
+            elif factor > 1.0 and cfg.r - eq.expected_return > 1e-9:
+                assert slope < 0.0, (name, slope)
+            else:
+                assert abs(slope) <= 1e-12, (name, factor, slope)
+
+
 def scaled_config(name: str, utility: float = 1.0, cost: float = 1.0) -> ec.EconomyConfig:
     """A shipped config with every utility scale multiplied by utility and
     the cost scale by cost."""
@@ -89,6 +131,17 @@ def split_iid_config() -> ec.EconomyConfig:
     (users,) = cfg.agent_types
     halves = tuple(replace(users, mass=0.5, name=f"{users.name}_{i}") for i in (1, 2))
     return replace(cfg, agent_types=halves)
+
+
+def split_steady_config() -> ec.EconomyConfig:
+    """configs/heterogeneous.json with its steady type split into two
+    identical halves, steady_1 and steady_2."""
+    cfg = ec.load_config(CONFIG_DIR / "heterogeneous.json")
+    shocked, steady = cfg.agent_types
+    halves = tuple(
+        replace(steady, mass=0.5 * steady.mass, name=f"{steady.name}_{i}") for i in (1, 2)
+    )
+    return replace(cfg, agent_types=(shocked, *halves))
 
 
 def het_band_config(

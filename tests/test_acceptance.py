@@ -20,7 +20,8 @@ from tokenomics import policy as pol
 from tokenomics import welfare as wf
 from tokenomics.first_best import first_best_allocation
 
-from helpers import CONFIG_DIR, single_user_config
+from first_best_grid import grid_first_best
+from helpers import CONFIG_DIR, one_sided_ascent, single_user_config
 
 DET = CONFIG_DIR / "deterministic.json"
 IID = CONFIG_DIR / "iid.json"
@@ -258,7 +259,7 @@ def test_criterion_08_oracle_equivalence(det_cfg, iid_cfg, common_cfg, het_cfg):
                 name: orc.GridSpec(2.0 * a if a > 1e-12 else 0.5, 2001)
                 for name, a in fb.activities.items()
             }
-            acts, _ = orc.grid_first_best(cfg, state, grids=grids)
+            acts, _ = grid_first_best(cfg, state, grids=grids)
             for name, a in fb.activities.items():
                 step = grids[name].upper / (grids[name].points - 1)
                 worst_alloc = max(worst_alloc, abs(acts[name] - a) / step)
@@ -281,7 +282,7 @@ def test_criterion_09_foc_verification(equilibria):
         if eq.expected_return > cfg.r + 1e-10:
             continue  # carry cost negative: holdings objective has no optimum
         fd_checked += 1
-        for name, ascent in orc.holdings_ascent(cfg, eq).items():
+        for name, ascent in one_sided_ascent(cfg, eq).items():
             objective = orc.holdings_objective(cfg, eq, name)(eq.holdings[name])
             worst_fd = max(worst_fd, abs(ascent) / (1.0 + abs(objective)))
     ok = worst_res <= 1e-6 and worst_fd <= 1e-5 and fd_checked > 0

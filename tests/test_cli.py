@@ -16,8 +16,8 @@ from tokenomics import welfare
 from tokenomics.first_best import first_best_allocation, planner_economy
 
 from helpers import (
-    CONFIG_DIR, both_bind_config, scaled_config, split_iid_config, three_type_config,
-    two_type_config,
+    CONFIG_DIR, both_bind_config, scaled_config, split_iid_config, split_steady_config,
+    three_type_config, two_type_config,
 )
 
 DET = str(CONFIG_DIR / "deterministic.json")
@@ -390,7 +390,7 @@ def test_verify_certificate_fails_on_inflated_holdings(iid_cfg, monkeypatch):
     monkeypatch.setattr(cli.eqm, "solve_regime", inflated)
     failed = certificate()
     assert failed["status"] == "fail"
-    assert "holdings_ascent" in failed["detail"]
+    assert "holdings_slope" in failed["detail"]
 
 
 @pytest.mark.parametrize("name", ["deterministic", "heterogeneous"])
@@ -477,43 +477,62 @@ def test_verify_reports_a_malformed_golden_file(tmp_path, golden):
     assert "Traceback" not in proc.stderr
 
 
-def test_verify_skips_first_best_grid_with_three_active_types(tmp_path, capsys):
-    # a 2001-point product grid in three dimensions has 8e9 cells; the first
-    # best's grid search covers at most two active types
+def test_verify_checks_first_best_with_three_active_types(tmp_path, capsys):
+    # the weak-duality certificate reads any number of active types
     cfg_path = write_config(tmp_path, three_type_config())
     code = cli.main(["verify", "--config", cfg_path, "--out", str(tmp_path)])
     printed = capsys.readouterr().out
     assert code == 0, printed
-    assert "SKIP  oracle_first_best_agreement\n" in printed
+    assert "PASS  oracle_first_best_agreement [max_dual_gap=" in printed
     assert "FAIL" not in printed
     check = next(
         c for c in json.loads((tmp_path / "verify.json").read_text())["checks"]
         if c["name"] == "oracle_first_best_agreement"
     )
-    assert check["status"] == "not applicable"
-    assert "more than 2 active types are not searched (state 1 has 3)" in check["detail"]
+    assert check["status"] == "pass"
+    assert check["measured"]["max_dual_gap"] <= cli.FIRST_BEST_GAP_TOL
 
 
-def _record_first_best_grids(monkeypatch) -> list[tuple[int, dict[str, float]]]:
-    # (state, mass of each gridded type) for every grid_first_best search
-    searches = []
-    search = cli.grid_first_best
+@pytest.mark.parametrize("name", ["deterministic", "iid", "common", "heterogeneous"])
+def test_first_best_certificate_passes_on_every_shipped_config(name):
+    # the planner's solutions meet their dual bounds to rounding: at most
+    # 2.2e-16 on these configs
+    check = cli._first_best_check(ec.load_config(CONFIG_DIR / f"{name}.json"))
+    assert check["status"] == "pass"
+    assert check["measured"]["max_dual_gap"] <= 2.3e-16
 
-    def recording(cfg, state, grids):
-        searches.append((state, {t.name: t.mass for t in cfg.agent_types if t.name in grids}))
-        return search(cfg, state, grids)
 
-    monkeypatch.setattr(cli, "grid_first_best", recording)
-    return searches
+def test_verify_checks_first_best_with_a_type_split_in_two(tmp_path, capsys):
+    # configs/heterogeneous.json with its steady type in two identical halves:
+    # three active types in each state
+    cfg_path = write_config(tmp_path, split_steady_config())
+    code = cli.main(["verify", "--config", cfg_path])
+    printed = capsys.readouterr().out
+    assert code == 0, printed
+    assert "PASS  oracle_first_best_agreement [max_dual_gap=" in printed
+
+
+def _record_first_best_gaps(monkeypatch) -> list[tuple[int, dict[str, float]]]:
+    # (state, mass of each active type) for every dual-gap reading
+    readings = []
+    gap = cli.first_best_dual_gap
+
+    def recording(cfg, state, activities):
+        readings.append((state, {t.name: t.mass for t in cfg.agent_types if t.is_active(state)}))
+        return gap(cfg, state, activities)
+
+    monkeypatch.setattr(cli, "first_best_dual_gap", recording)
+    return readings
 
 
 def test_iid_first_best_grid_searches_the_type_state_economy(iid_cfg, monkeypatch):
-    # first_best_gap reads the planner of the (type, state) pairs: on
-    # configs/iid.json one pair, users@1, of mass rho = 0.5, where 0.5 a^(-1/2)
-    # = c'(0.5 a) = 0.5 a puts the planner at a = 1, load 0.5
-    searches = _record_first_best_grids(monkeypatch)
+    # first_best_gap reads the planner of the (type, state) pairs, and so does
+    # the first-best certificate: on configs/iid.json one pair, users@1, of
+    # mass rho = 0.5, where 0.5 a^(-1/2) = c'(0.5 a) = 0.5 a puts the planner
+    # at a = 1, load 0.5
+    readings = _record_first_best_gaps(monkeypatch)
     checks = cli._oracle_checks(iid_cfg, cli._scorer(iid_cfg))
-    assert searches == [(1, {"users@1": 0.5})]
+    assert readings == [(1, {"users@1": 0.5})]
     analytic = first_best_allocation(planner_economy(iid_cfg), 1)
     assert analytic.activities == pytest.approx({"users@1": 1.0}, rel=1e-12)
     assert analytic.total == pytest.approx(0.5, rel=1e-12)
@@ -523,18 +542,32 @@ def test_iid_first_best_grid_searches_the_type_state_economy(iid_cfg, monkeypatc
 
 def test_iid_first_best_grid_searches_both_pairs_of_a_type_active_in_both_states(monkeypatch):
     # no closed-form regime solves a type with demand in state 0, but the first
-    # best of its two pairs is searched on one product grid
+    # best of its two pairs is certified in one market
     users = ec.AgentTypeSpec(1.0, {0: ec.UtilityFn(0.5, 0.5), 1: ec.UtilityFn(1.0, 0.5)}, "users")
     cfg = dataclasses.replace(ec.load_config(IID), agent_types=(users,))
-    searches = _record_first_best_grids(monkeypatch)
+    readings = _record_first_best_gaps(monkeypatch)
     check = cli._first_best_check(cfg)
-    assert searches == [(1, {"users@0": 0.5, "users@1": 0.5})]
+    assert readings == [(1, {"users@0": 0.5, "users@1": 0.5})]
     assert check["status"] == "pass", check
 
 
-def test_verify_fails_when_the_grid_beats_the_planner(tmp_path, capsys, monkeypatch):
-    # a planner allocation at half the optimal activities leaves surplus that
-    # the grid search finds: the gap is reported as unbounded
+def test_iid_first_best_check_reads_more_than_two_pairs(tmp_path, capsys):
+    # two types active in both states: four (type, state) pairs in one market,
+    # each certified at the planner's common marginal utility
+    types = (
+        ec.AgentTypeSpec(0.6, {0: ec.UtilityFn(0.5, 0.5), 1: ec.UtilityFn(1.0, 0.5)}, "a"),
+        ec.AgentTypeSpec(0.4, {0: ec.UtilityFn(0.3, 0.7), 1: ec.UtilityFn(2.0, 0.3)}, "b"),
+    )
+    cfg = dataclasses.replace(ec.load_config(IID), agent_types=types)
+    assert len(planner_economy(cfg).agent_types) == 4
+    check = cli._first_best_check(cfg)
+    assert check["status"] == "pass", check
+    assert check["measured"]["max_dual_gap"] <= cli.FIRST_BEST_GAP_TOL
+
+
+def test_verify_fails_when_the_planner_misses_its_dual_bound(tmp_path, capsys, monkeypatch):
+    # a planner allocation at half the optimal activities leaves surplus below
+    # the weak-duality bound: 0.17 on configs/deterministic.json
     planner = cli.first_best_allocation
 
     def halved(cfg, state):
@@ -552,13 +585,13 @@ def test_verify_fails_when_the_grid_beats_the_planner(tmp_path, capsys, monkeypa
         if c["name"] == "oracle_first_best_agreement"
     )
     assert check["status"] == "fail"
-    assert check["measured"]["max_surplus_gap"] is None  # inf, serialized as null
+    assert check["measured"]["max_dual_gap"] == pytest.approx(0.16584103378871307, rel=1e-12)
 
 
 def test_scenario_and_verify_solve_three_types_under_a_common_shock(tmp_path):
     # configs/heterogeneous.json with a third type: verify runs the battery's
-    # claims that hold for any number of types and skips its two-type ones
-    # and the first-best grid
+    # claims that hold for any number of types and the first-best
+    # certificate, and skips its two-type claims
     doc = json.loads(Path(HET).read_text())
     doc["agent_types"][0]["mass"], doc["agent_types"][1]["mass"] = 0.4, 0.3
     doc["agent_types"].append({"name": "third", "mass": 0.3, "utility_by_state": {
@@ -575,10 +608,11 @@ def test_scenario_and_verify_solve_three_types_under_a_common_shock(tmp_path):
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "Traceback" not in proc.stderr
-    for name in ("heterogeneous_tax_improves_welfare", "burn_identity", "equilibrium_certificate"):
+    for name in ("heterogeneous_tax_improves_welfare", "burn_identity", "equilibrium_certificate",
+                 "oracle_first_best_agreement"):
         assert f"PASS  {name} [" in proc.stdout
     for name in ("low_state_unshocked_demand_rises", "low_state_shocked_demand_stable",
-                 "congested_utility_sum_monotone", "oracle_first_best_agreement"):
+                 "congested_utility_sum_monotone"):
         assert f"SKIP  {name}\n" in proc.stdout
 
 

@@ -11,19 +11,22 @@ from tokenomics import econ_core as ec
 from tokenomics import equilibrium as eqm
 from tokenomics.errors import ConfigError, InfeasiblePolicyError
 from tokenomics.first_best import _clear_blockspace, first_best_allocation
-from tokenomics.oracle import holdings_ascent, holdings_objective
+from tokenomics.oracle import holdings_objective, holdings_slope
 from tokenomics.welfare import cert_failures, certify, evaluate
 
 from helpers import (
     CONFIG_DIR,
     ISO,
+    assert_holdings_slope_matches,
     both_bind_config,
     het_band_config,
     low_state_over_capacity_config,
+    one_sided_ascent,
     record_evaluations,
     scaled_config,
     single_user_config,
     split_iid_config,
+    split_steady_config,
     two_type_config,
 )
 
@@ -207,10 +210,12 @@ def test_iid_growth_wedge_is_the_holdings_optimum(iid_cfg, theta):
     eq = eqm.solve_regime(cfg, "iid", theta)
     report = evaluate(cfg, eq)
     assert report.foc_residual_max <= 1e-8
-    # no one-sided step gains (the check verify runs); it resolves holdings
-    # to about 5e-7 of m, so the objective's centered slope, whose step bias
-    # is second order, pins them ten times finer on this smooth optimum
-    assert max(holdings_ascent(cfg, eq).values()) <= 1e-8
+    # the exact slope V'(m) vanishes (the check verify runs); no one-sided
+    # step gains, which resolves holdings to about 5e-7 of m, and the
+    # objective's centered slope, whose step bias is second order, pins them
+    # ten times finer on this smooth optimum
+    assert max(abs(v) for v in holdings_slope(cfg, eq).values()) <= 1e-12
+    assert max(one_sided_ascent(cfg, eq).values()) <= 1e-8
     assert max(abs(centered_slope(cfg, eq, t.name)) for t in cfg.agent_types) <= 1e-8
     assert report.oracle_delta_max == 0.0
 
@@ -546,6 +551,24 @@ def test_heterogeneous_solves_hold_invariants_or_raise_typed_errors(
         assert report.oracle_delta_max <= 2.0
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    scales=st.tuples(*[st.floats(0.25, 4.0)] * 4),
+    curvatures=st.tuples(*[st.floats(0.5, 2.0)] * 4),
+    mass=st.floats(0.05, 0.95),
+    rho=st.floats(0.05, 0.95),
+    share=st.floats(0.0, 1.0),
+)
+def test_heterogeneous_holdings_slope_matches_the_model(scales, curvatures, mass, rho, share):
+    # the band of the invariants test above, theta up to r / rho
+    try:
+        cfg = het_band_config(scales, curvatures, mass, rho)
+        eq = eqm.solve_regime(cfg, "heterogeneous", share * cfg.r / rho)
+    except (ConfigError, InfeasiblePolicyError):
+        return
+    assert_holdings_slope_matches(cfg, eq, model.holdings_slope)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     # per type: weight of its mass, then (scale, curvature) in states 0 and 1
@@ -631,6 +654,58 @@ def test_heterogeneous_config_guards():
     always_high = dataclasses.replace(het, shocks=dataclasses.replace(het.shocks, rho=1.0))
     with pytest.raises(ConfigError, match="needs rho < 1"):
         eqm.solve_regime(always_high, "heterogeneous", 0.0)
+
+
+def ulps(x: float, reference: float) -> float:
+    """|x - reference| in units in the last place of reference."""
+    return abs(x - reference) / math.ulp(reference)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.03, 0.05, 0.1])
+def test_heterogeneous_solve_is_invariant_to_splitting_a_type(het_cfg, theta):
+    # two identical halves of the steady type are the steady type: the solve
+    # moves by rounding alone (at most 4 ulps, at theta = 0.1)
+    whole = eqm.solve_regime(het_cfg, "heterogeneous", theta)
+    split = eqm.solve_regime(split_steady_config(), "heterogeneous", theta)
+    assert split.holdings["steady_1"] == split.holdings["steady_2"]
+    halves = {"shocked": "shocked", "steady_1": "steady", "steady_2": "steady"}
+    for s, out in whole.states.items():
+        assert abs(split.states[s].price - out.price) <= 2.2e-16 * out.price
+        for part, name in halves.items():
+            assert ulps(split.states[s].activities[part], out.activities[name]) <= 4
+    for part, name in halves.items():
+        assert ulps(split.holdings[part], whole.holdings[name]) <= 4
+    assert ulps(split.expected_return, whole.expected_return) <= 3
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.03, 0.05, 0.1])
+def test_heterogeneous_solve_is_invariant_to_type_order(het_cfg, theta):
+    reversed_cfg = dataclasses.replace(het_cfg, agent_types=het_cfg.agent_types[::-1])
+    forward = eqm.solve_regime(het_cfg, "heterogeneous", theta)
+    backward = eqm.solve_regime(reversed_cfg, "heterogeneous", theta)
+    assert backward.as_dict() == forward.as_dict()
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.05])
+@pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-8])
+def test_heterogeneous_solver_contains_the_common_law(common_cfg, eps, theta):
+    # configs/common.json's type with a small low-state demand eps u(a) is a
+    # heterogeneous economy of one type (family() routes one type to common,
+    # so its row is called directly); its low-state budget stays slack, and
+    # the high state obeys the common row's closed form
+    (users,) = common_cfg.agent_types
+    high = users.utility_in(1)
+    low = ISO(eps, high.curvature)
+    cfg = dataclasses.replace(common_cfg, agent_types=(
+        dataclasses.replace(users, utility_by_state={0: low, 1: high}),
+    ))
+    law = eqm.solve_regime(common_cfg, "common", theta)
+    het = eqm.REGIMES["heterogeneous"].solve(cfg, theta)
+    name = users.name
+    assert ulps(het.states[1].price, law.states[1].price) <= 2
+    assert ulps(het.states[1].activities[name], law.states[1].activities[name]) <= 2
+    assert ulps(het.expected_return, law.expected_return) <= 2
+    assert ulps(het.holdings[name], law.holdings[name]) <= 2
 
 
 # ---------------------------------------------------------------------------
@@ -916,12 +991,12 @@ def test_finite_difference_sign_pattern(det_cfg, common_cfg, het_cfg):
         (tiny, eqm.solve_regime(tiny, "heterogeneous", 0.05)),
     ]
     for cfg, eq in cases:
-        for name, ascent in holdings_ascent(cfg, eq).items():
+        for name, ascent in one_sided_ascent(cfg, eq).items():
             obj = holdings_objective(cfg, eq, name)(eq.holdings[name])
             assert abs(ascent) <= 1e-5 * (1.0 + abs(obj)), (name, ascent)
         for factor in (0.9, 1.1):
             off = dataclasses.replace(
                 eq, holdings={k: factor * v for k, v in eq.holdings.items()}
             )
-            for name, ascent in holdings_ascent(cfg, off).items():
+            for name, ascent in one_sided_ascent(cfg, off).items():
                 assert ascent > 1e-8, (name, factor)

@@ -8,9 +8,10 @@ from hypothesis import event, example, given, settings, strategies as st
 from tokenomics import econ_core as ec
 from tokenomics import oracle
 from tokenomics.errors import OracleError
-from tokenomics.first_best import first_best_allocation
-from tokenomics.oracle import GridSpec, grid_best_response, grid_first_best
+from tokenomics.first_best import first_best_allocation, flow_surplus
+from tokenomics.oracle import GridSpec, grid_best_response
 
+from first_best_grid import grid_first_best
 from helpers import ISO, ZERO, three_type_config
 
 R = 0.05
@@ -459,3 +460,71 @@ def test_grid_first_best_matches_dense_reference(mass, utilities, cost, widths, 
         "boundary" if acts is None
         else "congested" if grid_congested(cfg, acts, grids) else "uncongested"
     )
+
+
+# ---------------------------------------------------------------------------
+# first-best dual bound
+# ---------------------------------------------------------------------------
+
+
+def dual_bound(cfg, state, x):
+    """sup of the planner's Lagrangian at price x, by the package's
+    primitives: each active type buys u'^-1(x), and supply is the load at
+    which marginal cost reaches x, capped at capacity."""
+    value = math.fsum(
+        t.mass * (ec.u_eval(t.utility_in(state), a) - x * a)
+        for t in cfg.agent_types if t.is_active(state)
+        for a in [ec.u_prime_inv(t.utility_in(state), x)]
+    )
+    load = 1.0 if x >= cfg.cost.scale else (x / cfg.cost.scale) ** (1.0 / cfg.cost.curvature)
+    return value + x * load - ec.c_eval(cfg.cost, load)
+
+
+def surplus_of(cfg, state, acts):
+    return flow_surplus(cfg, acts, math.fsum(t.mass * acts[t.name] for t in cfg.agent_types), state)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    types=st.lists(
+        st.tuples(st.floats(0.1, 1.0), _log_uniform, _curvature), min_size=1, max_size=5
+    ),
+    cost=st.builds(ec.CostFn, st.floats(-1.0, 1.0).map(lambda e: 10.0**e),
+                   st.sampled_from([1e-9]) | st.floats(0.05, 3.0)),
+    shrink=st.floats(0.5, 0.999),
+)
+def test_first_best_dual_gap_is_the_tightest_bound_minus_surplus(types, cost, shrink):
+    # 0 at the planner's optimum up to rounding; off it, the smallest bound
+    # over the active types' marginal utilities minus the surplus, > 0
+    total = math.fsum(w for w, _, _ in types)
+    cfg = ec.EconomyConfig(
+        r=R,
+        gamma=0.0,
+        agent_types=tuple(
+            ec.AgentTypeSpec(mass=w / total, utility_by_state={1: ISO(s, c)}, name=f"t{i}")
+            for i, (w, s, c) in enumerate(types)
+        ),
+        cost=cost,
+        shocks=ec.ShockProcess(ec.ShockKind.DETERMINISTIC),
+    )
+    best = first_best_allocation(cfg, 1).activities
+    best_surplus = surplus_of(cfg, 1, best)
+    assert abs(oracle.first_best_dual_gap(cfg, 1, best)) <= 1e-14 * max(1.0, abs(best_surplus))
+    # the type with the largest load buys less: its marginal utility rises
+    # above the others'
+    big = max(cfg.agent_types, key=lambda t: t.mass * best[t.name]).name
+    off = dict(best, **{big: shrink * best[big]})
+    bounds = [dual_bound(cfg, 1, ec.u_prime(t.utility_in(1), off[t.name])) for t in cfg.agent_types]
+    expected = min(bounds) - surplus_of(cfg, 1, off)
+    gap = oracle.first_best_dual_gap(cfg, 1, off)
+    assert gap == pytest.approx(expected, rel=1e-9, abs=1e-14 * max(1.0, abs(best_surplus)))
+    assert gap > 0.0
+
+
+def test_first_best_dual_gap_flags_idle_and_overfull_allocations(het_cfg, common_cfg):
+    best = first_best_allocation(het_cfg, 1).activities  # congested: load 1
+    assert oracle.first_best_dual_gap(het_cfg, 1, dict(best, steady=0.0)) == math.inf
+    # past capacity the surplus can exceed every bound
+    assert oracle.first_best_dual_gap(het_cfg, 1, {n: 1.01 * a for n, a in best.items()}) < 0.0
+    # a state with no active type: the bound's infimum is 0, and so is the surplus
+    assert oracle.first_best_dual_gap(common_cfg, 0, {"users": 0.0}) == 0.0

@@ -12,6 +12,7 @@ from tokenomics.errors import ConfigError, InfeasiblePolicyError, SolverError
 
 from helpers import (
     CONFIG_DIR,
+    assert_holdings_slope_matches,
     record_evaluations,
     scaled_config,
     single_user_config,
@@ -281,6 +282,13 @@ def test_model_burn_check_passes_at_a_tiny_tax(fixture_name, regime, theta, requ
     assert model.check_equilibrium(doc, regime, theta, eq.as_dict(), report.as_dict()) == []
 
 
+@settings(max_examples=80, deadline=None)
+@given(closed_form_solves(tuple(CLOSED_FORM_KINDS), past_frontier=False))
+def test_closed_form_holdings_slope_matches_the_model(solve):
+    cfg, regime, theta = solve
+    assert_holdings_slope_matches(cfg, eqm.solve_regime(cfg, regime, theta), model.holdings_slope)
+
+
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
 @settings(max_examples=40, deadline=None)
 @given(closed_form_solves(("deterministic", "iid", "common"), past_frontier=True))
@@ -294,7 +302,9 @@ def test_closed_form_solves_past_the_frontier_raise(solve):
     "fixture_name, regime, theta, holdings_factor, flagged",
     [
         ("det_cfg", "deterministic", 0.2, 1.0, "return_above_r"),
-        ("iid_cfg", "iid", 0.05, 1.01, "holdings_ascent"),
+        ("iid_cfg", "iid", 0.05, 1.01, "holdings_slope"),
+        # an empty wallet buys nothing in the trading state: V'(0) = inf
+        ("iid_cfg", "iid", 0.05, 0.0, "holdings_slope"),
     ],
 )
 def test_certify_flags_a_return_above_r_and_inflated_holdings(
