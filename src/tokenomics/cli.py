@@ -308,7 +308,7 @@ def _oracle_checks(cfg: ec.EconomyConfig, score: Scorer) -> list[dict]:
     checks: list[dict] = []
     worst_holdings = 0.0
     certificates = []
-    fam = eqm.family(cfg)
+    fam = ec.family(cfg)
     for regime, row in eqm.REGIMES.items():
         if row.family != fam:
             continue

@@ -230,9 +230,9 @@ class Violation:
 def validate_config(cfg: EconomyConfig) -> list[Violation]:
     """Check cross-field invariants, returning violations as data.
 
-    Errors make the config unusable; warnings flag economically suspect but
-    solvable setups (for example r < gamma, where deflationary supply rules
-    have no steady state).
+    Errors make the config unusable, one that no regime solves (family)
+    included; warnings flag economically suspect but solvable setups (for
+    example r < gamma, where deflationary supply rules have no steady state).
     """
     out: list[Violation] = []
     if not (math.isfinite(cfg.r) and cfg.r > 0):
@@ -249,48 +249,65 @@ def validate_config(cfg: EconomyConfig) -> list[Violation]:
         if len(set(names)) != len(names):
             out.append(Violation("agent_types", f"duplicate type names: {names}"))
         if not any(t.is_active(s) for t in cfg.agent_types for s in cfg.shocks.states()):
-            out.append(
-                Violation(
-                    "agent_types",
-                    "every type has zero utility in every reachable state; there is no demand",
-                )
-            )
-    if not out and math.isfinite(cfg.gamma) and cfg.r < cfg.gamma:
-        out.append(
-            Violation(
-                "r",
-                f"r = {cfg.r} is below gamma = {cfg.gamma}; deflationary supply "
-                "rules (fixed supply, tax-and-burn) have no steady state here",
-                severity="warning",
-            )
-        )
-    if not [v for v in out if v.severity == "error"]:
+            out.append(Violation("agent_types", "every type has zero utility in every "
+                                 "reachable state; there is no demand"))
+    if out:
+        return out
+    if cfg.r < cfg.gamma:
+        out.append(Violation(
+            "r",
+            f"r = {cfg.r} is below gamma = {cfg.gamma}; deflationary supply "
+            "rules (fixed supply, tax-and-burn) have no steady state here",
+            severity="warning",
+        ))
+    try:
+        fam = family(cfg)
+    except ConfigError as e:
+        return [*out, Violation("family", str(e))]
+    if fam == "heterogeneous":
         out.extend(_check_shock_degeneracy(cfg))
     return out
+
+
+def family(cfg: EconomyConfig) -> str:
+    """Demand family of a config, which names the regimes that solve it:
+    'deterministic'; 'iid' or 'common' for one type with zero utility in
+    state 0 and demand in state 1; 'heterogeneous' for a common shock with
+    gamma = 0 and rho < 1 and every type, any number of them, active in both
+    states. ConfigError for any other config, naming the solver it lacks."""
+    kind, types = cfg.shocks.kind, cfg.agent_types
+    if kind is ShockKind.DETERMINISTIC:
+        return "deterministic"
+    if len(types) == 1 and not types[0].is_active(0) and types[0].is_active(1):
+        return "iid" if kind is ShockKind.IID_BINARY else "common"
+    one_type = "one agent type with zero utility in state 0 and demand in state 1"
+    if kind is ShockKind.IID_BINARY:
+        why = f"the iid regime needs {one_type}"
+    elif not all(t.is_active(0) and t.is_active(1) for t in types):
+        why = (f"the common regime needs {one_type}, the heterogeneous regime every type "
+               "active in both states")
+    elif cfg.gamma != 0.0:
+        why = "the heterogeneous regime needs gamma = 0"
+    elif cfg.shocks.rho >= 1.0:
+        why = "the heterogeneous regime needs rho < 1: the low state must occur"
+    else:
+        return "heterogeneous"
+    raise ConfigError(f"no regime solves this {kind.value} config: {why}")
 
 
 def _check_shock_degeneracy(cfg: EconomyConfig) -> list[Violation]:
     # A common shock that leaves the socially optimal allocation unchanged in
     # both states carries no risk, which defeats the point of state-contingent
-    # analysis. Checked numerically on the first-best allocations.
-    if cfg.shocks.kind is not ShockKind.COMMON_BINARY or len(cfg.agent_types) < 2:
-        return []
+    # analysis. Checked numerically on the first-best allocations of a
+    # heterogeneous config (a common config shuts its market in state 0).
     from . import first_best  # deferred: first_best imports this module
 
-    low = first_best.first_best_allocation(cfg, 0)
-    high = first_best.first_best_allocation(cfg, 1)
-    gap = max(
-        abs(low.activities[t.name] - high.activities[t.name]) for t in cfg.agent_types
-    )
-    if gap <= 1e-10:
-        return [
-            Violation(
-                "shocks",
-                "common shock is degenerate: the optimal allocation is "
-                f"identical in both states (max difference {gap:.1e})",
-            )
-        ]
-    return []
+    low, high = (first_best.first_best_allocation(cfg, s).activities for s in (0, 1))
+    gap = max(abs(low[t.name] - high[t.name]) for t in cfg.agent_types)
+    if gap > 1e-10:
+        return []
+    return [Violation("shocks", "common shock is degenerate: the optimal allocation is "
+                      f"identical in both states (max difference {gap:.1e})")]
 
 
 def require_valid(cfg: EconomyConfig) -> list[Violation]:

@@ -1,11 +1,11 @@
 """Steady-state competitive equilibrium of the token economy.
 
 REGIMES is the one regime table: its row for each regime gives the demand
-family of the configs the regime solves (family(): 'deterministic', 'iid',
-'common' or 'heterogeneous'), whether it takes a tax, and its solver.
-solve_regime is the one entry point: it checks the config's family and the
-sign of the tax, runs the row's solver and logs the result. Two solvers
-cover the five regimes:
+family of the configs the regime solves (econ_core.family, the one rule that
+admits a config: 'deterministic', 'iid', 'common' or 'heterogeneous'),
+whether it takes a tax, and its solver. solve_regime is the one entry point:
+it checks the config's family and the sign of the tax, runs the row's
+solver and logs the result. Two solvers cover the five regimes:
 
 * _solve_law solves the four regimes whose token return is fixed in closed
   form by the supply rule, each row binding its law: friedman (deterministic
@@ -13,7 +13,7 @@ cover the five regimes:
   shocks, one type) and common (one aggregate binary shock, one type, no
   trade in the low state). A row gives the return law, the wedge u'(a)/p
   of the trading state and what state 0 is; the market then clears once.
-* _solve_heterogeneous: common binary shock with two or more types, each
+* _solve_heterogeneous: common binary shock with any number of types, each
   active in both states, competing for blockspace. The return feeds back
   into demand, so it is the outer root and prices are solved for each trial
   return. Each type's budget binds in the high state, the low state or
@@ -132,13 +132,6 @@ def _solve_law(
     solution of the burn identity there.
     """
     types = cfg.agent_types
-    if idle is not None and (
-        len(types) != 1 or types[0].is_active(0) or not types[0].is_active(1)
-    ):
-        raise ConfigError(
-            f"the {family(cfg)} regime requires a single agent type with zero utility in "
-            "state 0 and positive demand in state 1"
-        )
     rho = cfg.shocks.rho
     rt = token_return(theta, cfg.r, cfg.gamma, rho)
     share = rho if idle == "iid" else 1.0  # fraction of each type trading
@@ -169,7 +162,7 @@ def _solve_law(
 
 
 def _solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyStateEquilibrium:
-    """Tax-and-burn steady state with two or more user types under a common shock.
+    """Tax-and-burn steady state with one or more user types under a common shock.
 
     High state: every type pays the surcharge, and blockspace clears at the
     unit capacity when demand at its marginal cost c'(1) overfills it;
@@ -182,7 +175,8 @@ def _solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyStat
 
     The burn-funded return r_high^T relaxes every binding budget, so a
     positive theta moves the activity margins toward first best: this is
-    the one regime where the tax is not neutral. Requires gamma = 0.
+    the one regime where the tax is not neutral. family() admits only
+    configs with gamma = 0 and rho < 1.
 
     The return is the outer unknown: a root of burn(rT) = rT on
     [0, min(theta, r / rho)], solved as the relative residual
@@ -212,13 +206,7 @@ def _solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyStat
     the first bracket came from the planner or from the cold test at c'(1),
     the number of trial returns and the counters kept below.
     """
-    if cfg.gamma != 0.0:
-        raise ConfigError("the heterogeneous regime requires gamma = 0")
-    if not all(t.is_active(0) and t.is_active(1) for t in cfg.agent_types):
-        raise ConfigError("the heterogeneous regime requires every type active in both states")
     rho, r = cfg.shocks.rho, cfg.r
-    if rho >= 1.0:
-        raise ConfigError("the heterogeneous regime needs rho < 1: the low state must occur")
     # (mass, high-state utility, low-state utility) of each type, in config order
     types = [(t.mass, t.utility_in(1), t.utility_in(0)) for t in cfg.agent_types]
 
@@ -482,17 +470,6 @@ def _solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyStat
 # ---------------------------------------------------------------------------
 
 
-def family(cfg: ec.EconomyConfig) -> str:
-    """Demand family of a config: 'deterministic', 'iid', 'common' (one type
-    under a common shock) or 'heterogeneous' (two or more types under a
-    common shock)."""
-    if cfg.shocks.kind is ec.ShockKind.DETERMINISTIC:
-        return "deterministic"
-    if cfg.shocks.kind is ec.ShockKind.IID_BINARY:
-        return "iid"
-    return "heterogeneous" if len(cfg.agent_types) > 1 else "common"
-
-
 @dataclass(frozen=True)
 class RegimeRow:
     """A regime: the family() of the configs it solves, whether it takes a
@@ -553,13 +530,14 @@ def solve_regime(cfg: ec.EconomyConfig, regime: str, theta: float = 0.0) -> Stea
     """Steady state of the named regime at tax theta ('friedman' ignores
     theta); logs the result at INFO.
 
-    ConfigError if the regime is unknown, if cfg is not of the family the
-    regime solves, or if a taxed regime gets a theta outside [0, inf).
+    ConfigError if the regime is unknown, if cfg is of no family or not of
+    the family the regime solves, or if a taxed regime gets a theta outside
+    [0, inf).
     """
     row = REGIMES.get(regime)
     if row is None:
         raise ConfigError(f"unknown regime {regime!r}; expected one of {tuple(REGIMES)}")
-    fam = family(cfg)
+    fam = ec.family(cfg)
     if fam != row.family:
         raise ConfigError(
             f"the {regime} regime solves {row.family!r} configs; this config's family is {fam!r}"

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import econ_core as ec
-from .equilibrium import family, solve_regime
+from .equilibrium import solve_regime
 from .errors import ConfigError, InfeasiblePolicyError
 
 
@@ -98,7 +98,7 @@ def supply_path(
         rt = cfg.gamma
         nominal_ratio = 1.0
     else:
-        fam = family(cfg)
+        fam = ec.family(cfg)
         if fam not in ("deterministic", "iid"):
             raise InfeasiblePolicyError(
                 "tax-and-burn paths need non-random aggregates: got a "

@@ -392,11 +392,14 @@ def _heterogeneous_battery(cfg: ec.EconomyConfig) -> list[dict]:
         ))
         return checks
 
-    base_welfare = ok[0][2]
-    margin = max(w for _, _, w in ok) - base_welfare
+    # welfare never exceeds first best, so where zero tax is within 1e-6 of it
+    # no tax can beat zero tax by more: the claim does not apply
+    base_gap = sweep.reports[0].first_best_gap
+    margin = max(w for _, _, w in ok) - ok[0][2]
     checks.append(_check(
         "heterogeneous_tax_improves_welfare",
-        sweep.argmax_theta > 0.0 and margin > 1e-6,
+        None if base_gap <= 1e-6 else sweep.argmax_theta > 0.0 and margin > 1e-6,
+        {"zero_tax_first_best_gap": base_gap} if base_gap <= 1e-6 else
         {"argmax_theta": sweep.argmax_theta, "welfare_margin": margin},
         "some positive burn rate strictly beats zero tax",
     ))
@@ -474,7 +477,7 @@ def proposition_report(cfg: ec.EconomyConfig) -> dict:
     Failures are data, not exceptions: each check carries a status of
     "pass", "fail", or "not applicable" plus its measured slack.
     """
-    family = eqm.family(cfg)
+    family = ec.family(cfg)
     checks = _BATTERIES[family](cfg)
     return {
         "schema_version": ec.SCHEMA_VERSION,

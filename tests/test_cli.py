@@ -271,19 +271,59 @@ def test_path_tax_and_burn_requires_theta_compatible_shocks(tmp_path, capsys):
     assert not (tmp_path / "path.csv").exists()
 
 
-def test_config_errors_exit_3_from_scenario_and_path(tmp_path, capsys):
-    # the iid regime solves one type only, whichever command asks for it
-    cfg_path = write_config(tmp_path, split_iid_config())
+def test_config_errors_exit_3_from_scenario_and_path(tmp_path, capsys, monkeypatch):
+    # the iid regime solves one type, idle in state 0: no regime solves two
+    # types, or one with demand in state 0 too, so every command refuses such
+    # a config at load, before any solve (path's fixed supply, which solves
+    # nothing, included), and leaves no --out behind
+    iid = ec.load_config(IID)
+    (users,) = iid.agent_types
+    both = dataclasses.replace(users, utility_by_state={0: ec.UtilityFn(0.5, 0.5),
+                                                        1: users.utility_in(1)})
+
+    def no_solve(*args):
+        raise AssertionError("a refused config reached a solver")
+
+    monkeypatch.setattr(cli.eqm, "solve_regime", no_solve)
     out = tmp_path / "out"
-    for args in (
-        ["scenario", "--config", cfg_path, "--regime", "iid", "--theta", "0.05"],
-        ["path", "--config", cfg_path, "--rule", "tax_and_burn", "--theta", "0.05",
-         "--M0", "1", "--T", "3"],
-    ):
-        assert cli.main(args + ["--out", str(out)]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("config error: ") and "single agent type" in err
+    for i, cfg in enumerate((split_iid_config(), dataclasses.replace(iid, agent_types=(both,)))):
+        cfg_path = write_config(tmp_path, cfg, f"config{i}.json")
+        for args in (
+            ["verify"],
+            ["scenario", "--regime", "iid", "--theta", "0.05"],
+            ["path", "--rule", "tax_and_burn", "--theta", "0.05", "--M0", "1", "--T", "3"],
+            ["path", "--rule", "fixed_supply", "--M0", "1", "--T", "3"],
+        ):
+            assert cli.main([args[0], "--config", cfg_path, *args[1:], "--out", str(out)]) == 3
+            assert capsys.readouterr().err == (
+                "config error: [error] family: no regime solves this iid_binary config: the iid "
+                "regime needs one agent type with zero utility in state 0 and demand in state 1\n"
+            )
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["shocked", "steady"])
+def test_verify_on_a_one_type_cut_of_the_heterogeneous_config(tmp_path, capsys, name):
+    # each type of configs/heterogeneous.json alone, at mass 1, is a
+    # heterogeneous config of one type. The shocked type's is congested in
+    # the high state and reaches first best at zero tax, so no tax can help;
+    # the steady type's shock changes nothing, and it is refused as degenerate
+    het = ec.load_config(HET)
+    (cut,) = [dataclasses.replace(t, mass=1.0) for t in het.agent_types if t.name == name]
+    cfg_path = write_config(tmp_path, dataclasses.replace(het, agent_types=(cut,)))
+    out = tmp_path / "out"
+    code = cli.main(["verify", "--config", cfg_path, "--out", str(out)])
+    if name == "steady":
+        assert code == 3 and not out.exists()
+        assert "common shock is degenerate" in capsys.readouterr().err
+        return
+    assert code == 0
+    checks = {c["name"]: c for c in json.loads((out / "verify.json").read_text())["checks"]}
+    skipped = {"heterogeneous_tax_improves_welfare", *welfare._TWO_TYPE_CLAIMS, "golden_regression"}
+    assert {n: c["status"] for n, c in checks.items() if c["status"] != "pass"} == dict.fromkeys(
+        skipped, "not applicable")
+    assert checks["heterogeneous_tax_improves_welfare"]["measured"] == {
+        "zero_tax_first_best_gap": 0.0}
 
 
 def test_path_logs_the_r_below_gamma_warning_once(tmp_path):

@@ -169,6 +169,29 @@ def test_validate_rejects_degenerate_common_shock():
     assert any(v.field == "shocks" for v in ec.validate_config(cfg))
 
 
+def test_validate_rejects_one_type_whose_common_shock_changes_nothing():
+    # the degeneracy check runs on every heterogeneous config, one type too:
+    # a type with the same utility in both states is refused, a shocked one
+    # is not, and a common config whose market shuts in state 0 is not checked
+    def one_type(low, high):
+        return ec.EconomyConfig(
+            r=0.05,
+            gamma=0.0,
+            agent_types=(ec.AgentTypeSpec(1.0, {0: low, 1: high}, "users"),),
+            cost=ec.CostFn(1.0, 1.0),
+            shocks=ec.ShockProcess(ec.ShockKind.COMMON_BINARY, rho=0.5),
+        )
+
+    steady = one_type(ISO(0.5, 0.5), ISO(0.5, 0.5))
+    assert ec.family(steady) == "heterogeneous"
+    assert [str(v) for v in ec.validate_config(steady)] == [
+        "[error] shocks: common shock is degenerate: the optimal allocation is identical "
+        "in both states (max difference 0.0e+00)"
+    ]
+    assert ec.validate_config(one_type(ISO(0.5, 0.5), ISO(2.0, 0.5))) == []
+    assert ec.validate_config(one_type(ZERO, ISO(0.5, 0.5))) == []
+
+
 # ---------------------------------------------------------------------------
 # JSON documents
 # ---------------------------------------------------------------------------

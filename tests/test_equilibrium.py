@@ -1,6 +1,7 @@
 import dataclasses
 import logging
 import math
+import re
 import sys
 
 import pytest
@@ -17,6 +18,7 @@ from tokenomics.welfare import cert_failures, certify, evaluate
 from helpers import (
     CONFIG_DIR,
     ISO,
+    ZERO,
     assert_holdings_slope_matches,
     both_bind_config,
     het_band_config,
@@ -646,14 +648,22 @@ def test_heterogeneous_infeasible_tax_raises(het_cfg):
 
 
 def test_heterogeneous_config_guards():
-    # the heterogeneous family does not imply gamma = 0
-    with pytest.raises(ConfigError, match="gamma"):
-        eqm.solve_regime(two_type_config(gamma=0.02), "heterogeneous", 0.0)
-    # nor that the low state occurs
+    # both-active types under a common shock are heterogeneous only with
+    # gamma = 0 and a low state that occurs: family() and validation refuse
+    # the rest, and so does solve_regime before any solve
     het = ec.load_config(CONFIG_DIR / "heterogeneous.json")
     always_high = dataclasses.replace(het, shocks=dataclasses.replace(het.shocks, rho=1.0))
-    with pytest.raises(ConfigError, match="needs rho < 1"):
-        eqm.solve_regime(always_high, "heterogeneous", 0.0)
+    for cfg, why in ((two_type_config(gamma=0.02), "the heterogeneous regime needs gamma = 0"),
+                     (always_high, "the heterogeneous regime needs rho < 1")):
+        message = "no regime solves this common_binary config: " + why
+        with pytest.raises(ConfigError, match=message):
+            ec.family(cfg)
+        assert [(v.field, v.severity) for v in ec.validate_config(cfg)] == [("family", "error")]
+        assert message in ec.validate_config(cfg)[0].message
+        with pytest.raises(ConfigError, match=message):
+            ec.require_valid(cfg)
+        with pytest.raises(ConfigError, match=message):
+            eqm.solve_regime(cfg, "heterogeneous", 0.0)
 
 
 def ulps(x: float, reference: float) -> float:
@@ -690,8 +700,7 @@ def test_heterogeneous_solve_is_invariant_to_type_order(het_cfg, theta):
 @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-8])
 def test_heterogeneous_solver_contains_the_common_law(common_cfg, eps, theta):
     # configs/common.json's type with a small low-state demand eps u(a) is a
-    # heterogeneous economy of one type (family() routes one type to common,
-    # so its row is called directly); its low-state budget stays slack, and
+    # heterogeneous economy of one type; its low-state budget stays slack, and
     # the high state obeys the common row's closed form
     (users,) = common_cfg.agent_types
     high = users.utility_in(1)
@@ -699,8 +708,9 @@ def test_heterogeneous_solver_contains_the_common_law(common_cfg, eps, theta):
     cfg = dataclasses.replace(common_cfg, agent_types=(
         dataclasses.replace(users, utility_by_state={0: low, 1: high}),
     ))
+    assert ec.family(cfg) == "heterogeneous" and ec.require_valid(cfg) == []
     law = eqm.solve_regime(common_cfg, "common", theta)
-    het = eqm.REGIMES["heterogeneous"].solve(cfg, theta)
+    het = eqm.solve_regime(cfg, "heterogeneous", theta)
     name = users.name
     assert ulps(het.states[1].price, law.states[1].price) <= 2
     assert ulps(het.states[1].activities[name], law.states[1].activities[name]) <= 2
@@ -718,11 +728,11 @@ def test_heterogeneous_solver_contains_the_common_law(common_cfg, eps, theta):
 def test_regime_solves_exactly_its_family(regime, config):
     cfg = ec.load_config(CONFIG_DIR / f"{config}.json")
     row = eqm.REGIMES[regime]
-    if row.family != eqm.family(cfg):
+    if row.family != ec.family(cfg):
         with pytest.raises(ConfigError) as raised:
             eqm.solve_regime(cfg, regime, 0.0)
         assert f"the {regime} regime" in str(raised.value)
-        assert repr(eqm.family(cfg)) in str(raised.value)
+        assert repr(ec.family(cfg)) in str(raised.value)
         return
     eq = eqm.solve_regime(cfg, regime, 0.0)
     if row.taxed:
@@ -733,12 +743,87 @@ def test_regime_solves_exactly_its_family(regime, config):
 
 
 def test_closed_form_laws_solve_one_type():
-    # two types under an idiosyncratic shock are of the iid family, which
-    # solves a single type only
+    # the iid and common regimes solve one type, idle in state 0: two types
+    # under an idiosyncratic shock are of no family, and validation says so
     cfg = split_iid_config()
-    assert eqm.family(cfg) == "iid"
-    with pytest.raises(ConfigError, match="the iid regime requires a single agent type"):
+    message = ("no regime solves this iid_binary config: the iid regime needs one agent "
+               "type with zero utility in state 0 and demand in state 1")
+    with pytest.raises(ConfigError, match=message):
+        ec.family(cfg)
+    assert [v.field for v in ec.validate_config(cfg)] == ["family"]
+    assert ec.validate_config(cfg)[0].message == message
+    with pytest.raises(ConfigError, match=message):
         eqm.solve_regime(cfg, "iid", 0.05)
+
+
+def _shape_family(cfg: ec.EconomyConfig) -> str | None:
+    """The family the admission rule gives cfg, read off its shape; None
+    where no regime solves it."""
+    kind, types = cfg.shocks.kind, cfg.agent_types
+    if kind is ec.ShockKind.DETERMINISTIC:
+        return "deterministic"
+    if len(types) == 1 and not types[0].is_active(0) and types[0].is_active(1):
+        return "iid" if kind is ec.ShockKind.IID_BINARY else "common"
+    both = all(t.is_active(0) and t.is_active(1) for t in types)
+    if kind is ec.ShockKind.COMMON_BINARY and both and cfg.gamma == 0.0 and cfg.shocks.rho < 1:
+        return "heterogeneous"
+    return None
+
+
+@st.composite
+def _any_shape_config(draw) -> ec.EconomyConfig:
+    """One to four types under any shock kind (common ones twice as often),
+    each state's utility zero or isoelastic: half the draws keep every type
+    active in both states, a quarter idle in state 0 and active in state 1
+    (the shapes some regime solves, given the kind, K, gamma and rho), a
+    quarter mix freely. gamma is 0 in three draws of four, else in
+    [-0.03, 0.03]; rho < 1 in three draws of four, else 1."""
+    kind = draw(st.sampled_from([*ec.ShockKind, ec.ShockKind.COMMON_BINARY]))
+    shape = draw(st.sampled_from(["both", "both", "idle-low", "mixed"]))
+    iso = st.tuples(st.floats(0.25, 4.0), st.floats(0.1, 0.9)).map(lambda u: ISO(*u))
+    state = {"both": (iso, iso), "idle-low": (st.just(ZERO), iso),
+             "mixed": (st.just(ZERO) | iso, st.just(ZERO) | iso)}[shape]
+    weights = draw(st.lists(st.floats(0.1, 1.0), min_size=1, max_size=4))
+    total = math.fsum(weights)
+    return ec.EconomyConfig(
+        r=draw(st.floats(0.01, 0.1)),
+        gamma=draw(st.floats(-0.03, 0.03)) if draw(st.integers(0, 3)) == 0 else 0.0,
+        agent_types=tuple(
+            ec.AgentTypeSpec(w / total, {s: draw(u) for s, u in enumerate(state)}, f"t{i}")
+            for i, w in enumerate(weights)
+        ),
+        cost=ec.CostFn(draw(st.floats(0.5, 2.0)), draw(st.just(1e-9) | st.floats(0.1, 2.0))),
+        shocks=ec.ShockProcess(
+            kind, rho=draw(st.floats(0.05, 0.95)) if draw(st.integers(0, 3)) else 1.0),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=_any_shape_config())
+def test_validation_admits_exactly_the_configs_a_regime_solves(cfg):
+    # a config that validates solves at theta = 0 through every regime of its
+    # family and is certified where r > gamma; one refused for its shape
+    # alone is told which solver it lacks
+    kind = cfg.shocks.kind
+    errors = [v for v in ec.validate_config(cfg) if v.severity == "error"]
+    fam = _shape_family(cfg)
+    if fam is None and [v.field for v in errors] == ["family"]:
+        message = errors[0].message
+        assert message.startswith(f"no regime solves this {kind.value} config: the ")
+        named = re.findall(r"the (\w+) regime", message)
+        assert named and set(named) <= {"iid", "common", "heterogeneous"}
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            ec.family(cfg)
+        return
+    assert "family" not in [v.field for v in errors]
+    if errors:
+        return  # refused for no demand or a degenerate shock
+    assert fam is not None and ec.family(cfg) == fam
+    for regime, row in eqm.REGIMES.items():
+        if row.family == fam:
+            eq = eqm.solve_regime(cfg, regime, 0.0)
+            if cfg.r > cfg.gamma:
+                assert cert_failures(certify(cfg, eq, evaluate(cfg, eq))) == []
 
 
 def test_solve_regime_dispatch(det_cfg, iid_cfg, common_cfg, het_cfg):
@@ -872,7 +957,7 @@ def test_every_state_clears_blockspace(
         cost=(cost_scale, cost_curvature),
     )
     # each single-type family is named after its solver
-    regimes = [eqm.family(cfg)]
+    regimes = [ec.family(cfg)]
     if kind is ec.ShockKind.DETERMINISTIC:
         regimes.append("friedman")
     for regime in regimes:
