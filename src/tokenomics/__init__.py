@@ -1,61 +1,11 @@
-"""Steady-state token economics: equilibrium solvers, supply policy, welfare."""
+"""Steady-state token economics: equilibrium solvers, supply policy, welfare.
 
-from .econ_core import (
-    BLOCKSPACE_CAPACITY,
-    SCHEMA_VERSION,
-    AgentTypeSpec,
-    CostFn,
-    EconomyConfig,
-    ShockKind,
-    ShockProcess,
-    UtilityFn,
-    ZeroUtility,
-    config_from_dict,
-    config_to_dict,
-    family,
-    load_config,
-    require_valid,
-    validate_config,
-)
-from .equilibrium import (
-    REGIMES,
-    StateOutcome,
-    SteadyStateEquilibrium,
-    shock_foc_residual,
-    solve_regime,
-)
-from .errors import (
-    ConfigError,
-    InfeasiblePolicyError,
-    OracleError,
-    SolverError,
-    TokenomicsError,
-)
-from .first_best import (
-    Allocation,
-    expected_first_best_surplus,
-    first_best_allocation,
-    flow_surplus,
-)
-from .oracle import GridSpec, first_best_dual_gap, grid_best_response, holdings_slope
-from .policy import (
-    SupplyPath,
-    SupplyRule,
-    SupplyRuleKind,
-    friedman_supply_ratio,
-    supply_path,
-)
-from .welfare import (
-    CERT_TOL,
-    SweepResult,
-    WelfareReport,
-    cert_failures,
-    certify,
-    evaluate,
-    heterogeneous_roles,
-    proposition_report,
-    sweep_tax,
-)
+The package namespace is lazy (PEP 562): ``import tokenomics`` loads no
+submodule, and each public name or submodule is imported on first access
+and then bound here, so a process loads only the modules it uses.
+"""
+
+import importlib
 
 __all__ = [
     "AgentTypeSpec",
@@ -106,3 +56,71 @@ __all__ = [
     "sweep_tax",
     "validate_config",
 ]
+
+#: the module that defines each name of __all__
+_MODULE_OF = {
+    "AgentTypeSpec": "econ_core",
+    "BLOCKSPACE_CAPACITY": "econ_core",
+    "CostFn": "econ_core",
+    "EconomyConfig": "econ_core",
+    "SCHEMA_VERSION": "econ_core",
+    "ShockKind": "econ_core",
+    "ShockProcess": "econ_core",
+    "UtilityFn": "econ_core",
+    "ZeroUtility": "econ_core",
+    "config_from_dict": "econ_core",
+    "config_to_dict": "econ_core",
+    "family": "econ_core",
+    "load_config": "econ_core",
+    "require_valid": "econ_core",
+    "validate_config": "econ_core",
+    "REGIMES": "equilibrium",
+    "StateOutcome": "equilibrium",
+    "SteadyStateEquilibrium": "equilibrium",
+    "shock_foc_residual": "equilibrium",
+    "solve_regime": "equilibrium",
+    "ConfigError": "errors",
+    "InfeasiblePolicyError": "errors",
+    "OracleError": "errors",
+    "SolverError": "errors",
+    "TokenomicsError": "errors",
+    "Allocation": "first_best",
+    "expected_first_best_surplus": "first_best",
+    "first_best_allocation": "first_best",
+    "flow_surplus": "first_best",
+    "GridSpec": "oracle",
+    "first_best_dual_gap": "oracle",
+    "grid_best_response": "oracle",
+    "holdings_slope": "oracle",
+    "SupplyPath": "policy",
+    "SupplyRule": "policy",
+    "SupplyRuleKind": "policy",
+    "friedman_supply_ratio": "policy",
+    "supply_path": "policy",
+    "CERT_TOL": "welfare",
+    "SweepResult": "welfare",
+    "WelfareReport": "welfare",
+    "cert_failures": "welfare",
+    "certify": "welfare",
+    "evaluate": "welfare",
+    "sweep_tax": "welfare",
+    "heterogeneous_roles": "verify",
+    "proposition_report": "verify",
+}
+
+_SUBMODULES = frozenset({
+    "_roots", "cli", "econ_core", "equilibrium", "errors", "first_best", "oracle", "policy",
+    "verify", "welfare",
+})
+
+
+def __getattr__(name: str):
+    """A submodule, or a name of __all__ bound here on first access, so that
+    later lookups are plain reads of the module dict."""
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")  # the import binds it here
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    globals()[name] = value
+    return value

@@ -13,37 +13,24 @@ cells (CSV).
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import logging
 import math
 import os
 import sys
 from pathlib import Path
-from typing import Callable
 
+# Only what the parser needs loads with this module; each subcommand imports
+# its own work, so a process compiles and runs only the modules it uses.
 from . import econ_core as ec
 from . import equilibrium as eqm
 from .errors import ConfigError, TokenomicsError
-from .first_best import first_best_allocation, planner_economy
-from .oracle import first_best_dual_gap
 from .policy import SupplyRule, SupplyRuleKind, supply_path
-from .welfare import (
-    CERT_TOL, WelfareReport, _check, _grid, cert_failures, certify, evaluate, proposition_report,
-    sweep_tax,
-)
-
-log = logging.getLogger("tokenomics")
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_SOLVER = 2
 EXIT_CONFIG = 3
-
-GOLDEN_TOL = 1e-8
-
-#: largest weak-duality gap of the planner's solution that verify accepts
-FIRST_BEST_GAP_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -113,96 +100,8 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# golden regression
-# ---------------------------------------------------------------------------
-
-
-def golden_path_for(config_path: Path) -> Path:
-    return config_path.with_name(config_path.stem + ".golden.json")
-
-
-def _compare_tree(expected, actual, path: str, mismatches: list[str]) -> None:
-    if isinstance(expected, dict) and isinstance(actual, dict):
-        for key in sorted(set(expected) | set(actual), key=str):
-            if key not in expected:
-                mismatches.append(f"{path}.{key} (unexpected)")
-            elif key not in actual:
-                mismatches.append(f"{path}.{key} (missing)")
-            else:
-                _compare_tree(expected[key], actual[key], f"{path}.{key}", mismatches)
-        return
-    if isinstance(expected, bool) or isinstance(actual, bool):
-        if expected is not actual:
-            mismatches.append(f"{path} ({expected!r} != {actual!r})")
-        return
-    if isinstance(expected, (int, float)) and isinstance(actual, (int, float)):
-        if abs(float(expected) - float(actual)) > GOLDEN_TOL * max(1.0, abs(float(expected))):
-            mismatches.append(f"{path} ({expected} != {actual})")
-        return
-    if expected != actual:
-        mismatches.append(f"{path} ({expected!r} != {actual!r})")
-
-
-#: solve_regime + evaluate for one config: (regime, theta) -> (equilibrium, report)
-Scorer = Callable[[str, float], tuple[eqm.SteadyStateEquilibrium, WelfareReport]]
-
-
-def _scorer(cfg: ec.EconomyConfig) -> Scorer:
-    """A Scorer for cfg that solves and evaluates each (regime, theta) once,
-    so verify's oracle checks and golden comparison share each solve."""
-
-    @functools.cache
-    def score(regime: str, theta: float):
-        eq = eqm.solve_regime(cfg, regime, theta)
-        return eq, evaluate(cfg, eq)
-
-    return score
-
-
-def golden_case_result(score: Scorer, regime: str, theta: float) -> dict:
-    eq, report = score(regime, theta)
-    return {
-        "regime": regime,
-        "theta": theta,
-        "equilibrium": eq.as_dict(),
-        "welfare": report.as_dict(),
-    }
-
-
-def check_golden(score: Scorer, golden_file: Path) -> tuple[bool, str]:
-    try:
-        doc = json.loads(golden_file.read_text())
-    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
-        return False, f"golden file unreadable: {exc}"
-    cases = doc.get("cases") if isinstance(doc, dict) else None
-    if not isinstance(cases, list) or not cases:
-        return False, "golden file has no cases"
-    mismatches: list[str] = []
-    for i, case in enumerate(cases):
-        # a case that is malformed, or that no regime of this config solves, fails
-        try:
-            actual = golden_case_result(score, case["regime"], float(case["theta"]))
-        except (TokenomicsError, TypeError, ValueError, ArithmeticError, KeyError) as exc:
-            return False, f"golden case {i} cannot be scored: {type(exc).__name__}: {exc}"
-        _compare_tree(case, actual, f"golden:case.{i}", mismatches)
-    if mismatches:
-        shown = "; ".join(mismatches[:4])
-        more = f" (+{len(mismatches) - 4} more)" if len(mismatches) > 4 else ""
-        return False, f"{shown}{more}"
-    return True, f"{len(cases)} cases match within {GOLDEN_TOL:g}"
-
-
-# ---------------------------------------------------------------------------
 # subcommand bodies
 # ---------------------------------------------------------------------------
-
-
-def _load(config_arg: str) -> ec.EconomyConfig:
-    cfg = ec.load_config(config_arg)
-    warnings = ec.require_valid(cfg)
-    for v in warnings:
-        log.warning("%s: %s", v.field, v.message)
-    return cfg
 
 
 def _summary_text(regime: str, theta: float, eq, report) -> str:
@@ -233,7 +132,9 @@ def _summary_text(regime: str, theta: float, eq, report) -> str:
 
 
 def run_scenario(args) -> int:
-    cfg = _load(args.config)
+    from .welfare import evaluate
+
+    cfg = ec.load_config(args.config)
     eq = eqm.solve_regime(cfg, args.regime, args.theta)
     report = evaluate(cfg, eq)
     out_dir = Path(args.out)
@@ -251,7 +152,9 @@ def run_scenario(args) -> int:
 
 
 def run_sweep(args) -> int:
-    cfg = _load(args.config)
+    from .welfare import _grid, sweep_tax
+
+    cfg = ec.load_config(args.config)
     grid = _grid(args.theta_min, args.theta_max, args.points)
     result = sweep_tax(cfg, args.regime, grid)
     out_dir = Path(args.out)
@@ -286,7 +189,7 @@ def run_sweep(args) -> int:
 
 
 def run_supply_path(args) -> int:
-    cfg = _load(args.config)
+    cfg = ec.load_config(args.config)
     kind = SupplyRuleKind(args.rule)
     if kind is SupplyRuleKind.TAX_AND_BURN:
         rule = SupplyRule.tax_and_burn(args.theta)
@@ -301,68 +204,11 @@ def run_supply_path(args) -> int:
     return EXIT_OK
 
 
-def _oracle_checks(cfg: ec.EconomyConfig, score: Scorer) -> list[dict]:
-    """Oracle cross-checks of the analytic solvers on this config and the
-    equilibrium certificate, over every regime of its family at theta = 0
-    and 0.05 where the regime is taxed, then the first-best certificate."""
-    checks: list[dict] = []
-    worst_holdings = 0.0
-    certificates = []
-    fam = ec.family(cfg)
-    for regime, row in eqm.REGIMES.items():
-        if row.family != fam:
-            continue
-        for theta in (0.0, 0.05) if row.taxed else (0.0,):
-            eq, report = score(regime, theta)
-            worst_holdings = max(worst_holdings, report.oracle_delta_max)
-            certificates.append(certify(cfg, eq, report))
-    checks.append(_check(
-        "oracle_holdings_agreement", worst_holdings <= 2.0, {"max_grid_steps": worst_holdings},
-        "grid-search best responses sit within 2 steps of solver holdings",
-    ))
-    # The grid oracle resolves holdings to 2 of 2001 steps, too coarse to see
-    # a wrong wedge that moves them by a fraction of a percent; the exact
-    # slope V'(m) of the holdings objective does. At the optimum it reads
-    # rounding (about 1e-16), at any scale and at the rT = r kink.
-    over = [k for k in CERT_TOL if any(k in cert_failures(c) for c in certificates)]
-    checks.append(_check(
-        "equilibrium_certificate", not over,
-        {k: max(c[k] for c in certificates) for k in CERT_TOL},
-        f"above tolerance: {', '.join(over)}" if over else
-        "every steady-state invariant holds within its tolerance at every solve",
-    ))
-    checks.append(_first_best_check(cfg))
-    return checks
-
-
-def _first_best_check(cfg: ec.EconomyConfig) -> dict:
-    """Weak-duality certificate of the planner's solution in each state of
-    planner_economy(cfg), the market first_best_gap reads, for any number
-    of active types: the surplus bound D(x) at the solution's marginal
-    utility x minus its surplus, 0 up to rounding at the optimum and
-    negative only past capacity, so its size is read."""
-    planner = planner_economy(cfg)
-    worst = max(
-        abs(first_best_dual_gap(planner, s, first_best_allocation(planner, s).activities))
-        for s in planner.shocks.states()
-    )
-    return _check(
-        "oracle_first_best_agreement", worst <= FIRST_BEST_GAP_TOL, {"max_dual_gap": worst},
-        "the planner's surplus meets its weak-duality bound in every state",
-    )
-
-
 def run_verify(args) -> int:
-    cfg = _load(args.config)
-    report = proposition_report(cfg)
-    checks = list(report["checks"])
-    score = _scorer(cfg)
-    checks.extend(_oracle_checks(cfg, score))
+    from .verify import verify_checks
 
-    golden_file = golden_path_for(Path(args.config))
-    ok, detail = check_golden(score, golden_file) if golden_file.exists() else (
-        None, f"no golden file at {golden_file.name}")
-    checks.append(_check("golden_regression", ok, {}, detail))
+    cfg = ec.load_config(args.config)
+    family, checks = verify_checks(cfg, Path(args.config))
 
     failed = [c for c in checks if c["status"] == "fail"]
     for c in checks:
@@ -381,7 +227,7 @@ def run_verify(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         write_json(out_dir / "verify.json", {
             "schema_version": ec.SCHEMA_VERSION,
-            "family": report["family"],
+            "family": family,
             "checks": checks,
             "all_passed": not failed,
         })

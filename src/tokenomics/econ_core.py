@@ -11,6 +11,7 @@ Blockspace capacity is normalized to one unit per period throughout.
 from __future__ import annotations
 
 import json
+import logging
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -18,6 +19,8 @@ from pathlib import Path
 from typing import Mapping, Union
 
 from .errors import ConfigError
+
+log = logging.getLogger("tokenomics")
 
 #: version stamp expected in configuration documents
 SCHEMA_VERSION = 1
@@ -362,7 +365,8 @@ def config_from_dict(doc: dict) -> EconomyConfig:
     """Build and validate an EconomyConfig from a parsed JSON document.
 
     Unknown fields anywhere in the document are rejected rather than ignored,
-    and the document must carry schema_version = 1.
+    and the document must carry schema_version = 1. The config is validated
+    once: errors raise ConfigError, warnings go to the "tokenomics" logger.
     """
     _expect_keys(
         doc, "config", {"schema_version", "r", "gamma", "agent_types", "cost", "shocks"}
@@ -428,7 +432,8 @@ def config_from_dict(doc: dict) -> EconomyConfig:
         cost=cost,
         shocks=shocks,
     )
-    require_valid(cfg)
+    for v in require_valid(cfg):
+        log.warning("%s: %s", v.field, v.message)
     return cfg
 
 

@@ -12,7 +12,7 @@ import pytest
 
 from tokenomics import cli
 from tokenomics import econ_core as ec
-from tokenomics import welfare
+from tokenomics import verify, welfare
 from tokenomics.first_best import first_best_allocation, planner_economy
 
 from helpers import (
@@ -319,7 +319,7 @@ def test_verify_on_a_one_type_cut_of_the_heterogeneous_config(tmp_path, capsys, 
         return
     assert code == 0
     checks = {c["name"]: c for c in json.loads((out / "verify.json").read_text())["checks"]}
-    skipped = {"heterogeneous_tax_improves_welfare", *welfare._TWO_TYPE_CLAIMS, "golden_regression"}
+    skipped = {"heterogeneous_tax_improves_welfare", *verify._TWO_TYPE_CLAIMS, "golden_regression"}
     assert {n: c["status"] for n, c in checks.items() if c["status"] != "pass"} == dict.fromkeys(
         skipped, "not applicable")
     assert checks["heterogeneous_tax_improves_welfare"]["measured"] == {
@@ -341,6 +341,21 @@ def test_path_logs_the_r_below_gamma_warning_once(tmp_path):
         "rules (fixed supply, tax-and-burn) have no steady state here"
     ]
     assert (tmp_path / "out" / "path.csv").exists()
+
+
+def test_path_validates_its_config_once(tmp_path, monkeypatch):
+    # loading the config refuses its errors and logs its warnings in one pass
+    validate = ec.validate_config
+    calls = []
+
+    def counting(cfg):
+        calls.append(cfg)
+        return validate(cfg)
+
+    monkeypatch.setattr(ec, "validate_config", counting)
+    assert cli.main(["path", "--config", HET, "--rule", "fixed_supply", "--M0", "100",
+                     "--T", "3", "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
 
 
 def test_path_usage_guards(tmp_path, capsys):
@@ -415,7 +430,7 @@ def test_verify_passes_on_shipped_config(tmp_path, capsys):
 
 def test_verify_certificate_fails_on_inflated_holdings(iid_cfg, monkeypatch):
     def certificate():
-        checks = cli._oracle_checks(iid_cfg, cli._scorer(iid_cfg))
+        checks = verify._oracle_checks(iid_cfg, verify._scorer(iid_cfg))
         return next(c for c in checks if c["name"] == "equilibrium_certificate")
 
     passed = certificate()
@@ -442,7 +457,7 @@ def test_verify_oracle_checks_pass_at_small_utility_scale(name):
     # the objective put the heterogeneous holdings oracle 13 steps off.
     for scale in (0.2, 0.001):
         cfg = scaled_config(name, utility=scale)
-        checks = cli._oracle_checks(cfg, cli._scorer(cfg))
+        checks = verify._oracle_checks(cfg, verify._scorer(cfg))
         assert [c["name"] for c in checks if c["status"] != "pass"] == [], scale
 
 
@@ -460,7 +475,7 @@ def test_verify_scores_each_regime_and_tax_once_for_oracle_and_golden(
         return evaluate(cfg, eq, **kwargs)
 
     monkeypatch.setattr(welfare, "evaluate", counting)
-    monkeypatch.setattr(cli, "evaluate", counting)
+    monkeypatch.setattr(verify, "evaluate", counting)
     assert cli.main(["verify", "--config", HET, "--out", str(tmp_path)]) == 0
     assert "PASS  golden_regression" in capsys.readouterr().out
     assert len(scored) == 7
@@ -530,14 +545,14 @@ def test_verify_checks_first_best_with_three_active_types(tmp_path, capsys):
         if c["name"] == "oracle_first_best_agreement"
     )
     assert check["status"] == "pass"
-    assert check["measured"]["max_dual_gap"] <= cli.FIRST_BEST_GAP_TOL
+    assert check["measured"]["max_dual_gap"] <= verify.FIRST_BEST_GAP_TOL
 
 
 @pytest.mark.parametrize("name", ["deterministic", "iid", "common", "heterogeneous"])
 def test_first_best_certificate_passes_on_every_shipped_config(name):
     # the planner's solutions meet their dual bounds to rounding: at most
     # 2.2e-16 on these configs
-    check = cli._first_best_check(ec.load_config(CONFIG_DIR / f"{name}.json"))
+    check = verify._first_best_check(ec.load_config(CONFIG_DIR / f"{name}.json"))
     assert check["status"] == "pass"
     assert check["measured"]["max_dual_gap"] <= 2.3e-16
 
@@ -555,13 +570,13 @@ def test_verify_checks_first_best_with_a_type_split_in_two(tmp_path, capsys):
 def _record_first_best_gaps(monkeypatch) -> list[tuple[int, dict[str, float]]]:
     # (state, mass of each active type) for every dual-gap reading
     readings = []
-    gap = cli.first_best_dual_gap
+    gap = verify.first_best_dual_gap
 
     def recording(cfg, state, activities):
         readings.append((state, {t.name: t.mass for t in cfg.agent_types if t.is_active(state)}))
         return gap(cfg, state, activities)
 
-    monkeypatch.setattr(cli, "first_best_dual_gap", recording)
+    monkeypatch.setattr(verify, "first_best_dual_gap", recording)
     return readings
 
 
@@ -571,7 +586,7 @@ def test_iid_first_best_grid_searches_the_type_state_economy(iid_cfg, monkeypatc
     # mass rho = 0.5, where 0.5 a^(-1/2) = c'(0.5 a) = 0.5 a puts the planner
     # at a = 1, load 0.5
     readings = _record_first_best_gaps(monkeypatch)
-    checks = cli._oracle_checks(iid_cfg, cli._scorer(iid_cfg))
+    checks = verify._oracle_checks(iid_cfg, verify._scorer(iid_cfg))
     assert readings == [(1, {"users@1": 0.5})]
     analytic = first_best_allocation(planner_economy(iid_cfg), 1)
     assert analytic.activities == pytest.approx({"users@1": 1.0}, rel=1e-12)
@@ -586,7 +601,7 @@ def test_iid_first_best_grid_searches_both_pairs_of_a_type_active_in_both_states
     users = ec.AgentTypeSpec(1.0, {0: ec.UtilityFn(0.5, 0.5), 1: ec.UtilityFn(1.0, 0.5)}, "users")
     cfg = dataclasses.replace(ec.load_config(IID), agent_types=(users,))
     readings = _record_first_best_gaps(monkeypatch)
-    check = cli._first_best_check(cfg)
+    check = verify._first_best_check(cfg)
     assert readings == [(1, {"users@0": 0.5, "users@1": 0.5})]
     assert check["status"] == "pass", check
 
@@ -600,15 +615,15 @@ def test_iid_first_best_check_reads_more_than_two_pairs(tmp_path, capsys):
     )
     cfg = dataclasses.replace(ec.load_config(IID), agent_types=types)
     assert len(planner_economy(cfg).agent_types) == 4
-    check = cli._first_best_check(cfg)
+    check = verify._first_best_check(cfg)
     assert check["status"] == "pass", check
-    assert check["measured"]["max_dual_gap"] <= cli.FIRST_BEST_GAP_TOL
+    assert check["measured"]["max_dual_gap"] <= verify.FIRST_BEST_GAP_TOL
 
 
 def test_verify_fails_when_the_planner_misses_its_dual_bound(tmp_path, capsys, monkeypatch):
     # a planner allocation at half the optimal activities leaves surplus below
     # the weak-duality bound: 0.17 on configs/deterministic.json
-    planner = cli.first_best_allocation
+    planner = verify.first_best_allocation
 
     def halved(cfg, state):
         alloc = planner(cfg, state)
@@ -616,7 +631,7 @@ def test_verify_fails_when_the_planner_misses_its_dual_bound(tmp_path, capsys, m
             alloc, activities={n: 0.5 * a for n, a in alloc.activities.items()}, total=0.5 * alloc.total
         )
 
-    monkeypatch.setattr(cli, "first_best_allocation", halved)
+    monkeypatch.setattr(verify, "first_best_allocation", halved)
     code = cli.main(["verify", "--config", DET, "--out", str(tmp_path)])
     assert code == 1
     assert "FAIL  oracle_first_best_agreement" in capsys.readouterr().out

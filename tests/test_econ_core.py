@@ -136,8 +136,12 @@ def test_validate_rejects_nonpositive_r():
     assert any(v.field == "r" and v.severity == "error" for v in ec.validate_config(bad))
 
 
-def test_r_below_gamma_is_a_warning_not_error():
+def test_r_below_gamma_is_a_warning_not_error(caplog):
     cfg = single_user_config(ec.ShockKind.DETERMINISTIC, r=0.02, gamma=0.05)
+    # loading the config logs the warning of its one validation pass
+    assert ec.config_from_dict(ec.config_to_dict(cfg)) == cfg
+    assert [(r.name, r.levelname, r.getMessage()[:8]) for r in caplog.records] == [
+        ("tokenomics", "WARNING", "r: r = 0")]
     violations = ec.validate_config(cfg)
     assert [v.severity for v in violations] == ["warning"]
     assert ec.require_valid(cfg) == violations  # warnings returned, not raised

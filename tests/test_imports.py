@@ -1,7 +1,9 @@
 """Import hygiene and dead code: every name a package module imports is
 used in it, every module-level function, and every public method or
 property of a module-level class, is read somewhere in the package, and
-the grid oracles import no solver module.
+the grid oracles import no solver module. Also what a fresh interpreter
+loads: ``import tokenomics`` no submodule, and each CLI subcommand only
+the modules it runs.
 
 No linter ships with the test extras, so this walks each module's syntax
 tree. An import whose line carries ``# noqa`` is exempt: it is loaded for
@@ -10,12 +12,15 @@ and the public API pass.
 """
 
 import ast
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "tokenomics"
+CONFIGS = SRC.parents[1] / "configs"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -59,9 +64,15 @@ def test_module_uses_every_import(module):
     assert unused_imports((SRC / module).read_text()) == []
 
 
+#: module-level functions that the interpreter calls (PEP 562), so no
+#: package module reads them by name
+MODULE_HOOKS = {"__getattr__"}
+
+
 def unread_functions(sources: dict[str, str]) -> list[str]:
     """Module-level functions that no module reads, by name or as an
-    attribute, outside their own body, and that no ``__all__`` lists."""
+    attribute, outside their own body, that no ``__all__`` lists, and that
+    are not in MODULE_HOOKS."""
     defined: list[tuple[str, str]] = []
     read: set[str] = set()
     for module, source in sources.items():
@@ -80,7 +91,9 @@ def unread_functions(sources: dict[str, str]) -> list[str]:
             ):
                 names |= set(ast.literal_eval(node.value))
             read |= names
-    return sorted(f"{module}:{name}" for module, name in defined if name not in read)
+    return sorted(
+        f"{module}:{name}" for module, name in defined if name not in read | MODULE_HOOKS
+    )
 
 
 def test_detector_flags_an_unread_function():
@@ -183,3 +196,91 @@ def test_oracle_imports_no_solver():
     # with them: only the primitives and the error types
     source = (SRC / "oracle.py").read_text()
     assert runtime_package_imports(source) == {"econ_core", "errors"}
+
+
+def test_no_module_imports_cli():
+    # under `python -m tokenomics.cli` the CLI runs as __main__, so importing
+    # tokenomics.cli would compile and run it a second time
+    assert [p.name for p in SRC.glob("*.py") if "cli" in runtime_package_imports(p.read_text())] == []
+
+
+# ---------------------------------------------------------------------------
+# what a fresh interpreter loads
+# ---------------------------------------------------------------------------
+
+
+def loaded_after(code: str) -> set[str]:
+    """The tokenomics modules in sys.modules after a fresh interpreter runs
+    code, which must end by printing them on the last line of stdout."""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+PRINT_LOADED = "print(*(m for m in sys.modules if m.partition('.')[0] == 'tokenomics'))\n"
+
+
+def test_import_tokenomics_loads_no_submodule():
+    assert loaded_after("import sys, tokenomics\n" + PRINT_LOADED) == {"tokenomics"}
+
+
+@pytest.mark.parametrize(
+    "argv, runs, unloaded",
+    [
+        (["path", "--rule", "fixed_supply", "--M0", "100", "--T", "3"], "policy",
+         {"cli", "welfare", "oracle", "verify"}),
+        (["scenario", "--regime", "deterministic", "--theta", "0.02"], "welfare",
+         {"cli", "verify"}),
+        (["sweep", "--regime", "deterministic", "--theta-max", "0.1", "--points", "3"],
+         "welfare", {"cli", "verify"}),
+        (["verify"], "verify", {"cli"}),
+    ],
+    ids=["path", "scenario", "sweep", "verify"],
+)
+def test_a_subcommand_loads_only_the_modules_it_runs(argv, runs, unloaded, tmp_path):
+    # runpy runs the CLI as `python -m tokenomics.cli` does: as __main__,
+    # so tokenomics.cli is in sys.modules only if some module imports it
+    argv = [*argv, "--config", str(CONFIGS / "deterministic.json"), "--out", str(tmp_path)]
+    loaded = loaded_after(
+        "import runpy, sys\n"
+        f"sys.argv = ['tokenomics', *{argv!r}]\n"
+        "try:\n"
+        "    runpy.run_module('tokenomics.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        + PRINT_LOADED
+    )
+    assert f"tokenomics.{runs}" in loaded
+    assert loaded & {f"tokenomics.{m}" for m in unloaded} == set()
+
+
+def test_every_public_name_and_submodule_resolves_and_is_bound():
+    loaded = loaded_after(
+        "import pathlib, sys, tokenomics\n"
+        "assert sorted(tokenomics.__all__) == sorted(tokenomics._MODULE_OF)\n"
+        "modules = [p.stem for p in pathlib.Path(tokenomics.__file__).parent.glob('*.py')]\n"
+        "assert sorted(tokenomics._SUBMODULES) == sorted(set(modules) - {'__init__'})\n"
+        "for name in [*tokenomics.__all__, *tokenomics._SUBMODULES]:\n"
+        "    value = getattr(tokenomics, name)\n"
+        "    assert vars(tokenomics)[name] is value, name\n"
+        "assert tokenomics.evaluate is tokenomics.welfare.evaluate\n"
+        "assert tokenomics.proposition_report is tokenomics.verify.proposition_report\n"
+        + PRINT_LOADED
+    )
+    assert loaded == {f"tokenomics.{p.stem}" for p in SRC.glob("*.py")} - {
+        "tokenomics.__init__"} | {"tokenomics"}
+
+
+def test_an_unknown_name_raises_attribute_error_and_loads_nothing():
+    loaded = loaded_after(
+        "import sys, tokenomics\n"
+        "for name in ('no_such_name', '__wrapped__', 'Regime'):\n"
+        "    try:\n"
+        "        getattr(tokenomics, name)\n"
+        "    except AttributeError as exc:\n"
+        "        assert repr(name) in str(exc), exc\n"
+        "    else:\n"
+        "        raise AssertionError(name)\n"
+        + PRINT_LOADED
+    )
+    assert loaded == {"tokenomics"}

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from tokenomics import econ_core as ec
 from tokenomics import equilibrium as eqm
+from tokenomics import verify
 from tokenomics import welfare as wf
 from tokenomics.errors import ConfigError, InfeasiblePolicyError, SolverError
 
@@ -117,14 +118,14 @@ def test_sweep_as_dict_drops_solver_objects(common_cfg):
 )
 def test_proposition_report_passes_on_shipped_configs(fixture_name, family, request):
     cfg = request.getfixturevalue(fixture_name)
-    report = wf.proposition_report(cfg)
+    report = verify.proposition_report(cfg)
     assert report["family"] == family
     assert report["all_passed"], [c for c in report["checks"] if c["status"] == "fail"]
     assert all(c["status"] == "pass" for c in report["checks"])
 
 
 def test_proposition_report_check_names(det_cfg, iid_cfg):
-    det_names = [c["name"] for c in wf.proposition_report(det_cfg)["checks"]]
+    det_names = [c["name"] for c in verify.proposition_report(det_cfg)["checks"]]
     assert det_names == [
         "friedman_matches_first_best",
         "friedman_return_is_r",
@@ -132,7 +133,7 @@ def test_proposition_report_check_names(det_cfg, iid_cfg):
         "friedman_weakly_dominates_burn",
         "burn_identity",
     ]
-    iid_names = [c["name"] for c in wf.proposition_report(iid_cfg)["checks"]]
+    iid_names = [c["name"] for c in verify.proposition_report(iid_cfg)["checks"]]
     assert "iid_return_formula" in iid_names and "iid_tax_never_helps" in iid_names
 
 
@@ -177,14 +178,14 @@ def test_proposition_report_marks_unreachable_checks():
         ),
     ]
     for cfg, expected in cases:
-        report = wf.proposition_report(cfg)
+        report = verify.proposition_report(cfg)
         assert {c["name"]: c["status"] for c in report["checks"]} == expected
         assert report["all_passed"]  # "not applicable" is not a failure
 
 
 def test_heterogeneous_battery_needs_a_congested_zero_tax_state():
     # a shocked type too weak to fill capacity: every sweep point is slack
-    report = wf.proposition_report(two_type_config(shocked_high=0.9))
+    report = verify.proposition_report(two_type_config(shocked_high=0.9))
     by_name = {c["name"]: c["status"] for c in report["checks"]}
     assert by_name == {
         "heterogeneous_tax_improves_welfare": "not applicable",
@@ -202,7 +203,7 @@ def test_heterogeneous_battery_fails_on_zero_tax_solver_error(het_cfg, monkeypat
 
     row = eqm.REGIMES["heterogeneous"]
     monkeypatch.setitem(eqm.REGIMES, "heterogeneous", dataclasses.replace(row, solve=failing))
-    report = wf.proposition_report(het_cfg)
+    report = verify.proposition_report(het_cfg)
     assert report["checks"][0]["status"] == "fail"
     assert not report["all_passed"]
 
