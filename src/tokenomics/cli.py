@@ -60,7 +60,8 @@ def dumps_canonical(obj, indent: int = 0) -> str:
         return rendered if rendered else "null"
     if isinstance(obj, str):
         return json.dumps(obj)
-    if isinstance(obj, (list, tuple)):
+    # exactly a list or tuple: a record, a NamedTuple, is refused like any object
+    if type(obj) in (list, tuple):
         if not obj:
             return "[]"
         items = [dumps_canonical(v, indent + 2) for v in obj]
@@ -77,7 +78,7 @@ def dumps_canonical(obj, indent: int = 0) -> str:
 
 
 def write_json(path: Path, obj) -> None:
-    path.write_text(dumps_canonical(obj) + "\n")
+    path.write_text(dumps_canonical(obj) + "\n", encoding="utf-8")
 
 
 def _csv_cell(cell) -> str:
@@ -96,7 +97,7 @@ def _csv_cell(cell) -> str:
 def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     lines = [",".join(header)]
     lines.extend(",".join(_csv_cell(cell) for cell in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +147,7 @@ def run_scenario(args) -> int:
     })
     write_json(out_dir / "welfare.json", report.as_dict())
     summary = _summary_text(args.regime, args.theta, eq, report)
-    (out_dir / "summary.txt").write_text(summary)
+    (out_dir / "summary.txt").write_text(summary, encoding="utf-8")
     sys.stdout.write(summary)
     return EXIT_OK
 
@@ -309,6 +310,9 @@ def _validate_usage(args) -> str | None:
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand. Package errors become exit codes here and
     nowhere else: a ConfigError exits 3, any other TokenomicsError 2."""
+    if hasattr(sys.stdout, "reconfigure"):
+        # what a command prints is UTF-8, as its artifacts are, in any locale
+        sys.stdout.reconfigure(encoding="utf-8", errors=sys.stdout.errors)
     level = os.environ.get("TOKENOMICS_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
                         format="%(levelname)s %(name)s: %(message)s")

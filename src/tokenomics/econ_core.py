@@ -13,10 +13,9 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Mapping, Union
+from typing import Mapping, NamedTuple, Union
 
 from .errors import ConfigError
 
@@ -36,8 +35,12 @@ _MASS_TOL = 1e-12
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UtilityFn:
+class _PowerFields(NamedTuple):
+    scale: float
+    curvature: float
+
+
+class UtilityFn(_PowerFields):
     """Isoelastic flow utility u(a) = scale * a**(1 - curvature) / (1 - curvature).
 
     scale sets the dollar value of activity and curvature in (0, 1) controls
@@ -45,22 +48,22 @@ class UtilityFn:
     utility is strictly decreasing and spans (0, inf), so inversion is exact.
     """
 
-    scale: float
-    curvature: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (isinstance(self.scale, (int, float)) and self.scale > 0 and math.isfinite(self.scale)):
-            raise ValueError(f"utility scale must be a positive finite number, got {self.scale!r}")
-        if not (isinstance(self.curvature, (int, float)) and 0.0 < self.curvature < 1.0):
-            raise ValueError(f"utility curvature must lie in (0, 1), got {self.curvature!r}")
+    def __new__(cls, scale: float, curvature: float) -> UtilityFn:
+        if not (isinstance(scale, (int, float)) and scale > 0 and math.isfinite(scale)):
+            raise ValueError(f"utility scale must be a positive finite number, got {scale!r}")
+        if not (isinstance(curvature, (int, float)) and 0.0 < curvature < 1.0):
+            raise ValueError(f"utility curvature must lie in (0, 1), got {curvature!r}")
+        return super().__new__(cls, scale, curvature)
 
 
-@dataclass(frozen=True)
-class ZeroUtility:
+class ZeroUtility(NamedTuple):
     """No demand in a state: u(a) = 0 for every activity level.
 
     Used instead of a vanishing scale so marginal-utility inversion never
-    has to evaluate a 0**(-curvature) singularity.
+    has to evaluate a 0**(-curvature) singularity. As a record with no
+    fields it is an empty tuple, so it is falsy: test it with isinstance.
     """
 
 
@@ -91,11 +94,15 @@ def u_prime_inv(f: UtilityFn, x: float) -> float:
         raise TypeError("marginal utility is undefined for a zero-demand state")
     if x <= 0:
         raise ValueError(f"marginal utility inversion needs x > 0, got {x}")
-    return (f.scale / x) ** (1.0 / f.curvature)
+    try:
+        return (f.scale / x) ** (1.0 / f.curvature)
+    except OverflowError:
+        # more demand than a float holds: an overfilled load, which a
+        # clearing bracket expands past
+        return math.inf
 
 
-@dataclass(frozen=True)
-class CostFn:
+class CostFn(_PowerFields):
     """Validator cost c(s) = scale * s**(1 + curvature) / (1 + curvature).
 
     Marginal cost scale * s**curvature is strictly increasing from zero, so
@@ -103,14 +110,14 @@ class CostFn:
     values near zero give an effectively flat (perfectly elastic) fee margin.
     """
 
-    scale: float
-    curvature: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (isinstance(self.scale, (int, float)) and self.scale > 0 and math.isfinite(self.scale)):
-            raise ValueError(f"cost scale must be a positive finite number, got {self.scale!r}")
-        if not (isinstance(self.curvature, (int, float)) and self.curvature > 0 and math.isfinite(self.curvature)):
-            raise ValueError(f"cost curvature must be positive, got {self.curvature!r}")
+    def __new__(cls, scale: float, curvature: float) -> CostFn:
+        if not (isinstance(scale, (int, float)) and scale > 0 and math.isfinite(scale)):
+            raise ValueError(f"cost scale must be a positive finite number, got {scale!r}")
+        if not (isinstance(curvature, (int, float)) and curvature > 0 and math.isfinite(curvature)):
+            raise ValueError(f"cost curvature must be positive, got {curvature!r}")
+        return super().__new__(cls, scale, curvature)
 
 
 def c_eval(c: CostFn, s: float) -> float:
@@ -140,8 +147,12 @@ class ShockKind(Enum):
     COMMON_BINARY = "common_binary"
 
 
-@dataclass(frozen=True)
-class ShockProcess:
+class _ShockFields(NamedTuple):
+    kind: ShockKind
+    rho: float
+
+
+class ShockProcess(_ShockFields):
     """Per-period demand shock process.
 
     deterministic: a single state (labelled 1) occurs every period.
@@ -150,13 +161,13 @@ class ShockProcess:
     common_binary: all agents share one draw, state 1 with probability rho.
     """
 
-    kind: ShockKind
-    rho: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind is not ShockKind.DETERMINISTIC:
-            if not (0.0 < self.rho <= 1.0):
-                raise ValueError(f"shock probability rho must lie in (0, 1], got {self.rho!r}")
+    def __new__(cls, kind: ShockKind, rho: float = 1.0) -> ShockProcess:
+        if kind is not ShockKind.DETERMINISTIC:
+            if not (0.0 < rho <= 1.0):
+                raise ValueError(f"shock probability rho must lie in (0, 1], got {rho!r}")
+        return super().__new__(cls, kind, rho)
 
     def states(self) -> tuple[int, ...]:
         if self.kind is ShockKind.DETERMINISTIC:
@@ -169,25 +180,29 @@ class ShockProcess:
         return self.rho if state == 1 else 1.0 - self.rho
 
 
-@dataclass(frozen=True)
-class AgentTypeSpec:
-    """A positive mass of identical users, with one utility per shock state."""
-
+class _AgentFields(NamedTuple):
     mass: float
     utility_by_state: Mapping[int, Utility]
-    name: str = ""
+    name: str
 
-    def __post_init__(self) -> None:
-        if not (isinstance(self.mass, (int, float)) and self.mass > 0 and math.isfinite(self.mass)):
-            raise ValueError(f"agent mass must be a positive finite number, got {self.mass!r}")
+
+class AgentTypeSpec(_AgentFields):
+    """A positive mass of identical users, with one utility per shock state
+    (a state left out has zero utility)."""
+
+    __slots__ = ()
+
+    def __new__(cls, mass: float, utility_by_state: Mapping[int, Utility], name: str = "") -> AgentTypeSpec:
+        if not (isinstance(mass, (int, float)) and mass > 0 and math.isfinite(mass)):
+            raise ValueError(f"agent mass must be a positive finite number, got {mass!r}")
         cleaned: dict[int, Utility] = {0: ZeroUtility(), 1: ZeroUtility()}
-        for state, f in dict(self.utility_by_state).items():
+        for state, f in dict(utility_by_state).items():
             if state not in (0, 1):
                 raise ValueError(f"unknown shock state {state!r}; expected 0 or 1")
             if not isinstance(f, (UtilityFn, ZeroUtility)):
                 raise ValueError(f"state {state} utility must be UtilityFn or ZeroUtility")
             cleaned[state] = f
-        object.__setattr__(self, "utility_by_state", cleaned)
+        return super().__new__(cls, mass, cleaned, name)
 
     def utility_in(self, state: int) -> Utility:
         return self.utility_by_state[state]
@@ -196,30 +211,38 @@ class AgentTypeSpec:
         return isinstance(self.utility_by_state[state], UtilityFn)
 
 
-@dataclass(frozen=True)
-class EconomyConfig:
-    """Full description of one economy.
-
-    r is the per-period real interest rate (so the discount factor is
-    1/(1+r)), gamma the growth rate of the activity value scale. Agent
-    masses must sum to one; blockspace capacity is fixed at one unit.
-    """
-
+class _EconomyFields(NamedTuple):
     r: float
     gamma: float
     agent_types: tuple[AgentTypeSpec, ...]
     cost: CostFn
     shocks: ShockProcess
 
-    def __post_init__(self) -> None:
-        named = []
-        for i, spec in enumerate(self.agent_types):
-            named.append(spec if spec.name else replace(spec, name=f"type{i}"))
-        object.__setattr__(self, "agent_types", tuple(named))
+
+class EconomyConfig(_EconomyFields):
+    """Full description of one economy.
+
+    r is the per-period real interest rate (so the discount factor is
+    1/(1+r)), gamma the growth rate of the activity value scale. Agent
+    masses must sum to one; blockspace capacity is fixed at one unit. An
+    unnamed type is named type<i> after its position.
+
+    It declares no __slots__: its instance __dict__ holds the first-best
+    memo (first_best._memo), which equality and repr do not read.
+    """
+
+    def __new__(
+        cls, r: float, gamma: float, agent_types: tuple[AgentTypeSpec, ...],
+        cost: CostFn, shocks: ShockProcess,
+    ) -> EconomyConfig:
+        named = tuple(
+            spec if spec.name else AgentTypeSpec(spec.mass, spec.utility_by_state, f"type{i}")
+            for i, spec in enumerate(agent_types)
+        )
+        return super().__new__(cls, r, gamma, named, cost, shocks)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One failed (or suspect) configuration invariant."""
 
     field: str
@@ -438,11 +461,13 @@ def config_from_dict(doc: dict) -> EconomyConfig:
 
 
 def load_config(path: str | Path) -> EconomyConfig:
-    """Read a JSON config file; malformed JSON reports line and column."""
+    """Read a UTF-8 JSON config file; malformed JSON reports line and column."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise ConfigError(f"{path}: cannot read config file: {e.strerror or e}") from e
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: config file is not UTF-8: {e}") from e
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:

@@ -28,9 +28,8 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 from functools import partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import econ_core as ec
 from ._roots import RESIDUAL_FLOOR, find_log_root, find_root
@@ -42,8 +41,7 @@ _BUDGET_RTOL = 1e-9
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class StateOutcome:
+class StateOutcome(NamedTuple):
     """Market outcome in one shock state.
 
     aggregate_activity is the cross-sectional blockspace load while the
@@ -74,8 +72,7 @@ class StateOutcome:
         }
 
 
-@dataclass(frozen=True)
-class SteadyStateEquilibrium:
+class SteadyStateEquilibrium(NamedTuple):
     """A stationary equilibrium: per-state outcomes plus token holdings.
 
     holdings are real balances per type member; aggregate_real_balances is
@@ -470,8 +467,7 @@ def _solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyStat
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RegimeRow:
+class RegimeRow(NamedTuple):
     """A regime: the family() of the configs it solves, whether it takes a
     tax (one that does not is solved at theta = 0) and its solver(cfg, theta)."""
 

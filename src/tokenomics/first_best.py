@@ -21,15 +21,13 @@ construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from . import econ_core as ec
 from ._roots import RESIDUAL_FLOOR, find_log_root
 
 
-@dataclass(frozen=True)
-class Allocation:
+class Allocation(NamedTuple):
     """Per-type activities plus the congestion diagnosis for one state.
 
     shadow_marginal is the common marginal utility under rationing and 0.0
@@ -165,8 +163,8 @@ def _memo(cfg: ec.EconomyConfig) -> dict:
     # First-best results solved for cfg, kept in its instance __dict__ so they
     # live exactly as long as the config. Configs are unhashable, and a table
     # keyed on id() would keep them alive and could alias a reused id.
-    # Dataclass equality, repr and replace() read only the fields, so the
-    # entry is invisible to them.
+    # Equality and repr read only the fields, so the entry is invisible to
+    # them; pickling carries it along.
     return vars(cfg).setdefault("_first_best", {})
 
 

@@ -30,8 +30,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple
 
 from . import econ_core as ec
 from .errors import OracleError
@@ -45,18 +44,22 @@ TIE_RTOL = 1e-11
 _MAX_EXPANSIONS = 4
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class _GridFields(NamedTuple):
+    upper: float
+    points: int
+
+
+class GridSpec(_GridFields):
     """Uniform grid on [0, upper] with the given number of points."""
 
-    upper: float
-    points: int = 2001
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (self.upper > 0 and math.isfinite(self.upper)):
-            raise ValueError(f"grid upper bound must be positive and finite, got {self.upper!r}")
-        if self.points < 3:
-            raise ValueError(f"grid needs at least 3 points, got {self.points}")
+    def __new__(cls, upper: float, points: int = 2001) -> GridSpec:
+        if not (upper > 0 and math.isfinite(upper)):
+            raise ValueError(f"grid upper bound must be positive and finite, got {upper!r}")
+        if points < 3:
+            raise ValueError(f"grid needs at least 3 points, got {points}")
+        return super().__new__(cls, upper, points)
 
     def values(self) -> list[float]:
         """The grid points as linspace(0, upper, points) computes them:

@@ -11,8 +11,8 @@ receives newly minted tokens is a pure transfer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from . import econ_core as ec
 from .equilibrium import solve_regime
@@ -25,27 +25,30 @@ class SupplyRuleKind(Enum):
     TAX_AND_BURN = "tax_and_burn"
 
 
-@dataclass(frozen=True)
-class SupplyRule:
+class _RuleFields(NamedTuple):
+    kind: SupplyRuleKind
+    theta: float
+
+
+class SupplyRule(_RuleFields):
     """A supply policy: either a closed-form ratio rule or a burn surcharge
     theta on the trading state's fees."""
 
-    kind: SupplyRuleKind
-    theta: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.theta < math.inf:
-            raise ValueError(f"tax rate must be nonnegative and finite, got {self.theta}")
-        if self.kind is not SupplyRuleKind.TAX_AND_BURN and self.theta:
-            raise ValueError(f"{self.kind.value} does not take a tax rate")
+    def __new__(cls, kind: SupplyRuleKind, theta: float = 0.0) -> SupplyRule:
+        if not 0 <= theta < math.inf:
+            raise ValueError(f"tax rate must be nonnegative and finite, got {theta}")
+        if kind is not SupplyRuleKind.TAX_AND_BURN and theta:
+            raise ValueError(f"{kind.value} does not take a tax rate")
+        return super().__new__(cls, kind, theta)
 
     @classmethod
     def tax_and_burn(cls, theta: float) -> SupplyRule:
         return cls(SupplyRuleKind.TAX_AND_BURN, float(theta))
 
 
-@dataclass(frozen=True)
-class SupplyPath:
+class SupplyPath(NamedTuple):
     """T+1 rows of a simulated steady-state trajectory (t = 0 is the initial
     condition; returns[0] is nan since no holding period precedes it)."""
 

@@ -426,7 +426,7 @@ def golden_case_result(score: Scorer, regime: str, theta: float) -> dict:
 
 def check_golden(score: Scorer, golden_file: Path) -> tuple[bool, str]:
     try:
-        doc = json.loads(golden_file.read_text())
+        doc = json.loads(golden_file.read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
         return False, f"golden file unreadable: {exc}"
     cases = doc.get("cases") if isinstance(doc, dict) else None

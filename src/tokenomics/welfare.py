@@ -11,7 +11,7 @@ and rejected in the package docs.)
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import econ_core as ec
 from . import equilibrium as eqm
@@ -33,8 +33,7 @@ CERT_TOL = {
 }
 
 
-@dataclass(frozen=True)
-class WelfareReport:
+class WelfareReport(NamedTuple):
     """Welfare and verification summary for one equilibrium.
 
     oracle_delta_max is measured in grid steps: the largest distance between
@@ -131,8 +130,7 @@ def cert_failures(certificate: dict[str, float]) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     grid: tuple[float, ...]
     welfare: tuple[float, ...]
     congestion_flags: tuple[bool, ...]

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from tokenomics import econ_core as ec
@@ -15,6 +15,13 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 ISO = ec.UtilityFn
 ZERO = ec.ZeroUtility()
+
+
+def replace(record, **changes):
+    """A copy of a record with the given fields changed, built through its
+    constructor, so a validated type checks and normalises the copy as it
+    would a new record (NamedTuple._replace skips that)."""
+    return type(record)(**{**record._asdict(), **changes})
 
 
 @dataclass

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import os
@@ -16,8 +15,8 @@ from tokenomics import verify, welfare
 from tokenomics.first_best import first_best_allocation, planner_economy
 
 from helpers import (
-    CONFIG_DIR, both_bind_config, scaled_config, split_iid_config, split_steady_config,
-    three_type_config, two_type_config,
+    CONFIG_DIR, both_bind_config, replace, scaled_config, split_iid_config,
+    split_steady_config, three_type_config, two_type_config,
 )
 
 DET = str(CONFIG_DIR / "deterministic.json")
@@ -59,6 +58,12 @@ def test_csv_cell_quoting():
     assert cli._csv_cell(True) == "true"
     assert cli._csv_cell(float("nan")) == ""
     assert cli._csv_cell(None) == ""
+
+
+def test_dumps_canonical_refuses_a_record():
+    # a record is a NamedTuple: it must not serialize as a bare JSON array
+    with pytest.raises(TypeError, match="cannot serialize CostFn"):
+        cli.dumps_canonical({"cost": ec.CostFn(1.0, 1.0)})
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +129,64 @@ def test_scenario_rejects_unknown_regime(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["scenario", "--config", DET, "--regime", "nonsense"])
     assert exc.value.code == 3
+
+
+#: a locale whose encoding is ASCII, with Python's UTF-8 mode and locale
+#: coercion off, so that only explicit encodings read and write UTF-8
+ASCII_LOCALE = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+
+
+def test_a_utf8_config_runs_under_an_ascii_locale(tmp_path):
+    doc = ec.config_to_dict(ec.load_config(DET))
+    doc["agent_types"][0]["name"] = "us\u00e9rs"
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "tokenomics.cli", "scenario", "--config", str(cfg_path),
+         "--regime", "deterministic", "--theta", "0.02", "--out", str(out)],
+        capture_output=True, env=ASCII_LOCALE,
+    )
+    assert proc.returncode == 0, proc.stderr
+    eq_doc = json.loads((out / "equilibrium.json").read_bytes().decode("utf-8"))
+    assert list(eq_doc["holdings"]) == ["us\u00e9rs"]
+    # stdout is the summary, in UTF-8 as the file is
+    assert proc.stdout == (out / "summary.txt").read_bytes()
+    assert "us\u00e9rs".encode("utf-8") in proc.stdout
+
+
+def test_a_config_that_is_not_utf8_is_a_config_error(tmp_path):
+    text = (CONFIG_DIR / "deterministic.json").read_text().replace('"users"', '"us\u00e9rs"')
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_bytes(text.encode("latin-1"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tokenomics.cli", "scenario", "--config", str(cfg_path),
+         "--regime", "friedman", "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=ASCII_LOCALE,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("config error: ") and "is not UTF-8" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["scenario", "--regime", "friedman"],
+    ["scenario", "--regime", "deterministic", "--theta", "0.02"],
+    ["sweep", "--regime", "deterministic", "--theta-max", "0.1", "--points", "3"],
+    ["verify"],
+], ids=["friedman", "deterministic", "sweep", "verify"])
+def test_demand_beyond_a_float_clears(argv, tmp_path, capsys):
+    # at scale 1e4 and curvature 0.01, demand u'^-1(p) = (1e4 / p)**100
+    # overflows a float at any fee below about 8.3, where the clearing
+    # bracket starts; it must expand past that to the fee near 1e4
+    doc = ec.config_to_dict(ec.load_config(DET))
+    doc["agent_types"][0]["utility_by_state"]["1"].update(scale=1e4, curvature=0.01)
+    cfg_path = write_config(tmp_path, ec.config_from_dict(doc))
+    code = cli.main([*argv, "--config", cfg_path, "--out", str(tmp_path / "out")])
+    printed = capsys.readouterr().out
+    assert code == 0, printed
+    assert "FAIL" not in printed
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +341,7 @@ def test_config_errors_exit_3_from_scenario_and_path(tmp_path, capsys, monkeypat
     # nothing, included), and leaves no --out behind
     iid = ec.load_config(IID)
     (users,) = iid.agent_types
-    both = dataclasses.replace(users, utility_by_state={0: ec.UtilityFn(0.5, 0.5),
+    both = replace(users, utility_by_state={0: ec.UtilityFn(0.5, 0.5),
                                                         1: users.utility_in(1)})
 
     def no_solve(*args):
@@ -286,7 +349,7 @@ def test_config_errors_exit_3_from_scenario_and_path(tmp_path, capsys, monkeypat
 
     monkeypatch.setattr(cli.eqm, "solve_regime", no_solve)
     out = tmp_path / "out"
-    for i, cfg in enumerate((split_iid_config(), dataclasses.replace(iid, agent_types=(both,)))):
+    for i, cfg in enumerate((split_iid_config(), replace(iid, agent_types=(both,)))):
         cfg_path = write_config(tmp_path, cfg, f"config{i}.json")
         for args in (
             ["verify"],
@@ -309,8 +372,8 @@ def test_verify_on_a_one_type_cut_of_the_heterogeneous_config(tmp_path, capsys, 
     # the high state and reaches first best at zero tax, so no tax can help;
     # the steady type's shock changes nothing, and it is refused as degenerate
     het = ec.load_config(HET)
-    (cut,) = [dataclasses.replace(t, mass=1.0) for t in het.agent_types if t.name == name]
-    cfg_path = write_config(tmp_path, dataclasses.replace(het, agent_types=(cut,)))
+    (cut,) = [replace(t, mass=1.0) for t in het.agent_types if t.name == name]
+    cfg_path = write_config(tmp_path, replace(het, agent_types=(cut,)))
     out = tmp_path / "out"
     code = cli.main(["verify", "--config", cfg_path, "--out", str(out)])
     if name == "steady":
@@ -329,7 +392,7 @@ def test_verify_on_a_one_type_cut_of_the_heterogeneous_config(tmp_path, capsys, 
 def test_path_logs_the_r_below_gamma_warning_once(tmp_path):
     # validate_config warns, not errors, when r < gamma; fixed supply still
     # simulates, in a fresh process so that main's logging setup writes stderr
-    cfg_path = write_config(tmp_path, dataclasses.replace(ec.load_config(DET), r=0.02, gamma=0.05))
+    cfg_path = write_config(tmp_path, replace(ec.load_config(DET), r=0.02, gamma=0.05))
     proc = subprocess.run(
         [sys.executable, "-m", "tokenomics.cli", "path", "--config", cfg_path,
          "--rule", "fixed_supply", "--M0", "100", "--T", "5", "--out", str(tmp_path / "out")],
@@ -440,7 +503,7 @@ def test_verify_certificate_fails_on_inflated_holdings(iid_cfg, monkeypatch):
 
     def inflated(cfg, regime, theta=0.0):
         eq = solve(cfg, regime, theta)
-        return dataclasses.replace(eq, holdings={n: 1.01 * m for n, m in eq.holdings.items()})
+        return replace(eq, holdings={n: 1.01 * m for n, m in eq.holdings.items()})
 
     monkeypatch.setattr(cli.eqm, "solve_regime", inflated)
     failed = certificate()
@@ -599,7 +662,7 @@ def test_iid_first_best_grid_searches_both_pairs_of_a_type_active_in_both_states
     # no closed-form regime solves a type with demand in state 0, but the first
     # best of its two pairs is certified in one market
     users = ec.AgentTypeSpec(1.0, {0: ec.UtilityFn(0.5, 0.5), 1: ec.UtilityFn(1.0, 0.5)}, "users")
-    cfg = dataclasses.replace(ec.load_config(IID), agent_types=(users,))
+    cfg = replace(ec.load_config(IID), agent_types=(users,))
     readings = _record_first_best_gaps(monkeypatch)
     check = verify._first_best_check(cfg)
     assert readings == [(1, {"users@0": 0.5, "users@1": 0.5})]
@@ -613,7 +676,7 @@ def test_iid_first_best_check_reads_more_than_two_pairs(tmp_path, capsys):
         ec.AgentTypeSpec(0.6, {0: ec.UtilityFn(0.5, 0.5), 1: ec.UtilityFn(1.0, 0.5)}, "a"),
         ec.AgentTypeSpec(0.4, {0: ec.UtilityFn(0.3, 0.7), 1: ec.UtilityFn(2.0, 0.3)}, "b"),
     )
-    cfg = dataclasses.replace(ec.load_config(IID), agent_types=types)
+    cfg = replace(ec.load_config(IID), agent_types=types)
     assert len(planner_economy(cfg).agent_types) == 4
     check = verify._first_best_check(cfg)
     assert check["status"] == "pass", check
@@ -627,7 +690,7 @@ def test_verify_fails_when_the_planner_misses_its_dual_bound(tmp_path, capsys, m
 
     def halved(cfg, state):
         alloc = planner(cfg, state)
-        return dataclasses.replace(
+        return replace(
             alloc, activities={n: 0.5 * a for n, a in alloc.activities.items()}, total=0.5 * alloc.total
         )
 

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import re
 
@@ -9,7 +8,7 @@ from tokenomics import econ_core as ec
 from tokenomics.errors import ConfigError
 from tokenomics.oracle import GridSpec
 
-from helpers import CONFIG_DIR, ISO, ZERO, single_user_config
+from helpers import CONFIG_DIR, ISO, ZERO, replace, single_user_config
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +309,7 @@ _ISO = {"kind": "isoelastic", "scale": 0.5, "curvature": 0.5}
         (_parse(("agent_types",), [{"name": "users", "mass": 0.5, "utility_by_state": {"1": _ISO}}] * 2),
          ConfigError, "[error] agent_types: duplicate type names: ['users', 'users']"),
         (lambda: ec.require_valid(
-            dataclasses.replace(ec.load_config(CONFIG_DIR / "iid.json"), agent_types=())),
+            replace(ec.load_config(CONFIG_DIR / "iid.json"), agent_types=())),
          ConfigError, "[error] agent_types: at least one agent type is required"),
         (lambda: GridSpec(0.0), ValueError, "grid upper bound must be positive and finite"),
         (lambda: GridSpec(1.0, 2), ValueError, "grid needs at least 3 points"),

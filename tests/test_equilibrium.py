@@ -1,4 +1,3 @@
-import dataclasses
 import logging
 import math
 import re
@@ -25,6 +24,7 @@ from helpers import (
     low_state_over_capacity_config,
     one_sided_ascent,
     record_evaluations,
+    replace,
     scaled_config,
     single_user_config,
     split_iid_config,
@@ -208,7 +208,7 @@ def centered_slope(cfg, eq, name):
 
 @pytest.mark.parametrize("theta", [0.0, 0.05])
 def test_iid_growth_wedge_is_the_holdings_optimum(iid_cfg, theta):
-    cfg = dataclasses.replace(iid_cfg, gamma=0.02)
+    cfg = replace(iid_cfg, gamma=0.02)
     eq = eqm.solve_regime(cfg, "iid", theta)
     report = evaluate(cfg, eq)
     assert report.foc_residual_max <= 1e-8
@@ -282,7 +282,7 @@ def test_heterogeneous_roles_orders_by_demand(het_cfg):
 
 def test_heterogeneous_roles_precondition():
     # every type must be active in both states
-    idle = dataclasses.replace(two_type_config(), agent_types=(
+    idle = replace(two_type_config(), agent_types=(
         two_type_config().agent_types[0],
         ec.AgentTypeSpec(mass=0.5, utility_by_state={0: ec.ZeroUtility(), 1: ISO(0.5, 0.5)},
                          name="steady"),
@@ -652,7 +652,7 @@ def test_heterogeneous_config_guards():
     # gamma = 0 and a low state that occurs: family() and validation refuse
     # the rest, and so does solve_regime before any solve
     het = ec.load_config(CONFIG_DIR / "heterogeneous.json")
-    always_high = dataclasses.replace(het, shocks=dataclasses.replace(het.shocks, rho=1.0))
+    always_high = replace(het, shocks=replace(het.shocks, rho=1.0))
     for cfg, why in ((two_type_config(gamma=0.02), "the heterogeneous regime needs gamma = 0"),
                      (always_high, "the heterogeneous regime needs rho < 1")):
         message = "no regime solves this common_binary config: " + why
@@ -690,7 +690,7 @@ def test_heterogeneous_solve_is_invariant_to_splitting_a_type(het_cfg, theta):
 
 @pytest.mark.parametrize("theta", [0.0, 0.03, 0.05, 0.1])
 def test_heterogeneous_solve_is_invariant_to_type_order(het_cfg, theta):
-    reversed_cfg = dataclasses.replace(het_cfg, agent_types=het_cfg.agent_types[::-1])
+    reversed_cfg = replace(het_cfg, agent_types=het_cfg.agent_types[::-1])
     forward = eqm.solve_regime(het_cfg, "heterogeneous", theta)
     backward = eqm.solve_regime(reversed_cfg, "heterogeneous", theta)
     assert backward.as_dict() == forward.as_dict()
@@ -705,8 +705,8 @@ def test_heterogeneous_solver_contains_the_common_law(common_cfg, eps, theta):
     (users,) = common_cfg.agent_types
     high = users.utility_in(1)
     low = ISO(eps, high.curvature)
-    cfg = dataclasses.replace(common_cfg, agent_types=(
-        dataclasses.replace(users, utility_by_state={0: low, 1: high}),
+    cfg = replace(common_cfg, agent_types=(
+        replace(users, utility_by_state={0: low, 1: high}),
     ))
     assert ec.family(cfg) == "heterogeneous" and ec.require_valid(cfg) == []
     law = eqm.solve_regime(common_cfg, "common", theta)
@@ -1054,10 +1054,10 @@ def test_inflated_holdings_make_binding_residual_negative(det_cfg, common_cfg):
         (common_cfg, eqm.solve_regime(common_cfg, "common", 0.05), 1),
     ):
         name = cfg.agent_types[0].name
-        bumped = dataclasses.replace(eq, holdings={name: eq.holdings[name] * 1.01})
+        bumped = replace(eq, holdings={name: eq.holdings[name] * 1.01})
         res = eqm.shock_foc_residual(cfg, bumped)
         assert res[(name, binding_state)] < -1e-4
-        trimmed = dataclasses.replace(eq, holdings={name: eq.holdings[name] * 0.99})
+        trimmed = replace(eq, holdings={name: eq.holdings[name] * 0.99})
         assert eqm.shock_foc_residual(cfg, trimmed)[(name, binding_state)] > 1e-4
 
 
@@ -1080,7 +1080,7 @@ def test_finite_difference_sign_pattern(det_cfg, common_cfg, het_cfg):
             obj = holdings_objective(cfg, eq, name)(eq.holdings[name])
             assert abs(ascent) <= 1e-5 * (1.0 + abs(obj)), (name, ascent)
         for factor in (0.9, 1.1):
-            off = dataclasses.replace(
+            off = replace(
                 eq, holdings={k: factor * v for k, v in eq.holdings.items()}
             )
             for name, ascent in one_sided_ascent(cfg, off).items():

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import pickle
 import random
@@ -18,7 +17,9 @@ from tokenomics.first_best import (
 )
 from tokenomics.welfare import CERT_TOL, evaluate
 
-from helpers import CONFIG_DIR, ISO, ZERO, record_evaluations, single_user_config, two_type_config
+from helpers import (
+    CONFIG_DIR, ISO, ZERO, record_evaluations, replace, single_user_config, two_type_config,
+)
 
 #: planner's activity for the canonical single-user economy, from
 #: 0.5 a^(-1/2) = a  =>  a = 0.5^(2/3)
@@ -154,7 +155,7 @@ def test_first_best_is_solved_once_per_config(name, monkeypatch):
 
 def test_replaced_config_gets_its_own_first_best(det_cfg):
     before = first_best_allocation(det_cfg, 1)
-    dearer = dataclasses.replace(det_cfg, cost=ec.CostFn(2.0, 1.0))
+    dearer = replace(det_cfg, cost=ec.CostFn(2.0, 1.0))
     after = first_best_allocation(dearer, 1)
     assert after.total < before.total
     assert expected_first_best_surplus(dearer) < expected_first_best_surplus(det_cfg)
@@ -171,6 +172,7 @@ def test_pickled_config_scores_identically(solved_first):
     if solved_first:
         report = evaluate(cfg, eq)
     copy = pickle.loads(pickle.dumps(cfg))
+    assert ("_first_best" in vars(copy)) is solved_first
     copied = evaluate(copy, eq)
     if not solved_first:
         report = evaluate(cfg, eq)
@@ -180,7 +182,7 @@ def test_pickled_config_scores_identically(solved_first):
 
 def _iid_two_type(rho: float) -> ec.EconomyConfig:
     # two_type_config's types, both active in both states, under iid draws
-    return dataclasses.replace(
+    return replace(
         two_type_config(rho=rho, cost=(1.0, 1.0)),
         shocks=ec.ShockProcess(ec.ShockKind.IID_BINARY, rho=rho),
     )
@@ -205,7 +207,7 @@ def _cross_section(cfg: ec.EconomyConfig, pairs) -> ec.EconomyConfig:
     "cfg, pairs",
     [
         (
-            dataclasses.replace(ec.load_config(CONFIG_DIR / "iid.json"), gamma=0.02),
+            replace(ec.load_config(CONFIG_DIR / "iid.json"), gamma=0.02),
             [("users@0", 0.5, ZERO), ("users@1", 0.5, ISO(0.5, 0.5))],
         ),
         (

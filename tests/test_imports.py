@@ -2,8 +2,8 @@
 used in it, every module-level function, and every public method or
 property of a module-level class, is read somewhere in the package, and
 the grid oracles import no solver module. Also what a fresh interpreter
-loads: ``import tokenomics`` no submodule, and each CLI subcommand only
-the modules it runs.
+loads: ``import tokenomics`` no submodule, each CLI subcommand only the
+modules it runs, and none of them ``dataclasses``.
 
 No linter ships with the test extras, so this walks each module's syntax
 tree. An import whose line carries ``# noqa`` is exempt: it is loaded for
@@ -198,6 +198,33 @@ def test_oracle_imports_no_solver():
     assert runtime_package_imports(source) == {"econ_core", "errors"}
 
 
+def absolute_imports(source: str) -> set[str]:
+    """Top-level names of the absolute imports anywhere in a module."""
+    names: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names |= {a.name.partition(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module.partition(".")[0])
+    return names
+
+
+def test_detector_lists_absolute_imports():
+    source = (
+        "import os.path, json\n"
+        "from . import econ_core\n"
+        "def f():\n"
+        "    from dataclasses import dataclass\n"
+    )
+    assert absolute_imports(source) == {"os", "json", "dataclasses"}
+
+
+def test_no_module_imports_dataclasses():
+    # records are NamedTuples: importing dataclasses, and the methods it
+    # generates with exec, cost every CLI process several milliseconds
+    assert [p.name for p in SRC.glob("*.py") if "dataclasses" in absolute_imports(p.read_text())] == []
+
+
 def test_no_module_imports_cli():
     # under `python -m tokenomics.cli` the CLI runs as __main__, so importing
     # tokenomics.cli would compile and run it a second time
@@ -210,14 +237,16 @@ def test_no_module_imports_cli():
 
 
 def loaded_after(code: str) -> set[str]:
-    """The tokenomics modules in sys.modules after a fresh interpreter runs
-    code, which must end by printing them on the last line of stdout."""
+    """The modules in sys.modules after a fresh interpreter runs code, which
+    must end by printing those it names on the last line of stdout."""
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return set(proc.stdout.splitlines()[-1].split())
 
 
-PRINT_LOADED = "print(*(m for m in sys.modules if m.partition('.')[0] == 'tokenomics'))\n"
+PRINT_LOADED = (
+    "print(*(m for m in sys.modules if m.partition('.')[0] in ('tokenomics', 'dataclasses')))\n"
+)
 
 
 def test_import_tokenomics_loads_no_submodule():
@@ -252,6 +281,7 @@ def test_a_subcommand_loads_only_the_modules_it_runs(argv, runs, unloaded, tmp_p
     )
     assert f"tokenomics.{runs}" in loaded
     assert loaded & {f"tokenomics.{m}" for m in unloaded} == set()
+    assert "dataclasses" not in loaded
 
 
 def test_every_public_name_and_submodule_resolves_and_is_bound():

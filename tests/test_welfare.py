@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import sys
 
@@ -15,6 +14,7 @@ from helpers import (
     CONFIG_DIR,
     assert_holdings_slope_matches,
     record_evaluations,
+    replace,
     scaled_config,
     single_user_config,
     two_type_config,
@@ -202,7 +202,7 @@ def test_heterogeneous_battery_fails_on_zero_tax_solver_error(het_cfg, monkeypat
         raise SolverError("no steady state")
 
     row = eqm.REGIMES["heterogeneous"]
-    monkeypatch.setitem(eqm.REGIMES, "heterogeneous", dataclasses.replace(row, solve=failing))
+    monkeypatch.setitem(eqm.REGIMES, "heterogeneous", replace(row, solve=failing))
     report = verify.proposition_report(het_cfg)
     assert report["checks"][0]["status"] == "fail"
     assert not report["all_passed"]
@@ -313,7 +313,7 @@ def test_certify_flags_a_return_above_r_and_inflated_holdings(
 ):
     cfg = request.getfixturevalue(fixture_name)
     eq = eqm.solve_regime(cfg, regime, theta)
-    eq = dataclasses.replace(
+    eq = replace(
         eq, holdings={n: holdings_factor * m for n, m in eq.holdings.items()}
     )
     assert flagged in wf.cert_failures(wf.certify(cfg, eq, wf.evaluate(cfg, eq)))
