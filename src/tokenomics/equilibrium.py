@@ -126,14 +126,23 @@ def _solve_law(
     m = (1 + theta) * p * a / (1 + rT), and the wedge is the holdings FOC at it.
     Past the frontier where E[rT] reaches r no finite holdings are optimal; the
     closed-form regimes do not yet reject such theta and return the formal
-    solution of the burn identity there.
+    solution of the burn identity there, except where the wedge is not
+    positive (iid with r < gamma at a large theta: the idle holders' return
+    alone beats r), which raises InfeasiblePolicyError.
     """
     types = cfg.agent_types
     rho = cfg.shocks.rho
     rt = token_return(theta, cfg.r, cfg.gamma, rho)
+    w = wedge(theta, cfg.r, cfg.gamma, rho)
+    if not w > 0.0:
+        raise InfeasiblePolicyError(
+            f"theta={theta} is past the feasibility frontier: the token return "
+            f"{rt!r} leaves a wedge u'(a)/p = {w!r} that is not positive, so no "
+            "finite token holdings are optimal"
+        )
     share = rho if idle == "iid" else 1.0  # fraction of each type trading
     demands = [(share * t.mass, t.utility_in(1)) for t in types if t.is_active(1)]
-    price, congested, bought = _clear_demands(cfg.cost, demands, wedge(theta, cfg.r, cfg.gamma, rho))
+    price, congested, bought = _clear_demands(cfg.cost, demands, w)
     bought = iter(bought)  # one activity per active type, in order
     acts = {t.name: next(bought) if t.is_active(1) else 0.0 for t in types}
     holdings = {n: (1.0 + theta) * price * a / (1.0 + rt) for n, a in acts.items()}

@@ -9,7 +9,11 @@ value that rations capacity when demand at x = c'(1) overfills it, else
 x = c'(total). Under idiosyncratic shocks the planner plans
 planner_economy(cfg), whose types are the (type, state) pairs. The kernel
 beneath, _clear_blockspace, roots in log price, where isoelastic demand
-against a power cost is linear, so Brent's secant step lands at once.
+against a power cost is linear, so Brent's secant step lands at once. A
+market of one demand (a closed-form regime's with one type, the planner's
+where one type is active) has its fee in closed form, which the kernel
+evaluates first and keeps, in one load evaluation, when its residual there
+is at float resolution.
 
 The first best depends only on the config, so it is solved once per config
 object and kept on that object (see _memo): the equilibrium scorer, tax
@@ -63,16 +67,16 @@ def _clear_blockspace(
     demand below capacity: p = c'(load(p)). The root runs in log price
     (find_log_root), on log load(p) when congested and on
     log p - log c'(load(p)) when slack. For one isoelastic type under power
-    cost both residuals are linear in log p, so the first secant step of
-    Brent's method lands on the root; with several types they stay close to
-    linear.
+    cost both residuals are linear in log p, so on the cold path the first
+    secant step of Brent's method lands on the root; with several types they
+    stay close to linear.
 
     Without warm (the cold path), the test at c'(1) picks the branch, and
     the root is bracketed from [c'(1), c'(1)] upward or from
-    [c'(1) / 2, c'(1)]. warm, a fee bracket (lo, hi) around a price
-    predicted from nearby solves, is tried first: its centre is evaluated,
-    on the congested residual above c'(1) and on the slack one at or below
-    it, and accepted when that residual is at float resolution
+    [c'(1) / 2, c'(1)]. warm, a fee bracket (lo, hi) around a predicted
+    price (from nearby solves, or a closed form), is tried first: its centre
+    is evaluated, on the congested residual above c'(1) and on the slack one
+    at or below it, and accepted when that residual is at float resolution
     (RESIDUAL_FLOOR) and, within float resolution of c'(1), on the branch the
     cold test names: demand that fills capacity there clears on both, and
     p <= c'(1) and p = c'(load(p)) put the load within capacity only to a
@@ -141,9 +145,21 @@ def _clear_demands(
     cost: ec.CostFn, demands: list[tuple[float, ec.UtilityFn]], wedge: float
 ) -> tuple[float, bool, list[float]]:
     """(fee, congested, activities) of blockspace cleared against demands,
-    one activity per demand; with no demand the market is idle at fee 0.0."""
+    one activity per demand; with no demand the market is idle at fee 0.0.
+
+    One demand (k, u) at wedge w buys k (s / (w p))**(1/c) at fee p, for u's
+    scale s and curvature c, so its fee has a closed form: q = (s/w) k**c,
+    where the load is the unit capacity, when q exceeds S = c'(1); else the
+    slack fee q**(kappa/(c + kappa)) * S**(c/(c + kappa)) for the cost's
+    curvature kappa. The kernel gets it as its warm prediction, evaluates it
+    first and keeps it when the residual there is at float resolution;
+    otherwise (within float resolution of c'(1), or where rounding leaves
+    the residual above RESIDUAL_FLOOR) it roots from there as from any
+    prediction. Several demands clear on the cold path.
+    """
     if not demands:
         return 0.0, False, []
+    warm = None
     if len(demands) == 1:
         # the closed-form regimes clear one demand: a bare product, equal to fsum
         # of one term and faster
@@ -151,11 +167,21 @@ def _clear_demands(
 
         def load(p: float) -> float:
             return k * ec.u_prime_inv(u, wedge * p)
+
+        # the closed-form fee above, with S = c'(1) the cost's scale; the
+        # slack fee is written as q times a power of S/q, which rounds closer
+        # to the root than an exp of the weighted logs
+        c = u.curvature
+        fee = u.scale / wedge * k**c
+        if 0.0 < fee <= cost.scale:
+            fee *= (cost.scale / fee) ** (c / (c + cost.curvature))
+        if 0.0 < fee + fee < math.inf:  # the kernel's centre of (fee, fee) is fee
+            warm = fee, fee
     else:
         def load(p: float) -> float:
             return math.fsum(k * ec.u_prime_inv(u, wedge * p) for k, u in demands)
 
-    price, congested = _clear_blockspace(cost, load)
+    price, congested = _clear_blockspace(cost, load, warm)
     return price, congested, [ec.u_prime_inv(u, wedge * price) for _, u in demands]
 
 

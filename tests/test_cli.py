@@ -189,6 +189,39 @@ def test_demand_beyond_a_float_clears(argv, tmp_path, capsys):
     assert "FAIL" not in printed
 
 
+def _iid_beyond_a_positive_wedge(tmp_path) -> str:
+    # r < gamma: at a large theta the iid wedge
+    # 1 + (r - gamma)(1 + (1 - rho) theta) / (rho (1 + gamma)) is negative,
+    # -0.2 at theta = 40
+    doc = ec.config_to_dict(ec.load_config(IID))
+    doc.update(r=0.02, gamma=0.05)
+    return write_config(tmp_path, ec.config_from_dict(doc))
+
+
+def test_iid_past_a_positive_wedge_is_infeasible(tmp_path, capsys):
+    # no holdings are optimal there: an infeasible policy (exit 2) named by
+    # its theta, not a crash in demand inversion
+    out = tmp_path / "out"
+    code = cli.main(["scenario", "--config", _iid_beyond_a_positive_wedge(tmp_path),
+                     "--regime", "iid", "--theta", "40", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "theta=40.0 is past the feasibility frontier" in errors[0]
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_sweep_records_iid_points_past_a_positive_wedge_as_errors(tmp_path):
+    code = cli.main(["sweep", "--config", _iid_beyond_a_positive_wedge(tmp_path),
+                     "--regime", "iid", "--theta-max", "40", "--points", "3",
+                     "--out", str(tmp_path / "out")])
+    assert code == 0
+    doc = json.loads((tmp_path / "out" / "sweep.json").read_text())
+    assert doc["statuses"][:2] == ["ok", "ok"]
+    assert doc["statuses"][2].startswith("error: theta=40.0 is past the feasibility frontier")
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from tokenomics import _roots, heterogeneous_roles
 from tokenomics import econ_core as ec
 from tokenomics import equilibrium as eqm
-from tokenomics.errors import ConfigError, InfeasiblePolicyError
+from tokenomics.errors import ConfigError, InfeasiblePolicyError, SolverError
 from tokenomics.first_best import _clear_blockspace, first_best_allocation
 from tokenomics.oracle import holdings_objective, holdings_slope
 from tokenomics.welfare import cert_failures, certify, evaluate
@@ -36,6 +36,8 @@ from helpers import (
 # from the package
 sys.path.insert(0, str(CONFIG_DIR.parent / "perfbench"))
 import model  # noqa: E402
+
+_EPS = math.ulp(1.0)
 
 # canonical frozen values (all with A=0.5, eta=0.5, kappa=eps=1, r=0.05, gamma=0)
 FRIEDMAN_ACTIVITY = 0.6299605249474366       # 0.5 a^(-1/2) = a
@@ -433,16 +435,116 @@ def test_heterogeneous_solve_evaluation_budget(het_cfg, monkeypatch):
     ],
 )
 def test_closed_form_solve_evaluation_budget(name, regime, monkeypatch):
-    """One isoelastic type under power cost clears on a residual linear in log
-    price, so Brent's first secant step lands on the root and the residual
-    there is at float resolution: a few primitive inversions per solve (a
-    root in price itself took 9 to 15)."""
+    """One isoelastic type under power cost clears at its closed-form fee:
+    the kernel evaluates the load there once and keeps it, its residual being
+    at float resolution. A solve inverts demand twice (the load at that fee,
+    then the activity) and evaluates marginal cost twice (c'(1), then the
+    slack residual); bracketing the log-price root took 4 to 6 of each, and a
+    root in price itself 9 to 15 inversions."""
     cfg = ec.load_config(CONFIG_DIR / f"{name}.json")
-    calls = record_evaluations(monkeypatch).u_prime_inv
+    seen = record_evaluations(monkeypatch)
     for theta in (0.0, 0.05):
-        calls.clear()
+        seen.clear()
         eqm.solve_regime(cfg, regime, theta)
-        assert len(calls) <= 6, (theta, len(calls))
+        assert [len(prices) for prices in seen.clears] == [1], (theta, seen.clears)
+        counts = len(seen.u_prime_inv), len(seen.c_prime)
+        assert all(n <= 2 for n in counts), (theta, counts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    regime=st.sampled_from(["friedman", "deterministic", "iid", "common"]),
+    r=st.floats(0.01, 0.1),
+    gamma=st.just(0.0) | st.floats(-0.03, 0.03),
+    rho=st.floats(0.05, 0.95),
+    scale=st.floats(-3.0, 4.0).map(lambda e: 10.0**e),
+    curvature=st.floats(0.01, 0.99),
+    cost_scale=st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+    cost_curvature=st.just(1e-9) | st.floats(0.01, 10.0),
+    theta=st.floats(0.0, 0.5),
+)
+# the market of test_demand_beyond_a_float_clears: demand overflows a float
+# at every fee below about 8.3
+@example("deterministic", 0.05, 0.0, 1.0, 1e4, 0.01, 1.0, 1.0, 0.02)
+# at the c'(1) tie: the congested fee lies an ulp above c'(1) = 1, so the
+# kernel also evaluates c'(1), where demand overfills capacity
+@example("friedman", 0.05, 0.0, 1.0, 1.0 + 2.0**-52, 0.5, 1.0, 1.0, 0.0)
+def test_a_one_demand_market_clears_at_its_closed_form_fee(
+    regime, r, gamma, rho, scale, curvature, cost_scale, cost_curvature, theta
+):
+    # the kernel evaluates the closed-form fee first and keeps it, in one load
+    # evaluation (two at the c'(1) tie), whenever its residual is at float
+    # resolution; kept or not, the fee is the cold kernel's to within the
+    # bracket test of a root in x = log p, a few EPS * |x|
+    kind = {"iid": ec.ShockKind.IID_BINARY, "common": ec.ShockKind.COMMON_BINARY}.get(
+        regime, ec.ShockKind.DETERMINISTIC)
+    cfg = single_user_config(kind, r=r, gamma=gamma, rho=rho, scale=scale,
+                             curvature=curvature, cost=(cost_scale, cost_curvature))
+    markets = []
+    clear_demands = eqm._clear_demands
+
+    def recording(cost, demands, wedge):
+        markets.append((cost, demands, wedge))
+        return clear_demands(cost, demands, wedge)
+
+    with pytest.MonkeyPatch.context() as mp:
+        seen = record_evaluations(mp)
+        mp.setattr(eqm, "_clear_demands", recording)
+        try:
+            out = eqm.solve_regime(cfg, regime, theta).states[1]
+        except SolverError:
+            out = None
+    (cost, [(k, u)], w), = markets
+    (prices,) = seen.clears
+
+    def load(p: float) -> float:
+        return k * ec.u_prime_inv(u, w * p)
+
+    if out is None:
+        # demand that underflows a float at the root defeats the cold kernel too
+        with pytest.raises(SolverError):
+            _clear_blockspace(cost, load)
+        return
+    cold, congested = _clear_blockspace(cost, load)
+    assert out.congested == congested
+    assert abs(out.price - cold) <= 8.0 * _EPS * (1.0 + abs(math.log(cold))) * cold
+    s, c, capacity_cost, kappa = u.scale / w, u.curvature, cost.scale, cost.curvature
+    fee = s * k**c
+    if fee <= capacity_cost:
+        ratio = kappa / c
+        fee = math.exp((math.log(capacity_cost) + kappa * math.log(k) + ratio * math.log(s))
+                       / (1.0 + ratio))
+    assert prices[0] == pytest.approx(fee, rel=1e-13)
+    demand = load(prices[0])
+    if prices[0] > capacity_cost:
+        residual = math.log(demand)
+    else:
+        residual = math.log(prices[0]) - math.log(ec.c_prime(cost, demand))
+    if abs(residual) <= _roots.RESIDUAL_FLOOR:
+        if abs(prices[0] - capacity_cost) > 2.0 * _roots.RESIDUAL_FLOOR * capacity_cost:
+            assert prices == [out.price]
+        elif out.price == prices[0]:
+            assert len(prices) == (1 if prices[0] == capacity_cost else 2), prices
+
+
+@pytest.mark.parametrize("cost, prices", [
+    ((1.0, 1.0), [1.0, 2.0, 1.649342097118977, 1.6476405019039462, 1.6476412730155703,
+                  1.6476412730060723]),
+    ((4.0, 2.0), [4.0, 2.0, 1.0, 8.0, 1.8846694911382975, 1.8536650849916605,
+                  1.8534843581190257, 1.8534843660244253, 1.8534843660244158]),
+], ids=["congested", "slack"])
+def test_a_two_type_market_clears_on_the_cold_path(cost, prices, monkeypatch):
+    # two demands have no closed-form fee: the planner's market is bracketed
+    # from c'(1), evaluating its load at exactly these prices
+    cfg = ec.EconomyConfig(
+        r=0.05, gamma=0.0,
+        agent_types=(ec.AgentTypeSpec(0.5, {1: ISO(0.5, 0.5)}, "a"),
+                     ec.AgentTypeSpec(0.5, {1: ISO(2.0, 0.3)}, "b")),
+        cost=ec.CostFn(*cost), shocks=ec.ShockProcess(ec.ShockKind.DETERMINISTIC),
+    )
+    seen = record_evaluations(monkeypatch)
+    first_best_allocation(cfg, 1)
+    assert seen.clears == [prices]
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.02, 0.05])
