@@ -7,57 +7,7 @@ and then bound here, so a process loads only the modules it uses.
 
 import importlib
 
-__all__ = [
-    "AgentTypeSpec",
-    "Allocation",
-    "BLOCKSPACE_CAPACITY",
-    "CERT_TOL",
-    "ConfigError",
-    "CostFn",
-    "EconomyConfig",
-    "GridSpec",
-    "InfeasiblePolicyError",
-    "OracleError",
-    "REGIMES",
-    "SCHEMA_VERSION",
-    "ShockKind",
-    "ShockProcess",
-    "SolverError",
-    "StateOutcome",
-    "SteadyStateEquilibrium",
-    "SupplyPath",
-    "SupplyRule",
-    "SupplyRuleKind",
-    "SweepResult",
-    "TokenomicsError",
-    "UtilityFn",
-    "WelfareReport",
-    "ZeroUtility",
-    "cert_failures",
-    "certify",
-    "config_from_dict",
-    "config_to_dict",
-    "evaluate",
-    "expected_first_best_surplus",
-    "family",
-    "first_best_allocation",
-    "first_best_dual_gap",
-    "flow_surplus",
-    "friedman_supply_ratio",
-    "grid_best_response",
-    "heterogeneous_roles",
-    "holdings_slope",
-    "load_config",
-    "proposition_report",
-    "require_valid",
-    "shock_foc_residual",
-    "solve_regime",
-    "supply_path",
-    "sweep_tax",
-    "validate_config",
-]
-
-#: the module that defines each name of __all__
+#: the public names, each with the module that defines it
 _MODULE_OF = {
     "AgentTypeSpec": "econ_core",
     "BLOCKSPACE_CAPACITY": "econ_core",
@@ -107,6 +57,8 @@ _MODULE_OF = {
     "heterogeneous_roles": "verify",
     "proposition_report": "verify",
 }
+
+__all__ = sorted(_MODULE_OF)
 
 _SUBMODULES = frozenset({
     "_roots", "cli", "econ_core", "equilibrium", "errors", "first_best", "oracle", "policy",

@@ -25,12 +25,14 @@ from pathlib import Path
 from . import econ_core as ec
 from . import equilibrium as eqm
 from .errors import ConfigError, TokenomicsError
-from .policy import SupplyRule, SupplyRuleKind, supply_path
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_SOLVER = 2
 EXIT_CONFIG = 3
+
+#: path's --rule choices, policy.SupplyRuleKind's values named so that only path loads policy
+SUPPLY_RULES = ("fixed_supply", "friedman_target", "tax_and_burn")
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +192,8 @@ def run_sweep(args) -> int:
 
 
 def run_supply_path(args) -> int:
+    from .policy import SupplyRule, SupplyRuleKind, supply_path
+
     cfg = ec.load_config(args.config)
     kind = SupplyRuleKind(args.rule)
     if kind is SupplyRuleKind.TAX_AND_BURN:
@@ -279,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("path", help="simulate a token-supply trajectory")
     common(p)
-    p.add_argument("--rule", required=True, choices=[k.value for k in SupplyRuleKind])
+    p.add_argument("--rule", required=True, choices=SUPPLY_RULES)
     p.add_argument("--theta", type=float, default=0.0, help="burn surcharge for tax_and_burn")
     p.add_argument("--M0", type=float, required=True, help="initial nominal supply")
     p.add_argument("--T", type=int, required=True, help="periods to simulate")

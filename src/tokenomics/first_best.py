@@ -7,13 +7,13 @@ is the solve at wedge 1.0, where the friedman market lands (rT = r). Every
 active type's marginal utility then equals a common value x: the shadow
 value that rations capacity when demand at x = c'(1) overfills it, else
 x = c'(total). Under idiosyncratic shocks the planner plans
-planner_economy(cfg), whose types are the (type, state) pairs. The kernel
-beneath, _clear_blockspace, roots in log price, where isoelastic demand
-against a power cost is linear, so Brent's secant step lands at once. A
-market of one demand (a closed-form regime's with one type, the planner's
-where one type is active) has its fee in closed form, which the kernel
-evaluates first and keeps, in one load evaluation, when its residual there
-is at float resolution.
+planner_economy(cfg), a market of one pair: the iid type's users in state
+1. The kernel beneath, _clear_blockspace, roots in log price, where
+isoelastic demand against a power cost is linear, so Brent's secant step
+lands at once. A market of one demand (a closed-form regime's with one
+type, the planner's where one type is active) has its fee in closed form,
+which the kernel evaluates first and keeps, in one load evaluation, when
+its residual there is at float resolution.
 
 The first best depends only on the config, so it is solved once per config
 object and kept on that object (see _memo): the equilibrium scorer, tax
@@ -29,6 +29,7 @@ from typing import Callable, Mapping, NamedTuple
 
 from . import econ_core as ec
 from ._roots import RESIDUAL_FLOOR, find_log_root
+from .errors import SolverError
 
 
 class Allocation(NamedTuple):
@@ -155,7 +156,8 @@ def _clear_demands(
     first and keeps it when the residual there is at float resolution;
     otherwise (within float resolution of c'(1), or where rounding leaves
     the residual above RESIDUAL_FLOOR) it roots from there as from any
-    prediction. Several demands clear on the cold path.
+    prediction. Several demands clear on the cold path. One that underflows
+    a float at its closed-form fee raises a SolverError that says so.
     """
     if not demands:
         return 0.0, False, []
@@ -181,7 +183,12 @@ def _clear_demands(
         def load(p: float) -> float:
             return math.fsum(k * ec.u_prime_inv(u, wedge * p) for k, u in demands)
 
-    price, congested = _clear_blockspace(cost, load, warm)
+    try:
+        price, congested = _clear_blockspace(cost, load, warm)
+    except SolverError as exc:
+        if warm is not None and load(warm[0]) == 0.0:  # read only once the kernel has failed
+            raise SolverError(f"demand underflows a float at the closed-form fee {warm[0]!r}") from exc
+        raise
     return price, congested, [ec.u_prime_inv(u, wedge * price) for _, u in demands]
 
 
@@ -196,10 +203,10 @@ def _memo(cfg: ec.EconomyConfig) -> dict:
 
 def first_best_allocation(cfg: ec.EconomyConfig, state: int) -> Allocation:
     """Planner's optimum for one shock state's whole population (an iid
-    config's first best is that of planner_economy(cfg)): one clearing solve
-    for the common marginal value x, with the demand sum_k mass_k * u_k'^-1(x),
-    congested at the shadow value x >= c'(1) that fills capacity, else at
-    x = c'(total).
+    config's first best is that of planner_economy(cfg), its one pair
+    type@1): one clearing solve for the common marginal value x, with the
+    demand sum_k mass_k * u_k'^-1(x), congested at the shadow value
+    x >= c'(1) that fills capacity, else at x = c'(total).
 
     Solved on the first call for a config object; later calls return the
     same stored Allocation, so callers must not mutate it (or its
@@ -249,19 +256,15 @@ def expected_first_best_surplus(cfg: ec.EconomyConfig) -> float:
 
 def planner_economy(cfg: ec.EconomyConfig) -> ec.EconomyConfig:
     """The economy whose per-state planner is cfg's first best: cfg, or under
-    iid draws, where a fraction pi_s of each type is in state s every period,
-    all in one market, the deterministic economy of its (type, state) pairs:
-    type@state of mass mass * pi_s with the state-s utility, leaving out the
-    pairs with pi_s = 0 or zero utility."""
-    shocks = cfg.shocks
-    if shocks.kind is not ec.ShockKind.IID_BINARY:
+    iid draws, where a fraction rho of the one type family() admits is in
+    state 1 every period and the rest idle in state 0, the deterministic
+    economy of its one active pair: type@1 of mass mass * rho with the
+    state-1 utility."""
+    if cfg.shocks.kind is not ec.ShockKind.IID_BINARY:
         return cfg
-    pairs = tuple(
-        ec.AgentTypeSpec(t.mass * shocks.probability(s), {1: t.utility_in(s)}, f"{t.name}@{s}")
-        for t in cfg.agent_types for s in shocks.states()
-        if shocks.probability(s) > 0.0 and t.is_active(s)
-    )
-    return ec.EconomyConfig(cfg.r, cfg.gamma, pairs, cfg.cost, ec.ShockProcess(ec.ShockKind.DETERMINISTIC))
+    t, = cfg.agent_types
+    pair = ec.AgentTypeSpec(t.mass * cfg.shocks.rho, {1: t.utility_in(1)}, f"{t.name}@1")
+    return ec.EconomyConfig(cfg.r, cfg.gamma, (pair,), cfg.cost, ec.ShockProcess(ec.ShockKind.DETERMINISTIC))
 
 
 def _expected_surplus(cfg: ec.EconomyConfig) -> float:

@@ -368,8 +368,8 @@ def _oracle_checks(cfg: ec.EconomyConfig, score: Scorer) -> list[dict]:
 
 def _first_best_check(cfg: ec.EconomyConfig) -> dict:
     """Weak-duality certificate of the planner's solution in each state of
-    planner_economy(cfg), the market first_best_gap reads, for any number
-    of active types: the surplus bound D(x) at the solution's marginal
+    planner_economy(cfg), the market first_best_gap reads (under iid draws
+    its one pair type@1): the surplus bound D(x) at the solution's marginal
     utility x minus its surplus, 0 up to rounding at the optimum and
     negative only past capacity, so its size is read."""
     planner = planner_economy(cfg)

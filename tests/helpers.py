@@ -194,6 +194,15 @@ def single_user_config(
     )
 
 
+def underflow_config() -> ec.EconomyConfig:
+    """One deterministic type whose demand at its closed-form fee, about
+    e^-892 per unit of mass, lies below the smallest positive float."""
+    return single_user_config(
+        ec.ShockKind.DETERMINISTIC, r=0.0142, scale=0.0020151548992530144,
+        curvature=0.013414665238003508, cost=(315.6546993348991, 1e-9),
+    )
+
+
 def three_type_config() -> ec.EconomyConfig:
     """Three deterministic types with the same utility, masses 1/2, 1/4, 1/4."""
     users = {1: ISO(1.0, 0.5)}

@@ -16,7 +16,7 @@ from tokenomics.first_best import first_best_allocation, planner_economy
 
 from helpers import (
     CONFIG_DIR, both_bind_config, replace, scaled_config, split_iid_config,
-    split_steady_config, three_type_config, two_type_config,
+    split_steady_config, three_type_config, two_type_config, underflow_config,
 )
 
 DET = str(CONFIG_DIR / "deterministic.json")
@@ -208,6 +208,19 @@ def test_iid_past_a_positive_wedge_is_infeasible(tmp_path, capsys):
     assert code == 2
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and "theta=40.0 is past the feasibility frontier" in errors[0]
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_demand_below_a_float_exits_2_and_names_the_underflow(tmp_path, capsys):
+    # the kernel has no load to root on, so the error names the underflow
+    # rather than a stalled root finder
+    out = tmp_path / "out"
+    code = cli.main(["scenario", "--config", write_config(tmp_path, underflow_config()),
+                     "--regime", "deterministic", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: demand underflows a float at the closed-form fee 315.65"), err
     assert "Traceback" not in err
     assert not out.exists()
 
@@ -454,6 +467,14 @@ def test_path_validates_its_config_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_path_rule_choices_are_the_supply_rule_kinds():
+    # the CLI names them without loading tokenomics.policy; in enum order,
+    # path --help and the invalid-choice message read as before
+    from tokenomics.policy import SupplyRuleKind
+
+    assert cli.SUPPLY_RULES == tuple(k.value for k in SupplyRuleKind)
+
+
 def test_path_usage_guards(tmp_path, capsys):
     # supply_path, not the CLI, rejects --T, --M0 and --q0
     assert cli.main(
@@ -677,10 +698,10 @@ def _record_first_best_gaps(monkeypatch) -> list[tuple[int, dict[str, float]]]:
 
 
 def test_iid_first_best_grid_searches_the_type_state_economy(iid_cfg, monkeypatch):
-    # first_best_gap reads the planner of the (type, state) pairs, and so does
-    # the first-best certificate: on configs/iid.json one pair, users@1, of
-    # mass rho = 0.5, where 0.5 a^(-1/2) = c'(0.5 a) = 0.5 a puts the planner
-    # at a = 1, load 0.5
+    # first_best_gap reads the planner of the iid type's one pair, and so does
+    # the first-best certificate: on configs/iid.json users@1, of mass
+    # rho = 0.5, where 0.5 a^(-1/2) = c'(0.5 a) = 0.5 a puts the planner at
+    # a = 1, load 0.5
     readings = _record_first_best_gaps(monkeypatch)
     checks = verify._oracle_checks(iid_cfg, verify._scorer(iid_cfg))
     assert readings == [(1, {"users@1": 0.5})]
@@ -689,31 +710,6 @@ def test_iid_first_best_grid_searches_the_type_state_economy(iid_cfg, monkeypatc
     assert analytic.total == pytest.approx(0.5, rel=1e-12)
     assert checks[-1]["name"] == "oracle_first_best_agreement"
     assert checks[-1]["status"] == "pass"
-
-
-def test_iid_first_best_grid_searches_both_pairs_of_a_type_active_in_both_states(monkeypatch):
-    # no closed-form regime solves a type with demand in state 0, but the first
-    # best of its two pairs is certified in one market
-    users = ec.AgentTypeSpec(1.0, {0: ec.UtilityFn(0.5, 0.5), 1: ec.UtilityFn(1.0, 0.5)}, "users")
-    cfg = replace(ec.load_config(IID), agent_types=(users,))
-    readings = _record_first_best_gaps(monkeypatch)
-    check = verify._first_best_check(cfg)
-    assert readings == [(1, {"users@0": 0.5, "users@1": 0.5})]
-    assert check["status"] == "pass", check
-
-
-def test_iid_first_best_check_reads_more_than_two_pairs(tmp_path, capsys):
-    # two types active in both states: four (type, state) pairs in one market,
-    # each certified at the planner's common marginal utility
-    types = (
-        ec.AgentTypeSpec(0.6, {0: ec.UtilityFn(0.5, 0.5), 1: ec.UtilityFn(1.0, 0.5)}, "a"),
-        ec.AgentTypeSpec(0.4, {0: ec.UtilityFn(0.3, 0.7), 1: ec.UtilityFn(2.0, 0.3)}, "b"),
-    )
-    cfg = replace(ec.load_config(IID), agent_types=types)
-    assert len(planner_economy(cfg).agent_types) == 4
-    check = verify._first_best_check(cfg)
-    assert check["status"] == "pass", check
-    assert check["measured"]["max_dual_gap"] <= verify.FIRST_BEST_GAP_TOL
 
 
 def test_verify_fails_when_the_planner_misses_its_dual_bound(tmp_path, capsys, monkeypatch):

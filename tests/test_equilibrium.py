@@ -30,6 +30,7 @@ from helpers import (
     split_iid_config,
     split_steady_config,
     two_type_config,
+    underflow_config,
 )
 
 # the benchmark's independent model of the economy, which imports nothing
@@ -525,6 +526,13 @@ def test_a_one_demand_market_clears_at_its_closed_form_fee(
             assert prices == [out.price]
         elif out.price == prices[0]:
             assert len(prices) == (1 if prices[0] == capacity_cost else 2), prices
+
+
+@pytest.mark.parametrize("regime", ["friedman", "deterministic"])
+def test_demand_below_a_float_at_the_closed_form_fee_is_named(regime):
+    # u'^-1 at the fee reads 0.0, which leaves the kernel no load to root on
+    with pytest.raises(SolverError, match=r"^demand underflows a float at the closed-form fee 315\.65"):
+        eqm.solve_regime(underflow_config(), regime, 0.0)
 
 
 @pytest.mark.parametrize("cost, prices", [

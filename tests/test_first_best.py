@@ -14,11 +14,12 @@ from tokenomics.first_best import (
     expected_first_best_surplus,
     first_best_allocation,
     flow_surplus,
+    planner_economy,
 )
 from tokenomics.welfare import CERT_TOL, evaluate
 
 from helpers import (
-    CONFIG_DIR, ISO, ZERO, record_evaluations, replace, single_user_config, two_type_config,
+    CONFIG_DIR, ISO, ZERO, record_evaluations, replace, single_user_config,
 )
 
 #: planner's activity for the canonical single-user economy, from
@@ -180,14 +181,6 @@ def test_pickled_config_scores_identically(solved_first):
     assert copied.as_dict() == report.as_dict()
 
 
-def _iid_two_type(rho: float) -> ec.EconomyConfig:
-    # two_type_config's types, both active in both states, under iid draws
-    return replace(
-        two_type_config(rho=rho, cost=(1.0, 1.0)),
-        shocks=ec.ShockProcess(ec.ShockKind.IID_BINARY, rho=rho),
-    )
-
-
 def _cross_section(cfg: ec.EconomyConfig, pairs) -> ec.EconomyConfig:
     # the deterministic economy whose types are the (type, state) pairs
     # (name, mass * pi_s, u_s) that the planner of iid cfg faces
@@ -210,24 +203,23 @@ def _cross_section(cfg: ec.EconomyConfig, pairs) -> ec.EconomyConfig:
             replace(ec.load_config(CONFIG_DIR / "iid.json"), gamma=0.02),
             [("users@0", 0.5, ZERO), ("users@1", 0.5, ISO(0.5, 0.5))],
         ),
-        (
-            _iid_two_type(0.3),
-            [
-                ("shocked@0", 0.35, ISO(0.5, 0.5)),
-                ("shocked@1", 0.15, ISO(2.0, 0.5)),
-                ("steady@0", 0.35, ISO(0.5, 0.5)),
-                ("steady@1", 0.15, ISO(0.5, 0.5)),
-            ],
-        ),
-        # rho = 1: state 0 never occurs, so its pairs carry no mass
-        (_iid_two_type(1.0), [("shocked@1", 0.5, ISO(2.0, 0.5)), ("steady@1", 0.5, ISO(0.5, 0.5))]),
     ],
-    ids=["shipped-gamma-0.02", "two-type-rho-0.3", "two-type-rho-1"],
+    ids=["shipped-gamma-0.02"],
 )
 def test_stored_iid_surplus_matches_fresh_cross_section(cfg, pairs):
     stored = expected_first_best_surplus(cfg)
     fresh = planner_surplus(_cross_section(cfg, pairs), 1)
     assert expected_first_best_surplus(cfg) == stored == fresh
+
+
+def test_iid_planner_economy_is_the_one_active_pair(iid_cfg):
+    # family() admits one iid type, idle in state 0: the planner's market is
+    # that type's users in state 1, a fraction rho = 0.5 of its unit mass
+    economy = planner_economy(iid_cfg)
+    users, = iid_cfg.agent_types
+    assert economy.agent_types == (ec.AgentTypeSpec(0.5, {1: users.utility_in(1)}, "users@1"),)
+    assert economy.shocks == ec.ShockProcess(ec.ShockKind.DETERMINISTIC)
+    assert (economy.r, economy.gamma, economy.cost) == (iid_cfg.r, iid_cfg.gamma, iid_cfg.cost)
 
 
 # ---------------------------------------------------------------------------

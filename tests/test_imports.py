@@ -7,8 +7,8 @@ modules it runs, and none of them ``dataclasses``.
 
 No linter ships with the test extras, so this walks each module's syntax
 tree. An import whose line carries ``# noqa`` is exempt: it is loaded for
-its side effect. Names listed in ``__all__`` count as used, so re-exports
-and the public API pass.
+its side effect. Names listed in ``__all__``, the keys of the package's
+``_MODULE_OF`` table, count as used, so re-exports and the public API pass.
 """
 
 import ast
@@ -21,6 +21,16 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "tokenomics"
 CONFIGS = SRC.parents[1] / "configs"
+
+
+def public_names(node: ast.stmt) -> set[str]:
+    """The names of ``__all__`` if node is the package's table of them, the
+    ``_MODULE_OF`` dict literal whose sorted keys ``__all__`` is; else none."""
+    if isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "_MODULE_OF" for t in node.targets
+    ):
+        return set(ast.literal_eval(node.value))
+    return set()
 
 
 def unused_imports(source: str) -> list[str]:
@@ -41,10 +51,7 @@ def unused_imports(source: str) -> list[str]:
         n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
     }
     for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            used |= set(ast.literal_eval(node.value))
+        used |= public_names(node)
     return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
 
 
@@ -86,11 +93,7 @@ def unread_functions(sources: dict[str, str]) -> list[str]:
             if isinstance(node, ast.FunctionDef):
                 defined.append((module, node.name))
                 names.discard(node.name)  # a recursive call is no caller
-            elif isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-            ):
-                names |= set(ast.literal_eval(node.value))
-            read |= names
+            read |= names | public_names(node)
     return sorted(
         f"{module}:{name}" for module, name in defined if name not in read | MODULE_HOOKS
     )
@@ -100,6 +103,14 @@ def test_detector_flags_an_unread_function():
     sources = {
         "a.py": "def used():\n    return 1\n\ndef dead():\n    return dead()\n",
         "b.py": "from a import used\n\nX = used()\n",
+    }
+    assert unread_functions(sources) == ["a.py:dead"]
+
+
+def test_detector_reads_the_public_names_from_the_module_table():
+    sources = {
+        "__init__.py": '_MODULE_OF = {"api": "a"}\n__all__ = sorted(_MODULE_OF)\n',
+        "a.py": "def api():\n    return 1\n\ndef dead():\n    return 2\n",
     }
     assert unread_functions(sources) == ["a.py:dead"]
 
@@ -259,10 +270,10 @@ def test_import_tokenomics_loads_no_submodule():
         (["path", "--rule", "fixed_supply", "--M0", "100", "--T", "3"], "policy",
          {"cli", "welfare", "oracle", "verify"}),
         (["scenario", "--regime", "deterministic", "--theta", "0.02"], "welfare",
-         {"cli", "verify"}),
+         {"cli", "policy", "verify"}),
         (["sweep", "--regime", "deterministic", "--theta-max", "0.1", "--points", "3"],
-         "welfare", {"cli", "verify"}),
-        (["verify"], "verify", {"cli"}),
+         "welfare", {"cli", "policy", "verify"}),
+        (["verify"], "verify", {"cli", "policy"}),
     ],
     ids=["path", "scenario", "sweep", "verify"],
 )
