@@ -27,7 +27,6 @@ _MODULE_OF = {
     "REGIMES": "equilibrium",
     "StateOutcome": "equilibrium",
     "SteadyStateEquilibrium": "equilibrium",
-    "shock_foc_residual": "equilibrium",
     "solve_regime": "equilibrium",
     "ConfigError": "errors",
     "InfeasiblePolicyError": "errors",
@@ -47,13 +46,14 @@ _MODULE_OF = {
     "SupplyRuleKind": "policy",
     "friedman_supply_ratio": "policy",
     "supply_path": "policy",
-    "CERT_TOL": "welfare",
     "SweepResult": "welfare",
     "WelfareReport": "welfare",
-    "cert_failures": "welfare",
-    "certify": "welfare",
     "evaluate": "welfare",
+    "shock_foc_residual": "welfare",
     "sweep_tax": "welfare",
+    "CERT_TOL": "verify",
+    "cert_failures": "verify",
+    "certify": "verify",
     "heterogeneous_roles": "verify",
     "proposition_report": "verify",
 }

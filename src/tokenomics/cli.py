@@ -213,10 +213,10 @@ def run_verify(args) -> int:
     from .verify import verify_checks
 
     cfg = ec.load_config(args.config)
-    family, checks = verify_checks(cfg, Path(args.config))
+    doc = verify_checks(cfg, Path(args.config))
 
-    failed = [c for c in checks if c["status"] == "fail"]
-    for c in checks:
+    failed = [c for c in doc["checks"] if c["status"] == "fail"]
+    for c in doc["checks"]:
         tag = {"pass": "PASS", "fail": "FAIL", "not applicable": "SKIP"}[c["status"]]
         measured = ", ".join(
             f"{k}={format_float(v) if isinstance(v, float) else v}"
@@ -230,12 +230,7 @@ def run_verify(args) -> int:
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        write_json(out_dir / "verify.json", {
-            "schema_version": ec.SCHEMA_VERSION,
-            "family": family,
-            "checks": checks,
-            "all_passed": not failed,
-        })
+        write_json(out_dir / "verify.json", doc)
     if failed:
         print(f"{len(failed)} check(s) failed: " + ", ".join(c["name"] for c in failed),
               file=sys.stderr)

@@ -164,9 +164,8 @@ class ShockProcess(_ShockFields):
     __slots__ = ()
 
     def __new__(cls, kind: ShockKind, rho: float = 1.0) -> ShockProcess:
-        if kind is not ShockKind.DETERMINISTIC:
-            if not (0.0 < rho <= 1.0):
-                raise ValueError(f"shock probability rho must lie in (0, 1], got {rho!r}")
+        if not (0.0 < rho <= 1.0):
+            raise ValueError(f"shock probability rho must lie in (0, 1], got {rho!r}")
         return super().__new__(cls, kind, rho)
 
     def states(self) -> tuple[int, ...]:

@@ -20,8 +20,10 @@ solver and logs the result. Two solvers cover the five regimes:
   both, whichever is its best response at the clearing prices.
 
 _solve_law and the planner's first best share one market solve,
-first_best._clear_demands; every market, the heterogeneous ones too,
-clears in its kernel, first_best._clear_blockspace.
+first_best._clear_demands, which returns each type's activity and the load;
+every market, the heterogeneous ones too, clears in its kernel,
+first_best._clear_blockspace. The FOC residuals are welfare's, the
+certificate verify's: this module holds only the solvers and REGIMES.
 """
 
 from __future__ import annotations
@@ -35,8 +37,6 @@ from . import econ_core as ec
 from ._roots import RESIDUAL_FLOOR, find_log_root, find_root
 from .errors import ConfigError, InfeasiblePolicyError, SolverError
 from .first_best import _clear_blockspace, _clear_demands, first_best_allocation
-
-_BUDGET_RTOL = 1e-9
 
 log = logging.getLogger(__name__)
 
@@ -130,7 +130,6 @@ def _solve_law(
     positive (iid with r < gamma at a large theta: the idle holders' return
     alone beats r), which raises InfeasiblePolicyError.
     """
-    types = cfg.agent_types
     rho = cfg.shocks.rho
     rt = token_return(theta, cfg.r, cfg.gamma, rho)
     w = wedge(theta, cfg.r, cfg.gamma, rho)
@@ -141,12 +140,8 @@ def _solve_law(
             "finite token holdings are optimal"
         )
     share = rho if idle == "iid" else 1.0  # fraction of each type trading
-    demands = [(share * t.mass, t.utility_in(1)) for t in types if t.is_active(1)]
-    price, congested, bought = _clear_demands(cfg.cost, demands, w)
-    bought = iter(bought)  # one activity per active type, in order
-    acts = {t.name: next(bought) if t.is_active(1) else 0.0 for t in types}
+    price, congested, acts, aggregate = _clear_demands(cfg, 1, w, share)
     holdings = {n: (1.0 + theta) * price * a / (1.0 + rt) for n, a in acts.items()}
-    aggregate = share * math.fsum(t.mass * acts[t.name] for t in types)
     states = {1: StateOutcome(price, theta, rt, acts, congested, aggregate)}
     idle_acts = {n: 0.0 for n in acts}
     if idle == "iid":
@@ -158,7 +153,7 @@ def _solve_law(
         states=states,
         holdings=holdings,
         expected_return=rho * rt if idle == "shut" else rt,
-        aggregate_real_balances=math.fsum(t.mass * holdings[t.name] for t in types),
+        aggregate_real_balances=math.fsum(t.mass * holdings[t.name] for t in cfg.agent_types),
     )
 
 
@@ -559,49 +554,3 @@ def solve_regime(cfg: ec.EconomyConfig, regime: str, theta: float = 0.0) -> Stea
         )
     return eq
 
-
-# ---------------------------------------------------------------------------
-# first-order-condition verification
-# ---------------------------------------------------------------------------
-
-
-def shock_foc_residual(
-    cfg: ec.EconomyConfig, eq: SteadyStateEquilibrium
-) -> dict[tuple[str, int], float]:
-    """Residuals of the holdings optimality conditions, per type and state.
-
-    A type's budget binds where it spends the largest share of its wealth
-    and wherever it spends all of it (within _BUDGET_RTOL). Over the binding
-    states B, with each a_s implied by the budget, the condition is
-    sum_B pi_s (1+rT_s) (u'(a_s) / eff_s - 1) = r - E[rT]. Its residual over
-    sum_B pi_s (1+rT_s) is reported at every binding state; with one binding
-    state that is u'(a) / eff - (1 + (r - E[rT]) / (pi (1 + rT))). Slack
-    states report the static margin u'(a) / eff - 1; states with no demand, 0.
-    """
-    probs = {s: cfg.shocks.probability(s) for s in eq.states}
-    expected_rt = math.fsum(probs[s] * eq.states[s].token_return for s in eq.states)
-    residuals: dict[tuple[str, int], float] = {}
-    for t in cfg.agent_types:
-        m = eq.holdings[t.name]
-        live = {s: out for s, out in eq.states.items()
-                if t.is_active(s) and out.effective_price > 0 and probs[s] > 0}
-        # activity the whole balance buys in each state, and the state's weight
-        afford = {s: (1.0 + out.token_return) * m / out.effective_price for s, out in live.items()}
-        weight = {s: probs[s] * (1.0 + out.token_return) for s, out in live.items()}
-        ratio = {s: live[s].activities[t.name] / afford[s] for s in live if afford[s] > 0}
-        top = max(ratio, key=ratio.__getitem__, default=None)
-        binding = [s for s in ratio if s == top or abs(ratio[s] - 1.0) <= _BUDGET_RTOL]
-        scale = math.fsum(weight[s] for s in binding)
-        excess = math.fsum(
-            weight[s] * (ec.u_prime(t.utility_in(s), afford[s]) / live[s].effective_price - 1.0)
-            for s in binding
-        ) - (cfg.r - expected_rt)
-        for s, out in eq.states.items():
-            a = out.activities[t.name]
-            if s in binding:
-                residuals[(t.name, s)] = excess / scale
-            elif s in live and a > 0:
-                residuals[(t.name, s)] = ec.u_prime(t.utility_in(s), a) / out.effective_price - 1.0
-            else:
-                residuals[(t.name, s)] = 0.0
-    return residuals

@@ -1,7 +1,8 @@
 """Socially optimal blockspace allocations, and the one market solve.
 
-_clear_demands clears blockspace against (mass, utility) demands that each
-buy u'^-1(wedge * p) per unit of mass at fee p. The closed-form regimes
+_clear_demands clears one state's blockspace against the types active
+there, each buying u'^-1(wedge * p) per unit of trading mass at fee p, and
+returns the fee, every type's activity and the load. The closed-form regimes
 clear through it at their holdings wedge u'(a)/p; the planner's allocation
 is the solve at wedge 1.0, where the friedman market lands (rT = r). Every
 active type's marginal utility then equals a common value x: the shadow
@@ -143,13 +144,15 @@ def _clear_blockspace(
 
 
 def _clear_demands(
-    cost: ec.CostFn, demands: list[tuple[float, ec.UtilityFn]], wedge: float
-) -> tuple[float, bool, list[float]]:
-    """(fee, congested, activities) of blockspace cleared against demands,
-    one activity per demand; with no demand the market is idle at fee 0.0.
+    cfg: ec.EconomyConfig, state: int, wedge: float, share: float
+) -> tuple[float, bool, dict[str, float], float]:
+    """(fee, congested, activities by type name, load share * sum mass * a)
+    of state's blockspace cleared against cfg's types, a fraction share of
+    each trading; with no type active in state the market is idle at fee 0.0.
 
-    One demand (k, u) at wedge w buys k (s / (w p))**(1/c) at fee p, for u's
-    scale s and curvature c, so its fee has a closed form: q = (s/w) k**c,
+    An active type is a demand (k, u): k = share * mass and u its utility in
+    state. One demand at wedge w buys k (s / (w p))**(1/c) at fee p, for
+    u's scale s and curvature c, so its fee has a closed form: q = (s/w) k**c,
     where the load is the unit capacity, when q exceeds S = c'(1); else the
     slack fee q**(kappa/(c + kappa)) * S**(c/(c + kappa)) for the cost's
     curvature kappa. The kernel gets it as its warm prediction, evaluates it
@@ -159,8 +162,10 @@ def _clear_demands(
     prediction. Several demands clear on the cold path. One that underflows
     a float at its closed-form fee raises a SolverError that says so.
     """
+    types, cost = cfg.agent_types, cfg.cost
+    demands = [(share * t.mass, t.utility_in(state)) for t in types if t.is_active(state)]
     if not demands:
-        return 0.0, False, []
+        return 0.0, False, {t.name: 0.0 for t in types}, 0.0
     warm = None
     if len(demands) == 1:
         # the closed-form regimes clear one demand: a bare product, equal to fsum
@@ -189,7 +194,11 @@ def _clear_demands(
         if warm is not None and load(warm[0]) == 0.0:  # read only once the kernel has failed
             raise SolverError(f"demand underflows a float at the closed-form fee {warm[0]!r}") from exc
         raise
-    return price, congested, [ec.u_prime_inv(u, wedge * price) for _, u in demands]
+    acts = {
+        t.name: ec.u_prime_inv(t.utility_in(state), wedge * price) if t.is_active(state) else 0.0
+        for t in types
+    }
+    return price, congested, acts, share * math.fsum(t.mass * acts[t.name] for t in types)
 
 
 def _memo(cfg: ec.EconomyConfig) -> dict:
@@ -219,11 +228,7 @@ def first_best_allocation(cfg: ec.EconomyConfig, state: int) -> Allocation:
 
 
 def _solve_allocation(cfg: ec.EconomyConfig, state: int) -> Allocation:
-    demands = [(t.mass, t.utility_in(state)) for t in cfg.agent_types if t.is_active(state)]
-    x, congested, bought = _clear_demands(cfg.cost, demands, 1.0)
-    bought = iter(bought)  # one activity per active type, in order
-    acts = {t.name: next(bought) if t.is_active(state) else 0.0 for t in cfg.agent_types}
-    total = math.fsum(t.mass * acts[t.name] for t in cfg.agent_types)
+    x, congested, acts, total = _clear_demands(cfg, state, 1.0, 1.0)
     return Allocation(
         activities=acts, total=total, congested=congested,
         shadow_marginal=x if congested else 0.0,

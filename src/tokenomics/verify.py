@@ -4,9 +4,10 @@ verify_checks runs, in order: the proposition battery of the config's
 family (the paper's claims, checked on tax sweeps), the oracle
 cross-checks and equilibrium certificates of every regime of that family,
 the first-best weak-duality certificate, and the regression against the
-config's golden file. Each check is a dict with a name, a status of
-"pass", "fail" or "not applicable", its measured slack and a detail line;
-failures are data, not exceptions.
+config's golden file, as the verify.json document. Each check is a dict
+with a name, a status of "pass", "fail" or "not applicable", its measured
+slack and a detail line; failures are data, not exceptions. The
+equilibrium certificate, certify with CERT_TOL and cert_failures, is here.
 """
 
 from __future__ import annotations
@@ -22,20 +23,74 @@ from . import econ_core as ec
 from . import equilibrium as eqm
 from .errors import TokenomicsError
 from .first_best import first_best_allocation, planner_economy
-from .oracle import first_best_dual_gap
-from .welfare import (
-    CERT_TOL, WelfareReport, _burn_residual, _grid, cert_failures, certify, evaluate, sweep_tax,
-)
+from .oracle import first_best_dual_gap, holdings_slope
+from .welfare import SweepResult, WelfareReport, _grid, evaluate, sweep_tax
 
 GOLDEN_TOL = 1e-8
 
 #: largest weak-duality gap of the planner's solution that verify accepts
 FIRST_BEST_GAP_TOL = 1e-9
 
+#: tolerance of each certify reading; a steady state passes when every
+#: reading is at or below its tolerance
+CERT_TOL = {
+    "over_capacity": 1e-12,
+    "foc_residual": 1e-8,
+    "burn_identity": 1e-8,
+    "return_above_r": 1e-12,
+    "above_first_best": 1e-12,
+    "holdings_slope": 1e-10,
+}
+
 
 def _check(name: str, passed: bool | None, measured: dict, detail: str) -> dict:
     status = "not applicable" if passed is None else ("pass" if passed else "fail")
     return {"name": name, "status": status, "measured": measured, "detail": detail}
+
+
+def _burn_residual(eq: eqm.SteadyStateEquilibrium, gamma: float) -> float:
+    """Largest |(rT - gamma) M - theta p A| over the states that burn; the
+    others are outside the identity (Friedman's return comes from its supply
+    ratio, not a burn)."""
+    m_agg = eq.aggregate_real_balances
+    return max(
+        (
+            abs((out.token_return - gamma) * m_agg - burn)
+            for out in eq.states.values()
+            if (burn := out.tax * out.price * out.aggregate_activity) > 0.0
+        ),
+        default=0.0,
+    )
+
+
+def certify(
+    cfg: ec.EconomyConfig, eq: eqm.SteadyStateEquilibrium, report: WelfareReport
+) -> dict[str, float]:
+    """The worst reading of each steady-state invariant, keyed as CERT_TOL:
+    the largest state load above capacity, the FOC residual, the burn
+    identity's residual, E[rT] above r, welfare above first best, and the
+    largest holdings slope |V'(m)| (V'(0) where m = 0, whose optimum may be
+    a corner).
+
+    report is evaluate(cfg, eq), whose readings are reused; no grid is searched.
+    """
+    return {
+        "over_capacity": max(out.aggregate_activity for out in eq.states.values())
+        - ec.BLOCKSPACE_CAPACITY,
+        "foc_residual": report.foc_residual_max,
+        "burn_identity": _burn_residual(eq, cfg.gamma),
+        "return_above_r": eq.expected_return - cfg.r,
+        "above_first_best": -report.first_best_gap,
+        "holdings_slope": max(
+            abs(v) if eq.holdings[n] > 0.0 else max(v, 0.0)
+            for n, v in holdings_slope(cfg, eq).items()
+        ),
+    }
+
+
+def cert_failures(certificate: dict[str, float]) -> list[str]:
+    """The certify readings above their CERT_TOL entry; a nan reading fails."""
+    return [k for k, v in certificate.items() if not v <= CERT_TOL[k]]
 
 
 # ---------------------------------------------------------------------------
@@ -51,6 +106,21 @@ def _burn_identity_check(cfg: ec.EconomyConfig, equilibria: Iterable) -> dict:
         "burn_identity", worst <= CERT_TOL["burn_identity"], {"max_residual": worst},
         "per-state burn value equals the return premium on aggregate balances",
     )
+
+
+def _law_sweep(
+    cfg: ec.EconomyConfig, regime: str, grid: list[float],
+    deviation: Callable[[float, eqm.SteadyStateEquilibrium], float],
+) -> tuple[SweepResult, float, float]:
+    """Sweep a closed-form regime over grid: the sweep, the largest spread of
+    a type's state-1 activity over the solved points, and the largest
+    |deviation(theta, eq)| of a solved point from a stated return law."""
+    sweep = sweep_tax(cfg, regime, grid)
+    solved = [(th, e) for th, e in zip(grid, sweep.equilibria) if e is not None]
+    first = solved[0][1].states[1].activities
+    spread = max(abs(e.states[1].activities[t.name] - first[t.name])
+                 for _, e in solved for t in cfg.agent_types)
+    return sweep, spread, max(abs(deviation(th, e)) for th, e in solved)
 
 
 def _deterministic_battery(cfg: ec.EconomyConfig) -> list[dict]:
@@ -81,20 +151,9 @@ def _deterministic_battery(cfg: ec.EconomyConfig) -> list[dict]:
             checks.append(_check(name, None, {}, f"{detail} (needs r > gamma)"))
         return checks
 
-    grid = _grid(0.0, 0.5, 11)
-    sweep = sweep_tax(cfg, "deterministic", grid)
-    acts = [
-        {t.name: e.states[1].activities[t.name] for t in cfg.agent_types}
-        for e in sweep.equilibria
-        if e is not None
-    ]
-    spread = max(
-        abs(a[t.name] - acts[0][t.name]) for a in acts for t in cfg.agent_types
-    )
-    rt_gap = max(
-        abs(e.states[1].token_return - ((1 + th) * (1 + cfg.gamma) - 1))
-        for th, e in zip(grid, sweep.equilibria)
-        if e is not None
+    sweep, spread, rt_gap = _law_sweep(
+        cfg, "deterministic", _grid(0.0, 0.5, 11),
+        lambda th, e: e.states[1].token_return - ((1 + th) * (1 + cfg.gamma) - 1),
     )
     checks.append(_check(
         "deterministic_tax_neutrality", spread <= 1e-8 and rt_gap <= 1e-10,
@@ -119,12 +178,9 @@ def _iid_battery(cfg: ec.EconomyConfig) -> list[dict]:
             checks.append(_check(name, None, {}, "needs r > gamma"))
         return checks
     rho = cfg.shocks.rho
-    grid = _grid(0.0, 0.3, 31)
-    sweep = sweep_tax(cfg, "iid", grid)
-    rt_gap = max(
-        abs((1 + e.expected_return) - (1 + cfg.gamma) * (1 + th) / (1 + (1 - rho) * th))
-        for th, e in zip(grid, sweep.equilibria)
-        if e is not None
+    sweep, _, rt_gap = _law_sweep(
+        cfg, "iid", _grid(0.0, 0.3, 31),
+        lambda th, e: (1 + e.expected_return) - (1 + cfg.gamma) * (1 + th) / (1 + (1 - rho) * th),
     )
     checks.append(_check(
         "iid_return_formula", rt_gap <= 1e-10, {"max_return_gap": rt_gap},
@@ -159,21 +215,15 @@ def _common_battery(cfg: ec.EconomyConfig) -> list[dict]:
             checks.append(_check(name, None, {}, "needs r > gamma"))
         return checks
     rho = cfg.shocks.rho
-    name = cfg.agent_types[0].name
-    grid = _grid(0.0, 0.5, 11)
-    sweep = sweep_tax(cfg, "common", grid)
-    acts = [e.states[1].activities[name] for e in sweep.equilibria if e is not None]
-    spread = max(abs(a - acts[0]) for a in acts)
+    sweep, spread, ret_gap = _law_sweep(
+        cfg, "common", _grid(0.0, 0.5, 11),
+        lambda th, e: (1 + e.expected_return) - ((1 - rho) + rho * (1 + th) * (1 + cfg.gamma)),
+    )
     checks.append(_check(
         "common_shock_tax_neutrality", spread <= 1e-8,
         {"max_activity_spread": spread},
         "active-state activity is invariant to the burn rate",
     ))
-    ret_gap = max(
-        abs((1 + e.expected_return) - ((1 - rho) + rho * (1 + th) * (1 + cfg.gamma)))
-        for th, e in zip(grid, sweep.equilibria)
-        if e is not None
-    )
     checks.append(_check(
         "common_shock_return_formula", ret_gap <= 1e-10, {"max_return_gap": ret_gap},
         "expected gross return matches the state-weighted burn identity",
@@ -261,8 +311,6 @@ def _heterogeneous_battery(cfg: ec.EconomyConfig) -> list[dict]:
     u_lo = unshocked.utility_in(1)
     worst = math.inf
     for (_, e1, _), (_, e2, _) in zip(ok, ok[1:]):
-        if not (e1.states[1].congested and e2.states[1].congested):
-            continue
         pairs = []
         for e in (e1, e2):
             a = e.states[1].activities[shocked.name]
@@ -302,7 +350,11 @@ def proposition_report(cfg: ec.EconomyConfig) -> dict:
     "pass", "fail", or "not applicable" plus its measured slack.
     """
     family = ec.family(cfg)
-    checks = _BATTERIES[family](cfg)
+    return _report(family, _BATTERIES[family](cfg))
+
+
+def _report(family: str, checks: list[dict]) -> dict:
+    """The document of a run of checks on a config of family, as verify.json holds it."""
     return {
         "schema_version": ec.SCHEMA_VERSION,
         "family": family,
@@ -452,8 +504,8 @@ def check_golden(score: Scorer, golden_file: Path) -> tuple[bool, str]:
 # ---------------------------------------------------------------------------
 
 
-def verify_checks(cfg: ec.EconomyConfig, config_path: Path) -> tuple[str, list[dict]]:
-    """The config's family and every verify check, in report order: the
+def verify_checks(cfg: ec.EconomyConfig, config_path: Path) -> dict:
+    """The verify.json document of every verify check, in report order: the
     proposition battery, the oracle checks, then the golden regression
     against the golden file beside config_path (not applicable without one)."""
     report = proposition_report(cfg)
@@ -465,4 +517,4 @@ def verify_checks(cfg: ec.EconomyConfig, config_path: Path) -> tuple[str, list[d
     ok, detail = check_golden(score, golden_file) if golden_file.exists() else (
         None, f"no golden file at {golden_file.name}")
     checks.append(_check("golden_regression", ok, {}, detail))
-    return report["family"], checks
+    return _report(report["family"], checks)

@@ -1,4 +1,4 @@
-"""Welfare accounting, the equilibrium certificate, and tax sweeps.
+"""Welfare accounting, the FOC residuals of an equilibrium, and tax sweeps.
 
 The welfare metric is expected allocation flow surplus,
 E_sigma[sum_k lambda_k u_k(a_k, sigma) - c(total(sigma))]. Fees, carry
@@ -17,20 +17,11 @@ from . import econ_core as ec
 from . import equilibrium as eqm
 from .errors import ConfigError, InfeasiblePolicyError, SolverError
 from .first_best import expected_first_best_surplus, flow_surplus
-from .oracle import holdings_grid_steps, holdings_slope
+from .oracle import holdings_grid_steps
 
 ARGMAX_TIE_TOL = 1e-10
 
-#: tolerance of each certify reading; a steady state passes when every
-#: reading is at or below its tolerance
-CERT_TOL = {
-    "over_capacity": 1e-12,
-    "foc_residual": 1e-8,
-    "burn_identity": 1e-8,
-    "return_above_r": 1e-12,
-    "above_first_best": 1e-12,
-    "holdings_slope": 1e-10,
-}
+_BUDGET_RTOL = 1e-9
 
 
 class WelfareReport(NamedTuple):
@@ -69,7 +60,7 @@ def evaluate(cfg: ec.EconomyConfig, eq: eqm.SteadyStateEquilibrium) -> WelfareRe
         for s, out in eq.states.items()
     }
     expected = math.fsum(cfg.shocks.probability(s) * v for s, v in per_state.items())
-    residuals = eqm.shock_foc_residual(cfg, eq)
+    residuals = shock_foc_residual(cfg, eq)
     foc_max = max((abs(v) for v in residuals.values()), default=0.0)
     return WelfareReport(
         expected_flow_welfare=expected,
@@ -80,49 +71,46 @@ def evaluate(cfg: ec.EconomyConfig, eq: eqm.SteadyStateEquilibrium) -> WelfareRe
     )
 
 
-def _burn_residual(eq: eqm.SteadyStateEquilibrium, gamma: float) -> float:
-    """Largest |(rT - gamma) M - theta p A| over the states that burn; the
-    others are outside the identity (Friedman's return comes from its supply
-    ratio, not a burn)."""
-    m_agg = eq.aggregate_real_balances
-    return max(
-        (
-            abs((out.token_return - gamma) * m_agg - burn)
-            for out in eq.states.values()
-            if (burn := out.tax * out.price * out.aggregate_activity) > 0.0
-        ),
-        default=0.0,
-    )
+def shock_foc_residual(
+    cfg: ec.EconomyConfig, eq: eqm.SteadyStateEquilibrium
+) -> dict[tuple[str, int], float]:
+    """Residuals of the holdings optimality conditions, per type and state.
 
-
-def certify(
-    cfg: ec.EconomyConfig, eq: eqm.SteadyStateEquilibrium, report: WelfareReport
-) -> dict[str, float]:
-    """The worst reading of each steady-state invariant, keyed as CERT_TOL:
-    the largest state load above capacity, the FOC residual, the burn
-    identity's residual, E[rT] above r, welfare above first best, and the
-    largest holdings slope |V'(m)| (V'(0) where m = 0, whose optimum may be
-    a corner).
-
-    report is evaluate(cfg, eq), whose readings are reused; no grid is searched.
+    A type's budget binds where it spends the largest share of its wealth
+    and wherever it spends all of it (within _BUDGET_RTOL). Over the binding
+    states B, with each a_s implied by the budget, the condition is
+    sum_B pi_s (1+rT_s) (u'(a_s) / eff_s - 1) = r - E[rT]. Its residual over
+    sum_B pi_s (1+rT_s) is reported at every binding state; with one binding
+    state that is u'(a) / eff - (1 + (r - E[rT]) / (pi (1 + rT))). Slack
+    states report the static margin u'(a) / eff - 1; states with no demand, 0.
     """
-    return {
-        "over_capacity": max(out.aggregate_activity for out in eq.states.values())
-        - ec.BLOCKSPACE_CAPACITY,
-        "foc_residual": report.foc_residual_max,
-        "burn_identity": _burn_residual(eq, cfg.gamma),
-        "return_above_r": eq.expected_return - cfg.r,
-        "above_first_best": -report.first_best_gap,
-        "holdings_slope": max(
-            abs(v) if eq.holdings[n] > 0.0 else max(v, 0.0)
-            for n, v in holdings_slope(cfg, eq).items()
-        ),
-    }
-
-
-def cert_failures(certificate: dict[str, float]) -> list[str]:
-    """The certify readings above their CERT_TOL entry; a nan reading fails."""
-    return [k for k, v in certificate.items() if not v <= CERT_TOL[k]]
+    probs = {s: cfg.shocks.probability(s) for s in eq.states}
+    expected_rt = math.fsum(probs[s] * eq.states[s].token_return for s in eq.states)
+    residuals: dict[tuple[str, int], float] = {}
+    for t in cfg.agent_types:
+        m = eq.holdings[t.name]
+        live = {s: out for s, out in eq.states.items()
+                if t.is_active(s) and out.effective_price > 0 and probs[s] > 0}
+        # activity the whole balance buys in each state, and the state's weight
+        afford = {s: (1.0 + out.token_return) * m / out.effective_price for s, out in live.items()}
+        weight = {s: probs[s] * (1.0 + out.token_return) for s, out in live.items()}
+        ratio = {s: live[s].activities[t.name] / afford[s] for s in live if afford[s] > 0}
+        top = max(ratio, key=ratio.__getitem__, default=None)
+        binding = [s for s in ratio if s == top or abs(ratio[s] - 1.0) <= _BUDGET_RTOL]
+        scale = math.fsum(weight[s] for s in binding)
+        excess = math.fsum(
+            weight[s] * (ec.u_prime(t.utility_in(s), afford[s]) / live[s].effective_price - 1.0)
+            for s in binding
+        ) - (cfg.r - expected_rt)
+        for s, out in eq.states.items():
+            a = out.activities[t.name]
+            if s in binding:
+                residuals[(t.name, s)] = excess / scale
+            elif s in live and a > 0:
+                residuals[(t.name, s)] = ec.u_prime(t.utility_in(s), a) / out.effective_price - 1.0
+            else:
+                residuals[(t.name, s)] = 0.0
+    return residuals
 
 
 # ---------------------------------------------------------------------------

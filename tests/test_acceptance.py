@@ -17,6 +17,7 @@ from tokenomics import econ_core as ec
 from tokenomics import equilibrium as eqm
 from tokenomics import oracle as orc
 from tokenomics import policy as pol
+from tokenomics import verify
 from tokenomics import welfare as wf
 from tokenomics.first_best import first_best_allocation
 
@@ -116,7 +117,7 @@ def test_criterion_04_burn_identity_everywhere(equilibria):
         burning_states += sum(
             out.tax * out.price * out.aggregate_activity > 0.0 for out in eq.states.values()
         )
-        worst = max(worst, wf.certify(cfg, eq, wf.evaluate(cfg, eq))["burn_identity"])
+        worst = max(worst, verify.certify(cfg, eq, wf.evaluate(cfg, eq))["burn_identity"])
     ok = worst <= 1e-8 and burning_states > 0
     _report(
         "04", ok,
@@ -277,7 +278,7 @@ def test_criterion_08_oracle_equivalence(det_cfg, iid_cfg, common_cfg, het_cfg):
 def test_criterion_09_foc_verification(equilibria):
     worst_res, worst_fd, fd_checked = 0.0, 0.0, 0
     for label, cfg, eq in equilibria:
-        residuals = eqm.shock_foc_residual(cfg, eq)
+        residuals = wf.shock_foc_residual(cfg, eq)
         worst_res = max(worst_res, max(abs(v) for v in residuals.values()))
         if eq.expected_return > cfg.r + 1e-10:
             continue  # carry cost negative: holdings objective has no optimum

@@ -279,6 +279,19 @@ def test_sweep_with_no_solvable_points_exits_2(tmp_path, capsys):
     assert "0 solved" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("rho", ["-5", "NaN", "2"])
+def test_scenario_refuses_a_deterministic_rho_outside_the_unit_interval(tmp_path, capsys, rho):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text((CONFIG_DIR / "deterministic.json").read_text().replace(
+        '{"kind": "deterministic"}', f'{{"kind": "deterministic", "rho": {rho}}}'))
+    out = tmp_path / "out"
+    assert cli.main(["scenario", "--config", str(cfg_path), "--regime", "deterministic",
+                     "--out", str(out)]) == 3
+    assert "config error: config.shocks: shock probability rho must lie in (0, 1]" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_sweep_usage_errors(tmp_path, capsys):
     assert cli.main(
         ["sweep", "--config", IID, "--regime", "iid", "--theta-max", "0.1",
@@ -552,7 +565,7 @@ def test_verify_certificate_fails_on_inflated_holdings(iid_cfg, monkeypatch):
 
     passed = certificate()
     assert passed["status"] == "pass"
-    assert sorted(passed["measured"]) == sorted(welfare.CERT_TOL)
+    assert sorted(passed["measured"]) == sorted(verify.CERT_TOL)
     solve = cli.eqm.solve_regime
 
     def inflated(cfg, regime, theta=0.0):

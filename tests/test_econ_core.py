@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import pytest
@@ -93,6 +94,18 @@ def test_shock_process_states_and_probabilities():
     assert iid.probability(0) == pytest.approx(0.7)
     with pytest.raises(ValueError):
         ec.ShockProcess(ec.ShockKind.IID_BINARY, rho=0.0)
+
+
+@pytest.mark.parametrize("rho", [-5.0, math.nan, 0.0, 2.0])
+def test_a_deterministic_rho_is_checked_like_any_other(rho):
+    # rho is refused outside (0, 1] whatever the shock kind, so a
+    # deterministic config cannot carry a NaN that config_to_dict would write
+    with pytest.raises(ValueError, match=re.escape("rho must lie in (0, 1]")):
+        ec.ShockProcess(ec.ShockKind.DETERMINISTIC, rho)
+    doc = json.loads((CONFIG_DIR / "deterministic.json").read_text())
+    doc["shocks"]["rho"] = rho
+    with pytest.raises(ConfigError, match=re.escape("config.shocks: shock probability rho")):
+        ec.config_from_dict(doc)
 
 
 def test_agent_type_fills_missing_states_with_zero():

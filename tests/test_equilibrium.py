@@ -12,7 +12,8 @@ from tokenomics import equilibrium as eqm
 from tokenomics.errors import ConfigError, InfeasiblePolicyError, SolverError
 from tokenomics.first_best import _clear_blockspace, first_best_allocation
 from tokenomics.oracle import holdings_objective, holdings_slope
-from tokenomics.welfare import cert_failures, certify, evaluate
+from tokenomics.verify import cert_failures, certify
+from tokenomics.welfare import evaluate, shock_foc_residual
 
 from helpers import (
     CONFIG_DIR,
@@ -393,7 +394,7 @@ def test_heterogeneous_budgets_bind_where_the_best_response_says(args, shares, b
                     assert spent == pytest.approx(1.0, rel=1e-12), (t.name, s)
                 else:
                     assert spent < 1.0, (t.name, s)
-        assert max(abs(v) for v in eqm.shock_foc_residual(cfg, eq).values()) <= 1e-8
+        assert max(abs(v) for v in shock_foc_residual(cfg, eq).values()) <= 1e-8
 
 
 def test_heterogeneous_solve_evaluation_budget(het_cfg, monkeypatch):
@@ -484,9 +485,9 @@ def test_a_one_demand_market_clears_at_its_closed_form_fee(
     markets = []
     clear_demands = eqm._clear_demands
 
-    def recording(cost, demands, wedge):
-        markets.append((cost, demands, wedge))
-        return clear_demands(cost, demands, wedge)
+    def recording(economy, state, wedge, share):
+        markets.append((economy, state, wedge, share))
+        return clear_demands(economy, state, wedge, share)
 
     with pytest.MonkeyPatch.context() as mp:
         seen = record_evaluations(mp)
@@ -495,7 +496,9 @@ def test_a_one_demand_market_clears_at_its_closed_form_fee(
             out = eqm.solve_regime(cfg, regime, theta).states[1]
         except SolverError:
             out = None
-    (cost, [(k, u)], w), = markets
+    (cleared, state, w, share), = markets
+    cost = cleared.cost
+    (k, u), = [(share * t.mass, t.utility_in(state)) for t in cleared.agent_types]
     (prices,) = seen.clears
 
     def load(p: float) -> float:
@@ -650,6 +653,9 @@ def test_heterogeneous_solves_hold_invariants_or_raise_typed_errors(
             eq = eqm.solve_regime(cfg, "heterogeneous", share * cfg.r / rho)
         except InfeasiblePolicyError:
             continue
+        # so every point sweep_tax marks "ok" has a congested high state, which
+        # verify's congested_utility_sum_monotone check relies on
+        assert eq.congestion_broken is (not eq.states[1].congested)
         report = evaluate(cfg, eq)
         assert cert_failures(certify(cfg, eq, report)) == []
         # certify reads the burn identity only where a state burns; here it
@@ -748,7 +754,7 @@ def test_heterogeneous_congestion_broken_fallback():
     assert not eq.states[1].congested
     assert eq.states[1].aggregate_activity < 1.0
     assert eq.states[1].price == pytest.approx(1.0, abs=1e-6)
-    residual = max(abs(v) for v in eqm.shock_foc_residual(cfg, eq).values())
+    residual = max(abs(v) for v in shock_foc_residual(cfg, eq).values())
     assert residual <= 1e-8
 
 
@@ -1126,7 +1132,7 @@ def test_deterministic_laws_match_planner_and_budget(
             assert (1.0 + out.token_return) * eq.holdings[name] == pytest.approx(
                 spend, rel=1e-12, abs=0.0
             )
-        assert max(abs(v) for v in eqm.shock_foc_residual(cfg, eq).values()) <= 1e-8
+        assert max(abs(v) for v in shock_foc_residual(cfg, eq).values()) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -1146,7 +1152,7 @@ def _all_equilibria(det_cfg, iid_cfg, common_cfg, het_cfg):
 
 def test_foc_residuals_vanish_at_equilibrium(det_cfg, iid_cfg, common_cfg, het_cfg):
     for cfg, eq in _all_equilibria(det_cfg, iid_cfg, common_cfg, het_cfg):
-        residuals = eqm.shock_foc_residual(cfg, eq)
+        residuals = shock_foc_residual(cfg, eq)
         worst = max(abs(v) for v in residuals.values())
         assert worst <= 1e-10, (eq.regime, residuals)
 
@@ -1165,10 +1171,10 @@ def test_inflated_holdings_make_binding_residual_negative(det_cfg, common_cfg):
     ):
         name = cfg.agent_types[0].name
         bumped = replace(eq, holdings={name: eq.holdings[name] * 1.01})
-        res = eqm.shock_foc_residual(cfg, bumped)
+        res = shock_foc_residual(cfg, bumped)
         assert res[(name, binding_state)] < -1e-4
         trimmed = replace(eq, holdings={name: eq.holdings[name] * 0.99})
-        assert eqm.shock_foc_residual(cfg, trimmed)[(name, binding_state)] > 1e-4
+        assert shock_foc_residual(cfg, trimmed)[(name, binding_state)] > 1e-4
 
 
 def test_finite_difference_sign_pattern(det_cfg, common_cfg, het_cfg):

@@ -11,12 +11,14 @@ from tokenomics import equilibrium as eqm
 from tokenomics._roots import RESIDUAL_TOL
 from tokenomics.first_best import (
     _clear_blockspace,
+    _clear_demands,
     expected_first_best_surplus,
     first_best_allocation,
     flow_surplus,
     planner_economy,
 )
-from tokenomics.welfare import CERT_TOL, evaluate
+from tokenomics.verify import CERT_TOL
+from tokenomics.welfare import evaluate
 
 from helpers import (
     CONFIG_DIR, ISO, ZERO, record_evaluations, replace, single_user_config,
@@ -89,6 +91,14 @@ def test_no_demand_state_allocates_nothing(iid_cfg):
     alloc = first_best_allocation(iid_cfg, 0)
     assert alloc.total == 0.0
     assert alloc.activities == {"users": 0.0}
+
+
+def test_the_idle_state_of_a_common_shock_clears_at_fee_zero(common_cfg):
+    # no type is active in state 0: the planner's market there is idle, with
+    # every type at 0.0 and no load
+    assert _clear_demands(common_cfg, 0, 1.0, 1.0) == (0.0, False, {"users": 0.0}, 0.0)
+    alloc = first_best_allocation(common_cfg, 0)
+    assert (alloc.activities, alloc.total, alloc.congested) == ({"users": 0.0}, 0.0, False)
 
 
 def test_random_perturbations_never_improve(det_cfg, het_cfg):

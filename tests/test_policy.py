@@ -5,6 +5,7 @@ import pytest
 from tokenomics import econ_core as ec
 from tokenomics import equilibrium as eqm
 from tokenomics import policy as pol
+from tokenomics import verify
 from tokenomics import welfare as wf
 from tokenomics.errors import ConfigError, InfeasiblePolicyError
 
@@ -39,7 +40,7 @@ def test_supply_rule_validation():
 def test_burn_residual_vanishes_in_burning_states(det_cfg, iid_cfg):
     for cfg, regime in ((det_cfg, "deterministic"), (iid_cfg, "iid")):
         eq = eqm.solve_regime(cfg, regime, 0.1)
-        assert wf.certify(cfg, eq, wf.evaluate(cfg, eq))["burn_identity"] <= 1e-8
+        assert verify.certify(cfg, eq, wf.evaluate(cfg, eq))["burn_identity"] <= 1e-8
 
 
 def test_fixed_supply_path_is_flat_when_balances_are(det_cfg):

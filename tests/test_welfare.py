@@ -252,7 +252,7 @@ def test_closed_form_solves_inside_the_frontier_are_certified(solve):
     cfg, regime, theta = solve
     eq = eqm.solve_regime(cfg, regime, theta)
     report = wf.evaluate(cfg, eq)
-    assert wf.cert_failures(wf.certify(cfg, eq, report)) == []
+    assert verify.cert_failures(verify.certify(cfg, eq, report)) == []
     # the model's relative burn check still fails on some draws with
     # gamma != 0 at a tiny tax: rT - gamma keeps only ulp(gamma) of absolute
     # accuracy, which at theta = 1e-9 is about 1e-8 of the burn. In 4,000
@@ -278,7 +278,7 @@ def test_model_burn_check_passes_at_a_tiny_tax(fixture_name, regime, theta, requ
     cfg = request.getfixturevalue(fixture_name)
     eq = eqm.solve_regime(cfg, regime, theta)
     report = wf.evaluate(cfg, eq)
-    assert wf.cert_failures(wf.certify(cfg, eq, report)) == []
+    assert verify.cert_failures(verify.certify(cfg, eq, report)) == []
     doc = ec.config_to_dict(cfg)
     assert model.check_equilibrium(doc, regime, theta, eq.as_dict(), report.as_dict()) == []
 
@@ -316,7 +316,7 @@ def test_certify_flags_a_return_above_r_and_inflated_holdings(
     eq = replace(
         eq, holdings={n: holdings_factor * m for n, m in eq.holdings.items()}
     )
-    assert flagged in wf.cert_failures(wf.certify(cfg, eq, wf.evaluate(cfg, eq)))
+    assert flagged in verify.cert_failures(verify.certify(cfg, eq, wf.evaluate(cfg, eq)))
 
 
 def test_certify_reuses_the_report(iid_cfg, monkeypatch):
@@ -325,7 +325,7 @@ def test_certify_reuses_the_report(iid_cfg, monkeypatch):
     eq = eqm.solve_regime(iid_cfg, "iid", 0.05)
     report = wf.evaluate(iid_cfg, eq)
     seen = record_evaluations(monkeypatch)
-    certificate = wf.certify(iid_cfg, eq, report)
+    certificate = verify.certify(iid_cfg, eq, report)
     assert (seen.u_prime_inv, seen.u_prime, seen.c_prime) == ([], [], [])
     assert certificate["foc_residual"] == report.foc_residual_max
     assert certificate["above_first_best"] == -report.first_best_gap
