@@ -9,9 +9,9 @@ few ulps wide, or when the residual is within RESIDUAL_FLOOR of zero, which
 needs a residual relative to the terms it balances. find_log_root runs it in
 the log of a positive unknown, where expand_bracket's geometric steps are
 even steps: the market-clearing kernel (first_best._clear_blockspace) roots
-in log price, where its residuals are linear or nearly so and the secant
-step is close to exact, and the heterogeneous solver roots a balance in
-log m.
+in log price, where its residuals are nearly linear with slopes at least 1
+in size, so the secant step is close to exact and a residual bounds the
+root's distance; the heterogeneous solver roots a balance in log m.
 """
 
 from __future__ import annotations

@@ -133,7 +133,11 @@ def c_prime(c: CostFn, s: float) -> float:
         raise ValueError(f"supply must be nonnegative, got {s}")
     if s == 0:
         return 0.0
-    return c.scale * s**c.curvature
+    try:
+        return c.scale * s**c.curvature
+    except OverflowError:
+        # more marginal cost than a float holds, at a load far past capacity
+        return math.inf
 
 
 # ---------------------------------------------------------------------------

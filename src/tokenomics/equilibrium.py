@@ -195,17 +195,18 @@ def _solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyStat
     trial is the cap itself (share 1); the burn share barely moves with rT,
     so the outer root is bracketed just below the share that trial
     predicts. Each market clear evaluates its predicted price first (see
-    predicted_brackets) and keeps it when the residual there is at float
-    resolution; a clear again under a new pattern starts within 5% of the
-    last clear's prices. A budget binding in both states roots its balance
+    predicted_prices) and keeps it when the residual there is at float
+    resolution; a clear again under a new pattern starts at the last
+    clear's prices. A budget binding in both states roots its balance
     from the type's last balance. High states are kept for the whole solve,
     so the root's is not solved again. Holdings cover high-state spending,
     so the burn never exceeds theta; if it still exceeds rT at r / rho, the
     expected return would pass r and InfeasiblePolicyError is raised.
 
     One DEBUG line per solve gives where each type's budget binds, whether
-    the first bracket came from the planner or from the cold test at c'(1),
-    the number of trial returns and the counters kept below.
+    the first high-state clear bracketed its root from the planner's price
+    alone or evaluated c'(1), the number of trial returns and the counters
+    kept below.
     """
     rho, r = cfg.shocks.rho, cfg.r
     # (mass, high-state utility, low-state utility) of each type, in config order
@@ -287,9 +288,9 @@ def _solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyStat
                 return alt
         return "both"
 
-    def clear(pats: tuple[str, ...], rt: float, warm: list[tuple[float, float] | None]):
+    def clear(pats: tuple[str, ...], rt: float, guess: list[float | None]):
         """Both markets cleared at rt with each type's budget binding as pats
-        says, from the predicted price brackets warm (low state, high state):
+        says, from the predicted prices guess (low state, high state):
         the high-state price, whether it is congested, and there the
         low-state price, whether it is congested, and each type's response."""
         nonlocal hits
@@ -309,7 +310,7 @@ def _solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyStat
                     total += k * a0
                 return total
 
-            p, congested = _clear_blockspace(cfg.cost, load, warm[0])
+            p, congested = _clear_blockspace(cfg.cost, load, guess[0])
             hits += len(acts) == 1
             return p, congested, acts[p]
 
@@ -332,7 +333,7 @@ def _solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyStat
             return total
 
         # every price the root finder returns is one it evaluated
-        p_high, congested = _clear_blockspace(cfg.cost, load, warm[1])
+        p_high, congested = _clear_blockspace(cfg.cost, load, guess[1])
         high_clears.append(list(points))
         hits += len(points) == 1
         return p_high, congested, points[p_high]
@@ -350,36 +351,27 @@ def _solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyStat
     planner = first_best_allocation(cfg, 1)
     anchor = (r / rho, planner.shadow_marginal / (1.0 + theta_high)) if planner.congested else None
 
-    def predicted_brackets(rt: float) -> list[tuple[float, float] | None]:
-        """Price brackets of the low and the high state at rt, predicted from
-        the solved trials (None where there is no prediction).
+    def predicted_prices(rt: float) -> list[float | None]:
+        """Prices of the low and the high state at rt, predicted from the
+        solved trials (None where there is no prediction).
 
         From two or more trials each price is linear in rT through the two
-        nearest. From one, only the high state is predicted: its price
-        scales with 1 + rT, as a high-binding type's FOC does at a fixed
-        shadow value; before the first, the planner stands in for it. (A
-        low-state price held from one trial would need an ulp-wide bracket,
-        which costs more than the cold test when it misses.) Each bracket is
-        as wide as the move its prediction makes from the nearest solved
-        price: at most 5% of the price, at least an ulp of it. A linear
-        prediction at or below zero is no prediction.
+        nearest; one at or below zero is no prediction. From one, only the
+        high state is predicted: its price scales with 1 + rT, as a
+        high-binding type's FOC does at a fixed shadow value; before the
+        first, the planner stands in for it.
         """
-        def around(p: float, p_near: float) -> tuple[float, float] | None:
-            if p <= 0.0:
-                return None
-            half = max(min(abs(p - p_near), 0.05 * p), math.ulp(p))
-            return p - half, p + half
-
         near = sorted(high_states, key=lambda s: abs(s - rt))[:2]
         # (p_low, p_high) of each of the nearest trials
         prices = [(high_states[s][2][0], high_states[s][0]) for s in near]
         if len(near) == 2:
             ra, rb = near
             w = (rt - ra) / (rb - ra)
-            return [around(pa + (pb - pa) * w, pa) for pa, pb in zip(*prices)]
+            linear = [pa + (pb - pa) * w for pa, pb in zip(*prices)]
+            return [p if p > 0.0 else None for p in linear]
         if near or anchor is not None:
             r_near, p_near = (near[0], prices[0][1]) if near else anchor
-            return [None, around(p_near * (1.0 + rt) / (1.0 + r_near), p_near)]
+            return [None, p_near * (1.0 + rt) / (1.0 + r_near)]
         return [None, None]
 
     def high_state(rt: float) -> tuple:
@@ -387,12 +379,12 @@ def _solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyStat
         nonlocal pats, switches
         if rt not in high_states:
             tried: list[tuple[str, ...]] = []
-            warm = predicted_brackets(rt)
+            guess = predicted_prices(rt)
             while pats not in tried:
                 tried.append(pats)
-                p_high, congested, (p_low, low_congested, got) = point = clear(pats, rt, warm)
-                # a clear under the next pattern starts within 5% of these prices
-                warm = [(0.95 * p, 1.05 * p) for p in (p_low, p_high)]
+                p_high, congested, (p_low, low_congested, got) = point = clear(pats, rt, guess)
+                # a clear under the next pattern starts at these prices
+                guess = [p_low, p_high]
                 eff = (1.0 + theta_high) * p_high
                 pats = tuple([best_response(pat, u1, u0, rt, eff, p_low, response)
                               for (_, u1, u0), pat, response in zip(types, pats, got)])
@@ -443,8 +435,8 @@ def _solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyStat
             )
     p_high, congested, (p_low, low_congested, got), pats = high_state(rt)
     if log.isEnabledFor(logging.DEBUG):
-        # the planner's bracket is kept unless the first clear tests c'(1)
-        cold = anchor is None or ec.c_prime(cfg.cost, ec.BLOCKSPACE_CAPACITY) in high_clears[0]
+        # c'(1) is the first clear's guess, or tested below the planner's price
+        cold = ec.c_prime(cfg.cost, ec.BLOCKSPACE_CAPACITY) in high_clears[0]
         log.debug(
             "heterogeneous theta=%r binds=%s pattern_switches=%d first_bracket=%s "
             "trial_returns=%d high_load_evals=%d low_load_evals=%d foc_evals=%d "

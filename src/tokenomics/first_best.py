@@ -11,10 +11,10 @@ x = c'(total). Under idiosyncratic shocks the planner plans
 planner_economy(cfg), a market of one pair: the iid type's users in state
 1. The kernel beneath, _clear_blockspace, roots in log price, where
 isoelastic demand against a power cost is linear, so Brent's secant step
-lands at once. A market of one demand (a closed-form regime's with one
-type, the planner's where one type is active) has its fee in closed form,
-which the kernel evaluates first and keeps, in one load evaluation, when
-its residual there is at float resolution.
+lands at once. It evaluates one guessed fee first (c'(1) without a
+prediction), whose residual bounds the root's distance in log price. A
+market of one demand (a closed-form regime's with one type, the planner's
+where one type is active) has its fee in closed form: that is the guess.
 
 The first best depends only on the config, so it is solved once per config
 object and kept on that object (see _memo): the equilibrium scorer, tax
@@ -46,8 +46,9 @@ class Allocation(NamedTuple):
     shadow_marginal: float
 
 
-#: log of the smallest positive float, standing in for log(0.0)
-_LOG_ZERO = math.log(math.ulp(0.0))
+#: the smallest positive float and its log, standing in for 0.0 and log(0.0)
+_TINY = math.ulp(0.0)
+_LOG_ZERO = math.log(_TINY)
 
 
 def _log(v: float) -> float:
@@ -56,10 +57,13 @@ def _log(v: float) -> float:
     return math.log(v) if v > 0.0 else _LOG_ZERO
 
 
+def _step(p: float, x: float) -> float:
+    # p * e**x, kept a positive finite float
+    return min(max(p * math.exp(min(x, 709.0)), _TINY), math.nextafter(math.inf, 0.0))
+
+
 def _clear_blockspace(
-    cost: ec.CostFn,
-    load: Callable[[float], float],
-    warm: tuple[float, float] | None = None,
+    cost: ec.CostFn, load: Callable[[float], float], guess: float | None = None
 ) -> tuple[float, bool]:
     """Fee clearing blockspace against a demand load(p) that falls in p,
     and whether it clears at the unit capacity.
@@ -69,25 +73,22 @@ def _clear_blockspace(
     demand below capacity: p = c'(load(p)). The root runs in log price
     (find_log_root), on log load(p) when congested and on
     log p - log c'(load(p)) when slack. For one isoelastic type under power
-    cost both residuals are linear in log p, so on the cold path the first
-    secant step of Brent's method lands on the root; with several types they
-    stay close to linear.
+    cost both residuals are linear in log p, so Brent's first secant step
+    lands on the root; with several types they stay close to linear.
 
-    Without warm (the cold path), the test at c'(1) picks the branch, and
-    the root is bracketed from [c'(1), c'(1)] upward or from
-    [c'(1) / 2, c'(1)]. warm, a fee bracket (lo, hi) around a predicted
-    price (from nearby solves, or a closed form), is tried first: its centre
-    is evaluated, on the congested residual above c'(1) and on the slack one
-    at or below it, and accepted when that residual is at float resolution
-    (RESIDUAL_FLOOR) and, within float resolution of c'(1), on the branch the
-    cold test names: demand that fills capacity there clears on both, and
-    p <= c'(1) and p = c'(load(p)) put the load within capacity only to a
-    few ulps. Otherwise the root lies on the side of the centre that the
-    residual's sign names. Away from c'(1) it is bracketed from the centre
-    and the warm end on that side, widened by expand_bracket when that end
-    does not hold it. Toward c'(1) the warm end is tried when it lies on the
-    centre's side of c'(1); when it does not hold the root, the cold path
-    runs from there.
+    Every demand's curvature lies in (0, 1), so in log p the congested
+    residual falls with slope at most -1 and the slack one rises with slope
+    at least 1: a residual f at p puts the root within |f| of log p, on the
+    side the sign of f names. The guess (from nearby solves or a closed
+    form; c'(1) without one) is evaluated first, on the congested residual
+    above c'(1) and on the slack one at or below it, and accepted when that
+    residual is at float resolution (RESIDUAL_FLOOR) and, within float
+    resolution of c'(1), on the branch the test at c'(1) names: demand that
+    fills capacity there clears on both, and p <= c'(1) and p = c'(load(p))
+    put the load within capacity only to a few ulps. Otherwise the guess
+    and the end its residual bounds bracket the root, widened by
+    expand_bracket where rounding leaves that end short; an end across
+    c'(1) gives way to the test there, whose residual bounds the root.
 
     load is evaluated at most once per price, and the returned fee is
     always one at which it was evaluated.
@@ -110,36 +111,37 @@ def _clear_blockspace(
             slack[p] = math.log(p) - _log(ec.c_prime(cost, loads[p]))
         return slack[p]
 
-    # the cold brackets: a slack root in [lo, c'(1)], a congested one above
-    # c'(1) from [c'(1), hi]
-    lo, hi = 0.5 * capacity_cost, capacity_cost
+    p = capacity_cost if guess is None else guess
     tie = 2.0 * RESIDUAL_FLOOR * capacity_cost  # float resolution of c'(1)
-    if warm is not None:
-        guess = 0.5 * (warm[0] + warm[1])
-        if guess > capacity_cost:
-            f = over(guess)
-            if abs(f) <= RESIDUAL_FLOOR and (guess - capacity_cost > tie or over(capacity_cost) > 0.0):
-                return guess, True
-            if f > 0.0:
-                # demand overfills capacity at guess: the root lies above it
-                start = warm[1] if over(warm[1]) > 0.0 else guess
-                return find_log_root(over, start, warm[1], lo_floor=start), True
-            if warm[0] > capacity_cost and over(warm[0]) > 0.0:
-                return find_log_root(over, warm[0], guess), True
-            hi = warm[0] if warm[0] > capacity_cost else guess
-        else:
-            f = excess(guess)
-            if abs(f) <= RESIDUAL_FLOOR and (capacity_cost - guess > tie or over(capacity_cost) <= 0.0):
-                return guess, False
-            if f > 0.0:
-                # the fee exceeds marginal cost at guess: a slack root lies below it
-                return find_log_root(excess, warm[0], guess), False
-            if warm[1] <= capacity_cost and excess(warm[1]) > 0.0:
-                return find_log_root(excess, guess, warm[1]), False
-            lo, hi = (warm[1], capacity_cost) if warm[1] <= capacity_cost else (guess, warm[1])
-
-    if over(capacity_cost) > 0.0:
+    lo = hi = capacity_cost  # evaluated ends beyond a slack and a congested root
+    if p > capacity_cost:
+        f = over(p)
+        if abs(f) <= RESIDUAL_FLOOR and (p - capacity_cost > tie or over(capacity_cost) > 0.0):
+            return p, True
+        end = _step(p, f)
+        if f > 0.0:
+            # demand overfills capacity at p: the root lies above it
+            return find_log_root(over, p, end, lo_floor=p), True
+        if end > capacity_cost and over(end) > 0.0:
+            return find_log_root(over, end, p), True
+        hi = end if end > capacity_cost else p
+    else:
+        f = excess(p)
+        if abs(f) <= RESIDUAL_FLOOR and (capacity_cost - p > tie or over(capacity_cost) <= 0.0):
+            return p, False
+        end = _step(p, -f)
+        if f > 0.0:
+            # the fee exceeds marginal cost at p: a slack root lies below it
+            return find_log_root(excess, end, p), False
+        if end < capacity_cost and excess(end) > 0.0:
+            return find_log_root(excess, p, end), False
+        lo = end if end < capacity_cost else p
+    f = over(capacity_cost)
+    if f > 0.0:
+        hi = hi if hi > capacity_cost else _step(capacity_cost, f)
         return find_log_root(over, capacity_cost, hi, lo_floor=capacity_cost), True
+    if lo == capacity_cost:
+        lo = min(_step(capacity_cost, -excess(capacity_cost)), capacity_cost)
     return find_log_root(excess, lo, capacity_cost), False
 
 
@@ -155,18 +157,18 @@ def _clear_demands(
     u's scale s and curvature c, so its fee has a closed form: q = (s/w) k**c,
     where the load is the unit capacity, when q exceeds S = c'(1); else the
     slack fee q**(kappa/(c + kappa)) * S**(c/(c + kappa)) for the cost's
-    curvature kappa. The kernel gets it as its warm prediction, evaluates it
-    first and keeps it when the residual there is at float resolution;
-    otherwise (within float resolution of c'(1), or where rounding leaves
-    the residual above RESIDUAL_FLOOR) it roots from there as from any
-    prediction. Several demands clear on the cold path. One that underflows
-    a float at its closed-form fee raises a SolverError that says so.
+    curvature kappa. The kernel gets it as its guess, evaluates it first and
+    keeps it when the residual there is at float resolution; otherwise
+    (within float resolution of c'(1), or where rounding leaves the residual
+    above RESIDUAL_FLOOR) it roots from there as from any guess. Several
+    demands clear from c'(1). One that underflows a float at its
+    closed-form fee raises a SolverError that says so.
     """
     types, cost = cfg.agent_types, cfg.cost
     demands = [(share * t.mass, t.utility_in(state)) for t in types if t.is_active(state)]
     if not demands:
         return 0.0, False, {t.name: 0.0 for t in types}, 0.0
-    warm = None
+    guess = None
     if len(demands) == 1:
         # the closed-form regimes clear one demand: a bare product, equal to fsum
         # of one term and faster
@@ -182,17 +184,17 @@ def _clear_demands(
         fee = u.scale / wedge * k**c
         if 0.0 < fee <= cost.scale:
             fee *= (cost.scale / fee) ** (c / (c + cost.curvature))
-        if 0.0 < fee + fee < math.inf:  # the kernel's centre of (fee, fee) is fee
-            warm = fee, fee
+        if 0.0 < fee < math.inf:
+            guess = fee
     else:
         def load(p: float) -> float:
             return math.fsum(k * ec.u_prime_inv(u, wedge * p) for k, u in demands)
 
     try:
-        price, congested = _clear_blockspace(cost, load, warm)
+        price, congested = _clear_blockspace(cost, load, guess)
     except SolverError as exc:
-        if warm is not None and load(warm[0]) == 0.0:  # read only once the kernel has failed
-            raise SolverError(f"demand underflows a float at the closed-form fee {warm[0]!r}") from exc
+        if guess is not None and load(guess) == 0.0:  # read only once the kernel has failed
+            raise SolverError(f"demand underflows a float at the closed-form fee {guess!r}") from exc
         raise
     acts = {
         t.name: ec.u_prime_inv(t.utility_in(state), wedge * price) if t.is_active(state) else 0.0

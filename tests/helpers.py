@@ -61,7 +61,7 @@ def record_evaluations(monkeypatch) -> Evaluations:
         seen.c_prime.append(s)
         return c_prime(c, s)
 
-    def clearing(cost, load, warm=None):
+    def clearing(cost, load, guess=None):
         prices: list[float] = []
         seen.clears.append(prices)
 
@@ -69,7 +69,7 @@ def record_evaluations(monkeypatch) -> Evaluations:
             prices.append(p)
             return load(p)
 
-        return kernel(cost, recording, warm)
+        return kernel(cost, recording, guess)
 
     monkeypatch.setattr(ec, "u_prime_inv", counting)
     monkeypatch.setattr(ec, "u_prime", counting_u_prime)
@@ -200,6 +200,22 @@ def underflow_config() -> ec.EconomyConfig:
     return single_user_config(
         ec.ShockKind.DETERMINISTIC, r=0.0142, scale=0.0020151548992530144,
         curvature=0.013414665238003508, cost=(315.6546993348991, 1e-9),
+    )
+
+
+def marginal_cost_overflow_config() -> ec.EconomyConfig:
+    """Two deterministic types under cost curvature 11, one of utility
+    curvature 0.01: at fees not far below the clearing one, the marginal
+    cost of their load exceeds the largest float."""
+    return ec.EconomyConfig(
+        r=0.05,
+        gamma=0.0,
+        agent_types=(
+            ec.AgentTypeSpec(mass=0.5, utility_by_state={1: ISO(0.99, 0.01)}, name="a"),
+            ec.AgentTypeSpec(mass=0.5, utility_by_state={1: ISO(0.5, 0.5)}, name="b"),
+        ),
+        cost=ec.CostFn(1.0, 11.0),
+        shocks=ec.ShockProcess(ec.ShockKind.DETERMINISTIC),
     )
 
 

@@ -15,8 +15,9 @@ from tokenomics import verify, welfare
 from tokenomics.first_best import first_best_allocation, planner_economy
 
 from helpers import (
-    CONFIG_DIR, both_bind_config, replace, scaled_config, split_iid_config,
-    split_steady_config, three_type_config, two_type_config, underflow_config,
+    CONFIG_DIR, both_bind_config, marginal_cost_overflow_config, replace, scaled_config,
+    split_iid_config, split_steady_config, three_type_config, two_type_config,
+    underflow_config,
 )
 
 DET = str(CONFIG_DIR / "deterministic.json")
@@ -86,6 +87,17 @@ def test_scenario_writes_reports(tmp_path, capsys):
     assert wf_doc["first_best_gap"] == pytest.approx(0.0, abs=1e-8)
     assert summary.startswith("regime            friedman")
     assert capsys.readouterr().out.strip() == summary.strip()
+
+
+def test_scenario_clears_where_marginal_cost_passes_a_float(tmp_path, capsys):
+    # clearing this market evaluates marginal cost at loads whose cost
+    # exceeds the largest float; that reads inf instead of a traceback
+    cfg_path = write_config(tmp_path, marginal_cost_overflow_config())
+    code = cli.main(["scenario", "--config", cfg_path, "--regime", "friedman",
+                     "--out", str(tmp_path / "out")])
+    assert code == 0, capsys.readouterr().err
+    eq_doc = json.loads((tmp_path / "out" / "equilibrium.json").read_text())
+    assert eq_doc["states"]["1"]["congested"] is False
 
 
 def test_scenario_solves_both_budgets_binding(tmp_path):

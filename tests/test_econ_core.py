@@ -31,6 +31,12 @@ def test_cost_frozen_values():
     assert ec.c_prime(c, 0.0) == 0.0
 
 
+def test_marginal_cost_past_a_float_is_inf():
+    # (2.32e29)**11, about 1e323, exceeds the largest float: the marginal cost
+    # of a load far past capacity reads inf, as u_prime_inv's demand does
+    assert ec.c_prime(ec.CostFn(1.0, 11.0), 2.32e29) == math.inf
+
+
 def test_domain_errors():
     with pytest.raises(ValueError):
         ec.u_eval(ISO(1.0, 0.5), -1.0)

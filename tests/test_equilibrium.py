@@ -417,14 +417,29 @@ def test_heterogeneous_solve_evaluation_budget(het_cfg, monkeypatch):
     seen = record_evaluations(monkeypatch)
     both = het_band_config(*SHOCKED_BINDS_BOTH)
     for cfg, theta, budget in [
-        (het_cfg, 0.0, (12, 0, 5)), (het_cfg, 0.02, (40, 0, 16)), (het_cfg, 0.05, (48, 0, 21)),
-        (het_cfg, 0.08, (48, 0, 21)), (het_cfg, 0.1, (44, 0, 21)), (both, 0.0, (32, 114, 24)),
-        (both, 0.03, (70, 268, 58)),
+        (het_cfg, 0.0, (10, 0, 4)), (het_cfg, 0.02, (36, 0, 14)), (het_cfg, 0.05, (42, 0, 18)),
+        (het_cfg, 0.08, (42, 0, 18)), (het_cfg, 0.1, (38, 0, 18)), (both, 0.0, (25, 54, 19)),
+        (both, 0.03, (58, 138, 47)),
     ]:
         seen.clear()
         eqm.solve_regime(cfg, "heterogeneous", theta)
         counts = len(seen.u_prime_inv), len(seen.u_prime), len(seen.c_prime)
         assert all(n <= most for n, most in zip(counts, budget)), (theta, counts)
+
+
+def test_taxed_heterogeneous_solve_inverts_demand_as_the_readme_says(het_cfg, monkeypatch):
+    # a taxed solve of the shipped config, theta = 0.005, 0.01, ..., 0.1,
+    # takes 32 to 42 demand inversions: the range the README states
+    seen = record_evaluations(monkeypatch)
+    counts = []
+    for i in range(1, 21):
+        seen.clear()
+        eqm.solve_regime(het_cfg, "heterogeneous", 0.005 * i)
+        counts.append(len(seen.u_prime_inv))
+    assert (min(counts), max(counts)) == (32, 42), counts
+    readme = " ".join((CONFIG_DIR.parent / "README.md").read_text().split())
+    stated = "`configs/heterogeneous.json` takes 32 to 42 demand inversions for theta in [0.005, 0.1]"
+    assert stated in readme
 
 
 @pytest.mark.parametrize(
@@ -539,14 +554,20 @@ def test_demand_below_a_float_at_the_closed_form_fee_is_named(regime):
 
 
 @pytest.mark.parametrize("cost, prices", [
-    ((1.0, 1.0), [1.0, 2.0, 1.649342097118977, 1.6476405019039462, 1.6476412730155703,
-                  1.6476412730060723]),
-    ((4.0, 2.0), [4.0, 2.0, 1.0, 8.0, 1.8846694911382975, 1.8536650849916605,
-                  1.8534843581190257, 1.8534843660244253, 1.8534843660244158]),
+    # demand overfills capacity at c'(1) = 1 by a log residual of 1.64: the
+    # root lies in [1, e^1.64]
+    ((1.0, 1.0), [1.0, 5.164684199579493, 1.6634160955173798, 1.6477182676933295,
+                  1.6476412713865785, 1.6476412730060732, 1.6476412730060723]),
+    # the fee exceeds marginal cost at c'(1) = 4 by a log residual of 5.71:
+    # the root lies in [4 e^-5.71, 4]
+    ((4.0, 2.0), [4.0, 0.013187666506929086, 1.8886883669593155, 1.8531675920865218,
+                  1.8534844378277173, 1.8534843660245626, 1.8534843660244162,
+                  1.853484366024416]),
 ], ids=["congested", "slack"])
 def test_a_two_type_market_clears_on_the_cold_path(cost, prices, monkeypatch):
     # two demands have no closed-form fee: the planner's market is bracketed
-    # from c'(1), evaluating its load at exactly these prices
+    # by c'(1) and the end its residual there bounds, evaluating its load at
+    # exactly these prices
     cfg = ec.EconomyConfig(
         r=0.05, gamma=0.0,
         agent_types=(ec.AgentTypeSpec(0.5, {1: ISO(0.5, 0.5)}, "a"),
@@ -584,8 +605,8 @@ def test_heterogeneous_solve_logs_its_branch_at_debug(het_cfg, caplog):
         eqm.solve_regime(het_cfg, "heterogeneous", 0.0)
         eqm.solve_regime(het_cfg, "heterogeneous", 0.05)
         # the planner rations this high state but the equilibrium does not,
-        # so demand at the planner's price and at its bracket's lower end fits
-        # capacity, and the first clear runs the cold test at c'(1)
+        # so demand at the planner's price fits capacity by a residual that
+        # bounds the root below c'(1), and the first clear tests c'(1)
         eqm.solve_regime(slack, "heterogeneous", 0.0)
         eqm.solve_regime(het_band_config(*SHOCKED_BINDS_BOTH), "heterogeneous", 0.0)
     # the slack config starts from the unshocked type binding in the low
@@ -596,17 +617,17 @@ def test_heterogeneous_solve_logs_its_branch_at_debug(het_cfg, caplog):
     # (solve_regime adds an INFO line per solve.)
     assert [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG] == [
         "heterogeneous theta=0.0 binds=shocked:high,steady:low pattern_switches=0 "
-        "first_bracket=planner-seed trial_returns=1 high_load_evals=3 low_load_evals=3 "
+        "first_bracket=planner-seed trial_returns=1 high_load_evals=3 low_load_evals=2 "
         "foc_evals=0 prediction_hits=0",
         "heterogeneous theta=0.05 binds=shocked:high,steady:low pattern_switches=0 "
-        "first_bracket=planner-seed trial_returns=5 high_load_evals=13 low_load_evals=11 "
+        "first_bracket=planner-seed trial_returns=5 high_load_evals=13 low_load_evals=8 "
         "foc_evals=0 prediction_hits=3",
         "heterogeneous theta=0.0 binds=shocked:high,steady:high pattern_switches=1 "
-        "first_bracket=cold-test trial_returns=1 high_load_evals=7 low_load_evals=6 "
+        "first_bracket=cold-test trial_returns=1 high_load_evals=5 low_load_evals=4 "
         "foc_evals=0 prediction_hits=0",
         "heterogeneous theta=0.0 binds=shocked:both,steady:low pattern_switches=1 "
-        "first_bracket=cold-test trial_returns=1 high_load_evals=6 low_load_evals=12 "
-        "foc_evals=57 prediction_hits=0",
+        "first_bracket=cold-test trial_returns=1 high_load_evals=5 low_load_evals=8 "
+        "foc_evals=27 prediction_hits=0",
     ]
 
 
@@ -982,14 +1003,14 @@ def _assert_clears(cost: ec.CostFn, price: float, load: float, congested: bool) 
     cost_sign=st.sampled_from([-1.0, 1.0]),
     curvature=st.floats(0.2, 0.8),
     cost_curvature=st.floats(0.05, 3.0),
-    warm=st.none() | st.tuples(st.floats(-0.1, 0.1), st.floats(0.0, 0.1)),
+    guess=st.none() | st.floats(-0.1, 0.1),
 )
 def test_a_clear_never_evaluates_load_twice_at_one_price(
-    utility_offset, utility_sign, cost_offset, cost_sign, curvature, cost_curvature, warm
+    utility_offset, utility_sign, cost_offset, cost_sign, curvature, cost_curvature, guess
 ):
     # utility and cost scales 1 +- 10^-k put the root near p = 1, where
     # neighbouring log prices that Brent's method tries round to one price;
-    # warm brackets near 1 hold the root or miss it on either side
+    # guesses near 1 miss it on either side
     u = ISO(1.0 + utility_sign * 10.0**-utility_offset, curvature)
     cost = ec.CostFn(1.0 + cost_sign * 10.0**-cost_offset, cost_curvature)
     prices = []
@@ -998,8 +1019,7 @@ def test_a_clear_never_evaluates_load_twice_at_one_price(
         prices.append(p)
         return ec.u_prime_inv(u, p)
 
-    bracket = None if warm is None else (1.0 + warm[0], 1.0 + warm[0] + warm[1])
-    price, congested = _clear_blockspace(cost, load, bracket)
+    price, congested = _clear_blockspace(cost, load, None if guess is None else 1.0 + guess)
     assert len(set(prices)) == len(prices)
     assert price in prices
     _assert_clears(cost, price, ec.u_prime_inv(u, price), congested)

@@ -21,7 +21,8 @@ from tokenomics.verify import CERT_TOL
 from tokenomics.welfare import evaluate
 
 from helpers import (
-    CONFIG_DIR, ISO, ZERO, record_evaluations, replace, single_user_config,
+    CONFIG_DIR, ISO, ZERO, marginal_cost_overflow_config, record_evaluations, replace,
+    single_user_config,
 )
 
 #: planner's activity for the canonical single-user economy, from
@@ -238,15 +239,18 @@ def test_iid_planner_economy_is_the_one_active_pair(iid_cfg):
 
 
 @pytest.mark.parametrize(
-    "curvature, cost_scale, warm, far, congested",
+    "curvature, cost_scale, guess, far, congested",
     [
-        (1e-4, 0.99, None, 1.98, True),  # bracket [c'(1), 2 c'(1)]
-        # centre 0.99995 below the root: the warm bracket's upper end
-        (1e-5, 0.9999, (0.9499, 1.05), 1.05, True),
+        # no guess: at c'(1) = 0.99 demand is 4.4e43, so its log residual
+        # there bounds the root by 0.99 e^100.5
+        (1e-4, 0.99, None, 4.402397154528061e43, True),
+        # a guess 0.99995 below the root 1, where demand is 148: its residual
+        # bounds the root by 0.99995 e^5
+        (1e-5, 0.9999, 0.99995, 148.4242909412655, True),
         (1e-4, 2.0, None, 2.0, False),  # demand at c'(1) itself is 0.0
     ],
 )
-def test_clearing_survives_demand_underflow(curvature, cost_scale, warm, far, congested):
+def test_clearing_survives_demand_underflow(curvature, cost_scale, guess, far, congested):
     # curvature near 0: demand (1/p)^(1/curvature) underflows to 0.0 at the
     # far end of the bracket, which the log-price residuals must not pass to
     # math.log
@@ -259,13 +263,25 @@ def test_clearing_survives_demand_underflow(curvature, cost_scale, warm, far, co
         return ec.u_prime_inv(u, p)
 
     assert load(far) == 0.0
-    p, is_congested = _clear_blockspace(cost, load, warm)
+    p, is_congested = _clear_blockspace(cost, load, guess)
     assert is_congested is congested
     assert far in evaluated[1:] and p in evaluated
     if congested:
         assert load(p) == pytest.approx(1.0, abs=1e-10)
     else:
         assert p == pytest.approx(ec.c_prime(cost, load(p)), rel=1e-10)
+
+
+def test_a_market_clears_where_marginal_cost_passes_a_float():
+    # at fees far below the slack one the load's marginal cost s^11 exceeds
+    # the largest float; it reads inf, so the slack residual there is -inf
+    cfg = marginal_cost_overflow_config()
+    alloc = first_best_allocation(cfg, 1)
+    assert not alloc.congested and alloc.total < 1.0
+    x = ec.u_prime(cfg.agent_types[0].utility_in(1), alloc.activities["a"])
+    assert x == pytest.approx(ec.c_prime(cfg.cost, alloc.total), rel=1e-10)
+    eq = eqm.solve_regime(cfg, "friedman")
+    assert eq.states[1].activities == pytest.approx(alloc.activities, rel=1e-12)
 
 
 def _recorded(u: ec.UtilityFn) -> tuple[list[float], Callable[[float], float]]:
@@ -285,21 +301,21 @@ SLACK_ROOT = (ISO(0.125, 0.5), 0.25)
 
 
 @pytest.mark.parametrize(
-    "u, root, warm, congested",
-    [(*CONGESTED_ROOT, (1.9, 2.1), True), (*SLACK_ROOT, (0.2, 0.3), False)],
+    "u, root, congested",
+    [(*CONGESTED_ROOT, True), (*SLACK_ROOT, False)],
+    ids=["u0-2.0-warm0-True", "u1-0.25-warm1-False"],
 )
-def test_a_prediction_at_the_root_takes_one_load_evaluation(u, root, warm, congested):
+def test_a_prediction_at_the_root_takes_one_load_evaluation(u, root, congested):
     evaluated, load = _recorded(u)
-    assert 0.5 * (warm[0] + warm[1]) == root
-    assert _clear_blockspace(ec.CostFn(1.0, 1.0), load, warm) == (root, congested)
+    assert _clear_blockspace(ec.CostFn(1.0, 1.0), load, root) == (root, congested)
     assert evaluated == [root]
 
 
-@pytest.mark.parametrize("warm", [(0.24, 0.27), (0.23, 0.26), (0.3, 0.6)])
+@pytest.mark.parametrize("warm", [0.255, 0.245, 0.45], ids=["warm0", "warm1", "warm2"])
 def test_a_slack_prediction_clears_without_the_capacity_test(warm):
-    # slack predictions above and below the root whose bracket holds it, and
-    # one above it whose bracket does not: p <= c'(1) and p = c'(load(p)) put
-    # the load within capacity, so load(c'(1)) is not needed
+    # slack predictions above and below the root, each bounding it short of
+    # c'(1): p <= c'(1) and p = c'(load(p)) put the load within capacity, so
+    # load(c'(1)) is not needed
     u, root = SLACK_ROOT
     evaluated, load = _recorded(u)
     price, congested = _clear_blockspace(ec.CostFn(1.0, 1.0), load, warm)
@@ -311,16 +327,17 @@ def test_a_slack_prediction_clears_without_the_capacity_test(warm):
 @pytest.mark.parametrize(
     "u, warm",
     [
-        (CONGESTED_ROOT[0], (0.5, 0.9)),  # slack prediction, warm end below c'(1)
-        (CONGESTED_ROOT[0], (0.8, 1.1)),  # slack prediction, warm end above c'(1)
-        (CONGESTED_ROOT[0], (1.0, 1.0)),  # a one-point bracket at c'(1)
-        (SLACK_ROOT[0], (1.2, 1.5)),  # congested prediction, warm end above c'(1)
-        (SLACK_ROOT[0], (0.9, 1.3)),  # congested prediction, warm end below c'(1)
-        (SLACK_ROOT[0], (4.0, 4.0)),  # a one-point bracket far above
-        # slack prediction below the root, bracket short of it: the root may
-        # be congested, so the cold test runs
-        (SLACK_ROOT[0], (0.1, 0.2)),
+        (CONGESTED_ROOT[0], 0.7),  # slack prediction far below c'(1)
+        (CONGESTED_ROOT[0], 0.95),  # slack prediction near c'(1)
+        (CONGESTED_ROOT[0], 1.0),  # a prediction at c'(1)
+        (SLACK_ROOT[0], 1.35),  # congested prediction near c'(1)
+        (SLACK_ROOT[0], 1.1),  # congested prediction nearer still
+        (SLACK_ROOT[0], 4.0),  # congested prediction far above
+        # slack prediction below the root whose bound passes c'(1): the root
+        # may be congested, so the test at c'(1) runs
+        (SLACK_ROOT[0], 0.1),
     ],
+    ids=[f"u{i}-warm{i}" for i in range(7)],
 )
 def test_a_prediction_on_the_wrong_side_of_capacity_cost_gets_the_cold_result(u, warm):
     cost = ec.CostFn(1.0, 1.0)
@@ -342,30 +359,25 @@ def test_a_prediction_on_the_wrong_side_of_capacity_cost_gets_the_cold_result(u,
         min_size=1,
         max_size=2,
     ),
-    side=st.sampled_from([None, "around", "below", "above"]),
-    near=st.floats(1.0, 2.0),
-    far=st.floats(1.0, 4.0),
+    side=st.sampled_from([None, "below", "above"]),
+    near=st.floats(1.0, 4.0),
 )
-# demand that fills capacity exactly at c'(1): a warm root an ulp or two off
-# c'(1) on either side
-@example(1e-9, 0.75, [(1.0, 0.5)], "above", 1.0, 1.0 + 2.0**-52)
-@example(1e-9, 1.0, [(1.0, 0.5)], "below", 1.0, 1.0 + 2.0**-52)
-def test_a_clear_prices_by_its_branch_from_any_warm_bracket(
-    cost_curvature, cost_scale, demands, side, near, far
+# demand that fills capacity exactly at c'(1): a guess at c'(1) or an ulp off
+# it on either side
+@example(1e-9, 0.75, [(1.0, 0.5)], "above", 1.0)
+@example(1e-9, 0.75, [(1.0, 0.5)], "above", 1.0 + 2.0**-52)
+@example(1e-9, 1.0, [(1.0, 0.5)], "below", 1.0 + 2.0**-52)
+def test_a_clear_prices_by_its_branch_from_any_guess(
+    cost_curvature, cost_scale, demands, side, near
 ):
     # every congested fee is at or above marginal cost at capacity c'(1) and
-    # every slack one at or below it, whatever warm bracket the solve starts
-    # from: around c'(1), wholly below it (up to touching it) or above it
+    # every slack one at or below it, whatever guess the solve starts from:
+    # none (c'(1) itself), at or above c'(1), or below it
     cost = ec.CostFn(cost_scale, cost_curvature)
     capacity_cost = ec.c_prime(cost, 1.0)
     # u'^-1(c'(1)) = (scale / c'(1))^(1 / curvature) is the demand's load there
     utilities = [ISO(capacity_cost * at_cap**curvature, curvature) for at_cap, curvature in demands]
-    warm = {
-        None: None,
-        "around": (capacity_cost / near, capacity_cost * far),
-        "below": (capacity_cost / (near * far), capacity_cost / near),
-        "above": (capacity_cost * near, capacity_cost * near * far),
-    }[side]
+    guess = {None: None, "below": capacity_cost / near, "above": capacity_cost * near}[side]
     loads: dict[float, float] = {}
 
     def load(p: float) -> float:
@@ -374,7 +386,7 @@ def test_a_clear_prices_by_its_branch_from_any_warm_bracket(
 
     cold_price, cold_congested = _clear_blockspace(cost, load)
     loads.clear()
-    price, congested = _clear_blockspace(cost, load, warm)
+    price, congested = _clear_blockspace(cost, load, guess)
     assert price in loads
     if congested:
         assert price >= capacity_cost
@@ -387,3 +399,80 @@ def test_a_clear_prices_by_its_branch_from_any_warm_bracket(
         assert abs(math.log(price) - math.log(ec.c_prime(cost, loads[price]))) <= RESIDUAL_TOL
     assert price == pytest.approx(cold_price, rel=1e-8, abs=0.0)
     assert congested is cold_congested
+
+
+def _log_residuals(cost: ec.CostFn, demands: list[tuple[float, ec.UtilityFn]]):
+    """The kernel's two residuals in x = log p, for demands [(mass, utility)]
+    buying mass * (scale / p)^(1 / curvature) each, written out in logs so
+    that no load overflows or underflows: log load(p) (congested) and
+    log p - log c'(load(p)) (slack)."""
+
+    def log_load(x: float) -> float:
+        terms = [math.log(k) + (math.log(u.scale) - x) / u.curvature for k, u in demands]
+        top = max(terms)
+        return top + math.log(math.fsum(math.exp(t - top) for t in terms))
+
+    def slack(x: float) -> float:
+        return x - math.log(cost.scale) - cost.curvature * log_load(x)
+
+    return log_load, slack
+
+
+def _log_root(f: Callable[[float], float], x: float) -> float:
+    # bisection of a residual that falls or rises through zero near x
+    lo, hi = x - 60.0, x + 60.0
+    rising = f(hi) > 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if (f(mid) > 0.0) == rising:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    cost_curvature=st.floats(1e-9, 10.0),
+    cost_scale=st.floats(-2.0, 2.0).map(lambda e: 10.0**e),
+    # each demand's load at c'(1) and its curvature
+    demands=st.lists(
+        st.tuples(st.floats(-2.0, 2.0).map(lambda e: 10.0**e), st.floats(0.01, 0.99)),
+        min_size=1,
+        max_size=3,
+    ),
+    # log prices about c'(1): one the bound is checked at, and a guess
+    at=st.floats(-20.0, 20.0),
+    guess=st.floats(-700.0, 700.0) | st.floats(-2.0, 2.0),
+)
+def test_a_residual_bounds_the_root_and_the_kernel_clears_from_any_guess(
+    cost_curvature, cost_scale, demands, at, guess
+):
+    # each curvature lies in (0, 1): log load falls in log p with slope at
+    # most -1, and log p - log c'(load) rises with slope at least 1, so at
+    # any price either residual is at least the distance in log price to its
+    # own root; from any positive guess the kernel returns a fee it
+    # evaluated, with its residual there at float resolution
+    cost = ec.CostFn(cost_scale, cost_curvature)
+    capacity_cost = ec.c_prime(cost, 1.0)
+    x_cap = math.log(capacity_cost)
+    market = [(1.0 / len(demands), ISO(capacity_cost * at_cap**c, c)) for at_cap, c in demands]
+    log_load, slack = _log_residuals(cost, market)
+    for residual in (log_load, slack):
+        root = _log_root(residual, x_cap)
+        x = x_cap + at
+        assert abs(root - x) <= abs(residual(x)) + 1e-9, (residual.__name__, root, x)
+
+    loads: dict[float, float] = {}
+
+    def load(p: float) -> float:
+        loads[p] = math.fsum(k * ec.u_prime_inv(u, p) for k, u in market)
+        return loads[p]
+
+    price, congested = _clear_blockspace(cost, load, math.exp(x_cap + guess))
+    assert price in loads
+    x = math.log(price)
+    assert abs((log_load if congested else slack)(x)) <= RESIDUAL_TOL
+    # the branch is the one the load at c'(1) names, away from a tie there
+    if abs(log_load(x_cap)) > 1e-12:
+        assert congested is (log_load(x_cap) > 0.0)
