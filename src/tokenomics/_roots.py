@@ -6,9 +6,11 @@ residual with a sign change on a bracket. find_root runs Brent's method
 bisection's guaranteed bracket and converges superlinearly, deterministically.
 It stops at float resolution, in x or in the residual: when the bracket is a
 few ulps wide, or when the residual is within RESIDUAL_FLOOR of zero, which
-needs a residual relative to the terms it balances. find_log_root runs it in
-the log of a positive unknown, where expand_bracket's geometric steps are
-even steps: the market-clearing kernel (first_best._clear_blockspace) roots
+needs a residual relative to the terms it balances. find_log_root runs the
+same steps in place in the log of a positive unknown, from a point the
+caller evaluated toward a second one, on the caller's one table of
+residuals by unknown; it widens past the second point where the root lies
+beyond it. The market-clearing kernel (first_best._clear_blockspace) roots
 in log price, where its residuals are nearly linear with slopes at least 1
 in size, so the secant step is close to exact and a residual bounds the
 root's distance; the heterogeneous solver roots a balance in log m.
@@ -17,6 +19,7 @@ root's distance; the heterogeneous solver roots a balance in log m.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable
 
 from .errors import SolverError
@@ -29,34 +32,12 @@ RESIDUAL_TOL = 1e-10
 RESIDUAL_FLOOR = 4.0 * _EPS
 #: hard cap on iterations (well past double precision for any bracket)
 MAX_ITER = 200
+#: widening steps find_log_root takes before it gives up on a sign change
+MAX_WIDEN = 60
 
-
-def expand_bracket(
-    f: Callable[[float], float], lo: float, hi: float, *, lo_floor: float = 1e-300
-) -> tuple[float, float, float, float]:
-    """Widen [lo, hi] geometrically until f changes sign across it.
-
-    Doubles hi and halves lo (keeping lo above lo_floor), up to 60 times.
-    Returns (lo, hi, f(lo), f(hi)), which find_root takes as they are.
-    Raises SolverError when no sign change can be found, reporting the
-    final bracket.
-    """
-    if not (0 < lo <= hi):
-        raise ValueError(f"invalid starting bracket [{lo}, {hi}]")
-    flo = f(lo)
-    fhi = flo if hi == lo else f(hi)
-    for _ in range(60):
-        if flo == 0.0 or fhi == 0.0 or (flo < 0.0) != (fhi < 0.0):
-            return lo, hi, flo, fhi
-        if lo > lo_floor:
-            lo = max(lo / 2.0, lo_floor)
-            flo = f(lo)
-        hi = hi * 2.0
-        fhi = f(hi)
-    raise SolverError(
-        "could not bracket a root: "
-        f"f({lo:.6g}) = {flo:.6g}, f({hi:.6g}) = {fhi:.6g} share a sign"
-    )
+#: the positive finite floats, and the log of the largest
+_TINY, _HUGE = math.ulp(0.0), sys.float_info.max
+_LOG_HUGE = math.log(_HUGE)
 
 
 def find_root(
@@ -76,18 +57,102 @@ def find_root(
     order one (a log ratio, or a balance scaled by one of its sides), so
     that RESIDUAL_FLOOR is float resolution for it. A residual whose
     rounding stays above RESIDUAL_FLOOR ends on the bracket test. flo and
-    fhi, when known, are f(lo) and f(hi) and are not evaluated again, so
-    find_root(f, *expand_bracket(f, lo, hi)) evaluates no point twice.
+    fhi, when known, are f(lo) and f(hi) and are not evaluated again.
     """
-    # b is the best estimate, c the other end of the bracket, a the previous b
-    a, b = lo, hi
-    fa = f(a) if flo is None else flo
-    fb = f(b) if fhi is None else fhi
-    if (fa < 0.0 and fb < 0.0) or (fa > 0.0 and fb > 0.0):
+    flo = f(lo) if flo is None else flo
+    fhi = f(hi) if fhi is None else fhi
+    if (flo < 0.0 and fhi < 0.0) or (flo > 0.0 and fhi > 0.0):
         raise SolverError(
-            f"no sign change on bracket: f({lo:.6g}) = {fa:.6g}, "
-            f"f({hi:.6g}) = {fb:.6g}"
+            f"no sign change on bracket: f({lo:.6g}) = {flo:.6g}, "
+            f"f({hi:.6g}) = {fhi:.6g}"
         )
+    b, fb, c = _brent(f, lo, flo, hi, fhi)
+    if abs(fb) > RESIDUAL_TOL:
+        raise SolverError(
+            f"root finder stalled with residual {fb:.3e} > {RESIDUAL_TOL:.0e} "
+            f"on bracket [{min(b, c):.12g}, {max(b, c):.12g}]"
+        )
+    return b
+
+
+def find_log_root(
+    f: Callable[[float], float], values: dict[float, float], v: float, w: float
+) -> float:
+    """Root of a monotone f(v) for v > 0, found in x = log v from v toward w.
+
+    values is the caller's one table of f by v: it holds v, and w where f is
+    already known there. The root lies between v and w (w != v) or beyond
+    w; v, or else w, is returned at once when its residual is at float
+    resolution. Where f has one sign at v and w, the bracket widens beyond
+    w: first by a few ulps of w, where rounding left w just short of the
+    root, then by steps in x that double from the distance between v and
+    w, within the positive finite floats (SolverError when no sign change
+    is found).
+
+    Brent's method then runs in x, evaluating f at v = exp(x) and adding
+    each v to values, and stops as find_root does: once the residual is at
+    float resolution, or when the bracket is a few EPS * |x| wide, which is
+    about an ulp of v where |log v| is near 1 and far finer where v is near
+    1. There neighbouring x round to one v, so the root also ends where the
+    grid of v does: once the next x rounds to a v already in values, the
+    best end of the bracket is returned. The result, checked against
+    RESIDUAL_TOL as find_root checks its own, is always a v in values, so f
+    is evaluated at most once per v.
+    """
+    fv = values[v]
+    if abs(fv) <= RESIDUAL_FLOOR:
+        return v
+    if w not in values:
+        values[w] = f(w)
+    fw = values[w]
+    if abs(fw) <= RESIDUAL_FLOOR:
+        return w
+    xv, xw = math.log(v), math.log(w)
+    if (fw < 0.0) == (fv < 0.0):
+        step = math.copysign(max(abs(xw - xv), 4.0 * _EPS), w - v)
+        for i in range(MAX_WIDEN):
+            if i == 0:
+                u = w + math.copysign(4.0 * math.ulp(w), step)
+            else:
+                u = w * math.exp(min(step, _LOG_HUGE))
+                step *= 2.0
+            u = min(max(u, _TINY), _HUGE)
+            if u == w:
+                break
+            v, fv, xv = w, fw, xw
+            w, xw = u, math.log(u)
+            if w not in values:
+                values[w] = f(w)
+            fw = values[w]
+            if abs(fw) <= RESIDUAL_FLOOR:
+                return w
+            if (fw < 0.0) != (fv < 0.0):
+                break
+        if (fw < 0.0) == (fv < 0.0):
+            raise SolverError(
+                "could not bracket a root: "
+                f"f({v:.6g}) = {fv:.6g}, f({w:.6g}) = {fw:.6g} share a sign"
+            )
+    x, fx, _ = _brent(f, xv, fv, xw, fw, values)
+    root = v if x == xv else w if x == xw else math.exp(x)
+    if abs(fx) > RESIDUAL_TOL:
+        raise SolverError(
+            f"root finder stalled with residual {fx:.3e} > {RESIDUAL_TOL:.0e} "
+            f"where the float grid ends, at {root:.12g}"
+        )
+    return root
+
+
+def _brent(
+    f: Callable[[float], float], a: float, fa: float, b: float, fb: float,
+    values: dict[float, float] | None = None,
+) -> tuple[float, float, float]:
+    """Brent's method from the sign change fa, fb across [a, b]: the best
+    end b, f there and the other end c of the final bracket. With values,
+    the steps run in x = log v: f takes v = exp(x), each v is added to
+    values, and the root stops at the best end once the next x rounds to a
+    v already there."""
+    # b is the best estimate, c the other end of the bracket, a the previous b
     c, fc = a, fa
     d = e = b - a
     for _ in range(MAX_ITER):
@@ -101,7 +166,9 @@ def find_root(
         half = 0.5 * (c - b)
         if abs(half) <= tol or abs(fb) <= RESIDUAL_FLOOR:
             break
-        if abs(e) >= tol and abs(fa) > abs(fb):
+        # interpolate through finite residuals only: where a load passes a
+        # float, an infinite one leaves bisection
+        if abs(e) >= tol and abs(fb) < abs(fa) < math.inf and abs(fc) < math.inf:
             s = fb / fa
             if a == c:
                 p, q = 2.0 * half * s, 1.0 - s
@@ -123,56 +190,11 @@ def find_root(
             e = d = half
         a, fa = b, fb
         b += d if abs(d) > tol else math.copysign(tol, half)
-        fb = f(b)
-    if abs(fb) > RESIDUAL_TOL:
-        raise SolverError(
-            f"root finder stalled with residual {fb:.3e} > {RESIDUAL_TOL:.0e} "
-            f"on bracket [{min(b, c):.12g}, {max(b, c):.12g}]"
-        )
-    return b
-
-
-class _GridEnd(Exception):
-    """find_log_root's next point rounds to a value already evaluated."""
-
-
-def find_log_root(
-    f: Callable[[float], float], lo: float, hi: float, *, lo_floor: float = 1e-300
-) -> float:
-    """Root of f(v) for v > 0, found in x = log v from the bracket [lo, hi].
-
-    expand_bracket widens [lo, hi] until it holds a sign change (lo stays
-    above lo_floor); its geometric steps are even steps in x. find_root then
-    stops once the residual is at float resolution, or when its bracket is a
-    few EPS * |x| wide: about an ulp of v where |log v| is near 1, far finer
-    where v is near 1. There neighbouring x round to one v, so the root ends
-    where the grid of v does: once the next x rounds to a v already
-    evaluated, the evaluated v with the smallest |f| is returned, checked
-    against RESIDUAL_TOL as find_root checks its own. The returned v is
-    always one f was evaluated at: an end of the bracket, or exp(x) for an x
-    the finder tried. expand_bracket evaluates f at both ends of [lo, hi],
-    so a caller that already has f there keeps its values; after that f is
-    evaluated once per v.
-    """
-    lo, hi, flo, fhi = expand_bracket(f, lo, hi, lo_floor=lo_floor)
-    values = {lo: flo, hi: fhi}
-
-    def g(x: float) -> float:
-        v = math.exp(x)
-        if v in values:
-            raise _GridEnd
-        values[v] = f(v)
-        return values[v]
-
-    x_lo, x_hi = math.log(lo), math.log(hi)
-    try:
-        x = find_root(g, x_lo, x_hi, flo, fhi)
-    except _GridEnd:
-        v = min(values, key=lambda w: abs(values[w]))
-        if abs(values[v]) > RESIDUAL_TOL:
-            raise SolverError(
-                f"root finder stalled with residual {values[v]:.3e} > {RESIDUAL_TOL:.0e} "
-                f"where the float grid ends, at {v:.12g}"
-            ) from None
-        return v
-    return lo if x == x_lo else hi if x == x_hi else math.exp(x)
+        if values is None:
+            fb = f(b)
+        else:
+            v = math.exp(b)
+            if v in values:
+                return a, fa, c
+            fb = values[v] = f(v)
+    return b, fb, c

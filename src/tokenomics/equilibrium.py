@@ -34,7 +34,7 @@ from functools import partial
 from typing import Callable, NamedTuple
 
 from . import econ_core as ec
-from ._roots import RESIDUAL_FLOOR, find_log_root, find_root
+from ._roots import find_log_root, find_root
 from .errors import ConfigError, InfeasiblePolicyError, SolverError
 from .first_best import _clear_blockspace, _clear_demands, first_best_allocation
 
@@ -225,34 +225,26 @@ def _solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyStat
     def balance(u1: ec.UtilityFn, u0: ec.UtilityFn, rt: float, eff: float, p: float) -> float:
         """Balance at which both budgets bind: the root of the holdings FOC
         with (1+rT) m / eff bought in the high state and m / p in the low,
-        which falls in m, found in log m. The type's last balance in this
-        solve is tried first and kept when the FOC there is at float
-        resolution; otherwise the root is bracketed from it by a factor of 2
-        on the side the FOC's sign names. The type's first balance is
-        bracketed below the smaller balance at which one budget stops
-        binding."""
+        which falls in m, found in log m. The root starts at the type's last
+        balance in this solve and keeps it when the FOC there is at float
+        resolution; otherwise it runs toward a factor of 2 away, on the side
+        the FOC's sign names. The type's first balance starts at the smaller
+        balance at which one budget stops binding."""
         nonlocal hits
-        values: dict[float, float] = {}
 
         def foc(m: float) -> float:
             nonlocal foc_evals
-            if m not in values:
-                foc_evals += 1
-                high = rho * (1.0 + rt) * (ec.u_prime(u1, (1.0 + rt) * m / eff) / eff - 1.0)
-                low = (1.0 - rho) * (ec.u_prime(u0, m / p) / p - 1.0)
-                values[m] = high + low - (r - rho * rt)
-            return values[m]
+            foc_evals += 1
+            high = rho * (1.0 + rt) * (ec.u_prime(u1, (1.0 + rt) * m / eff) / eff - 1.0)
+            low = (1.0 - rho) * (ec.u_prime(u0, m / p) / p - 1.0)
+            return high + low - (r - rho * rt)
 
-        last = balances.get((u1, u0))
-        if last is None:
-            top = min(eff * ec.u_prime_inv(u1, eff) / (1.0 + rt), p * ec.u_prime_inv(u0, p))
-            lo, hi = 0.5 * top, top
-        elif abs(foc(last)) <= RESIDUAL_FLOOR:
-            hits += 1
-            return last
-        else:
-            lo, hi = (last, 2.0 * last) if foc(last) > 0.0 else (0.5 * last, last)
-        balances[u1, u0] = find_log_root(foc, lo, hi)
+        m = balances.get((u1, u0))
+        if m is None:
+            m = min(eff * ec.u_prime_inv(u1, eff) / (1.0 + rt), p * ec.u_prime_inv(u0, p))
+        values = {m: foc(m)}
+        balances[u1, u0] = find_log_root(foc, values, m, 2.0 * m if values[m] > 0.0 else 0.5 * m)
+        hits += len(values) == 1
         return balances[u1, u0]
 
     # A type's response to high-state effective price eff, low-state price p
@@ -435,8 +427,9 @@ def _solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyStat
             )
     p_high, congested, (p_low, low_congested, got), pats = high_state(rt)
     if log.isEnabledFor(logging.DEBUG):
-        # c'(1) is the first clear's guess, or tested below the planner's price
-        cold = ec.c_prime(cfg.cost, ec.BLOCKSPACE_CAPACITY) in high_clears[0]
+        # c'(1), the cost's scale, is the first clear's guess, or tested below the
+        # planner's price
+        cold = cfg.cost.scale in high_clears[0]
         log.debug(
             "heterogeneous theta=%r binds=%s pattern_switches=%d first_bracket=%s "
             "trial_returns=%d high_load_evals=%d low_load_evals=%d foc_evals=%d "

@@ -11,10 +11,13 @@ x = c'(total). Under idiosyncratic shocks the planner plans
 planner_economy(cfg), a market of one pair: the iid type's users in state
 1. The kernel beneath, _clear_blockspace, roots in log price, where
 isoelastic demand against a power cost is linear, so Brent's secant step
-lands at once. It evaluates one guessed fee first (c'(1) without a
-prediction), whose residual bounds the root's distance in log price. A
-market of one demand (a closed-form regime's with one type, the planner's
-where one type is active) has its fee in closed form: that is the guess.
+lands at once. It evaluates one guessed fee first (c'(1), the cost's scale,
+without a prediction), whose residual bounds the root's distance in log
+price, and roots in place from the guess toward that bound on one table of
+residuals by price. A market of one demand (a closed-form regime's with one
+type, the planner's where one type is active) has its fee in closed form:
+that is the guess. The activities the load computed at the returned fee
+are the ones returned, so no demand is inverted again.
 
 The first best depends only on the config, so it is solved once per config
 object and kept on that object (see _memo): the equilibrium scorer, tax
@@ -46,20 +49,17 @@ class Allocation(NamedTuple):
     shadow_marginal: float
 
 
-#: the smallest positive float and its log, standing in for 0.0 and log(0.0)
-_TINY = math.ulp(0.0)
+#: the smallest and largest positive finite floats, and the log of the
+#: smallest, standing in for log(0.0): a demand that underflows to 0.0 far
+#: out on a bracket keeps the sign of a load below capacity without reaching
+#: math.log(0.0)
+_TINY, _HUGE = math.ulp(0.0), math.nextafter(math.inf, 0.0)
 _LOG_ZERO = math.log(_TINY)
-
-
-def _log(v: float) -> float:
-    # a demand that underflows to 0.0 far out on a bracket keeps the sign of
-    # a load below capacity without reaching math.log(0.0)
-    return math.log(v) if v > 0.0 else _LOG_ZERO
 
 
 def _step(p: float, x: float) -> float:
     # p * e**x, kept a positive finite float
-    return min(max(p * math.exp(min(x, 709.0)), _TINY), math.nextafter(math.inf, 0.0))
+    return min(max(p * math.exp(min(x, 709.0)), _TINY), _HUGE)
 
 
 def _clear_blockspace(
@@ -73,8 +73,8 @@ def _clear_blockspace(
     demand below capacity: p = c'(load(p)). The root runs in log price
     (find_log_root), on log load(p) when congested and on
     log p - log c'(load(p)) when slack. For one isoelastic type under power
-    cost both residuals are linear in log p, so Brent's first secant step
-    lands on the root; with several types they stay close to linear.
+    cost both residuals are linear in log p, so the first secant step lands
+    on the root; with several types they stay close to linear.
 
     Every demand's curvature lies in (0, 1), so in log p the congested
     residual falls with slope at most -1 and the slack one rises with slope
@@ -85,64 +85,68 @@ def _clear_blockspace(
     residual is at float resolution (RESIDUAL_FLOOR) and, within float
     resolution of c'(1), on the branch the test at c'(1) names: demand that
     fills capacity there clears on both, and p <= c'(1) and p = c'(load(p))
-    put the load within capacity only to a few ulps. Otherwise the guess
-    and the end its residual bounds bracket the root, widened by
-    expand_bracket where rounding leaves that end short; an end across
-    c'(1) gives way to the test there, whose residual bounds the root.
+    put the load within capacity only to a few ulps. Otherwise the root runs
+    from the guess toward the end its residual bounds, in one table of
+    residuals by price (find_log_root widens past that end where rounding
+    leaves it short); an end across c'(1) gives way to the test there, and
+    the root runs from c'(1) toward the end its residual bounds, or toward
+    an end the guess's branch already evaluated.
 
-    load is evaluated at most once per price, and the returned fee is
-    always one at which it was evaluated.
+    c'(1) is the cost's scale (scale * 1**curvature, bit for bit). load is
+    evaluated at most once per price, and the returned fee is always one at
+    which it was evaluated.
     """
-    capacity_cost = ec.c_prime(cost, ec.BLOCKSPACE_CAPACITY)
-    # load and the slack residual, each evaluated once per price; the
-    # congested residual is a log of the stored load
-    loads: dict[float, float] = {}
-    slack: dict[float, float] = {}
+    capacity_cost = cost.scale
+    tie = 2.0 * RESIDUAL_FLOOR * capacity_cost  # float resolution of c'(1)
 
-    def over(p: float) -> float:
-        if p not in loads:
-            loads[p] = load(p)
-        return _log(loads[p] / ec.BLOCKSPACE_CAPACITY)
+    # each residual at p, from the load q there when it is known
+    def over(p: float, q: float | None = None) -> float:
+        q = load(p) if q is None else q
+        return math.log(q) if q > 0.0 else _LOG_ZERO
 
-    def excess(p: float) -> float:
-        if p not in slack:
-            if p not in loads:
-                loads[p] = load(p)
-            slack[p] = math.log(p) - _log(ec.c_prime(cost, loads[p]))
-        return slack[p]
+    def excess(p: float, q: float | None = None) -> float:
+        c = ec.c_prime(cost, load(p) if q is None else q)
+        return math.log(p) - (math.log(c) if c > 0.0 else _LOG_ZERO)
+
+    def filled() -> bool:
+        # whether demand at c'(1) overfills the capacity of 1
+        nonlocal at_cap
+        if at_cap is None:
+            at_cap = load(capacity_cost)
+        return at_cap > 1.0
 
     p = capacity_cost if guess is None else guess
-    tie = 2.0 * RESIDUAL_FLOOR * capacity_cost  # float resolution of c'(1)
-    lo = hi = capacity_cost  # evaluated ends beyond a slack and a congested root
-    if p > capacity_cost:
-        f = over(p)
-        if abs(f) <= RESIDUAL_FLOOR and (p - capacity_cost > tie or over(capacity_cost) > 0.0):
-            return p, True
-        end = _step(p, f)
-        if f > 0.0:
-            # demand overfills capacity at p: the root lies above it
-            return find_log_root(over, p, end, lo_floor=p), True
-        if end > capacity_cost and over(end) > 0.0:
-            return find_log_root(over, end, p), True
-        hi = end if end > capacity_cost else p
-    else:
-        f = excess(p)
-        if abs(f) <= RESIDUAL_FLOOR and (capacity_cost - p > tie or over(capacity_cost) <= 0.0):
-            return p, False
-        end = _step(p, -f)
-        if f > 0.0:
-            # the fee exceeds marginal cost at p: a slack root lies below it
-            return find_log_root(excess, end, p), False
-        if end < capacity_cost and excess(end) > 0.0:
-            return find_log_root(excess, p, end), False
-        lo = end if end < capacity_cost else p
-    f = over(capacity_cost)
+    q = load(p)
+    at_cap = q if p == capacity_cost else None
+    # the guess's branch: congested above c'(1), where its residual falls
+    # in p, slack at or below it, where its residual rises
+    up = p > capacity_cost
+    residual = over if up else excess
+    values = {p: residual(p, q)}
+    f = values[p]
+    if abs(f) <= RESIDUAL_FLOOR and (abs(p - capacity_cost) > tie or filled() is up):
+        return p, up
+    bound = _step(p, f if up else -f)
     if f > 0.0:
-        hi = hi if hi > capacity_cost else _step(capacity_cost, f)
-        return find_log_root(over, capacity_cost, hi, lo_floor=capacity_cost), True
-    if lo == capacity_cost:
-        lo = min(_step(capacity_cost, -excess(capacity_cost)), capacity_cost)
-    return find_log_root(excess, lo, capacity_cost), False
+        # demand overfills capacity at p, or the fee exceeds marginal cost
+        # there: the root lies on the bound's side of p, on p's branch
+        return find_log_root(residual, values, p, bound), up
+    end = p
+    if bound not in (p, capacity_cost) and (bound > capacity_cost) is up:
+        values[bound] = residual(bound)
+        if values[bound] > 0.0:
+            return find_log_root(residual, values, p, bound), up
+        end = bound
+    # the root lies across c'(1) from the guess, or on the guess's branch
+    # between c'(1) and end, the evaluated point nearest c'(1) beyond it
+    congested = filled()
+    if congested is not up:
+        values, end = {}, capacity_cost
+    f = math.log(at_cap) if congested else excess(capacity_cost, at_cap)
+    values[capacity_cost] = f
+    if end == capacity_cost:
+        end = _step(capacity_cost, f if congested else -f)
+    return find_log_root(over if congested else excess, values, capacity_cost, end), congested
 
 
 def _clear_demands(
@@ -151,6 +155,7 @@ def _clear_demands(
     """(fee, congested, activities by type name, load share * sum mass * a)
     of state's blockspace cleared against cfg's types, a fraction share of
     each trading; with no type active in state the market is idle at fee 0.0.
+    The activities are those the load computed at the fee, kept by price.
 
     An active type is a demand (k, u): k = share * mass and u its utility in
     state. One demand at wedge w buys k (s / (w p))**(1/c) at fee p, for
@@ -165,9 +170,12 @@ def _clear_demands(
     closed-form fee raises a SolverError that says so.
     """
     types, cost = cfg.agent_types, cfg.cost
-    demands = [(share * t.mass, t.utility_in(state)) for t in types if t.is_active(state)]
-    if not demands:
-        return 0.0, False, {t.name: 0.0 for t in types}, 0.0
+    active = [t for t in types if t.is_active(state)]
+    acts = {t.name: 0.0 for t in types}
+    if not active:
+        return 0.0, False, acts, 0.0
+    demands = [(share * t.mass, t.utility_in(state)) for t in active]
+    bought: dict[float, list[float]] = {}  # each active type's activity, by fee
     guess = None
     if len(demands) == 1:
         # the closed-form regimes clear one demand: a bare product, equal to fsum
@@ -175,7 +183,9 @@ def _clear_demands(
         (k, u), = demands
 
         def load(p: float) -> float:
-            return k * ec.u_prime_inv(u, wedge * p)
+            a = ec.u_prime_inv(u, wedge * p)
+            bought[p] = [a]
+            return k * a
 
         # the closed-form fee above, with S = c'(1) the cost's scale; the
         # slack fee is written as q times a power of S/q, which rounds closer
@@ -188,7 +198,8 @@ def _clear_demands(
             guess = fee
     else:
         def load(p: float) -> float:
-            return math.fsum(k * ec.u_prime_inv(u, wedge * p) for k, u in demands)
+            a = bought[p] = [ec.u_prime_inv(u, wedge * p) for _, u in demands]
+            return math.fsum(k * x for (k, _), x in zip(demands, a))
 
     try:
         price, congested = _clear_blockspace(cost, load, guess)
@@ -196,10 +207,7 @@ def _clear_demands(
         if guess is not None and load(guess) == 0.0:  # read only once the kernel has failed
             raise SolverError(f"demand underflows a float at the closed-form fee {guess!r}") from exc
         raise
-    acts = {
-        t.name: ec.u_prime_inv(t.utility_in(state), wedge * price) if t.is_active(state) else 0.0
-        for t in types
-    }
+    acts.update(zip([t.name for t in active], bought[price]))
     return price, congested, acts, share * math.fsum(t.mass * acts[t.name] for t in types)
 
 

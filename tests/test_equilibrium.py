@@ -411,15 +411,15 @@ def test_heterogeneous_solve_evaluation_budget(het_cfg, monkeypatch):
     heterogeneous_roles orders the types by their utility scales: no u_prime
     call at all. Where the shocked type's budget binds in both states, that
     root runs at every low-state load evaluation, from the last balance
-    found. c_prime is called once per clear for c'(1) and once per slack
-    residual.
+    found. c'(1) is the cost's scale, so c_prime is called once per slack
+    residual only.
     """
     seen = record_evaluations(monkeypatch)
     both = het_band_config(*SHOCKED_BINDS_BOTH)
     for cfg, theta, budget in [
-        (het_cfg, 0.0, (10, 0, 4)), (het_cfg, 0.02, (36, 0, 14)), (het_cfg, 0.05, (42, 0, 18)),
-        (het_cfg, 0.08, (42, 0, 18)), (het_cfg, 0.1, (38, 0, 18)), (both, 0.0, (25, 54, 19)),
-        (both, 0.03, (58, 138, 47)),
+        (het_cfg, 0.0, (10, 0, 2)), (het_cfg, 0.02, (36, 0, 6)), (het_cfg, 0.05, (42, 0, 8)),
+        (het_cfg, 0.08, (42, 0, 8)), (het_cfg, 0.1, (38, 0, 8)), (both, 0.0, (25, 54, 13)),
+        (both, 0.03, (58, 138, 30)),
     ]:
         seen.clear()
         eqm.solve_regime(cfg, "heterogeneous", theta)
@@ -454,10 +454,11 @@ def test_taxed_heterogeneous_solve_inverts_demand_as_the_readme_says(het_cfg, mo
 def test_closed_form_solve_evaluation_budget(name, regime, monkeypatch):
     """One isoelastic type under power cost clears at its closed-form fee:
     the kernel evaluates the load there once and keeps it, its residual being
-    at float resolution. A solve inverts demand twice (the load at that fee,
-    then the activity) and evaluates marginal cost twice (c'(1), then the
-    slack residual); bracketing the log-price root took 4 to 6 of each, and a
-    root in price itself 9 to 15 inversions."""
+    at float resolution. A solve inverts demand once (the load at that fee,
+    which also gives the activity) and evaluates marginal cost once (the
+    slack residual; c'(1) is the cost's scale); before, the activity and
+    c'(1) took one more of each, bracketing the log-price root 4 to 6 of
+    each, and a root in price itself 9 to 15 inversions."""
     cfg = ec.load_config(CONFIG_DIR / f"{name}.json")
     seen = record_evaluations(monkeypatch)
     for theta in (0.0, 0.05):
@@ -465,7 +466,7 @@ def test_closed_form_solve_evaluation_budget(name, regime, monkeypatch):
         eqm.solve_regime(cfg, regime, theta)
         assert [len(prices) for prices in seen.clears] == [1], (theta, seen.clears)
         counts = len(seen.u_prime_inv), len(seen.c_prime)
-        assert all(n <= 2 for n in counts), (theta, counts)
+        assert counts == (1, 1), (theta, counts)
 
 
 @settings(max_examples=150, deadline=None)
@@ -647,7 +648,7 @@ def with_binding_examples(test):
     shares=st.lists(st.floats(0.0, 1.5), min_size=1, max_size=3),
 )
 # a trial's predicted high-state bracket lies above the root (the cold test
-# at c'(1) runs), and one lies below it (expand_bracket widens it)
+# at c'(1) runs), and one lies below it (the root widens past it)
 @example((1.18, 1.34, 1.89, 1.2), (1.06, 1.11, 0.83, 1.06), 0.58, 0.68, [0.5, 0.0, 1.0])
 @example((1.97, 1.18, 0.61, 0.55), (1.31, 0.73, 1.2, 1.1), 0.39, 0.67, [0.75, 0.0, 1.0])
 # the outer root's burn gap is still negative at its predicted lower end, so
@@ -1025,24 +1026,13 @@ def test_a_clear_never_evaluates_load_twice_at_one_price(
     _assert_clears(cost, price, ec.u_prime_inv(u, price), congested)
 
 
-def test_a_clear_near_unit_price_ends_where_the_price_grid_does(monkeypatch):
+def test_a_clear_near_unit_price_ends_where_the_price_grid_does():
     # a draw of the test above: scales 1 + 3e-15 and 1 + 5e-15 put the slack
     # root three ulps above p = 1, where the log-price residual's rounding
-    # stays above RESIDUAL_FLOOR and find_root's bracket test in x = log p is
-    # far finer than an ulp of p. Brent's method took 49 steps there on 4
-    # distinct prices; the root now ends once a step rounds to a price
-    # already evaluated.
-    steps = []
-    find_root = _roots.find_root
-
-    def counting(f, *args):
-        def g(x):
-            steps.append(x)
-            return f(x)
-
-        return find_root(g, *args)
-
-    monkeypatch.setattr(_roots, "find_root", counting)
+    # stays above RESIDUAL_FLOOR and the bracket test in x = log p is far
+    # finer than an ulp of p. Brent's method once took 49 steps there on 4
+    # distinct prices; the root ends once a step rounds to a price already
+    # evaluated, after the guess c'(1), its bound end and two steps.
     u, cost = ISO(1.0 + 3e-15, 0.21), ec.CostFn(1.0 + 5e-15, 2.8)
     prices = []
 
@@ -1051,9 +1041,34 @@ def test_a_clear_near_unit_price_ends_where_the_price_grid_does(monkeypatch):
         return ec.u_prime_inv(u, p)
 
     price, congested = _clear_blockspace(cost, load)
-    assert 0 < len(steps) <= 4
-    assert len(set(prices)) == len(prices) and price in prices
+    assert prices == [1.000000000000005, 0.9999999999999784, 1.0000000000000033, 1.000000000000003]
+    assert price == 1.0000000000000033
     _assert_clears(cost, price, ec.u_prime_inv(u, price), congested)
+
+
+def test_a_slack_clear_whose_bound_end_rounds_short_closes_in_a_few_ulps(monkeypatch):
+    # a heterogeneous solve's low-state clear from the guess
+    # 0.9602604251762252, whose residual 4.3e-15 puts its bound end at
+    # 0.9602604251762212, one ulp above the root, with a residual of the
+    # guess's sign. The end's residual is at float resolution, so it is the
+    # fee; a bracket widened by halving and doubling took 6 evaluations.
+    cfg = ec.config_from_dict({
+        "schema_version": 1, "r": 0.037688383960281596, "gamma": 0.0,
+        "cost": {"scale": 0.9602604260059702, "curvature": 1e-09},
+        "shocks": {"kind": "common_binary", "rho": 0.4732435835817568},
+        "agent_types": [
+            {"name": "a", "mass": 0.4297053945140615, "utility_by_state": {
+                "0": {"kind": "isoelastic", "scale": 0.6134395674388662, "curvature": 0.5786247076185894},
+                "1": {"kind": "isoelastic", "scale": 2.2229654030091375, "curvature": 0.440796280104837}}},
+            {"name": "b", "mass": 0.5702946054859386, "utility_by_state": {
+                "0": {"kind": "isoelastic", "scale": 0.5996057278251841, "curvature": 0.5413316289951586},
+                "1": {"kind": "isoelastic", "scale": 0.5962015041654336, "curvature": 0.48451887460049653}}},
+        ],
+    })
+    seen = record_evaluations(monkeypatch)
+    eqm.solve_regime(cfg, "heterogeneous", 0.04082338295272865)
+    clear, = [prices for prices in seen.clears if prices[0] == 0.9602604251762252]
+    assert clear == [0.9602604251762252, 0.9602604251762212]
 
 
 def test_heterogeneous_clears_never_evaluate_load_twice_at_one_price(het_cfg, monkeypatch):

@@ -94,6 +94,33 @@ def test_no_demand_state_allocates_nothing(iid_cfg):
     assert alloc.activities == {"users": 0.0}
 
 
+@pytest.mark.parametrize("cost", [(1.0, 1.0), (4.0, 2.0)], ids=["congested", "slack"])
+def test_a_clear_returns_the_activities_its_load_computed(cost, monkeypatch):
+    # the two-type planner's market, with a third type idle in the state:
+    # each active type's activity is u'^-1(wedge * fee), bit for bit, read
+    # from the load's evaluation at the fee, so demand is inverted once per
+    # active type and load evaluation, and not again
+    cfg = ec.EconomyConfig(
+        r=0.05, gamma=0.0,
+        agent_types=(ec.AgentTypeSpec(0.5, {1: ISO(0.5, 0.5)}, "a"),
+                     ec.AgentTypeSpec(0.3, {0: ISO(1.0, 0.5)}, "idle"),
+                     ec.AgentTypeSpec(0.2, {1: ISO(2.0, 0.3)}, "b")),
+        cost=ec.CostFn(*cost), shocks=ec.ShockProcess(ec.ShockKind.COMMON_BINARY, 0.5),
+    )
+    wedge, share = 0.8, 0.8
+    seen = record_evaluations(monkeypatch)
+    price, congested, acts, load = _clear_demands(cfg, 1, wedge, share)
+    (prices,) = seen.clears
+    assert len(seen.u_prime_inv) == 2 * len(prices)
+    utilities = {"a": ISO(0.5, 0.5), "b": ISO(2.0, 0.3)}
+    seen.clear()
+    expected = {n: ec.u_prime_inv(utilities[n], wedge * price) if n in utilities else 0.0
+                for n in ("a", "idle", "b")}
+    assert acts == expected and list(acts) == ["a", "idle", "b"]
+    assert load == share * math.fsum(t.mass * acts[t.name] for t in cfg.agent_types)
+    assert congested is (cost == (1.0, 1.0))
+
+
 def test_the_idle_state_of_a_common_shock_clears_at_fee_zero(common_cfg):
     # no type is active in state 0: the planner's market there is idle, with
     # every type at 0.0 and no load
