@@ -7,13 +7,14 @@ bisection's guaranteed bracket and converges superlinearly, deterministically.
 It stops at float resolution, in x or in the residual: when the bracket is a
 few ulps wide, or when the residual is within RESIDUAL_FLOOR of zero, which
 needs a residual relative to the terms it balances. find_log_root runs the
-same steps in place in the log of a positive unknown, from a point the
-caller evaluated toward a second one, on the caller's one table of
-residuals by unknown; it widens past the second point where the root lies
-beyond it. The market-clearing kernel (first_best._clear_blockspace) roots
-in log price, where its residuals are nearly linear with slopes at least 1
-in size, so the secant step is close to exact and a residual bounds the
-root's distance; the heterogeneous solver roots a balance in log m.
+same steps in place in the log of a positive unknown over a point the
+caller evaluated, from there toward a second one, on the caller's one
+table of residuals by unknown; it widens past the second point where the
+root lies beyond it. The market-clearing kernel
+(first_best._clear_blockspace) roots in log price, where its residuals are
+nearly linear with slopes at least 1 in size, so the secant step is close
+to exact and a residual bounds the root's distance; the heterogeneous
+solver roots a balance in log m.
 """
 
 from __future__ import annotations
@@ -78,7 +79,8 @@ def find_root(
 def find_log_root(
     f: Callable[[float], float], values: dict[float, float], v: float, w: float
 ) -> float:
-    """Root of a monotone f(v) for v > 0, found in x = log v from v toward w.
+    """Root of a monotone f(v) for v > 0, found in x = log(v / v0) from the
+    start v0 = v toward w.
 
     values is the caller's one table of f by v: it holds v, and w where f is
     already known there. The root lies between v and w (w != v) or beyond
@@ -89,15 +91,17 @@ def find_log_root(
     w, within the positive finite floats (SolverError when no sign change
     is found).
 
-    Brent's method then runs in x, evaluating f at v = exp(x) and adding
-    each v to values, and stops as find_root does: once the residual is at
-    float resolution, or when the bracket is a few EPS * |x| wide, which is
-    about an ulp of v where |log v| is near 1 and far finer where v is near
-    1. There neighbouring x round to one v, so the root also ends where the
-    grid of v does: once the next x rounds to a v already in values, the
-    best end of the bracket is returned. The result, checked against
-    RESIDUAL_TOL as find_root checks its own, is always a v in values, so f
-    is evaluated at most once per v.
+    Brent's method then runs in x = log(v / v0), measured from the start
+    v0, evaluating f at v = v0 exp(x) and adding each v to values. Near a
+    root close to the start, neighbouring x lie far closer than
+    neighbouring v (in x = log v they lay EPS * |log v| apart, too coarse
+    for a steep residual far from v = 1). It stops as find_root does: once
+    the residual is at float resolution, or when the bracket is a few
+    EPS * |x| wide; and where the grid of v ends: once the next x rounds
+    to a v already in values, the best end of the bracket is returned
+    (short of RESIDUAL_TOL, a secant step that small bisects instead). The
+    result, checked against RESIDUAL_TOL as find_root checks its own, is
+    always a v in values, so f is evaluated at most once per v.
     """
     fv = values[v]
     if abs(fv) <= RESIDUAL_FLOOR:
@@ -107,7 +111,8 @@ def find_log_root(
     fw = values[w]
     if abs(fw) <= RESIDUAL_FLOOR:
         return w
-    xv, xw = math.log(v), math.log(w)
+    origin = v
+    xv, xw = 0.0, _log_ratio(w, origin)
     if (fw < 0.0) == (fv < 0.0):
         step = math.copysign(max(abs(xw - xv), 4.0 * _EPS), w - v)
         for i in range(MAX_WIDEN):
@@ -120,7 +125,7 @@ def find_log_root(
             if u == w:
                 break
             v, fv, xv = w, fw, xw
-            w, xw = u, math.log(u)
+            w, xw = u, _log_ratio(u, origin)
             if w not in values:
                 values[w] = f(w)
             fw = values[w]
@@ -133,8 +138,8 @@ def find_log_root(
                 "could not bracket a root: "
                 f"f({v:.6g}) = {fv:.6g}, f({w:.6g}) = {fw:.6g} share a sign"
             )
-    x, fx, _ = _brent(f, xv, fv, xw, fw, values)
-    root = v if x == xv else w if x == xw else math.exp(x)
+    x, fx, _ = _brent(f, xv, fv, xw, fw, values, origin)
+    root = v if x == xv else w if x == xw else _scaled(origin, x)
     if abs(fx) > RESIDUAL_TOL:
         raise SolverError(
             f"root finder stalled with residual {fx:.3e} > {RESIDUAL_TOL:.0e} "
@@ -143,15 +148,39 @@ def find_log_root(
     return root
 
 
+def _scaled(origin: float, x: float) -> float:
+    # origin * e**x, kept a positive finite float; near the origin as
+    # origin + origin * (e**x - 1), rounded once
+    if abs(x) < 1.0:
+        v = origin + origin * math.expm1(x)
+    elif abs(x) < 700.0:
+        v = origin * math.exp(x)
+    else:
+        v = math.exp(min(x + math.log(origin), _LOG_HUGE))
+    return min(max(v, _TINY), _HUGE)
+
+
+def _log_ratio(v: float, origin: float) -> float:
+    # log(v / origin) for positive finite floats: within a factor 2 as log1p
+    # of their relative difference (v - origin is exact there); elsewhere of
+    # their ratio, or as a difference of logs where the ratio passes a float
+    q = (v - origin) / origin
+    if -0.5 < q < 1.0:
+        return math.log1p(q)
+    q = v / origin
+    return math.log(q) if 0.0 < q < math.inf else math.log(v) - math.log(origin)
+
+
 def _brent(
     f: Callable[[float], float], a: float, fa: float, b: float, fb: float,
-    values: dict[float, float] | None = None,
+    values: dict[float, float] | None = None, origin: float = 1.0,
 ) -> tuple[float, float, float]:
     """Brent's method from the sign change fa, fb across [a, b]: the best
     end b, f there and the other end c of the final bracket. With values,
-    the steps run in x = log v: f takes v = exp(x), each v is added to
-    values, and the root stops at the best end once the next x rounds to a
-    v already there."""
+    the steps run in x = log(v / origin): f takes v = origin * exp(x), each
+    v is added to values, and the root stops at the best end once the next
+    x rounds to a v already there; short of RESIDUAL_TOL there, it bisects
+    instead, and stops only where the midpoint rounds to one too."""
     # b is the best estimate, c the other end of the bracket, a the previous b
     c, fc = a, fa
     d = e = b - a
@@ -193,7 +222,12 @@ def _brent(
         if values is None:
             fb = f(b)
         else:
-            v = math.exp(b)
+            v = _scaled(origin, b)
+            if v in values and abs(fa) > RESIDUAL_TOL:
+                # the step rounds to a v already evaluated while the best
+                # end is short of tolerance: bisect instead
+                b, e, d = a + half, half, half
+                v = _scaled(origin, b)
             if v in values:
                 return a, fa, c
             fb = values[v] = f(v)

@@ -34,11 +34,14 @@ from functools import partial
 from typing import Callable, NamedTuple
 
 from . import econ_core as ec
-from ._roots import find_log_root, find_root
+from ._roots import RESIDUAL_FLOOR, find_log_root, find_root
 from .errors import ConfigError, InfeasiblePolicyError, SolverError
 from .first_best import _clear_blockspace, _clear_demands, first_best_allocation
 
 log = logging.getLogger(__name__)
+
+#: Newton steps on the burn identity before the heterogeneous solver brackets it
+NEWTON_STEPS = 3
 
 
 class StateOutcome(NamedTuple):
@@ -192,21 +195,31 @@ def _solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyStat
 
     Every root starts from a prediction made from this call's own trials,
     so a solve does not depend on what was solved before it. The first
-    trial is the cap itself (share 1); the burn share barely moves with rT,
-    so the outer root is bracketed just below the share that trial
-    predicts. Each market clear evaluates its predicted price first (see
-    predicted_prices) and keeps it when the residual there is at float
-    resolution; a clear again under a new pattern starts at the last
-    clear's prices. A budget binding in both states roots its balance
-    from the type's last balance. High states are kept for the whole solve,
-    so the root's is not solved again. Holdings cover high-state spending,
-    so the burn never exceeds theta; if it still exceeds rT at r / rho, the
-    expected return would pass r and InfeasiblePolicyError is raised.
+    trial is the cap itself (share 1). A trial whose types each bind in one
+    state reads off its own two clears how its prices and its burn ratio
+    move with rT (see sensitivities), so the outer root takes Newton steps
+    from share 1 (the safeguarded Newton of Press et al., Numerical
+    Recipes, 9.4), accepting a trial at RESIDUAL_FLOOR. A step that changes
+    the gap's sign hands that bracket to find_root. Where a trial has no
+    slope (a budget binds in both states), the slope is not negative, a
+    step leaves (0, 1) or NEWTON_STEPS steps leave the gap above the floor,
+    the root is bracketed instead: the burn share barely moves with rT, so
+    just below the share the first trial predicts. Each market clear
+    evaluates its predicted price first (see predicted_prices) and keeps it
+    when the residual there is at float resolution; a clear again under a
+    new pattern starts at the last clear's prices. A budget binding in both
+    states roots its balance from the type's last balance. High states are
+    kept for the whole solve, so the root's is not solved again. Holdings
+    cover high-state spending, so the burn never exceeds theta; if it still
+    exceeds rT at r / rho, the expected return would pass r and
+    InfeasiblePolicyError is raised.
 
     One DEBUG line per solve gives where each type's budget binds, whether
     the first high-state clear bracketed its root from the planner's price
-    alone or evaluated c'(1), the number of trial returns and the counters
-    kept below.
+    alone or evaluated c'(1), the number of trial returns, the counters
+    kept below and how the burn identity was rooted (outer=newton:<steps>,
+    with +brent where the last step crossed the root, outer=bracket, or
+    outer=none where no root was run).
     """
     rho, r = cfg.shocks.rho, cfg.r
     # (mass, high-state utility, low-state utility) of each type, in config order
@@ -227,23 +240,33 @@ def _solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyStat
         with (1+rT) m / eff bought in the high state and m / p in the low,
         which falls in m, found in log m. The root starts at the type's last
         balance in this solve and keeps it when the FOC there is at float
-        resolution; otherwise it runs toward a factor of 2 away, on the side
-        the FOC's sign names. The type's first balance starts at the smaller
+        resolution; otherwise it runs toward the end a Newton step in log m
+        names, on the FOC's slope there. The FOC is convex in log m, so that
+        end lies past the root where the FOC is negative and short of it
+        where it is positive. The type's first balance starts at the smaller
         balance at which one budget stops binding."""
         nonlocal hits
+        slope = 0.0  # d foc / d log m at the last m evaluated
 
         def foc(m: float) -> float:
-            nonlocal foc_evals
+            nonlocal foc_evals, slope
             foc_evals += 1
-            high = rho * (1.0 + rt) * (ec.u_prime(u1, (1.0 + rt) * m / eff) / eff - 1.0)
-            low = (1.0 - rho) * (ec.u_prime(u0, m / p) / p - 1.0)
-            return high + low - (r - rho * rt)
+            # marginal utility per token in each state
+            high = ec.u_prime(u1, (1.0 + rt) * m / eff) / eff
+            low = ec.u_prime(u0, m / p) / p
+            slope = -rho * (1.0 + rt) * u1.curvature * high - (1.0 - rho) * u0.curvature * low
+            return rho * (1.0 + rt) * (high - 1.0) + (1.0 - rho) * (low - 1.0) - (r - rho * rt)
 
         m = balances.get((u1, u0))
         if m is None:
             m = min(eff * ec.u_prime_inv(u1, eff) / (1.0 + rt), p * ec.u_prime_inv(u0, p))
-        values = {m: foc(m)}
-        balances[u1, u0] = find_log_root(foc, values, m, 2.0 * m if values[m] > 0.0 else 0.5 * m)
+        f = foc(m)
+        values = {m: f}
+        # a step of at most 30 in log m: find_log_root widens past it where needed
+        end = m * math.exp(min(max(-f / slope, -30.0), 30.0)) if slope < 0.0 else m
+        if end == m:
+            end = 2.0 * m if f > 0.0 else 0.5 * m
+        balances[u1, u0] = find_log_root(foc, values, m, end)
         hits += len(values) == 1
         return balances[u1, u0]
 
@@ -331,8 +354,9 @@ def _solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyStat
         return p_high, congested, points[p_high]
 
     # per solve: the high state of every trial return solved so far, with
-    # its low-state price and patterns
+    # its low-state price and patterns, and the sensitivities of those used
     high_states: dict[float, tuple] = {}
+    slopes: dict[float, tuple[float, float, float] | None] = {}
     # where each budget binds at the last trial; first, "high" at the largest u'(1), the scale
     top = max(range(len(types)), key=lambda i: types[i][1].scale)
     pats = tuple("high" if i == top else "low" for i in range(len(types)))
@@ -343,19 +367,75 @@ def _solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyStat
     planner = first_best_allocation(cfg, 1)
     anchor = (r / rho, planner.shadow_marginal / (1.0 + theta_high)) if planner.congested else None
 
+    def sensitivities(rt: float) -> tuple[float, float, float] | None:
+        """d log p_low / d rT, d log p_high / d rT and d log(p_high A / M) / d rT
+        of the trial solved at rt, its patterns held: the implicit-function
+        theorem on its two clears, worked out on the first call. None where a
+        budget binds in both states, whose balance root couples the markets.
+
+        Each activity is a power -1/c of its price, c the utility curvature,
+        times (1 + rT)**(1/c) in the high state of a high-binding type and
+        times its wedge**(-1/c) in the low state of a low-binding one, the
+        wedge 1 + (r - rho rT) / (1 - rho). A congested state holds its load
+        at 1; a slack one has log p = log c'(1) + kappa log load. A balance
+        is eff a1 / (1 + rT) where the high budget binds, p_low a0 where the
+        low one does.
+        """
+        if rt in slopes:
+            return slopes[rt]
+        _, congested, (_, low_congested, got), binds = high_states[rt]
+        slopes[rt] = None  # unless worked out below
+        if "both" in binds:
+            return None
+        # d log(1 + rT) / d rT and d log(wedge) / d rT
+        d_growth, d_wedge = 1.0 / (1.0 + rt), -rho / (1.0 - rho + r - rho * rt)
+        # per state, the load and sum k a / c, and its sum over the types
+        # whose demand shifts with rT there; the balance M, and the sums of
+        # k m (1 - 1/c) and k m / c that give dM / d rT
+        load0 = load1 = elastic0 = elastic1 = shift0 = shift1 = 0.0
+        balance = high_part = low_part = low_wedge = 0.0
+        for (k, u1, u0), pat, (m, a1, a0) in zip(types, binds, got):
+            e0, e1 = k * a0 / u0.curvature, k * a1 / u1.curvature
+            load0 += k * a0
+            load1 += k * a1
+            elastic0 += e0
+            elastic1 += e1
+            balance += k * m
+            if pat == "low":
+                shift0 += e0
+                low_part += k * m * (1.0 - 1.0 / u0.curvature)
+                low_wedge += k * m / u0.curvature
+            else:
+                shift1 += e1
+                high_part += k * m * (1.0 - 1.0 / u1.curvature)
+        if not (elastic0 > 0.0 and elastic1 > 0.0 and balance > 0.0):
+            return None
+        kappa = cfg.cost.curvature
+        d_low = -d_wedge * shift0 / (elastic0 if low_congested else elastic0 + load0 / kappa)
+        d_high = d_growth * shift1 / (elastic1 if congested else elastic1 + load1 / kappa)
+        d_load = (d_growth * shift1 - elastic1 * d_high) / load1
+        d_balance = (d_high - d_growth) * high_part + d_low * low_part - d_wedge * low_wedge
+        slopes[rt] = d_low, d_high, d_high + d_load - d_balance / balance
+        return slopes[rt]
+
     def predicted_prices(rt: float) -> list[float | None]:
         """Prices of the low and the high state at rt, predicted from the
         solved trials (None where there is no prediction).
 
-        From two or more trials each price is linear in rT through the two
-        nearest; one at or below zero is no prediction. From one, only the
-        high state is predicted: its price scales with 1 + rT, as a
-        high-binding type's FOC does at a fixed shadow value; before the
-        first, the planner stands in for it.
+        Where the nearest trial has sensitivities, each of its prices moves
+        as exp(d log p / d rT * (rt - its rT)). Otherwise, from two or more
+        trials each price is linear in rT through the two nearest; one at or
+        below zero is no prediction. From one, only the high state is
+        predicted: its price scales with 1 + rT, as a high-binding type's FOC
+        does at a fixed shadow value; before the first, the planner stands in
+        for it.
         """
         near = sorted(high_states, key=lambda s: abs(s - rt))[:2]
         # (p_low, p_high) of each of the nearest trials
         prices = [(high_states[s][2][0], high_states[s][0]) for s in near]
+        d = sensitivities(near[0]) if near else None
+        if d is not None:
+            return [p * math.exp(dp * (rt - near[0])) for p, dp in zip(prices[0], d)]
         if len(near) == 2:
             ra, rb = near
             w = (rt - ra) / (rb - ra)
@@ -393,7 +473,7 @@ def _solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyStat
             out += k * response[i]
         return out
 
-    rt = 0.0
+    rt, outer = 0.0, "none"  # outer: how the burn identity was rooted
     if theta_high > 0.0:
         rt_max = min(theta_high, r / rho)
         cap = rt_max / theta_high
@@ -404,17 +484,46 @@ def _solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyStat
             p_high, _, (_, _, got), _ = high_state(share * rt_max)
             return p_high * total(got, 1) / total(got, 0) - share * cap
 
+        def newton(gap: float) -> float | None:
+            """The root by Newton steps from share 1, whose gap is negative,
+            on the slope each trial's sensitivities give; None where a trial
+            has no slope, the slope is not negative, a step leaves (0, 1) or
+            NEWTON_STEPS steps leave the gap above RESIDUAL_FLOOR. A step that
+            changes the gap's sign brackets the root with the trial before."""
+            nonlocal outer
+            share, steps = 1.0, 0
+            while abs(gap) > RESIDUAL_FLOOR:
+                if gap > 0.0:
+                    outer = f"newton:{steps}+brent"
+                    return find_root(burn_gap, share, last, gap, gap_last)
+                d = None if steps == NEWTON_STEPS else sensitivities(share * rt_max)
+                if d is None:
+                    return None
+                # gap + share * cap is the burn ratio p_high A / M
+                slope = rt_max * (gap + share * cap) * d[2] - cap
+                step = share - gap / slope if slope < 0.0 else math.nan
+                if not 0.0 < step < 1.0:
+                    return None
+                last, gap_last = share, gap
+                share, gap, steps = step, burn_gap(step), steps + 1
+            outer = f"newton:{steps}"
+            return share
+
         gap_max = burn_gap(1.0)
         if gap_max < 0.0:
-            # the burn share barely moves with rT, so the root lies near
-            # B(1) / cap = 1 + gap_max / cap: bracket it from twice that
-            # distance below 1, or below there (burn_gap(0) > 0)
-            lo = max(0.0, 1.0 + 2.0 * gap_max / cap)
-            gap_lo = burn_gap(lo)
-            if gap_lo > 0.0:
-                rt = find_root(burn_gap, lo, 1.0, gap_lo, gap_max) * rt_max
-            else:
-                rt = find_root(burn_gap, 0.0, lo, fhi=gap_lo) * rt_max
+            share = newton(gap_max)
+            if share is None:
+                # the burn share barely moves with rT, so the root lies near
+                # B(1) / cap = 1 + gap_max / cap: bracket it from twice that
+                # distance below 1, or below there (burn_gap(0) > 0)
+                outer = "bracket"
+                lo = max(0.0, 1.0 + 2.0 * gap_max / cap)
+                gap_lo = burn_gap(lo)
+                if gap_lo > 0.0:
+                    share = find_root(burn_gap, lo, 1.0, gap_lo, gap_max)
+                else:
+                    share = find_root(burn_gap, 0.0, lo, fhi=gap_lo)
+            rt = share * rt_max
         elif rt_max == theta_high:
             # every budget binds in the high state, so the burn funds exactly
             # rT = theta (up to rounding) and the surcharge is neutral
@@ -433,10 +542,10 @@ def _solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyStat
         log.debug(
             "heterogeneous theta=%r binds=%s pattern_switches=%d first_bracket=%s "
             "trial_returns=%d high_load_evals=%d low_load_evals=%d foc_evals=%d "
-            "prediction_hits=%d",
+            "prediction_hits=%d outer=%s",
             theta_high, ",".join(f"{t.name}:{pat}" for t, pat in zip(cfg.agent_types, pats)),
             switches, "cold-test" if cold else "planner-seed", len(high_states),
-            sum(map(len, high_clears)), low_evals, foc_evals, hits,
+            sum(map(len, high_clears)), low_evals, foc_evals, hits, outer,
         )
     by_type = [{t.name: response[i] for t, response in zip(cfg.agent_types, got)}
                for i in range(3)]

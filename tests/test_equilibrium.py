@@ -400,26 +400,31 @@ def test_heterogeneous_budgets_bind_where_the_best_response_says(args, shares, b
 def test_heterogeneous_solve_evaluation_budget(het_cfg, monkeypatch):
     """Deterministic work count: primitive evaluations per heterogeneous solve.
 
-    Every root starts at its prediction. The outer burn root is bracketed
-    just below the burn share its first trial gives. Each trial return's
-    market clears start at prices predicted from the trials already solved
-    (the first high state from the planner's shadow value, which loading the
-    config has already solved) and accept them when the residual there is at
-    float resolution. Every root stops once its residual is at float
-    resolution. On the shipped config no budget binds in both states, so the
-    holdings FOC root, the solver's one user of u_prime, never runs, and
-    heterogeneous_roles orders the types by their utility scales: no u_prime
-    call at all. Where the shocked type's budget binds in both states, that
-    root runs at every low-state load evaluation, from the last balance
-    found. c'(1) is the cost's scale, so c_prime is called once per slack
-    residual only.
+    Every root starts at its prediction. The outer burn root takes Newton
+    steps from its first trial on the slope each trial's clears give, or
+    where a budget binds in both states is bracketed just below the burn
+    share its first trial gives. Each trial return's market clears start at
+    prices predicted from the nearest trial's sensitivities, or from the
+    trials already solved (the first high state from the planner's shadow
+    value, which loading the config has already solved), and accept them
+    when the residual there is at float resolution. Every root stops once
+    its residual is at float resolution. On the shipped config no budget
+    binds in both states, so the holdings FOC root, the solver's one user of
+    u_prime, never runs, and heterogeneous_roles orders the types by their
+    utility scales: no u_prime call at all. Where the shocked type's budget
+    binds in both states, that root runs at every low-state load evaluation,
+    from the last balance found toward the end a Newton step on the FOC's
+    slope names. Each FOC evaluation takes two u_prime calls: 15 and 42
+    evaluations here, 27 and 69 when that end lay a factor of 2 away.
+    c'(1) is the cost's scale, so c_prime is called once per slack residual
+    only.
     """
     seen = record_evaluations(monkeypatch)
     both = het_band_config(*SHOCKED_BINDS_BOTH)
     for cfg, theta, budget in [
-        (het_cfg, 0.0, (10, 0, 2)), (het_cfg, 0.02, (36, 0, 6)), (het_cfg, 0.05, (42, 0, 8)),
-        (het_cfg, 0.08, (42, 0, 8)), (het_cfg, 0.1, (38, 0, 8)), (both, 0.0, (25, 54, 13)),
-        (both, 0.03, (58, 138, 30)),
+        (het_cfg, 0.0, (10, 0, 2)), (het_cfg, 0.02, (22, 0, 4)), (het_cfg, 0.05, (26, 0, 6)),
+        (het_cfg, 0.08, (32, 0, 6)), (het_cfg, 0.1, (30, 0, 7)), (both, 0.0, (25, 30, 13)),
+        (both, 0.03, (58, 84, 30)),
     ]:
         seen.clear()
         eqm.solve_regime(cfg, "heterogeneous", theta)
@@ -429,16 +434,17 @@ def test_heterogeneous_solve_evaluation_budget(het_cfg, monkeypatch):
 
 def test_taxed_heterogeneous_solve_inverts_demand_as_the_readme_says(het_cfg, monkeypatch):
     # a taxed solve of the shipped config, theta = 0.005, 0.01, ..., 0.1,
-    # takes 32 to 42 demand inversions: the range the README states
+    # takes 22 to 34 demand inversions: the range the README states (32 to
+    # 42 when the burn identity was bracketed and rooted by Brent's method)
     seen = record_evaluations(monkeypatch)
     counts = []
     for i in range(1, 21):
         seen.clear()
         eqm.solve_regime(het_cfg, "heterogeneous", 0.005 * i)
         counts.append(len(seen.u_prime_inv))
-    assert (min(counts), max(counts)) == (32, 42), counts
+    assert (min(counts), max(counts)) == (22, 34), counts
     readme = " ".join((CONFIG_DIR.parent / "README.md").read_text().split())
-    stated = "`configs/heterogeneous.json` takes 32 to 42 demand inversions for theta in [0.005, 0.1]"
+    stated = "`configs/heterogeneous.json` takes 22 to 34 demand inversions for theta in [0.005, 0.1]"
     assert stated in readme
 
 
@@ -558,11 +564,11 @@ def test_demand_below_a_float_at_the_closed_form_fee_is_named(regime):
     # demand overfills capacity at c'(1) = 1 by a log residual of 1.64: the
     # root lies in [1, e^1.64]
     ((1.0, 1.0), [1.0, 5.164684199579493, 1.6634160955173798, 1.6477182676933295,
-                  1.6476412713865785, 1.6476412730060732, 1.6476412730060723]),
+                  1.6476412713865787, 1.647641273006073, 1.6476412730060723]),
     # the fee exceeds marginal cost at c'(1) = 4 by a log residual of 5.71:
     # the root lies in [4 e^-5.71, 4]
-    ((4.0, 2.0), [4.0, 0.013187666506929086, 1.8886883669593155, 1.8531675920865218,
-                  1.8534844378277173, 1.8534843660245626, 1.8534843660244162,
+    ((4.0, 2.0), [4.0, 0.013187666506929086, 1.8886883669593155, 1.853167592086522,
+                  1.8534844378277175, 1.8534843660245626, 1.8534843660244165,
                   1.853484366024416]),
 ], ids=["congested", "slack"])
 def test_a_two_type_market_clears_on_the_cold_path(cost, prices, monkeypatch):
@@ -613,23 +619,44 @@ def test_heterogeneous_solve_logs_its_branch_at_debug(het_cfg, caplog):
     # the slack config starts from the unshocked type binding in the low
     # state; the check at the clearing prices moves it to the high state.
     # Only a budget binding in both states runs the holdings FOC root. At
-    # theta = 0.05 three clears accept their predicted price at once: the
-    # last trial's high state and the low states of the last two trials.
+    # theta = 0.05 two Newton steps from the first trial reach the root, and
+    # two clears accept their predicted price at once: the last trial's high
+    # and low states. An untaxed solve roots no burn identity.
     # (solve_regime adds an INFO line per solve.)
     assert [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG] == [
         "heterogeneous theta=0.0 binds=shocked:high,steady:low pattern_switches=0 "
         "first_bracket=planner-seed trial_returns=1 high_load_evals=3 low_load_evals=2 "
-        "foc_evals=0 prediction_hits=0",
+        "foc_evals=0 prediction_hits=0 outer=none",
         "heterogeneous theta=0.05 binds=shocked:high,steady:low pattern_switches=0 "
-        "first_bracket=planner-seed trial_returns=5 high_load_evals=13 low_load_evals=8 "
-        "foc_evals=0 prediction_hits=3",
+        "first_bracket=planner-seed trial_returns=3 high_load_evals=7 low_load_evals=6 "
+        "foc_evals=0 prediction_hits=2 outer=newton:2",
         "heterogeneous theta=0.0 binds=shocked:high,steady:high pattern_switches=1 "
         "first_bracket=cold-test trial_returns=1 high_load_evals=5 low_load_evals=4 "
-        "foc_evals=0 prediction_hits=0",
+        "foc_evals=0 prediction_hits=0 outer=none",
         "heterogeneous theta=0.0 binds=shocked:both,steady:low pattern_switches=1 "
         "first_bracket=cold-test trial_returns=1 high_load_evals=5 low_load_evals=8 "
-        "foc_evals=27 prediction_hits=0",
+        "foc_evals=15 prediction_hits=0 outer=none",
     ]
+
+
+def test_the_burn_identity_takes_newton_steps_unless_a_budget_binds_in_both_states(het_cfg, caplog):
+    # every taxed solve of the shipped config reaches the root by Newton
+    # steps, within 4 trial returns (the first and at most 3 steps); a type
+    # whose budget binds in both states couples the two markets through its
+    # balance root, so its trials have no slope and the root is bracketed
+    def outer_paths(cfg, thetas):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="tokenomics.equilibrium"):
+            for theta in thetas:
+                eqm.solve_regime(cfg, "heterogeneous", theta)
+        lines = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+        return [(int(re.search(r"trial_returns=(\d+)", line)[1]), re.search(r"outer=(\S+)", line)[1])
+                for line in lines]
+
+    paths = outer_paths(het_cfg, [0.005 * i for i in range(1, 21)])
+    assert len(paths) == 20
+    assert all(outer.startswith("newton:") and trials <= 4 for trials, outer in paths), paths
+    assert outer_paths(het_band_config(*SHOCKED_BINDS_BOTH), [0.03]) == [(5, "bracket")]
 
 
 def with_binding_examples(test):
@@ -722,6 +749,11 @@ def test_heterogeneous_holdings_slope_matches_the_model(scales, curvatures, mass
     cost=st.tuples(st.floats(0.5, 2.0), st.sampled_from([1e-9]) | st.floats(0.1, 2.0)),
     theta=st.floats(0.0, 0.3),
 )
+# a balance root whose Newton end lies 73 units of log m from its start,
+# where the FOC is 6e21: Brent's first secant step from the start is 1e-20
+# in log m, which rounds back to the start unless a step moves an ulp
+@example(types=[(1.0, 4.0, 0.5, 1.0, 0.5), (0.5, 3.0, 0.25, 2.0, 0.75)], r=0.0625, rho=0.25,
+         cost=(0.5, 1e-09), theta=0.125)
 def test_heterogeneous_solves_of_any_number_of_types_are_certified_or_infeasible(
     types, r, rho, cost, theta
 ):
@@ -1029,8 +1061,8 @@ def test_a_clear_never_evaluates_load_twice_at_one_price(
 def test_a_clear_near_unit_price_ends_where_the_price_grid_does():
     # a draw of the test above: scales 1 + 3e-15 and 1 + 5e-15 put the slack
     # root three ulps above p = 1, where the log-price residual's rounding
-    # stays above RESIDUAL_FLOOR and the bracket test in x = log p is far
-    # finer than an ulp of p. Brent's method once took 49 steps there on 4
+    # stays above RESIDUAL_FLOOR and the bracket test in x = log(p / c'(1))
+    # is far finer than an ulp of p. Brent's method once took 49 steps on 4
     # distinct prices; the root ends once a step rounds to a price already
     # evaluated, after the guess c'(1), its bound end and two steps.
     u, cost = ISO(1.0 + 3e-15, 0.21), ec.CostFn(1.0 + 5e-15, 2.8)
@@ -1046,29 +1078,48 @@ def test_a_clear_near_unit_price_ends_where_the_price_grid_does():
     _assert_clears(cost, price, ec.u_prime_inv(u, price), congested)
 
 
-def test_a_slack_clear_whose_bound_end_rounds_short_closes_in_a_few_ulps(monkeypatch):
-    # a heterogeneous solve's low-state clear from the guess
-    # 0.9602604251762252, whose residual 4.3e-15 puts its bound end at
-    # 0.9602604251762212, one ulp above the root, with a residual of the
-    # guess's sign. The end's residual is at float resolution, so it is the
-    # fee; a bracket widened by halving and doubling took 6 evaluations.
-    cfg = ec.config_from_dict({
-        "schema_version": 1, "r": 0.037688383960281596, "gamma": 0.0,
-        "cost": {"scale": 0.9602604260059702, "curvature": 1e-09},
-        "shocks": {"kind": "common_binary", "rho": 0.4732435835817568},
-        "agent_types": [
-            {"name": "a", "mass": 0.4297053945140615, "utility_by_state": {
-                "0": {"kind": "isoelastic", "scale": 0.6134395674388662, "curvature": 0.5786247076185894},
-                "1": {"kind": "isoelastic", "scale": 2.2229654030091375, "curvature": 0.440796280104837}}},
-            {"name": "b", "mass": 0.5702946054859386, "utility_by_state": {
-                "0": {"kind": "isoelastic", "scale": 0.5996057278251841, "curvature": 0.5413316289951586},
-                "1": {"kind": "isoelastic", "scale": 0.5962015041654336, "curvature": 0.48451887460049653}}},
-        ],
-    })
-    seen = record_evaluations(monkeypatch)
-    eqm.solve_regime(cfg, "heterogeneous", 0.04082338295272865)
-    clear, = [prices for prices in seen.clears if prices[0] == 0.9602604251762252]
-    assert clear == [0.9602604251762252, 0.9602604251762212]
+def test_a_steep_clear_far_from_unit_price_roots_within_tolerance():
+    # one demand of curvature 1e-4, whose congested residual falls 1e4 per
+    # unit of log price, against c'(1) = e^200, overfilled by a fraction of
+    # a percent there. Rooted in x = log p, whose grid near the root is
+    # EPS * 200 wide, 38 of these 160 clears stalled where the float grid
+    # ends; in x = log(p / c'(1)) all clear, each price loaded once
+    scale = math.exp(200.0)
+    cost = ec.CostFn(scale, 1.0)
+    for i in range(1, 161):
+        u = ISO(scale * (1.0 + 5e-5 * i), 1e-4)
+        prices = []
+
+        def load(p: float) -> float:
+            prices.append(p)
+            return ec.u_prime_inv(u, p)
+
+        price, congested = _clear_blockspace(cost, load)
+        assert congested and len(set(prices)) == len(prices), i
+        _assert_clears(cost, price, ec.u_prime_inv(u, price), congested)
+
+
+def test_a_slack_clear_whose_bound_end_rounds_short_closes_in_a_few_ulps():
+    # a heterogeneous solve's low-state clear at the trial return
+    # rt = 0.03827340640778977, type a's budget binding in the high state and
+    # b's in the low, from the guess 0.9602604251762252, whose residual
+    # 4.3e-15 puts its bound end at 0.9602604251762212, one ulp above the
+    # root, with a residual of the guess's sign. The end's residual is at
+    # float resolution, so it is the fee; a bracket widened by halving and
+    # doubling took 6 evaluations.
+    r, rho, rt = 0.037688383960281596, 0.4732435835817568, 0.03827340640778977
+    a, b = ISO(0.6134395674388662, 0.5786247076185894), ISO(0.5996057278251841, 0.5413316289951586)
+    wedge = 1.0 + (r - rho * rt) / (1.0 - rho)  # where b's low-state budget binds
+    prices = []
+
+    def load(p: float) -> float:
+        # summed in type order from 0.0, as the solver sums its loads
+        prices.append(p)
+        return 0.0 + 0.4297053945140615 * ec.u_prime_inv(a, p) + 0.5702946054859386 * ec.u_prime_inv(b, wedge * p)
+
+    cost = ec.CostFn(0.9602604260059702, 1e-09)
+    assert _clear_blockspace(cost, load, 0.9602604251762252) == (0.9602604251762212, False)
+    assert prices == [0.9602604251762252, 0.9602604251762212]
 
 
 def test_heterogeneous_clears_never_evaluate_load_twice_at_one_price(het_cfg, monkeypatch):

@@ -184,6 +184,21 @@ def _power_sum(k1, e1, k2, e2):
     return f
 
 
+def _linear(slope, x0):
+    # slope * (log v - x0), read in log(v / root) as a clear reads a load's
+    # residual (log v - x0 would round in steps of 1e4 * ulp(300) = 6e-10
+    # at a root near e^300). The root runs in x = log(v / start), whose grid
+    # near a root up to e^50 from the start is ulp(50) = 7e-15 wide, 7e-11
+    # in a residual of slope 1e4: inside RESIDUAL_TOL wherever the root is.
+    # In x = log v that grid was 6e-10 wide at e^300.
+    root = math.exp(x0)
+
+    def f(v):
+        return slope * math.log(v / root)
+
+    return f
+
+
 @st.composite
 def monotone_log_residuals(draw):
     """(f, slope sign, start v) for a residual monotone in x = log v with a
@@ -193,16 +208,11 @@ def monotone_log_residuals(draw):
     kind = draw(st.sampled_from(["linear", "powers", "floored"]))
     if kind == "linear":
         slope = draw(st.floats(1.0, 1e4)) * draw(st.sampled_from([-1.0, 1.0]))
-        # a root within e^+-20 of 1: the root runs in x = log v, whose grid
-        # near the root is EPS * |x| wide, so a residual of slope 1e4 there
-        # reads up to about 1e4 * 2 * EPS * 20 = 9e-11, inside RESIDUAL_TOL
-        x0 = draw(st.floats(-20.0, 20.0))
-
-        def f(v):
-            return slope * (math.log(v) - x0)
-
+        # a root within e^+-300 of 1 (see _linear)
+        x0 = draw(st.floats(-300.0, 300.0))
+        f = _linear(slope, x0)
         rising, x = slope > 0.0, x0
-        note(f"linear {slope!r} (log v - {x0!r})")
+        note(f"linear {slope!r} log(v / e^{x0!r})")
     elif kind == "powers":
         k1, k2 = (draw(st.floats(-3.0, 3.0).map(lambda e: 10.0**e)) for _ in range(2))
         e1, e2 = draw(st.floats(1.0, 100.0)), draw(st.floats(1.0, 100.0))
@@ -233,6 +243,14 @@ def monotone_log_residuals(draw):
 # end is the smallest positive float: Brent's method must bisect, not
 # interpolate through inf (which ended in the subnormals at a residual of -716)
 @example(case=(_power_sum(1.0, 1.0, 1.0, 26.0), True, 1446257064291.475), shrink=1.0)
+# a root near e^210 whose residual rises 8,427 per unit of log v: rooted in
+# x = log v, the grid ended at a residual of 2.4e-10
+@example(case=(_linear(8427.284294538276, 209.69364936332045), True, 3.237924273368183e+102),
+         shrink=1.0)
+# a start 1e13 times the root: log(v / start) near the root, taken as log1p
+# of a relative difference close to -1, loses three digits, and the root
+# then ends 1.7e-4 short
+@example(case=(_linear(-1.00001, 0.0), False, 10686474581524.463), shrink=1.0)
 def test_find_log_root_roots_any_monotone_log_residual(case, shrink):
     # from a start v toward an end w on the root's side, a fraction shrink
     # of the distance the residual at v names in log v (short of the root
