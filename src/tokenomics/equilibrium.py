@@ -40,10 +40,6 @@ from .first_best import _clear_blockspace, _clear_demands, first_best_allocation
 
 log = logging.getLogger(__name__)
 
-#: Newton steps on the burn identity before the heterogeneous solver brackets it
-NEWTON_STEPS = 3
-
-
 class StateOutcome(NamedTuple):
     """Market outcome in one shock state.
 
@@ -195,19 +191,15 @@ def _solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyStat
 
     Every root starts from a prediction made from this call's own trials,
     so a solve does not depend on what was solved before it. The first
-    trial is the cap itself (share 1). A trial whose types each bind in one
-    state reads off its own two clears how its prices and its burn ratio
-    move with rT (see sensitivities), so the outer root takes Newton steps
-    from share 1 (the safeguarded Newton of Press et al., Numerical
-    Recipes, 9.4), accepting a trial at RESIDUAL_FLOOR. A step that changes
-    the gap's sign hands that bracket to find_root. Where a trial has no
-    slope (a budget binds in both states), the slope is not negative, a
-    step leaves (0, 1) or NEWTON_STEPS steps leave the gap above the floor,
-    the root is bracketed instead: the burn share barely moves with rT, so
-    just below the share the first trial predicts. Each market clear
-    evaluates its predicted price first (see predicted_prices) and keeps it
-    when the residual there is at float resolution; a clear again under a
-    new pattern starts at the last clear's prices. A budget binding in both
+    trial is the cap itself (share 1). Each trial reads how its prices and
+    its burn ratio move with rT (see sensitivities), so the outer root takes
+    safeguarded Newton steps from share 1 (rtsafe, Press et al., Numerical
+    Recipes, 9.4), accepting a trial at RESIDUAL_FLOOR: each step must stay
+    inside the tightest bracket the trials give and at least halve the gap,
+    or that bracket goes to find_root. Each market clear evaluates its
+    predicted price first (see predicted_prices) and keeps it when the
+    residual there is at float resolution; a clear again under a new
+    pattern starts at the last clear's prices. A budget binding in both
     states roots its balance from the type's last balance. High states are
     kept for the whole solve, so the root's is not solved again. Holdings
     cover high-state spending, so the burn never exceeds theta; if it still
@@ -218,8 +210,8 @@ def _solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyStat
     the first high-state clear bracketed its root from the planner's price
     alone or evaluated c'(1), the number of trial returns, the counters
     kept below and how the burn identity was rooted (outer=newton:<steps>,
-    with +brent where the last step crossed the root, outer=bracket, or
-    outer=none where no root was run).
+    with +brent where Newton's method gave way to Brent's, or outer=none
+    where no root was run).
     """
     rho, r = cfg.shocks.rho, cfg.r
     # (mass, high-state utility, low-state utility) of each type, in config order
@@ -354,9 +346,10 @@ def _solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyStat
         return p_high, congested, points[p_high]
 
     # per solve: the high state of every trial return solved so far, with
-    # its low-state price and patterns, and the sensitivities of those used
+    # its low-state price and patterns, and the implicit-function slopes of
+    # those used (a secant moves as trials are added, so is not kept)
     high_states: dict[float, tuple] = {}
-    slopes: dict[float, tuple[float, float, float] | None] = {}
+    slopes: dict[float, tuple[float, float, float]] = {}
     # where each budget binds at the last trial; first, "high" at the largest u'(1), the scale
     top = max(range(len(types)), key=lambda i: types[i][1].scale)
     pats = tuple("high" if i == top else "low" for i in range(len(types)))
@@ -367,26 +360,42 @@ def _solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyStat
     planner = first_best_allocation(cfg, 1)
     anchor = (r / rho, planner.shadow_marginal / (1.0 + theta_high)) if planner.congested else None
 
-    def sensitivities(rt: float) -> tuple[float, float, float] | None:
-        """d log p_low / d rT, d log p_high / d rT and d log(p_high A / M) / d rT
-        of the trial solved at rt, its patterns held: the implicit-function
-        theorem on its two clears, worked out on the first call. None where a
-        budget binds in both states, whose balance root couples the markets.
+    def total(got: list[tuple[float, float, float]], i: int) -> float:
+        """Mass-weighted sum of entry i of the types' responses got."""
+        out = 0.0
+        for (k, _, _), response in zip(types, got):
+            out += k * response[i]
+        return out
 
-        Each activity is a power -1/c of its price, c the utility curvature,
-        times (1 + rT)**(1/c) in the high state of a high-binding type and
-        times its wedge**(-1/c) in the low state of a low-binding one, the
-        wedge 1 + (r - rho rT) / (1 - rho). A congested state holds its load
-        at 1; a slack one has log p = log c'(1) + kappa log load. A balance
-        is eff a1 / (1 + rT) where the high budget binds, p_low a0 where the
-        low one does.
+    def tracked(rt: float) -> tuple[float, float, float]:
+        """p_low, p_high and the burn ratio p_high A / M of the trial at rt,
+        the three values whose slopes sensitivities gives."""
+        p_high, _, (p_low, _, got), _ = high_state(rt)
+        return p_low, p_high, p_high * total(got, 1) / total(got, 0)
+
+    def sensitivities(rt: float) -> tuple[float, float, float]:
+        """d log p_low / d rT, d log p_high / d rT and d log(p_high A / M) / d rT
+        of the trial solved at rt.
+
+        Where its types each bind in one state, the implicit-function theorem
+        on its two clears, its patterns held. Each activity is a power -1/c
+        of its price, c the utility curvature, times (1 + rT)**(1/c) in the
+        high state of a high-binding type and times its wedge**(-1/c) in the
+        low state of a low-binding one, the wedge 1 + (r - rho rT) / (1 - rho).
+        A congested state holds its load at 1; a slack one has
+        log p = log c'(1) + kappa log load. A balance is eff a1 / (1 + rT)
+        where the high budget binds, p_low a0 where the low one does.
+
+        Otherwise (a budget binds in both states, whose balance root couples
+        the markets, or a load or balance that underflows to 0), the secants
+        in log to the nearest other trial, 0 where a value is 0 on either;
+        with no other trial, the low price and the burn ratio held and the
+        high price scaling with 1 + rT, as a high-binding type's FOC does at
+        a fixed shadow value.
         """
         if rt in slopes:
             return slopes[rt]
         _, congested, (_, low_congested, got), binds = high_states[rt]
-        slopes[rt] = None  # unless worked out below
-        if "both" in binds:
-            return None
         # d log(1 + rT) / d rT and d log(wedge) / d rT
         d_growth, d_wedge = 1.0 / (1.0 + rt), -rho / (1.0 - rho + r - rho * rt)
         # per state, the load and sum k a / c, and its sum over the types
@@ -408,43 +417,34 @@ def _solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyStat
             else:
                 shift1 += e1
                 high_part += k * m * (1.0 - 1.0 / u1.curvature)
-        if not (elastic0 > 0.0 and elastic1 > 0.0 and balance > 0.0):
-            return None
-        kappa = cfg.cost.curvature
-        d_low = -d_wedge * shift0 / (elastic0 if low_congested else elastic0 + load0 / kappa)
-        d_high = d_growth * shift1 / (elastic1 if congested else elastic1 + load1 / kappa)
-        d_load = (d_growth * shift1 - elastic1 * d_high) / load1
-        d_balance = (d_high - d_growth) * high_part + d_low * low_part - d_wedge * low_wedge
-        slopes[rt] = d_low, d_high, d_high + d_load - d_balance / balance
-        return slopes[rt]
+        if "both" not in binds and elastic0 > 0.0 and elastic1 > 0.0 and balance > 0.0:
+            kappa = cfg.cost.curvature
+            d_low = -d_wedge * shift0 / (elastic0 if low_congested else elastic0 + load0 / kappa)
+            d_high = d_growth * shift1 / (elastic1 if congested else elastic1 + load1 / kappa)
+            d_load = (d_growth * shift1 - elastic1 * d_high) / load1
+            d_balance = (d_high - d_growth) * high_part + d_low * low_part - d_wedge * low_wedge
+            slopes[rt] = d_low, d_high, d_high + d_load - d_balance / balance
+            return slopes[rt]
+        others = [s for s in high_states if s != rt]
+        if not others:
+            return 0.0, d_growth, 0.0
+        near = min(others, key=lambda s: abs(s - rt))
+        return tuple((math.log(b) - math.log(a)) / (near - rt) if a > 0.0 and b > 0.0 else 0.0
+                     for a, b in zip(tracked(rt), tracked(near)))
 
     def predicted_prices(rt: float) -> list[float | None]:
-        """Prices of the low and the high state at rt, predicted from the
-        solved trials (None where there is no prediction).
-
-        Where the nearest trial has sensitivities, each of its prices moves
-        as exp(d log p / d rT * (rt - its rT)). Otherwise, from two or more
-        trials each price is linear in rT through the two nearest; one at or
-        below zero is no prediction. From one, only the high state is
-        predicted: its price scales with 1 + rT, as a high-binding type's FOC
-        does at a fixed shadow value; before the first, the planner stands in
-        for it.
-        """
-        near = sorted(high_states, key=lambda s: abs(s - rt))[:2]
-        # (p_low, p_high) of each of the nearest trials
-        prices = [(high_states[s][2][0], high_states[s][0]) for s in near]
-        d = sensitivities(near[0]) if near else None
-        if d is not None:
-            return [p * math.exp(dp * (rt - near[0])) for p, dp in zip(prices[0], d)]
-        if len(near) == 2:
-            ra, rb = near
-            w = (rt - ra) / (rb - ra)
-            linear = [pa + (pb - pa) * w for pa, pb in zip(*prices)]
-            return [p if p > 0.0 else None for p in linear]
-        if near or anchor is not None:
-            r_near, p_near = (near[0], prices[0][1]) if near else anchor
-            return [None, p_near * (1.0 + rt) / (1.0 + r_near)]
-        return [None, None]
+        """Prices of the low and the high state at rt: the nearest solved
+        trial's, each moved by exp(d log p / d rT * (rt - its rT)) on its
+        sensitivities. Before the first trial, the planner's congested high
+        state stands in for one: its price scaled by 1 + rT, with no
+        low-state prediction (None; both None where the planner's high state
+        is slack)."""
+        if not high_states:
+            return [None, None if anchor is None else anchor[1] * (1.0 + rt) / (1.0 + anchor[0])]
+        near = min(high_states, key=lambda s: abs(s - rt))
+        p_high, _, (p_low, _, _), _ = high_states[near]
+        return [p * math.exp(dp * (rt - near))
+                for p, dp in zip((p_low, p_high), sensitivities(near))]
 
     def high_state(rt: float) -> tuple:
         """(p_high, congested, (p_low, low_congested, responses), patterns) at rt."""
@@ -466,13 +466,6 @@ def _solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyStat
             high_states[rt] = (*point, pats)
         return high_states[rt]
 
-    def total(got: list[tuple[float, float, float]], i: int) -> float:
-        """Mass-weighted sum of entry i of the types' responses got."""
-        out = 0.0
-        for (k, _, _), response in zip(types, got):
-            out += k * response[i]
-        return out
-
     rt, outer = 0.0, "none"  # outer: how the burn identity was rooted
     if theta_high > 0.0:
         rt_max = min(theta_high, r / rho)
@@ -481,48 +474,33 @@ def _solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyStat
         def burn_gap(share: float) -> float:
             # burn per unit of tax and balance at rT = share * rt_max, less
             # rT / theta = share * cap
-            p_high, _, (_, _, got), _ = high_state(share * rt_max)
-            return p_high * total(got, 1) / total(got, 0) - share * cap
+            return tracked(share * rt_max)[2] - share * cap
 
-        def newton(gap: float) -> float | None:
-            """The root by Newton steps from share 1, whose gap is negative,
-            on the slope each trial's sensitivities give; None where a trial
-            has no slope, the slope is not negative, a step leaves (0, 1) or
-            NEWTON_STEPS steps leave the gap above RESIDUAL_FLOOR. A step that
-            changes the gap's sign brackets the root with the trial before."""
-            nonlocal outer
+        gap = burn_gap(1.0)
+        if gap < 0.0:
+            # Newton steps from share 1 inside the tightest bracket the trials
+            # give, lo = 0 unevaluated (burn_gap(0) > 0), while each step
+            # stays inside it and at least halves |gap|; then Brent's method
             share, steps = 1.0, 0
+            lo, hi, gap_lo, gap_hi = 0.0, 1.0, None, gap
             while abs(gap) > RESIDUAL_FLOOR:
-                if gap > 0.0:
-                    outer = f"newton:{steps}+brent"
-                    return find_root(burn_gap, share, last, gap, gap_last)
-                d = None if steps == NEWTON_STEPS else sensitivities(share * rt_max)
-                if d is None:
-                    return None
                 # gap + share * cap is the burn ratio p_high A / M
-                slope = rt_max * (gap + share * cap) * d[2] - cap
+                slope = rt_max * (gap + share * cap) * sensitivities(share * rt_max)[2] - cap
                 step = share - gap / slope if slope < 0.0 else math.nan
-                if not 0.0 < step < 1.0:
-                    return None
-                last, gap_last = share, gap
-                share, gap, steps = step, burn_gap(step), steps + 1
-            outer = f"newton:{steps}"
-            return share
-
-        gap_max = burn_gap(1.0)
-        if gap_max < 0.0:
-            share = newton(gap_max)
-            if share is None:
-                # the burn share barely moves with rT, so the root lies near
-                # B(1) / cap = 1 + gap_max / cap: bracket it from twice that
-                # distance below 1, or below there (burn_gap(0) > 0)
-                outer = "bracket"
-                lo = max(0.0, 1.0 + 2.0 * gap_max / cap)
-                gap_lo = burn_gap(lo)
-                if gap_lo > 0.0:
-                    share = find_root(burn_gap, lo, 1.0, gap_lo, gap_max)
+                if not lo < step < hi:
+                    break
+                gap_before, share, steps = gap, step, steps + 1
+                gap = burn_gap(share)
+                if gap > 0.0:
+                    lo, gap_lo = share, gap
                 else:
-                    share = find_root(burn_gap, 0.0, lo, fhi=gap_lo)
+                    hi, gap_hi = share, gap
+                if abs(gap) > 0.5 * abs(gap_before):
+                    break
+            outer = f"newton:{steps}"
+            if abs(gap) > RESIDUAL_FLOOR:
+                outer += "+brent"
+                share = find_root(burn_gap, lo, hi, gap_lo, gap_hi)
             rt = share * rt_max
         elif rt_max == theta_high:
             # every budget binds in the high state, so the burn funds exactly

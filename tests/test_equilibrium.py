@@ -401,11 +401,11 @@ def test_heterogeneous_solve_evaluation_budget(het_cfg, monkeypatch):
     """Deterministic work count: primitive evaluations per heterogeneous solve.
 
     Every root starts at its prediction. The outer burn root takes Newton
-    steps from its first trial on the slope each trial's clears give, or
-    where a budget binds in both states is bracketed just below the burn
-    share its first trial gives. Each trial return's market clears start at
-    prices predicted from the nearest trial's sensitivities, or from the
-    trials already solved (the first high state from the planner's shadow
+    steps from its first trial on the slope each trial's sensitivities give:
+    the implicit-function theorem on its clears, or where a budget binds in
+    both states the log secant to the nearest other trial. Each trial
+    return's market clears start at prices moved from the nearest trial's
+    on those sensitivities (the first high state from the planner's shadow
     value, which loading the config has already solved), and accept them
     when the residual there is at float resolution. Every root stops once
     its residual is at float resolution. On the shipped config no budget
@@ -414,17 +414,16 @@ def test_heterogeneous_solve_evaluation_budget(het_cfg, monkeypatch):
     utility scales: no u_prime call at all. Where the shocked type's budget
     binds in both states, that root runs at every low-state load evaluation,
     from the last balance found toward the end a Newton step on the FOC's
-    slope names. Each FOC evaluation takes two u_prime calls: 15 and 42
-    evaluations here, 27 and 69 when that end lay a factor of 2 away.
-    c'(1) is the cost's scale, so c_prime is called once per slack residual
-    only.
+    slope names. Each FOC evaluation takes two u_prime calls: 15, 38 and 36
+    evaluations at theta = 0, 0.03 and 0.05. c'(1) is the cost's scale, so
+    c_prime is called once per slack residual only.
     """
     seen = record_evaluations(monkeypatch)
     both = het_band_config(*SHOCKED_BINDS_BOTH)
     for cfg, theta, budget in [
         (het_cfg, 0.0, (10, 0, 2)), (het_cfg, 0.02, (22, 0, 4)), (het_cfg, 0.05, (26, 0, 6)),
         (het_cfg, 0.08, (32, 0, 6)), (het_cfg, 0.1, (30, 0, 7)), (both, 0.0, (25, 30, 13)),
-        (both, 0.03, (58, 84, 30)),
+        (both, 0.03, (56, 76, 28)), (both, 0.05, (55, 72, 27)),
     ]:
         seen.clear()
         eqm.solve_regime(cfg, "heterogeneous", theta)
@@ -639,24 +638,67 @@ def test_heterogeneous_solve_logs_its_branch_at_debug(het_cfg, caplog):
     ]
 
 
-def test_the_burn_identity_takes_newton_steps_unless_a_budget_binds_in_both_states(het_cfg, caplog):
-    # every taxed solve of the shipped config reaches the root by Newton
-    # steps, within 4 trial returns (the first and at most 3 steps); a type
-    # whose budget binds in both states couples the two markets through its
-    # balance root, so its trials have no slope and the root is bracketed
-    def outer_paths(cfg, thetas):
-        caplog.clear()
-        with caplog.at_level(logging.DEBUG, logger="tokenomics.equilibrium"):
-            for theta in thetas:
-                eqm.solve_regime(cfg, "heterogeneous", theta)
-        lines = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
-        return [(int(re.search(r"trial_returns=(\d+)", line)[1]), re.search(r"outer=(\S+)", line)[1])
-                for line in lines]
+def common_shock_config(types, r, rho, cost) -> ec.EconomyConfig:
+    """A common-shock config of one type per entry (mass weight, state-0
+    scale, curvature, state-1 scale, curvature) of types, gamma = 0."""
+    total = math.fsum(w for w, *_ in types)
+    return ec.EconomyConfig(
+        r=r,
+        gamma=0.0,
+        agent_types=tuple(
+            ec.AgentTypeSpec(
+                mass=w / total, utility_by_state={0: ISO(s0, c0), 1: ISO(s1, c1)}, name=f"t{i}"
+            )
+            for i, (w, s0, c0, s1, c1) in enumerate(types)
+        ),
+        cost=ec.CostFn(*cost),
+        shocks=ec.ShockProcess(ec.ShockKind.COMMON_BINARY, rho=rho),
+    )
 
-    paths = outer_paths(het_cfg, [0.005 * i for i in range(1, 21)])
+
+def debug_outer_paths(caplog, cfg, thetas):
+    """(trial_returns, outer) of the DEBUG line of each taxed solve of cfg."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="tokenomics.equilibrium"):
+        for theta in thetas:
+            eqm.solve_regime(cfg, "heterogeneous", theta)
+    lines = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+    return [(int(re.search(r"trial_returns=(\d+)", line)[1]), re.search(r"outer=(\S+)", line)[1])
+            for line in lines]
+
+
+def test_the_burn_identity_takes_newton_steps_wherever_budgets_bind(het_cfg, caplog):
+    # every taxed solve of the shipped config reaches the root by Newton
+    # steps, within 4 trial returns (the first and at most 3 steps). A type
+    # whose budget binds in both states couples the two markets through its
+    # balance root, so its trials step on the log secant to the nearest
+    # other trial (the first on the burn ratio held): 5 trial returns at
+    # theta = 0.03
+    paths = debug_outer_paths(caplog, het_cfg, [0.005 * i for i in range(1, 21)])
     assert len(paths) == 20
     assert all(outer.startswith("newton:") and trials <= 4 for trials, outer in paths), paths
-    assert outer_paths(het_band_config(*SHOCKED_BINDS_BOTH), [0.03]) == [(5, "bracket")]
+    assert debug_outer_paths(caplog, het_band_config(*SHOCKED_BINDS_BOTH), [0.03]) == [
+        (5, "newton:4")]
+    for args, shares, _ in BINDING_EXAMPLES:
+        cfg = het_band_config(*args)
+        thetas = [share * cfg.r / cfg.shocks.rho for share in shares if share > 0.0]
+        paths = debug_outer_paths(caplog, cfg, thetas)
+        assert all(outer.startswith("newton:") and trials <= 5 for trials, outer in paths), paths
+        # and at the taxes the other examples bind at, no burn root is bracketed
+        paths = debug_outer_paths(caplog, cfg, [0.01, 0.03, 0.05])
+        assert all(re.fullmatch(r"newton:\d+|none", outer) for _, outer in paths), paths
+
+
+def test_newton_steps_on_the_burn_identity_until_the_gap_stops_halving(caplog):
+    # four types, none binding in both states, against a steep cost: Newton
+    # steps go on while each at least halves the gap, and the fourth reaches
+    # the root
+    types = [(0.208, 3.033, 0.4655, 3.964, 0.247), (0.2864, 3.748, 0.6833, 2.553, 0.61),
+             (0.1666, 1.682, 0.1492, 0.5319, 0.8323), (0.339, 2.781, 0.5641, 0.6597, 0.3428)]
+    cfg = common_shock_config(types, 0.0995, 0.9148, (1.1007, 1.9459))
+    [(trials, outer)] = debug_outer_paths(caplog, cfg, [0.1386])
+    assert ":both" not in caplog.records[0].getMessage()
+    assert outer.startswith("newton:") and trials <= 5, (trials, outer)
 
 
 def with_binding_examples(test):
@@ -759,19 +801,7 @@ def test_heterogeneous_solves_of_any_number_of_types_are_certified_or_infeasible
 ):
     # two to four types, each active in both states: every solve passes the
     # certificate and the independent model, or the tax is past the frontier
-    total = math.fsum(w for w, *_ in types)
-    cfg = ec.EconomyConfig(
-        r=r,
-        gamma=0.0,
-        agent_types=tuple(
-            ec.AgentTypeSpec(
-                mass=w / total, utility_by_state={0: ISO(s0, c0), 1: ISO(s1, c1)}, name=f"t{i}"
-            )
-            for i, (w, s0, c0, s1, c1) in enumerate(types)
-        ),
-        cost=ec.CostFn(*cost),
-        shocks=ec.ShockProcess(ec.ShockKind.COMMON_BINARY, rho=rho),
-    )
+    cfg = common_shock_config(types, r, rho, cost)
     try:
         eq = eqm.solve_regime(cfg, "heterogeneous", theta)
     except InfeasiblePolicyError:

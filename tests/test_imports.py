@@ -1,6 +1,7 @@
 """Import hygiene and dead code: every name a package module imports is
-used in it, every module-level function, and every public method or
-property of a module-level class, is read somewhere in the package, and
+used in it, every module-level function and constant, and every public
+method or property of a module-level class, is read somewhere in the
+package, and
 the grid oracles import no solver module, and which private names a
 module imports from another is pinned. Also what a fresh interpreter
 loads: ``import tokenomics`` no submodule, each CLI subcommand only the
@@ -77,27 +78,57 @@ def test_module_uses_every_import(module):
 MODULE_HOOKS = {"__getattr__"}
 
 
-def unread_functions(sources: dict[str, str]) -> list[str]:
-    """Module-level functions that no module reads, by name or as an
-    attribute, outside their own body, that no ``__all__`` lists, and that
-    are not in MODULE_HOOKS."""
+def names_read(node: ast.AST) -> set[str]:
+    """The names node reads, by name or as an attribute."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)) or isinstance(n, ast.Attribute)
+    }
+
+
+def unread_definitions(sources: dict[str, str], defines) -> list[str]:
+    """The module-level names defines(statement) gives that no module
+    reads outside the statement defining them, that no ``__all__`` lists,
+    and that are not in MODULE_HOOKS."""
     defined: list[tuple[str, str]] = []
     read: set[str] = set()
     for module, source in sources.items():
         for node in ast.parse(source).body:
-            names = {
-                n.id if isinstance(n, ast.Name) else n.attr
-                for n in ast.walk(node)
-                if (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
-                or isinstance(n, ast.Attribute)
-            }
-            if isinstance(node, ast.FunctionDef):
-                defined.append((module, node.name))
-                names.discard(node.name)  # a recursive call is no caller
-            read |= names | public_names(node)
+            names = defines(node)
+            defined.extend((module, name) for name in names)
+            # a recursive call, or a name read where it is assigned, is no reader
+            read |= (names_read(node) - set(names)) | public_names(node)
     return sorted(
         f"{module}:{name}" for module, name in defined if name not in read | MODULE_HOOKS
     )
+
+
+def unread_functions(sources: dict[str, str]) -> list[str]:
+    """Module-level functions that no module reads outside their own body."""
+    return unread_definitions(
+        sources, lambda node: [node.name] if isinstance(node, ast.FunctionDef) else [])
+
+
+def assigned_names(node: ast.stmt) -> list[str]:
+    """The names a module-level assignment binds, dunders such as
+    ``__all__`` aside (the interpreter reads those)."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [
+        n.id for t in targets for n in ast.walk(t)
+        if isinstance(n, ast.Name) and not (n.id.startswith("__") and n.id.endswith("__"))
+    ]
+
+
+def unread_constants(sources: dict[str, str]) -> list[str]:
+    """Module-level constants (every name a module-level assignment binds)
+    that no module reads outside their own assignment."""
+    return unread_definitions(sources, assigned_names)
 
 
 def test_detector_flags_an_unread_function():
@@ -118,6 +149,27 @@ def test_detector_reads_the_public_names_from_the_module_table():
 
 def test_every_function_is_read():
     assert unread_functions({p.name: p.read_text() for p in SRC.glob("*.py")}) == []
+
+
+def test_detector_flags_an_unread_constant():
+    sources = {
+        "a.py": (
+            "import logging\n"
+            "LIMIT = 3\n"
+            "TINY, HUGE = 1e-300, 1e300\n"
+            "STEPS: int = 2\n"
+            "DEAD = [DEAD] if False else []\n"
+            "__all__ = ['f']\n"
+            "log = logging.getLogger(__name__)\n"
+            "def f(x):\n    return min(x, LIMIT) * TINY\n"
+        ),
+        "b.py": "import a\n\na.log.info(a.STEPS)\nCOPY = a.LIMIT\n",
+    }
+    assert unread_constants(sources) == ["a.py:DEAD", "a.py:HUGE", "b.py:COPY"]
+
+
+def test_every_constant_is_read():
+    assert unread_constants({p.name: p.read_text() for p in SRC.glob("*.py")}) == []
 
 
 #: methods that a base class calls, so no package module reads them by name
