@@ -1,20 +1,22 @@
 """Scalar root finding used by the equilibrium and first-best solvers.
 
 Every economic fixed point in this package reduces to a monotone scalar
-residual with a sign change on a bracket. find_root runs Brent's method
-(Brent, Algorithms for Minimization without Derivatives, 1973): it keeps
-bisection's guaranteed bracket and converges superlinearly, deterministically.
-It stops at float resolution, in x or in the residual: when the bracket is a
-few ulps wide, or when the residual is within RESIDUAL_FLOOR of zero, which
-needs a residual relative to the terms it balances. find_log_root runs the
-same steps in place in the log of a positive unknown over a point the
-caller evaluated, from there toward a second one, on the caller's one
-table of residuals by unknown; it widens past the second point where the
-root lies beyond it. The market-clearing kernel
-(first_best._clear_blockspace) roots in log price, where its residuals are
-nearly linear with slopes at least 1 in size, so the secant step is close
-to exact and a residual bounds the root's distance; the heterogeneous
-solver roots a balance in log m.
+residual with a sign change. find_log_root roots one in the log of a
+positive unknown over a point the caller evaluated, from there toward a
+second one, on the caller's one table of residuals by unknown; it widens
+past the second point where the root lies beyond it. It runs Brent's
+method (Brent, Algorithms for Minimization without Derivatives, 1973): it
+keeps bisection's guaranteed bracket and converges superlinearly,
+deterministically. It stops at float resolution, in x or in the residual:
+when the bracket is a few ulps wide, or when the residual is within
+RESIDUAL_FLOOR of zero, which needs a residual relative to the terms it
+balances. The market-clearing kernel (first_best._clear_blockspace) roots
+in log price, where its residuals are nearly linear with slopes at least 1
+in size, so the secant step is close to exact and a residual bounds the
+root's distance; the heterogeneous solver roots a balance in log m. Its
+burn identity, whose trials carry their own slopes, is rooted by Newton
+steps and bisection in equilibrium._solve_heterogeneous, on this module's
+RESIDUAL_FLOOR, RESIDUAL_TOL and MAX_ITER.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ _EPS = 2.0**-52
 
 #: residual magnitude accepted as "solved"
 RESIDUAL_TOL = 1e-10
-#: relative residual at float resolution: find_root stops once |f(b)| reaches it
+#: relative residual at float resolution: a root stops once |f| reaches it
 RESIDUAL_FLOOR = 4.0 * _EPS
 #: hard cap on iterations (well past double precision for any bracket)
 MAX_ITER = 200
@@ -39,41 +41,6 @@ MAX_WIDEN = 60
 #: the positive finite floats, and the log of the largest
 _TINY, _HUGE = math.ulp(0.0), sys.float_info.max
 _LOG_HUGE = math.log(_HUGE)
-
-
-def find_root(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    flo: float | None = None,
-    fhi: float | None = None,
-) -> float:
-    """Brent's method on a sign change, run to float resolution.
-
-    The bracket is narrowed until it is a few ulps wide, until the residual
-    at its best end b is at most RESIDUAL_FLOOR, or for MAX_ITER steps. b, a
-    point f was evaluated at, is then checked against RESIDUAL_TOL; a
-    residual above the tolerance raises SolverError with bracket
-    diagnostics. f must be a relative residual: the difference of terms of
-    order one (a log ratio, or a balance scaled by one of its sides), so
-    that RESIDUAL_FLOOR is float resolution for it. A residual whose
-    rounding stays above RESIDUAL_FLOOR ends on the bracket test. flo and
-    fhi, when known, are f(lo) and f(hi) and are not evaluated again.
-    """
-    flo = f(lo) if flo is None else flo
-    fhi = f(hi) if fhi is None else fhi
-    if (flo < 0.0 and fhi < 0.0) or (flo > 0.0 and fhi > 0.0):
-        raise SolverError(
-            f"no sign change on bracket: f({lo:.6g}) = {flo:.6g}, "
-            f"f({hi:.6g}) = {fhi:.6g}"
-        )
-    b, fb, c = _brent(f, lo, flo, hi, fhi)
-    if abs(fb) > RESIDUAL_TOL:
-        raise SolverError(
-            f"root finder stalled with residual {fb:.3e} > {RESIDUAL_TOL:.0e} "
-            f"on bracket [{min(b, c):.12g}, {max(b, c):.12g}]"
-        )
-    return b
 
 
 def find_log_root(
@@ -95,13 +62,16 @@ def find_log_root(
     v0, evaluating f at v = v0 exp(x) and adding each v to values. Near a
     root close to the start, neighbouring x lie far closer than
     neighbouring v (in x = log v they lay EPS * |log v| apart, too coarse
-    for a steep residual far from v = 1). It stops as find_root does: once
-    the residual is at float resolution, or when the bracket is a few
-    EPS * |x| wide; and where the grid of v ends: once the next x rounds
-    to a v already in values, the best end of the bracket is returned
-    (short of RESIDUAL_TOL, a secant step that small bisects instead). The
-    result, checked against RESIDUAL_TOL as find_root checks its own, is
-    always a v in values, so f is evaluated at most once per v.
+    for a steep residual far from v = 1). It stops once the residual is at
+    float resolution, or when the bracket is a few EPS * |x| wide; and
+    where the grid of v ends: once the next x rounds to a v already in
+    values, the best end of the bracket is returned (short of RESIDUAL_TOL,
+    a secant step that small bisects instead). Where it stops past |x| = 1
+    short of float resolution, it runs once more in x measured from the
+    best end, toward the nearest v evaluated across the root, since there
+    x rounds coarser than v. The result is always a v in
+    values, so f is evaluated at most once per v; a residual there above
+    RESIDUAL_TOL raises SolverError.
     """
     fv = values[v]
     if abs(fv) <= RESIDUAL_FLOOR:
@@ -138,8 +108,18 @@ def find_log_root(
                 "could not bracket a root: "
                 f"f({v:.6g}) = {fv:.6g}, f({w:.6g}) = {fw:.6g} share a sign"
             )
-    x, fx, _ = _brent(f, xv, fv, xw, fw, values, origin)
+    x, fx = _brent(f, xv, fv, xw, fw, values, origin)
     root = v if x == xv else w if x == xw else _scaled(origin, x)
+    if abs(fx) > RESIDUAL_FLOOR and abs(x) > 1.0:
+        # past |x| = 1 neighbouring x lie farther apart than neighbouring v,
+        # so the bracket may have closed in x while it still spans several
+        # v: root on from the best end, measured from there, toward the
+        # nearest v evaluated across the root
+        across = min((u for u, fu in values.items() if (fu < 0.0) != (fx < 0.0)),
+                     key=lambda u: abs(u - root))
+        xa = _log_ratio(across, root)
+        x, fx = _brent(f, 0.0, fx, xa, values[across], values, root)
+        root = root if x == 0.0 else across if x == xa else _scaled(root, x)
     if abs(fx) > RESIDUAL_TOL:
         raise SolverError(
             f"root finder stalled with residual {fx:.3e} > {RESIDUAL_TOL:.0e} "
@@ -173,14 +153,13 @@ def _log_ratio(v: float, origin: float) -> float:
 
 def _brent(
     f: Callable[[float], float], a: float, fa: float, b: float, fb: float,
-    values: dict[float, float] | None = None, origin: float = 1.0,
-) -> tuple[float, float, float]:
-    """Brent's method from the sign change fa, fb across [a, b]: the best
-    end b, f there and the other end c of the final bracket. With values,
-    the steps run in x = log(v / origin): f takes v = origin * exp(x), each
-    v is added to values, and the root stops at the best end once the next
-    x rounds to a v already there; short of RESIDUAL_TOL there, it bisects
-    instead, and stops only where the midpoint rounds to one too."""
+    values: dict[float, float], origin: float,
+) -> tuple[float, float]:
+    """Brent's method in x = log(v / origin) from the sign change fa, fb
+    across [a, b]: the best end b and f there. f takes v = origin * exp(x),
+    each v is added to values, and the root stops at the best end once the
+    next x rounds to a v already there; short of RESIDUAL_TOL there, it
+    bisects instead, and stops only where the midpoint rounds to one too."""
     # b is the best estimate, c the other end of the bracket, a the previous b
     c, fc = a, fa
     d = e = b - a
@@ -219,16 +198,13 @@ def _brent(
             e = d = half
         a, fa = b, fb
         b += d if abs(d) > tol else math.copysign(tol, half)
-        if values is None:
-            fb = f(b)
-        else:
+        v = _scaled(origin, b)
+        if v in values and abs(fa) > RESIDUAL_TOL:
+            # the step rounds to a v already evaluated while the best end is
+            # short of tolerance: bisect instead
+            b, e, d = a + half, half, half
             v = _scaled(origin, b)
-            if v in values and abs(fa) > RESIDUAL_TOL:
-                # the step rounds to a v already evaluated while the best
-                # end is short of tolerance: bisect instead
-                b, e, d = a + half, half, half
-                v = _scaled(origin, b)
-            if v in values:
-                return a, fa, c
-            fb = values[v] = f(v)
-    return b, fb, c
+        if v in values:
+            return a, fa
+        fb = values[v] = f(v)
+    return b, fb

@@ -303,6 +303,8 @@ def _validate_usage(args) -> str | None:
     if args.command == "path":
         if not 0 <= args.theta < math.inf:
             return "--theta must be >= 0 and finite"
+        if args.theta and args.rule != "tax_and_burn":
+            return f"--theta is for tax_and_burn only: {args.rule} does not take a tax rate"
     return None
 
 

@@ -34,7 +34,7 @@ from functools import partial
 from typing import Callable, NamedTuple
 
 from . import econ_core as ec
-from ._roots import RESIDUAL_FLOOR, find_log_root, find_root
+from ._roots import MAX_ITER, RESIDUAL_FLOOR, RESIDUAL_TOL, find_log_root
 from .errors import ConfigError, InfeasiblePolicyError, SolverError
 from .first_best import _clear_blockspace, _clear_demands, first_best_allocation
 
@@ -192,26 +192,28 @@ def _solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyStat
     Every root starts from a prediction made from this call's own trials,
     so a solve does not depend on what was solved before it. The first
     trial is the cap itself (share 1). Each trial reads how its prices and
-    its burn ratio move with rT (see sensitivities), so the outer root takes
-    safeguarded Newton steps from share 1 (rtsafe, Press et al., Numerical
-    Recipes, 9.4), accepting a trial at RESIDUAL_FLOOR: each step must stay
-    inside the tightest bracket the trials give and at least halve the gap,
-    or that bracket goes to find_root. Each market clear evaluates its
-    predicted price first (see predicted_prices) and keeps it when the
-    residual there is at float resolution; a clear again under a new
-    pattern starts at the last clear's prices. A budget binding in both
-    states roots its balance from the type's last balance. High states are
-    kept for the whole solve, so the root's is not solved again. Holdings
-    cover high-state spending, so the burn never exceeds theta; if it still
-    exceeds rT at r / rho, the expected return would pass r and
-    InfeasiblePolicyError is raised.
+    its burn ratio move with rT (see sensitivities), so the outer root is
+    one rtsafe loop from share 1 (Press et al., Numerical Recipes, 9.4): a
+    Newton step where it lands strictly inside the tightest bracket the
+    trials give and the last Newton step, if any, at least halved the gap;
+    otherwise a bisection of that bracket. It accepts a trial at
+    RESIDUAL_FLOOR, or else the end of the bracket with the smaller gap
+    once the midpoint rounds to an end (SolverError above RESIDUAL_TOL).
+    Each market clear evaluates its predicted price first (see
+    predicted_prices) and keeps it when the residual there is at float
+    resolution; a clear again under a new pattern starts at the last
+    clear's prices. A budget binding in both states roots its balance from
+    the type's last balance. High states are kept for the whole solve, so
+    the root's is not solved again. Holdings cover high-state spending, so
+    the burn never exceeds theta; if it still exceeds rT at r / rho, the
+    expected return would pass r and InfeasiblePolicyError is raised.
 
     One DEBUG line per solve gives where each type's budget binds, whether
     the first high-state clear bracketed its root from the planner's price
     alone or evaluated c'(1), the number of trial returns, the counters
     kept below and how the burn identity was rooted (outer=newton:<steps>,
-    with +brent where Newton's method gave way to Brent's, or outer=none
-    where no root was run).
+    with +bisect:<steps> where it bisected, or outer=none where no root
+    was run).
     """
     rho, r = cfg.shocks.rho, cfg.r
     # (mass, high-state utility, low-state utility) of each type, in config order
@@ -478,29 +480,39 @@ def _solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyStat
 
         gap = burn_gap(1.0)
         if gap < 0.0:
-            # Newton steps from share 1 inside the tightest bracket the trials
-            # give, lo = 0 unevaluated (burn_gap(0) > 0), while each step
-            # stays inside it and at least halves |gap|; then Brent's method
-            share, steps = 1.0, 0
-            lo, hi, gap_lo, gap_hi = 0.0, 1.0, None, gap
-            while abs(gap) > RESIDUAL_FLOOR:
+            # rtsafe from share 1 inside the tightest bracket the trials give,
+            # lo = 0 unevaluated (burn_gap(0) > 0): a Newton step where it lands
+            # strictly inside and the last Newton step, if any, halved |gap|;
+            # otherwise a bisection, until the midpoint rounds to an end
+            share, steps, bisections, halved = 1.0, 0, 0, True
+            lo, hi, gap_lo, gap_hi = 0.0, 1.0, math.inf, gap
+            for _ in range(MAX_ITER):
+                if abs(gap) <= RESIDUAL_FLOOR:
+                    break
                 # gap + share * cap is the burn ratio p_high A / M
                 slope = rt_max * (gap + share * cap) * sensitivities(share * rt_max)[2] - cap
-                step = share - gap / slope if slope < 0.0 else math.nan
-                if not lo < step < hi:
-                    break
-                gap_before, share, steps = gap, step, steps + 1
+                step = share - gap / slope if halved and slope < 0.0 else math.nan
+                newton = lo < step < hi
+                if not newton:
+                    step = 0.5 * (lo + hi)
+                    if not lo < step < hi:
+                        break
+                gap_before, share = gap, step
                 gap = burn_gap(share)
                 if gap > 0.0:
                     lo, gap_lo = share, gap
                 else:
                     hi, gap_hi = share, gap
-                if abs(gap) > 0.5 * abs(gap_before):
-                    break
-            outer = f"newton:{steps}"
-            if abs(gap) > RESIDUAL_FLOOR:
-                outer += "+brent"
-                share = find_root(burn_gap, lo, hi, gap_lo, gap_hi)
+                steps += newton
+                bisections += not newton
+                halved = not newton or abs(gap) <= 0.5 * abs(gap_before)
+            outer = f"newton:{steps}" + (f"+bisect:{bisections}" if bisections else "")
+            share, gap = (lo, gap_lo) if abs(gap_lo) < abs(gap_hi) else (hi, gap_hi)
+            if abs(gap) > RESIDUAL_TOL:
+                raise SolverError(
+                    f"burn identity stalled with residual {gap:.3e} > {RESIDUAL_TOL:.0e} "
+                    f"on bracket rT in [{lo * rt_max:.12g}, {hi * rt_max:.12g}]"
+                )
             rt = share * rt_max
         elif rt_max == theta_high:
             # every budget binds in the high state, so the burn funds exactly

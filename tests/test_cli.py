@@ -520,6 +520,18 @@ def test_path_usage_guards(tmp_path, capsys):
     assert not (tmp_path / "path.csv").exists()
 
 
+
+@pytest.mark.parametrize("rule", ["fixed_supply", "friedman_target"])
+def test_path_refuses_a_tax_on_a_rule_that_takes_none(tmp_path, capsys, rule):
+    # the tax would be silently ignored: a usage error, before any output
+    args = ["path", "--config", DET, "--rule", rule, "--M0", "1", "--T", "3"]
+    assert cli.main([*args, "--theta", "0.3", "--out", str(tmp_path / "taxed")]) == 3
+    assert f"usage error: --theta is for tax_and_burn only: {rule} does not take a tax rate" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "taxed").exists()
+    for theta in ([], ["--theta", "0"]):
+        assert cli.main([*args, *theta, "--out", str(tmp_path / "untaxed")]) == 0
+
 @pytest.mark.parametrize(
     "args",
     [

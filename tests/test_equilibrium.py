@@ -701,6 +701,49 @@ def test_newton_steps_on_the_burn_identity_until_the_gap_stops_halving(caplog):
     assert outer.startswith("newton:") and trials <= 5, (trials, outer)
 
 
+
+# (types, r, rho, cost, theta) of solves whose Newton steps on the burn
+# identity give way to bisection
+BISECTING_SOLVES = {
+    # two types that both bind low against a flat cost: a Newton step stops
+    # halving the gap
+    "stalled": ([(0.9937154983754911, 1.9326222549556487, 0.39921386509517076,
+                  1.4764337497214586, 0.024500749975559906),
+                 (0.5614772046025294, 4.998636870533904, 0.17605572012561926,
+                  6.716459494368112, 0.23322935687336058)],
+                0.28126957233936617, 0.6664656485494989, (3.890788182935225, 1e-9),
+                0.6157931171183175),
+    # four types, one binding in both states: the Newton step at share 1
+    # leaves the bracket
+    "outside": ([(0.17699129672434982, 3.4660706242115187, 0.3656094034942323,
+                  3.6385881078508033, 0.30067997611465197),
+                 (0.501428865092679, 7.797608207349702, 0.027660198055545385,
+                  1.9164930574012762, 0.8351170829757159),
+                 (0.5245026682071743, 6.2929548551107, 0.09598551221292294,
+                  7.920219447905853, 0.02240823728866637),
+                 (0.7969057973895518, 2.0390631694089065, 0.7032378606228287,
+                  6.457240201346734, 0.725113722920975)],
+                0.2864893072407095, 0.23358925767099853, (3.438100349972364, 1e-9),
+                1.3285666208995228),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BISECTING_SOLVES))
+def test_the_burn_identity_bisects_its_bracket_where_newton_steps_fail(case, caplog):
+    # where a Newton step leaves the bracket or fails to halve the gap, the
+    # next step bisects the bracket, and Newton steps resume from there
+    types, r, rho, cost, theta = BISECTING_SOLVES[case]
+    cfg = common_shock_config(types, r, rho, cost)
+    [(trials, outer)] = debug_outer_paths(caplog, cfg, [theta])
+    path = re.fullmatch(r"newton:(\d+)\+bisect:(\d+)", outer)
+    assert path and int(path[2]) >= 1 and trials <= 10, (trials, outer)
+    eq = eqm.solve_regime(cfg, "heterogeneous", theta)
+    report = evaluate(cfg, eq)
+    assert cert_failures(certify(cfg, eq, report)) == []
+    doc = ec.config_to_dict(cfg)
+    assert model.check_equilibrium(doc, "heterogeneous", theta, eq.as_dict(),
+                                   report.as_dict()) == []
+
 def with_binding_examples(test):
     """test with each of BINDING_EXAMPLES as a hypothesis @example."""
     for args, shares, _ in BINDING_EXAMPLES:
@@ -720,8 +763,9 @@ def with_binding_examples(test):
 # at c'(1) runs), and one lies below it (the root widens past it)
 @example((1.18, 1.34, 1.89, 1.2), (1.06, 1.11, 0.83, 1.06), 0.58, 0.68, [0.5, 0.0, 1.0])
 @example((1.97, 1.18, 0.61, 0.55), (1.31, 0.73, 1.2, 1.1), 0.39, 0.67, [0.75, 0.0, 1.0])
-# the outer root's burn gap is still negative at its predicted lower end, so
-# the root is bracketed from zero
+# both types bind in the high state at a tax just short of r / rho, so the
+# burn funds rT = theta up to rounding: the gap at share 1 is negative but at
+# float resolution, and the burn identity is rooted there with no step
 @example(
     (3.4659543451033095, 1.4484041395270209, 1.6868035974329414, 2.425951598786249),
     (1.8782603464560688, 1.0998928900070628, 1.8200452531601177, 1.6378407923062634),

@@ -278,7 +278,7 @@ def private_imports(sources: dict[str, str]) -> dict[tuple[str, str], set[str]]:
 
 def test_detector_lists_private_imports():
     sources = {
-        "a": "from ._roots import find_root\nfrom .b import _kernel, public\n",
+        "a": "from ._roots import find_log_root\nfrom .b import _kernel, public\n",
         "c": "def f():\n    from .b import _kernel\n    from . import b\n    from .b import __all__\n",
     }
     assert private_imports(sources) == {("a", "b"): {"_kernel"}, ("c", "b"): {"_kernel"}}

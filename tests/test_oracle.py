@@ -493,6 +493,10 @@ def surplus_of(cfg, state, acts):
                    st.sampled_from([1e-9]) | st.floats(0.05, 3.0)),
     shrink=st.floats(0.5, 0.999),
 )
+# a congested root 975 times c'(1) = 0.1, where the clearing kernel starts: x
+# in log price from there rounded coarser than the price, and the load was
+# left 56 ulps over capacity
+@example(types=[(1.0, 100.0, 0.0625), (0.5, 1.0, 0.0625)], cost=ec.CostFn(0.1, 1e-9), shrink=0.5)
 def test_first_best_dual_gap_is_the_tightest_bound_minus_surplus(types, cost, shrink):
     # 0 at the planner's optimum up to rounding; off it, the smallest bound
     # over the active types' marginal utilities minus the surplus, > 0

@@ -3,12 +3,7 @@ import math
 import pytest
 from hypothesis import example, given, note, settings, strategies as st
 
-from tokenomics._roots import (
-    RESIDUAL_FLOOR,
-    RESIDUAL_TOL,
-    find_log_root,
-    find_root,
-)
+from tokenomics._roots import RESIDUAL_FLOOR, RESIDUAL_TOL, find_log_root
 from tokenomics.errors import SolverError
 from tokenomics.first_best import _LOG_ZERO
 
@@ -23,28 +18,36 @@ def counted(f):
     return g, calls
 
 
+def log_root(f, v, w, known=()):
+    """find_log_root(f, values, v, w) from a table holding f at v and at
+    each of known, as a caller that evaluated them first would pass it:
+    the root and the table it leaves."""
+    values = {u: f(u) for u in (v, *known)}
+    return find_log_root(f, values, v, w), values
+
+
 def test_find_root_converges_superlinearly():
     for f, lo, hi, root in (
         (lambda x: x**3 - 2.0, 1.0, 2.0, 2.0 ** (1.0 / 3.0)),
-        (lambda x: math.exp(x) - 5.0, 0.0, 4.0, math.log(5.0)),
+        (lambda x: math.exp(x) - 5.0, 1e-3, 4.0, math.log(5.0)),
         (lambda x: 0.5 / math.sqrt(x) - 1.05 * x, 1e-3, 8.0, (0.5 / 1.05) ** (2.0 / 3.0)),
     ):
         g, calls = counted(f)
-        x = find_root(g, lo, hi)
+        x, _ = log_root(g, lo, hi)
         assert abs(x - root) <= 2 * math.ulp(root)
         # plain bisection needs about 55 halvings for the same bracket width
         assert len(calls) <= 15
 
 
 def test_find_root_stops_once_the_residual_is_at_float_resolution():
-    # log load of two isoelastic types in log price, as a market clear roots
-    # it: the residual reaches rounding level well before the bracket is a
-    # few ulps wide (closing the bracket takes 18 evaluations)
-    def f(x):
-        return math.log(0.3 * (1.3 * math.exp(x)) ** -1.25 + 0.7 * (0.8 * math.exp(x)) ** -4.0)
+    # log load of two isoelastic types by price, as a market clear roots
+    # it: the residual reaches rounding level before the bracket is a few
+    # ulps wide (closing the bracket takes 10 evaluations)
+    def f(v):
+        return math.log(0.3 * (1.3 * v) ** -1.25 + 0.7 * (0.8 * v) ** -4.0)
 
     g, calls = counted(f)
-    x = find_root(g, -2.0, 2.0)
+    x, _ = log_root(g, math.exp(-2.0), math.exp(2.0))
     assert len(calls) == 9
     assert x in calls and abs(f(x)) <= RESIDUAL_FLOOR
 
@@ -54,11 +57,11 @@ def test_find_root_closes_the_bracket_when_the_residual_floor_is_coarser():
     # fires, and the bracket closes on the sign change
     root = 0.3
 
-    def f(x):
-        return x - root + math.copysign(1e-14, x - root)
+    def f(v):
+        return v - root + math.copysign(1e-14, v - root)
 
     g, calls = counted(f)
-    x = find_root(g, 0.0, 1.0)
+    x, _ = log_root(g, 0.1, 1.0)
     assert abs(x - root) <= 2 * math.ulp(root)
     assert RESIDUAL_FLOOR < abs(f(x)) <= RESIDUAL_TOL
     assert all(abs(f(c)) > RESIDUAL_FLOOR for c in calls)
@@ -66,32 +69,20 @@ def test_find_root_closes_the_bracket_when_the_residual_floor_is_coarser():
 
 def test_find_root_returns_sign_change_past_constant_branch():
     # a placeholder value on part of the bracket, like an infeasible trial point
-    g, _ = counted(lambda x: 1.0 if x < 0.3 else 0.7 - x)
-    assert find_root(g, 0.0, 1.0) == pytest.approx(0.7, abs=1e-15)
+    g, _ = counted(lambda v: 1.0 if v < 0.3 else 0.7 - v)
+    assert log_root(g, 0.1, 1.0)[0] == pytest.approx(0.7, abs=1e-15)
 
 
 def test_find_root_returns_exact_endpoint_root():
-    assert find_root(lambda x: x - 1.0, 1.0, 2.0) == 1.0
-    assert find_root(lambda x: x - 2.0, 1.0, 2.0) == 2.0
-
-
-def test_find_root_rejects_bracket_without_sign_change():
-    with pytest.raises(SolverError, match=r"no sign change on bracket: f\(1\) = .*f\(2\) = "):
-        find_root(lambda x: x + 1.0, 1.0, 2.0)
+    assert log_root(lambda v: v - 1.0, 1.0, 2.0)[0] == 1.0
+    assert log_root(lambda v: v - 2.0, 1.0, 2.0)[0] == 2.0
 
 
 def test_find_root_rejects_residual_above_tolerance():
-    # a jump across zero: the bracket closes on x = 0.5, where |f| = 1
-    with pytest.raises(SolverError, match=r"residual -?1\.000e\+00 > 1e-10 on bracket \[0\.5"):
-        find_root(lambda x: -1.0 if x < 0.5 else 1.0, 0.0, 1.0)
-
-
-def log_root(f, v, w, known=()):
-    """find_log_root(f, values, v, w) from a table holding f at v and at
-    each of known, as a caller that evaluated them first would pass it:
-    the root and the table it leaves."""
-    values = {u: f(u) for u in (v, *known)}
-    return find_log_root(f, values, v, w), values
+    # a jump across zero: the bracket closes on v = 0.5, where |f| = 1
+    with pytest.raises(SolverError, match=r"residual -?1\.000e\+00 > 1e-10 where the float grid "
+                                          r"ends, at 0\.5$"):
+        log_root(lambda v: -1.0 if v < 0.5 else 1.0, 0.1, 1.0)
 
 
 def test_find_log_root_widens_beyond_its_far_end():
