@@ -194,19 +194,23 @@ def _solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyStat
     trial is the cap itself (share 1). Each trial reads how its prices and
     its burn ratio move with rT (see sensitivities), so the outer root is
     one rtsafe loop from share 1 (Press et al., Numerical Recipes, 9.4): a
-    Newton step where it lands strictly inside the tightest bracket the
-    trials give and the last Newton step, if any, at least halved the gap;
-    otherwise a bisection of that bracket. It accepts a trial at
-    RESIDUAL_FLOOR, or else the end of the bracket with the smaller gap
+    Newton step with Chebyshev's term -bend gap**2 / (2 slope**3), on the
+    bend of the last two trials' slopes, where it lands strictly inside the
+    tightest bracket the trials give and the last Newton step, if any, at
+    least halved the gap; otherwise a bisection of that bracket. It accepts
+    a trial at RESIDUAL_FLOOR, or within RESIDUAL_TOL where a step from it
+    rounds to its share, or else the bracket's end with the smaller gap
     once the midpoint rounds to an end (SolverError above RESIDUAL_TOL).
     Each market clear evaluates its predicted price first (see
     predicted_prices) and keeps it when the residual there is at float
     resolution; a clear again under a new pattern starts at the last
     clear's prices. A budget binding in both states roots its balance from
-    the type's last balance. High states are kept for the whole solve, so
-    the root's is not solved again. Holdings cover high-state spending, so
-    the burn never exceeds theta; if it still exceeds rT at r / rho, the
-    expected return would pass r and InfeasiblePolicyError is raised.
+    the type's last balance moved on its FOC's partials (see balance), and
+    its low state clears again from the last low price found. High states
+    are kept for the whole solve, so the root's is not solved again.
+    Holdings cover high-state spending, so the burn never exceeds theta; if
+    it still exceeds rT at r / rho, the expected return would pass r and
+    InfeasiblePolicyError is raised.
 
     One DEBUG line per solve gives where each type's budget binds, whether
     the first high-state clear bracketed its root from the planner's price
@@ -226,43 +230,61 @@ def _solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyStat
     # (a clear that evaluates its load once accepted it)
     high_clears: list[list[float]] = []
     low_evals = foc_evals = switches = hits = 0
-    # the last balance found for each type whose budget binds in both states
-    balances: dict[tuple[ec.UtilityFn, ec.UtilityFn], float] = {}
+    # by (u1, u0, rT, eff, p), each balance root where both budgets bind and
+    # its marginal utilities per token (high, low); and each type's last key
+    roots: dict[tuple, tuple[float, float, float]] = {}
+    last_root: dict[tuple[ec.UtilityFn, ec.UtilityFn], tuple] = {}
+
+    def partials(u1: ec.UtilityFn, u0: ec.UtilityFn, rt: float, high: float, low: float) -> tuple:
+        """The holdings FOC's partials in log m, log p, log eff and rT where
+        both budgets bind, from the marginal utilities per token high and low."""
+        c1, c0 = u1.curvature, u0.curvature
+        return (-rho * (1.0 + rt) * c1 * high - (1.0 - rho) * c0 * low,
+                (1.0 - rho) * (c0 - 1.0) * low, rho * (1.0 + rt) * (c1 - 1.0) * high,
+                rho * (1.0 - c1) * high)
 
     def balance(u1: ec.UtilityFn, u0: ec.UtilityFn, rt: float, eff: float, p: float) -> float:
         """Balance at which both budgets bind: the root of the holdings FOC
         with (1+rT) m / eff bought in the high state and m / p in the low,
         which falls in m, found in log m. The root starts at the type's last
-        balance in this solve and keeps it when the FOC there is at float
-        resolution; otherwise it runs toward the end a Newton step in log m
-        names, on the FOC's slope there. The FOC is convex in log m, so that
-        end lies past the root where the FOC is negative and short of it
-        where it is positive. The type's first balance starts at the smaller
-        balance at which one budget stops binding."""
+        root in this solve moved by d log m = -(F_p d log p + F_eff d log eff
+        + F_rT d rT) / F_m on the FOC's partials there, and keeps it when the
+        FOC there is at float resolution; otherwise it runs toward the end a
+        Newton step in log m names. The FOC is convex in log m, so that end
+        lies past the root where the FOC is negative and short of it where it
+        is positive. The type's first balance starts at the smaller balance at
+        which one budget stops binding."""
         nonlocal hits
-        slope = 0.0  # d foc / d log m at the last m evaluated
+        at: dict[float, tuple[float, float]] = {}  # (high, low) at each m evaluated
 
         def foc(m: float) -> float:
-            nonlocal foc_evals, slope
+            nonlocal foc_evals
             foc_evals += 1
             # marginal utility per token in each state
-            high = ec.u_prime(u1, (1.0 + rt) * m / eff) / eff
-            low = ec.u_prime(u0, m / p) / p
-            slope = -rho * (1.0 + rt) * u1.curvature * high - (1.0 - rho) * u0.curvature * low
+            high, low = at[m] = (ec.u_prime(u1, (1.0 + rt) * m / eff) / eff,
+                                 ec.u_prime(u0, m / p) / p)
             return rho * (1.0 + rt) * (high - 1.0) + (1.0 - rho) * (low - 1.0) - (r - rho * rt)
 
-        m = balances.get((u1, u0))
-        if m is None:
+        key = last_root.get((u1, u0))
+        if key is None:
             m = min(eff * ec.u_prime_inv(u1, eff) / (1.0 + rt), p * ec.u_prime_inv(u0, p))
+        else:
+            (_, _, rt0, eff0, p0), (m, high, low) = key, roots[key]
+            d_m, d_p, d_eff, d_rt = partials(u1, u0, rt0, high, low)
+            shift = d_p * math.log(p / p0) + d_eff * math.log(eff / eff0) + d_rt * (rt - rt0)
+            m *= math.exp(min(max(-shift / d_m, -30.0), 30.0)) if d_m < 0.0 else 1.0
         f = foc(m)
         values = {m: f}
+        slope = partials(u1, u0, rt, *at[m])[0]
         # a step of at most 30 in log m: find_log_root widens past it where needed
         end = m * math.exp(min(max(-f / slope, -30.0), 30.0)) if slope < 0.0 else m
         if end == m:
             end = 2.0 * m if f > 0.0 else 0.5 * m
-        balances[u1, u0] = find_log_root(foc, values, m, end)
+        root = find_log_root(foc, values, m, end)
+        last_root[u1, u0] = key = (u1, u0, rt, eff, p)
+        roots[key] = (root, *at[root])
         hits += len(values) == 1
-        return balances[u1, u0]
+        return root
 
     # A type's response to high-state effective price eff, low-state price p
     # and return rt when its budget binds as pat says: low_demand gives its
@@ -321,6 +343,7 @@ def _solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyStat
 
             p, congested = _clear_blockspace(cfg.cost, load, guess[0])
             hits += len(acts) == 1
+            guess[0] = p  # where a coupled low state clears again
             return p, congested, acts[p]
 
         # eff matters to the low state only through a type whose budget binds
@@ -379,74 +402,85 @@ def _solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyStat
         """d log p_low / d rT, d log p_high / d rT and d log(p_high A / M) / d rT
         of the trial solved at rt.
 
-        Where its types each bind in one state, the implicit-function theorem
-        on its two clears, its patterns held. Each activity is a power -1/c
-        of its price, c the utility curvature, times (1 + rT)**(1/c) in the
-        high state of a high-binding type and times its wedge**(-1/c) in the
-        low state of a low-binding one, the wedge 1 + (r - rho rT) / (1 - rho).
-        A congested state holds its load at 1; a slack one has
-        log p = log c'(1) + kappa log load. A balance is eff a1 / (1 + rT)
-        where the high budget binds, p_low a0 where the low one does.
+        The implicit-function theorem on its two clears, its patterns held:
+        a 2x2 linear system in d log p_low and d log p_high, triangular where
+        no budget binds in both states. Each activity is a power -1/c of its
+        price, c the utility curvature, times (1 + rT)**(1/c) in the high
+        state of a high-binding type and times its wedge**(-1/c) in the low
+        state of a low-binding one, the wedge 1 + (r - rho rT) / (1 - rho). A
+        balance is eff a1 / (1 + rT) where the high budget binds, p_low a0
+        where the low one does; where both bind, a0 = m / p_low and
+        a1 = (1 + rT) m / eff, m moving as balance predicts it. A congested
+        state holds its load at 1; a slack one has log p = log c'(1) + kappa log load.
 
-        Otherwise (a budget binds in both states, whose balance root couples
-        the markets, or a load or balance that underflows to 0), the secants
-        in log to the nearest other trial, 0 where a value is 0 on either;
-        with no other trial, the low price and the burn ratio held and the
-        high price scaling with 1 + rT, as a high-binding type's FOC does at
-        a fixed shadow value.
+        Where a load or the balance underflows to 0, the secants in log to
+        the nearest other trial, 0 where a value is 0 on either; with no
+        other trial, the low price and the burn ratio held and the high
+        price scaling with 1 + rT, as a high-binding type's FOC does at a
+        fixed shadow value.
         """
         if rt in slopes:
             return slopes[rt]
-        _, congested, (_, low_congested, got), binds = high_states[rt]
+        p_high, congested, (p_low, low_congested, got), binds = high_states[rt]
+        eff = (1.0 + theta_high) * p_high
         # d log(1 + rT) / d rT and d log(wedge) / d rT
-        d_growth, d_wedge = 1.0 / (1.0 + rt), -rho / (1.0 - rho + r - rho * rt)
-        # per state, the load and sum k a / c, and its sum over the types
-        # whose demand shifts with rT there; the balance M, and the sums of
-        # k m (1 - 1/c) and k m / c that give dM / d rT
-        load0 = load1 = elastic0 = elastic1 = shift0 = shift1 = 0.0
-        balance = high_part = low_part = low_wedge = 0.0
+        growth, d_wedge = 1.0 / (1.0 + rt), -rho / (1.0 - rho + r - rho * rt)
+        # the low load, the high load and the balance M move by sum k a d log a
+        # (sum k m d log m) = l, h, m . (d log p_low, d log p_high, d rT); a
+        # slack state's load moves with its price, log p = log c'(1) + kappa log load
+        load0 = load1 = balance = l_low = l_high = l_rt = h_low = h_high = h_rt = 0.0
+        m_low = m_high = m_rt = 0.0
         for (k, u1, u0), pat, (m, a1, a0) in zip(types, binds, got):
-            e0, e1 = k * a0 / u0.curvature, k * a1 / u1.curvature
-            load0 += k * a0
-            load1 += k * a1
-            elastic0 += e0
-            elastic1 += e1
-            balance += k * m
-            if pat == "low":
-                shift0 += e0
-                low_part += k * m * (1.0 - 1.0 / u0.curvature)
-                low_wedge += k * m / u0.curvature
+            k0, k1, km, e0, e1 = k * a0, k * a1, k * m, 1.0 / u0.curvature, 1.0 / u1.curvature
+            load0, load1, balance = load0 + k0, load1 + k1, balance + km
+            if pat == "both":
+                d_m, d_p, d_eff, d_rt = partials(u1, u0, rt, *roots[u1, u0, rt, eff, p_low][1:])
+                x, y, t = -d_p / d_m, -d_eff / d_m, -d_rt / d_m  # d log m
+                l_low, l_high, l_rt = l_low + k0 * (x - 1.0), l_high + k0 * y, l_rt + k0 * t
+                h_low, h_high, h_rt = h_low + k1 * x, h_high + k1 * (y - 1.0), h_rt + k1 * (t + growth)
+                m_low, m_high, m_rt = m_low + km * x, m_high + km * y, m_rt + km * t
+            elif pat == "high":
+                l_low, h_high, h_rt = l_low - k0 * e0, h_high - k1 * e1, h_rt + k1 * e1 * growth
+                m_high, m_rt = m_high + km * (1.0 - e1), m_rt + km * (e1 - 1.0) * growth
             else:
-                shift1 += e1
-                high_part += k * m * (1.0 - 1.0 / u1.curvature)
-        if "both" not in binds and elastic0 > 0.0 and elastic1 > 0.0 and balance > 0.0:
-            kappa = cfg.cost.curvature
-            d_low = -d_wedge * shift0 / (elastic0 if low_congested else elastic0 + load0 / kappa)
-            d_high = d_growth * shift1 / (elastic1 if congested else elastic1 + load1 / kappa)
-            d_load = (d_growth * shift1 - elastic1 * d_high) / load1
-            d_balance = (d_high - d_growth) * high_part + d_low * low_part - d_wedge * low_wedge
-            slopes[rt] = d_low, d_high, d_high + d_load - d_balance / balance
+                l_low, l_rt, h_high = l_low - k0 * e0, l_rt - k0 * e0 * d_wedge, h_high - k1 * e1
+                m_low, m_rt = m_low + km * (1.0 - e0), m_rt - km * e0 * d_wedge
+        kappa = cfg.cost.curvature
+        l_low -= 0.0 if low_congested else load0 / kappa
+        h_high -= 0.0 if congested else load1 / kappa
+        det = l_low * h_high - l_high * h_low
+        if 0.0 < abs(det) < math.inf and balance > 0.0:
+            d_low, d_high = (l_high * h_rt - l_rt * h_high) / det, (l_rt * h_low - l_low * h_rt) / det
+            d_balance = (m_low * d_low + m_high * d_high + m_rt) / balance
+            slopes[rt] = d_low, d_high, d_high + (0.0 if congested else d_high / kappa) - d_balance
             return slopes[rt]
         others = [s for s in high_states if s != rt]
         if not others:
-            return 0.0, d_growth, 0.0
+            return 0.0, growth, 0.0
         near = min(others, key=lambda s: abs(s - rt))
         return tuple((math.log(b) - math.log(a)) / (near - rt) if a > 0.0 and b > 0.0 else 0.0
                      for a, b in zip(tracked(rt), tracked(near)))
 
     def predicted_prices(rt: float) -> list[float | None]:
         """Prices of the low and the high state at rt: the nearest solved
-        trial's, each moved by exp(d log p / d rT * (rt - its rT)) on its
-        sensitivities. Before the first trial, the planner's congested high
-        state stands in for one: its price scaled by 1 + rT, with no
-        low-state prediction (None; both None where the planner's high state
-        is slack)."""
+        trial's, each moved by exp(slope * d + bend * d**2 / 2), d = rt less
+        its rT: the bend is the difference of the implicit-function slopes
+        of the two trials nearest rt that have them (the nearest one of
+        them), over their distance, else 0. Before the first trial, the
+        planner's congested high state stands in for one: its price scaled
+        by 1 + rT, with no low-state prediction (None; both None where the
+        planner's high state is slack)."""
         if not high_states:
             return [None, None if anchor is None else anchor[1] * (1.0 + rt) / (1.0 + anchor[0])]
         near = min(high_states, key=lambda s: abs(s - rt))
         p_high, _, (p_low, _, _), _ = high_states[near]
-        return [p * math.exp(dp * (rt - near))
-                for p, dp in zip((p_low, p_high), sensitivities(near))]
+        d, (d_low, d_high, _) = rt - near, sensitivities(near)
+        if near in slopes and len(slopes) > 1:
+            other = min((s for s in slopes if s != near), key=lambda s: abs(s - rt))
+            half = 0.5 * d / (near - other)
+            d_low += half * (d_low - slopes[other][0])
+            d_high += half * (d_high - slopes[other][1])
+        return [p_low * math.exp(d_low * d), p_high * math.exp(d_high * d)]
 
     def high_state(rt: float) -> tuple:
         """(p_high, congested, (p_low, low_congested, responses), patterns) at rt."""
@@ -481,17 +515,23 @@ def _solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyStat
         gap = burn_gap(1.0)
         if gap < 0.0:
             # rtsafe from share 1 inside the tightest bracket the trials give,
-            # lo = 0 unevaluated (burn_gap(0) > 0): a Newton step where it lands
-            # strictly inside and the last Newton step, if any, halved |gap|;
-            # otherwise a bisection, until the midpoint rounds to an end
-            share, steps, bisections, halved = 1.0, 0, 0, True
+            # lo = 0 unevaluated (burn_gap(0) > 0): a Chebyshev-Newton step where
+            # it lands strictly inside and the last one, if any, halved |gap|;
+            # otherwise a bisection, until the midpoint rounds to an end or a
+            # step rounds to the share of a trial within RESIDUAL_TOL
+            share, steps, bisections, halved, previous = 1.0, 0, 0, True, None
             lo, hi, gap_lo, gap_hi = 0.0, 1.0, math.inf, gap
             for _ in range(MAX_ITER):
                 if abs(gap) <= RESIDUAL_FLOOR:
                     break
                 # gap + share * cap is the burn ratio p_high A / M
                 slope = rt_max * (gap + share * cap) * sensitivities(share * rt_max)[2] - cap
-                step = share - gap / slope if halved and slope < 0.0 else math.nan
+                bend = 0.0 if previous is None else (slope - previous[1]) / (share - previous[0])
+                previous = share, slope
+                step = (share - gap / slope - bend * gap * gap / (2.0 * slope * slope * slope)
+                        if halved and slope < 0.0 else math.nan)
+                if step == share and abs(gap) <= RESIDUAL_TOL:
+                    break
                 newton = lo < step < hi
                 if not newton:
                     step = 0.5 * (lo + hi)

@@ -401,29 +401,33 @@ def test_heterogeneous_solve_evaluation_budget(het_cfg, monkeypatch):
     """Deterministic work count: primitive evaluations per heterogeneous solve.
 
     Every root starts at its prediction. The outer burn root takes Newton
-    steps from its first trial on the slope each trial's sensitivities give:
-    the implicit-function theorem on its clears, or where a budget binds in
-    both states the log secant to the nearest other trial. Each trial
+    steps, with Chebyshev's second-order term, from its first trial on the
+    slope each trial's sensitivities give: the implicit-function theorem on
+    its clears, one 2x2 system in its two log prices (a budget binding in
+    both states enters through its holdings FOC's partials). Each trial
     return's market clears start at prices moved from the nearest trial's
-    on those sensitivities (the first high state from the planner's shadow
-    value, which loading the config has already solved), and accept them
-    when the residual there is at float resolution. Every root stops once
-    its residual is at float resolution. On the shipped config no budget
-    binds in both states, so the holdings FOC root, the solver's one user of
-    u_prime, never runs, and heterogeneous_roles orders the types by their
-    utility scales: no u_prime call at all. Where the shocked type's budget
-    binds in both states, that root runs at every low-state load evaluation,
-    from the last balance found toward the end a Newton step on the FOC's
-    slope names. Each FOC evaluation takes two u_prime calls: 15, 38 and 36
-    evaluations at theta = 0, 0.03 and 0.05. c'(1) is the cost's scale, so
-    c_prime is called once per slack residual only.
+    to second order on those sensitivities (the first high state from the
+    planner's shadow value, which loading the config has already solved),
+    and accept them when the residual there is at float resolution. Every
+    root stops once its residual is at float resolution. On the shipped
+    config no budget binds in both states, so the holdings FOC root, the
+    solver's one user of u_prime, never runs, and heterogeneous_roles orders
+    the types by their utility scales: no u_prime call at all. Where the
+    shocked type's budget binds in both states, that root runs at every
+    low-state load evaluation, from the type's last balance moved on the
+    FOC's partials, toward the end a Newton step on the FOC's slope names,
+    and the low state clears from the last low price found. Each FOC
+    evaluation takes two u_prime calls: 8, 13 and 14 evaluations at
+    theta = 0, 0.03 and 0.05 (15, 38 and 36 on the log secant and a
+    balance restarted from the last one found). c'(1) is the cost's scale,
+    so c_prime is called once per slack residual only.
     """
     seen = record_evaluations(monkeypatch)
     both = het_band_config(*SHOCKED_BINDS_BOTH)
     for cfg, theta, budget in [
         (het_cfg, 0.0, (10, 0, 2)), (het_cfg, 0.02, (22, 0, 4)), (het_cfg, 0.05, (26, 0, 6)),
-        (het_cfg, 0.08, (32, 0, 6)), (het_cfg, 0.1, (30, 0, 7)), (both, 0.0, (25, 30, 13)),
-        (both, 0.03, (56, 76, 28)), (both, 0.05, (55, 72, 27)),
+        (het_cfg, 0.08, (24, 0, 5)), (het_cfg, 0.1, (22, 0, 6)), (both, 0.0, (23, 16, 11)),
+        (both, 0.03, (37, 26, 17)), (both, 0.05, (36, 28, 16)),
     ]:
         seen.clear()
         eqm.solve_regime(cfg, "heterogeneous", theta)
@@ -433,17 +437,18 @@ def test_heterogeneous_solve_evaluation_budget(het_cfg, monkeypatch):
 
 def test_taxed_heterogeneous_solve_inverts_demand_as_the_readme_says(het_cfg, monkeypatch):
     # a taxed solve of the shipped config, theta = 0.005, 0.01, ..., 0.1,
-    # takes 22 to 34 demand inversions: the range the README states (32 to
-    # 42 when the burn identity was bracketed and rooted by Brent's method)
+    # takes 22 to 26 demand inversions: the range the README states (22 to
+    # 34 with first-order predictions, 32 to 42 when the burn identity was
+    # bracketed and rooted by Brent's method)
     seen = record_evaluations(monkeypatch)
     counts = []
     for i in range(1, 21):
         seen.clear()
         eqm.solve_regime(het_cfg, "heterogeneous", 0.005 * i)
         counts.append(len(seen.u_prime_inv))
-    assert (min(counts), max(counts)) == (22, 34), counts
+    assert (min(counts), max(counts)) == (22, 26), counts
     readme = " ".join((CONFIG_DIR.parent / "README.md").read_text().split())
-    stated = "`configs/heterogeneous.json` takes 22 to 34 demand inversions for theta in [0.005, 0.1]"
+    stated = "`configs/heterogeneous.json` takes 22 to 26 demand inversions for theta in [0.005, 0.1]"
     assert stated in readme
 
 
@@ -617,10 +622,13 @@ def test_heterogeneous_solve_logs_its_branch_at_debug(het_cfg, caplog):
         eqm.solve_regime(het_band_config(*SHOCKED_BINDS_BOTH), "heterogeneous", 0.0)
     # the slack config starts from the unshocked type binding in the low
     # state; the check at the clearing prices moves it to the high state.
-    # Only a budget binding in both states runs the holdings FOC root. At
-    # theta = 0.05 two Newton steps from the first trial reach the root, and
-    # two clears accept their predicted price at once: the last trial's high
-    # and low states. An untaxed solve roots no burn identity.
+    # Only a budget binding in both states runs the holdings FOC root; its
+    # low state clears again from the last low price found and its balance
+    # from the last root moved on the FOC's partials, so five of those clears
+    # and roots accept their prediction. At theta = 0.05 two Newton steps
+    # from the first trial reach the root, and two clears accept their
+    # predicted price at once: the last trial's high and low states. An
+    # untaxed solve roots no burn identity.
     # (solve_regime adds an INFO line per solve.)
     assert [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG] == [
         "heterogeneous theta=0.0 binds=shocked:high,steady:low pattern_switches=0 "
@@ -633,8 +641,8 @@ def test_heterogeneous_solve_logs_its_branch_at_debug(het_cfg, caplog):
         "first_bracket=cold-test trial_returns=1 high_load_evals=5 low_load_evals=4 "
         "foc_evals=0 prediction_hits=0 outer=none",
         "heterogeneous theta=0.0 binds=shocked:both,steady:low pattern_switches=1 "
-        "first_bracket=cold-test trial_returns=1 high_load_evals=5 low_load_evals=8 "
-        "foc_evals=15 prediction_hits=0 outer=none",
+        "first_bracket=cold-test trial_returns=1 high_load_evals=5 low_load_evals=6 "
+        "foc_evals=8 prediction_hits=5 outer=none",
     ]
 
 
@@ -669,24 +677,64 @@ def debug_outer_paths(caplog, cfg, thetas):
 
 def test_the_burn_identity_takes_newton_steps_wherever_budgets_bind(het_cfg, caplog):
     # every taxed solve of the shipped config reaches the root by Newton
-    # steps, within 4 trial returns (the first and at most 3 steps). A type
+    # steps, within 3 trial returns (the first and at most 2 steps). A type
     # whose budget binds in both states couples the two markets through its
-    # balance root, so its trials step on the log secant to the nearest
-    # other trial (the first on the burn ratio held): 5 trial returns at
-    # theta = 0.03
+    # balance root, which enters its trials' 2x2 implicit-function system
+    # through the holdings FOC's partials, so the first trial steps on its
+    # own slope: 3 trial returns at theta = 0.03 (5 on the log secant to the
+    # nearest other trial, the first on the burn ratio held)
     paths = debug_outer_paths(caplog, het_cfg, [0.005 * i for i in range(1, 21)])
     assert len(paths) == 20
-    assert all(outer.startswith("newton:") and trials <= 4 for trials, outer in paths), paths
+    assert all(outer.startswith("newton:") and trials <= 3 for trials, outer in paths), paths
     assert debug_outer_paths(caplog, het_band_config(*SHOCKED_BINDS_BOTH), [0.03]) == [
-        (5, "newton:4")]
+        (3, "newton:2")]
     for args, shares, _ in BINDING_EXAMPLES:
         cfg = het_band_config(*args)
         thetas = [share * cfg.r / cfg.shocks.rho for share in shares if share > 0.0]
         paths = debug_outer_paths(caplog, cfg, thetas)
-        assert all(outer.startswith("newton:") and trials <= 5 for trials, outer in paths), paths
+        assert all(outer.startswith("newton:") and trials <= 4 for trials, outer in paths), paths
         # and at the taxes the other examples bind at, no burn root is bracketed
         paths = debug_outer_paths(caplog, cfg, [0.01, 0.03, 0.05])
         assert all(re.fullmatch(r"newton:\d+|none", outer) for _, outer in paths), paths
+
+
+def test_taxed_trials_predict_their_prices_to_second_order(het_cfg, monkeypatch, caplog):
+    # each trial's prices are the nearest trial's moved to second order, on
+    # the bend between the slopes of the two trials nearest it, and each
+    # Newton step on the burn identity takes Chebyshev's term on the bend of
+    # the last two slopes: every taxed solve of the shipped config takes at
+    # most 3 trial returns, and the last trial accepts both clears at their
+    # prediction, one load evaluation each (to first order, the solves from
+    # theta = 0.07 on took 4 trial returns)
+    seen = record_evaluations(monkeypatch)
+    for i in range(1, 21):
+        seen.clear()
+        [(trials, outer)] = debug_outer_paths(caplog, het_cfg, [0.005 * i])
+        assert trials <= 3 and outer.startswith("newton:"), (i, trials, outer)
+        # the last trial's high-state clear, then its low-state one
+        assert [len(prices) for prices in seen.clears[-2:]] == [1, 1], (i, seen.clears)
+
+
+def test_a_both_binding_solve_steps_to_its_root_on_its_own_partials(caplog):
+    # two types, the second binding in both states, from a band of 2-4 type
+    # configs: on the log secant to the nearest other trial its Newton steps
+    # undershot, one gave way to a bisection, and the solve took 11 trial
+    # returns (newton:9+bisect:1); on the trials' own partials it takes 6
+    types = [(0.6987909748108414, 1.6713623479438955, 0.2766418945795839,
+              0.9306763219270515, 0.10936272339739493),
+             (0.9154246728235033, 1.7299714128766288, 0.31279136126834073,
+              0.9346314089659454, 0.6691360394464445)]
+    cfg = common_shock_config(types, 0.24411775376177622, 0.9198006963180692,
+                              (1.3007851316169425, 1e-9))
+    theta = 0.2943814522016032
+    [(trials, outer)] = debug_outer_paths(caplog, cfg, [theta])
+    assert "binds=t0:low,t1:both " in caplog.records[0].getMessage()
+    assert (trials, outer) == (6, "newton:5")
+    eq = eqm.solve_regime(cfg, "heterogeneous", theta)
+    report = evaluate(cfg, eq)
+    assert cert_failures(certify(cfg, eq, report)) == []
+    assert model.check_equilibrium(ec.config_to_dict(cfg), "heterogeneous", theta, eq.as_dict(),
+                                   report.as_dict()) == []
 
 
 def test_newton_steps_on_the_burn_identity_until_the_gap_stops_halving(caplog):
