@@ -197,10 +197,10 @@ def _solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyStat
     Newton step with Chebyshev's term -bend gap**2 / (2 slope**3), on the
     bend of the last two trials' slopes, where it lands strictly inside the
     tightest bracket the trials give and the last Newton step, if any, at
-    least halved the gap; otherwise a bisection of that bracket. It accepts
-    a trial at RESIDUAL_FLOOR, or within RESIDUAL_TOL where a step from it
-    rounds to its share, or else the bracket's end with the smaller gap
-    once the midpoint rounds to an end (SolverError above RESIDUAL_TOL).
+    least halved the gap; otherwise, or where the trial has no slopes, a
+    bisection of that bracket. It accepts a trial at RESIDUAL_FLOOR, or
+    else the bracket's end with the smaller gap once the midpoint rounds to
+    an end (SolverError above RESIDUAL_TOL).
     Each market clear evaluates its predicted price first (see
     predicted_prices) and keeps it when the residual there is at float
     resolution; a clear again under a new pattern starts at the last
@@ -252,17 +252,20 @@ def _solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyStat
         FOC there is at float resolution; otherwise it runs toward the end a
         Newton step in log m names. The FOC is convex in log m, so that end
         lies past the root where the FOC is negative and short of it where it
-        is positive. The type's first balance starts at the smaller balance at
-        which one budget stops binding."""
+        is positive. Where an activity underflows to 0 the FOC reads +inf, as
+        u'(0+) is, so the root lies above. The type's first balance starts at
+        the smaller balance at which one budget stops binding."""
         nonlocal hits
         at: dict[float, tuple[float, float]] = {}  # (high, low) at each m evaluated
 
         def foc(m: float) -> float:
             nonlocal foc_evals
             foc_evals += 1
+            a1, a0 = (1.0 + rt) * m / eff, m / p
+            if a1 == 0.0 or a0 == 0.0:
+                return math.inf  # an activity underflows: u'(0+) is infinite
             # marginal utility per token in each state
-            high, low = at[m] = (ec.u_prime(u1, (1.0 + rt) * m / eff) / eff,
-                                 ec.u_prime(u0, m / p) / p)
+            high, low = at[m] = ec.u_prime(u1, a1) / eff, ec.u_prime(u0, a0) / p
             return rho * (1.0 + rt) * (high - 1.0) + (1.0 - rho) * (low - 1.0) - (r - rho * rt)
 
         key = last_root.get((u1, u0))
@@ -372,7 +375,7 @@ def _solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyStat
 
     # per solve: the high state of every trial return solved so far, with
     # its low-state price and patterns, and the implicit-function slopes of
-    # those used (a secant moves as trials are added, so is not kept)
+    # those used that have them
     high_states: dict[float, tuple] = {}
     slopes: dict[float, tuple[float, float, float]] = {}
     # where each budget binds at the last trial; first, "high" at the largest u'(1), the scale
@@ -392,13 +395,7 @@ def _solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyStat
             out += k * response[i]
         return out
 
-    def tracked(rt: float) -> tuple[float, float, float]:
-        """p_low, p_high and the burn ratio p_high A / M of the trial at rt,
-        the three values whose slopes sensitivities gives."""
-        p_high, _, (p_low, _, got), _ = high_state(rt)
-        return p_low, p_high, p_high * total(got, 1) / total(got, 0)
-
-    def sensitivities(rt: float) -> tuple[float, float, float]:
+    def sensitivities(rt: float) -> tuple[float, float, float] | None:
         """d log p_low / d rT, d log p_high / d rT and d log(p_high A / M) / d rT
         of the trial solved at rt.
 
@@ -412,12 +409,8 @@ def _solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyStat
         where the low one does; where both bind, a0 = m / p_low and
         a1 = (1 + rT) m / eff, m moving as balance predicts it. A congested
         state holds its load at 1; a slack one has log p = log c'(1) + kappa log load.
-
-        Where a load or the balance underflows to 0, the secants in log to
-        the nearest other trial, 0 where a value is 0 on either; with no
-        other trial, the low price and the burn ratio held and the high
-        price scaling with 1 + rT, as a high-binding type's FOC does at a
-        fixed shadow value.
+        None where the system is singular, as where a load or the balance
+        underflows to 0.
         """
         if rt in slopes:
             return slopes[rt]
@@ -454,28 +447,25 @@ def _solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyStat
             d_balance = (m_low * d_low + m_high * d_high + m_rt) / balance
             slopes[rt] = d_low, d_high, d_high + (0.0 if congested else d_high / kappa) - d_balance
             return slopes[rt]
-        others = [s for s in high_states if s != rt]
-        if not others:
-            return 0.0, growth, 0.0
-        near = min(others, key=lambda s: abs(s - rt))
-        return tuple((math.log(b) - math.log(a)) / (near - rt) if a > 0.0 and b > 0.0 else 0.0
-                     for a, b in zip(tracked(rt), tracked(near)))
+        return None
 
     def predicted_prices(rt: float) -> list[float | None]:
         """Prices of the low and the high state at rt: the nearest solved
-        trial's, each moved by exp(slope * d + bend * d**2 / 2), d = rt less
-        its rT: the bend is the difference of the implicit-function slopes
-        of the two trials nearest rt that have them (the nearest one of
-        them), over their distance, else 0. Before the first trial, the
-        planner's congested high state stands in for one: its price scaled
-        by 1 + rT, with no low-state prediction (None; both None where the
-        planner's high state is slack)."""
+        trial's, held where it has no slopes and otherwise each moved by
+        exp(slope * d + bend * d**2 / 2), d = rt less its rT: the bend is the
+        difference of its implicit-function slopes and those of the nearest
+        other trial that has them, over their distance, else 0. Before the
+        first trial, the planner's congested high state stands in for one:
+        its price scaled by 1 + rT, with no low-state prediction (None; both
+        None where the planner's high state is slack)."""
         if not high_states:
             return [None, None if anchor is None else anchor[1] * (1.0 + rt) / (1.0 + anchor[0])]
         near = min(high_states, key=lambda s: abs(s - rt))
         p_high, _, (p_low, _, _), _ = high_states[near]
-        d, (d_low, d_high, _) = rt - near, sensitivities(near)
-        if near in slopes and len(slopes) > 1:
+        if sensitivities(near) is None:
+            return [p_low, p_high]
+        d, (d_low, d_high, _) = rt - near, slopes[near]
+        if len(slopes) > 1:
             other = min((s for s in slopes if s != near), key=lambda s: abs(s - rt))
             half = 0.5 * d / (near - other)
             d_low += half * (d_low - slopes[other][0])
@@ -508,30 +498,31 @@ def _solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyStat
         cap = rt_max / theta_high
 
         def burn_gap(share: float) -> float:
-            # burn per unit of tax and balance at rT = share * rt_max, less
-            # rT / theta = share * cap
-            return tracked(share * rt_max)[2] - share * cap
+            # burn per unit of tax and balance, the burn ratio p_high A / M,
+            # at rT = share * rt_max, less rT / theta = share * cap
+            p_high, _, (_, _, got), _ = high_state(share * rt_max)
+            return p_high * total(got, 1) / total(got, 0) - share * cap
 
         gap = burn_gap(1.0)
         if gap < 0.0:
             # rtsafe from share 1 inside the tightest bracket the trials give,
             # lo = 0 unevaluated (burn_gap(0) > 0): a Chebyshev-Newton step where
             # it lands strictly inside and the last one, if any, halved |gap|;
-            # otherwise a bisection, until the midpoint rounds to an end or a
-            # step rounds to the share of a trial within RESIDUAL_TOL
+            # otherwise, or from a trial with no slopes, a bisection, until the
+            # midpoint rounds to an end
             share, steps, bisections, halved, previous = 1.0, 0, 0, True, None
             lo, hi, gap_lo, gap_hi = 0.0, 1.0, math.inf, gap
             for _ in range(MAX_ITER):
                 if abs(gap) <= RESIDUAL_FLOOR:
                     break
                 # gap + share * cap is the burn ratio p_high A / M
-                slope = rt_max * (gap + share * cap) * sensitivities(share * rt_max)[2] - cap
+                trial_slopes = sensitivities(share * rt_max)
+                slope = (rt_max * (gap + share * cap) * trial_slopes[2] - cap
+                         if trial_slopes else math.nan)
                 bend = 0.0 if previous is None else (slope - previous[1]) / (share - previous[0])
-                previous = share, slope
+                previous = (share, slope) if trial_slopes else None
                 step = (share - gap / slope - bend * gap * gap / (2.0 * slope * slope * slope)
                         if halved and slope < 0.0 else math.nan)
-                if step == share and abs(gap) <= RESIDUAL_TOL:
-                    break
                 newton = lo < step < hi
                 if not newton:
                     step = 0.5 * (lo + hi)

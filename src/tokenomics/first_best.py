@@ -29,6 +29,7 @@ construction.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Callable, Mapping, NamedTuple
 
 from . import econ_core as ec
@@ -155,7 +156,9 @@ def _clear_demands(
     """(fee, congested, activities by type name, load share * sum mass * a)
     of state's blockspace cleared against cfg's types, a fraction share of
     each trading; with no type active in state the market is idle at fee 0.0.
-    The activities are those the load computed at the fee, kept by price.
+    The load at fee p is the fsum of each active type's k a, one demand's
+    that product itself; the activities are those the load computed at the
+    fee, kept by price.
 
     An active type is a demand (k, u): k = share * mass and u its utility in
     state. One demand at wedge w buys k (s / (w p))**(1/c) at fee p, for
@@ -174,32 +177,26 @@ def _clear_demands(
     acts = {t.name: 0.0 for t in types}
     if not active:
         return 0.0, False, acts, 0.0
-    demands = [(share * t.mass, t.utility_in(state)) for t in active]
+    masses = [share * t.mass for t in active]
+    utilities = [t.utility_in(state) for t in active]
     bought: dict[float, list[float]] = {}  # each active type's activity, by fee
+
+    def load(p: float) -> float:
+        a = bought[p] = [ec.u_prime_inv(u, wedge * p) for u in utilities]
+        return math.fsum(map(operator.mul, masses, a))
+
     guess = None
-    if len(demands) == 1:
-        # the closed-form regimes clear one demand: a bare product, equal to fsum
-        # of one term and faster
-        (k, u), = demands
-
-        def load(p: float) -> float:
-            a = ec.u_prime_inv(u, wedge * p)
-            bought[p] = [a]
-            return k * a
-
+    if len(active) == 1:
         # the closed-form fee above, with S = c'(1) the cost's scale; the
         # slack fee is written as q times a power of S/q, which rounds closer
         # to the root than an exp of the weighted logs
+        (k,), (u,) = masses, utilities
         c = u.curvature
         fee = u.scale / wedge * k**c
         if 0.0 < fee <= cost.scale:
             fee *= (cost.scale / fee) ** (c / (c + cost.curvature))
         if 0.0 < fee < math.inf:
             guess = fee
-    else:
-        def load(p: float) -> float:
-            a = bought[p] = [ec.u_prime_inv(u, wedge * p) for _, u in demands]
-            return math.fsum(k * x for (k, _), x in zip(demands, a))
 
     try:
         price, congested = _clear_blockspace(cost, load, guess)

@@ -656,6 +656,14 @@ def test_verify_detects_golden_corruption(tmp_path, capsys):
     assert "case.2.welfare.retired_metric (missing)" in captured.out
     assert "case.0.equilibrium.holdings (unexpected)" in captured.out
     assert "golden_regression" in captured.err
+    # alone, as the report shows four mismatches: a flag the result holds the
+    # other way
+    golden = json.loads((CONFIG_DIR / "deterministic.golden.json").read_text())
+    golden["cases"][2]["equilibrium"]["states"]["1"]["congested"] = True
+    (tmp_path / "deterministic.golden.json").write_text(json.dumps(golden))
+    assert cli.main(["verify", "--config", str(cfg_path)]) == 1
+    assert ("FAIL  golden_regression -- golden:case.2.equilibrium.states.1.congested "
+            "(True != False)\n") in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

@@ -773,6 +773,17 @@ BISECTING_SOLVES = {
                   6.457240201346734, 0.725113722920975)],
                 0.2864893072407095, 0.23358925767099853, (3.438100349972364, 1e-9),
                 1.3285666208995228),
+    # two types, one binding high and one low, so the 2x2 system is
+    # triangular: the third trial's gap is 1.8e-15, above RESIDUAL_FLOOR, and
+    # from there the burn ratio takes values about 3e-15 apart while the
+    # share moves by single ulps, until the midpoint rounds to an end of the
+    # bracket
+    "rounding": ([(0.5349997074733788, 0.0063898519200375386, 0.1549328094227589,
+                   0.5207152840451522, 0.5232891618052659),
+                  (0.651563527490033, 35.4371266304911, 0.8694727341167826,
+                   15.902851606624125, 0.06934733219168888)],
+                 0.11776992341939634, 0.5906232327297751, (1.0923613101262484, 1e-9),
+                 0.009710161282936336),
 }
 
 
@@ -888,6 +899,11 @@ def test_heterogeneous_holdings_slope_matches_the_model(scales, curvatures, mass
 # in log m, which rounds back to the start unless a step moves an ulp
 @example(types=[(1.0, 4.0, 0.5, 1.0, 0.5), (0.5, 3.0, 0.25, 2.0, 0.75)], r=0.0625, rho=0.25,
          cost=(0.5, 1e-09), theta=0.125)
+# a both-binding balance root whose far end lies where m / p underflows to
+# 0.0: the holdings FOC reads +inf there, as u'(0+) is, and the root lies above
+@example(types=[(0.6, 106.6, 0.04, 1e-05, 0.0088), (0.54, 0.0164, 0.0138, 3.9e-05, 0.0325),
+                (0.84, 9003.0, 0.0305, 1.04e-07, 0.062)], r=0.19, rho=0.08,
+         cost=(0.0154, 4.54), theta=0.26)
 def test_heterogeneous_solves_of_any_number_of_types_are_certified_or_infeasible(
     types, r, rho, cost, theta
 ):

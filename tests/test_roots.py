@@ -156,6 +156,18 @@ def test_find_log_root_ends_where_the_float_grid_does():
     assert len(set(calls)) == len(calls) <= 12
 
 
+def test_find_log_root_scales_steps_past_the_range_of_exp():
+    # the root lies 714 units of log from the start, so Brent's steps in
+    # x = log(v / v0) pass |x| = 700, where v0 * exp(x) would overflow the
+    # factor exp(x): v is formed as exp(x + log v0) there
+    target = math.log(1e10)
+    g, calls = counted(lambda v: math.log(v) - target)
+    v, _ = log_root(g, 1e-300, 1e300)
+    assert abs(math.log(v) - target) <= RESIDUAL_FLOOR
+    assert v == pytest.approx(1e10, rel=1e-15)
+    assert len(calls) == 6
+
+
 def test_find_log_root_checks_the_residual_where_the_grid_ends():
     # a jump of 1 at v = 1 leaves no float price with a residual in tolerance
     with pytest.raises(SolverError, match="where the float grid ends"):
