@@ -2,21 +2,16 @@
 
 Every economic fixed point in this package reduces to a monotone scalar
 residual with a sign change. find_log_root roots one in the log of a
-positive unknown over a point the caller evaluated, from there toward a
-second one, on the caller's one table of residuals by unknown; it widens
-past the second point where the root lies beyond it. It runs Brent's
-method (Brent, Algorithms for Minimization without Derivatives, 1973): it
-keeps bisection's guaranteed bracket and converges superlinearly,
-deterministically. It stops at float resolution, in x or in the residual:
-when the bracket is a few ulps wide, or when the residual is within
-RESIDUAL_FLOOR of zero, which needs a residual relative to the terms it
-balances. The market-clearing kernel (first_best._clear_blockspace) roots
-in log price, where its residuals are nearly linear with slopes at least 1
-in size, so the secant step is close to exact and a residual bounds the
-root's distance; the heterogeneous solver roots a balance in log m. Its
-burn identity, whose trials carry their own slopes, is rooted by Newton
-steps and bisection in equilibrium._solve_heterogeneous, on this module's
-RESIDUAL_FLOOR, RESIDUAL_TOL and MAX_ITER.
+positive unknown, from a point the caller evaluated toward a second one that
+bounds the root, on the caller's one table of residuals and slopes. Each
+residual returns its slope in the log of the unknown with its value, and the
+root takes Newton steps on it strictly inside the bracket, bisecting
+otherwise (rtsafe: Press et al., Numerical Recipes, 9.4). _rtsafe_step is
+that one step rule, with Chebyshev's second-order term; the heterogeneous
+solver's burn identity steps by it too. A root stops at float resolution:
+where its residual is within RESIDUAL_FLOOR of zero (relative to the terms
+it balances), one Newton step on where that moves it more than 2 ulps, or
+where the next point rounds to one already evaluated.
 """
 
 from __future__ import annotations
@@ -44,88 +39,148 @@ _LOG_HUGE = math.log(_HUGE)
 
 
 def find_log_root(
-    f: Callable[[float], float], values: dict[float, float], v: float, w: float
+    f: Callable[[float], tuple[float, float]], values: dict[float, tuple[float, float]],
+    v: float, w: float, steps: list[int] | None = None,
 ) -> float:
-    """Root of a monotone f(v) for v > 0, found in x = log(v / v0) from the
-    start v0 = v toward w.
+    """Root of a monotone f(v) for v > 0, found in log v from v toward w.
 
-    values is the caller's one table of f by v: it holds v, and w where f is
-    already known there. The root lies between v and w (w != v) or beyond
-    w; v, or else w, is returned at once when its residual is at float
-    resolution. Where f has one sign at v and w, the bracket widens beyond
-    w: first by a few ulps of w, where rounding left w just short of the
-    root, then by steps in x that double from the distance between v and
-    w, within the positive finite floats (SolverError when no sign change
-    is found).
+    f(v) returns the residual at v and its slope d f / d log v; values, the
+    caller's one table of those pairs by v, holds v (and w where known). The
+    root lies between v and w (w != v) or beyond w. Unless v's residual is
+    at float resolution, the root takes the steps _rtsafe_step names, each
+    in x = log(u / v) from the last point v evaluated: Newton steps on the
+    slope strictly inside the bracket, else bisections. w is evaluated only
+    once a bisection needs it or a Newton step reaches it, and the root
+    steps on from the end with the smaller residual; where f has its sign
+    at v there too, the bracket widens past w, by a few ulps, then by steps
+    in log v that double from the distance between v and w (SolverError
+    without a sign change among the positive finite floats).
 
-    Brent's method then runs in x = log(v / v0), measured from the start
-    v0, evaluating f at v = v0 exp(x) and adding each v to values. Near a
-    root close to the start, neighbouring x lie far closer than
-    neighbouring v (in x = log v they lay EPS * |log v| apart, too coarse
-    for a steep residual far from v = 1). It stops once the residual is at
-    float resolution, or when the bracket is a few EPS * |x| wide; and
-    where the grid of v ends: once the next x rounds to a v already in
-    values, the best end of the bracket is returned (short of RESIDUAL_TOL,
-    a secant step that small bisects instead). Where it stops past |x| = 1
-    short of float resolution, it runs once more in x measured from the
-    best end, toward the nearest v evaluated across the root, since there
-    x rounds coarser than v. The result is always a v in
-    values, so f is evaluated at most once per v; a residual there above
-    RESIDUAL_TOL raises SolverError.
+    It stops once a step's residual is at float resolution, after one more
+    Newton step where that moves v by more than 2 ulps, or where the grid
+    of v ends: a step that rounds to a v already in values bisects instead
+    while the residual is above RESIDUAL_TOL, and once the midpoint does
+    too, or a step of a few ulps within RESIDUAL_TOL fails to halve the
+    residual, the end of the bracket with the smaller residual is returned.
+    The result is a v in values, so f is evaluated at most once per v; a
+    residual there above RESIDUAL_TOL raises SolverError. steps, where
+    given, counts the evaluations: [Newton steps, others].
     """
-    fv = values[v]
+    start, (fv, slope) = v, values[v]
     if abs(fv) <= RESIDUAL_FLOOR:
         return v
-    if w not in values:
-        values[w] = f(w)
-    fw = values[w]
-    if abs(fw) <= RESIDUAL_FLOOR:
-        return w
-    origin = v
-    xv, xw = 0.0, _log_ratio(w, origin)
-    if (fw < 0.0) == (fv < 0.0):
-        step = math.copysign(max(abs(xw - xv), 4.0 * _EPS), w - v)
-        for i in range(MAX_WIDEN):
-            if i == 0:
-                u = w + math.copysign(4.0 * math.ulp(w), step)
-            else:
-                u = w * math.exp(min(step, _LOG_HUGE))
-                step *= 2.0
-            u = min(max(u, _TINY), _HUGE)
-            if u == w:
-                break
-            v, fv, xv = w, fw, xw
-            w, xw = u, _log_ratio(u, origin)
+    steps = [0, 0] if steps is None else steps
+    sign = 1.0 if (fv > 0.0) == (w > v) else -1.0  # sign * f falls in log v
+    g, slope, previous, halved, known = sign * fv, sign * slope, None, True, False
+    # the bracket: sign * f > 0 at lo, < 0 at hi (at w, once it is known)
+    lo, hi = (v, w) if w > v else (w, v)
+    for _ in range(MAX_ITER):
+        # the bracket's ends in x = log(u / v), v being one of them
+        xlo, xhi = (0.0, _log_ratio(hi, v)) if lo == v else (_log_ratio(lo, v), 0.0)
+        before = previous and (_log_ratio(previous[0], v), previous[1])
+        step = _rtsafe_step(0.0, g, slope, before, halved, xlo, xhi)
+        if step is None:
+            break
+        x, newton = step
+        far = not known and w in (lo, hi) and (w in values or not newton)
+        if far:
+            # w, for a bisection or a Newton step onto it; widen past it where f has its sign at start
+            u, newton, known = w, False, True
             if w not in values:
                 values[w] = f(w)
-            fw = values[w]
-            if abs(fw) <= RESIDUAL_FLOOR:
-                return w
-            if (fw < 0.0) != (fv < 0.0):
+                past = (xlo, math.inf) if w == hi else (-math.inf, xhi)
+                steps[_rtsafe_step(0.0, g, slope, before, halved, *past) is None] += 1
+            fu = values[w][0]
+            if abs(fu) > RESIDUAL_FLOOR and (fu < 0.0) == (fv < 0.0):
+                t, u = _widen(f, values, start, w, steps)
+                fu = values[u][0]
+                lo, hi = (t, u) if sign * values[t][0] > 0.0 else (u, t)
+        else:
+            u = _scaled(v, x)
+            if u in values and abs(g) > RESIDUAL_TOL:
+                # the step rounds to a v already evaluated while the residual
+                # is short of tolerance: bisect instead
+                x, newton = 0.5 * (xlo + xhi), False
+                u = _scaled(v, x)
+            if u in values:
                 break
-        if (fw < 0.0) == (fv < 0.0):
-            raise SolverError(
-                "could not bracket a root: "
-                f"f({v:.6g}) = {fv:.6g}, f({w:.6g}) = {fw:.6g} share a sign"
-            )
-    x, fx = _brent(f, xv, fv, xw, fw, values, origin)
-    root = v if x == xv else w if x == xw else _scaled(origin, x)
-    if abs(fx) > RESIDUAL_FLOOR and abs(x) > 1.0:
-        # past |x| = 1 neighbouring x lie farther apart than neighbouring v,
-        # so the bracket may have closed in x while it still spans several
-        # v: root on from the best end, measured from there, toward the
-        # nearest v evaluated across the root
-        across = min((u for u, fu in values.items() if (fu < 0.0) != (fx < 0.0)),
-                     key=lambda u: abs(u - root))
-        xa = _log_ratio(across, root)
-        x, fx = _brent(f, 0.0, fx, xa, values[across], values, root)
-        root = root if x == 0.0 else across if x == xa else _scaled(root, x)
-    if abs(fx) > RESIDUAL_TOL:
+            values[u] = f(u)
+            steps[not newton] += 1
+            fu = values[u][0]
+        if abs(fu) <= RESIDUAL_FLOOR:
+            t = _scaled(u, -fu / values[u][1]) if values[u][1] else u
+            if t not in values and abs(t - u) > 2.0 * math.ulp(u):
+                values[t] = f(t)
+                steps[0] += 1
+                u = min(u, t, key=lambda end: abs(values[end][0]))
+            return u
+        if sign * fu > 0.0:
+            lo = u
+        else:
+            hi = u
+        halved = not newton or abs(fu) <= 0.5 * abs(g)
+        if not halved and abs(fu) <= RESIDUAL_TOL and abs(x) <= 4.0 * _EPS:
+            break  # a step of a few ulps within tolerance that did not halve |f|: rounding
+        if far:
+            # step on from the end of the bracket with the smaller residual
+            u, previous = min(lo, hi, key=lambda end: abs(values[end][0])), None
+        else:
+            previous = (v, slope) if abs(slope) < math.inf else None
+        v, g, slope = u, sign * values[u][0], sign * values[u][1]
+    v = min((end for end in (hi, lo) if end in values), key=lambda end: abs(values[end][0]))
+    if abs(values[v][0]) > RESIDUAL_TOL:
         raise SolverError(
-            f"root finder stalled with residual {fx:.3e} > {RESIDUAL_TOL:.0e} "
-            f"where the float grid ends, at {root:.12g}"
+            f"root finder stalled with residual {values[v][0]:.3e} > {RESIDUAL_TOL:.0e} "
+            f"where the float grid ends, at {v:.12g}"
         )
-    return root
+    return v
+
+
+def _rtsafe_step(x: float, f: float, slope: float, previous: tuple[float, float] | None,
+                 halved: bool, lo: float, hi: float) -> tuple[float, bool] | None:
+    """The one rtsafe step rule: from x, an end of the bracket (lo, hi)
+    across which a residual falls, reading f with slope slope there, (Newton
+    step with Chebyshev's term -bend f**2 / (2 slope**3), True) where the
+    slope is negative, the last Newton step, if any, halved |f| and the step
+    lands strictly inside; bend is the change of slope since previous, (x,
+    slope) at the point before, over its distance. Otherwise (midpoint,
+    False), or None once the midpoint rounds to an end."""
+    bend = 0.0 if previous is None else (slope - previous[1]) / (x - previous[0])
+    step = (x - f / slope - bend * f * f / (2.0 * slope * slope * slope)
+            if halved and slope < 0.0 else math.nan)
+    if lo < step < hi:
+        return step, True
+    step = 0.5 * (lo + hi)
+    return (step, False) if lo < step < hi else None
+
+
+def _widen(f: Callable[[float], tuple[float, float]], values: dict[float, tuple[float, float]],
+           v: float, w: float, steps: list[int]) -> tuple[float, float]:
+    """The last two points of find_log_root's widening past w, where f has
+    its sign at v: across them f changes sign, or the last is at float
+    resolution."""
+    step = math.copysign(max(abs(_log_ratio(w, v)), 4.0 * _EPS), w - v)
+    fv = values[v][0]
+    for i in range(MAX_WIDEN):
+        if i == 0:
+            u = w + math.copysign(4.0 * math.ulp(w), step)
+        else:
+            u = w * math.exp(min(step, _LOG_HUGE))
+            step *= 2.0
+        u = min(max(u, _TINY), _HUGE)
+        if u == w:
+            break
+        v, w = w, u
+        if w not in values:
+            values[w] = f(w)
+            steps[1] += 1
+        fw = values[w][0]
+        if abs(fw) <= RESIDUAL_FLOOR or (fw < 0.0) != (fv < 0.0):
+            return v, w
+    raise SolverError(
+        "could not bracket a root: "
+        f"f({v:.6g}) = {values[v][0]:.6g}, f({w:.6g}) = {values[w][0]:.6g} share a sign"
+    )
 
 
 def _scaled(origin: float, x: float) -> float:
@@ -149,62 +204,3 @@ def _log_ratio(v: float, origin: float) -> float:
         return math.log1p(q)
     q = v / origin
     return math.log(q) if 0.0 < q < math.inf else math.log(v) - math.log(origin)
-
-
-def _brent(
-    f: Callable[[float], float], a: float, fa: float, b: float, fb: float,
-    values: dict[float, float], origin: float,
-) -> tuple[float, float]:
-    """Brent's method in x = log(v / origin) from the sign change fa, fb
-    across [a, b]: the best end b and f there. f takes v = origin * exp(x),
-    each v is added to values, and the root stops at the best end once the
-    next x rounds to a v already there; short of RESIDUAL_TOL there, it
-    bisects instead, and stops only where the midpoint rounds to one too."""
-    # b is the best estimate, c the other end of the bracket, a the previous b
-    c, fc = a, fa
-    d = e = b - a
-    for _ in range(MAX_ITER):
-        if (fb < 0.0) == (fc < 0.0):
-            c, fc = a, fa
-            d = e = b - a
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        tol = _EPS * abs(b) + 1e-300
-        half = 0.5 * (c - b)
-        if abs(half) <= tol or abs(fb) <= RESIDUAL_FLOOR:
-            break
-        # interpolate through finite residuals only: where a load passes a
-        # float, an infinite one leaves bisection
-        if abs(e) >= tol and abs(fb) < abs(fa) < math.inf and abs(fc) < math.inf:
-            s = fb / fa
-            if a == c:
-                p, q = 2.0 * half * s, 1.0 - s
-            else:
-                q, t = fa / fc, fb / fc
-                p = s * (2.0 * half * q * (q - t) - (b - a) * (t - 1.0))
-                q = (q - 1.0) * (t - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            else:
-                p = -p
-            # accept the interpolation only if it stays well inside the
-            # bracket and shrinks faster than the step before last
-            if 2.0 * p < min(3.0 * half * q - abs(tol * q), abs(e * q)):
-                e, d = d, p / q
-            else:
-                e = d = half
-        else:
-            e = d = half
-        a, fa = b, fb
-        b += d if abs(d) > tol else math.copysign(tol, half)
-        v = _scaled(origin, b)
-        if v in values and abs(fa) > RESIDUAL_TOL:
-            # the step rounds to a v already evaluated while the best end is
-            # short of tolerance: bisect instead
-            b, e, d = a + half, half, half
-            v = _scaled(origin, b)
-        if v in values:
-            return a, fa
-        fb = values[v] = f(v)
-    return b, fb

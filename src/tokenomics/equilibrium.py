@@ -34,7 +34,7 @@ from functools import partial
 from typing import Callable, NamedTuple
 
 from . import econ_core as ec
-from ._roots import MAX_ITER, RESIDUAL_FLOOR, RESIDUAL_TOL, find_log_root
+from ._roots import MAX_ITER, RESIDUAL_FLOOR, RESIDUAL_TOL, _rtsafe_step, find_log_root
 from .errors import ConfigError, InfeasiblePolicyError, SolverError
 from .first_best import _clear_blockspace, _clear_demands, first_best_allocation
 
@@ -161,6 +161,10 @@ def _solve_law(
 # ---------------------------------------------------------------------------
 
 
+def _steps_text(newton: int, bisections: int) -> str:
+    return f"newton:{newton}" + (f"+bisect:{bisections}" if bisections else "")
+
+
 def _solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyStateEquilibrium:
     """Tax-and-burn steady state with one or more user types under a common shock.
 
@@ -193,43 +197,43 @@ def _solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyStat
     so a solve does not depend on what was solved before it. The first
     trial is the cap itself (share 1). Each trial reads how its prices and
     its burn ratio move with rT (see sensitivities), so the outer root is
-    one rtsafe loop from share 1 (Press et al., Numerical Recipes, 9.4): a
-    Newton step with Chebyshev's term -bend gap**2 / (2 slope**3), on the
-    bend of the last two trials' slopes, where it lands strictly inside the
-    tightest bracket the trials give and the last Newton step, if any, at
-    least halved the gap; otherwise, or where the trial has no slopes, a
-    bisection of that bracket. It accepts a trial at RESIDUAL_FLOOR, or
-    else the bracket's end with the smaller gap once the midpoint rounds to
-    an end (SolverError above RESIDUAL_TOL).
-    Each market clear evaluates its predicted price first (see
-    predicted_prices) and keeps it when the residual there is at float
-    resolution; a clear again under a new pattern starts at the last
-    clear's prices. A budget binding in both states roots its balance from
-    the type's last balance moved on its FOC's partials (see balance), and
-    its low state clears again from the last low price found. High states
-    are kept for the whole solve, so the root's is not solved again.
-    Holdings cover high-state spending, so the burn never exceeds theta; if
-    it still exceeds rT at r / rho, the expected return would pass r and
+    one rtsafe loop from share 1 by _roots._rtsafe_step, every root's step
+    rule (Press et al., Numerical Recipes, 9.4): Newton steps with
+    Chebyshev's term on the bend of the last two trials' slopes, strictly
+    inside the tightest bracket the trials give while each halves the gap,
+    else bisections. It accepts a trial at RESIDUAL_FLOOR, or else the
+    bracket's end with the smaller gap once the midpoint rounds to an end
+    (SolverError above RESIDUAL_TOL). Each market clear evaluates its
+    predicted price first (see predicted_prices), keeps it at float
+    resolution, and otherwise takes Newton steps on its load's elasticity;
+    a clear again under a new pattern starts at the last clear's prices. A
+    budget binding in both states roots its balance from the type's last
+    balance moved on its FOC's partials (see balance), and its low state
+    clears again from the last low price found. High states are kept for
+    the whole solve, so the root's is not solved again. Holdings cover
+    high-state spending, so the burn never exceeds theta; if it still
+    exceeds rT at r / rho, the expected return would pass r and
     InfeasiblePolicyError is raised.
 
     One DEBUG line per solve gives where each type's budget binds, whether
     the first high-state clear bracketed its root from the planner's price
     alone or evaluated c'(1), the number of trial returns, the counters
-    kept below and how the burn identity was rooted (outer=newton:<steps>,
-    with +bisect:<steps> where it bisected, or outer=none where no root
-    was run).
+    kept below, and the steps of the clears and of the burn identity
+    (newton:<steps>, with +bisect:<steps> for the other evaluations, or
+    outer=none where no burn root was run).
     """
     rho, r = cfg.shocks.rho, cfg.r
     # (mass, high-state utility, low-state utility) of each type, in config order
     types = [(t.mass, t.utility_in(1), t.utility_in(0)) for t in cfg.agent_types]
 
     # for the DEBUG line: the prices each high-state clear evaluated its
-    # load at, the low-state load evaluations, the holdings FOC evaluations
-    # of the both-binding balance roots, the extra clears the pattern checks
-    # caused, and the clears and balance roots accepted at their prediction
-    # (a clear that evaluates its load once accepted it)
+    # load at, the low-state load and both-binding holdings FOC evaluations,
+    # the extra clears the pattern checks caused, the clears and balance
+    # roots accepted at their prediction (a clear that evaluates its load
+    # once accepted it), and the clears' [Newton steps, other evaluations]
     high_clears: list[list[float]] = []
     low_evals = foc_evals = switches = hits = 0
+    clear_steps = [0, 0]
     # by (u1, u0, rT, eff, p), each balance root where both budgets bind and
     # its marginal utilities per token (high, low); and each type's last key
     roots: dict[tuple, tuple[float, float, float]] = {}
@@ -243,30 +247,30 @@ def _solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyStat
                 (1.0 - rho) * (c0 - 1.0) * low, rho * (1.0 + rt) * (c1 - 1.0) * high,
                 rho * (1.0 - c1) * high)
 
-    def balance(u1: ec.UtilityFn, u0: ec.UtilityFn, rt: float, eff: float, p: float) -> float:
-        """Balance at which both budgets bind: the root of the holdings FOC
-        with (1+rT) m / eff bought in the high state and m / p in the low,
-        which falls in m, found in log m. The root starts at the type's last
-        root in this solve moved by d log m = -(F_p d log p + F_eff d log eff
-        + F_rT d rT) / F_m on the FOC's partials there, and keeps it when the
-        FOC there is at float resolution; otherwise it runs toward the end a
-        Newton step in log m names. The FOC is convex in log m, so that end
-        lies past the root where the FOC is negative and short of it where it
-        is positive. Where an activity underflows to 0 the FOC reads +inf, as
-        u'(0+) is, so the root lies above. The type's first balance starts at
-        the smaller balance at which one budget stops binding."""
+    def balance(u1: ec.UtilityFn, u0: ec.UtilityFn, rt: float, eff: float,
+                p: float) -> tuple[float, float]:
+        """Balance at which both budgets bind, and its d log m / d log p: the
+        root of the holdings FOC with (1+rT) m / eff bought in the high state
+        and m / p in the low, which falls in m, by Newton steps on its slope
+        F_m in log m toward an end e^60 away on the side its sign names. It
+        starts at the type's last root in this solve (the first, at the
+        smaller balance at which one budget stops binding) moved by d log m =
+        -(F_p d log p + F_eff d log eff + F_rT d rT) / F_m on the FOC's
+        partials there, kept where the FOC is at float resolution. Where an
+        activity underflows to 0 the FOC reads +inf, as u'(0+) is."""
         nonlocal hits
         at: dict[float, tuple[float, float]] = {}  # (high, low) at each m evaluated
 
-        def foc(m: float) -> float:
+        def foc(m: float) -> tuple[float, float]:
             nonlocal foc_evals
             foc_evals += 1
             a1, a0 = (1.0 + rt) * m / eff, m / p
             if a1 == 0.0 or a0 == 0.0:
-                return math.inf  # an activity underflows: u'(0+) is infinite
+                return math.inf, math.nan  # an activity underflows: u'(0+) is infinite
             # marginal utility per token in each state
             high, low = at[m] = ec.u_prime(u1, a1) / eff, ec.u_prime(u0, a0) / p
-            return rho * (1.0 + rt) * (high - 1.0) + (1.0 - rho) * (low - 1.0) - (r - rho * rt)
+            return (rho * (1.0 + rt) * (high - 1.0) + (1.0 - rho) * (low - 1.0) - (r - rho * rt),
+                    partials(u1, u0, rt, high, low)[0])
 
         key = last_root.get((u1, u0))
         if key is None:
@@ -276,28 +280,27 @@ def _solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyStat
             d_m, d_p, d_eff, d_rt = partials(u1, u0, rt0, high, low)
             shift = d_p * math.log(p / p0) + d_eff * math.log(eff / eff0) + d_rt * (rt - rt0)
             m *= math.exp(min(max(-shift / d_m, -30.0), 30.0)) if d_m < 0.0 else 1.0
-        f = foc(m)
-        values = {m: f}
-        slope = partials(u1, u0, rt, *at[m])[0]
-        # a step of at most 30 in log m: find_log_root widens past it where needed
-        end = m * math.exp(min(max(-f / slope, -30.0), 30.0)) if slope < 0.0 else m
-        if end == m:
-            end = 2.0 * m if f > 0.0 else 0.5 * m
-        root = find_log_root(foc, values, m, end)
+        values = {m: foc(m)}
+        # the FOC falls in m: its root lies above m where it is positive
+        root = find_log_root(foc, values, m, m * math.exp(60.0 if values[m][0] > 0.0 else -60.0))
         last_root[u1, u0] = key = (u1, u0, rt, eff, p)
         roots[key] = (root, *at[root])
         hits += len(values) == 1
-        return root
+        d_m, d_p, _, _ = partials(u1, u0, rt, *at[root])
+        return root, -d_p / d_m
 
     # A type's response to high-state effective price eff, low-state price p
     # and return rt when its budget binds as pat says: low_demand gives its
-    # low-state activity a0, and respond its (balance, high-state activity, a0).
+    # low-state activity a0 and d log a0 / d log p, and respond its
+    # (balance, high-state activity, a0).
     def low_demand(pat: str, u1: ec.UtilityFn, u0: ec.UtilityFn, rt: float, eff: float,
-                   p: float) -> float:
+                   p: float) -> tuple[float, float]:
         if pat == "both":
-            return balance(u1, u0, rt, eff, p) / p
+            m, d_log_m = balance(u1, u0, rt, eff, p)
+            return m / p, d_log_m - 1.0
         # where only the low budget binds, (1-rho)(u'(a)/p - 1) = r - rho rT
-        return ec.u_prime_inv(u0, (1.0 + (r - rho * rt) / (1.0 - rho)) * p if pat == "low" else p)
+        wedge = 1.0 + (r - rho * rt) / (1.0 - rho) if pat == "low" else 1.0
+        return ec.u_prime_inv(u0, wedge * p), -1.0 / u0.curvature
 
     def respond(pat: str, u1: ec.UtilityFn, rt: float, eff: float, p: float,
                 a0: float) -> tuple[float, float, float]:
@@ -317,7 +320,7 @@ def _solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyStat
         tried first, as its response is known."""
         for alt in ("low", "high") if pat == "low" else ("high", "low"):
             m, a1, a0 = got if alt == pat else respond(
-                alt, u1, rt, eff, p, low_demand(alt, u1, u0, rt, eff, p))
+                alt, u1, rt, eff, p, low_demand(alt, u1, u0, rt, eff, p)[0])
             if (p * a0 <= m) if alt == "high" else (eff * a1 <= (1.0 + rt) * m):
                 return alt
         return "both"
@@ -333,18 +336,20 @@ def _solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyStat
             nonlocal hits
             acts: dict[float, list[float]] = {}
 
-            def load(p: float) -> float:
+            def load(p: float) -> tuple[float, float]:
+                # the load and its elasticity
                 nonlocal low_evals
                 low_evals += 1
                 a = acts[p] = []
-                total = 0.0
+                total = slope = 0.0
                 for (k, u1, u0), pat in zip(types, pats):
-                    a0 = low_demand(pat, u1, u0, rt, eff, p)
+                    a0, e = low_demand(pat, u1, u0, rt, eff, p)
                     a.append(a0)
                     total += k * a0
-                return total
+                    slope += k * a0 * e
+                return total, slope / total if total > 0.0 else math.nan
 
-            p, congested = _clear_blockspace(cfg.cost, load, guess[0])
+            p, congested = _clear_blockspace(cfg.cost, load, guess[0], clear_steps)
             hits += len(acts) == 1
             guess[0] = p  # where a coupled low state clears again
             return p, congested, acts[p]
@@ -355,20 +360,27 @@ def _solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyStat
         fixed = None if "both" in pats else low_state(math.nan)
         points = {}
 
-        def load(p_high: float) -> float:
+        def load(p_high: float) -> tuple[float, float]:
+            # the load and its elasticity (a Schur complement where p_low moves)
             eff = (1.0 + theta_high) * p_high
             p_low, low_congested, a0s = fixed or low_state(eff)
             got = []
-            total = 0.0
+            total = slope = 0.0
             for (k, u1, _), pat, a0 in zip(types, pats, a0s):
                 response = respond(pat, u1, rt, eff, p_low, a0)
                 got.append(response)
                 total += k * response[1]
+                if fixed:  # else the Schur complement below
+                    slope -= k * response[1] / u1.curvature
             points[p_high] = p_low, low_congested, got
-            return total
+            if not fixed:
+                load0, _, _, l_low, l_high, _, h_low, slope, *_ = moves(rt, eff, p_low, pats, got)
+                l_low -= 0.0 if low_congested else load0 / cfg.cost.curvature
+                slope -= h_low * l_high / l_low if l_low else math.nan
+            return total, slope / total if total > 0.0 else math.nan
 
         # every price the root finder returns is one it evaluated
-        p_high, congested = _clear_blockspace(cfg.cost, load, guess[1])
+        p_high, congested = _clear_blockspace(cfg.cost, load, guess[1], clear_steps)
         high_clears.append(list(points))
         hits += len(points) == 1
         return p_high, congested, points[p_high]
@@ -395,32 +407,20 @@ def _solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyStat
             out += k * response[i]
         return out
 
-    def sensitivities(rt: float) -> tuple[float, float, float] | None:
-        """d log p_low / d rT, d log p_high / d rT and d log(p_high A / M) / d rT
-        of the trial solved at rt.
-
-        The implicit-function theorem on its two clears, its patterns held:
-        a 2x2 linear system in d log p_low and d log p_high, triangular where
-        no budget binds in both states. Each activity is a power -1/c of its
-        price, c the utility curvature, times (1 + rT)**(1/c) in the high
-        state of a high-binding type and times its wedge**(-1/c) in the low
-        state of a low-binding one, the wedge 1 + (r - rho rT) / (1 - rho). A
-        balance is eff a1 / (1 + rT) where the high budget binds, p_low a0
-        where the low one does; where both bind, a0 = m / p_low and
-        a1 = (1 + rT) m / eff, m moving as balance predicts it. A congested
-        state holds its load at 1; a slack one has log p = log c'(1) + kappa log load.
-        None where the system is singular, as where a load or the balance
-        underflows to 0.
-        """
-        if rt in slopes:
-            return slopes[rt]
-        p_high, congested, (p_low, low_congested, got), binds = high_states[rt]
-        eff = (1.0 + theta_high) * p_high
+    def moves(rt: float, eff: float, p_low: float, binds: tuple[str, ...],
+              got: list[tuple[float, float, float]]) -> tuple[float, ...]:
+        """(load0, load1, M, l_low, l_high, l_rt, h_low, h_high, h_rt, m_low,
+        m_high, m_rt): the low load, the high load and the balance M of the
+        responses got at rt, eff and p_low, and their moves sum k a d log a
+        (sum k m d log m) = l, h, m . (d log p_low, d log p_high, d rT). Each
+        activity is a power -1/c of its price, c the utility curvature, times
+        (1 + rT)**(1/c) in the high state of a high-binding type and its
+        wedge 1 + (r - rho rT) / (1 - rho) to the -1/c in the low state of a
+        low-binding one. A balance is eff a1 / (1 + rT) where the high budget
+        binds, p_low a0 where the low one does, and where both do, m of
+        balance, with a0 = m / p_low and a1 = (1 + rT) m / eff."""
         # d log(1 + rT) / d rT and d log(wedge) / d rT
         growth, d_wedge = 1.0 / (1.0 + rt), -rho / (1.0 - rho + r - rho * rt)
-        # the low load, the high load and the balance M move by sum k a d log a
-        # (sum k m d log m) = l, h, m . (d log p_low, d log p_high, d rT); a
-        # slack state's load moves with its price, log p = log c'(1) + kappa log load
         load0 = load1 = balance = l_low = l_high = l_rt = h_low = h_high = h_rt = 0.0
         m_low = m_high = m_rt = 0.0
         for (k, u1, u0), pat, (m, a1, a0) in zip(types, binds, got):
@@ -438,6 +438,24 @@ def _solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyStat
             else:
                 l_low, l_rt, h_high = l_low - k0 * e0, l_rt - k0 * e0 * d_wedge, h_high - k1 * e1
                 m_low, m_rt = m_low + km * (1.0 - e0), m_rt - km * e0 * d_wedge
+        return (load0, load1, balance, l_low, l_high, l_rt, h_low, h_high, h_rt,
+                m_low, m_high, m_rt)
+
+    def sensitivities(rt: float) -> tuple[float, float, float] | None:
+        """d log p_low / d rT, d log p_high / d rT and d log(p_high A / M) / d rT
+        of the trial solved at rt.
+
+        The implicit-function theorem on its two clears, its patterns held:
+        a 2x2 linear system in d log p_low and d log p_high (see moves), where
+        a congested state holds its load at 1 and a slack one has
+        log p = log c'(1) + kappa log load. None where it is singular, as
+        where a load or the balance underflows to 0.
+        """
+        if rt in slopes:
+            return slopes[rt]
+        p_high, congested, (p_low, low_congested, got), binds = high_states[rt]
+        (load0, load1, balance, l_low, l_high, l_rt, h_low, h_high, h_rt,
+         m_low, m_high, m_rt) = moves(rt, (1.0 + theta_high) * p_high, p_low, binds, got)
         kappa = cfg.cost.curvature
         l_low -= 0.0 if low_congested else load0 / kappa
         h_high -= 0.0 if congested else load1 / kappa
@@ -492,7 +510,7 @@ def _solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyStat
             high_states[rt] = (*point, pats)
         return high_states[rt]
 
-    rt, outer = 0.0, "none"  # outer: how the burn identity was rooted
+    rt, outer = 0.0, None  # outer: the burn identity's [Newton steps, bisections], if rooted
     if theta_high > 0.0:
         rt_max = min(theta_high, r / rho)
         cap = rt_max / theta_high
@@ -510,7 +528,7 @@ def _solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyStat
             # it lands strictly inside and the last one, if any, halved |gap|;
             # otherwise, or from a trial with no slopes, a bisection, until the
             # midpoint rounds to an end
-            share, steps, bisections, halved, previous = 1.0, 0, 0, True, None
+            share, outer, halved, previous = 1.0, [0, 0], True, None
             lo, hi, gap_lo, gap_hi = 0.0, 1.0, math.inf, gap
             for _ in range(MAX_ITER):
                 if abs(gap) <= RESIDUAL_FLOOR:
@@ -519,25 +537,18 @@ def _solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyStat
                 trial_slopes = sensitivities(share * rt_max)
                 slope = (rt_max * (gap + share * cap) * trial_slopes[2] - cap
                          if trial_slopes else math.nan)
-                bend = 0.0 if previous is None else (slope - previous[1]) / (share - previous[0])
+                step = _rtsafe_step(share, gap, slope, previous, halved, lo, hi)
                 previous = (share, slope) if trial_slopes else None
-                step = (share - gap / slope - bend * gap * gap / (2.0 * slope * slope * slope)
-                        if halved and slope < 0.0 else math.nan)
-                newton = lo < step < hi
-                if not newton:
-                    step = 0.5 * (lo + hi)
-                    if not lo < step < hi:
-                        break
-                gap_before, share = gap, step
+                if step is None:
+                    break
+                gap_before, (share, newton) = gap, step
                 gap = burn_gap(share)
                 if gap > 0.0:
                     lo, gap_lo = share, gap
                 else:
                     hi, gap_hi = share, gap
-                steps += newton
-                bisections += not newton
+                outer[not newton] += 1
                 halved = not newton or abs(gap) <= 0.5 * abs(gap_before)
-            outer = f"newton:{steps}" + (f"+bisect:{bisections}" if bisections else "")
             share, gap = (lo, gap_lo) if abs(gap_lo) < abs(gap_hi) else (hi, gap_hi)
             if abs(gap) > RESIDUAL_TOL:
                 raise SolverError(
@@ -563,10 +574,11 @@ def _solve_heterogeneous(cfg: ec.EconomyConfig, theta_high: float) -> SteadyStat
         log.debug(
             "heterogeneous theta=%r binds=%s pattern_switches=%d first_bracket=%s "
             "trial_returns=%d high_load_evals=%d low_load_evals=%d foc_evals=%d "
-            "prediction_hits=%d outer=%s",
+            "prediction_hits=%d clears=%s outer=%s",
             theta_high, ",".join(f"{t.name}:{pat}" for t, pat in zip(cfg.agent_types, pats)),
             switches, "cold-test" if cold else "planner-seed", len(high_states),
-            sum(map(len, high_clears)), low_evals, foc_evals, hits, outer,
+            sum(map(len, high_clears)), low_evals, foc_evals, hits, _steps_text(*clear_steps),
+            _steps_text(*outer) if outer else "none",
         )
     by_type = [{t.name: response[i] for t, response in zip(cfg.agent_types, got)}
                for i in range(3)]

@@ -10,14 +10,14 @@ value that rations capacity when demand at x = c'(1) overfills it, else
 x = c'(total). Under idiosyncratic shocks the planner plans
 planner_economy(cfg), a market of one pair: the iid type's users in state
 1. The kernel beneath, _clear_blockspace, roots in log price, where
-isoelastic demand against a power cost is linear, so Brent's secant step
-lands at once. It evaluates one guessed fee first (c'(1), the cost's scale,
-without a prediction), whose residual bounds the root's distance in log
-price, and roots in place from the guess toward that bound on one table of
-residuals by price. A market of one demand (a closed-form regime's with one
-type, the planner's where one type is active) has its fee in closed form:
-that is the guess. The activities the load computed at the returned fee
-are the ones returned, so no demand is inverted again.
+isoelastic demand against a power cost is linear, so a Newton step on the
+load's exact elasticity lands at once. It evaluates one guessed fee first
+(c'(1), the cost's scale, without a prediction), whose residual bounds the
+root in log price, and takes Newton steps on the load's slope inside that
+bound. A market of one demand (a closed-form regime's with one type, the
+planner's where one type is active) has its fee in closed form: that is
+the guess. The activities the load computed at the fee are returned; no
+demand is inverted again.
 
 The first best depends only on the config, so it is solved once per config
 object and kept on that object (see _memo): the equilibrium scorer, tax
@@ -64,18 +64,21 @@ def _step(p: float, x: float) -> float:
 
 
 def _clear_blockspace(
-    cost: ec.CostFn, load: Callable[[float], float], guess: float | None = None
+    cost: ec.CostFn, load: Callable[[float], tuple[float, float]], guess: float | None = None,
+    steps: list[int] | None = None,
 ) -> tuple[float, bool]:
-    """Fee clearing blockspace against a demand load(p) that falls in p,
-    and whether it clears at the unit capacity.
+    """Fee clearing blockspace against a demand that falls in p, and whether
+    it clears at the unit capacity; load(p) returns the demand and its
+    elasticity e = d log load / d log p.
 
     If demand at the marginal cost of capacity c'(1) exceeds capacity, the
     fee rations it: load(p) = 1 with p >= c'(1). Otherwise supply meets
     demand below capacity: p = c'(load(p)). The root runs in log price
-    (find_log_root), on log load(p) when congested and on
-    log p - log c'(load(p)) when slack. For one isoelastic type under power
-    cost both residuals are linear in log p, so the first secant step lands
-    on the root; with several types they stay close to linear.
+    (find_log_root, which counts its steps into steps) on log load(p), of
+    slope e, when congested and on log p - log c'(load(p)), of slope
+    1 - kappa e for the cost's curvature kappa, when slack. For one
+    isoelastic type under power cost both are linear in log p, so the first
+    Newton step lands on the root; with several types they stay close to it.
 
     Every demand's curvature lies in (0, 1), so in log p the congested
     residual falls with slope at most -1 and the slack one rises with slope
@@ -86,12 +89,11 @@ def _clear_blockspace(
     residual is at float resolution (RESIDUAL_FLOOR) and, within float
     resolution of c'(1), on the branch the test at c'(1) names: demand that
     fills capacity there clears on both, and p <= c'(1) and p = c'(load(p))
-    put the load within capacity only to a few ulps. Otherwise the root runs
-    from the guess toward the end its residual bounds, in one table of
-    residuals by price (find_log_root widens past that end where rounding
-    leaves it short); an end across c'(1) gives way to the test there, and
-    the root runs from c'(1) toward the end its residual bounds, or toward
-    an end the guess's branch already evaluated.
+    put the load within capacity only to a few ulps. Otherwise, where that
+    bound stays on the guess's branch, the root runs from the guess toward
+    it on one table of residuals by price; a bound across c'(1), or a root
+    that rounding put there, gives way to the test at c'(1), and the root
+    runs from c'(1) toward the bound its residual there names.
 
     c'(1) is the cost's scale (scale * 1**curvature, bit for bit). load is
     evaluated at most once per price, and the returned fee is always one at
@@ -99,55 +101,43 @@ def _clear_blockspace(
     """
     capacity_cost = cost.scale
     tie = 2.0 * RESIDUAL_FLOOR * capacity_cost  # float resolution of c'(1)
+    loads: dict[float, tuple[float, float]] = {}  # each price loaded once
 
-    # each residual at p, from the load q there when it is known
-    def over(p: float, q: float | None = None) -> float:
-        q = load(p) if q is None else q
-        return math.log(q) if q > 0.0 else _LOG_ZERO
+    # each residual at p, and its slope in log p; over(c'(1)) > 0 where
+    # demand at c'(1) overfills the capacity of 1
+    def over(p: float) -> tuple[float, float]:
+        q, e = loads[p] if p in loads else loads.setdefault(p, load(p))
+        return (math.log(q) if q > 0.0 else _LOG_ZERO), e
 
-    def excess(p: float, q: float | None = None) -> float:
-        c = ec.c_prime(cost, load(p) if q is None else q)
-        return math.log(p) - (math.log(c) if c > 0.0 else _LOG_ZERO)
-
-    def filled() -> bool:
-        # whether demand at c'(1) overfills the capacity of 1
-        nonlocal at_cap
-        if at_cap is None:
-            at_cap = load(capacity_cost)
-        return at_cap > 1.0
+    def excess(p: float) -> tuple[float, float]:
+        q, e = loads[p] if p in loads else loads.setdefault(p, load(p))
+        c = ec.c_prime(cost, q)
+        return math.log(p) - (math.log(c) if c > 0.0 else _LOG_ZERO), 1.0 - cost.curvature * e
 
     p = capacity_cost if guess is None else guess
-    q = load(p)
-    at_cap = q if p == capacity_cost else None
     # the guess's branch: congested above c'(1), where its residual falls
     # in p, slack at or below it, where its residual rises
     up = p > capacity_cost
     residual = over if up else excess
-    values = {p: residual(p, q)}
-    f = values[p]
-    if abs(f) <= RESIDUAL_FLOOR and (abs(p - capacity_cost) > tie or filled() is up):
+    values = {p: residual(p)}
+    f = values[p][0]
+    if abs(f) <= RESIDUAL_FLOOR and (abs(p - capacity_cost) > tie or (over(capacity_cost)[0] > 0.0) is up):
         return p, up
     bound = _step(p, f if up else -f)
-    if f > 0.0:
+    if f > 0.0 or bound != capacity_cost and (bound > capacity_cost) is up:
         # demand overfills capacity at p, or the fee exceeds marginal cost
-        # there: the root lies on the bound's side of p, on p's branch
-        return find_log_root(residual, values, p, bound), up
-    end = p
-    if bound not in (p, capacity_cost) and (bound > capacity_cost) is up:
-        values[bound] = residual(bound)
-        if values[bound] > 0.0:
-            return find_log_root(residual, values, p, bound), up
-        end = bound
-    # the root lies across c'(1) from the guess, or on the guess's branch
-    # between c'(1) and end, the evaluated point nearest c'(1) beyond it
-    congested = filled()
-    if congested is not up:
-        values, end = {}, capacity_cost
-    f = math.log(at_cap) if congested else excess(capacity_cost, at_cap)
-    values[capacity_cost] = f
-    if end == capacity_cost:
-        end = _step(capacity_cost, f if congested else -f)
-    return find_log_root(over if congested else excess, values, capacity_cost, end), congested
+        # there, or the bound stays on p's branch: the root lies on p's
+        # branch within the bound, rounding aside
+        price = find_log_root(residual, values, p, bound, steps)
+        if price != capacity_cost and (price > capacity_cost) is up:
+            return price, up
+    # the test at c'(1) names the branch, and its residual there the bound
+    congested = over(capacity_cost)[0] > 0.0
+    residual = over if congested else excess
+    values = {capacity_cost: residual(capacity_cost)}
+    f = values[capacity_cost][0]
+    end = _step(capacity_cost, f if congested else -f)
+    return find_log_root(residual, values, capacity_cost, end, steps), congested
 
 
 def _clear_demands(
@@ -157,8 +147,8 @@ def _clear_demands(
     of state's blockspace cleared against cfg's types, a fraction share of
     each trading; with no type active in state the market is idle at fee 0.0.
     The load at fee p is the fsum of each active type's k a, one demand's
-    that product itself; the activities are those the load computed at the
-    fee, kept by price.
+    that product itself, and its elasticity -sum k a / c over it; the
+    activities are those the load computed at the fee, kept by price.
 
     An active type is a demand (k, u): k = share * mass and u its utility in
     state. One demand at wedge w buys k (s / (w p))**(1/c) at fee p, for
@@ -179,11 +169,13 @@ def _clear_demands(
         return 0.0, False, acts, 0.0
     masses = [share * t.mass for t in active]
     utilities = [t.utility_in(state) for t in active]
+    weights = [k / u.curvature for k, u in zip(masses, utilities)]  # k / c, by demand
     bought: dict[float, list[float]] = {}  # each active type's activity, by fee
 
-    def load(p: float) -> float:
+    def load(p: float) -> tuple[float, float]:
         a = bought[p] = [ec.u_prime_inv(u, wedge * p) for u in utilities]
-        return math.fsum(map(operator.mul, masses, a))
+        q = math.fsum(map(operator.mul, masses, a))
+        return q, -sum(map(operator.mul, weights, a)) / q if q > 0.0 else math.nan
 
     guess = None
     if len(active) == 1:
@@ -201,7 +193,7 @@ def _clear_demands(
     try:
         price, congested = _clear_blockspace(cost, load, guess)
     except SolverError as exc:
-        if guess is not None and load(guess) == 0.0:  # read only once the kernel has failed
+        if guess is not None and load(guess)[0] == 0.0:  # read only once the kernel has failed
             raise SolverError(f"demand underflows a float at the closed-form fee {guess!r}") from exc
         raise
     acts.update(zip([t.name for t in active], bought[price]))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -61,15 +62,15 @@ def record_evaluations(monkeypatch) -> Evaluations:
         seen.c_prime.append(s)
         return c_prime(c, s)
 
-    def clearing(cost, load, guess=None):
+    def clearing(cost, load, guess=None, steps=None):
         prices: list[float] = []
         seen.clears.append(prices)
 
-        def recording(p: float) -> float:
+        def recording(p: float) -> tuple[float, float]:
             prices.append(p)
             return load(p)
 
-        return kernel(cost, recording, guess)
+        return kernel(cost, recording, guess, steps)
 
     monkeypatch.setattr(ec, "u_prime_inv", counting)
     monkeypatch.setattr(ec, "u_prime", counting_u_prime)
@@ -77,6 +78,46 @@ def record_evaluations(monkeypatch) -> Evaluations:
     monkeypatch.setattr(fb, "_clear_blockspace", clearing)
     monkeypatch.setattr(eqm, "_clear_blockspace", clearing)
     return seen
+
+
+def record_slopes(monkeypatch) -> list[tuple[str, object, float]]:
+    """Record, for the rest of the test, each load the clearing kernel is
+    given (in both modules that call it) and each residual find_log_root is
+    given (the kernel's and the heterogeneous balance root's), as ("load" or
+    "residual", the callable, the price or balance it returned)."""
+    seen: list[tuple[str, object, float]] = []
+    kernel, root = fb._clear_blockspace, fb.find_log_root
+
+    def clearing(cost, load, guess=None, steps=None):
+        out = kernel(cost, load, guess, steps)
+        seen.append(("load", load, out[0]))
+        return out
+
+    def rooting(f, values, v, w, steps=None):
+        out = root(f, values, v, w, steps)
+        seen.append(("residual", f, out))
+        return out
+
+    for module in (fb, eqm):
+        monkeypatch.setattr(module, "_clear_blockspace", clearing)
+        monkeypatch.setattr(module, "find_log_root", rooting)
+    return seen
+
+
+def log_slope_error(kind: str, fn, x: float, h: float = 1e-6) -> float:
+    """Relative difference at x between the slope fn returns with its value
+    and a central difference in log x, of step h, of log value (a load) or
+    of the value itself (a residual, already in log terms); 0.0 where the
+    slope is not finite (a load that underflows reads no slope)."""
+    def read(u: float) -> float:
+        value = fn(u)[0]
+        return math.log(value) if kind == "load" else value
+
+    slope = fn(x)[1]
+    if not math.isfinite(slope):
+        return 0.0
+    central = (read(x * math.exp(h)) - read(x * math.exp(-h))) / (2.0 * h)
+    return abs(slope - central) / max(abs(slope), abs(central))
 
 
 def one_sided_ascent(cfg: ec.EconomyConfig, eq: eqm.SteadyStateEquilibrium) -> dict[str, float]:

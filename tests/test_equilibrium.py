@@ -22,9 +22,11 @@ from helpers import (
     assert_holdings_slope_matches,
     both_bind_config,
     het_band_config,
+    log_slope_error,
     low_state_over_capacity_config,
     one_sided_ascent,
     record_evaluations,
+    record_slopes,
     replace,
     scaled_config,
     single_user_config,
@@ -415,19 +417,21 @@ def test_heterogeneous_solve_evaluation_budget(het_cfg, monkeypatch):
     the types by their utility scales: no u_prime call at all. Where the
     shocked type's budget binds in both states, that root runs at every
     low-state load evaluation, from the type's last balance moved on the
-    FOC's partials, toward the end a Newton step on the FOC's slope names,
-    and the low state clears from the last low price found. Each FOC
-    evaluation takes two u_prime calls: 8, 13 and 14 evaluations at
-    theta = 0, 0.03 and 0.05 (15, 38 and 36 on the log secant and a
-    balance restarted from the last one found). c'(1) is the cost's scale,
-    so c_prime is called once per slack residual only.
+    FOC's partials, by Newton steps on the FOC's slope, and the low state
+    clears from the last low price found. Each FOC evaluation takes two
+    u_prime calls: 6, 11 and 13 evaluations at theta = 0, 0.03 and 0.05
+    (8, 13 and 14 by Brent's method toward the end a Newton step named;
+    15, 38 and 36 on the log secant and a balance restarted from the last
+    one found). Every clear and balance root takes Newton steps on its
+    load's or FOC's exact slope. c'(1) is the cost's scale, so c_prime is
+    called once per slack residual only.
     """
     seen = record_evaluations(monkeypatch)
     both = het_band_config(*SHOCKED_BINDS_BOTH)
     for cfg, theta, budget in [
-        (het_cfg, 0.0, (10, 0, 2)), (het_cfg, 0.02, (22, 0, 4)), (het_cfg, 0.05, (26, 0, 6)),
-        (het_cfg, 0.08, (24, 0, 5)), (het_cfg, 0.1, (22, 0, 6)), (both, 0.0, (23, 16, 11)),
-        (both, 0.03, (37, 26, 17)), (both, 0.05, (36, 28, 16)),
+        (het_cfg, 0.0, (8, 0, 2)), (het_cfg, 0.02, (18, 0, 4)), (het_cfg, 0.05, (20, 0, 5)),
+        (het_cfg, 0.08, (20, 0, 5)), (het_cfg, 0.1, (18, 0, 5)), (both, 0.0, (21, 12, 9)),
+        (both, 0.03, (35, 22, 15)), (both, 0.05, (36, 26, 16)),
     ]:
         seen.clear()
         eqm.solve_regime(cfg, "heterogeneous", theta)
@@ -437,18 +441,19 @@ def test_heterogeneous_solve_evaluation_budget(het_cfg, monkeypatch):
 
 def test_taxed_heterogeneous_solve_inverts_demand_as_the_readme_says(het_cfg, monkeypatch):
     # a taxed solve of the shipped config, theta = 0.005, 0.01, ..., 0.1,
-    # takes 22 to 26 demand inversions: the range the README states (22 to
-    # 34 with first-order predictions, 32 to 42 when the burn identity was
-    # bracketed and rooted by Brent's method)
+    # takes 18 to 20 demand inversions: the range the README states (22 to
+    # 26 when each clear ran Brent's method, 22 to 34 with first-order
+    # predictions, 32 to 42 when the burn identity was bracketed and rooted
+    # by Brent's method)
     seen = record_evaluations(monkeypatch)
     counts = []
     for i in range(1, 21):
         seen.clear()
         eqm.solve_regime(het_cfg, "heterogeneous", 0.005 * i)
         counts.append(len(seen.u_prime_inv))
-    assert (min(counts), max(counts)) == (22, 26), counts
+    assert (min(counts), max(counts)) == (18, 20), counts
     readme = " ".join((CONFIG_DIR.parent / "README.md").read_text().split())
-    stated = "`configs/heterogeneous.json` takes 22 to 26 demand inversions for theta in [0.005, 0.1]"
+    stated = "`configs/heterogeneous.json` takes 18 to 20 demand inversions for theta in [0.005, 0.1]"
     assert stated in readme
 
 
@@ -527,8 +532,8 @@ def test_a_one_demand_market_clears_at_its_closed_form_fee(
     (k, u), = [(share * t.mass, t.utility_in(state)) for t in cleared.agent_types]
     (prices,) = seen.clears
 
-    def load(p: float) -> float:
-        return k * ec.u_prime_inv(u, w * p)
+    def load(p: float) -> tuple[float, float]:
+        return k * ec.u_prime_inv(u, w * p), -1.0 / u.curvature
 
     if out is None:
         # demand that underflows a float at the root defeats the cold kernel too
@@ -545,7 +550,7 @@ def test_a_one_demand_market_clears_at_its_closed_form_fee(
         fee = math.exp((math.log(capacity_cost) + kappa * math.log(k) + ratio * math.log(s))
                        / (1.0 + ratio))
     assert prices[0] == pytest.approx(fee, rel=1e-13)
-    demand = load(prices[0])
+    demand = load(prices[0])[0]
     if prices[0] > capacity_cost:
         residual = math.log(demand)
     else:
@@ -567,18 +572,17 @@ def test_demand_below_a_float_at_the_closed_form_fee_is_named(regime):
 @pytest.mark.parametrize("cost, prices", [
     # demand overfills capacity at c'(1) = 1 by a log residual of 1.64: the
     # root lies in [1, e^1.64]
-    ((1.0, 1.0), [1.0, 5.164684199579493, 1.6634160955173798, 1.6477182676933295,
-                  1.6476412713865787, 1.647641273006073, 1.6476412730060723]),
+    ((1.0, 1.0), [1.0, 1.6443879965881636, 1.6476412536085214, 1.6476412730060723]),
     # the fee exceeds marginal cost at c'(1) = 4 by a log residual of 5.71:
     # the root lies in [4 e^-5.71, 4]
-    ((4.0, 2.0), [4.0, 0.013187666506929086, 1.8886883669593155, 1.853167592086522,
-                  1.8534844378277175, 1.8534843660245626, 1.8534843660244165,
-                  1.853484366024416]),
+    ((4.0, 2.0), [4.0, 1.8291668058948862, 1.8534866522194149, 1.8534843660244158]),
 ], ids=["congested", "slack"])
 def test_a_two_type_market_clears_on_the_cold_path(cost, prices, monkeypatch):
     # two demands have no closed-form fee: the planner's market is bracketed
-    # by c'(1) and the end its residual there bounds, evaluating its load at
-    # exactly these prices
+    # by c'(1) and the end its residual there bounds, and Newton steps on
+    # the load's elasticity from c'(1) evaluate its load at exactly these
+    # prices, never at that end (Brent's method, which evaluated the end
+    # first, took 7 and 8)
     cfg = ec.EconomyConfig(
         r=0.05, gamma=0.0,
         agent_types=(ec.AgentTypeSpec(0.5, {1: ISO(0.5, 0.5)}, "a"),
@@ -624,25 +628,27 @@ def test_heterogeneous_solve_logs_its_branch_at_debug(het_cfg, caplog):
     # state; the check at the clearing prices moves it to the high state.
     # Only a budget binding in both states runs the holdings FOC root; its
     # low state clears again from the last low price found and its balance
-    # from the last root moved on the FOC's partials, so five of those clears
-    # and roots accept their prediction. At theta = 0.05 two Newton steps
-    # from the first trial reach the root, and two clears accept their
-    # predicted price at once: the last trial's high and low states. An
+    # from the last root moved on the FOC's partials, so three of those
+    # clears and roots accept their prediction. At theta = 0.05 two Newton
+    # steps from the first trial reach the root, and two clears accept
+    # their predicted price at once: the last trial's high and low states.
+    # Every clear that does not accept its prediction takes Newton steps on
+    # its load's elasticity (clears=newton:<steps>, with no bisection). An
     # untaxed solve roots no burn identity.
     # (solve_regime adds an INFO line per solve.)
     assert [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG] == [
         "heterogeneous theta=0.0 binds=shocked:high,steady:low pattern_switches=0 "
-        "first_bracket=planner-seed trial_returns=1 high_load_evals=3 low_load_evals=2 "
-        "foc_evals=0 prediction_hits=0 outer=none",
+        "first_bracket=planner-seed trial_returns=1 high_load_evals=2 low_load_evals=2 "
+        "foc_evals=0 prediction_hits=0 clears=newton:2 outer=none",
         "heterogeneous theta=0.05 binds=shocked:high,steady:low pattern_switches=0 "
-        "first_bracket=planner-seed trial_returns=3 high_load_evals=7 low_load_evals=6 "
-        "foc_evals=0 prediction_hits=2 outer=newton:2",
+        "first_bracket=planner-seed trial_returns=3 high_load_evals=5 low_load_evals=5 "
+        "foc_evals=0 prediction_hits=2 clears=newton:4 outer=newton:2",
         "heterogeneous theta=0.0 binds=shocked:high,steady:high pattern_switches=1 "
         "first_bracket=cold-test trial_returns=1 high_load_evals=5 low_load_evals=4 "
-        "foc_evals=0 prediction_hits=0 outer=none",
+        "foc_evals=0 prediction_hits=0 clears=newton:4 outer=none",
         "heterogeneous theta=0.0 binds=shocked:both,steady:low pattern_switches=1 "
-        "first_bracket=cold-test trial_returns=1 high_load_evals=5 low_load_evals=6 "
-        "foc_evals=8 prediction_hits=5 outer=none",
+        "first_bracket=cold-test trial_returns=1 high_load_evals=4 low_load_evals=5 "
+        "foc_evals=6 prediction_hits=3 clears=newton:4 outer=none",
     ]
 
 
@@ -808,6 +814,40 @@ def with_binding_examples(test):
     for args, shares, _ in BINDING_EXAMPLES:
         test = example(*args, shares)(test)
     return test
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    scales=st.tuples(*[st.floats(0.25, 4.0)] * 4),
+    curvatures=st.tuples(*[st.floats(0.5, 2.0)] * 4),
+    mass=st.floats(0.05, 0.95),
+    rho=st.floats(0.05, 0.95),
+    shares=st.lists(st.floats(0.0, 1.2), min_size=1, max_size=2),
+)
+@with_binding_examples
+# the shipped config, the shocked type binding high and the steady one low
+@example((1.0, 1.0, 1.0, 1.0), (1.0, 1.0, 1.0, 1.0), 0.5, 0.5, [0.5])
+def test_heterogeneous_loads_and_balance_focs_return_their_exact_log_slopes(
+    scales, curvatures, mass, rho, shares
+):
+    # each heterogeneous load returns its elasticity with its value: -1/c per
+    # demand where one budget binds, d log m - 1 in the low state where both
+    # do, and in a high state whose low state clears again at each price the
+    # Schur complement of the trial's 2x2 system; each both-binding balance
+    # root's holdings FOC returns F_m as its slope in log m. Every one, and
+    # the kernel's residuals, matches a central difference in log price (log
+    # m) within 1e-6 at the root it returned, under every binding pattern of
+    # BINDING_EXAMPLES
+    cfg = het_band_config(scales, curvatures, mass, rho)
+    with pytest.MonkeyPatch.context() as mp:
+        seen = record_slopes(mp)
+        for share in shares:
+            try:
+                eqm.solve_regime(cfg, "heterogeneous", share * cfg.r / rho)
+            except (SolverError, InfeasiblePolicyError):
+                pass
+        for kind, fn, x in list(seen):
+            assert log_slope_error(kind, fn, x) <= 1e-6, (kind, fn.__qualname__, x)
 
 
 @settings(max_examples=150, deadline=None)
@@ -1186,9 +1226,9 @@ def test_a_clear_never_evaluates_load_twice_at_one_price(
     cost = ec.CostFn(1.0 + cost_sign * 10.0**-cost_offset, cost_curvature)
     prices = []
 
-    def load(p: float) -> float:
+    def load(p: float) -> tuple[float, float]:
         prices.append(p)
-        return ec.u_prime_inv(u, p)
+        return ec.u_prime_inv(u, p), -1.0 / u.curvature
 
     price, congested = _clear_blockspace(cost, load, None if guess is None else 1.0 + guess)
     assert len(set(prices)) == len(prices)
@@ -1201,17 +1241,18 @@ def test_a_clear_near_unit_price_ends_where_the_price_grid_does():
     # root three ulps above p = 1, where the log-price residual's rounding
     # stays above RESIDUAL_FLOOR and the bracket test in x = log(p / c'(1))
     # is far finer than an ulp of p. Brent's method once took 49 steps on 4
-    # distinct prices; the root ends once a step rounds to a price already
-    # evaluated, after the guess c'(1), its bound end and two steps.
+    # distinct prices, and later the guess c'(1), its bound end and two
+    # steps; the Newton step from c'(1) lands on the root, and the next one
+    # rounds to that price, so the root ends there.
     u, cost = ISO(1.0 + 3e-15, 0.21), ec.CostFn(1.0 + 5e-15, 2.8)
     prices = []
 
-    def load(p: float) -> float:
+    def load(p: float) -> tuple[float, float]:
         prices.append(p)
-        return ec.u_prime_inv(u, p)
+        return ec.u_prime_inv(u, p), -1.0 / u.curvature
 
     price, congested = _clear_blockspace(cost, load)
-    assert prices == [1.000000000000005, 0.9999999999999784, 1.0000000000000033, 1.000000000000003]
+    assert prices == [1.000000000000005, 1.0000000000000033]
     assert price == 1.0000000000000033
     _assert_clears(cost, price, ec.u_prime_inv(u, price), congested)
 
@@ -1228,9 +1269,9 @@ def test_a_steep_clear_far_from_unit_price_roots_within_tolerance():
         u = ISO(scale * (1.0 + 5e-5 * i), 1e-4)
         prices = []
 
-        def load(p: float) -> float:
+        def load(p: float) -> tuple[float, float]:
             prices.append(p)
-            return ec.u_prime_inv(u, p)
+            return ec.u_prime_inv(u, p), -1.0 / u.curvature
 
         price, congested = _clear_blockspace(cost, load)
         assert congested and len(set(prices)) == len(prices), i
@@ -1250,10 +1291,11 @@ def test_a_slack_clear_whose_bound_end_rounds_short_closes_in_a_few_ulps():
     wedge = 1.0 + (r - rho * rt) / (1.0 - rho)  # where b's low-state budget binds
     prices = []
 
-    def load(p: float) -> float:
+    def load(p: float) -> tuple[float, float]:
         # summed in type order from 0.0, as the solver sums its loads
         prices.append(p)
-        return 0.0 + 0.4297053945140615 * ec.u_prime_inv(a, p) + 0.5702946054859386 * ec.u_prime_inv(b, wedge * p)
+        ka, kb = 0.4297053945140615 * ec.u_prime_inv(a, p), 0.5702946054859386 * ec.u_prime_inv(b, wedge * p)
+        return 0.0 + ka + kb, (0.0 - ka / a.curvature - kb / b.curvature) / (0.0 + ka + kb)
 
     cost = ec.CostFn(0.9602604260059702, 1e-09)
     assert _clear_blockspace(cost, load, 0.9602604251762252) == (0.9602604251762212, False)

@@ -21,8 +21,8 @@ from tokenomics.verify import CERT_TOL
 from tokenomics.welfare import evaluate
 
 from helpers import (
-    CONFIG_DIR, ISO, ZERO, marginal_cost_overflow_config, record_evaluations, replace,
-    single_user_config,
+    CONFIG_DIR, ISO, ZERO, log_slope_error, marginal_cost_overflow_config, record_evaluations,
+    record_slopes, replace, single_user_config,
 )
 
 #: planner's activity for the canonical single-user economy, from
@@ -283,20 +283,23 @@ def test_clearing_survives_demand_underflow(curvature, cost_scale, guess, far, c
     # math.log
     u = ISO(1.0, curvature)
     cost = ec.CostFn(cost_scale, 1.0)
-    evaluated = []
-
-    def load(p: float) -> float:
-        evaluated.append(p)
-        return ec.u_prime_inv(u, p)
-
-    assert load(far) == 0.0
+    evaluated, load = _recorded(u)
+    assert load(far)[0] == 0.0
+    evaluated.clear()
     p, is_congested = _clear_blockspace(cost, load, guess)
     assert is_congested is congested
-    assert far in evaluated[1:] and p in evaluated
+    # load evaluations: the congested roots take one Newton step on the
+    # elasticity -1/curvature from the guess or c'(1), and their bound ends
+    # are never loaded. The slack residual at c'(1) reads log 2 + 744 with no
+    # slope, so that root bisects about 745 units of log price down from
+    # c'(1), from the bound end 1e-323, until demand is a float again
+    # (Brent's method took 16 evaluations there)
+    evaluations = {0.99: 2, 0.9999: 2, 2.0: 14}[cost_scale]
+    assert p in evaluated and len(set(evaluated)) == len(evaluated) == evaluations
     if congested:
-        assert load(p) == pytest.approx(1.0, abs=1e-10)
+        assert load(p)[0] == pytest.approx(1.0, abs=1e-10)
     else:
-        assert p == pytest.approx(ec.c_prime(cost, load(p)), rel=1e-10)
+        assert p == pytest.approx(ec.c_prime(cost, load(p)[0]), rel=1e-10)
 
 
 def test_a_market_clears_where_marginal_cost_passes_a_float():
@@ -311,12 +314,16 @@ def test_a_market_clears_where_marginal_cost_passes_a_float():
     assert eq.states[1].activities == pytest.approx(alloc.activities, rel=1e-12)
 
 
-def _recorded(u: ec.UtilityFn) -> tuple[list[float], Callable[[float], float]]:
+def _recorded(u: ec.UtilityFn) -> tuple[list[float], Callable[[float], tuple[float, float]]]:
+    # one demand's load with its elasticity -1/curvature (none where the
+    # load underflows or overflows, as the package's loads read it), and the
+    # prices it is evaluated at
     evaluated: list[float] = []
 
-    def load(p: float) -> float:
+    def load(p: float) -> tuple[float, float]:
         evaluated.append(p)
-        return ec.u_prime_inv(u, p)
+        q = ec.u_prime_inv(u, p)
+        return q, -1.0 / u.curvature if 0.0 < q < math.inf else math.nan
 
     return evaluated, load
 
@@ -394,6 +401,10 @@ def test_a_prediction_on_the_wrong_side_of_capacity_cost_gets_the_cold_result(u,
 @example(1e-9, 0.75, [(1.0, 0.5)], "above", 1.0)
 @example(1e-9, 0.75, [(1.0, 0.5)], "above", 1.0 + 2.0**-52)
 @example(1e-9, 1.0, [(1.0, 0.5)], "below", 1.0 + 2.0**-52)
+# two demands that fill capacity at c'(1) to rounding: the slack root from
+# c'(1) returns c'(1) itself, so the test at c'(1) names the branch
+@example(2.4900528048174713, 1.608847594294701,
+         [(1.0, 0.33728557679888227), (0.9999999999999993, 0.14074613144644754)], None, 1.0)
 def test_a_clear_prices_by_its_branch_from_any_guess(
     cost_curvature, cost_scale, demands, side, near
 ):
@@ -407,9 +418,11 @@ def test_a_clear_prices_by_its_branch_from_any_guess(
     guess = {None: None, "below": capacity_cost / near, "above": capacity_cost * near}[side]
     loads: dict[float, float] = {}
 
-    def load(p: float) -> float:
-        loads[p] = math.fsum(ec.u_prime_inv(u, p) / len(utilities) for u in utilities)
-        return loads[p]
+    def load(p: float) -> tuple[float, float]:
+        a = [ec.u_prime_inv(u, p) / len(utilities) for u in utilities]
+        loads[p] = math.fsum(a)
+        slope = -sum(x / u.curvature for x, u in zip(a, utilities))
+        return loads[p], slope / loads[p] if loads[p] > 0.0 else math.nan
 
     cold_price, cold_congested = _clear_blockspace(cost, load)
     loads.clear()
@@ -492,9 +505,11 @@ def test_a_residual_bounds_the_root_and_the_kernel_clears_from_any_guess(
 
     loads: dict[float, float] = {}
 
-    def load(p: float) -> float:
-        loads[p] = math.fsum(k * ec.u_prime_inv(u, p) for k, u in market)
-        return loads[p]
+    def load(p: float) -> tuple[float, float]:
+        a = [k * ec.u_prime_inv(u, p) for k, u in market]
+        loads[p] = math.fsum(a)
+        slope = -sum(x / u.curvature for x, (_, u) in zip(a, market))
+        return loads[p], slope / loads[p] if loads[p] > 0.0 else math.nan
 
     price, congested = _clear_blockspace(cost, load, math.exp(x_cap + guess))
     assert price in loads
@@ -503,3 +518,36 @@ def test_a_residual_bounds_the_root_and_the_kernel_clears_from_any_guess(
     # the branch is the one the load at c'(1) names, away from a tie there
     if abs(log_load(x_cap)) > 1e-12:
         assert congested is (log_load(x_cap) > 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    # (mass, utility scale, curvature) of each demand
+    demands=st.lists(st.tuples(st.floats(0.05, 1.0), st.floats(0.05, 20.0), st.floats(0.05, 0.95)),
+                     min_size=1, max_size=3),
+    cost_scale=st.floats(0.5, 2.0),
+    cost_curvature=st.sampled_from([1e-9]) | st.floats(0.05, 3.0),
+    wedge=st.floats(0.5, 2.0),
+    share=st.floats(0.1, 1.0),
+)
+def test_each_load_and_clearing_residual_returns_its_exact_log_slope(
+    demands, cost_scale, cost_curvature, wedge, share
+):
+    # a market solve's load returns its elasticity -sum k a / c / load, and
+    # the kernel's residuals their slopes in log price (e on log load,
+    # 1 - kappa e on log p - log c'(load)): each matches a central
+    # difference in log price, within 1e-6, at the price its root returned
+    cfg = ec.EconomyConfig(
+        r=0.05, gamma=0.0,
+        agent_types=tuple(ec.AgentTypeSpec(k, {1: ISO(s, c)}, f"t{i}")
+                          for i, (k, s, c) in enumerate(demands)),
+        cost=ec.CostFn(cost_scale, cost_curvature),
+        shocks=ec.ShockProcess(ec.ShockKind.DETERMINISTIC),
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        seen = record_slopes(mp)
+        _clear_demands(cfg, 1, wedge, share)
+        assert [kind for kind, _, _ in seen][-1] == "load"
+        for kind, fn, x in list(seen):
+            assert log_slope_error(kind, fn, x) <= 1e-6, (kind, fn.__qualname__, x)
+

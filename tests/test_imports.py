@@ -286,10 +286,13 @@ def test_detector_lists_private_imports():
 
 def test_private_names_cross_modules_only_where_pinned():
     # the market kernel is first_best's and equilibrium clears through it;
-    # the sweep grid is welfare's, and cli and verify build sweeps with it.
-    # A new reach into another module's private names must be added here.
+    # the rtsafe step rule is _roots', and equilibrium's burn identity steps
+    # by it; the sweep grid is welfare's, and cli and verify build sweeps
+    # with it. A new reach into another module's private names must be
+    # added here.
     assert private_imports({p.stem: p.read_text() for p in SRC.glob("*.py")}) == {
         ("equilibrium", "first_best"): {"_clear_blockspace", "_clear_demands"},
+        ("equilibrium", "_roots"): {"_rtsafe_step"},
         ("cli", "welfare"): {"_grid"},
         ("verify", "welfare"): {"_grid"},
     }
